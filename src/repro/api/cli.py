@@ -337,13 +337,15 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         f"simulation: engine={sim_stats['engine']},"
         f" vector {engines['vector']['batches']} suite(s)"
         f" ({engines['vector']['lanes']} lanes,"
+        f" {engines['vector']['variant_lanes']} on mutant variants,"
         f" {engines['vector']['cycles']} lane-cycles,"
         f" {engines['vector']['scalar_fallbacks']} scalar fallback(s)),"
         f" compiled {engines['compiled']['runs']} run(s)"
         f" ({engines['compiled']['cycles']} cycles),"
         f" compile cache {cache_line['hits']} hit(s) /"
         f" {cache_line['misses']} miss(es),"
-        f" {cache_line['entries']} live entr(ies)"
+        f" {cache_line['entries']} live entr(ies),"
+        f" {cache_line['target_programs']} target program(s)"
     )
     if "pool_size" in runtime_stats:
         shard_sizes = ",".join(

@@ -12,11 +12,19 @@ For each sampled mutation the campaign:
 4. runs the localizer and scores *top-1 localization*: the mutated
    statement must hold the single highest suspiciousness in ``Ht``.
 
+A target's mutants are simulated as *selector lanes of one program*
+(:class:`TargetSimulation`): the golden design is lowered once with
+every mutated statement as a selector-dispatched variant, so the golden
+runs and all mutants share one compile and one vector codegen, and the
+mutants run as one lockstep suite per round instead of one suite each.
+The interpreter (the reference oracle) keeps the per-mutant path.
+
 Simulation of mutants is embarrassingly parallel: with ``n_workers > 0``
 the campaign fans the simulate/classify phase out across an
 :class:`~repro.runtime.ExecutionRuntime` worker pool (one task per
-mutation; the campaign context — golden design, stimuli, golden traces —
-is shipped once per worker and referenced by id afterwards).  A session
+mutation; the campaign context — golden design, stimuli, golden traces,
+mutation plan — is shipped once per worker and referenced by id
+afterwards, and each worker lowers the target program once).  A session
 passes its own persistent runtime so consecutive campaigns reuse one
 pool; legacy callers that only set ``n_workers`` get an ephemeral
 runtime scoped to the call.  Parallel campaigns are bit-identical to
@@ -41,7 +49,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from ..core.localizer import (
     LocalizationEngine,
@@ -53,7 +61,7 @@ from ..sim.simulator import SimulationError, Simulator
 from ..sim.testbench import TestbenchConfig, generate_testbench_suite
 from ..sim.trace import Trace
 from ..verilog.ast_nodes import Module
-from .mutation import Mutation, apply_mutation
+from .mutation import Mutation, apply_mutation, mutate_statement
 
 
 @dataclass
@@ -113,6 +121,101 @@ class CampaignResult:
         return sum(1 for o in self.outcomes if o.mutation.kind == kind and not o.error)
 
 
+Simulated = tuple[MutantOutcome, list[Trace], list[Trace]]
+
+#: Most mutants compiled into one target program; larger plans split
+#: into several programs.  A program's mutants hold their trace sets
+#: together until localized, so the cap bounds memory; it costs no time.
+#: Measured on the four paper designs' 8 targets with the plan
+#: ``{negation: 20, operation: 20, misuse: 40}`` (25-80 mutants per
+#: target, 444 in all; 20 traces x 12 cycles; simulation and
+#: classification only, 2-vCPU x86 host): median wall 9.7 / 9.3 / 9.8 /
+#: 10.5 s for 8 / 16 / 32 / unlimited mutants per program (3 interleaved
+#: runs each; 8 vs 16 over 6 more: 8.29 vs 8.26 s), 15.1 s for one
+#: program per mutant; peak RSS 79 / 91 / 116 / 192 MB.  The default
+#: Table-III plan (7 mutants per target) fits in one program.
+MAX_PROGRAM_VARIANTS = 8
+
+
+def _classify(
+    traces: list[Trace],
+    goldens: list[Trace],
+    target: str,
+    outputs: list[str],
+    failing: list[Trace],
+    correct: list[Trace],
+) -> None:
+    """Sort mutant traces into failing / correct against the golden ones."""
+    for trace, golden_trace in zip(traces, goldens):
+        if trace.diverges_from(golden_trace, signals=[target]):
+            trace.is_failure = True
+            failing.append(trace)
+        elif not trace.diverges_from(golden_trace, signals=outputs):
+            correct.append(trace)
+        # Traces failing only at non-target outputs are dropped.
+
+
+class TopUpSuites:
+    """Correct-trace top-up stimuli and their golden traces, memoized.
+
+    A top-up batch's seed is a function of the campaign seed, the batch
+    number and the mutation's ``node_index``
+    (:func:`~repro.runtime.seeding.mutant_topup_seed`), so every mutant
+    of a campaign with the same ``node_index`` draws the same extra
+    stimuli.  This memo generates and simulates each such suite once per
+    campaign (goldens for several keys share one suite run) instead of
+    once per mutant.
+
+    Args:
+        golden: Simulator of the golden design (a target program runs it
+            with selector 0).
+    """
+
+    def __init__(
+        self,
+        golden: Simulator,
+        testbench_config: TestbenchConfig,
+        n_traces: int,
+        seed: int,
+    ):
+        self.golden = golden
+        self.testbench_config = testbench_config
+        self.n_traces = n_traces
+        self.seed = seed
+        self._suites: dict[tuple[int, int], tuple[list, list[Trace]]] = {}
+
+    def get(self, batch: int, node_index: int) -> tuple[list, list[Trace]]:
+        """``(stimuli, golden traces)`` of one top-up batch."""
+        self.fetch(batch, [node_index])
+        return self._suites[(batch, node_index)]
+
+    def fetch(self, batch: int, node_indexes: Iterable[int]) -> None:
+        """Generate and simulate every missing suite of ``batch`` at once."""
+        missing = sorted({n for n in node_indexes if (batch, n) not in self._suites})
+        if not missing:
+            return
+        module = self.golden.module
+        suites = [
+            generate_testbench_suite(
+                module,
+                self.n_traces,
+                self.testbench_config,
+                seed=mutant_topup_seed(self.seed, batch, node_index),
+            )
+            for node_index in missing
+        ]
+        goldens = self.golden.run_suite(
+            [stimulus for suite in suites for stimulus in suite], record=False
+        )
+        start = 0
+        for node_index, suite in zip(missing, suites):
+            self._suites[(batch, node_index)] = (
+                suite,
+                goldens[start : start + len(suite)],
+            )
+            start += len(suite)
+
+
 def _simulate_mutant(
     module: Module,
     target: str,
@@ -124,7 +227,8 @@ def _simulate_mutant(
     seed: int,
     min_correct_traces: int,
     max_extra_batches: int,
-) -> tuple[MutantOutcome, list[Trace], list[Trace]]:
+    topups: TopUpSuites | None = None,
+) -> Simulated:
     """Simulate and classify one mutant (no localization).
 
     Pure function of its arguments so it can run either inline or inside a
@@ -134,6 +238,11 @@ def _simulate_mutant(
     classification only reads outputs, and the localizer dedups off the
     columns — no per-execution record objects exist anywhere on this
     path, in-process or across the worker boundary.
+
+    This is the per-mutant path: the interpreter (the reference oracle)
+    takes it, and :class:`TargetSimulation` falls back to it when a
+    shared suite fails.  ``topups`` shares top-up suites across the
+    mutants of one campaign.
     """
     engine = testbench_config.engine
     outcome = MutantOutcome(mutation=mutation)
@@ -146,15 +255,7 @@ def _simulate_mutant(
         outcome.error = str(exc)
         return outcome, failing, correct
 
-    all_outputs = module.outputs
-
-    def classify_one(trace: Trace, golden_trace: Trace) -> None:
-        if trace.diverges_from(golden_trace, signals=[target]):
-            trace.is_failure = True
-            failing.append(trace)
-        elif not trace.diverges_from(golden_trace, signals=all_outputs):
-            correct.append(trace)
-        # Traces failing only at non-target outputs are dropped.
+    outputs = module.outputs
 
     def classify(stims, goldens) -> bool:
         try:
@@ -171,10 +272,9 @@ def _simulate_mutant(
                 except SimulationError as exc:
                     outcome.error = str(exc)
                     return False
-                classify_one(trace, golden_trace)
+                _classify([trace], [golden_trace], target, outputs, failing, correct)
             return True
-        for trace, golden_trace in zip(traces, goldens):
-            classify_one(trace, golden_trace)
+        _classify(traces, goldens, target, outputs, failing, correct)
         return True
 
     if not classify(stimuli, golden_traces):
@@ -182,23 +282,18 @@ def _simulate_mutant(
 
     # A verification environment has no shortage of passing runs:
     # top up the correct set so Ft/Ct comparison is well-conditioned.
-    golden_sim = None
     extra_batch = 0
     while (
         failing
         and len(correct) < min_correct_traces
         and extra_batch < max_extra_batches
     ):
-        if golden_sim is None:
-            golden_sim = Simulator(module, engine=engine)
+        if topups is None:
+            topups = TopUpSuites(
+                Simulator(module, engine=engine), testbench_config, n_traces, seed
+            )
         extra_batch += 1
-        extra_stimuli = generate_testbench_suite(
-            module,
-            n_traces,
-            testbench_config,
-            seed=mutant_topup_seed(seed, extra_batch, mutation.node_index),
-        )
-        extra_golden = golden_sim.run_suite(extra_stimuli, record=False)
+        extra_stimuli, extra_golden = topups.get(extra_batch, mutation.node_index)
         if not classify(extra_stimuli, extra_golden):
             return outcome, failing, correct
 
@@ -206,6 +301,245 @@ def _simulate_mutant(
     outcome.n_correct = len(correct)
     outcome.observable = bool(failing)
     return outcome, failing, correct
+
+
+class TargetSimulation:
+    """Simulates one campaign target's mutants as lanes of one program.
+
+    Every mutation is a local edit of one statement, so the target's
+    mutants differ from the golden design only in those statements.
+    :func:`~repro.sim.compiler.compile_target_program` lowers the golden
+    design once with each mutated statement as a selector-dispatched
+    variant; the golden design is selector 0 and mutant ``k`` selector
+    ``k``.  One lowering and one vector codegen then serve the golden
+    runs and every mutant, and mutants simulated together form a single
+    suite whose lanes are (mutant, stimulus) pairs: one dispatch per
+    cycle for all of them.  Correct-trace top-up rounds run the same
+    way, with their stimuli and goldens shared through
+    :class:`TopUpSuites`.  Plans longer than :data:`MAX_PROGRAM_VARIANTS`
+    get one program per that many mutants, each lowered on first use.
+
+    Outcomes and trace sets are identical to :func:`_simulate_mutant`
+    per mutant.  A suite that raises :class:`SimulationError` (an
+    oscillating lane stops the whole lockstep suite) is rerun mutant by
+    mutant on that reference path, which reports the error exactly
+    where it did before.  Lowering errors (``SimulationError``,
+    ``VerilogError``) propagate, as building the golden simulator would
+    raise them too.  With ``engine="interpreted"`` (the reference
+    oracle) every mutant takes that per-mutant path as its own module.
+    """
+
+    def __init__(
+        self,
+        module: Module,
+        target: str,
+        mutations: list[Mutation],
+        testbench_config: TestbenchConfig,
+        n_traces: int,
+        seed: int,
+        min_correct_traces: int,
+        max_extra_batches: int,
+    ):
+        self.module = module
+        self.target = target
+        self.mutations = list(mutations)
+        self.testbench_config = testbench_config
+        self.n_traces = n_traces
+        self.seed = seed
+        self.min_correct_traces = min_correct_traces
+        self.max_extra_batches = max_extra_batches
+        #: mutation index -> its selector in its group's program, or the
+        #: error that kept the mutation out of the program.
+        self.selectors: dict[int, int] = {}
+        self.errors: dict[int, str] = {}
+        self._programs: dict[int, Simulator] = {}
+        self._golden: Simulator | None = None
+        self._topups: TopUpSuites | None = None
+
+    @property
+    def topups(self) -> TopUpSuites:
+        """The campaign's top-up memo (goldens run on :meth:`golden_simulator`)."""
+        if self._topups is None:
+            self._topups = TopUpSuites(
+                self.golden_simulator(),
+                self.testbench_config,
+                self.n_traces,
+                self.seed,
+            )
+        return self._topups
+
+    def golden_simulator(self) -> Simulator:
+        """A simulator of the golden design.
+
+        Selector 0 of every program is the golden design, so the first
+        program lowered serves (a pool worker that only sees a later
+        group's mutants never lowers group 0).  The interpreter, which
+        takes no variants, gets the plain design.
+        """
+        if self._golden is None:
+            if self.testbench_config.engine == "interpreted":
+                self._golden = Simulator(self.module, engine="interpreted")
+            else:
+                self._simulator(0)
+        assert self._golden is not None
+        return self._golden
+
+    def _simulator(self, group: int) -> Simulator:
+        """The program of mutation group ``group``, lowered on first use."""
+        simulator = self._programs.get(group)
+        if simulator is not None:
+            return simulator
+        start = group * MAX_PROGRAM_VARIANTS
+        variants = []
+        for index in range(start, min(start + MAX_PROGRAM_VARIANTS, len(self.mutations))):
+            mutation = self.mutations[index]
+            try:
+                variant = mutate_statement(
+                    self.module.statement_by_id(mutation.stmt_id), mutation
+                )
+            except ValueError as exc:
+                self.errors[index] = str(exc)
+                continue
+            variants.append(variant)
+            self.selectors[index] = len(variants)
+        simulator = self._programs[group] = Simulator(
+            self.module, engine=self.testbench_config.engine, variants=variants
+        )
+        if self._golden is None:
+            self._golden = simulator
+        return simulator
+
+    def golden(self, stimuli: list[list[dict[str, int]]]) -> list[Trace]:
+        """Unrecorded golden traces."""
+        return self.golden_simulator().run_suite(stimuli, record=False)
+
+    def stream(self, stimuli: list[list[dict[str, int]]]) -> Iterator[Simulated]:
+        """Every mutation's result, in order, simulated in chunks.
+
+        The first mutant runs alone so its outcome streams without
+        waiting for the rest; the others then share one suite per round
+        per program (one program for a whole Table-III target).  The
+        interpreter yields mutant by mutant.
+        """
+        golden_traces = self.golden(stimuli)
+        n = len(self.mutations)
+        step = (
+            1
+            if self.testbench_config.engine == "interpreted"
+            else MAX_PROGRAM_VARIANTS
+        )
+        bounds = sorted({0, min(1, n), *range(step, n, step), n})
+        for low, high in zip(bounds, bounds[1:]):
+            yield from self.simulate(list(range(low, high)), stimuli, golden_traces)
+
+    def _simulate_alone(
+        self,
+        index: int,
+        stimuli: list[list[dict[str, int]]],
+        golden_traces: list[Trace],
+    ) -> Simulated:
+        """The mutation at ``index`` on the per-mutant reference path."""
+        return _simulate_mutant(
+            self.module,
+            self.target,
+            self.mutations[index],
+            stimuli,
+            golden_traces,
+            self.testbench_config,
+            self.n_traces,
+            self.seed,
+            self.min_correct_traces,
+            self.max_extra_batches,
+            self.topups,
+        )
+
+    def simulate(
+        self,
+        indices: list[int],
+        stimuli: list[list[dict[str, int]]],
+        golden_traces: list[Trace],
+    ) -> list[Simulated]:
+        """Simulate and classify the mutations at ``indices``.
+
+        Mutations of one program share each round's suite.  Returns one
+        ``(outcome, failing, correct)`` triple per index, in order.
+        """
+        if self.testbench_config.engine == "interpreted":
+            # The reference oracle simulates every mutant as its own module.
+            return [
+                self._simulate_alone(index, stimuli, golden_traces)
+                for index in indices
+            ]
+        groups: dict[int, list[int]] = {}
+        for index in indices:
+            groups.setdefault(index // MAX_PROGRAM_VARIANTS, []).append(index)
+        results: dict[int, Simulated] = {}
+        for group, members in groups.items():
+            simulator = self._simulator(group)
+            live = []
+            for index in members:
+                outcome = MutantOutcome(mutation=self.mutations[index])
+                if index in self.errors:
+                    outcome.error = self.errors[index]
+                else:
+                    live.append(index)
+                results[index] = (outcome, [], [])
+            try:
+                self._run_rounds(simulator, live, results, stimuli, golden_traces)
+            except SimulationError:
+                for index in live:
+                    results[index] = self._simulate_alone(
+                        index, stimuli, golden_traces
+                    )
+        for outcome, failing, correct in results.values():
+            if not outcome.error:
+                outcome.n_failing = len(failing)
+                outcome.n_correct = len(correct)
+                outcome.observable = bool(failing)
+        return [results[index] for index in indices]
+
+    def _run_rounds(self, simulator, live, results, stimuli, golden_traces) -> None:
+        """The initial suite plus top-up rounds, one shared suite each."""
+        outputs = self.module.outputs
+        suites = {index: (stimuli, golden_traces) for index in live}
+        batch = 0
+        while suites:
+            lanes = [stim for stims, _ in suites.values() for stim in stims]
+            selectors = [
+                self.selectors[index]
+                for index, (stims, _) in suites.items()
+                for _ in stims
+            ]
+            traces = simulator.run_suite(lanes, selectors=selectors)
+            start = 0
+            for index, (stims, goldens) in suites.items():
+                _outcome, failing, correct = results[index]
+                _classify(
+                    traces[start : start + len(stims)],
+                    goldens,
+                    self.target,
+                    outputs,
+                    failing,
+                    correct,
+                )
+                start += len(stims)
+            # A verification environment has no shortage of passing runs:
+            # top up each correct set so Ft/Ct comparison is
+            # well-conditioned (the per-mutant loop's policy, in rounds).
+            batch += 1
+            if batch > self.max_extra_batches:
+                break
+            needing = [
+                index
+                for index in suites
+                if results[index][1]
+                and len(results[index][2]) < self.min_correct_traces
+            ]
+            node_of = {index: self.mutations[index].node_index for index in needing}
+            self.topups.fetch(batch, node_of.values())
+            suites = {
+                index: self.topups.get(batch, node_of[index]) for index in needing
+            }
 
 
 class CampaignEngine:
@@ -301,13 +635,15 @@ class CampaignEngine:
         Yields ``(outcome, localization)`` pairs in mutation order, each
         emitted as soon as its localization (or the decision that none is
         needed — simulation error / not observable) completes.  Mutants
-        are simulated as they arrive (in parallel when ``n_workers > 0``)
-        and localized in shared batches of observable mutants whose size
-        ramps 1 → 2 → 4 → … up to ``localize_batch``: the first result
-        streams as soon as one mutant is localizable, while long
-        campaigns still amortize model calls across full batches.  At
-        most ``localize_batch`` mutants' trace sets are alive at once,
-        and batch composition cannot change any outcome (attention is
+        are simulated as selector lanes of the target's program (the
+        first alone, then the rest of its program together; one task per
+        mutant when ``n_workers > 0``) and localized in shared batches of
+        observable mutants whose size ramps 1 → 2 → 4 → … up to
+        ``localize_batch``: the first result streams as soon as one
+        mutant is localizable, while long campaigns still amortize model
+        calls across full batches.  At most one program's mutants
+        (:data:`MAX_PROGRAM_VARIANTS`) hold trace sets at once, and
+        batch composition cannot change any outcome (attention is
         segment-local; see :meth:`LocalizationEngine.localize_many`), so
         :meth:`run` — which drains this iterator — is unaffected by the
         ramp.  ``localization`` is None for erroring or unobservable
@@ -316,18 +652,24 @@ class CampaignEngine:
         stimuli = generate_testbench_suite(
             module, self.n_traces, self.testbench_config, seed=self.seed
         )
-        golden = Simulator(module, engine=self.testbench_config.engine)
-        golden_traces = golden.run_suite(stimuli, record=False)
-
         if self.n_workers > 0 and len(mutations) > 1:
+            golden = Simulator(module, engine=self.testbench_config.engine)
+            golden_traces = golden.run_suite(stimuli, record=False)
             simulated = self._simulate_parallel(
                 module, target, mutations, stimuli, golden_traces
             )
         else:
-            simulated = (
-                self._simulate(module, target, mutation, stimuli, golden_traces)
-                for mutation in mutations
+            simulation = TargetSimulation(
+                module,
+                target,
+                mutations,
+                self.testbench_config,
+                self.n_traces,
+                self.seed,
+                self.min_correct_traces,
+                self.max_extra_batches,
             )
+            simulated = simulation.stream(stimuli)
 
         # ``buffered`` holds outcome slots awaiting emission in mutation
         # order; observable ones stay un-emittable until their shared
@@ -365,20 +707,6 @@ class CampaignEngine:
                 buffered[slot] = (buffered[slot][0], localization)
         yield from buffered
 
-    def _simulate(self, module, target, mutation, stimuli, golden_traces):
-        return _simulate_mutant(
-            module,
-            target,
-            mutation,
-            stimuli,
-            golden_traces,
-            self.testbench_config,
-            self.n_traces,
-            self.seed,
-            self.min_correct_traces,
-            self.max_extra_batches,
-        )
-
     def _simulate_parallel(self, module, target, mutations, stimuli, golden_traces):
         from ..runtime import ExecutionRuntime
 
@@ -392,6 +720,7 @@ class CampaignEngine:
             self.seed,
             self.min_correct_traces,
             self.max_extra_batches,
+            list(mutations),
         )
         if self.runtime is not None and not self.runtime.closed:
             # Session-owned persistent pool: reused across campaigns.

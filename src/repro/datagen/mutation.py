@@ -17,14 +17,19 @@ at enumeration time via a conservative static cycle check.
 
 from __future__ import annotations
 
+import copy
 import difflib
 from dataclasses import dataclass
 
 import networkx as nx
 
 from ..verilog.ast_nodes import (
+    Assignment,
     BinaryOp,
+    Block,
+    Case,
     Identifier,
+    If,
     Module,
     Node,
     Statement,
@@ -185,17 +190,99 @@ def _negation_mutations(
 
 
 def apply_mutation(module: Module, mutation: Mutation) -> Module:
-    """Apply a mutation to a deep copy of the design.
+    """Apply a mutation to a path copy of the design.
+
+    Only the mutated statement's right-hand side is copied deeply, plus
+    a shallow copy of every node on the way to it (the module, its
+    statement lists, the enclosing always block and control statements,
+    and the statement itself).  Every other
+    subtree is shared with ``module``, so a mutant costs one statement's
+    copy rather than the whole design's.  Like any compiled module, a
+    design and its mutants must be treated as immutable.
 
     Returns:
         The mutated module (the input module is never modified).
 
     Raises:
-        ValueError: If the mutation site cannot be located or the mutation
-            cannot be applied there.
+        KeyError: If no statement has the mutation's ``stmt_id``.
+        ValueError: If the mutation cannot be applied at its site.
     """
-    mutant: Module = module.clone()  # type: ignore[assignment]
-    stmt = mutant.statement_by_id(mutation.stmt_id)
+    mutant = copy.copy(module)
+    mutant.assigns = list(module.assigns)
+    for index, assign in enumerate(module.assigns):
+        if assign.stmt_id == mutation.stmt_id:
+            mutant.assigns[index] = mutate_statement(assign, mutation)
+            return mutant
+    mutant.always_blocks = list(module.always_blocks)
+    for index, block in enumerate(module.always_blocks):
+        body = _path_copy(block.body, mutation)
+        if body is not None:
+            block = mutant.always_blocks[index] = copy.copy(block)
+            block.body = body
+            return mutant
+    raise KeyError(f"no statement with id {mutation.stmt_id}")
+
+
+def _path_copy(stmt: Statement, mutation: Mutation) -> Statement | None:
+    """``stmt`` with the mutated statement below it replaced, or None.
+
+    Copies only the control statements between ``stmt`` and the mutation
+    site; their other children stay shared.
+    """
+    if isinstance(stmt, Assignment):
+        if stmt.stmt_id != mutation.stmt_id:
+            return None
+        return mutate_statement(stmt, mutation)
+    if isinstance(stmt, Block):
+        for index, child in enumerate(stmt.statements):
+            found = _path_copy(child, mutation)
+            if found is not None:
+                spine = copy.copy(stmt)
+                spine.statements = list(stmt.statements)
+                spine.statements[index] = found
+                return spine
+        return None
+    if isinstance(stmt, If):
+        for attr in ("then_stmt", "else_stmt"):
+            child = getattr(stmt, attr)
+            found = None if child is None else _path_copy(child, mutation)
+            if found is not None:
+                spine = copy.copy(stmt)
+                setattr(spine, attr, found)
+                return spine
+        return None
+    if isinstance(stmt, Case):
+        for index, item in enumerate(stmt.items):
+            found = _path_copy(item.body, mutation)
+            if found is not None:
+                item = copy.copy(item)
+                item.body = found
+                spine = copy.copy(stmt)
+                spine.items = list(stmt.items)
+                spine.items[index] = item
+                return spine
+        return None
+    return None
+
+
+def mutate_statement(stmt: Statement, mutation: Mutation) -> Statement:
+    """A copy of ``stmt`` with ``mutation`` applied (``stmt`` is untouched).
+
+    This is the whole edit a mutant makes to its design: campaigns hand
+    these statements to :func:`repro.sim.compiler.compile_target_program`
+    so all of a target's mutants share one compiled program.
+
+    Raises:
+        ValueError: If the mutation names another statement or cannot be
+            applied at its site.
+    """
+    if stmt.stmt_id != mutation.stmt_id:
+        raise ValueError(
+            f"mutation of statement {mutation.stmt_id} applied to {stmt.stmt_id}"
+        )
+    # Mutations only rewrite the right-hand side: the lvalue is shared.
+    stmt = copy.copy(stmt)
+    stmt.rhs = stmt.rhs.clone()  # type: ignore[attr-defined]
     nodes = _rhs_nodes(stmt)
     if mutation.node_index >= len(nodes):
         raise ValueError(f"node index {mutation.node_index} out of range")
@@ -213,7 +300,7 @@ def apply_mutation(module: Module, mutation: Mutation) -> Module:
         target_node.name = mutation.replacement
     else:
         raise ValueError(f"unknown mutation kind {mutation.kind!r}")
-    return mutant
+    return stmt
 
 
 def _apply_negation(stmt: Statement, node: Node, mutation: Mutation) -> None:

@@ -12,9 +12,12 @@ lives in the module-level :data:`_STATE` dict:
   weights it bumps the epoch and attaches a refreshed snapshot to the
   next shard task; the worker rebuilds only when the tags disagree.
 * ``contexts`` — a small LRU of campaign contexts (golden design,
-  stimuli, golden traces, trace policy).  Simulation tasks carry their
-  context as a pre-pickled blob that is deserialized once per worker per
-  campaign and served from this store afterwards.
+  stimuli, golden traces, trace policy, mutation plan).  Simulation
+  tasks carry their context as a pre-pickled blob that is deserialized
+  once per worker per campaign and served from this store afterwards.
+* ``simulations`` — the campaign's
+  :class:`~repro.datagen.campaign.TargetSimulation` per live context:
+  the target program is lowered once per worker, not once per mutant.
 
 Task functions return plain picklable values; localization shards also
 return the worker cache's hit/miss delta so the parent runtime can
@@ -94,6 +97,7 @@ _STATE: dict[str, Any] = {
     "model_init": None,  # ModelPayload | None shipped via initargs
     "engine": None,  # (epoch, LocalizationEngine)
     "contexts": OrderedDict(),  # ctx_id -> campaign context tuple
+    "simulations": {},  # ctx_id -> TargetSimulation of that campaign
 }
 
 
@@ -109,6 +113,7 @@ def _init_worker(model_init_blob: bytes | None) -> None:
     )
     _STATE["engine"] = None
     _STATE["contexts"] = OrderedDict()
+    _STATE["simulations"] = {}
 
 
 def _build_engine(payload: ModelPayload):
@@ -201,7 +206,8 @@ def _install_context(ctx_id: int, context_blob: bytes | None) -> tuple:
         raise MissingWorkerContext(f"worker has no campaign context {ctx_id}")
     context = pickle.loads(context_blob)
     while len(contexts) >= MAX_CONTEXTS:
-        contexts.popitem(last=False)
+        evicted, _ = contexts.popitem(last=False)
+        _STATE["simulations"].pop(evicted, None)
     contexts[ctx_id] = context
     return context
 
@@ -232,8 +238,14 @@ def _task_simulate_mutant(ctx_id: int, context_blob: bytes | None, mutation):
     already installed ``ctx_id`` skips deserialization, and one that
     never saw a blob raises :class:`MissingWorkerContext` for the parent
     to retry with the blob attached.
+
+    The context carries the campaign's whole mutation list, so each
+    worker lowers each target program it needs once (a
+    :class:`~repro.datagen.campaign.TargetSimulation` kept with the
+    context) and runs every mutant it receives as selector lanes of it,
+    sharing top-up suites across them.
     """
-    from ..datagen.campaign import _simulate_mutant
+    from ..datagen.campaign import TargetSimulation
 
     (
         module,
@@ -245,19 +257,23 @@ def _task_simulate_mutant(ctx_id: int, context_blob: bytes | None, mutation):
         seed,
         min_correct_traces,
         max_extra_batches,
+        mutations,
     ) = _install_context(ctx_id, context_blob)
-    return _simulate_mutant(
-        module,
-        target,
-        mutation,
-        stimuli,
-        golden_traces,
-        testbench_config,
-        n_traces,
-        seed,
-        min_correct_traces,
-        max_extra_batches,
-    )
+    simulations = _STATE["simulations"]
+    simulation = simulations.get(ctx_id)
+    if simulation is None:
+        simulation = simulations[ctx_id] = TargetSimulation(
+            module,
+            target,
+            mutations,
+            testbench_config,
+            n_traces,
+            seed,
+            min_correct_traces,
+            max_extra_batches,
+        )
+    index = mutations.index(mutation)
+    return simulation.simulate([index], stimuli, golden_traces)[0]
 
 
 def _task_corpus_design(index: int, source: str, spec, seed: int):

@@ -31,8 +31,16 @@ by construction; the differential property tests in
 ``tests/test_compiler.py`` enforce it.
 
 Compiled programs are cached per module *identity* (``id``), so repeated
-testbenches and campaign mutants over the same module object never
-recompile.
+testbenches over the same module object never recompile.
+
+A *target program* (:func:`compile_target_program`) lowers a design
+together with replacement versions of some of its statements — a
+campaign target's mutants — into one program.  Each replaced statement
+becomes a dispatch on a reserved selector slot: selector ``k`` runs
+variant ``k``, selector 0 the original statement.  A trace run with
+selector ``k`` is identical to a run of the design with variant ``k``
+swapped in, records included, so a target's whole mutant set shares one
+lowering and one vector codegen and runs as lanes of one suite.
 """
 
 from __future__ import annotations
@@ -68,6 +76,11 @@ from .values import mask as make_mask
 from .values import truncate
 
 _UNSIZED_WIDTH = 32
+
+#: Slot name of a target program's variant selector (not a legal
+#: Verilog identifier, so it cannot collide with a design signal).
+SELECTOR = "$variant"
+_SELECTOR_WIDTH = 32
 
 # ----------------------------------------------------------------------
 # Opcodes (ints; ordered roughly by runtime frequency for the dispatcher)
@@ -164,6 +177,10 @@ class CompiledProgram:
             RECORD instruction's meta index doubles as the recorder slot.
         output_slots: ``(name, slot)`` pairs for module outputs.
         n_instructions: Total instruction count (diagnostics/benchmarks).
+        selector_slot: Slot of the variant selector in a target program
+            (:func:`compile_target_program`); -1 for plain programs.
+        n_variants: Number of selectable variants (selector values
+            ``1..n_variants``); 0 for plain programs.
     """
 
     design: str
@@ -181,6 +198,8 @@ class CompiledProgram:
     shapes: tuple[tuple[int, str, tuple[str, ...], int], ...]
     output_slots: tuple[tuple[str, int], ...]
     n_instructions: int
+    selector_slot: int = -1
+    n_variants: int = 0
 
     def initial_slots(self) -> list[int]:
         """Fresh slot table with every signal at 0."""
@@ -427,12 +446,12 @@ class _StmtLowerer(StatementVisitor):
             code[at] = (JMP, end)
 
     def visit_Assignment(self, s: Assignment, code: list, record: bool) -> None:
-        self.c.emit_assign(s, code, record, blocking=s.blocking)
+        self.c.emit_site(s, code, record)
 
     def visit_ContinuousAssign(
         self, s: ContinuousAssign, code: list, record: bool
     ) -> None:
-        self.c.emit_assign(s, code, record, blocking=True)
+        self.c.emit_site(s, code, record)
 
     def generic_visit(self, s: Statement, *args) -> None:
         # Matches the interpreter's error for unsupported statements.
@@ -444,7 +463,7 @@ class _StmtLowerer(StatementVisitor):
 class _ModuleCompiler:
     """Drives the lowering of one module into a :class:`CompiledProgram`."""
 
-    def __init__(self, module: Module):
+    def __init__(self, module: Module, variants: tuple[Statement, ...] = ()):
         self.module = module
         self.slot_of: dict[str, int] = {}
         names: list[str] = []
@@ -453,6 +472,18 @@ class _ModuleCompiler:
             self.slot_of[name] = len(names)
             names.append(name)
             widths.append(decl.width)
+        #: stmt_id -> [(selector value, replacement statement), ...]
+        self.arms: dict[int, list[tuple[int, Statement]]] = {}
+        self.selector_slot = -1
+        if variants:
+            # The selector is not a declared signal: its name cannot be a
+            # Verilog identifier, so no design signal can alias it.
+            self.selector_slot = len(names)
+            names.append(SELECTOR)
+            widths.append(_SELECTOR_WIDTH)
+            for value, variant in enumerate(variants, start=1):
+                self.arms.setdefault(variant.stmt_id, []).append((value, variant))
+        self.n_variants = len(variants)
         self.slot_names = tuple(names)
         self.slot_widths = tuple(widths)
         self.slot_masks = tuple(make_mask(w) for w in widths)
@@ -463,7 +494,7 @@ class _ModuleCompiler:
         self.nba_writers: list[tuple] = []
         self._writer_of: dict[int, int] = {}
         self.metas: list[RecordMeta] = []
-        self._meta_of: dict[int, int] = {}
+        self._meta_of: dict[tuple[int, tuple[str, ...]], int] = {}
         self._reg = 0
         self._max_regs = 0
 
@@ -485,13 +516,51 @@ class _ModuleCompiler:
         return self._const_evaluator.lvalue_width(lv)
 
     # -- assignment lowering -------------------------------------------
+    def emit_site(
+        self, stmt: "Assignment | ContinuousAssign", code: list, record: bool
+    ) -> None:
+        """Lower one statement, or its selector dispatch in a target program.
+
+        A statement with replacement arms becomes a jump table on the
+        selector slot laid out like a lowered ``case``: one compare per
+        arm, the original statement as the fall-through, each arm's body
+        ending in a jump past the others.  Each body is an ordinary
+        assignment lowering, so a lane runs exactly the instructions (and
+        records) of the design with its variant swapped in.
+        """
+        arms = self.arms.get(stmt.stmt_id)
+        if not arms:
+            self.emit_assign(stmt, code, record)
+            return
+        slot = self.selector_slot
+        selector = self.new_reg()
+        code.append((LOAD, selector, slot, self.slot_masks[slot]))
+        tests: list[int] = []
+        for value, _variant in arms:
+            label = self.new_reg()
+            code.append((CONST, label, value))
+            hit = self.new_reg()
+            code.append((EQ, hit, selector, label))
+            tests.append(len(code))
+            code.append((JNZ, hit, -1))  # target patched below
+        self.emit_assign(stmt, code, record)
+        end_jumps = [len(code)]
+        code.append(None)
+        for at, (_value, variant) in zip(tests, arms):
+            code[at] = (JNZ, code[at][1], len(code))
+            self.emit_assign(variant, code, record)
+            end_jumps.append(len(code))
+            code.append(None)
+        for at in end_jumps:
+            code[at] = (JMP, len(code))
+
     def emit_assign(
         self,
         stmt: "Assignment | ContinuousAssign",
         code: list,
         record: bool,
-        blocking: bool,
     ) -> None:
+        blocking = not isinstance(stmt, Assignment) or stmt.blocking
         value, vwidth = self.expr.visit(stmt.rhs, code)
         lv = stmt.target
         lv_width = self.lvalue_width(lv)
@@ -545,10 +614,13 @@ class _ModuleCompiler:
         return idx
 
     def _meta_index(self, stmt, lv_width: int) -> int:
-        idx = self._meta_of.get(stmt.stmt_id)
+        # Keyed by operand list too: a target program's variants of one
+        # statement share a shape row unless they read different signals.
+        operands = tuple(collect_identifiers(stmt.rhs))
+        key = (stmt.stmt_id, operands)
+        idx = self._meta_of.get(key)
         if idx is not None:
             return idx
-        operands = tuple(collect_identifiers(stmt.rhs))
         fetch = []
         for name in operands:
             slot = self.slot_of.get(name)
@@ -567,7 +639,7 @@ class _ModuleCompiler:
         )
         idx = len(self.metas)
         self.metas.append(meta)
-        self._meta_of[stmt.stmt_id] = idx
+        self._meta_of[key] = idx
         return idx
 
     # -- regions -------------------------------------------------------
@@ -613,6 +685,8 @@ class _ModuleCompiler:
             ),
             output_slots=outputs,
             n_instructions=len(comb_fast) + len(seq_fast),
+            selector_slot=self.selector_slot,
+            n_variants=self.n_variants,
         )
 
 
@@ -621,21 +695,22 @@ class _ModuleCompiler:
 # ----------------------------------------------------------------------
 
 _CACHE: dict[int, tuple] = {}
-_CACHE_STATS = {"hits": 0, "misses": 0}
+_CACHE_STATS = {"hits": 0, "misses": 0, "target_programs": 0}
 
 
 def compile_module(module: Module) -> CompiledProgram:
     """Compile ``module``, reusing the cached program for the same object.
 
     The cache is keyed by ``id(module)`` with a weak reference guard, so
-    campaign mutants (fresh clones) each compile once and golden designs
-    shared across testbenches never recompile.  Entries are evicted when
-    the module object is garbage collected.
+    mutant modules (fresh path copies) each compile once and golden
+    designs shared across testbenches never recompile.  Entries are
+    evicted when the module object is garbage collected.
 
     The key is identity, not content: a module must not be mutated in
     place after it has been compiled, or later simulators will silently
-    reuse the stale program.  Derive modified designs from ``clone()``
-    (as :func:`repro.datagen.mutation.apply_mutation` does) or call
+    reuse the stale program.  Derive modified designs as new objects
+    (``clone()``, or the path copies of
+    :func:`repro.datagen.mutation.apply_mutation`) or call
     :func:`clear_compile_cache` after an in-place edit.
     """
     key = id(module)
@@ -653,15 +728,53 @@ def compile_module(module: Module) -> CompiledProgram:
     return program
 
 
+def compile_target_program(
+    module: Module, variants: "list[Statement] | tuple[Statement, ...]"
+) -> CompiledProgram:
+    """Lower ``module`` plus replacement statements into one program.
+
+    ``variants[k - 1]`` replaces the module statement with its
+    ``stmt_id`` in lanes whose selector slot holds ``k``; selector 0
+    runs the module unchanged.  Several variants may replace the same
+    statement.  Variants must keep the statement's kind and target (a
+    campaign mutation only rewrites the right-hand side), so
+    non-blocking writers are shared.  Target programs are not cached:
+    callers hold the one program of their target.
+
+    Raises:
+        ValueError: If a variant names no statement of ``module``, or
+            changes the statement's kind or lvalue.
+    """
+    originals = {stmt.stmt_id: stmt for stmt in module.statements()}
+    for variant in variants:
+        original = originals.get(variant.stmt_id)
+        if original is None:
+            raise ValueError(f"variant of unknown statement {variant.stmt_id}")
+        if type(variant) is not type(original) or variant.target != original.target:
+            raise ValueError(
+                f"variant of statement {variant.stmt_id} changes its kind or target"
+            )
+        if isinstance(variant, Assignment) and variant.blocking != original.blocking:
+            raise ValueError(
+                f"variant of statement {variant.stmt_id} changes its blocking mode"
+            )
+    _CACHE_STATS["target_programs"] += 1
+    return _ModuleCompiler(module, tuple(variants)).compile()
+
+
 def clear_compile_cache() -> None:
     """Drop all cached programs (mainly for tests and benchmarks)."""
     _CACHE.clear()
-    _CACHE_STATS["hits"] = 0
-    _CACHE_STATS["misses"] = 0
+    for key in _CACHE_STATS:
+        _CACHE_STATS[key] = 0
 
 
 def compile_cache_stats() -> dict[str, int]:
-    """Current cache hit/miss counters plus live entry count."""
+    """Cache hit/miss counters, live entry count, and target programs.
+
+    ``target_programs`` counts :func:`compile_target_program` lowerings,
+    which bypass the cache.
+    """
     return {**_CACHE_STATS, "entries": len(_CACHE)}
 
 

@@ -56,7 +56,12 @@ from ..verilog.ast_nodes import (
     Module,
     Statement,
 )
-from .compiler import CompiledEvaluator, CompiledProgram, compile_module
+from .compiler import (
+    CompiledEvaluator,
+    CompiledProgram,
+    compile_module,
+    compile_target_program,
+)
 from .evaluator import Evaluator
 from .recorder import ExecutionRecorder, _PassBuffer
 from .trace import Trace, _LazyExecutions
@@ -72,12 +77,19 @@ ENGINES = ("compiled", "interpreted", "vector", "auto")
 
 #: Cumulative per-engine execution counters (process-wide).  ``runs`` /
 #: ``cycles`` count scalar trace executions; the vector engine counts
-#: suite ``batches``, total ``lanes`` across them, total lane ``cycles``,
+#: suite ``batches``, total ``lanes`` across them (``variant_lanes`` of
+#: them ran a target program's mutant variant), total lane ``cycles``,
 #: and ``scalar_fallbacks`` (suites refused by the 63-bit lane audit).
 _ENGINE_STATS: dict[str, dict[str, int]] = {
     "compiled": {"runs": 0, "cycles": 0},
     "interpreted": {"runs": 0, "cycles": 0},
-    "vector": {"batches": 0, "lanes": 0, "cycles": 0, "scalar_fallbacks": 0},
+    "vector": {
+        "batches": 0,
+        "lanes": 0,
+        "variant_lanes": 0,
+        "cycles": 0,
+        "scalar_fallbacks": 0,
+    },
 }
 
 
@@ -104,6 +116,11 @@ class Simulator:
         engine: ``"compiled"`` (default), ``"interpreted"``, ``"vector"``,
             or ``"auto"`` (vector for multi-trace suites when the design
             fits 63-bit lanes, compiled scalar otherwise).
+        variants: Replacement statements (e.g. one per campaign mutant)
+            compiled with the module into one target program
+            (:func:`repro.sim.compiler.compile_target_program`); a trace
+            run with ``selector=k`` simulates the module with
+            ``variants[k - 1]`` swapped in.  Compiled engines only.
 
     Example:
         >>> from repro.verilog import parse_module
@@ -116,19 +133,33 @@ class Simulator:
     #: Maximum settling passes before declaring combinational oscillation.
     MAX_SETTLE_ITERS = 64
 
-    def __init__(self, module: Module, engine: str = "compiled"):
+    def __init__(
+        self,
+        module: Module,
+        engine: str = "compiled",
+        variants: "list[Statement] | tuple[Statement, ...]" = (),
+    ):
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
         self.module = module
         self.engine = engine
         self.program: CompiledProgram | None = None
         self.compiled: CompiledEvaluator | None = None
+        if variants and engine == "interpreted":
+            raise ValueError(
+                "statement variants need a compiled engine; the interpreter"
+                " simulates each mutant as its own module"
+            )
         if engine != "interpreted":
             # The compiled program carries widths, operands, and lvalue
             # metadata itself; none of the interpreter state is needed.
             # The vector/auto engines share it: single runs stay scalar
             # and run_suite batches onto repro.sim.vector when it fits.
-            self.program = compile_module(module)
+            self.program = (
+                compile_target_program(module, variants)
+                if variants
+                else compile_module(module)
+            )
             self.compiled = CompiledEvaluator(self.program)
             return
         self.evaluator = Evaluator(module)
@@ -162,6 +193,7 @@ class Simulator:
         stimulus: list[dict[str, int]],
         record: bool = True,
         env: dict[str, int] | None = None,
+        selector: int = 0,
     ) -> Trace:
         """Simulate the design under per-cycle input assignments.
 
@@ -171,18 +203,22 @@ class Simulator:
             record: When False, skip execution recording (faster; used when
                 only output waveforms are needed).
             env: Optional pre-initialized environment (resumes state).
+            selector: Variant to run on a target program (0 = the module
+                itself); see ``variants``.
 
         Returns:
             The completed :class:`Trace`.
         """
+        self._check_selector(selector)
         if self.engine != "interpreted":
-            return self._run_compiled(stimulus, record, env)
+            return self._run_compiled(stimulus, record, env, selector)
         return self._run_interpreted(stimulus, record, env)
 
     def run_suite(
         self,
         stimuli: list[list[dict[str, int]]],
         record: bool = True,
+        selectors: list[int] | None = None,
     ) -> list[Trace]:
         """Simulate a batch of independent stimuli on one design.
 
@@ -196,16 +232,32 @@ class Simulator:
         multi-trace suites), the whole suite executes in lockstep on
         :mod:`repro.sim.vector`; designs with >63-bit signals fall back
         to the compiled scalar loop.
+
+        On a target program, ``selectors`` gives each stimulus its
+        variant (default: all 0), so one suite can mix any of the
+        program's variants lane by lane.
         """
         if not stimuli:
             return []
         self._check_suite_inputs(stimuli)
+        if selectors is None:
+            selectors = [0] * len(stimuli)
+        elif len(selectors) != len(stimuli):
+            raise ValueError(
+                f"{len(selectors)} selectors for a suite of {len(stimuli)} stimuli"
+            )
+        for selector in set(selectors):
+            self._check_selector(selector)
         if self.engine in ("vector", "auto"):
             # One compile for the whole suite: re-resolving through the
             # cache must hand back the identical program object, or the
             # module was mutated/evicted mid-suite and every trace would
-            # silently recompile.
-            program = compile_module(self.module)
+            # silently recompile.  Target programs are held, not cached.
+            program = (
+                self.program
+                if self.program.n_variants
+                else compile_module(self.module)
+            )
             if program is not self.program:
                 raise SimulationError(
                     f"module {self.module.name!r} was recompiled mid-suite; "
@@ -223,9 +275,21 @@ class Simulator:
                         stimuli,
                         record=record,
                         max_settle=self.MAX_SETTLE_ITERS,
+                        selectors=selectors if program.n_variants else None,
                     )
                 _ENGINE_STATS["vector"]["scalar_fallbacks"] += 1
-        return [self.run(stimulus, record=record) for stimulus in stimuli]
+        return [
+            self.run(stimulus, record=record, selector=selector)
+            for stimulus, selector in zip(stimuli, selectors)
+        ]
+
+    def _check_selector(self, selector: int) -> None:
+        n_variants = self.program.n_variants if self.program is not None else 0
+        if not 0 <= selector <= n_variants:
+            raise ValueError(
+                f"selector {selector} out of range: this program has"
+                f" {n_variants} variant(s)"
+            )
 
     def _check_suite_inputs(self, stimuli: list[list[dict[str, int]]]) -> None:
         """Reject suites whose stimuli drive signals not in this module.
@@ -254,6 +318,7 @@ class Simulator:
         stimulus: list[dict[str, int]],
         record: bool,
         env: dict[str, int] | None,
+        selector: int,
     ) -> Trace:
         program = self.program
         engine = self.compiled
@@ -265,6 +330,8 @@ class Simulator:
                 slot = slot_of.get(name)
                 if slot is not None:
                     slots[slot] = value
+        if program.n_variants:
+            slots[program.selector_slot] = selector
 
         trace = Trace(design=self.module.name, stimulus=[dict(s) for s in stimulus])
         outputs = program.output_slots
@@ -293,8 +360,8 @@ class Simulator:
         if recorder is not None:
             trace.executions = _LazyExecutions(recorder.finish())
         if env is not None:
-            for name, slot in slot_of.items():
-                env[name] = slots[slot]
+            for name in self.module.decls:
+                env[name] = slots[slot_of[name]]
         return trace
 
     def _settle_compiled(

@@ -1245,12 +1245,96 @@ class VectorEvaluator:
 # ----------------------------------------------------------------------
 
 
+def _pack(fields: np.ndarray) -> int:
+    """One packed lane int from a ``uint64`` vector (lane ``i`` = field ``i``).
+
+    The bytes are taken little-endian explicitly, so lane ``i`` lands at
+    bits ``64 * i`` whatever the host's byte order.
+    """
+    return int.from_bytes(fields.astype("<u8", copy=False).tobytes(), "little")
+
+
+def _pack_stimuli(
+    program: CompiledProgram,
+    stimuli: list[list[dict[str, int]]],
+    max_cycles: int,
+) -> tuple[list[list[tuple[int, int, int]]], list[int]]:
+    """Tensorize a suite's stimulus into packed lane ints.
+
+    Returns, per cycle, ``(slot, packed values, packed not-driven mask)``
+    triples for every slot some lane drives, plus the packed alive-lane
+    mask.  Each distinct stimulus object is tabulated once into a
+    ``(cycles, slots)`` array (a target program's suite replays one
+    testbench per mutant), the lanes are stacked in numpy, and every
+    ``(cycle, slot)`` row packs with one ``int.from_bytes``, so the cost
+    grows linearly with the lane count.
+    """
+    from .simulator import SimulationError
+
+    slot_of = program.slot_of
+    masks = program.masks
+    row_of: dict[str, int] = {}
+    distinct: dict[int, list[dict[str, int]]] = {}
+    for stimulus in stimuli:
+        if id(stimulus) in distinct:
+            continue
+        distinct[id(stimulus)] = stimulus
+        for frame in stimulus:
+            for name in frame:
+                if name not in row_of:
+                    if name not in slot_of:
+                        raise SimulationError(f"stimulus drives unknown input {name!r}")
+                    row_of[name] = len(row_of)
+    row_masks = [masks[slot_of[name]] for name in row_of]
+    width = len(row_of)
+    tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for key, stimulus in distinct.items():
+        # Plain lists first: one numpy conversion per stimulus, not one
+        # numpy item assignment per input per cycle.
+        values = [[0] * width for _ in range(max_cycles)]
+        driven = [[False] * width for _ in range(max_cycles)]
+        for cycle, frame in enumerate(stimulus):
+            value_row = values[cycle]
+            driven_row = driven[cycle]
+            for name, value in frame.items():
+                row = row_of[name]
+                value_row[row] = value & row_masks[row]
+                driven_row[row] = True
+        tables[key] = (
+            np.array(values, dtype=np.uint64).reshape(max_cycles, width),
+            np.array(driven, dtype=bool).reshape(max_cycles, width),
+        )
+    # (cycles, rows, lanes): each (cycle, row) vector is one packed int.
+    values = np.ascontiguousarray(
+        np.stack([tables[id(stimulus)][0] for stimulus in stimuli], axis=2)
+    )
+    driven = np.stack([tables[id(stimulus)][1] for stimulus in stimuli], axis=2)
+    undriven = np.where(driven, np.uint64(0), np.uint64(_M64))
+    any_driven = driven.any(axis=2).tolist()
+    lengths = np.array([len(stimulus) for stimulus in stimuli])
+    slots = [slot_of[name] for name in row_of]
+    frames: list[list[tuple[int, int, int]]] = []
+    alive_masks: list[int] = []
+    for cycle in range(max_cycles):
+        frames.append(
+            [
+                (slot, _pack(values[cycle, row]), _pack(undriven[cycle, row]))
+                for row, slot in enumerate(slots)
+                if any_driven[cycle][row]
+            ]
+        )
+        alive = np.where(lengths > cycle, np.uint64(_M64), np.uint64(0))
+        alive_masks.append(_pack(alive))
+    return frames, alive_masks
+
+
 def run_vector_suite(
     module: Module,
     program: CompiledProgram,
     stimuli: list[list[dict[str, int]]],
     record: bool = True,
     max_settle: int = 64,
+    selectors: list[int] | None = None,
 ) -> list[Trace]:
     """Simulate all ``stimuli`` of one compiled design in lockstep.
 
@@ -1261,6 +1345,12 @@ def run_vector_suite(
     to per-trace scalar runs — ragged suites included (a lane past its
     last cycle is simply never active again).
 
+    On a target program, ``selectors`` holds each lane's variant: the
+    selector slot is preset lane by lane and never written, so every
+    lane runs its own variant's arm of each dispatch (the arms are
+    predicated like any other branch) and a whole mutant set shares one
+    dispatch per cycle.
+
     The caller is responsible for checking :func:`vectorizable` first.
     """
     from .simulator import _ENGINE_STATS, SimulationError
@@ -1270,39 +1360,16 @@ def run_vector_suite(
     n = len(stimuli)
     lane_lengths = [len(stimulus) for stimulus in stimuli]
     max_cycles = max(lane_lengths)
-    slot_of = program.slot_of
-    masks = program.masks
-    _ones, _l, _h, lane_all = _lane_ctx(n)
-
-    # Tensorize the stimulus: per cycle, (slot, packed values, packed
-    # not-driven mask) triples, plus the packed alive-lane mask.
-    frames: list[list[tuple[int, int, int]]] = []
-    alive_masks: list[int] = []
-    for cycle in range(max_cycles):
-        per_slot: dict[int, list[int]] = {}
-        alive = 0
-        for lane, stimulus in enumerate(stimuli):
-            if cycle >= len(stimulus):
-                continue
-            sh = lane << 6
-            alive |= _M64 << sh
-            for name, value in stimulus[cycle].items():
-                slot = slot_of.get(name)
-                if slot is None:
-                    raise SimulationError(
-                        f"stimulus drives unknown input {name!r}"
-                    )
-                entry = per_slot.get(slot)
-                if entry is None:
-                    entry = per_slot[slot] = [0, 0]
-                entry[0] |= (value & masks[slot]) << sh
-                entry[1] |= _M64 << sh
-        frames.append(
-            [(slot, v, d ^ lane_all) for slot, (v, d) in per_slot.items()]
-        )
-        alive_masks.append(alive)
+    lane_all = _lane_ctx(n)[3]
+    frames, alive_masks = _pack_stimuli(program, stimuli, max_cycles)
 
     env: list[int] = [0] * len(program.names)
+    variant_lanes = 0
+    if selectors is not None:
+        if program.selector_slot < 0 or len(selectors) != n:
+            raise ValueError("selectors need a target program and one per stimulus")
+        env[program.selector_slot] = _pack(np.array(selectors, dtype=np.uint64))
+        variant_lanes = sum(1 for selector in selectors if selector)
     evaluator = VectorEvaluator(program, n)
     recorder = VectorRecorder(program.shapes, n) if record else None
     pending: list = []
@@ -1381,5 +1448,6 @@ def run_vector_suite(
     stats = _ENGINE_STATS["vector"]
     stats["batches"] += 1
     stats["lanes"] += n
+    stats["variant_lanes"] += variant_lanes
     stats["cycles"] += sum(lane_lengths)
     return traces

@@ -218,6 +218,35 @@ class TestPredicationCorners:
         suite[5] = suite[5][:9]
         assert_lane_identical(module, suite)
 
+    def test_repeated_and_partial_stimuli(self):
+        """Lanes sharing one stimulus object, frames that drive only some
+        inputs (the rest hold), and out-of-width values all pack as the
+        scalar engine applies them."""
+        module = parse_module(
+            "module t(input clk, input [3:0] a, input [3:0] b,"
+            " output reg [3:0] acc, output [3:0] y);"
+            " assign y = a ^ b;"
+            " always @(posedge clk) acc <= acc + (a & b);"
+            " endmodule"
+        )
+        shared = [{"a": 3, "b": 5}, {"a": 18}, {}, {"b": -1}, {"a": 7, "b": 2}]
+        other = [{"b": 9}, {"a": 1, "b": 1}, {"a": 4}]
+        assert_lane_identical(module, [shared, other, shared, [], shared[:2]])
+
+    def test_unknown_input_rejected(self):
+        module = parse_module("module t(input a, output y); assign y = ~a; endmodule")
+        program = compile_module(module)
+        with pytest.raises(SimulationError, match="unknown input 'z'"):
+            run_vector_suite(module, program, [[{"a": 1}], [{"z": 1}]])
+
+    def test_packing_ignores_byte_order(self):
+        from repro.sim.vector import _pack
+
+        fields = [1, 2**63 + 5, 0xFF]
+        expected = sum(value << (64 * lane) for lane, value in enumerate(fields))
+        for dtype in ("<u8", ">u8"):
+            assert _pack(np.array(fields, dtype=dtype)) == expected
+
 
 # ----------------------------------------------------------------------
 # Engine selection, fallback, counters, suite hygiene
