@@ -105,12 +105,18 @@ def _parse_verilog_file(path_str: str):
         ) from exc
 
 
-def _load_session(args: argparse.Namespace, config: SessionConfig) -> VeriBugSession:
-    """Checkpoint-or-train model resolution shared by campaign/localize."""
+def _load_session(
+    args: argparse.Namespace, config: SessionConfig, corpus=None
+) -> VeriBugSession:
+    """Checkpoint-or-train model resolution shared by campaign/localize.
+
+    ``corpus`` is ``config.corpus_dir`` already ingested by the caller; a
+    checkpoint session reuses it instead of ingesting again.
+    """
     path = pathlib.Path(args.model) if args.model else _repo_default_checkpoint()
     if path is not None and path.exists():
         print(f"loading model from {path}")
-        return VeriBugSession.from_checkpoint(path, config)
+        return VeriBugSession.from_checkpoint(path, config, corpus=corpus)
     if args.model:
         raise SystemExit(f"checkpoint not found: {args.model}")
     print("no checkpoint found; training a fresh model (slow — consider"
@@ -240,13 +246,14 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     if args.smoke:
         config = config.with_campaign_defaults(n_traces=8)
 
-    # Validate the workload *before* the potentially slow model load.
+    # Validate the workload *before* the potentially slow model load; the
+    # session reuses this ingest.
     corpus = None
     if args.corpus:
         from ..ingest import ingest_directory
 
         try:
-            corpus = ingest_directory(args.corpus)
+            corpus = ingest_directory(args.corpus, lint_policy=config.lint_policy)
         except NotADirectoryError as exc:
             raise SystemExit(str(exc)) from exc
         if not corpus.designs:
@@ -294,7 +301,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     plan = _parse_plan(args.plan) if args.plan else (
         {"negation": 1, "operation": 1, "misuse": 1} if args.smoke else DEFAULT_PLAN
     )
-    session = _load_session(args, config)
+    session = _load_session(args, config, corpus)
 
     results = {}
     for name in designs:
@@ -333,6 +340,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     sim_stats = runtime_stats["simulation"]
     engines = sim_stats["engines"]
     cache_line = sim_stats["compile_cache"]
+    suite_memo = sim_stats["suite_memo"]
     print(
         f"simulation: engine={sim_stats['engine']},"
         f" vector {engines['vector']['batches']} suite(s)"
@@ -345,7 +353,10 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         f" compile cache {cache_line['hits']} hit(s) /"
         f" {cache_line['misses']} miss(es),"
         f" {cache_line['entries']} live entr(ies),"
-        f" {cache_line['target_programs']} target program(s)"
+        f" {cache_line['target_programs']} target program(s),"
+        f" suite memo {suite_memo['hits']} hit(s) /"
+        f" {suite_memo['misses']} miss(es),"
+        f" {suite_memo['suites']} suite(s) held"
     )
     if "pool_size" in runtime_stats:
         shard_sizes = ",".join(

@@ -44,6 +44,7 @@ from ..core import (
     train_test_split,
 )
 from ..datagen import CampaignEngine, Mutation, sample_mutations
+from ..datagen.campaign import SuiteMemo
 from ..designs import REGISTRY, design_testbench, load_design
 from ..nn import load_state, save_state
 from ..runtime import ExecutionRuntime
@@ -115,6 +116,12 @@ class VeriBugSession:
     :meth:`close` (or use the session as a context manager) to release
     the pool; sequential sessions have nothing to release.
 
+    Campaigns share one per-design memo: registry designs are parsed once
+    per session (:meth:`resolve_design`), and a :class:`SuiteMemo` keeps
+    the stimulus suites and golden traces of the design most recently
+    campaigned, so its targets generate and golden-simulate each suite
+    once.  Its counters appear in :meth:`runtime_stats`.
+
     Attributes:
         config: The immutable session configuration.
         model / encoder: The owned model and its batch codec.
@@ -130,6 +137,7 @@ class VeriBugSession:
         *,
         train_metrics: EvalMetrics | None = None,
         test_metrics: EvalMetrics | None = None,
+        corpus: "IngestedCorpus | None" = None,
     ):
         self.config = config or SessionConfig(model=model.config)
         self.model = model
@@ -172,7 +180,9 @@ class VeriBugSession:
             runtime=self._runtime,
         )
         self._trainer: Trainer | None = None
-        self._corpus: "IngestedCorpus | None" = None
+        self._corpus = corpus
+        self._designs: dict[str, Module] = {}
+        self._suites = SuiteMemo()
 
     # ------------------------------------------------------------------
     # Constructors
@@ -228,19 +238,25 @@ class VeriBugSession:
 
     @classmethod
     def from_checkpoint(
-        cls, path, config: SessionConfig | None = None
+        cls,
+        path,
+        config: SessionConfig | None = None,
+        *,
+        corpus: "IngestedCorpus | None" = None,
     ) -> "VeriBugSession":
         """Load a session from weights saved with :meth:`save`.
 
         The model is built from ``config.model`` (which must match the
         checkpoint's architecture) and the fixed node-type vocabulary,
-        then the weights are restored.
+        then the weights are restored.  ``corpus`` is ``config.corpus_dir``
+        already ingested by the caller, so the session does not ingest
+        it again (see :attr:`corpus`).
         """
         config = config or SessionConfig()
         vocab = Vocabulary()
         model = VeriBugModel(config.model, vocab)
         load_state(model, path)
-        return cls(model, BatchEncoder(vocab), config)
+        return cls(model, BatchEncoder(vocab), config, corpus=corpus)
 
     def save(self, path) -> None:
         """Serialize the model weights (reload with :meth:`from_checkpoint`)."""
@@ -375,6 +391,7 @@ class VeriBugSession:
                 else localize_batch
             ),
             runtime=runtime,
+            suites=self._suites,
         )
         return CampaignHandle(engine, module, target, list(mutations))
 
@@ -473,8 +490,9 @@ class VeriBugSession:
     def corpus(self) -> "IngestedCorpus | None":
         """The session's ingested corpus (None without ``corpus_dir``).
 
-        Ingestion runs lazily on first access and is cached for the
-        session's lifetime; re-ingest explicitly with
+        Ingestion runs lazily on first access (unless the constructor
+        was handed the ingested corpus) and is cached for the session's
+        lifetime; re-ingest explicitly with
         :func:`repro.ingest.ingest_directory` if the directory changes.
         """
         if self._corpus is None and self.config.corpus_dir is not None:
@@ -490,12 +508,23 @@ class VeriBugSession:
 
         Accepts a parsed :class:`Module` (returned as-is), the name of a
         registered evaluation design, the name of a usable design in the
-        session's ingested corpus, or raw Verilog source text.
+        session's ingested corpus, or raw Verilog source text (parsed
+        anew on every call).
+
+        A name resolves to one module shared by the whole session: each
+        registry design is parsed on first use and cached, and corpus
+        names return :meth:`IngestedCorpus.module`.  Shared modules are
+        immutable by contract (:func:`~repro.datagen.apply_mutation`
+        returns path copies); callers that need to edit one should
+        ``clone()`` it.
         """
         if isinstance(design, Module):
             return design
         if design in REGISTRY:
-            return load_design(design)
+            module = self._designs.get(design)
+            if module is None:
+                module = self._designs[design] = load_design(design)
+            return module
         corpus = self.corpus
         if corpus is not None and design in corpus:
             return corpus.module(design)
@@ -529,8 +558,11 @@ class VeriBugSession:
         (:func:`repro.sim.engine_stats`: scalar runs/cycles, vector suite
         batches/lanes/cycles and scalar fallbacks), and the compile-cache
         hit/miss/entry counts — so a bench regression names the engine
-        that regressed.  The counters are process-local: mutants simulated
-        inside pool workers accrue on the workers, not here.
+        that regressed — plus the session's campaign suite memo
+        (``"suite_memo"``: suite lookups served from it, suites generated,
+        suites held; see :class:`~repro.datagen.campaign.SuiteMemo`).  The
+        counters are process-local: mutants simulated inside pool workers
+        accrue on the workers, not here.
 
         For sessions with a live worker runtime the dict additionally
         includes pool size/reuse counts, the last localization shard
@@ -550,6 +582,7 @@ class VeriBugSession:
             "engine": self.config.engine,
             "engines": engine_stats(),
             "compile_cache": compile_cache_stats(),
+            "suite_memo": self._suites.stats(),
         }
         return stats
 

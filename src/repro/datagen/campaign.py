@@ -18,6 +18,9 @@ every mutated statement as a selector-dispatched variant, so the golden
 runs and all mutants share one compile and one vector codegen, and the
 mutants run as one lockstep suite per round instead of one suite each.
 The interpreter (the reference oracle) keeps the per-mutant path.
+Stimulus suites and their golden traces do not depend on the target, so
+a :class:`SuiteMemo` generates and golden-simulates each one once and
+serves it to every target of the design.
 
 Simulation of mutants is embarrassingly parallel: with ``n_workers > 0``
 the campaign fans the simulate/classify phase out across an
@@ -47,9 +50,11 @@ to per-mutant localization.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from ..core.localizer import (
     LocalizationEngine,
@@ -155,65 +160,82 @@ def _classify(
         # Traces failing only at non-target outputs are dropped.
 
 
-class TopUpSuites:
-    """Correct-trace top-up stimuli and their golden traces, memoized.
+Suite = tuple[list[list[dict[str, int]]], list[Trace]]
 
-    A top-up batch's seed is a function of the campaign seed, the batch
-    number and the mutation's ``node_index``
-    (:func:`~repro.runtime.seeding.mutant_topup_seed`), so every mutant
-    of a campaign with the same ``node_index`` draws the same extra
-    stimuli.  This memo generates and simulates each such suite once per
-    campaign (goldens for several keys share one suite run) instead of
-    once per mutant.
 
-    Args:
-        golden: Simulator of the golden design (a target program runs it
-            with selector 0).
+def _config_key(config: TestbenchConfig) -> tuple:
+    """Every :class:`TestbenchConfig` field, hashable (dict items sorted)."""
+    return tuple(
+        tuple(sorted(value.items())) if isinstance(value, dict) else value
+        for value in (getattr(config, f.name) for f in dataclasses.fields(config))
+    )
+
+
+class SuiteMemo:
+    """Stimulus suites of one design and their golden traces, memoized.
+
+    A random testbench suite is a pure function of the design's inputs,
+    the suite seed, ``n_traces`` and the :class:`TestbenchConfig` (whose
+    ``engine`` field also fixes the golden traces), never of the campaign
+    target.  The memo maps those to ``(stimuli, golden traces)``, so every
+    target of a design shares its main suite (the entry for the campaign
+    seed) and its correct-trace top-up suites (seeds from
+    :func:`~repro.runtime.seeding.mutant_topup_seed`, which repeat across
+    mutants and targets with the same ``node_index``).
+
+    The memo holds one design at a time, identified by module object: a
+    lookup for another module clears it *in place*, so a caller still
+    holding an engine or handle bound to this memo cannot pin an earlier
+    design's suites.  Stimulus frames and traces are shared, so callers
+    must not mutate them.
     """
 
-    def __init__(
+    def __init__(self):
+        self.module: Module | None = None
+        self._suites: dict[tuple, Suite] = {}
+        self.hits = 0
+        self.misses = 0
+
+    def fetch(
         self,
-        golden: Simulator,
-        testbench_config: TestbenchConfig,
+        module: Module,
+        seeds: Iterable[int],
         n_traces: int,
-        seed: int,
-    ):
-        self.golden = golden
-        self.testbench_config = testbench_config
-        self.n_traces = n_traces
-        self.seed = seed
-        self._suites: dict[tuple[int, int], tuple[list, list[Trace]]] = {}
+        config: TestbenchConfig,
+        golden: Callable[[], Simulator],
+    ) -> list[Suite]:
+        """``(stimuli, golden traces)`` per seed, in order.
 
-    def get(self, batch: int, node_index: int) -> tuple[list, list[Trace]]:
-        """``(stimuli, golden traces)`` of one top-up batch."""
-        self.fetch(batch, [node_index])
-        return self._suites[(batch, node_index)]
+        Missing suites are generated and their goldens run as one suite
+        on ``golden()`` (called only on a miss).  Golden traces are
+        simulator-independent: a target program's selector 0 and the
+        plain design produce the same ones.
+        """
+        if module is not self.module:
+            self._suites.clear()
+            self.module = module
+        config_key = _config_key(config)
+        keys = [(seed, n_traces, config_key) for seed in seeds]
+        missing = list(dict.fromkeys(key for key in keys if key not in self._suites))
+        self.hits += len(keys) - len(missing)
+        self.misses += len(missing)
+        if missing:
+            suites = [
+                generate_testbench_suite(module, n_traces, config, seed=key[0])
+                for key in missing
+            ]
+            goldens = golden().run_suite(
+                [stimulus for suite in suites for stimulus in suite], record=False
+            )
+            start = 0
+            for key, suite in zip(missing, suites):
+                self._suites[key] = (suite, goldens[start : start + len(suite)])
+                start += len(suite)
+        return [self._suites[key] for key in keys]
 
-    def fetch(self, batch: int, node_indexes: Iterable[int]) -> None:
-        """Generate and simulate every missing suite of ``batch`` at once."""
-        missing = sorted({n for n in node_indexes if (batch, n) not in self._suites})
-        if not missing:
-            return
-        module = self.golden.module
-        suites = [
-            generate_testbench_suite(
-                module,
-                self.n_traces,
-                self.testbench_config,
-                seed=mutant_topup_seed(self.seed, batch, node_index),
-            )
-            for node_index in missing
-        ]
-        goldens = self.golden.run_suite(
-            [stimulus for suite in suites for stimulus in suite], record=False
-        )
-        start = 0
-        for node_index, suite in zip(missing, suites):
-            self._suites[(batch, node_index)] = (
-                suite,
-                goldens[start : start + len(suite)],
-            )
-            start += len(suite)
+    def stats(self) -> dict[str, int]:
+        """Lookups served (``hits``), suites generated (``misses``), held."""
+        return {"hits": self.hits, "misses": self.misses, "suites": len(self._suites)}
 
 
 def _simulate_mutant(
@@ -227,7 +249,7 @@ def _simulate_mutant(
     seed: int,
     min_correct_traces: int,
     max_extra_batches: int,
-    topups: TopUpSuites | None = None,
+    suites: SuiteMemo | None = None,
 ) -> Simulated:
     """Simulate and classify one mutant (no localization).
 
@@ -241,8 +263,8 @@ def _simulate_mutant(
 
     This is the per-mutant path: the interpreter (the reference oracle)
     takes it, and :class:`TargetSimulation` falls back to it when a
-    shared suite fails.  ``topups`` shares top-up suites across the
-    mutants of one campaign.
+    shared suite fails.  ``suites`` shares top-up suites across the
+    mutants of one campaign (and the targets of one design).
     """
     engine = testbench_config.engine
     outcome = MutantOutcome(mutation=mutation)
@@ -280,6 +302,7 @@ def _simulate_mutant(
     if not classify(stimuli, golden_traces):
         return outcome, failing, correct
 
+    golden = functools.cache(lambda: Simulator(module, engine=engine))
     # A verification environment has no shortage of passing runs:
     # top up the correct set so Ft/Ct comparison is well-conditioned.
     extra_batch = 0
@@ -288,12 +311,16 @@ def _simulate_mutant(
         and len(correct) < min_correct_traces
         and extra_batch < max_extra_batches
     ):
-        if topups is None:
-            topups = TopUpSuites(
-                Simulator(module, engine=engine), testbench_config, n_traces, seed
-            )
+        if suites is None:
+            suites = SuiteMemo()
         extra_batch += 1
-        extra_stimuli, extra_golden = topups.get(extra_batch, mutation.node_index)
+        ((extra_stimuli, extra_golden),) = suites.fetch(
+            module,
+            [mutant_topup_seed(seed, extra_batch, mutation.node_index)],
+            n_traces,
+            testbench_config,
+            golden,
+        )
         if not classify(extra_stimuli, extra_golden):
             return outcome, failing, correct
 
@@ -315,8 +342,9 @@ class TargetSimulation:
     runs and every mutant, and mutants simulated together form a single
     suite whose lanes are (mutant, stimulus) pairs: one dispatch per
     cycle for all of them.  Correct-trace top-up rounds run the same
-    way, with their stimuli and goldens shared through
-    :class:`TopUpSuites`.  Plans longer than :data:`MAX_PROGRAM_VARIANTS`
+    way.  The main and top-up suites and their goldens come from a
+    :class:`SuiteMemo` (the caller's, shared across targets of one
+    design, or a private one).  Plans longer than :data:`MAX_PROGRAM_VARIANTS`
     get one program per that many mutants, each lowered on first use.
 
     Outcomes and trace sets are identical to :func:`_simulate_mutant`
@@ -339,6 +367,7 @@ class TargetSimulation:
         seed: int,
         min_correct_traces: int,
         max_extra_batches: int,
+        suites: SuiteMemo | None = None,
     ):
         self.module = module
         self.target = target
@@ -354,19 +383,20 @@ class TargetSimulation:
         self.errors: dict[int, str] = {}
         self._programs: dict[int, Simulator] = {}
         self._golden: Simulator | None = None
-        self._topups: TopUpSuites | None = None
+        self.suites = SuiteMemo() if suites is None else suites
 
-    @property
-    def topups(self) -> TopUpSuites:
-        """The campaign's top-up memo (goldens run on :meth:`golden_simulator`)."""
-        if self._topups is None:
-            self._topups = TopUpSuites(
-                self.golden_simulator(),
-                self.testbench_config,
-                self.n_traces,
-                self.seed,
-            )
-        return self._topups
+    def fetch(self, seeds: Iterable[int]) -> list[Suite]:
+        """The suites drawn with ``seeds``, from the memo.
+
+        Misses run their goldens on :meth:`golden_simulator`.
+        """
+        return self.suites.fetch(
+            self.module,
+            seeds,
+            self.n_traces,
+            self.testbench_config,
+            self.golden_simulator,
+        )
 
     def golden_simulator(self) -> Simulator:
         """A simulator of the golden design.
@@ -413,15 +443,16 @@ class TargetSimulation:
         """Unrecorded golden traces."""
         return self.golden_simulator().run_suite(stimuli, record=False)
 
-    def stream(self, stimuli: list[list[dict[str, int]]]) -> Iterator[Simulated]:
-        """Every mutation's result, in order, simulated in chunks.
+    def stream(self) -> Iterator[Simulated]:
+        """Every mutation's result on the main suite, in order, in chunks.
 
-        The first mutant runs alone so its outcome streams without
-        waiting for the rest; the others then share one suite per round
-        per program (one program for a whole Table-III target).  The
+        The main suite is the memo's entry for the campaign seed.  The
+        first mutant runs alone so its outcome streams without waiting
+        for the rest; the others then share one suite per round per
+        program (one program for a whole Table-III target).  The
         interpreter yields mutant by mutant.
         """
-        golden_traces = self.golden(stimuli)
+        ((stimuli, golden_traces),) = self.fetch([self.seed])
         n = len(self.mutations)
         step = (
             1
@@ -450,7 +481,7 @@ class TargetSimulation:
             self.seed,
             self.min_correct_traces,
             self.max_extra_batches,
-            self.topups,
+            self.suites,
         )
 
     def simulate(
@@ -535,11 +566,11 @@ class TargetSimulation:
                 if results[index][1]
                 and len(results[index][2]) < self.min_correct_traces
             ]
-            node_of = {index: self.mutations[index].node_index for index in needing}
-            self.topups.fetch(batch, node_of.values())
-            suites = {
-                index: self.topups.get(batch, node_of[index]) for index in needing
-            }
+            topups = self.fetch(
+                mutant_topup_seed(self.seed, batch, self.mutations[index].node_index)
+                for index in needing
+            )
+            suites = dict(zip(needing, topups))
 
 
 class CampaignEngine:
@@ -573,6 +604,10 @@ class CampaignEngine:
             caps amortize per-call overhead at the cost of keeping up to
             that many mutants' trace sets alive at once.  Outcomes are
             identical for every value (attention is segment-local).
+        suites: The :class:`SuiteMemo` serving the main and top-up
+            suites.  A session passes its own, shared by every campaign
+            it runs; by default the engine keeps a private one, shared
+            by the campaigns this engine runs.
     """
 
     def __init__(
@@ -586,6 +621,7 @@ class CampaignEngine:
         n_workers: int = 0,
         localize_batch: int = 8,
         runtime=None,
+        suites: SuiteMemo | None = None,
     ):
         if localize_batch < 1:
             raise ValueError("localize_batch must be >= 1")
@@ -598,6 +634,7 @@ class CampaignEngine:
         self.n_workers = n_workers
         self.localize_batch = localize_batch
         self.runtime = runtime
+        self.suites = SuiteMemo() if suites is None else suites
 
     def run(
         self,
@@ -649,17 +686,19 @@ class CampaignEngine:
         ramp.  ``localization`` is None for erroring or unobservable
         mutants.
         """
-        stimuli = generate_testbench_suite(
-            module, self.n_traces, self.testbench_config, seed=self.seed
-        )
         if self.n_workers > 0 and len(mutations) > 1:
-            golden = Simulator(module, engine=self.testbench_config.engine)
-            golden_traces = golden.run_suite(stimuli, record=False)
+            ((stimuli, golden_traces),) = self.suites.fetch(
+                module,
+                [self.seed],
+                self.n_traces,
+                self.testbench_config,
+                lambda: Simulator(module, engine=self.testbench_config.engine),
+            )
             simulated = self._simulate_parallel(
                 module, target, mutations, stimuli, golden_traces
             )
         else:
-            simulation = TargetSimulation(
+            simulated = TargetSimulation(
                 module,
                 target,
                 mutations,
@@ -668,8 +707,8 @@ class CampaignEngine:
                 self.seed,
                 self.min_correct_traces,
                 self.max_extra_batches,
-            )
-            simulated = simulation.stream(stimuli)
+                self.suites,
+            ).stream()
 
         # ``buffered`` holds outcome slots awaiting emission in mutation
         # order; observable ones stay un-emittable until their shared

@@ -89,6 +89,12 @@ def design_names() -> list[str]:
 def load_design(name: str) -> Module:
     """Parse a registered design into a fresh module.
 
+    Every call parses anew.  A :class:`~repro.api.VeriBugSession`
+    resolves registry names to one module per session instead (see
+    ``VeriBugSession.resolve_design``), shared by all of its campaigns:
+    treat that module as immutable, and ``clone()`` it (or call this
+    function) to get a copy you may edit.
+
     Raises:
         KeyError: For unknown design names.
     """

@@ -379,6 +379,27 @@ class TestCli:
         data = json.loads(capsys.readouterr().out)
         assert data["counts"]["designs"] == len(data["designs"])
 
+    def test_campaign_ingests_corpus_once(
+        self, tmp_path, monkeypatch, capsys, trained_pipeline
+    ):
+        import repro.ingest
+        from repro.api.cli import main
+
+        calls = []
+        ingest = repro.ingest.ingest_directory
+
+        def counting_ingest(*args, **kwargs):
+            calls.append(args)
+            return ingest(*args, **kwargs)
+
+        monkeypatch.setattr(repro.ingest, "ingest_directory", counting_ingest)
+        _make_corpus(tmp_path)
+        args = ["campaign", "--corpus", str(tmp_path), "--design", "mixer",
+                "--plan", "negation=1", "--cycles", "6"]
+        assert main(args) == 0
+        assert "== campaign: mixer / y ==" in capsys.readouterr().out
+        assert len(calls) == 1
+
     def test_ingest_missing_directory_exits_cleanly(self, tmp_path):
         from repro.api.cli import main
 

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from repro.analysis import compute_static_slice
 from repro.datagen import RandomVerilogDesignGenerator, RVDGConfig, campaign
 from repro.datagen.campaign import (
+    SuiteMemo,
     TargetSimulation,
-    TopUpSuites,
     _simulate_mutant,
 )
 from repro.datagen.mutation import (
@@ -294,7 +294,7 @@ def test_long_plan_splits_into_programs(monkeypatch):
     want = _per_mutant(module, target, mutations, stimuli, config, 4, 5)
     before = compile_cache_stats()["target_programs"]
     simulation = TargetSimulation(module, target, mutations, config, 4, 5, 8, 4)
-    got = list(simulation.stream(stimuli))
+    got = list(simulation.stream())
     assert compile_cache_stats()["target_programs"] - before == -(-len(mutations) // 3)
     assert len(got) == len(want)
     for pair in zip(got, want):
@@ -325,7 +325,7 @@ def test_interpreter_simulates_mutant_by_mutant():
     want = _per_mutant(module, target, mutations, stimuli, config, 3, 7)
     before = compile_cache_stats()["target_programs"]
     simulation = TargetSimulation(module, target, mutations, config, 3, 7, 8, 4)
-    got = list(simulation.stream(stimuli))
+    got = list(simulation.stream())
     assert compile_cache_stats()["target_programs"] == before
     assert len(got) == len(want)
     for pair in zip(got, want):
@@ -366,15 +366,25 @@ def test_unappliable_mutation_reports_its_error():
     assert_same_simulated(got[1], want[1])
 
 
-def test_topup_suites_generated_once_per_key(arbiter):
+def test_suite_memo_generated_once_per_key(arbiter):
     config = TestbenchConfig(n_cycles=5)
-    topups = TopUpSuites(Simulator(arbiter), config, 3, seed=4)
-    topups.fetch(1, [0, 2, 2])
-    first = topups.get(1, 2)
-    assert topups.get(1, 2) is first
+    memo = SuiteMemo()
+    runs = []
+
+    def golden():
+        runs.append(1)
+        return Simulator(arbiter)
+
+    memo.fetch(arbiter, [1004, 1006, 1006], 3, config, golden)
+    (first,) = memo.fetch(arbiter, [1006], 3, config, golden)
+    assert memo.fetch(arbiter, [1006], 3, config, golden)[0] is first
+    assert len(runs) == 1  # both misses shared one golden suite run
+    assert memo.stats() == {"hits": 3, "misses": 2, "suites": 2}
     stimuli, goldens = first
     assert len(stimuli) == len(goldens) == 3
-    reference = generate_testbench_suite(arbiter, 3, config, seed=4 + 1000 + 2)
-    assert stimuli == reference
-    for stimulus, golden in zip(stimuli, goldens):
-        assert golden.outputs == Simulator(arbiter).run(stimulus, record=False).outputs
+    assert stimuli == generate_testbench_suite(arbiter, 3, config, seed=1006)
+    for stimulus, golden_trace in zip(stimuli, goldens):
+        assert (
+            golden_trace.outputs
+            == Simulator(arbiter).run(stimulus, record=False).outputs
+        )
