@@ -18,6 +18,7 @@ Implements paper §IV-D:
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,104 +38,101 @@ FT_ONLY_SUSPICIOUSNESS = 1.0
 def _columnar_distinct(trace_columns, contexts, restrict_to, accumulate) -> bool:
     """Deduplicate a whole trace set straight off its execution columns.
 
-    Builds one padded ``[rows, 2 + max_width]`` matrix — statement slot,
-    operand values (−1-padded; simulator values are non-negative), label
-    — spanning every trace, restricted to slice statements, and collapses
-    it with a single ``np.unique(axis=0)``.  The distinct groups are then
-    replayed through ``accumulate`` ordered by each group's first
-    occurrence across the concatenated traces — exactly the order (and
-    counts) the record-by-record loop would produce, so downstream
-    attention-map accumulation is bit-identical.  Returns False (caller
-    falls back to the object path) when values don't fit an int64
-    column, e.g. >63-bit operands.
+    A fixed number of numpy operations spans the set, whatever its trace
+    count.  Each distinct ``stmt_table`` entry is interned once as a
+    global statement slot (entries outside ``restrict_to`` or without a
+    context with operands are dropped); the set's columns are
+    concatenated into one padded ``[rows, 1 + max_width]`` key matrix —
+    slot, then operand values (−1-padded; simulator values are
+    non-negative) — filled with one gather per operand width; and one
+    stable ``np.lexsort`` brings equal rows together.  A group's first
+    sorted row is its first occurrence and supplies its label.  Groups
+    replay through ``accumulate`` in first-occurrence order — exactly the
+    order and counts of the record-by-record loop, so attention maps stay
+    bit-identical.  Returns False, before calling ``accumulate``, when
+    any trace's values don't fit an integer array (>63-bit operands keep
+    list columns); the caller then runs the record loop.
     """
-    # One table spans all traces: rows from different traces sharing a
-    # statement shape must land in the same dedup group.
-    global_slot_of: dict[tuple, int] = {}
-    slot_rows: list[tuple[int, tuple[str, ...]]] = []  # (stmt_id, operands)
-    chunks: list[np.ndarray] = []
-    for columns in trace_columns:
-        if not len(columns):
-            continue
-        flat = columns.flat_values
-        lhs = columns.lhs_values
-        if not (  # >63-bit values fall back to the object path
-            isinstance(flat, np.ndarray) and isinstance(lhs, np.ndarray)
+    traces = [columns for columns in trace_columns if len(columns)]
+    for columns in traces:
+        if not (
+            isinstance(columns.flat_values, np.ndarray)
+            and isinstance(columns.lhs_values, np.ndarray)
         ):
             return False
-        labels = (lhs != 0).astype(np.int64)
-        # Map this trace's slot table onto the global one; -1 marks rows
-        # outside the slice (or without a usable context) for dropping.
-        local_to_global = np.empty(len(columns.stmt_table), dtype=np.int64)
-        local_widths = np.empty(len(columns.stmt_table), dtype=np.int64)
-        for local, key in enumerate(columns.stmt_table):
-            stmt_id, _target, operands, _width = key
-            local_widths[local] = len(operands)
-            context = contexts.get(stmt_id)
-            if (
-                (restrict_to is not None and stmt_id not in restrict_to)
-                or context is None
-                or context.n_operands == 0
-            ):
-                local_to_global[local] = -1
-                continue
-            slot = global_slot_of.get(key)
-            if slot is None:
-                slot = global_slot_of[key] = len(slot_rows)
-                slot_rows.append((stmt_id, operands))
-            local_to_global[local] = slot
-        slots = columns.stmt_slots.astype(np.int64)
-        offsets = np.zeros(len(slots) + 1, dtype=np.int64)
-        np.cumsum(local_widths[slots], out=offsets[1:])
-        global_slots = local_to_global[slots]
-        keep = np.flatnonzero(global_slots >= 0)
-        if not keep.size:
-            continue
-        max_width = int(local_widths.max(initial=0))
-        # Chunks are padded to a common width before stacking (traces
-        # that took different branches execute different statement sets,
-        # so per-trace max widths differ); the pad column count never
-        # affects grouping because a statement slot pins its width.
-        keyed = np.full((keep.size, 2 + max_width), -1, dtype=np.int64)
-        keyed[:, 0] = global_slots[keep]
-        keyed[:, 1] = labels[keep]
-        kept_widths = local_widths[slots[keep]]
-        kept_offsets = offsets[keep]
-        # Fill the ragged value spans width-group by width-group (a few
-        # distinct widths per design, each filled with one gather).
-        for width in np.unique(kept_widths):
-            if width == 0:
-                continue
-            rows = np.flatnonzero(kept_widths == width)
-            keyed[rows[:, None], 2 + np.arange(width)] = flat[
-                kept_offsets[rows][:, None] + np.arange(width)
-            ]
-        chunks.append(keyed)
-
-    if not chunks:
+    if not traces:
         return True
-    total_width = max(chunk.shape[1] for chunk in chunks)
-    for index, chunk in enumerate(chunks):
-        if chunk.shape[1] < total_width:
-            widened = np.full((chunk.shape[0], total_width), -1, dtype=np.int64)
-            widened[:, : chunk.shape[1]] = chunk
-            chunks[index] = widened
-    combined = np.vstack(chunks)
-    distinct, first, group_counts = np.unique(
-        combined, axis=0, return_index=True, return_counts=True
+
+    # Intern table entries: a missing key is assigned the next index.
+    entry_of: defaultdict[tuple, int] = defaultdict()
+    entry_of.default_factory = entry_of.__len__
+    table: list[int] = []  # every trace's table, as entry indices
+    bases = np.empty(len(traces), dtype=np.int64)
+    for index, columns in enumerate(traces):
+        bases[index] = len(table)
+        table.extend(map(entry_of.__getitem__, columns.stmt_table))
+    entries = list(entry_of)
+    entry_widths = np.empty(len(entries), dtype=np.int64)
+    entry_kept = np.empty(len(entries), dtype=bool)
+    for index, (stmt_id, _target, operands, _width) in enumerate(entries):
+        context = contexts.get(stmt_id)
+        entry_widths[index] = len(operands)
+        entry_kept[index] = (
+            (restrict_to is None or stmt_id in restrict_to)
+            and context is not None
+            and context.n_operands > 0
+        )
+
+    lengths = np.fromiter(map(len, traces), dtype=np.int64, count=len(traces))
+    slots = np.concatenate([columns.stmt_slots for columns in traces])
+    row_entries = np.asarray(table, dtype=np.int64)[
+        slots + np.repeat(bases, lengths)
+    ]
+    row_widths = entry_widths[row_entries]
+    offsets = np.zeros(len(row_entries), dtype=np.int64)
+    np.cumsum(row_widths[:-1], out=offsets[1:])
+    keep = np.flatnonzero(entry_kept[row_entries])
+    if not keep.size:
+        return True
+    flat = np.concatenate([columns.flat_values for columns in traces])
+    lhs = np.concatenate([columns.lhs_values for columns in traces])
+
+    kept_widths = row_widths[keep]
+    kept_offsets = offsets[keep]
+    keyed = np.full((keep.size, 1 + int(kept_widths.max())), -1, dtype=np.int64)
+    keyed[:, 0] = row_entries[keep]
+    # A statement slot pins its width, so the padding never splits or
+    # merges a group; a few distinct widths per set, one gather each.
+    for width in np.flatnonzero(np.bincount(kept_widths)).tolist():
+        rows = np.flatnonzero(kept_widths == width)
+        keyed[rows, 1 : 1 + width] = flat[
+            kept_offsets[rows][:, None] + np.arange(width)
+        ]
+
+    # Stable sort: within a run of equal rows, the first sorted index is
+    # the group's first occurrence.
+    order = np.lexsort(keyed.T[::-1])
+    ranked = keyed[order]
+    starts = np.flatnonzero(
+        np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1)))
     )
-    replay_order = np.argsort(first, kind="stable")
-    for index in replay_order:
-        row = distinct[index]
-        stmt_id, operands = slot_rows[int(row[0])]
-        value_map = dict(zip(operands, row[2 : 2 + len(operands)].tolist()))
+    group_counts = np.diff(np.append(starts, len(ranked)))
+    firsts = order[starts]
+    replay = np.argsort(firsts)
+    first = firsts[replay]
+    labels = lhs[keep[first]] != 0
+    for row, label, count in zip(
+        keyed[first].tolist(), labels.tolist(), group_counts[replay].tolist()
+    ):
+        stmt_id, _target, operands, _width = entries[row[0]]
+        value_map = dict(zip(operands, row[1:]))
         context = contexts[stmt_id]
         sample = Sample(
             context=context,
             operand_values=tuple(value_map[op.name] for op in context.operands),
-            label=int(row[1]),
+            label=int(label),
         )
-        accumulate(stmt_id, sample, int(group_counts[index]))
+        accumulate(stmt_id, sample, count)
     return True
 
 
@@ -283,16 +281,18 @@ class Explainer:
         traces the same statement overwhelmingly re-executes with values
         it has already been seen with.
 
-        Every trace is deduplicated off its columnar execution view
-        (:meth:`Trace.columnize` — simulator-recorded and deserialized
-        traces already carry it natively, so the packing shim only fires
-        for hand-assembled traces) with vectorized ``np.unique`` — no
-        per-execution Python loop — while preserving the exact first-seen
+        The whole set is deduplicated in one pass off the traces'
+        columnar execution views (:meth:`Trace.columnize` —
+        simulator-recorded and deserialized traces already carry them
+        natively, so the packing shim only fires for hand-assembled
+        traces): one concatenation, one padded key matrix and one stable
+        ``np.lexsort`` (:func:`_columnar_distinct`), with no per-trace or
+        per-execution numpy work, while preserving the exact first-seen
         order and counts of the record-by-record loop, so both paths
         produce bit-identical attention maps.  The record loop remains as
-        the fallback for >63-bit operand values, which don't fit the
-        int64 columns and keep Python-list columns at the recorder
-        boundary.
+        the fallback when any trace holds >63-bit operand values, which
+        don't fit integer arrays and keep Python-list columns at the
+        recorder boundary.
         """
         groups: dict[tuple[int, tuple[int, ...]], int] = {}
         samples: list[Sample] = []

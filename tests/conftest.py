@@ -10,6 +10,8 @@ import pytest
 
 from repro.api import generate_corpus
 from repro.core import BatchEncoder, VeriBugConfig, VeriBugModel, Vocabulary
+from repro.core.explainer import Explainer
+from repro.core.features import sample_from_execution
 from repro.pipeline import CorpusSpec
 from repro.verilog import parse_module
 
@@ -113,3 +115,64 @@ def fresh_model(tiny_config, vocab):
 @pytest.fixture
 def encoder(vocab):
     return BatchEncoder(vocab)
+
+
+def record_loop_distinct(contexts, traces, restrict_to=None):
+    """Reference execution dedup, one record at a time.
+
+    Iterates every trace's execution records through
+    ``sample_from_execution`` and groups them by ``(stmt_id,
+    operand_values)`` in first-seen order.  Returns one ``(stmt_id,
+    operand_values, label, context stmt_id, count)`` tuple per group; the
+    label is the group's first execution's.
+    """
+    groups: dict[tuple, list] = {}
+    for trace in traces:
+        for execution in trace.executions:
+            stmt_id = execution.stmt_id
+            context = contexts.get(stmt_id)
+            if context is None or (
+                restrict_to is not None and stmt_id not in restrict_to
+            ):
+                continue
+            sample = sample_from_execution(context, execution)
+            if sample is None:
+                continue
+            group = groups.get((stmt_id, sample.operand_values))
+            if group is None:
+                groups[(stmt_id, sample.operand_values)] = [
+                    stmt_id,
+                    sample.operand_values,
+                    sample.label,
+                    context.stmt_id,
+                    1,
+                ]
+            else:
+                group[-1] += 1
+    return [tuple(group) for group in groups.values()]
+
+
+@pytest.fixture(scope="session")
+def check_dedup(vocab):
+    """Assert ``Explainer.distinct_samples`` equals the record loop.
+
+    The returned function compares samples (operand values, label,
+    context stmt id), stmt ids and counts exactly, in order, and returns
+    the groups.
+    """
+    explainer = Explainer(VeriBugModel(VeriBugConfig(), vocab), BatchEncoder(vocab))
+
+    def check(contexts, traces, restrict_to=None):
+        samples, stmt_ids, counts = explainer.distinct_samples(
+            contexts, traces, restrict_to
+        )
+        got = [
+            (stmt_id, sample.operand_values, sample.label, sample.context.stmt_id, n)
+            for sample, stmt_id, n in zip(samples, stmt_ids, counts)
+        ]
+        assert len(samples) == len(stmt_ids) == len(counts)
+        want = record_loop_distinct(contexts, traces, restrict_to)
+        assert got == want
+        return got
+
+    return check

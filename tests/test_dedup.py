@@ -1,0 +1,129 @@
+"""Execution dedup against its record-loop oracle.
+
+``Explainer.distinct_samples`` groups a whole trace set's executions in
+one columnar pass (one concatenation, one key matrix, one stable
+``np.lexsort``).  Its output — samples, stmt ids and counts, in
+first-seen order — must equal the record-by-record loop exactly (the
+``check_dedup`` fixture), on synthetic column sets built to hit every
+corner of the key matrix and on real ragged vector-suite lanes.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis import compute_static_slice, extract_module_contexts
+from repro.analysis.contexts import OperandInstance, StatementContext
+from repro.datagen.mutation import apply_mutation, mutate_statement, sample_mutations
+from repro.designs import design_info, load_design
+from repro.sim import Simulator, TestbenchConfig, generate_testbench_suite
+from repro.sim.trace import ExecutionColumns, Trace, _LazyExecutions
+
+NAMES = "abcd"
+#: Small values collide often; the large one only fits an int64 column.
+VALUES = [0, 1, 2, 3, 1 << 40]
+
+
+@st.composite
+def statements(draw):
+    """Per statement: its recorded shapes and its context (or None).
+
+    Widths run 0–4 with repeated names allowed; a statement may record
+    under two shapes (another target or lhs width) and may have no
+    context, or a context without operands.
+    """
+    shapes, contexts = [], {}
+    for stmt_id in range(draw(st.integers(1, 5))):
+        operands = tuple(draw(st.lists(st.sampled_from(NAMES), max_size=4)))
+        targets = draw(st.lists(st.sampled_from("tu"), min_size=1, max_size=2, unique=True))
+        shapes.extend((stmt_id, target, operands, 1 + len(target)) for target in targets)
+        kind = draw(st.sampled_from(["context", "context", "none", "empty"]))
+        if kind == "none":
+            continue
+        names = draw(st.lists(st.sampled_from(operands), max_size=3)) if operands else []
+        if kind == "empty":
+            names = []
+        contexts[stmt_id] = StatementContext(
+            stmt_id=stmt_id,
+            target="t",
+            assign_type="BlockingAssignment",
+            operands=[OperandInstance(name, 0, index) for index, name in enumerate(names)],
+        )
+    return shapes, contexts
+
+
+@st.composite
+def trace_sets(draw):
+    """A trace set with per-trace tables that share, permute and omit
+    shapes, int32 and int64 columns mixed, and empty traces."""
+    shapes, contexts = draw(statements())
+    traces = []
+    for _ in range(draw(st.integers(1, 5))):
+        table = draw(st.permutations(shapes))[: draw(st.integers(0, len(shapes)))]
+        slots, lhs, flat = [], [], []
+        if table:
+            for _ in range(draw(st.integers(0, 12))):
+                slot = draw(st.integers(0, len(table) - 1))
+                slots.append(slot)
+                lhs.append(draw(st.sampled_from(VALUES)))
+                flat.extend(draw(st.sampled_from(VALUES)) for _ in table[slot][2])
+        dtype = np.int32 if max(lhs + flat, default=0) < 1 << 31 else np.int64
+        if draw(st.booleans()):
+            dtype = np.int64
+        columns = ExecutionColumns(
+            list(table),
+            np.asarray(slots, dtype=np.int32),
+            np.arange(len(slots), dtype=np.int32),
+            np.asarray(lhs, dtype=dtype),
+            np.asarray(flat, dtype=dtype),
+        )
+        trace = Trace(design="synthetic")
+        trace.executions = _LazyExecutions(columns)
+        traces.append(trace)
+    restrict_to = draw(
+        st.none() | st.sets(st.integers(0, 4)).map(frozenset)
+    )
+    return contexts, traces, restrict_to
+
+
+@given(trace_sets())
+@settings(max_examples=300, deadline=None)
+def test_synthetic_columns_match_record_loop(check_dedup, case):
+    contexts, traces, restrict_to = case
+    check_dedup(contexts, traces, restrict_to)
+
+
+def test_ragged_vector_lanes_match_record_loop(check_dedup):
+    """A target program's ragged suite: lanes with non-uniform active
+    masks, so each lane records its own statement table (full, shortened
+    and empty lanes execute different statement sets).  Each mutant's
+    lanes form one trace set, deduplicated under that mutant's contexts,
+    as a campaign localizes it."""
+    module = load_design("usbf_pl")
+    cone = compute_static_slice(module, design_info("usbf_pl").targets[0]).stmt_ids
+    mutations = sample_mutations(
+        module, {"negation": 2, "operation": 2, "misuse": 3}, seed=29,
+        restrict_to=cone, min_operands=2,
+    )
+    variants = [mutate_statement(module.statement_by_id(m.stmt_id), m) for m in mutations]
+    stimuli = [
+        list(stimulus)
+        for stimulus in generate_testbench_suite(
+            module, 5, TestbenchConfig(n_cycles=12), seed=3
+        )
+    ]
+    stimuli[2] = stimuli[2][:6]
+    stimuli[4] = []
+    lanes = [stimulus for _ in range(len(mutations) + 1) for stimulus in stimuli]
+    selectors = [k for k in range(len(mutations) + 1) for _ in stimuli]
+    traces = Simulator(module, variants=variants).run_suite(lanes, selectors=selectors)
+
+    tables = {tuple(trace.execution_columns().stmt_table) for trace in traces}
+    assert len(tables) > 2
+
+    modules = [module] + [apply_mutation(module, m) for m in mutations]
+    for selector, variant in enumerate(modules):
+        trace_set = traces[selector * len(stimuli) : (selector + 1) * len(stimuli)]
+        contexts = extract_module_contexts(variant.statements())
+        assert check_dedup(contexts, trace_set)
+        assert check_dedup(contexts, trace_set, cone)

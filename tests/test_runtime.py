@@ -19,6 +19,7 @@ from __future__ import annotations
 import multiprocessing
 import pathlib
 
+import numpy as np
 import pytest
 
 from repro.analysis import compute_static_slice
@@ -291,44 +292,29 @@ class TestColumnarTraces:
         (again,) = self._roundtrip([back])
         assert list(again.executions) == list(trace.executions)
 
-    def test_columnar_dedup_matches_object_loop(self, requests):
+    def test_columnar_dedup_matches_object_loop(self, requests, check_dedup):
+        """Recorded traces and their pickled round trip both dedup off
+        native columns; each must equal the record loop."""
         from repro.analysis import compute_static_slice
         from repro.analysis.contexts import extract_module_contexts
         from repro.analysis.slicing import slice_statements
-        from repro.core import BatchEncoder, VeriBugConfig, VeriBugModel, Vocabulary
-        from repro.core.explainer import Explainer
 
-        vocab = Vocabulary()
-        model = VeriBugModel(VeriBugConfig(), vocab)
-        explainer = Explainer(model, BatchEncoder(vocab))
         for request in requests:
             static_slice = compute_static_slice(request.module, request.target)
             contexts = extract_module_contexts(
                 slice_statements(request.module, static_slice)
             )
             for traces in (request.failing_traces, request.correct_traces):
-                want = explainer.distinct_samples(
-                    contexts, traces, static_slice.stmt_ids
-                )
-                got = explainer.distinct_samples(
-                    contexts, self._roundtrip(traces), static_slice.stmt_ids
-                )
-                assert got[1] == want[1]  # stmt ids, in first-seen order
-                assert got[2] == want[2]  # multiplicities
-                for got_sample, want_sample in zip(got[0], want[0]):
-                    assert got_sample.operand_values == want_sample.operand_values
-                    assert got_sample.label == want_sample.label
-                    assert (
-                        got_sample.context.stmt_id == want_sample.context.stmt_id
-                    )
+                for trace_set in (traces, self._roundtrip(traces)):
+                    assert all(t.execution_columns() is not None for t in trace_set)
+                    groups = check_dedup(contexts, trace_set, static_slice.stmt_ids)
+                    assert groups
 
-    def test_traces_with_different_statement_shapes(self, arbiter):
+    def test_traces_with_different_statement_shapes(self, arbiter, check_dedup):
         """Branch-dependent designs execute different statement sets per
-        trace, so per-trace operand widths differ; the columnar dedup
-        must pad chunks to a common width, not crash stacking them."""
+        trace, so per-trace operand widths differ; the set-wide key
+        matrix must pad every row to the widest statement of the set."""
         from repro.analysis import extract_module_contexts
-        from repro.core import BatchEncoder, VeriBugConfig, VeriBugModel, Vocabulary
-        from repro.core.explainer import Explainer
         from repro.sim.trace import StatementExecution, Trace
 
         contexts = extract_module_contexts(arbiter.statements())
@@ -356,39 +342,55 @@ class TestColumnarTraces:
             return Trace(design="arb", executions=executions)
 
         traces = [trace_for(widths[0], 1), trace_for(widths[-1], 0)]
-        vocab = Vocabulary()
-        explainer = Explainer(
-            VeriBugModel(VeriBugConfig(), vocab), BatchEncoder(vocab)
-        )
-        want = explainer.distinct_samples(contexts, traces)
-        got = explainer.distinct_samples(contexts, self._roundtrip(traces))
-        assert got[1] == want[1]
-        assert got[2] == want[2]
-        assert [s.operand_values for s in got[0]] == [
-            s.operand_values for s in want[0]
-        ]
-        assert [s.label for s in got[0]] == [s.label for s in want[0]]
+        want = check_dedup(contexts, traces)
+        assert check_dedup(contexts, self._roundtrip(traces)) == want
 
-    def test_wide_values_fall_back_to_object_path(self):
+    def test_wide_values_fall_back_to_object_path(self, check_dedup):
+        from repro.analysis.contexts import OperandInstance, StatementContext
         from repro.sim.trace import ExecutionColumns, StatementExecution, Trace
 
-        executions = [
-            StatementExecution(
-                stmt_id=0,
-                cycle=cycle,
-                target="y",
-                operands=("a",),
-                operand_values=(1 << 90,),
-                lhs_value=1,
-                lhs_width=128,
-            )
-            for cycle in range(3)
-        ]
-        trace = Trace(design="wide", executions=executions)
-        columns = ExecutionColumns.pack(executions)
+        def executions(value):
+            return [
+                StatementExecution(
+                    stmt_id=0,
+                    cycle=cycle,
+                    target="y",
+                    operands=("a",),
+                    operand_values=(value,),
+                    lhs_value=cycle % 2,
+                    lhs_width=128,
+                )
+                for cycle in range(3)
+            ]
+
+        wide = executions(1 << 90)
+        trace = Trace(design="wide", executions=wide)
+        columns = ExecutionColumns.pack(wide)
         assert isinstance(columns.flat_values, list)  # >63-bit: no array
         (back,) = self._roundtrip([trace])
-        assert list(back.executions) == executions
+        assert list(back.executions) == wide
+
+        # Array-column traces first, the list-column trace last: the
+        # columnar pass must bail out before accumulating anything, or the
+        # record loop would count the narrow traces twice.
+        contexts = {
+            0: StatementContext(
+                stmt_id=0,
+                target="y",
+                assign_type="BlockingAssignment",
+                operands=[OperandInstance("a", 0, 0)],
+            )
+        }
+        narrow = [Trace(design="wide", executions=executions(v)) for v in (1, 2, 1)]
+        assert all(
+            isinstance(t.columnize().flat_values, np.ndarray) for t in narrow
+        )
+        groups = check_dedup(contexts, narrow + [back])
+        assert [(values, count) for _s, values, _l, _c, count in groups] == [
+            ((1,), 6),
+            ((2,), 3),
+            ((1 << 90,), 3),
+        ]
 
 
 class _FakeFuture:
