@@ -126,7 +126,7 @@ def test_ablation_regularizer(benchmark):
         print(f"{alpha:>6.2f} {accuracy:>9.3f} {sharpness:>20.3f}")
 
 
-def test_ablation_value_sensitivity(benchmark, paper_pipeline):
+def test_ablation_value_sensitivity(benchmark, paper_serial_session):
     """Attention with real values vs frozen-zero values."""
     module = load_design("wb_mux_2")
     contexts = extract_module_contexts(module.statements())
@@ -143,10 +143,10 @@ def test_ablation_value_sensitivity(benchmark, paper_pipeline):
     ]
 
     def measure():
-        batch_real = paper_pipeline.encoder.encode(samples)
-        batch_frozen = paper_pipeline.encoder.encode(frozen)
-        att_real = paper_pipeline.model(batch_real).attention.data
-        att_frozen = paper_pipeline.model(batch_frozen).attention.data
+        batch_real = paper_serial_session.encoder.encode(samples)
+        batch_frozen = paper_serial_session.encoder.encode(frozen)
+        att_real = paper_serial_session.model(batch_real).attention.data
+        att_frozen = paper_serial_session.model(batch_frozen).attention.data
         return float(np.abs(att_real - att_frozen).mean())
 
     delta = benchmark.pedantic(measure, rounds=1, iterations=1)

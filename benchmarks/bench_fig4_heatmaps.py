@@ -13,7 +13,7 @@ from repro.designs import REGISTRY, design_info, design_testbench, load_design
 from repro.sim import Simulator, generate_testbench_suite
 
 
-def localize_first_observable(pipeline, name: str, target: str, seed: int = 17):
+def localize_first_observable(session, name: str, target: str, seed: int = 17):
     """Find the first observable mutant for a target and localize it."""
     module = load_design(name)
     cone = compute_static_slice(module, target).stmt_ids
@@ -43,19 +43,19 @@ def localize_first_observable(pipeline, name: str, target: str, seed: int = 17):
         except Exception:
             continue
         if failing and correct:
-            result = pipeline.localizer.localize(mutant, target, failing, correct)
+            result = session.localize(mutant, target, failing, correct)
             return mutant, mutation, result
     return None, None, None
 
 
-def test_fig4_heatmaps(benchmark, paper_pipeline):
+def test_fig4_heatmaps(benchmark, paper_serial_session):
     rendered = {}
 
     def build_all():
         for name in REGISTRY:
             target = design_info(name).targets[0]
             mutant, mutation, result = localize_first_observable(
-                paper_pipeline, name, target
+                paper_serial_session, name, target
             )
             if result is None:
                 rendered[name] = "(no observable mutant found with this seed)"

@@ -11,7 +11,7 @@ table regenerates in a few minutes; the expected *shape* is that all α
 perform similarly (within a few points) with 0.10 among the best.
 
 The held-out split is grouped at the *design* level
-(``split_by_design=True``, matching ``train_pipeline``): a sample-level
+(``split_by_design=True``, matching ``VeriBugSession.train``): a sample-level
 split leaks near-duplicate executions of every test statement into
 training and inflates the table.  Expect accuracies a few points below
 the historical sample-level numbers — the committed paper-scale fixture

@@ -12,6 +12,7 @@ limited), with a substantial overall coverage.
 """
 
 from repro.analysis import compute_static_slice
+from repro.core import LocalizationEngine
 from repro.datagen import CampaignEngine, sample_mutations
 from repro.designs import REGISTRY, design_info, design_testbench, load_design
 
@@ -27,7 +28,8 @@ PAPER_COVERAGE = {
 }
 
 
-def run_campaigns(pipeline):
+def run_campaigns(session):
+    localizer = LocalizationEngine(session.model, session.encoder, session.config.model)
     results = []
     for name in REGISTRY:
         module = load_design(name)
@@ -40,7 +42,7 @@ def run_campaigns(pipeline):
                 module, dict(PLAN), seed=13, restrict_to=cone, min_operands=2
             )
             campaign = CampaignEngine(
-                pipeline.localizer,
+                localizer,
                 n_traces=24,
                 testbench_config=design_testbench(name, n_cycles=12),
                 seed=29,
@@ -51,9 +53,9 @@ def run_campaigns(pipeline):
     return results
 
 
-def test_table3_bug_coverage(benchmark, paper_pipeline):
-    results = benchmark.pedantic(run_campaigns, args=(paper_pipeline,), rounds=1,
-                                 iterations=1)
+def test_table3_bug_coverage(benchmark, paper_serial_session):
+    results = benchmark.pedantic(run_campaigns, args=(paper_serial_session,),
+                                 rounds=1, iterations=1)
     print()
     print("TABLE III: bug coverage for bug-localization on realistic designs")
     header = (

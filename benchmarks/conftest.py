@@ -12,7 +12,7 @@ import pytest
 
 from repro.api import SessionConfig, VeriBugSession
 from repro.core import VeriBugConfig
-from repro.pipeline import CorpusSpec, TrainedPipeline
+from repro.pipeline import CorpusSpec
 
 CACHE_DIR = pathlib.Path(__file__).parent / ".cache"
 
@@ -37,14 +37,10 @@ def load_or_train_session(n_workers: int = 0) -> VeriBugSession:
     return session
 
 
-def load_or_train_pipeline() -> TrainedPipeline:
-    """Legacy TrainedPipeline view of the shared evaluation model."""
-    return load_or_train_session().as_pipeline()
-
-
 @pytest.fixture(scope="session")
-def paper_pipeline() -> TrainedPipeline:
-    return load_or_train_pipeline()
+def paper_serial_session() -> VeriBugSession:
+    """A sequential session over the shared evaluation model."""
+    return load_or_train_session()
 
 
 @pytest.fixture(scope="session")

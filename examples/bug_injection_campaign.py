@@ -33,7 +33,7 @@ def main() -> None:
         config,
         # 20 RVDG designs: the design-level test split holds out whole
         # designs, so ~16 remain for training (the paper-scale corpus).
-        CorpusSpec(n_designs=20, n_traces_per_design=4, n_cycles=25, n_workers=2),
+        CorpusSpec(n_designs=20, n_traces_per_design=4, n_cycles=25),
         evaluate=False,
     ) as session:
         _run_campaigns(session)

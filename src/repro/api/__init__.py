@@ -32,14 +32,13 @@ from .campaign import (
     CampaignUpdate,
     HeatmapSnapshot,
 )
-from .config import CACHE_POLICIES, LINT_POLICIES, POOL_POLICIES, SessionConfig
+from .config import CACHE_POLICIES, LINT_POLICIES, SessionConfig
 from .session import VeriBugSession, generate_corpus
 
 __all__ = [
     "CACHE_POLICIES",
     "DEFAULT_PLAN",
     "LINT_POLICIES",
-    "POOL_POLICIES",
     "CampaignHandle",
     "CampaignReport",
     "CampaignUpdate",

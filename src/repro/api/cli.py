@@ -164,20 +164,19 @@ def cmd_train(args: argparse.Namespace) -> int:
         n_designs = 0 if args.corpus else 20
     else:
         n_designs = args.designs
-    corpus = CorpusSpec(
-        n_designs=n_designs,
-        n_traces_per_design=args.traces,
-        n_cycles=args.cycles,
-        engine=config.engine,
-        n_workers=config.n_workers,
-        source_dir=args.corpus,
-    )
     t0 = time.perf_counter()
     try:
+        corpus = CorpusSpec(
+            n_designs=n_designs,
+            n_traces_per_design=args.traces,
+            n_cycles=args.cycles,
+            engine=config.engine,
+            source_dir=args.corpus,
+        )
         session = VeriBugSession.train(config, corpus, log=not args.quiet)
     except (NotADirectoryError, ValueError) as exc:
-        # Bad corpus directory / nothing usable ingested: user error,
-        # not a traceback.
+        # Bad corpus sizes or directory / nothing usable ingested: user
+        # error, not a traceback.
         raise SystemExit(str(exc)) from exc
     wall = time.perf_counter() - t0
     if session.train_metrics:

@@ -2,7 +2,7 @@
 
 Before the session facade, execution knobs were scattered across four
 surfaces: ``TestbenchConfig.engine``, ``VeriBugConfig.sim_engine``,
-``CorpusSpec(engine=, n_workers=)``, and constructor kwargs of the
+``CorpusSpec(engine=)``, and constructor kwargs of the
 campaign/localizer classes.  :class:`SessionConfig` consolidates them
 behind a frozen dataclass with builder-style ``with_*`` methods, and
 :class:`repro.api.VeriBugSession` is the single consumer that fans the
@@ -21,9 +21,6 @@ from ..sim.simulator import ENGINES
 #: Valid context-embedding cache policies.
 CACHE_POLICIES = ("structural", "off")
 
-#: Valid worker-pool lifecycle policies.
-POOL_POLICIES = ("session", "ephemeral")
-
 
 @dataclass(frozen=True)
 class SessionConfig:
@@ -39,16 +36,14 @@ class SessionConfig:
             None defers to ``model.sim_engine`` (default "auto": the
             lockstep vector engine for multi-trace suites, compiled
             scalar otherwise).
-        n_workers: Worker-pool size for mutant simulation, corpus
-            generation, and sharded localization; 0 runs sequentially
-            (results are bit-identical either way).
-        pool_policy: Worker-pool lifecycle — "session" (the session owns
-            one persistent :class:`~repro.runtime.ExecutionRuntime`,
-            lazily started on the first parallel dispatch and reused by
-            every campaign/corpus/localization until
-            :meth:`~repro.api.VeriBugSession.close`) or "ephemeral"
-            (pre-runtime behavior: each parallel call spins up and tears
-            down its own pool).
+        n_workers: Size of the session's worker pool for mutant
+            simulation, corpus generation, and sharded localization; 0
+            runs sequentially (results are bit-identical either way).
+            The session owns one persistent
+            :class:`~repro.runtime.ExecutionRuntime`, lazily started on
+            the first parallel dispatch and reused by every
+            campaign/corpus/localization until
+            :meth:`~repro.api.VeriBugSession.close`.
         localize_batch: Observable mutants per shared localization batch
             (the cross-mutant inference fast path).
         cache_policy: Context-embedding cache policy — "structural"
@@ -76,7 +71,6 @@ class SessionConfig:
     model: VeriBugConfig = field(default_factory=VeriBugConfig)
     sim_engine: str | None = None
     n_workers: int = 0
-    pool_policy: str = "session"
     localize_batch: int = 8
     cache_policy: str = "structural"
     cache_max_entries: int = 100_000
@@ -98,11 +92,6 @@ class SessionConfig:
             raise ValueError(
                 f"unknown cache_policy {self.cache_policy!r};"
                 f" available: {', '.join(CACHE_POLICIES)}"
-            )
-        if self.pool_policy not in POOL_POLICIES:
-            raise ValueError(
-                f"unknown pool_policy {self.pool_policy!r};"
-                f" available: {', '.join(POOL_POLICIES)}"
             )
         if self.lint_policy not in LINT_POLICIES:
             raise ValueError(
@@ -143,19 +132,9 @@ class SessionConfig:
         or "interpreted")."""
         return dataclasses.replace(self, sim_engine=sim_engine)
 
-    def with_workers(
-        self, n_workers: int, pool_policy: str | None = None
-    ) -> SessionConfig:
-        """Size the worker pool (0 = sequential), optionally set its policy.
-
-        ``pool_policy="session"`` (default) makes the session own one
-        persistent execution runtime; ``"ephemeral"`` restores the
-        pre-runtime pool-per-call behavior.
-        """
-        updates: dict = {"n_workers": n_workers}
-        if pool_policy is not None:
-            updates["pool_policy"] = pool_policy
-        return dataclasses.replace(self, **updates)
+    def with_workers(self, n_workers: int) -> SessionConfig:
+        """Size the session's persistent worker pool (0 = sequential)."""
+        return dataclasses.replace(self, n_workers=n_workers)
 
     def with_localize_batch(self, localize_batch: int) -> SessionConfig:
         """Set the cross-mutant shared-localization batch size."""

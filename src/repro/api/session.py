@@ -17,22 +17,19 @@ Layering (see ``docs/architecture.md``, "API layering"): the session
 translate streaming demands onto the *engines*
 (:class:`~repro.core.localizer.LocalizationEngine`,
 :class:`~repro.datagen.campaign.CampaignEngine`); the engines drive the
-substrates (simulator, model, analysis).  The historical entry points
-(``train_pipeline``, ``BugLocalizer``, ``BugInjectionCampaign``, …)
-survive as deprecation shims over these layers.
+substrates (simulator, model, analysis).  Parallel work runs on the
+session's live :class:`~repro.runtime.ExecutionRuntime` when it has one,
+and in process otherwise.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import re
-import warnings
 from typing import TYPE_CHECKING, Iterable
 
 from ..analysis import compute_static_slice
 from ..core import (
     BatchEncoder,
-    BugLocalizer,
     EvalMetrics,
     LocalizationEngine,
     LocalizationRequest,
@@ -57,41 +54,36 @@ from .config import SessionConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (pipeline -> api)
     from ..ingest import IngestedCorpus
-    from ..pipeline import CorpusSpec, TrainedPipeline
+    from ..pipeline import CorpusSpec
 
 
 def generate_corpus(
     spec: "CorpusSpec | None" = None, seed: int = 0
 ) -> list[Sample]:
-    """Simulate an RVDG corpus into training samples, no session needed.
+    """Simulate a corpus into training samples in process, no session needed.
 
-    The warning-free replacement for the deprecated
-    ``repro.pipeline.generate_corpus_samples`` when no trained session
-    exists yet (:meth:`VeriBugSession.generate_corpus` inherits the
-    session's engine/worker/seed defaults instead).
+    For callers without a trained session (:meth:`VeriBugSession.generate_corpus`
+    inherits the session's engine, worker pool and seed defaults instead).
     """
-    from ..pipeline import CorpusSpec, _generate_corpus_samples
+    from ..pipeline import CorpusSpec, _simulate_corpus
 
-    return _generate_corpus_samples(spec or CorpusSpec(), seed=seed)
+    return _simulate_corpus(spec or CorpusSpec(), seed=seed)
 
 
-def _default_corpus_spec(config: SessionConfig, n_workers: int) -> "CorpusSpec":
+def _default_corpus_spec(config: SessionConfig) -> "CorpusSpec":
     """The corpus a session trains on when no explicit spec is given.
 
-    Inherits the session's engine and worker pool; with ``corpus_dir``
-    set, sources every usable ingested design (``n_designs=0`` = all)
-    instead of RVDG synthetics.
+    Inherits the session's engine; with ``corpus_dir`` set, sources every
+    usable ingested design (``n_designs=0`` = all) instead of RVDG
+    synthetics.
     """
     from ..pipeline import CorpusSpec
 
     if config.corpus_dir is not None:
         return CorpusSpec(
-            n_designs=0,
-            engine=config.engine,
-            n_workers=n_workers,
-            source_dir=config.corpus_dir,
+            n_designs=0, engine=config.engine, source_dir=config.corpus_dir
         )
-    return CorpusSpec(engine=config.engine, n_workers=n_workers)
+    return CorpusSpec(engine=config.engine)
 
 
 class VeriBugSession:
@@ -105,16 +97,16 @@ class VeriBugSession:
 
     A model should belong to one session at a time: the session *owns*
     the model's cache policy, so constructing a second session over the
-    same model object reconfigures the cache for both (the
-    :meth:`as_pipeline` bridge is the supported way to share the model
-    with legacy code).
+    same model object reconfigures the cache for both.
 
     With ``config.n_workers > 0`` the session also owns a persistent
     :class:`~repro.runtime.ExecutionRuntime` — one lazily-started worker
     pool serving mutant simulation, corpus generation, and sharded
     localization for every campaign the session runs.  Call
     :meth:`close` (or use the session as a context manager) to release
-    the pool; sequential sessions have nothing to release.
+    the pool; sequential sessions have nothing to release.  Without a
+    live runtime — sequential, or after :meth:`close` — all work runs in
+    process.
 
     Campaigns share one per-design memo: registry designs are parsed once
     per session (:meth:`resolve_design`), and a :class:`SuiteMemo` keeps
@@ -160,9 +152,8 @@ class VeriBugSession:
         # The session likewise owns the execution runtime: one lazily
         # started persistent worker pool serving campaign simulation,
         # corpus generation, and sharded localization until close().
-        self._closed = False
         self._runtime: ExecutionRuntime | None = None
-        if self.config.n_workers > 0 and self.config.pool_policy == "session":
+        if self.config.n_workers > 0:
             self._runtime = ExecutionRuntime(self.config.n_workers)
             self._runtime.attach_model(
                 model,
@@ -204,14 +195,14 @@ class VeriBugSession:
                 default corpus is the designs ingested from that
                 directory rather than RVDG synthetics.
             corpus: Corpus size spec; defaults to a spec inheriting the
-                session's engine, worker-pool, and corpus-directory
-                settings.
+                session's engine and corpus-directory settings.  It is
+                simulated on the session's worker pool either way.
             evaluate: Compute train/test metrics on the design-level
                 corpus split.
             log: Print per-epoch training losses.
         """
         config = config or SessionConfig()
-        corpus = corpus or _default_corpus_spec(config, config.n_workers)
+        corpus = corpus or _default_corpus_spec(config)
         vocab = Vocabulary()
         model = VeriBugModel(config.model, vocab)
         encoder = BatchEncoder(vocab)
@@ -306,7 +297,6 @@ class VeriBugSession:
         n_cycles: int = 10,
         seed: int | None = None,
         n_traces: int | None = None,
-        n_workers: int | None = None,
         localize_batch: int | None = None,
     ) -> CampaignHandle:
         """Prepare a bug-injection campaign (execute via the handle).
@@ -323,8 +313,11 @@ class VeriBugSession:
                 registered testbench (registry names) or a generic one,
                 both pinned to the session's simulation engine.
             n_cycles: Cycles per testbench when building the default.
-            seed / n_traces / n_workers / localize_batch: Per-campaign
-                overrides of the session defaults.
+            seed / n_traces / localize_batch: Per-campaign overrides of
+                the session defaults.
+
+        Mutants are simulated on the session's worker pool while it is
+        open; a handle executed after :meth:`close` runs in process.
 
         Returns:
             A :class:`CampaignHandle`; call ``.run()`` for the batch
@@ -363,20 +356,6 @@ class VeriBugSession:
                 min_operands=2,
                 exclude_dead=True,
             )
-        # Per-campaign n_workers overrides that differ from the session
-        # pool's size fall back to an ephemeral pool for that campaign;
-        # matching (or omitted) overrides drain through the shared one.
-        # A closed session defaults to sequential (no surprise pools),
-        # but an explicit per-call override is still honored.
-        if n_workers is None:
-            resolved_workers = 0 if self._closed else self.config.n_workers
-        else:
-            resolved_workers = n_workers
-        runtime = (
-            self._runtime
-            if resolved_workers == self.config.n_workers
-            else None
-        )
         engine = CampaignEngine(
             self._localizer,
             n_traces=self.config.n_traces if n_traces is None else n_traces,
@@ -384,13 +363,12 @@ class VeriBugSession:
             seed=seed,
             min_correct_traces=self.config.min_correct_traces,
             max_extra_batches=self.config.max_extra_batches,
-            n_workers=resolved_workers,
             localize_batch=(
                 self.config.localize_batch
                 if localize_batch is None
                 else localize_batch
             ),
-            runtime=runtime,
+            runtime=self._runtime,
             suites=self._suites,
         )
         return CampaignHandle(engine, module, target, list(mutations))
@@ -403,28 +381,18 @@ class VeriBugSession:
     ) -> list[Sample]:
         """Simulate a corpus into training samples.
 
-        Defaults inherit the session's engine, worker pool, seed, and —
-        when ``config.corpus_dir`` is set — the ingested corpus
-        directory (all usable designs) in place of RVDG synthetics.
+        Defaults inherit the session's engine, seed, and — when
+        ``config.corpus_dir`` is set — the ingested corpus directory (all
+        usable designs) in place of RVDG synthetics.  Designs are
+        simulated on the session's worker pool while it is open, in
+        process otherwise.
         """
-        from ..pipeline import _generate_corpus_samples
+        from ..pipeline import _simulate_corpus
 
-        # Post-close sessions resolve to sequential, like campaign().
-        session_workers = 0 if self._closed else self.config.n_workers
-        spec = spec or _default_corpus_spec(self.config, session_workers)
-        # A spec that doesn't ask for workers of its own inherits the
-        # session pool (results are bit-identical either way, so the
-        # default is never a silent de-parallelization); an explicit
-        # differing worker count gets an ephemeral pool sized to it.
-        if spec.n_workers == 0 and session_workers > 0:
-            spec = dataclasses.replace(spec, n_workers=session_workers)
-        runtime = (
-            self._runtime if spec.n_workers == self.config.n_workers else None
-        )
-        return _generate_corpus_samples(
-            spec,
+        return _simulate_corpus(
+            spec or _default_corpus_spec(self.config),
             seed=self.config.seed if seed is None else seed,
-            runtime=runtime,
+            runtime=self._runtime,
         )
 
     def evaluate(self, samples: list[Sample]) -> EvalMetrics:
@@ -452,25 +420,22 @@ class VeriBugSession:
     def runtime(self) -> ExecutionRuntime | None:
         """The session-owned execution runtime (None when sequential).
 
-        Present when ``config.n_workers > 0`` with the "session" pool
-        policy; its process pool starts lazily on the first parallel
-        dispatch and persists across campaigns until :meth:`close`.
+        Present when ``config.n_workers > 0``; its process pool starts
+        lazily on the first parallel dispatch and persists across
+        campaigns until :meth:`close`.
         """
         return self._runtime
 
     def close(self) -> None:
         """Shut down the session's worker pool (idempotent).
 
-        The session remains usable afterwards, falling back to
-        single-process execution: engines built after close() resolve to
-        zero workers unless a call passes an explicit ``n_workers``
-        override (which gets an ephemeral pool scoped to that call).
+        The session remains usable afterwards, running everything in
+        process, including campaign handles created before the close.
         Sessions used as context managers close on exit::
 
             with VeriBugSession.from_checkpoint(path, config) as session:
                 session.campaign("wb_mux_2", "wbs0_we_o").run()
         """
-        self._closed = True
         if self._runtime is not None:
             self._runtime.close()
             # Detach so campaign/corpus engines stop routing to it.
@@ -585,30 +550,3 @@ class VeriBugSession:
             "suite_memo": self._suites.stats(),
         }
         return stats
-
-    def as_pipeline(self) -> "TrainedPipeline":
-        """Legacy :class:`TrainedPipeline` view over this session's state.
-
-        The bridge the deprecated ``train_pipeline`` shim returns; the
-        pipeline's localizer shares this session's model and cache.
-        """
-        from ..pipeline import TrainedPipeline
-
-        with warnings.catch_warnings():
-            # The session already is the new surface; don't re-warn for
-            # the compatibility objects it hands out.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            localizer = BugLocalizer(
-                self.model,
-                self.encoder,
-                self.config.model,
-                fast_inference=self.config.fast_inference,
-            )
-        return TrainedPipeline(
-            model=self.model,
-            encoder=self.encoder,
-            localizer=localizer,
-            config=self.config.model,
-            train_metrics=self.train_metrics,
-            test_metrics=self.test_metrics,
-        )

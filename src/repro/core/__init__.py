@@ -29,7 +29,6 @@ from .heatmap import (
     score_glyph,
 )
 from .localizer import (
-    BugLocalizer,
     LocalizationEngine,
     LocalizationRequest,
     LocalizationResult,
@@ -48,7 +47,6 @@ __all__ = [
     "AttentionMap",
     "AttentionRowMemo",
     "BatchEncoder",
-    "BugLocalizer",
     "ContextEmbeddingCache",
     "EncodedBatch",
     "EvalMetrics",

@@ -12,7 +12,6 @@ the localizer:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from ..analysis.contexts import StatementContext, extract_module_contexts
@@ -78,7 +77,7 @@ class LocalizationEngine:
 
     This is the *engine* layer: it owns no session state beyond the model
     handed to it and is driven by :class:`repro.api.VeriBugSession` (the
-    facade) or, for legacy callers, the :class:`BugLocalizer` shim.
+    facade).
 
     Args:
         model / encoder / config: The trained model and its codec.
@@ -264,22 +263,3 @@ class LocalizationEngine:
                 )
             )
         return results
-
-
-class BugLocalizer(LocalizationEngine):
-    """Deprecated alias of :class:`LocalizationEngine`.
-
-    Retained so pre-``repro.api`` code keeps working unchanged; new code
-    should go through :meth:`repro.api.VeriBugSession.localize` /
-    :meth:`~repro.api.VeriBugSession.localize_many`, which own the model,
-    cache policy, and batching knobs in one place.
-    """
-
-    def __init__(self, *args, **kwargs):
-        warnings.warn(
-            "BugLocalizer is deprecated; use repro.api.VeriBugSession.localize"
-            " / localize_many (the session facade) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(*args, **kwargs)

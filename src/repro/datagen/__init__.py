@@ -1,7 +1,6 @@
 """Data generation: synthetic designs (RVDG), mutations, campaigns."""
 
 from .campaign import (
-    BugInjectionCampaign,
     CampaignEngine,
     CampaignResult,
     MutantOutcome,
@@ -18,7 +17,6 @@ from .mutation import (
 from .rvdg import RandomVerilogDesignGenerator, RVDGConfig, derive_testbench
 
 __all__ = [
-    "BugInjectionCampaign",
     "CampaignEngine",
     "CampaignResult",
     "Mutation",

@@ -22,23 +22,22 @@ Stimulus suites and their golden traces do not depend on the target, so
 a :class:`SuiteMemo` generates and golden-simulates each one once and
 serves it to every target of the design.
 
-Simulation of mutants is embarrassingly parallel: with ``n_workers > 0``
-the campaign fans the simulate/classify phase out across an
-:class:`~repro.runtime.ExecutionRuntime` worker pool (one task per
-mutation; the campaign context — golden design, stimuli, golden traces,
-mutation plan — is shipped once per worker and referenced by id
-afterwards, and each worker lowers the target program once).  A session
-passes its own persistent runtime so consecutive campaigns reuse one
-pool; legacy callers that only set ``n_workers`` get an ephemeral
-runtime scoped to the call.  Parallel campaigns are bit-identical to
-sequential ones because every mutant derives its extra testbench seeds
+Simulation of mutants is embarrassingly parallel: given a live
+:class:`~repro.runtime.ExecutionRuntime` (the owning session's
+persistent pool, reused by consecutive campaigns), the campaign fans the
+simulate/classify phase out across its workers (one task per mutation;
+the campaign context — golden design, stimuli, golden traces, mutation
+plan — is shipped once per worker and referenced by id afterwards, and
+each worker lowers the target program once).  Without one, everything
+runs in process.  Parallel campaigns are bit-identical to sequential
+ones because every mutant derives its extra testbench seeds
 from its own ``node_index``
 (:func:`repro.runtime.seeding.mutant_topup_seed`), never from the
 worker that happens to simulate it.
 
 Localization itself runs on the inference fast path: up to
 ``localize_batch`` observable mutants are handed to
-:meth:`BugLocalizer.localize_many`, which deduplicates their executions
+:meth:`LocalizationEngine.localize_many`, which deduplicates their executions
 and encodes them into shared no-grad forward passes; under that no-grad
 scope the model runs the fused PathRNN kernel and serves repeated
 statement contexts from its context-embedding cache (each mutant's
@@ -52,7 +51,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
@@ -577,9 +575,8 @@ class CampaignEngine:
     """Runs mutation campaigns against a trained localizer.
 
     This is the *engine* layer driven by
-    :meth:`repro.api.VeriBugSession.campaign` (whose handle adds
-    streaming heatmap snapshots on top of :meth:`iter_localized`) or, for
-    legacy callers, the :class:`BugInjectionCampaign` shim.
+    :meth:`repro.api.VeriBugSession.campaign`, whose handle adds
+    streaming heatmap snapshots on top of :meth:`iter_localized`.
 
     Args:
         localizer: Trained localizer scored against each observable bug.
@@ -588,14 +585,12 @@ class CampaignEngine:
             simulation engine for golden and mutant runs.
         seed: Base seed for the testbench suite.
         min_correct_traces / max_extra_batches: Correct-trace top-up policy.
-        n_workers: When > 0, simulate mutants on a worker pool of this
-            size; localization batches may additionally shard across the
-            same pool when the localizer carries a runtime.
         runtime: Optional :class:`~repro.runtime.ExecutionRuntime` to
-            fan simulation out on.  A session passes its persistent
-            pool so consecutive campaigns reuse one set of workers;
-            when omitted and ``n_workers > 0`` an ephemeral runtime is
-            created (and closed) per :meth:`iter_localized` execution.
+            fan mutant simulation out on while it is open.  A session
+            passes its persistent pool so consecutive campaigns reuse
+            one set of workers; localization batches may additionally
+            shard across the same pool when the localizer carries it.
+            Without a live runtime the campaign runs in process.
         localize_batch: Cap on the number of observable mutants whose
             localizations are encoded into shared model forward passes
             (the inference fast path).  Batches ramp 1 → 2 → 4 → … up to
@@ -618,7 +613,6 @@ class CampaignEngine:
         seed: int = 0,
         min_correct_traces: int = 4,
         max_extra_batches: int = 4,
-        n_workers: int = 0,
         localize_batch: int = 8,
         runtime=None,
         suites: SuiteMemo | None = None,
@@ -631,7 +625,6 @@ class CampaignEngine:
         self.seed = seed
         self.min_correct_traces = min_correct_traces
         self.max_extra_batches = max_extra_batches
-        self.n_workers = n_workers
         self.localize_batch = localize_batch
         self.runtime = runtime
         self.suites = SuiteMemo() if suites is None else suites
@@ -674,7 +667,7 @@ class CampaignEngine:
         needed — simulation error / not observable) completes.  Mutants
         are simulated as selector lanes of the target's program (the
         first alone, then the rest of its program together; one task per
-        mutant when ``n_workers > 0``) and localized in shared batches of
+        mutant on a live runtime) and localized in shared batches of
         observable mutants whose size ramps 1 → 2 → 4 → … up to
         ``localize_batch``: the first result streams as soon as one
         mutant is localizable, while long campaigns still amortize model
@@ -686,7 +679,11 @@ class CampaignEngine:
         ramp.  ``localization`` is None for erroring or unobservable
         mutants.
         """
-        if self.n_workers > 0 and len(mutations) > 1:
+        if (
+            self.runtime is not None
+            and not self.runtime.closed
+            and len(mutations) > 1
+        ):
             ((stimuli, golden_traces),) = self.suites.fetch(
                 module,
                 [self.seed],
@@ -747,8 +744,6 @@ class CampaignEngine:
         yield from buffered
 
     def _simulate_parallel(self, module, target, mutations, stimuli, golden_traces):
-        from ..runtime import ExecutionRuntime
-
         context = (
             module,
             target,
@@ -761,17 +756,7 @@ class CampaignEngine:
             self.max_extra_batches,
             list(mutations),
         )
-        if self.runtime is not None and not self.runtime.closed:
-            # Session-owned persistent pool: reused across campaigns.
-            yield from self.runtime.simulate_mutants(context, mutations)
-            return
-        # No (live) shared runtime: scope one to this execution, e.g. for
-        # legacy callers that only pass n_workers, or a handle executed
-        # after its owning session closed.
-        with ExecutionRuntime.ephemeral(self.n_workers) as runtime:
-            # yield from inside the context manager so results stream to
-            # the caller while the pool stays alive.
-            yield from runtime.simulate_mutants(context, mutations)
+        return self.runtime.simulate_mutants(context, mutations)
 
     def _localize_pending(
         self,
@@ -801,22 +786,3 @@ class CampaignEngine:
             )
             outcome.localized = localization.is_top1(mutation.stmt_id)
         return localizations
-
-
-class BugInjectionCampaign(CampaignEngine):
-    """Deprecated alias of :class:`CampaignEngine`.
-
-    Retained so pre-``repro.api`` code keeps working unchanged; new code
-    should go through :meth:`repro.api.VeriBugSession.campaign`, whose
-    handle adds streaming (:meth:`~repro.api.CampaignHandle.stream`) and
-    incremental heatmap snapshots on top of this engine.
-    """
-
-    def __init__(self, *args, **kwargs):
-        warnings.warn(
-            "BugInjectionCampaign is deprecated; use"
-            " repro.api.VeriBugSession.campaign (the session facade) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(*args, **kwargs)

@@ -1,57 +1,24 @@
-"""Legacy convenience pipeline: train a model, localize bugs.
+"""Training corpora: which designs to simulate, and how to simulate them.
 
 This module wires the substrates together the way the paper's evaluation
-does: train on an RVDG synthetic corpus (free supervision from simulation
-traces), then localize injected bugs on arbitrary designs with the
-*same* model instance — the transferability claim of §VI-A.
-
-The public entry points here (:func:`train_pipeline`,
-:func:`generate_corpus_samples`) are **deprecation shims** over the
-session facade in :mod:`repro.api`; they keep their historical signatures
-and behavior but new code should use
+does: a :class:`CorpusSpec` names an RVDG synthetic corpus (free
+supervision from simulation traces) or an ingested Verilog directory,
+and :func:`_simulate_corpus` simulates it into training samples.
 :meth:`repro.api.VeriBugSession.train` /
-:meth:`~repro.api.VeriBugSession.generate_corpus`.
+:meth:`~repro.api.VeriBugSession.generate_corpus` and the sessionless
+:func:`repro.api.generate_corpus` are the public entry points.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from .analysis import extract_module_contexts
-from .core import (
-    BatchEncoder,
-    BugLocalizer,
-    EvalMetrics,
-    Sample,
-    VeriBugConfig,
-    VeriBugModel,
-    build_samples,
-)
+from .core import Sample, build_samples
 from .datagen import RandomVerilogDesignGenerator, RVDGConfig
 from .runtime.seeding import corpus_design_seed
-from .sim import Simulator, TestbenchConfig, generate_testbench_suite
+from .sim import ENGINES, Simulator, TestbenchConfig, generate_testbench_suite
 from .verilog import parse_module
-
-
-@dataclass
-class TrainedPipeline:
-    """A trained model plus everything needed to run localization.
-
-    Attributes:
-        model: The trained VeriBug model.
-        encoder: Batch encoder bound to the model's vocabulary.
-        localizer: Ready-to-use bug localizer.
-        train_metrics / test_metrics: Predictor quality on the synthetic
-            corpus split (Table II columns).
-    """
-
-    model: VeriBugModel
-    encoder: BatchEncoder
-    localizer: BugLocalizer
-    config: VeriBugConfig
-    train_metrics: EvalMetrics | None = None
-    test_metrics: EvalMetrics | None = None
 
 
 @dataclass
@@ -68,9 +35,6 @@ class CorpusSpec:
         engine: Simulation engine ("auto", "vector", "compiled", or
             "interpreted").  The default "auto" batches each design's
             testbench suite onto the lockstep vector engine.
-        n_workers: When > 0, simulate designs on a process pool of this
-            size; results are bit-identical to the sequential path because
-            every design's testbench seed is derived from its index.
         source_dir: When set, train on the Verilog corpus ingested from
             this directory (see :mod:`repro.ingest`) instead of RVDG
             synthetics.  Usable designs ship to workers as canonical
@@ -83,8 +47,24 @@ class CorpusSpec:
     test_fraction: float = 0.2
     rvdg: RVDGConfig = field(default_factory=RVDGConfig)
     engine: str = "auto"
-    n_workers: int = 0
     source_dir: str | None = None
+
+    def __post_init__(self):
+        if self.n_designs < 0:
+            raise ValueError("n_designs must be >= 0")
+        if self.n_designs == 0 and self.source_dir is None:
+            raise ValueError("n_designs=0 (all designs) needs a source_dir")
+        if self.n_traces_per_design < 1:
+            raise ValueError("n_traces_per_design must be >= 1")
+        if self.n_cycles < 1:
+            raise ValueError("n_cycles must be >= 1")
+        if not 0 <= self.test_fraction < 1:
+            raise ValueError("test_fraction must be in [0, 1)")
+        if self.engine not in ENGINES:
+            raise ValueError(
+                f"unknown engine {self.engine!r};"
+                f" available: {', '.join(ENGINES)}"
+            )
 
 
 def _design_samples(
@@ -111,22 +91,6 @@ def _design_samples(
     return build_samples(contexts, traces, design=module.name)
 
 
-def generate_corpus_samples(spec: CorpusSpec, seed: int = 0) -> list[Sample]:
-    """Deprecated shim over :meth:`repro.api.VeriBugSession.generate_corpus`.
-
-    Same behavior as the internal corpus generator the session uses;
-    retained for pre-``repro.api`` callers.
-    """
-    warnings.warn(
-        "generate_corpus_samples is deprecated; use"
-        " repro.api.VeriBugSession.generate_corpus (the session facade)"
-        " instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _generate_corpus_samples(spec, seed)
-
-
 def _corpus_design_sources(spec: CorpusSpec, seed: int) -> list[str]:
     """The corpus design sources: RVDG synthetics or an ingested directory."""
     if spec.source_dir is not None:
@@ -148,29 +112,22 @@ def _corpus_design_sources(spec: CorpusSpec, seed: int) -> list[str]:
     ]
 
 
-def _generate_corpus_samples(
+def _simulate_corpus(
     spec: CorpusSpec, seed: int = 0, runtime=None
 ) -> list[Sample]:
     """Simulate a corpus and convert traces to training samples.
 
     Design sources come from :func:`_corpus_design_sources` (RVDG
     synthetics, or an ingested directory when ``spec.source_dir`` is
-    set), then each design is simulated and featurized either inline
-    or — when ``spec.n_workers > 0`` — fanned out across an
-    :class:`~repro.runtime.ExecutionRuntime` worker pool (the caller's
-    ``runtime`` when given, e.g. the owning session's persistent pool;
-    an ephemeral one otherwise).  All paths yield samples in design
-    order, so the execution strategy never changes the corpus.
+    set), then each design is simulated and featurized — fanned out
+    across ``runtime``'s worker pool when it is a live
+    :class:`~repro.runtime.ExecutionRuntime` (the owning session's), in
+    process otherwise.  Both paths yield samples in design order, so the
+    execution strategy never changes the corpus.
     """
     design_sources = _corpus_design_sources(spec, seed)
-    if spec.n_workers > 0 and len(design_sources) > 1:
-        from .runtime import ExecutionRuntime
-
-        if runtime is not None:
-            results = runtime.map_corpus(design_sources, spec, seed)
-        else:
-            with ExecutionRuntime.ephemeral(spec.n_workers) as ephemeral:
-                results = ephemeral.map_corpus(design_sources, spec, seed)
+    if runtime is not None and not runtime.closed and len(design_sources) > 1:
+        results = runtime.map_corpus(design_sources, spec, seed)
     else:
         results = [
             _design_samples(index, source, spec, seed)
@@ -180,39 +137,3 @@ def _generate_corpus_samples(
     for design_samples in results:
         samples.extend(design_samples)
     return samples
-
-
-def train_pipeline(
-    config: VeriBugConfig | None = None,
-    corpus: CorpusSpec | None = None,
-    seed: int = 0,
-    evaluate: bool = True,
-    log: bool = False,
-) -> TrainedPipeline:
-    """Deprecated shim over :meth:`repro.api.VeriBugSession.train`.
-
-    Args:
-        config: Model/training hyper-parameters.
-        corpus: Synthetic corpus size knobs.
-        seed: Seed for corpus generation (model init uses config.seed).
-        evaluate: Compute train/test metrics on the corpus split.
-        log: Print per-epoch training losses.
-
-    Returns:
-        The trained pipeline, ready for :meth:`BugLocalizer.localize`.
-    """
-    warnings.warn(
-        "train_pipeline is deprecated; use repro.api.VeriBugSession.train"
-        " (the session facade) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from .api import SessionConfig, VeriBugSession
-
-    session = VeriBugSession.train(
-        SessionConfig(model=config or VeriBugConfig(), seed=seed),
-        corpus,
-        evaluate=evaluate,
-        log=log,
-    )
-    return session.as_pipeline()

@@ -47,8 +47,7 @@ worker pool:
 Lifecycle: the runtime is cheap to construct (no processes until the
 first parallel dispatch), reusable across campaigns/corpora, and closed
 by :meth:`close` (or ``with`` scope).  :class:`repro.api.VeriBugSession`
-owns one when ``SessionConfig.n_workers > 0``; legacy entry points build
-an ephemeral one per call via :meth:`ExecutionRuntime.ephemeral`.
+owns one when ``SessionConfig.n_workers > 0``.
 """
 
 from __future__ import annotations
@@ -256,16 +255,6 @@ class ExecutionRuntime:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    @classmethod
-    def ephemeral(cls, n_workers: int, **kwargs) -> "ExecutionRuntime":
-        """A runtime meant to live for one call (legacy pool-per-run paths).
-
-        Identical to a session runtime — same spawn context, same task
-        protocol — just owned by the call site, which must ``close()``
-        it (or use it as a context manager).
-        """
-        return cls(n_workers, **kwargs)
 
     def close(self) -> None:
         """Shut the pool down and join every worker.  Idempotent.

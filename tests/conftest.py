@@ -9,7 +9,13 @@ from __future__ import annotations
 import pytest
 
 from repro.api import generate_corpus
-from repro.core import BatchEncoder, VeriBugConfig, VeriBugModel, Vocabulary
+from repro.core import (
+    BatchEncoder,
+    LocalizationEngine,
+    VeriBugConfig,
+    VeriBugModel,
+    Vocabulary,
+)
 from repro.core.explainer import Explainer
 from repro.core.features import sample_from_execution
 from repro.pipeline import CorpusSpec
@@ -71,8 +77,8 @@ def tiny_samples(tiny_config):
 
 
 @pytest.fixture(scope="session")
-def trained_pipeline(tmp_path_factory):
-    """A paper-scale trained pipeline shared by explainer/localizer tests.
+def trained_session():
+    """A paper-scale trained session shared by explainer/localizer tests.
 
     Trained once (~70 s) and cached on disk; the cache file for the
     default config is committed to the repo, so fresh checkouts reload
@@ -103,7 +109,15 @@ def trained_pipeline(tmp_path_factory):
             SessionConfig(model=config).with_seed(1), corpus, evaluate=False
         )
         session.save(cache)
-    return session.as_pipeline()
+    return session
+
+
+@pytest.fixture(scope="session")
+def localizer(trained_session):
+    """A sequential localization engine over the shared trained model."""
+    return LocalizationEngine(
+        trained_session.model, trained_session.encoder, trained_session.config.model
+    )
 
 
 @pytest.fixture

@@ -2,15 +2,16 @@
 
 Four contracts:
 
-* **Equivalence** — the session facade and the legacy shims
-  (`BugLocalizer`, `BugInjectionCampaign`, `train_pipeline`) produce
-  identical rankings and suspiciousness (within 1e-9) for the same
-  inputs, and the shims emit `DeprecationWarning`.
+* **Equivalence** — the session facade and the engines it drives
+  (`LocalizationEngine`, `CampaignEngine`, the free `generate_corpus`)
+  produce identical rankings and suspiciousness (within 1e-9) and
+  identical corpora for the same inputs.
 * **Streaming** — `CampaignHandle.stream()` yields per-mutant outcomes
   equal to `run()`'s, with incremental `HeatmapSnapshot`s whose final
   state is bit-identical to the batch report's.
 * **Config** — `SessionConfig` consolidates the scattered knobs,
-  validates them, and the session applies the cache policy it declares.
+  validates them, and the session applies the cache policy it declares;
+  `CorpusSpec` validates its sizes at construction.
 * **CLI** — `python -m repro campaign --smoke` (the CI smoke) works
   end-to-end against the committed checkpoint.
 """
@@ -29,11 +30,12 @@ from repro.api import (
     HeatmapSnapshot,
     SessionConfig,
     VeriBugSession,
+    generate_corpus,
 )
-from repro.core import BugLocalizer, LocalizationEngine, VeriBugConfig
-from repro.datagen import BugInjectionCampaign, CampaignEngine, sample_mutations
+from repro.core import LocalizationEngine, VeriBugConfig
+from repro.datagen import CampaignEngine, sample_mutations
 from repro.designs import design_testbench, load_design
-from repro.pipeline import CorpusSpec, generate_corpus_samples, train_pipeline
+from repro.pipeline import CorpusSpec
 from repro.sim import Simulator, TestbenchConfig, generate_testbench_suite
 from repro.verilog import parse_module
 
@@ -44,10 +46,10 @@ CHECKPOINT = pathlib.Path(__file__).parent / ".cache" / "model_e30_d20_s1.npz"
 
 
 @pytest.fixture(scope="module")
-def session(trained_pipeline):
+def session(trained_session):
     """A session sharing the committed fixture's weights.
 
-    Depends on ``trained_pipeline`` so the checkpoint exists even on a
+    Depends on ``trained_session`` so the checkpoint exists even on a
     cold checkout (the conftest fixture trains and saves it if needed).
     """
     assert CHECKPOINT.exists()
@@ -138,60 +140,76 @@ class TestSessionConfig:
         with pytest.raises(ValueError):
             SessionConfig(**kwargs)
 
-    def test_session_applies_cache_policy(self, trained_pipeline):
-        on = VeriBugSession(trained_pipeline.model, trained_pipeline.encoder)
-        assert trained_pipeline.model.context_cache.enabled
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"n_traces_per_design": 0},
+            {"n_cycles": 0},
+            {"n_designs": -1},
+            {"n_designs": 0},
+            {"test_fraction": 1.0},
+            {"test_fraction": 1.5},
+            {"test_fraction": -0.1},
+            {"engine": "jit"},
+        ],
+    )
+    def test_corpus_spec_validation(self, kwargs):
+        with pytest.raises(ValueError):
+            CorpusSpec(**kwargs)
+
+    def test_session_applies_cache_policy(self, trained_session):
+        on = VeriBugSession(trained_session.model, trained_session.encoder)
+        assert trained_session.model.context_cache.enabled
         assert on.cache_stats()["entries"] >= 0
         off = VeriBugSession(
-            trained_pipeline.model,
-            trained_pipeline.encoder,
+            trained_session.model,
+            trained_session.encoder,
             SessionConfig().with_cache("off", max_entries=11),
         )
-        assert not trained_pipeline.model.context_cache.enabled
-        assert trained_pipeline.model.context_cache.max_entries == 11
+        assert not trained_session.model.context_cache.enabled
+        assert trained_session.model.context_cache.max_entries == 11
         del off
         # Restore the shared fixture's default policy.
-        VeriBugSession(trained_pipeline.model, trained_pipeline.encoder)
+        VeriBugSession(trained_session.model, trained_session.encoder)
 
 
 # ----------------------------------------------------------------------
-# Equivalence: session vs legacy shims (+ DeprecationWarning)
+# Equivalence: session facade vs the engines it drives
 # ----------------------------------------------------------------------
 
 
-class TestLegacyShimEquivalence:
-    def test_buglocalizer_warns_and_matches_session(self, session):
+class TestEngineEquivalence:
+    def test_localization_engine_matches_session(self, session):
         buggy, failing, correct = planted_bug_case()
-        with pytest.warns(DeprecationWarning, match="VeriBugSession"):
-            legacy = BugLocalizer(session.model, session.encoder, session.config.model)
-        legacy_result = legacy.localize(buggy, "y", failing, correct)
+        engine = LocalizationEngine(session.model, session.encoder, session.config.model)
+        engine_result = engine.localize(buggy, "y", failing, correct)
         session_result = session.localize(buggy, "y", failing, correct)
-        assert session_result.ranking == legacy_result.ranking
+        assert session_result.ranking == engine_result.ranking
         assert set(session_result.heatmap.suspiciousness) == set(
-            legacy_result.heatmap.suspiciousness
+            engine_result.heatmap.suspiciousness
         )
-        for stmt_id, score in legacy_result.heatmap.suspiciousness.items():
+        for stmt_id, score in engine_result.heatmap.suspiciousness.items():
             assert abs(session_result.heatmap.suspiciousness[stmt_id] - score) < TOL
 
-    def test_campaign_shim_warns_and_matches_handle(self, session):
+    def test_campaign_engine_matches_handle(self, session):
         module = load_design("wb_mux_2")
         target = "wbs0_we_o"
         mutations = sample_mutations(
             module, {"negation": 2, "misuse": 2}, seed=11, min_operands=2
         )
         testbench = design_testbench("wb_mux_2", n_cycles=8)
-        common = dict(n_traces=8, testbench_config=testbench, seed=3)
-        with pytest.warns(DeprecationWarning, match="VeriBugSession"):
-            legacy_campaign = BugInjectionCampaign(session._localizer, **common)
-        legacy_result = legacy_campaign.run(module, target, mutations)
+        engine = CampaignEngine(
+            session._localizer, n_traces=8, testbench_config=testbench, seed=3
+        )
+        engine_result = engine.run(module, target, mutations)
 
         handle = session.campaign(
             module, target, mutations, testbench=testbench, seed=3, n_traces=8
         )
         report = handle.run()
 
-        assert len(report.outcomes) == len(legacy_result.outcomes)
-        for new, old in zip(report.outcomes, legacy_result.outcomes):
+        assert len(report.outcomes) == len(engine_result.outcomes)
+        for new, old in zip(report.outcomes, engine_result.outcomes):
             assert new.observable == old.observable
             assert new.rank == old.rank
             assert new.localized == old.localized
@@ -199,52 +217,17 @@ class TestLegacyShimEquivalence:
                 assert new.suspiciousness is None
             else:
                 assert abs(new.suspiciousness - old.suspiciousness) < TOL
-        assert report.coverage == legacy_result.coverage
+        assert report.coverage == engine_result.coverage
 
-    def test_train_pipeline_warns_and_matches_session_train(self):
-        config = VeriBugConfig(
-            dc=8, da=12, node_embed_dim=8, predictor_hidden=12, epochs=2
-        )
-        corpus = CorpusSpec(n_designs=3, n_traces_per_design=2, n_cycles=10)
-        with pytest.warns(DeprecationWarning, match="VeriBugSession.train"):
-            pipeline = train_pipeline(config, corpus, seed=7, evaluate=True)
-        session = VeriBugSession.train(
-            SessionConfig(model=config).with_seed(7), corpus, evaluate=True
-        )
-        # Same corpus, same split, same init seed -> identical metrics.
-        assert pipeline.train_metrics.accuracy == session.train_metrics.accuracy
-        assert pipeline.test_metrics.accuracy == session.test_metrics.accuracy
-        buggy, failing, correct = planted_bug_case()
-        old = pipeline.localizer.localize(buggy, "y", failing, correct)
-        new = session.localize(buggy, "y", failing, correct)
-        assert old.ranking == new.ranking
-        for stmt_id, score in old.heatmap.suspiciousness.items():
-            assert abs(new.heatmap.suspiciousness[stmt_id] - score) < TOL
-
-    def test_generate_corpus_samples_warns_and_matches(self, session):
-        from repro.api import generate_corpus
-
+    def test_session_corpus_matches_free_generate_corpus(self, session):
         spec = CorpusSpec(n_designs=2, n_traces_per_design=1, n_cycles=6)
-        with pytest.warns(DeprecationWarning, match="generate_corpus"):
-            legacy = generate_corpus_samples(spec, seed=4)
         via_session = session.generate_corpus(spec, seed=4)
         free_standing = generate_corpus(spec, seed=4)
-        assert len(legacy) == len(via_session) == len(free_standing)
-        for a, b, c in zip(legacy, via_session, free_standing):
-            assert a.operand_values == b.operand_values == c.operand_values
-            assert a.label == b.label == c.label
-            assert a.design == b.design == c.design
-
-    def test_engine_classes_do_not_warn(self, session, recwarn):
-        LocalizationEngine(session.model, session.encoder, session.config.model)
-        CampaignEngine(session._localizer)
-        assert not [w for w in recwarn if w.category is DeprecationWarning]
-
-    def test_as_pipeline_bridge(self, session):
-        pipeline = session.as_pipeline()
-        assert pipeline.model is session.model
-        assert pipeline.encoder is session.encoder
-        assert isinstance(pipeline.localizer, BugLocalizer)
+        assert len(via_session) == len(free_standing)
+        for a, b in zip(via_session, free_standing):
+            assert a.operand_values == b.operand_values
+            assert a.label == b.label
+            assert a.design == b.design
 
 
 # ----------------------------------------------------------------------
@@ -447,7 +430,7 @@ class TestCheckpointRoundTrip:
 
 
 class TestCLI:
-    def test_campaign_smoke_subprocess(self, tmp_path, trained_pipeline):
+    def test_campaign_smoke_subprocess(self, tmp_path, trained_session):
         """The CI smoke command end-to-end (needs the committed fixture)."""
         out = tmp_path / "api_smoke.json"
         env = dict(os.environ)
@@ -473,6 +456,14 @@ class TestCLI:
 
         with pytest.raises(SystemExit):
             main(["localize", "--target", "y"])
+
+    def test_train_rejects_bad_corpus_sizes_before_simulating(self, tmp_path):
+        from repro.api.cli import main
+
+        output = tmp_path / "m.npz"
+        with pytest.raises(SystemExit, match="n_traces_per_design"):
+            main(["train", "--traces", "0", "--quiet", "--output", str(output)])
+        assert not output.exists()
 
     def test_plan_parsing(self):
         from repro.api.cli import _parse_plan

@@ -129,7 +129,7 @@ def no_golden_run():
 
 
 @pytest.fixture(scope="module")
-def fresh_results(trained_pipeline):
+def fresh_results(trained_session):
     """Per engine: every paper target on its own fresh session."""
     cache: dict[str, dict] = {}
 
@@ -171,7 +171,7 @@ def test_session_pool_matches_fresh_sessions(fresh_results):
     assert memo["misses"] == len(REGISTRY)
 
 
-def test_ingested_design_matches_fresh_sessions(tmp_path, trained_pipeline):
+def test_ingested_design_matches_fresh_sessions(tmp_path, trained_session):
     (tmp_path / "pair.v").write_text(PAIR)
     config = _config().with_corpus(tmp_path)
     targets = ["x", "y"]
@@ -185,7 +185,7 @@ def test_ingested_design_matches_fresh_sessions(tmp_path, trained_pipeline):
         assert session.runtime_stats()["simulation"]["suite_memo"]["hits"] > 0
 
 
-def test_memoized_suites_and_module_unchanged_by_campaigns(trained_pipeline):
+def test_memoized_suites_and_module_unchanged_by_campaigns(trained_session):
     name = "usbf_pl"
     config = _config()
     testbench = design_testbench(name, n_cycles=N_CYCLES)
@@ -221,7 +221,7 @@ def test_memoized_suites_and_module_unchanged_by_campaigns(trained_pipeline):
 # ----------------------------------------------------------------------
 
 
-def test_memo_releases_previous_design_while_its_handle_lives(trained_pipeline):
+def test_memo_releases_previous_design_while_its_handle_lives(trained_session):
     config = _config()
     with _session(config) as session:
         handle_a = session.campaign(

@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis import build_vdg, compute_static_slice, dependency_cone
 from repro.datagen import (
-    BugInjectionCampaign,
+    CampaignEngine,
     Mutation,
     sample_mutations,
 )
@@ -82,13 +82,13 @@ class TestRegistry:
 
 
 class TestCampaign:
-    def test_mini_campaign_on_arbiter(self, trained_pipeline, arbiter):
+    def test_mini_campaign_on_arbiter(self, localizer, arbiter):
         cone = compute_static_slice(arbiter, "gnt1").stmt_ids
         mutations = sample_mutations(
             arbiter, {"negation": 2, "operation": 2}, seed=1, restrict_to=cone
         )
-        campaign = BugInjectionCampaign(
-            trained_pipeline.localizer,
+        campaign = CampaignEngine(
+            localizer,
             n_traces=8,
             testbench_config=TestbenchConfig(n_cycles=8),
             seed=3,
@@ -97,10 +97,10 @@ class TestCampaign:
         assert result.injected == len(mutations)
         assert 0 <= result.localized <= result.observable <= result.injected
 
-    def test_campaign_counts_by_kind(self, trained_pipeline, arbiter):
+    def test_campaign_counts_by_kind(self, localizer, arbiter):
         mutations = sample_mutations(arbiter, {"negation": 2}, seed=1)
-        campaign = BugInjectionCampaign(
-            trained_pipeline.localizer,
+        campaign = CampaignEngine(
+            localizer,
             n_traces=4,
             testbench_config=TestbenchConfig(n_cycles=6),
         )
@@ -108,7 +108,7 @@ class TestCampaign:
         assert result.count_by_kind("negation") == len(mutations)
         assert result.count_by_kind("misuse") == 0
 
-    def test_coverage_zero_when_nothing_observable(self, trained_pipeline, arbiter):
+    def test_coverage_zero_when_nothing_observable(self, localizer, arbiter):
         # Mutate gnt2 logic while localizing at gnt1: never observable there.
         gnt2_stmts = {
             s.stmt_id for s in arbiter.statements() if s.target.name == "gnt2"
@@ -116,8 +116,8 @@ class TestCampaign:
         mutations = sample_mutations(
             arbiter, {"negation": 2}, seed=0, restrict_to=gnt2_stmts
         )
-        campaign = BugInjectionCampaign(
-            trained_pipeline.localizer,
+        campaign = CampaignEngine(
+            localizer,
             n_traces=4,
             testbench_config=TestbenchConfig(n_cycles=6),
         )
@@ -125,7 +125,7 @@ class TestCampaign:
         assert result.observable == 0
         assert result.coverage == 0.0
 
-    def test_erroring_mutant_recorded(self, trained_pipeline):
+    def test_erroring_mutant_recorded(self, localizer):
         module = parse_module(
             "module t(a, y); input a; output y; wire m, n;"
             " assign m = ~a; assign n = m & a; assign y = n; endmodule"
@@ -134,8 +134,8 @@ class TestCampaign:
         bad = Mutation(
             kind="misuse", stmt_id=0, node_index=1, detail="a -> n", replacement="n"
         )
-        campaign = BugInjectionCampaign(
-            trained_pipeline.localizer,
+        campaign = CampaignEngine(
+            localizer,
             n_traces=2,
             testbench_config=TestbenchConfig(n_cycles=4),
         )
@@ -143,7 +143,7 @@ class TestCampaign:
         assert result.outcomes[0].error
         assert result.injected == 0
 
-    def test_observability_matches_divergence(self, trained_pipeline):
+    def test_observability_matches_divergence(self, localizer):
         """A mutant that provably flips the output must be observable."""
         module = parse_module(
             "module t(a, b, y); input a, b; output y; assign y = a & b; endmodule"
@@ -155,8 +155,8 @@ class TestCampaign:
             detail="insert ~ before a",
             replacement="insert",
         )
-        campaign = BugInjectionCampaign(
-            trained_pipeline.localizer,
+        campaign = CampaignEngine(
+            localizer,
             n_traces=6,
             testbench_config=TestbenchConfig(n_cycles=6),
         )

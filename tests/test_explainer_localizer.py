@@ -68,21 +68,21 @@ class TestNormalizedDistance:
 class TestHeatmapCases:
     """The three presence cases of paper §IV-D."""
 
-    def make_explainer(self, trained_pipeline):
+    def make_explainer(self, trained_session):
         return Explainer(
-            trained_pipeline.model, trained_pipeline.encoder, trained_pipeline.config
+            trained_session.model, trained_session.encoder, trained_session.config.model
         )
 
-    def test_ct_only_not_suspicious(self, trained_pipeline):
-        explainer = self.make_explainer(trained_pipeline)
+    def test_ct_only_not_suspicious(self, trained_session):
+        explainer = self.make_explainer(trained_session)
         ft, ct = AttentionMap(), AttentionMap()
         ct.add(7, np.array([0.5, 0.5]))
         heatmap = explainer.build_heatmap("t", ft, ct)
         assert 7 not in heatmap.entries
         assert heatmap.suspiciousness[7] == 0.0
 
-    def test_ft_only_is_suspicious(self, trained_pipeline):
-        explainer = self.make_explainer(trained_pipeline)
+    def test_ft_only_is_suspicious(self, trained_session):
+        explainer = self.make_explainer(trained_session)
         ft, ct = AttentionMap(), AttentionMap()
         ft.add(7, np.array([0.9, 0.1]))
         heatmap = explainer.build_heatmap("t", ft, ct)
@@ -90,8 +90,8 @@ class TestHeatmapCases:
         assert heatmap.entries[7].suspiciousness == FT_ONLY_SUSPICIOUSNESS
         assert np.allclose(heatmap.entries[7].weights, [0.9, 0.1])
 
-    def test_both_below_threshold_excluded(self, trained_pipeline):
-        explainer = self.make_explainer(trained_pipeline)
+    def test_both_below_threshold_excluded(self, trained_session):
+        explainer = self.make_explainer(trained_session)
         ft, ct = AttentionMap(), AttentionMap()
         ft.add(1, np.array([0.52, 0.48]))
         ct.add(1, np.array([0.50, 0.50]))
@@ -99,8 +99,8 @@ class TestHeatmapCases:
         assert 1 not in heatmap.entries
         assert heatmap.suspiciousness[1] == pytest.approx(0.02)
 
-    def test_both_above_threshold_included(self, trained_pipeline):
-        explainer = self.make_explainer(trained_pipeline)
+    def test_both_above_threshold_included(self, trained_session):
+        explainer = self.make_explainer(trained_session)
         ft, ct = AttentionMap(), AttentionMap()
         ft.add(1, np.array([0.9, 0.1]))
         ct.add(1, np.array([0.5, 0.5]))
@@ -108,8 +108,8 @@ class TestHeatmapCases:
         assert heatmap.entries[1].case == "both"
         assert np.allclose(heatmap.entries[1].weights, [0.9, 0.1])  # Ft copied
 
-    def test_ranking_order(self, trained_pipeline):
-        explainer = self.make_explainer(trained_pipeline)
+    def test_ranking_order(self, trained_session):
+        explainer = self.make_explainer(trained_session)
         ft, ct = AttentionMap(), AttentionMap()
         ft.add(1, np.array([0.7, 0.3]))
         ct.add(1, np.array([0.5, 0.5]))
@@ -120,15 +120,15 @@ class TestHeatmapCases:
         assert [e.stmt_id for e in ranked] == [2, 1]
         assert heatmap.top_statement() == 2
 
-    def test_empty_heatmap(self, trained_pipeline):
-        explainer = self.make_explainer(trained_pipeline)
+    def test_empty_heatmap(self, trained_session):
+        explainer = self.make_explainer(trained_session)
         heatmap = explainer.build_heatmap("t", AttentionMap(), AttentionMap())
         assert heatmap.top_statement() is None
 
 
 class TestAttentionMapFromTraces:
-    def test_counts_match_executions(self, trained_pipeline, arbiter):
-        explainer = Explainer(trained_pipeline.model, trained_pipeline.encoder)
+    def test_counts_match_executions(self, trained_session, arbiter):
+        explainer = Explainer(trained_session.model, trained_session.encoder)
         contexts = extract_module_contexts(arbiter.statements())
         sim = Simulator(arbiter)
         trace = sim.run(
@@ -139,8 +139,8 @@ class TestAttentionMapFromTraces:
         # toggles, so both branches run; every recorded count must be >= 1.
         assert all(c >= 1 for c in amap.counts.values())
 
-    def test_restrict_to(self, trained_pipeline, arbiter):
-        explainer = Explainer(trained_pipeline.model, trained_pipeline.encoder)
+    def test_restrict_to(self, trained_session, arbiter):
+        explainer = Explainer(trained_session.model, trained_session.encoder)
         contexts = extract_module_contexts(arbiter.statements())
         sim = Simulator(arbiter)
         trace = sim.run(
@@ -149,8 +149,8 @@ class TestAttentionMapFromTraces:
         amap = explainer.attention_map(contexts, [trace], restrict_to={4})
         assert amap.statements() <= {4}
 
-    def test_weights_are_distributions(self, trained_pipeline, arbiter):
-        explainer = Explainer(trained_pipeline.model, trained_pipeline.encoder)
+    def test_weights_are_distributions(self, trained_session, arbiter):
+        explainer = Explainer(trained_session.model, trained_session.encoder)
         contexts = extract_module_contexts(arbiter.statements())
         sim = Simulator(arbiter)
         trace = sim.run(
@@ -162,7 +162,7 @@ class TestAttentionMapFromTraces:
 
 
 class TestEndToEndLocalization:
-    def test_planted_negation_bug_localized(self, trained_pipeline):
+    def test_planted_negation_bug_localized(self, localizer):
         """Inject ~ into a mux-like design; the bug stmt must rank highly."""
         golden = parse_module(
             "module t(clk, rst_n, sel, a, b, y); input clk, rst_n, sel, a, b;"
@@ -187,17 +187,17 @@ class TestEndToEndLocalization:
             else:
                 correct.append(bt)
         assert failing and correct
-        result = trained_pipeline.localizer.localize(buggy, "y", failing, correct)
+        result = localizer.localize(buggy, "y", failing, correct)
         bug_stmt = 0  # y = a & ~b
         assert bug_stmt in result.static_slice.stmt_ids
         rank = result.rank_of(bug_stmt)
         assert rank is not None and rank <= 2
 
-    def test_result_api(self, trained_pipeline, arbiter):
+    def test_result_api(self, localizer, arbiter):
         sim = Simulator(arbiter)
         stim = [{"clk": 0, "rst_n": 1, "req1": 1, "req2": 0} for _ in range(3)]
         trace = sim.run(stim)
-        result = trained_pipeline.localizer.localize(arbiter, "gnt1", [trace], [trace])
+        result = localizer.localize(arbiter, "gnt1", [trace], [trace])
         # identical Ft/Ct -> zero distances -> empty heatmap
         assert result.ranking == []
         assert result.rank_of(0) is None
@@ -250,7 +250,7 @@ class TestHeatmapRendering:
         assert "op2[0.20" in text
         assert "mismatch" in text
 
-    def test_render_contains_sources_and_bug_tag(self, trained_pipeline, arbiter):
+    def test_render_contains_sources_and_bug_tag(self, trained_session, arbiter):
         from repro.core import Heatmap, HeatmapEntry
 
         contexts = extract_module_contexts(arbiter.statements())
@@ -264,7 +264,7 @@ class TestHeatmapRendering:
         assert "<-- lbug" in text
         assert "Ft:" in text and "Ct:" in text
 
-    def test_render_empty(self, trained_pipeline, arbiter):
+    def test_render_empty(self, trained_session, arbiter):
         from repro.core import Heatmap
 
         text = render_heatmap(arbiter, Heatmap(target="gnt1"), {})

@@ -309,10 +309,9 @@ class TestAttentionRowMemo:
         with pytest.raises(ValueError):
             memo.configure(enabled=True, max_entries=0)
 
-    def test_memo_on_off_ranking_identity(self, trained_pipeline):
+    def test_memo_on_off_ranking_identity(self, trained_session, localizer):
         buggy, failing, correct = planted_bug_case()
-        localizer = trained_pipeline.localizer
-        model = trained_pipeline.model
+        model = trained_session.model
         with model_switches(model, fused=True, cache=True, memo=True):
             cold = localizer.localize(buggy, "y", failing, correct)
             warm = localizer.localize(buggy, "y", failing, correct)
@@ -328,15 +327,15 @@ class TestAttentionRowMemo:
             for stmt_id, score in plain.heatmap.suspiciousness.items():
                 assert abs(result.heatmap.suspiciousness[stmt_id] - score) <= TOL
 
-    def test_memoized_maps_match_reference(self, trained_pipeline, arbiter):
+    def test_memoized_maps_match_reference(self, trained_session, arbiter):
         """Attention maps with a cold or warm memo equal the memo-off
         maps within 1e-9 (batch regrouping perturbs BLAS rounding, so
         bit-identity across the memo toggle is not guaranteed)."""
         from repro.analysis import extract_module_contexts
         from tests.test_fused_rnn import assert_maps_equal, design_traces
 
-        model = trained_pipeline.model
-        explainer = Explainer(model, trained_pipeline.encoder)
+        model = trained_session.model
+        explainer = Explainer(model, trained_session.encoder)
         contexts = extract_module_contexts(arbiter.statements())
         traces = design_traces(arbiter, n_traces=3)
         with model_switches(model, fused=True, cache=True, memo=True):

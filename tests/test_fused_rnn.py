@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import extract_module_contexts
 from repro.analysis.contexts import OperandInstance, StatementContext
-from repro.core import BugLocalizer, ContextEmbeddingCache, Explainer
+from repro.core import ContextEmbeddingCache, Explainer, LocalizationEngine
 from repro.designs import REGISTRY, load_design
 from repro.nn import LSTM, Tensor, enable_grad, inference_mode, lstm_forward_fused
 from repro.sim import Simulator, TestbenchConfig, generate_testbench_suite
@@ -197,11 +197,11 @@ def planted_bug_case():
 
 
 class TestModelCacheDifferential:
-    def test_attention_maps_paper_designs(self, trained_pipeline):
+    def test_attention_maps_paper_designs(self, trained_session):
         """Cache+kernel on vs both off: identical maps on the paper designs."""
-        model = trained_pipeline.model
+        model = trained_session.model
         explainer = Explainer(
-            model, trained_pipeline.encoder, trained_pipeline.config
+            model, trained_session.encoder, trained_session.config.model
         )
         for name in REGISTRY:
             module = load_design(name)
@@ -214,10 +214,9 @@ class TestModelCacheDifferential:
                 plain = explainer.attention_map(contexts, traces)
             assert_maps_equal(cached, plain)
 
-    def test_localize_rankings_cache_on_vs_off(self, trained_pipeline):
+    def test_localize_rankings_cache_on_vs_off(self, trained_session, localizer):
         buggy, failing, correct = planted_bug_case()
-        localizer = trained_pipeline.localizer
-        model = trained_pipeline.model
+        model = trained_session.model
         with model_switches(model, fused=True, cache=True):
             cached = localizer.localize(buggy, "y", failing, correct)
         with model_switches(model, fused=False, cache=False):
@@ -227,32 +226,32 @@ class TestModelCacheDifferential:
         for stmt_id, score in plain.heatmap.suspiciousness.items():
             assert abs(cached.heatmap.suspiciousness[stmt_id] - score) < TOL
 
-    def test_matches_legacy_per_execution_reference(self, trained_pipeline):
+    def test_matches_legacy_per_execution_reference(self, trained_session, localizer):
         """Fused+cached fast path == the pre-dedup autograd reference arm."""
         buggy, failing, correct = planted_bug_case()
-        model = trained_pipeline.model
-        legacy = BugLocalizer(
+        model = trained_session.model
+        legacy = LocalizationEngine(
             model,
-            trained_pipeline.encoder,
-            trained_pipeline.config,
+            trained_session.encoder,
+            trained_session.config.model,
             fast_inference=False,
         )
         with model_switches(model, fused=True, cache=True):
-            fast = trained_pipeline.localizer.localize(buggy, "y", failing, correct)
+            fast = localizer.localize(buggy, "y", failing, correct)
         reference = legacy.localize(buggy, "y", failing, correct)
         assert fast.ranking == reference.ranking
         for stmt_id, score in reference.heatmap.suspiciousness.items():
             assert abs(fast.heatmap.suspiciousness[stmt_id] - score) < TOL
 
     def test_cache_hits_accumulate_and_survive_context_churn(
-        self, trained_pipeline, arbiter, arbiter_source
+        self, trained_session, arbiter, arbiter_source
     ):
         """Structural keys: fresh context objects for the same statements
         (the per-mutant re-extraction pattern) hit the warm cache."""
         from repro.verilog import parse_module
 
-        model = trained_pipeline.model
-        explainer = Explainer(model, trained_pipeline.encoder)
+        model = trained_session.model
+        explainer = Explainer(model, trained_session.encoder)
         contexts = extract_module_contexts(arbiter.statements())
         traces = design_traces(arbiter, n_traces=3)
         with model_switches(model, fused=True, cache=True):
@@ -398,9 +397,9 @@ class TestStructuralKeys:
         assert stats["cross_epoch_hits"] == 1
         assert 0.0 < stats["cross_epoch_hit_rate"] <= 1.0
 
-    def test_disabled_cache_is_bypassed(self, trained_pipeline, arbiter):
-        model = trained_pipeline.model
-        explainer = Explainer(model, trained_pipeline.encoder)
+    def test_disabled_cache_is_bypassed(self, trained_session, arbiter):
+        model = trained_session.model
+        explainer = Explainer(model, trained_session.encoder)
         contexts = extract_module_contexts(arbiter.statements())
         traces = design_traces(arbiter, n_traces=2)
         with model_switches(model, fused=True, cache=False):

@@ -9,9 +9,9 @@ heatmap rankings, suspiciousness within 1e-9.
 import numpy as np
 
 from repro.analysis import compute_static_slice, extract_module_contexts
-from repro.core import BugLocalizer, Explainer, LocalizationRequest
+from repro.core import Explainer, LocalizationEngine, LocalizationRequest
 from repro.datagen import (
-    BugInjectionCampaign,
+    CampaignEngine,
     RandomVerilogDesignGenerator,
     RVDGConfig,
     sample_mutations,
@@ -23,17 +23,17 @@ from repro.verilog import parse_module
 TOL = 1e-9
 
 
-def fast_and_legacy_explainers(trained_pipeline):
+def fast_and_legacy_explainers(trained_session):
     fast = Explainer(
-        trained_pipeline.model,
-        trained_pipeline.encoder,
-        trained_pipeline.config,
+        trained_session.model,
+        trained_session.encoder,
+        trained_session.config.model,
         fast_inference=True,
     )
     legacy = Explainer(
-        trained_pipeline.model,
-        trained_pipeline.encoder,
-        trained_pipeline.config,
+        trained_session.model,
+        trained_session.encoder,
+        trained_session.config.model,
         fast_inference=False,
     )
     return fast, legacy
@@ -56,10 +56,10 @@ def design_traces(module, n_traces=4, n_cycles=8, seed=5):
 
 
 class TestAttentionMapDifferential:
-    def test_paper_designs(self, trained_pipeline):
+    def test_paper_designs(self, trained_session):
         """Dedup + no-grad attention maps match the reference on all four
         paper designs."""
-        fast, legacy = fast_and_legacy_explainers(trained_pipeline)
+        fast, legacy = fast_and_legacy_explainers(trained_session)
         for name in REGISTRY:
             module = load_design(name)
             contexts = extract_module_contexts(module.statements())
@@ -69,9 +69,9 @@ class TestAttentionMapDifferential:
                 legacy.attention_map(contexts, traces),
             )
 
-    def test_rvdg_sample(self, trained_pipeline):
+    def test_rvdg_sample(self, trained_session):
         """Same on a generated RVDG design (the training distribution)."""
-        fast, legacy = fast_and_legacy_explainers(trained_pipeline)
+        fast, legacy = fast_and_legacy_explainers(trained_session)
         generator = RandomVerilogDesignGenerator(RVDGConfig(), seed=7)
         for _name, source in generator.generate_corpus_sources(2):
             module = parse_module(source)
@@ -82,9 +82,9 @@ class TestAttentionMapDifferential:
                 legacy.attention_map(contexts, traces),
             )
 
-    def test_dedup_reduces_inference_rows(self, trained_pipeline, arbiter):
+    def test_dedup_reduces_inference_rows(self, trained_session, arbiter):
         """The whole point: distinct samples ≪ executions on cyclic traces."""
-        fast, _ = fast_and_legacy_explainers(trained_pipeline)
+        fast, _ = fast_and_legacy_explainers(trained_session)
         contexts = extract_module_contexts(arbiter.statements())
         # Constant stimulus -> every cycle re-executes with the same values.
         trace = Simulator(arbiter).run(
@@ -123,9 +123,8 @@ class TestLocalizeManyDifferential:
         assert failing and correct
         return buggy, failing, correct
 
-    def test_matches_per_request_localize(self, trained_pipeline):
+    def test_matches_per_request_localize(self, localizer):
         buggy, failing, correct = self.planted_bug_case()
-        localizer = trained_pipeline.localizer
         requests = [
             LocalizationRequest(buggy, "y", failing, correct),
             LocalizationRequest(buggy, "y", failing[:1], correct[:2]),
@@ -145,15 +144,15 @@ class TestLocalizeManyDifferential:
             for stmt_id, score in single.heatmap.suspiciousness.items():
                 assert abs(from_batch.heatmap.suspiciousness[stmt_id] - score) < TOL
 
-    def test_matches_legacy_reference(self, trained_pipeline):
+    def test_matches_legacy_reference(self, trained_session, localizer):
         buggy, failing, correct = self.planted_bug_case()
-        legacy = BugLocalizer(
-            trained_pipeline.model,
-            trained_pipeline.encoder,
-            trained_pipeline.config,
+        legacy = LocalizationEngine(
+            trained_session.model,
+            trained_session.encoder,
+            trained_session.config.model,
             fast_inference=False,
         )
-        fast_result = trained_pipeline.localizer.localize_many(
+        fast_result = localizer.localize_many(
             [LocalizationRequest(buggy, "y", failing, correct)]
         )[0]
         legacy_result = legacy.localize(buggy, "y", failing, correct)
@@ -161,12 +160,12 @@ class TestLocalizeManyDifferential:
         for stmt_id, score in legacy_result.heatmap.suspiciousness.items():
             assert abs(fast_result.heatmap.suspiciousness[stmt_id] - score) < TOL
 
-    def test_empty_requests(self, trained_pipeline):
-        assert trained_pipeline.localizer.localize_many([]) == []
+    def test_empty_requests(self, localizer):
+        assert localizer.localize_many([]) == []
 
 
 class TestCampaignDifferential:
-    def test_wb_mux_campaign_matches_reference(self, trained_pipeline):
+    def test_wb_mux_campaign_matches_reference(self, trained_session, localizer):
         """Batched fast-path campaign == per-mutant legacy campaign."""
         module = load_design("wb_mux_2")
         target = "wbs0_we_o"
@@ -182,16 +181,14 @@ class TestCampaignDifferential:
             testbench_config=design_testbench("wb_mux_2", n_cycles=10),
             seed=3,
         )
-        fast_campaign = BugInjectionCampaign(
-            trained_pipeline.localizer, localize_batch=4, **common
-        )
-        legacy_localizer = BugLocalizer(
-            trained_pipeline.model,
-            trained_pipeline.encoder,
-            trained_pipeline.config,
+        fast_campaign = CampaignEngine(localizer, localize_batch=4, **common)
+        legacy_localizer = LocalizationEngine(
+            trained_session.model,
+            trained_session.encoder,
+            trained_session.config.model,
             fast_inference=False,
         )
-        legacy_campaign = BugInjectionCampaign(
+        legacy_campaign = CampaignEngine(
             legacy_localizer, localize_batch=1, **common
         )
 

@@ -380,7 +380,7 @@ class TestCli:
         assert data["counts"]["designs"] == len(data["designs"])
 
     def test_campaign_ingests_corpus_once(
-        self, tmp_path, monkeypatch, capsys, trained_pipeline
+        self, tmp_path, monkeypatch, capsys, trained_session
     ):
         import repro.ingest
         from repro.api.cli import main

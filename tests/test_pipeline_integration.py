@@ -3,10 +3,11 @@
 import numpy as np
 
 from repro.analysis import compute_static_slice
+from repro.api import SessionConfig, VeriBugSession, generate_corpus
 from repro.core import render_heatmap
-from repro.datagen import BugInjectionCampaign, sample_mutations
+from repro.datagen import CampaignEngine, sample_mutations
 from repro.designs import design_testbench, load_design
-from repro.pipeline import CorpusSpec, generate_corpus_samples, train_pipeline
+from repro.pipeline import CorpusSpec
 
 
 class TestPipeline:
@@ -16,33 +17,32 @@ class TestPipeline:
 
     def test_corpus_deterministic(self, tiny_config):
         spec = CorpusSpec(n_designs=2, n_traces_per_design=1, n_cycles=8)
-        a = generate_corpus_samples(spec, seed=3)
-        b = generate_corpus_samples(spec, seed=3)
+        a = generate_corpus(spec, seed=3)
+        b = generate_corpus(spec, seed=3)
         assert len(a) == len(b)
         assert [s.label for s in a] == [s.label for s in b]
 
-    def test_train_pipeline_metrics(self, tiny_config):
-        pipeline = train_pipeline(
-            tiny_config,
+    def test_session_train_metrics(self, tiny_config):
+        session = VeriBugSession.train(
+            SessionConfig(model=tiny_config).with_seed(2),
             CorpusSpec(n_designs=2, n_traces_per_design=1, n_cycles=8),
-            seed=2,
         )
-        assert pipeline.train_metrics is not None
-        assert 0.0 <= pipeline.train_metrics.accuracy <= 1.0
-        assert pipeline.test_metrics is not None
+        assert session.train_metrics is not None
+        assert 0.0 <= session.train_metrics.accuracy <= 1.0
+        assert session.test_metrics is not None
 
-    def test_trained_model_beats_chance(self, trained_pipeline, tiny_samples):
+    def test_trained_model_beats_chance(self, trained_session, tiny_samples):
         from repro.core import Trainer
 
         trainer = Trainer(
-            trained_pipeline.model, trained_pipeline.encoder, trained_pipeline.config
+            trained_session.model, trained_session.encoder, trained_session.config.model
         )
         metrics = trainer.evaluate(tiny_samples)
         assert metrics.accuracy > 0.75
 
 
 class TestEndToEndCampaign:
-    def test_wb_mux_campaign_localizes_something(self, trained_pipeline):
+    def test_wb_mux_campaign_localizes_something(self, localizer):
         module = load_design("wb_mux_2")
         target = "wbs0_we_o"
         cone = compute_static_slice(module, target).stmt_ids
@@ -52,8 +52,8 @@ class TestEndToEndCampaign:
             seed=11,
             restrict_to=cone,
         )
-        campaign = BugInjectionCampaign(
-            trained_pipeline.localizer,
+        campaign = CampaignEngine(
+            localizer,
             n_traces=10,
             testbench_config=design_testbench("wb_mux_2", n_cycles=10),
             seed=3,
@@ -63,15 +63,15 @@ class TestEndToEndCampaign:
         assert result.observable >= 1
         assert result.localized >= 1
 
-    def test_heatmap_renders_for_real_bug(self, trained_pipeline):
+    def test_heatmap_renders_for_real_bug(self, localizer):
         module = load_design("wb_mux_2")
         target = "wbs0_stb_o"
         cone = compute_static_slice(module, target).stmt_ids
         mutations = sample_mutations(
             module, {"misuse": 3}, seed=1, restrict_to=cone
         )
-        campaign = BugInjectionCampaign(
-            trained_pipeline.localizer,
+        campaign = CampaignEngine(
+            localizer,
             n_traces=10,
             testbench_config=design_testbench("wb_mux_2", n_cycles=10),
             seed=5,
@@ -98,7 +98,7 @@ class TestEndToEndCampaign:
             elif not trace.diverges_from(golden_trace, signals=module.outputs):
                 correct.append(trace)
         if failing:
-            result = trained_pipeline.localizer.localize(
+            result = localizer.localize(
                 mutant, target, failing, correct
             )
             text = render_heatmap(
@@ -109,7 +109,7 @@ class TestEndToEndCampaign:
             )
             assert "Heatmap Ht" in text
 
-    def test_transferability_same_model_multiple_designs(self, trained_pipeline):
+    def test_transferability_same_model_multiple_designs(self, trained_session):
         """Paper §VI-A: one synthetic-trained model works on all designs."""
         for name in ("wb_mux_2", "ibex_controller"):
             module = load_design(name)
@@ -123,8 +123,8 @@ class TestEndToEndCampaign:
             contexts = extract_module_contexts(module.statements())
             samples = build_samples(contexts, [trace], design=name)
             assert samples
-            batch = trained_pipeline.encoder.encode(samples)
-            output = trained_pipeline.model(batch)
+            batch = trained_session.encoder.encode(samples)
+            output = trained_session.model(batch)
             sums = np.zeros(batch.n_statements)
             np.add.at(sums, batch.operand_stmt, output.attention.data)
             assert np.allclose(sums, 1.0)

@@ -9,7 +9,9 @@ runtime") is pinned here:
   runs (pool reuse is the whole point of the layer);
 * weight changes (``load_state_dict`` / ``Trainer.train``) propagate to
   workers through the epoch-tagged refresh protocol;
-* ``close()`` joins every worker process — nothing leaks;
+* ``close()`` joins every worker process — nothing leaks — and work
+  dispatched afterwards runs in process, spawning nothing;
+* pooled campaigns and corpora equal sequential ones;
 * pools are spawn-safe by construction, and seed derivation depends on
   task identity only.
 """
@@ -32,6 +34,7 @@ from repro.datagen.mutation import apply_mutation
 from repro.designs import design_info, design_testbench, load_design
 from repro.pipeline import CorpusSpec
 from repro.runtime import ExecutionRuntime, derive_seed, plan_shards
+from repro.sim import TestbenchConfig
 
 CACHE = pathlib.Path(__file__).parent / ".cache" / "model_e30_d20_s1.npz"
 PAPER_CONFIG = VeriBugConfig(epochs=30)
@@ -45,7 +48,7 @@ def _paper_session(n_workers: int = 0) -> VeriBugSession:
 
 
 @pytest.fixture(scope="module", autouse=True)
-def _ensure_checkpoint(trained_pipeline):
+def _ensure_checkpoint(trained_session):
     """Depend on the shared fixture so the checkpoint file exists."""
 
 
@@ -98,6 +101,27 @@ def requests():
     built = _build_requests()
     assert len(built) >= 2, "workload must produce shardable batches"
     return built
+
+
+def _assert_same_outcomes(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.mutation == b.mutation
+        assert a.observable == b.observable
+        assert a.localized == b.localized
+        assert a.rank == b.rank
+        assert a.n_failing == b.n_failing
+        assert a.n_correct == b.n_correct
+        assert a.error == b.error
+
+
+def _sample_key(sample):
+    return (
+        sample.design,
+        sample.context.stmt_id,
+        tuple(sample.operand_values),
+        sample.label,
+    )
 
 
 def _assert_identical(got, want):
@@ -155,19 +179,34 @@ class TestPoolLifecycle:
             second = session.campaign(
                 module, "wbs0_we_o", plan=plan, seed=29
             ).run()
-            assert [o.observable for o in first.outcomes] == [
-                o.observable for o in second.outcomes
-            ]
+            _assert_same_outcomes(second.outcomes, first.outcomes)
             stats = session.runtime_stats()
             assert stats["pools_started"] == 1
             assert stats["campaigns_served"] == 2
         finally:
             session.close()
 
+    def test_handle_executed_after_close_runs_in_process(self):
+        module = load_design("wb_mux_2")
+        plan = {"negation": 1, "operation": 1, "misuse": 1}
+        session = _paper_session(n_workers=2)
+        handle = session.campaign(module, "wbs0_we_o", plan=plan, seed=29)
+        assert len(handle) > 1
+        session.close()
+        before = set(multiprocessing.active_children())
+        spawned = set()
+        outcomes = []
+        for update in handle.stream():
+            spawned |= set(multiprocessing.active_children()) - before
+            outcomes.append(update.outcome)
+        assert not spawned
+        sequential = _paper_session(n_workers=0).campaign(
+            module, "wbs0_we_o", plan=plan, seed=29
+        ).run()
+        _assert_same_outcomes(outcomes, sequential.outcomes)
+
     def test_corpus_generation_reuses_session_pool(self):
-        spec = CorpusSpec(
-            n_designs=3, n_traces_per_design=2, n_cycles=8, n_workers=2
-        )
+        spec = CorpusSpec(n_designs=3, n_traces_per_design=2, n_cycles=8)
         session = _paper_session(n_workers=2)
         try:
             parallel = session.generate_corpus(spec, seed=5)
@@ -176,20 +215,14 @@ class TestPoolLifecycle:
             assert stats["pools_started"] == 1
         finally:
             session.close()
-        sequential = generate_corpus(
-            CorpusSpec(n_designs=3, n_traces_per_design=2, n_cycles=8),
-            seed=5,
-        )
-        assert len(parallel) == len(sequential)
-        for got, want in zip(parallel, sequential):
-            assert got.design == want.design
-            assert got.operand_values == want.operand_values
-            assert got.label == want.label
+        sequential = generate_corpus(spec, seed=5)
+        assert [_sample_key(s) for s in parallel] == [
+            _sample_key(s) for s in sequential
+        ]
 
     def test_default_spec_inherits_session_pool(self):
-        # A corpus spec that doesn't ask for workers of its own (the
-        # CorpusSpec default) must ride the session pool, not silently
-        # de-parallelize.
+        # A corpus spec carries no worker count: it rides the session
+        # pool, never silently de-parallelizing.
         session = _paper_session(n_workers=2)
         try:
             session.generate_corpus(
@@ -199,9 +232,7 @@ class TestPoolLifecycle:
             assert session.runtime_stats()["corpus_runs"] == 1
         finally:
             session.close()
-        # After close(), the same call runs sequentially — no new pools
-        # (the no-spec default resolves through the same post-close
-        # zero-workers path before the spec is even built).
+        # After close(), the same call runs in process — no new pools.
         before = set(multiprocessing.active_children())
         session.generate_corpus(
             CorpusSpec(n_designs=2, n_traces_per_design=1, n_cycles=6),
@@ -231,11 +262,59 @@ class TestPoolLifecycle:
         with pytest.raises(RuntimeError):
             runtime.localize_many([object()])
 
-    def test_ephemeral_runtime_scopes_to_with_block(self):
-        with ExecutionRuntime.ephemeral(1) as runtime:
-            pids = runtime.warm_up()
-            assert len(pids) == 1
-        assert runtime.closed
+
+class TestPooledMatchesSequential:
+    """A session pool changes where work runs, never what it produces."""
+
+    def test_corpus_matches_sequential(self):
+        spec = CorpusSpec(n_designs=4, n_traces_per_design=2, n_cycles=10)
+        session = _paper_session(n_workers=2)
+        try:
+            pooled = session.generate_corpus(spec, seed=5)
+            assert session.runtime_stats()["corpus_runs"] == 1
+        finally:
+            session.close()
+        sequential = _paper_session(n_workers=0).generate_corpus(spec, seed=5)
+        assert [_sample_key(s) for s in pooled] == [
+            _sample_key(s) for s in sequential
+        ]
+
+    def test_campaign_matches_sequential(self, arbiter):
+        mutations = sample_mutations(
+            arbiter, {"negation": 2, "operation": 2}, seed=1
+        )
+
+        def run(session):
+            return session.campaign(
+                arbiter,
+                "gnt1",
+                mutations,
+                testbench=TestbenchConfig(n_cycles=8),
+                seed=3,
+                n_traces=6,
+            ).run()
+
+        session = _paper_session(n_workers=2)
+        try:
+            pooled = run(session)
+            assert session.runtime_stats()["campaigns_served"] == 1
+        finally:
+            session.close()
+        _assert_same_outcomes(
+            pooled.outcomes, run(_paper_session(n_workers=0)).outcomes
+        )
+
+
+class TestCorpusEngines:
+    def test_engines_produce_identical_samples(self):
+        spec = dict(n_designs=4, n_traces_per_design=2, n_cycles=10)
+        compiled = generate_corpus(CorpusSpec(**spec, engine="compiled"), seed=5)
+        interpreted = generate_corpus(
+            CorpusSpec(**spec, engine="interpreted"), seed=5
+        )
+        assert [_sample_key(s) for s in compiled] == [
+            _sample_key(s) for s in interpreted
+        ]
 
 
 class TestWeightRefresh:

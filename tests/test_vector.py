@@ -369,7 +369,7 @@ class TestSuiteHygiene:
 
 class TestCampaignBitIdentity:
     def test_rankings_bit_identical_auto_vs_compiled(
-        self, trained_pipeline, arbiter
+        self, localizer, arbiter
     ):
         mutations = sample_mutations(
             arbiter, {"negation": 2, "operation": 2, "misuse": 1}, seed=1
@@ -377,7 +377,7 @@ class TestCampaignBitIdentity:
         results = {}
         for engine in ("auto", "compiled"):
             campaign = CampaignEngine(
-                trained_pipeline.localizer,
+                localizer,
                 n_traces=6,
                 testbench_config=TestbenchConfig(n_cycles=8, engine=engine),
                 seed=3,
