@@ -1,17 +1,14 @@
 """Localization inference throughput: fused/cached arms vs reference.
 
 Measures the Table-III campaign's *localization* phase — model inference
-over every observable mutant's failing/correct trace sets — under six
+over every observable mutant's failing/correct trace sets — under five
 configurations:
 
 * **reference** — the pre-fast-path behavior: one model row per
   execution, full autograd graph, one model call stream per mutant;
-* **fast_dedup_batch** — the previous fast path: deduplicated samples,
-  ``inference_mode`` forward passes, cross-mutant shared batches
-  (``LocalizationEngine.localize_many``) — fused kernel and context
-  cache switched off;
-* **fused** — plus the fused PathRNN inference kernel
-  (``LSTM.forward_fused``), context cache still off;
+* **fused** — deduplicated samples, ``inference_mode`` forward passes on
+  the packed PathRNN kernel, cross-mutant shared batches
+  (``LocalizationEngine.localize_many``), context cache off;
 * **fused_cache** — plus the structural context-embedding cache (cold
   at the start of the timed run; its overall hit rate and the
   cross-mutant share — hits on entries created while localizing an
@@ -212,28 +209,24 @@ def run_fast(
     fast: LocalizationEngine,
     cases,
     localize_batch: int,
-    fused: bool,
     cache: bool,
     head: bool = False,
     memo: bool = False,
 ) -> tuple[float, list, dict, dict]:
-    """Time one fast-path arm with all four layer switches pinned.
+    """Time one fast-path arm with all three layer switches pinned.
 
-    ``fused``/``cache`` gate the PathRNN kernel and context-embedding
-    cache (the historical arms), ``head``/``memo`` the fused model-head
-    kernels and the attention-row memo.  Cache and memo start cold and
+    ``cache`` gates the context-embedding cache, ``head``/``memo`` the
+    fused model-head kernels and the attention-row memo; the PathRNN
+    always runs the packed kernel.  Cache and memo start cold and
     their hit/miss stats are returned, so the reported hit rates cover
     exactly the timed work.
     """
     model = fast.model
-    lstm = model.path_rnn
     saved = (
-        lstm.fused_inference,
         model.context_cache.enabled,
         model.fused_head,
         model.attention_memo.enabled,
     )
-    lstm.fused_inference = fused
     model.context_cache.enabled = cache
     model.fused_head = head
     model.attention_memo.enabled = memo
@@ -256,7 +249,6 @@ def run_fast(
         wall = time.perf_counter() - t0
     finally:
         (
-            lstm.fused_inference,
             model.context_cache.enabled,
             model.fused_head,
             model.attention_memo.enabled,
@@ -391,18 +383,14 @@ def main() -> None:
 
     repeats = max(1, args.repeats)
     ref_wall, ref_results = best_of(repeats, run_reference, reference, cases)
-    dedup_wall, dedup_results, _, _ = best_of(
-        repeats, run_fast, fast, cases, args.batch, fused=False, cache=False
-    )
     fused_wall, fused_results, _, _ = best_of(
-        repeats, run_fast, fast, cases, args.batch, fused=True, cache=False
+        repeats, run_fast, fast, cases, args.batch, cache=False
     )
     full_wall, full_results, cache_stats, _ = best_of(
-        repeats, run_fast, fast, cases, args.batch, fused=True, cache=True
+        repeats, run_fast, fast, cases, args.batch, cache=True
     )
     head_wall, head_results, _, memo_stats = best_of(
-        repeats, run_fast, fast, cases, args.batch,
-        fused=True, cache=True, head=True, memo=True,
+        repeats, run_fast, fast, cases, args.batch, cache=True, head=True, memo=True
     )
 
     # Every arm must be observably identical to the autograd reference.
@@ -419,7 +407,6 @@ def main() -> None:
             return False
 
     arm_ok = {
-        "fast_dedup_batch": check_arm("fast_dedup_batch", dedup_results),
         "fused": check_arm("fused", fused_results),
         "fused_cache": check_arm("fused_cache", full_results),
         "fused_head_memo": check_arm("fused_head_memo", head_results),
@@ -465,7 +452,6 @@ def main() -> None:
         },
         "localization": {
             "reference": arm_metrics(ref_wall, total_executions),
-            "fast_dedup_batch": arm_metrics(dedup_wall, total_executions),
             "fused": arm_metrics(fused_wall, total_executions),
             "fused_cache": {
                 **arm_metrics(full_wall, total_executions),
@@ -489,7 +475,7 @@ def main() -> None:
                 "speedup_vs_fused_cache": round(full_wall / head_wall, 2),
             },
             "speedup": round(ref_wall / head_wall, 2),
-            "speedup_vs_dedup_batch": round(dedup_wall / head_wall, 2),
+            "speedup_vs_fused": round(fused_wall / head_wall, 2),
             "arm_rankings_identical": arm_ok,
             "rankings_identical": not divergences,
             "sharded_workers": sharded_arms,
@@ -504,13 +490,12 @@ def main() -> None:
     loc = results["localization"]
     head_arm = loc["fused_head_memo"]
     print(
-        f"localization: reference {ref_wall:.2f}s -> dedup+batch "
-        f"{dedup_wall:.2f}s -> fused {fused_wall:.2f}s -> fused+cache "
-        f"{full_wall:.2f}s -> fused+head+memo {head_wall:.2f}s"
+        f"localization: reference {ref_wall:.2f}s -> fused {fused_wall:.2f}s"
+        f" -> fused+cache {full_wall:.2f}s -> fused+head+memo {head_wall:.2f}s"
     )
     print(
         f"  {loc['speedup']}x vs reference, "
-        f"{loc['speedup_vs_dedup_batch']}x vs the dedup+batch fast path, "
+        f"{loc['speedup_vs_fused']}x vs fused, "
         f"{head_arm['speedup_vs_fused_cache']}x vs fused+cache, "
         f"{head_arm['executions_per_s']} exec/s"
     )

@@ -239,17 +239,16 @@ class Explainer:
             weighted mean is exact); disable only to benchmark against or
             differentially test the pre-dedup reference path.
 
-    Under ``inference_mode`` the model additionally runs the fused PathRNN
-    kernel (``LSTM.forward_fused``), the fused head
-    (:func:`~repro.core.model.model_forward_fused`), and serves repeated
+    Under ``inference_mode`` the model runs the fused head
+    (:func:`~repro.core.model.model_forward_fused`) and serves repeated
     contexts from its :class:`~repro.core.model.ContextEmbeddingCache`;
     samples whose ``(structure, operand values)`` pair was already scored
     are served whole from the model's
     :class:`~repro.core.model.AttentionRowMemo` without encoding at all.
     All of these are gated on autograd being off, so
     ``fast_inference=False`` still exercises the unmodified per-execution
-    autograd reference arm.  Toggle ``model.path_rnn.fused_inference`` /
-    ``model.fused_head`` / ``model.context_cache.enabled`` /
+    autograd reference arm.  Toggle ``model.fused_head`` /
+    ``model.context_cache.enabled`` /
     ``model.attention_memo.enabled`` to isolate any layer when
     benchmarking.
     """

@@ -92,6 +92,56 @@ class EncodedBatch:
     operand_counts: list[int] = field(default_factory=list)
     operand_contexts: list[tuple[StatementContext, int]] | None = None
 
+    def select(self, stmt_rows) -> "EncodedBatch":
+        """The sub-batch of the given statement rows, in the given order.
+
+        Gathers the statements' operand rows and path rows and trims the
+        path axis to the selection's longest path, so every array equals
+        what :meth:`BatchEncoder.encode` returns for the same samples in
+        that order.  Training encodes its sample set once and selects
+        each minibatch from it.
+        """
+        stmt_rows = np.asarray(stmt_rows, dtype=np.int64)
+        counts = np.asarray(self.operand_counts, dtype=np.int64)
+        op_rows = _concat_ranges(_starts(counts)[stmt_rows], counts[stmt_rows])
+        paths_per_operand = np.bincount(self.path_operand, minlength=self.n_operands)
+        selected_paths = paths_per_operand[op_rows]
+        path_rows = _concat_ranges(_starts(paths_per_operand)[op_rows], selected_paths)
+        mask = self.path_mask[path_rows]
+        steps = max(int(mask.sum(axis=1).max()) if len(path_rows) else 1, 1)
+        return EncodedBatch(
+            path_tokens=self.path_tokens[path_rows, :steps],
+            path_mask=np.ascontiguousarray(mask[:, :steps]),
+            path_operand=np.repeat(
+                np.arange(len(op_rows), dtype=np.int64), selected_paths
+            ),
+            value_onehot=self.value_onehot[op_rows],
+            operand_stmt=np.repeat(
+                np.arange(len(stmt_rows), dtype=np.int64), counts[stmt_rows]
+            ),
+            labels=self.labels[stmt_rows],
+            n_operands=len(op_rows),
+            n_statements=len(stmt_rows),
+            operand_counts=counts[stmt_rows].tolist(),
+            operand_contexts=(
+                None
+                if self.operand_contexts is None
+                else [self.operand_contexts[row] for row in op_rows.tolist()]
+            ),
+        )
+
+
+def _starts(counts: np.ndarray) -> np.ndarray:
+    """Start offset of each run, given the run lengths."""
+    return np.cumsum(counts, dtype=np.int64) - counts
+
+
+def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + n) for s, n in zip(starts, lengths)])``."""
+    total = int(lengths.sum())
+    offsets = np.repeat(starts - _starts(lengths), lengths)
+    return offsets + np.arange(total, dtype=np.int64)
+
 
 class BatchEncoder:
     """Encodes :class:`Sample` lists into :class:`EncodedBatch` arrays.

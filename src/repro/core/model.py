@@ -16,16 +16,20 @@ Three stages, all fully batched over ragged statements via segment ops:
 3. **Final prediction** — ``MLP_θ2`` maps the statement embedding to
    2-class logits for the LHS value.
 
-Stage 1 is where inference time goes (the PathRNN runs over every path of
-every operand), and its output is *value-independent*: ``c_i`` is a pure
-function of the static ``(StatementContext, operand_index)`` pair and the
-current weights.  :class:`ContextEmbeddingCache` memoizes it per
-*structural fingerprint* (the operand's ordered path tuple), so repeated
-executions of the same statement *structure* — with whatever operand
-values, from whatever context object, mutant, or design — skip the
-PathRNN entirely and inference reduces to the value-MLP stages.  The
-cache is consulted only while autograd is off; training and the
-per-execution reference arm are byte-for-byte untouched.
+Stage 1 is where the time goes (the PathRNN runs over every path of
+every operand).  It runs on the packed LSTM kernel
+(:func:`repro.nn.lstm_forward_fused`) in training and inference alike:
+with grad on it is one autograd node with a hand-written BPTT backward,
+with grad off it saves nothing.  Its output is *value-independent*:
+``c_i`` is a pure function of the static ``(StatementContext,
+operand_index)`` pair and the current weights.
+:class:`ContextEmbeddingCache` memoizes it per *structural fingerprint*
+(the operand's ordered path tuple), so repeated executions of the same
+statement *structure* — with whatever operand values, from whatever
+context object, mutant, or design — skip the PathRNN entirely and
+inference reduces to the value-MLP stages.  The cache is consulted only
+while autograd is off; training and the per-execution reference arm
+never see it.
 """
 
 from __future__ import annotations
@@ -534,14 +538,14 @@ class VeriBugModel(Module):
 def model_forward_fused(model: VeriBugModel, batch: EncodedBatch) -> ModelOutput:
     """Full no-grad forward pass on raw arrays (no Tensor graph).
 
-    Stage 1 reuses :meth:`VeriBugModel._context_embeddings` — which
-    already dispatches between the fused-LSTM/cached path and the plain
-    PathRNN depending on the model's switches — and the head stages run
-    through the raw kernels in :mod:`repro.nn.fused`.  Every numpy call
-    matches the Tensor path in operand order, so the returned arrays are
-    bit-identical to ``forward`` evaluated under
-    :func:`~repro.nn.inference_mode` with :attr:`~VeriBugModel.fused_head`
-    off; the autograd path stays the reference oracle.
+    Stage 1 reuses :meth:`VeriBugModel._context_embeddings` — the
+    packed PathRNN kernel, served from the context cache when it is
+    enabled — and the head stages run through the raw kernels in
+    :mod:`repro.nn.fused`.  Every numpy call matches the Tensor path in
+    operand order, so the returned arrays are bit-identical to
+    ``forward`` evaluated under :func:`~repro.nn.inference_mode` with
+    :attr:`~VeriBugModel.fused_head` off; the autograd path stays the
+    reference oracle.
 
     Raises:
         RuntimeError: If autograd is enabled (the outputs carry no graph,
@@ -553,7 +557,7 @@ def model_forward_fused(model: VeriBugModel, batch: EncodedBatch) -> ModelOutput
             "call in repro.nn.inference_mode() (training must use the Tensor "
             "autograd path)"
         )
-    # Stage 1: x_i = (c_i || v_i) — cache/fused-LSTM dispatch included.
+    # Stage 1: x_i = (c_i || v_i) — context cache included.
     context = model._context_embeddings(batch).data  # [M, dc]
     x = np.concatenate([context, batch.value_onehot], axis=1)  # [M, dc+dv]
     # Stage 2a: x*_i = MLP_θ1(Σ_j x_j + ε · x_i).

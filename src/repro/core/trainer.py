@@ -91,6 +91,8 @@ class Trainer:
         labels = np.array([s.label for s in samples])
         class_weights = class_weights_from_labels(labels)
         history = TrainHistory()
+        # Encode once; each minibatch is a row selection of this batch.
+        encoded = self.encoder.encode(samples)
 
         for epoch in range(epochs):
             order = rng.permutation(len(samples))
@@ -99,8 +101,7 @@ class Trainer:
             epoch_reg = 0.0
             n_batches = 0
             for start in range(0, len(samples), self.config.batch_size):
-                chunk = [samples[i] for i in order[start : start + self.config.batch_size]]
-                batch = self.encoder.encode(chunk)
+                batch = encoded.select(order[start : start + self.config.batch_size])
                 output = self.model(batch)
                 loss, parts = veribug_loss(
                     output.logits,

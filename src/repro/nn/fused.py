@@ -1,8 +1,8 @@
 """No-grad fused kernels for the model head (aggregation/attention/MLP).
 
-The PathRNN encode stage got its fused kernel in
-:func:`repro.nn.rnn.lstm_forward_fused`; these are the matching raw
-``np.ndarray`` kernels for the *remaining* forward stages — segment
+The PathRNN encode stage runs on the packed kernel
+:func:`repro.nn.rnn.lstm_forward_fused`; these are raw ``np.ndarray``
+kernels for the *remaining* forward stages — segment
 reductions, the ragged-segment masked softmax, and plain MLP stacks — so
 that an inference forward pass can run without constructing a single
 :class:`~repro.nn.tensor.Tensor` graph node.
@@ -10,10 +10,11 @@ that an inference forward pass can run without constructing a single
 Every kernel here replicates its autograd counterpart op for op (same
 numpy calls, same operand order), so outputs are bit-identical to the
 Tensor path evaluated under :func:`repro.nn.inference_mode`; the
-autograd path stays the reference oracle.  Like the LSTM kernel, each
-kernel refuses to run while autograd is enabled: the outputs are plain
-arrays, and silently detaching a training graph is the one failure mode
-these guards exist to rule out.
+autograd path stays the reference oracle.  Unlike the LSTM kernel,
+which records its own autograd node, each kernel here refuses to run
+while autograd is enabled: the outputs are plain arrays, and silently
+detaching a training graph is the one failure mode these guards exist
+to rule out.
 """
 
 from __future__ import annotations

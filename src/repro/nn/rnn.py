@@ -9,22 +9,22 @@ The cell follows the standard formulation with a fused gate projection:
     c' = \\sigma(f) c + \\sigma(i) \\tanh(g), \\qquad
     h' = \\sigma(o) \\tanh(c')
 
-:class:`LSTM` runs the cell over a padded batch of sequences with a step
-mask, so ragged path batches can be processed fully vectorized.  The
-forget-gate bias is initialized to 1, the usual trick for gradient flow
-through time.
+:class:`LSTM` runs the cell over a padded batch of left-aligned
+sequences with a step mask, so ragged path batches are processed fully
+vectorized.  The forget-gate bias is initialized to 1, the usual trick
+for gradient flow through time.
 
-Two forward paths share the same weights:
-
-* the **autograd path** (:class:`LSTMCell` applied per step) builds the
-  full Tensor graph and is the training/reference arm;
-* the **fused inference kernel** (:func:`lstm_forward_fused`) runs the
-  whole ``[B, T, I]`` batch over raw ndarrays — one time-major
-  input-projection GEMM for all timesteps, rows packed by length so each
-  step fuses all four gates of exactly the still-live rows, states
-  updated in place — and is selected automatically when autograd is off
-  (inside :func:`repro.nn.inference_mode`).  It refuses to run with grad
-  enabled, so it can never silently truncate a training graph.
+One packed kernel, :func:`lstm_forward_fused`, serves training and
+inference.  Rows are sorted by descending length, so at every step the
+still-live rows are a prefix of the batch: the input projection of every
+live timestep is one time-major GEMM, each step fuses all four gates of
+exactly the live rows, and finished rows are never touched again.  With
+autograd off the kernel saves nothing.  With autograd on it keeps the
+per-step gate activations, ``c_prev``, ``tanh(c)`` and ``h_prev`` in
+packed ``[Σ active, ·]`` buffers and returns one Tensor node whose
+backward is a hand-written BPTT over the same packed rows.
+:class:`LSTMCell` holds the parameters (and runs one step of the
+reference arithmetic).
 """
 
 from __future__ import annotations
@@ -45,53 +45,53 @@ def _sigmoid_inplace(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def lstm_forward_fused(
-    w_ih: np.ndarray,
-    w_hh: np.ndarray,
-    bias: np.ndarray,
-    x: np.ndarray,
-    mask: np.ndarray,
-) -> np.ndarray:
-    """No-grad fused LSTM forward over raw arrays.
+def _data(value: Tensor | np.ndarray) -> np.ndarray:
+    return value.data if isinstance(value, Tensor) else np.asarray(value, dtype=np.float64)
 
-    Computes exactly what the masked :class:`LSTM` autograd loop computes
-    — the hidden state after each sequence's last valid step — without
-    building any Tensor graph: rows are packed by descending sequence
-    length, the input projection of every live timestep is one time-major
-    GEMM, and each step fuses all four gates of the still-live row block
-    into a single ``[B_t, 4H]`` projection, updating the state buffers in
-    place (finished rows are never touched, which is the 0/1 mask update
-    minus the multiplies).
+
+def lstm_forward_fused(
+    w_ih: Tensor | np.ndarray,
+    w_hh: Tensor | np.ndarray,
+    bias: Tensor | np.ndarray,
+    x: Tensor | np.ndarray,
+    mask: np.ndarray,
+) -> Tensor:
+    """Packed LSTM forward over a padded batch, as one autograd node.
+
+    Computes the hidden state after each sequence's last valid step:
+    rows are packed by descending sequence length, the input projection
+    of every live timestep is one time-major GEMM, and each step fuses
+    all four gates of the still-live row block into a single ``[B_t, 4H]``
+    projection, updating the state buffers in place.
+
+    When autograd is enabled and any input requires grad, the result is
+    a Tensor whose parents are ``x``, ``w_ih``, ``w_hh`` and ``bias``; its
+    backward runs BPTT over the saved packed rows and then forms
+    ``dW_ih``, ``dW_hh`` and ``dx`` with one GEMM each and ``dbias`` with
+    one sum.  Otherwise nothing is saved and the result carries no graph.
 
     Args:
         w_ih / w_hh / bias: The cell parameters (``[I, 4H]``, ``[H, 4H]``,
-            ``[4H]``).
+            ``[4H]``), as Tensors or plain arrays.
         x: ``[B, T, I]`` padded input sequences.
         mask: ``[B, T]`` float/bool array, 1 for valid steps (sequences
             left-aligned: valid steps first, padding after).
 
     Returns:
-        ``[B, H]`` final hidden states (a fresh float64 array).
+        ``[B, H]`` final hidden states.
 
     Raises:
-        RuntimeError: If autograd is enabled.  The kernel produces plain
-            arrays, so running it inside a recorded forward pass would
-            silently detach the graph; wrap calls in
-            :func:`repro.nn.inference_mode`.
         ValueError: If the mask has an interior gap (not left-aligned);
             the packed representation cannot express resuming a frozen
-            sequence, so the misuse fails loudly instead of drifting from
-            the autograd arm.
+            sequence, so the misuse fails loudly.
     """
-    if is_grad_enabled():
-        raise RuntimeError(
-            "lstm_forward_fused requires autograd to be disabled; wrap the "
-            "call in repro.nn.inference_mode() (training must use the "
-            "LSTMCell autograd path)"
-        )
-    x = np.asarray(x, dtype=np.float64)
+    inputs = (x, w_ih, w_hh, bias)
+    record = is_grad_enabled() and any(
+        isinstance(value, Tensor) and value.requires_grad for value in inputs
+    )
+    data, w_ih, w_hh, bias = (_data(value) for value in inputs)
     mask = np.asarray(mask, dtype=np.float64)
-    batch, _, input_size = x.shape
+    batch = len(data)
     hidden = w_hh.shape[0]
 
     valid = mask != 0.0
@@ -100,52 +100,102 @@ def lstm_forward_fused(
             "mask must be left-aligned (valid steps first, padding after); "
             "the packed kernel cannot represent interior gaps"
         )
-    h = np.zeros((batch, hidden))
     lengths = valid.sum(axis=1)
     max_len = int(lengths.max()) if batch else 0
-    if max_len == 0:
-        return h
 
     # Pack: rows sorted by descending length, so at step t exactly the
     # first `active[t]` rows are live and the mask vanishes from the loop
     # (a live row takes the new state outright; a finished row is simply
-    # never touched again — the same arithmetic as the autograd arm's
-    # exact 0/1 mask update, minus the multiplies).
+    # never touched again — the exact 0/1 mask update, minus the
+    # multiplies).
     order = np.argsort(-lengths, kind="stable")
     active = np.searchsorted(-lengths[order], -np.arange(1, max_len + 1), "right")
-
-    # Input projections of the live rows only — packing makes them a
-    # prefix of every time-major block — in one GEMM; bias folded in once.
-    x_packed = x[order, :max_len].transpose(1, 0, 2)  # [T, B, I]
-    live = np.arange(batch)[None, :] < active[:, None]
-    projected = x_packed[live] @ w_ih  # [sum(active), 4H]
-    projected += bias
     offsets = np.concatenate(([0], np.cumsum(active)))
 
+    # Input projections of the live rows only — packing makes them a
+    # prefix of every time-major block — in one GEMM; bias folded in
+    # once.  After the loop this buffer holds the gate activations.
+    live = np.arange(batch)[None, :] < active[:, None]  # [T, B]
+    x_packed = data[order, :max_len].transpose(1, 0, 2)[live]  # [Σ active, I]
+    gates_all = x_packed @ w_ih
+    gates_all += bias
+
+    if record:
+        packed = len(x_packed)
+        h_prev = np.empty((packed, hidden))
+        c_prev = np.empty((packed, hidden))
+        tanh_c = np.empty((packed, hidden))
+
+    h = np.zeros((batch, hidden))
     c = np.zeros((batch, hidden))
     for t in range(max_len):
         n = int(active[t])
-        gates = projected[offsets[t] : offsets[t + 1]]
+        span = slice(offsets[t], offsets[t + 1])
+        gates = gates_all[span]
+        if record:
+            h_prev[span] = h[:n]
+            c_prev[span] = c[:n]
         gates += h[:n] @ w_hh
         i_gate = _sigmoid_inplace(gates[:, 0 * hidden : 1 * hidden])
         f_gate = _sigmoid_inplace(gates[:, 1 * hidden : 2 * hidden])
-        g_gate = np.tanh(gates[:, 2 * hidden : 3 * hidden])
+        g_gate = np.tanh(gates[:, 2 * hidden : 3 * hidden], out=gates[:, 2 * hidden : 3 * hidden])
         o_gate = _sigmoid_inplace(gates[:, 3 * hidden : 4 * hidden])
         c_live = c[:n]
         c_live *= f_gate
-        i_gate *= g_gate
-        c_live += i_gate
+        c_live += i_gate * g_gate
         np.tanh(c_live, out=h[:n])
+        if record:
+            tanh_c[span] = h[:n]
         h[:n] *= o_gate
 
     # Unpack to the caller's row order.
     out = np.empty_like(h)
     out[order] = h
-    return out
+    if not record:
+        return Tensor(out)
+    parents = tuple(v if isinstance(v, Tensor) else Tensor(v) for v in inputs)
+    x_t, w_ih_t, w_hh_t, bias_t = parents
+
+    def backward(grad: np.ndarray) -> None:
+        dh = grad[order]  # packed row order
+        dc = np.zeros_like(dh)
+        d_gates = np.empty_like(gates_all)
+        for t in range(max_len - 1, -1, -1):
+            n = int(active[t])
+            span = slice(offsets[t], offsets[t + 1])
+            gates = gates_all[span]
+            i_gate = gates[:, 0 * hidden : 1 * hidden]
+            f_gate = gates[:, 1 * hidden : 2 * hidden]
+            g_gate = gates[:, 2 * hidden : 3 * hidden]
+            o_gate = gates[:, 3 * hidden : 4 * hidden]
+            tc = tanh_c[span]
+            dh_live = dh[:n]
+            dc_live = dc[:n]
+            dc_live += dh_live * o_gate * (1.0 - tc * tc)
+            d_step = d_gates[span]
+            d_step[:, 0 * hidden : 1 * hidden] = dc_live * g_gate * i_gate * (1.0 - i_gate)
+            d_step[:, 1 * hidden : 2 * hidden] = dc_live * c_prev[span] * f_gate * (1.0 - f_gate)
+            d_step[:, 2 * hidden : 3 * hidden] = dc_live * i_gate * (1.0 - g_gate * g_gate)
+            d_step[:, 3 * hidden : 4 * hidden] = dh_live * tc * o_gate * (1.0 - o_gate)
+            dc_live *= f_gate
+            dh[:n] = d_step @ w_hh.T
+        if x_t.requires_grad:
+            # Packed row k of step t is padded entry (order[k], t).
+            step_of, slot_of = np.nonzero(live)
+            dx = np.zeros_like(data)
+            dx[order[slot_of], step_of] = d_gates @ w_ih.T
+            x_t._accum(dx)
+        w_ih_t._accum(x_packed.T @ d_gates)
+        w_hh_t._accum(h_prev.T @ d_gates)
+        bias_t._accum(d_gates.sum(axis=0))
+
+    result = x_t._make(out, parents)
+    result._backward = backward
+    return result
 
 
 class LSTMCell(Module):
-    """A single LSTM step over a batch."""
+    """LSTM parameters, and one step of the reference arithmetic."""
 
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
         self.input_size = input_size
@@ -173,29 +223,17 @@ class LSTM(Module):
     """Masked LSTM over padded sequences, returning the final hidden state.
 
     Sequences must be left-aligned: valid steps first, padding after.  The
-    mask freezes the state on padded steps, so the returned hidden state is
-    the one after each sequence's last valid step.
-
-    When autograd is off (inside :func:`repro.nn.inference_mode`) and
-    ``fused_inference`` is set (the default), :meth:`forward` dispatches to
-    the fused no-graph kernel; with grad enabled it always runs the
-    :class:`LSTMCell` autograd loop, so training is never affected.
+    returned hidden state is the one after each sequence's last valid
+    step (zeros for an empty sequence).  :meth:`forward` runs the packed
+    kernel :func:`lstm_forward_fused` on the cell's parameters, recording
+    one autograd node when grad is enabled.
     """
 
-    def __init__(
-        self,
-        input_size: int,
-        hidden_size: int,
-        rng: np.random.Generator,
-        fused_inference: bool = True,
-    ):
+    def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
         self.cell = LSTMCell(input_size, hidden_size, rng)
         self.hidden_size = hidden_size
-        #: Allow the fused kernel under inference_mode (benchmarks flip
-        #: this off to time the graph-free-but-unfused baseline).
-        self.fused_inference = fused_inference
 
-    def forward(self, x: Tensor, mask: np.ndarray) -> Tensor:
+    def forward(self, x: Tensor | np.ndarray, mask: np.ndarray) -> Tensor:
         """Run the LSTM.
 
         Args:
@@ -205,28 +243,5 @@ class LSTM(Module):
         Returns:
             ``[B, H]`` final hidden states.
         """
-        if self.fused_inference and not is_grad_enabled():
-            return Tensor(self.forward_fused(x, mask))
-        batch, steps, _ = x.shape
-        mask = np.asarray(mask, dtype=np.float64)
-        h = Tensor(np.zeros((batch, self.hidden_size)))
-        c = Tensor(np.zeros((batch, self.hidden_size)))
-        for t in range(steps):
-            x_t = x[:, t, :]
-            h_new, c_new = self.cell(x_t, h, c)
-            step_mask = Tensor(mask[:, t : t + 1])
-            h = step_mask * h_new + (1.0 - step_mask) * h
-            c = step_mask * c_new + (1.0 - step_mask) * c
-        return h
-
-    def forward_fused(self, x: Tensor | np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """The fused no-grad kernel over this LSTM's weights.
-
-        See :func:`lstm_forward_fused`; raises ``RuntimeError`` when
-        autograd is enabled.
-        """
-        data = x.data if isinstance(x, Tensor) else x
         cell = self.cell
-        return lstm_forward_fused(
-            cell.w_ih.data, cell.w_hh.data, cell.bias.data, data, mask
-        )
+        return lstm_forward_fused(cell.w_ih, cell.w_hh, cell.bias, x, mask)

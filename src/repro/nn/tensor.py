@@ -81,6 +81,18 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def _is_basic_key(key) -> bool:
+    """Whether ``key`` is numpy basic indexing (ints, slices, ``...``, None)."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return all(
+        part is None
+        or part is Ellipsis
+        or isinstance(part, slice)
+        or (isinstance(part, (int, np.integer)) and not isinstance(part, bool))
+        for part in parts
+    )
+
+
 class Tensor:
     """A differentiable array.
 
@@ -169,8 +181,12 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            # Own a copy of the first contribution: later ones add into it.
+            self.grad = np.array(grad, dtype=np.float64)
+            if self.grad.shape != self.data.shape:
+                self.grad = np.array(np.broadcast_to(self.grad, self.data.shape))
+        else:
+            self.grad += grad
 
     def zero_grad(self) -> None:
         """Reset the accumulated gradient."""
@@ -335,6 +351,17 @@ class Tensor:
         out = self._make(self.data[key], (self,))
 
         def backward(grad: np.ndarray) -> None:
+            if not self.requires_grad:
+                return
+            if _is_basic_key(key):
+                # A basic key selects each element at most once, so the
+                # gradient adds straight into a view of ``self.grad``.
+                if self.grad is None:
+                    self.grad = np.zeros_like(self.data)
+                self.grad[key] += grad
+                return
+            # Advanced keys may repeat an index (e.g. a gather with
+            # duplicates); np.add.at accumulates every occurrence.
             full = np.zeros_like(self.data)
             np.add.at(full, key, grad)
             self._accum(full)

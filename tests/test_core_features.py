@@ -228,6 +228,59 @@ class TestBatchEncoder:
             assert got != stale_encoding
 
 
+class TestEncodedBatchSelect:
+    ARRAYS = (
+        "path_tokens",
+        "path_mask",
+        "path_operand",
+        "value_onehot",
+        "operand_stmt",
+        "labels",
+    )
+
+    def assert_same_batch(self, got, want):
+        for name in self.ARRAYS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+        assert got.n_operands == want.n_operands
+        assert got.n_statements == want.n_statements
+        assert got.operand_counts == want.operand_counts
+        assert len(got.operand_contexts) == len(want.operand_contexts)
+        for (ctx_a, op_a), (ctx_b, op_b) in zip(
+            got.operand_contexts, want.operand_contexts
+        ):
+            assert ctx_a is ctx_b and op_a == op_b
+
+    def test_select_equals_encode_of_the_chunk(self, encoder, tiny_samples):
+        """Every minibatch of a shuffled pass: select == encode(chunk)."""
+        full = encoder.encode(tiny_samples)
+        order = np.random.default_rng(3).permutation(len(tiny_samples))
+        for start in range(0, len(order), 32):
+            rows = order[start : start + 32]
+            self.assert_same_batch(
+                full.select(rows), encoder.encode([tiny_samples[i] for i in rows])
+            )
+
+    def test_select_trims_to_the_longest_selected_path(self, vocab):
+        def context(expr):
+            return extract_statement_context(
+                parse_module(
+                    "module m(a, b, y); input a, b; output y;"
+                    f" assign y = {expr}; endmodule"
+                ).statements()[0]
+            )
+
+        short = Sample(context("a"), (1,), 1)
+        deep = Sample(context("~(~(a & b))"), (1, 0), 1)
+        encoder = BatchEncoder(vocab)
+        full = encoder.encode([short, deep, short])
+        picked = full.select([2, 0])
+        assert picked.path_tokens.shape[1] < full.path_tokens.shape[1]
+        self.assert_same_batch(picked, encoder.encode([short, short]))
+        self.assert_same_batch(full.select([1]), encoder.encode([deep]))
+
+
 class TestGroupedSplit:
     def tagged_samples(self, counts: dict[str, int]) -> list:
         m = parse_module(

@@ -312,12 +312,12 @@ class TestAttentionRowMemo:
     def test_memo_on_off_ranking_identity(self, trained_session, localizer):
         buggy, failing, correct = planted_bug_case()
         model = trained_session.model
-        with model_switches(model, fused=True, cache=True, memo=True):
+        with model_switches(model, cache=True, memo=True):
             cold = localizer.localize(buggy, "y", failing, correct)
             warm = localizer.localize(buggy, "y", failing, correct)
             assert model.attention_memo.hits > 0
             assert model.attention_memo.cross_epoch_hits > 0
-        with model_switches(model, fused=True, cache=True, memo=False):
+        with model_switches(model, cache=True, memo=False):
             plain = localizer.localize(buggy, "y", failing, correct)
         for result in (cold, warm):
             assert result.ranking == plain.ranking
@@ -338,11 +338,11 @@ class TestAttentionRowMemo:
         explainer = Explainer(model, trained_session.encoder)
         contexts = extract_module_contexts(arbiter.statements())
         traces = design_traces(arbiter, n_traces=3)
-        with model_switches(model, fused=True, cache=True, memo=True):
+        with model_switches(model, cache=True, memo=True):
             cold = explainer.attention_map(contexts, traces)
             warm = explainer.attention_map(contexts, traces)
             assert model.attention_memo.hits > 0
-        with model_switches(model, fused=True, cache=True, memo=False):
+        with model_switches(model, cache=True, memo=False):
             reference = explainer.attention_map(contexts, traces)
         for amap in (cold, warm):
             assert_maps_equal(amap, reference)

@@ -1,18 +1,23 @@
-"""Differential and property tests pinning the fused inference path.
+"""Differential and property tests pinning the packed PathRNN kernel.
 
-Three contracts keep the fused PathRNN kernel and the context-embedding
-cache honest:
+The packed kernel (:func:`repro.nn.lstm_forward_fused`) is the only LSTM
+forward, in training and inference.  Its oracle is the per-step
+:class:`LSTMCell` Tensor graph, which lives here (:func:`oracle_lstm`):
 
-* **Differential** — the fused kernel agrees with the autograd ``LSTM``
-  within 1e-9 on random ragged batches, and the full model produces
-  identical rankings/suspiciousness with the cache (and kernel) on vs
-  off (mirroring ``tests/test_inference_fastpath.py``).
+* **Differential** — the kernel's output agrees with the oracle within
+  1e-9 on random ragged batches; its hand-written BPTT backward gives
+  ``dx``, ``dW_ih``, ``dW_hh`` and ``dbias`` within 1e-10 (hypothesis,
+  zero-length rows, all-padded batches and T=1 included); a whole model
+  on the kernel matches the oracle-LSTM model in loss gradients and a
+  3-epoch loss history.  The full model produces identical
+  rankings/suspiciousness with the context cache on vs off (mirroring
+  ``tests/test_inference_fastpath.py``).
 * **Property (hypothesis)** — appending masked steps never changes the
   final hidden state, and the cache can never serve a dead context's
   embedding even when CPython reuses its ``id``.
-* **Autograd regression** — the ``LSTMCell`` training path still passes
-  a finite-difference gradient check, and ``forward_fused`` refuses to
-  run while autograd is enabled.
+* **Autograd regression** — the kernel's gradients pass a
+  finite-difference check, and a training forward never consults the
+  context cache.
 """
 
 import gc
@@ -25,13 +30,29 @@ from hypothesis import strategies as st
 
 from repro.analysis import extract_module_contexts
 from repro.analysis.contexts import OperandInstance, StatementContext
-from repro.core import ContextEmbeddingCache, Explainer, LocalizationEngine
+from repro.core import (
+    ContextEmbeddingCache,
+    Explainer,
+    LocalizationEngine,
+    Trainer,
+    VeriBugModel,
+)
 from repro.designs import REGISTRY, load_design
-from repro.nn import LSTM, Tensor, enable_grad, inference_mode, lstm_forward_fused
+from repro.nn import (
+    LSTM,
+    Module,
+    Tensor,
+    class_weights_from_labels,
+    enable_grad,
+    inference_mode,
+    lstm_forward_fused,
+    veribug_loss,
+)
 from repro.sim import Simulator, TestbenchConfig, generate_testbench_suite
 from repro.verilog import parse_module
 
 TOL = 1e-9
+GRAD_TOL = 1e-10
 
 
 def ragged_batch(rng, batch, steps, input_size):
@@ -42,21 +63,45 @@ def ragged_batch(rng, batch, steps, input_size):
     return x, mask
 
 
+def oracle_lstm(cell, x, mask) -> Tensor:
+    """The gradient oracle: the masked per-step ``LSTMCell`` Tensor graph.
+
+    The mask freezes the state on padded steps (an exact 0/1 blend), so
+    the result is the hidden state after each row's last valid step.
+    """
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    mask = np.asarray(mask, dtype=np.float64)
+    batch, steps, _ = x.shape
+    h = Tensor(np.zeros((batch, cell.hidden_size)))
+    c = Tensor(np.zeros((batch, cell.hidden_size)))
+    for t in range(steps):
+        h_new, c_new = cell(x[:, t, :], h, c)
+        step_mask = Tensor(mask[:, t : t + 1])
+        h = step_mask * h_new + (1.0 - step_mask) * h
+        c = step_mask * c_new + (1.0 - step_mask) * c
+    return h
+
+
+class OracleLSTM(Module):
+    """A PathRNN that runs :func:`oracle_lstm` on a shared cell."""
+
+    def __init__(self, cell):
+        self.cell = cell
+        self.hidden_size = cell.hidden_size
+
+    def forward(self, x, mask) -> Tensor:
+        return oracle_lstm(self.cell, x, mask)
+
+
 @contextmanager
-def model_switches(model, fused: bool, cache: bool, memo: bool = False):
-    """Pin the fused-kernel/cache/memo switches, starting cold.
+def model_switches(model, cache: bool, memo: bool = False):
+    """Pin the context-cache/memo switches, starting cold.
 
     The attention-row memo defaults to *off* here so the cache-stat
     assertions below keep measuring the context cache: with the memo on,
     repeated samples skip encoding entirely and never consult the cache.
     """
-    lstm = model.path_rnn
-    saved = (
-        lstm.fused_inference,
-        model.context_cache.enabled,
-        model.attention_memo.enabled,
-    )
-    lstm.fused_inference = fused
+    saved = (model.context_cache.enabled, model.attention_memo.enabled)
     model.context_cache.enabled = cache
     model.context_cache.clear()
     model.context_cache.reset_stats()
@@ -66,11 +111,7 @@ def model_switches(model, fused: bool, cache: bool, memo: bool = False):
     try:
         yield
     finally:
-        (
-            lstm.fused_inference,
-            model.context_cache.enabled,
-            model.attention_memo.enabled,
-        ) = saved
+        model.context_cache.enabled, model.attention_memo.enabled = saved
         model.context_cache.clear()
         model.attention_memo.clear()
 
@@ -98,9 +139,8 @@ class TestFusedKernelDifferential:
         lstm = LSTM(input_size, hidden, rng)
         x, mask = ragged_batch(rng, batch, steps, input_size)
         with inference_mode():
-            fused = lstm.forward_fused(x, mask)
-            lstm.fused_inference = False
-            reference = lstm(Tensor(x), mask).data
+            fused = lstm(x, mask).data
+        reference = oracle_lstm(lstm.cell, x, mask).data
         assert fused.shape == (batch, hidden)
         assert np.allclose(fused, reference, atol=TOL)
 
@@ -111,7 +151,9 @@ class TestFusedKernelDifferential:
         mask = np.array([[1.0, 0.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0]])
         with inference_mode():
             with pytest.raises(ValueError, match="left-aligned"):
-                lstm.forward_fused(x, mask)
+                lstm(x, mask)
+        with pytest.raises(ValueError, match="left-aligned"):
+            lstm(Tensor(x, requires_grad=True), mask)
 
     def test_all_masked_row_yields_initial_state(self):
         rng = np.random.default_rng(8)
@@ -120,23 +162,30 @@ class TestFusedKernelDifferential:
         mask = np.zeros((4, 6))
         mask[0, :3] = 1.0  # one live row, three fully padded rows
         with inference_mode():
-            out = lstm.forward_fused(x, mask)
+            out = lstm(x, mask).data
         assert np.array_equal(out[1:], np.zeros((3, 5)))
         assert np.any(out[0] != 0.0)
 
     def test_selected_automatically_under_inference_mode(self):
+        """One kernel, two modes: no graph under inference_mode, one
+        four-parent node with grad on, bit-identical values."""
         rng = np.random.default_rng(9)
         lstm = LSTM(4, 7, rng)
         x, mask = ragged_batch(rng, 6, 5, 4)
         with inference_mode():
             auto = lstm(Tensor(x), mask)
-            fused = lstm.forward_fused(x, mask)
-        assert np.array_equal(auto.data, fused)
         assert not auto.requires_grad
-        # With grad enabled the same call takes the autograd path.
-        graph = lstm(Tensor(x), mask)
+        assert auto._parents == () and auto._backward is None
+        inputs = Tensor(x)
+        graph = lstm(inputs, mask)
         assert graph.requires_grad
-        assert np.allclose(graph.data, fused, atol=TOL)
+        cell = lstm.cell
+        assert graph._parents == (inputs, cell.w_ih, cell.w_hh, cell.bias)
+        assert np.array_equal(graph.data, auto.data)
+        # enable_grad nested inside inference_mode records the node again.
+        with inference_mode():
+            with enable_grad():
+                assert lstm(x, mask).requires_grad
 
     def test_functional_form_matches_method(self):
         rng = np.random.default_rng(10)
@@ -147,9 +196,135 @@ class TestFusedKernelDifferential:
             assert np.array_equal(
                 lstm_forward_fused(
                     cell.w_ih.data, cell.w_hh.data, cell.bias.data, x, mask
-                ),
-                lstm.forward_fused(x, mask),
+                ).data,
+                lstm(x, mask).data,
             )
+
+
+def lstm_gradients(forward, lstm, x, mask, projection):
+    """(output, dx, dW_ih, dW_hh, dbias) of ``sum(forward(...) * projection)``."""
+    cell = lstm.cell
+    for param in (cell.w_ih, cell.w_hh, cell.bias):
+        param.zero_grad()
+    inputs = Tensor(x, requires_grad=True)
+    out = forward(inputs)
+    (out * Tensor(projection)).sum().backward()
+    grads = [out.data, inputs.grad]
+    grads += [param.grad.copy() for param in (cell.w_ih, cell.w_hh, cell.bias)]
+    for param in (cell.w_ih, cell.w_hh, cell.bias):
+        param.zero_grad()
+    return grads
+
+
+class TestPackedBackward:
+    """The kernel's BPTT backward against the per-op oracle graph."""
+
+    @staticmethod
+    def assert_matches_oracle(lstm, x, mask, projection):
+        fused = lstm_gradients(lambda t: lstm(t, mask), lstm, x, mask, projection)
+        oracle = lstm_gradients(
+            lambda t: oracle_lstm(lstm.cell, t, mask), lstm, x, mask, projection
+        )
+        for name, got, want in zip(
+            ("h", "dx", "dW_ih", "dW_hh", "dbias"), fused, oracle
+        ):
+            assert got.shape == want.shape, name
+            assert np.max(np.abs(got - want), initial=0.0) <= GRAD_TOL, name
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31),
+        batch=st.integers(min_value=1, max_value=9),
+        steps=st.integers(min_value=1, max_value=7),
+        input_size=st.integers(min_value=1, max_value=5),
+        hidden=st.integers(min_value=1, max_value=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_gradients_match_oracle(self, seed, batch, steps, input_size, hidden):
+        rng = np.random.default_rng(seed)
+        lstm = LSTM(input_size, hidden, rng)
+        x, mask = ragged_batch(rng, batch, steps, input_size)
+        self.assert_matches_oracle(lstm, x, mask, rng.normal(size=(batch, hidden)))
+
+    @pytest.mark.parametrize(
+        "lengths,steps",
+        [
+            ([0, 0, 0], 4),  # all-padded batch
+            ([1, 1], 1),  # T = 1
+            ([0, 3, 0, 1, 3], 3),  # zero-length rows among live ones
+            ([5], 5),  # one full row
+        ],
+    )
+    def test_edge_shapes(self, lengths, steps):
+        rng = np.random.default_rng(len(lengths) * 10 + steps)
+        lstm = LSTM(3, 4, rng)
+        lengths = np.asarray(lengths)
+        x = rng.normal(size=(len(lengths), steps, 3))
+        mask = (np.arange(steps)[None, :] < lengths[:, None]).astype(np.float64)
+        self.assert_matches_oracle(
+            lstm, x, mask, rng.normal(size=(len(lengths), 4))
+        )
+
+    def test_gradients_accumulate_across_nodes(self):
+        """Two kernel nodes over the same parameters add their gradients."""
+        rng = np.random.default_rng(11)
+        lstm = LSTM(2, 3, rng)
+        x, mask = ragged_batch(rng, 4, 5, 2)
+        (lstm(x, mask).sum() + (lstm(x, mask) * 2.0).sum()).backward()
+        fused = lstm.cell.w_hh.grad.copy()
+        lstm.cell.w_hh.zero_grad()
+        oracle_lstm(lstm.cell, x, mask).sum().backward()
+        single = lstm.cell.w_hh.grad.copy()
+        for param in lstm.parameters():
+            param.zero_grad()
+        assert np.allclose(fused, 3.0 * single, atol=GRAD_TOL)
+
+
+class TestModelOnOracle:
+    """A whole model on the kernel vs the same model on the oracle LSTM."""
+
+    @staticmethod
+    def twins(config, vocab):
+        model = VeriBugModel(config, vocab)
+        twin = VeriBugModel(config, vocab)
+        twin.path_rnn = OracleLSTM(twin.path_rnn.cell)
+        return model, twin
+
+    def test_loss_gradients_match(self, tiny_config, vocab, encoder, tiny_samples):
+        model, twin = self.twins(tiny_config, vocab)
+        batch = encoder.encode(tiny_samples[:48])
+        weights = class_weights_from_labels(batch.labels)
+        grads = []
+        for candidate in (model, twin):
+            output = candidate(batch)
+            loss, _ = veribug_loss(
+                output.logits,
+                batch.labels,
+                output.updated_embeddings,
+                batch.operand_stmt,
+                class_weights=weights,
+                alpha=tiny_config.alpha,
+            )
+            loss.backward()
+            grads.append(
+                {name: param.grad.copy() for name, param in candidate.named_parameters()}
+            )
+        assert grads[0].keys() == grads[1].keys()
+        for name, got in grads[0].items():
+            assert np.max(np.abs(got - grads[1][name])) <= GRAD_TOL, name
+
+    def test_three_epoch_loss_history_matches(
+        self, tiny_config, vocab, encoder, tiny_samples
+    ):
+        model, twin = self.twins(tiny_config, vocab)
+        samples = tiny_samples[:160]
+        fused = Trainer(model, encoder).train(samples, epochs=3)
+        oracle = Trainer(twin, encoder).train(samples, epochs=3)
+        for got, want in (
+            (fused.losses, oracle.losses),
+            (fused.ce_terms, oracle.ce_terms),
+            (fused.reg_terms, oracle.reg_terms),
+        ):
+            assert np.allclose(got, want, rtol=1e-9, atol=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -198,7 +373,7 @@ def planted_bug_case():
 
 class TestModelCacheDifferential:
     def test_attention_maps_paper_designs(self, trained_session):
-        """Cache+kernel on vs both off: identical maps on the paper designs."""
+        """Cache on vs off: identical maps on the paper designs."""
         model = trained_session.model
         explainer = Explainer(
             model, trained_session.encoder, trained_session.config.model
@@ -207,19 +382,19 @@ class TestModelCacheDifferential:
             module = load_design(name)
             contexts = extract_module_contexts(module.statements())
             traces = design_traces(module)
-            with model_switches(model, fused=True, cache=True):
+            with model_switches(model, cache=True):
                 cached = explainer.attention_map(contexts, traces)
                 assert model.context_cache.misses > 0
-            with model_switches(model, fused=False, cache=False):
+            with model_switches(model, cache=False):
                 plain = explainer.attention_map(contexts, traces)
             assert_maps_equal(cached, plain)
 
     def test_localize_rankings_cache_on_vs_off(self, trained_session, localizer):
         buggy, failing, correct = planted_bug_case()
         model = trained_session.model
-        with model_switches(model, fused=True, cache=True):
+        with model_switches(model, cache=True):
             cached = localizer.localize(buggy, "y", failing, correct)
-        with model_switches(model, fused=False, cache=False):
+        with model_switches(model, cache=False):
             plain = localizer.localize(buggy, "y", failing, correct)
         assert cached.ranking == plain.ranking
         assert set(cached.heatmap.suspiciousness) == set(plain.heatmap.suspiciousness)
@@ -236,7 +411,7 @@ class TestModelCacheDifferential:
             trained_session.config.model,
             fast_inference=False,
         )
-        with model_switches(model, fused=True, cache=True):
+        with model_switches(model, cache=True):
             fast = localizer.localize(buggy, "y", failing, correct)
         reference = legacy.localize(buggy, "y", failing, correct)
         assert fast.ranking == reference.ranking
@@ -254,7 +429,7 @@ class TestModelCacheDifferential:
         explainer = Explainer(model, trained_session.encoder)
         contexts = extract_module_contexts(arbiter.statements())
         traces = design_traces(arbiter, n_traces=3)
-        with model_switches(model, fused=True, cache=True):
+        with model_switches(model, cache=True):
             explainer.attention_map(contexts, traces)
             cold = model.context_cache.stats()
             explainer.attention_map(contexts, traces)
@@ -305,11 +480,10 @@ class TestPaddingInvariance:
         )
         mask_padded = np.concatenate([mask, np.zeros((batch, extra))], axis=1)
         with inference_mode():
-            base = lstm.forward_fused(x, mask)
-            padded = lstm.forward_fused(x_padded, mask_padded)
-            lstm.fused_inference = False
-            base_auto = lstm(Tensor(x), mask).data
-            padded_auto = lstm(Tensor(x_padded), mask_padded).data
+            base = lstm(x, mask).data
+            padded = lstm(x_padded, mask_padded).data
+            base_auto = oracle_lstm(lstm.cell, x, mask).data
+            padded_auto = oracle_lstm(lstm.cell, x_padded, mask_padded).data
         assert np.allclose(base, padded, atol=1e-12)
         assert np.allclose(base_auto, padded_auto, atol=1e-12)
         assert np.allclose(base, base_auto, atol=TOL)
@@ -402,14 +576,14 @@ class TestStructuralKeys:
         explainer = Explainer(model, trained_session.encoder)
         contexts = extract_module_contexts(arbiter.statements())
         traces = design_traces(arbiter, n_traces=2)
-        with model_switches(model, fused=True, cache=False):
+        with model_switches(model, cache=False):
             explainer.attention_map(contexts, traces)
             assert len(model.context_cache) == 0
             assert model.context_cache.hits == 0
 
 
 # ----------------------------------------------------------------------
-# Autograd regression: the training path must be untouched
+# Autograd regression: the training path
 # ----------------------------------------------------------------------
 
 
@@ -435,7 +609,7 @@ class TestAutogradRegression:
         projection = rng.normal(size=(5, 4))
 
         out = lstm(Tensor(x), mask)
-        assert out.requires_grad  # grad enabled -> autograd arm selected
+        assert out.requires_grad  # grad enabled -> the kernel records a node
         loss = (out * Tensor(projection)).sum()
         loss.backward()
 
@@ -446,21 +620,8 @@ class TestAutogradRegression:
             assert np.allclose(param.grad, numeric, rtol=1e-5, atol=1e-7), param.name
         lstm.cell.w_ih.zero_grad()
 
-    def test_forward_fused_refuses_grad(self):
-        rng = np.random.default_rng(22)
-        lstm = LSTM(2, 3, rng)
-        x, mask = ragged_batch(rng, 2, 3, 2)
-        with pytest.raises(RuntimeError, match="inference_mode"):
-            lstm.forward_fused(x, mask)
-        # enable_grad nested inside inference_mode re-arms the refusal.
-        with inference_mode():
-            lstm.forward_fused(x, mask)
-            with enable_grad():
-                with pytest.raises(RuntimeError, match="inference_mode"):
-                    lstm.forward_fused(x, mask)
-
-    def test_training_forward_ignores_cache_and_kernel(self, fresh_model, encoder):
-        """With grad enabled the model never consults cache or kernel."""
+    def test_training_forward_ignores_cache(self, fresh_model, encoder):
+        """With grad enabled the model never consults the context cache."""
         module = parse_module(
             "module m(a, b, y); input a, b; output y; assign y = a ^ b; endmodule"
         )

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn import Tensor
 
@@ -104,6 +106,70 @@ class TestShapeGradients:
     def test_getitem_fancy_repeated_index(self):
         idx = np.array([0, 1, 0, 2])
         gradcheck(lambda x: x[idx] ** 2, RNG.normal(size=(3, 4)))
+
+
+def basic_component(size: int):
+    """One axis of a basic key: an int or a slice valid for ``size``."""
+    bound = st.integers(min_value=-size - 1, max_value=size + 1) | st.none()
+    steps = st.sampled_from([None, 1, 2, 3, -1, -2])
+    return st.integers(min_value=-size, max_value=size - 1) | st.builds(
+        slice, bound, bound, steps
+    )
+
+
+@st.composite
+def indexed_arrays(draw):
+    """(array, key): basic keys (ints, slices, ``...``, None) or advanced
+    keys (int arrays with repeats, boolean masks) mixed with slices."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    data = np.random.default_rng(draw(st.integers(0, 2**16))).normal(size=shape)
+    kind = draw(st.sampled_from(["basic", "basic_ellipsis", "int_array", "bool_mask"]))
+    if kind.startswith("basic"):
+        count = draw(st.integers(1, len(shape)))
+        # After a leading ``...`` the components index the trailing axes.
+        axes = shape[len(shape) - count :] if kind == "basic_ellipsis" else shape[:count]
+        parts = [draw(basic_component(size)) for size in axes]
+        if draw(st.booleans()):
+            parts.insert(draw(st.integers(0, len(parts))), None)
+        if kind == "basic_ellipsis":
+            parts.insert(0, Ellipsis)
+        return data, tuple(parts)
+    rest = tuple(draw(basic_component(size)) for size in shape[1:])
+    if kind == "int_array":
+        index = draw(
+            st.lists(st.integers(-shape[0], shape[0] - 1), min_size=1, max_size=6)
+        )
+        return data, (np.array(index),) + rest
+    mask = draw(st.lists(st.booleans(), min_size=shape[0], max_size=shape[0]))
+    return data, (np.array(mask),) + rest
+
+
+class TestGetitemBackward:
+    @given(case=indexed_arrays(), seed=st.integers(0, 2**16))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_add_at_reference(self, case, seed):
+        """Two backward passes through ``x[key]`` accumulate exactly what
+        the ``np.add.at`` scatter reference gives, for every key kind."""
+        data, key = case
+        x = Tensor(data, requires_grad=True)
+        rng = np.random.default_rng(seed)
+        reference = np.zeros_like(data)
+        for _ in range(2):
+            out = x[key]
+            grad = rng.normal(size=out.shape)
+            out.backward(grad)
+            scattered = np.zeros_like(data)
+            np.add.at(scattered, key, grad)
+            reference += scattered
+        assert x.grad.shape == data.shape
+        assert np.array_equal(x.grad, reference)
+
+    def test_non_grad_source_untouched(self):
+        x = Tensor(np.ones((3, 2)))
+        y = Tensor(np.ones((3, 2)), requires_grad=True)
+        (x[1:] * y[1:]).sum().backward()
+        assert x.grad is None
+        assert y.grad.tolist() == [[0.0, 0.0], [1.0, 1.0], [1.0, 1.0]]
 
 
 class TestReductionsAndActivations:
