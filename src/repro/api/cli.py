@@ -391,6 +391,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 def cmd_localize(args: argparse.Namespace) -> int:
     from ..core import render_heatmap
+    from ..datagen.campaign import _classify
     from ..sim import Simulator, TestbenchConfig, generate_testbench_suite
     from ..verilog.printer import statement_source
 
@@ -427,14 +428,9 @@ def cmd_localize(args: argparse.Namespace) -> int:
         golden_traces = Simulator(golden, engine=config.engine).run_suite(
             stimuli, record=False
         )
-        buggy_sim = Simulator(buggy, engine=config.engine)
+        traces = Simulator(buggy, engine=config.engine).run_suite(stimuli)
         failing, correct = [], []
-        for stim, golden_trace in zip(stimuli, golden_traces):
-            trace = buggy_sim.run(stim)
-            if trace.diverges_from(golden_trace, signals=[args.target]):
-                failing.append(trace)
-            elif not trace.diverges_from(golden_trace, signals=golden.outputs):
-                correct.append(trace)
+        _classify(traces, golden_traces, args.target, golden.outputs, failing, correct)
         if not failing:
             print(f"no failing traces at {args.target}; nothing to localize")
             return 1

@@ -54,6 +54,8 @@ import functools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
+import numpy as np
+
 from ..core.localizer import (
     LocalizationEngine,
     LocalizationRequest,
@@ -61,8 +63,8 @@ from ..core.localizer import (
 )
 from ..runtime.seeding import mutant_topup_seed
 from ..sim.simulator import SimulationError, Simulator
-from ..sim.testbench import TestbenchConfig, generate_testbench_suite
-from ..sim.trace import Trace
+from ..sim.testbench import StimulusSuite, TestbenchConfig, generate_testbench_suite
+from ..sim.trace import Trace, _LaneOutputs
 from ..verilog.ast_nodes import Module
 from .mutation import Mutation, apply_mutation, mutate_statement
 
@@ -148,17 +150,74 @@ def _classify(
     failing: list[Trace],
     correct: list[Trace],
 ) -> None:
-    """Sort mutant traces into failing / correct against the golden ones."""
-    for trace, golden_trace in zip(traces, goldens):
-        if trace.diverges_from(golden_trace, signals=[target]):
+    """Sort mutant traces into failing / correct against the golden ones.
+
+    A trace is failing when it diverges from its golden trace at
+    ``target``, correct when it diverges at none of ``outputs``; traces
+    failing only at non-target outputs are dropped.  Lane-view traces
+    are compared in one numpy ``!=`` (:func:`_lane_verdicts`); the rest
+    take :meth:`Trace.diverges_from`, the same rule trace by trace.
+    """
+    verdicts = _lane_verdicts(traces, goldens, target, outputs)
+    for trace, golden_trace, verdict in zip(traces, goldens, verdicts):
+        if verdict is None:
+            fails = trace.diverges_from(golden_trace, signals=[target])
+            clean = not fails and not trace.diverges_from(
+                golden_trace, signals=outputs
+            )
+        else:
+            fails, clean = verdict
+        if fails:
             trace.is_failure = True
             failing.append(trace)
-        elif not trace.diverges_from(golden_trace, signals=outputs):
+        elif clean:
             correct.append(trace)
-        # Traces failing only at non-target outputs are dropped.
 
 
-Suite = tuple[list[list[dict[str, int]]], list[Trace]]
+def _lane_verdicts(
+    traces: list[Trace], goldens: list[Trace], target: str, outputs: list[str]
+) -> list[tuple[bool, bool] | None]:
+    """``(diverges at target, matches at every output)`` per lane pair.
+
+    Pairs whose outputs are both lane views over the same output names
+    and of equal length are compared together: one ``!=`` over
+    ``[cycles, outputs, lanes]``, reduced per lane over the target
+    column and over all ``outputs``.  Other pairs get None.
+    """
+    verdicts: list[tuple[bool, bool] | None] = [None] * len(traces)
+    views = [(trace.outputs, golden.outputs) for trace, golden in zip(traces, goldens)]
+    first = next((mine for mine, _ in views if isinstance(mine, _LaneOutputs)), None)
+    if first is None or not first.names:
+        return verdicts
+    names, length = first.names, first.length
+    pairs = [
+        index
+        for index, (mine, theirs) in enumerate(views)
+        if isinstance(mine, _LaneOutputs)
+        and isinstance(theirs, _LaneOutputs)
+        and mine.names == names
+        and theirs.names == names
+        and mine.length == length
+        and theirs.length == length
+    ]
+    if not pairs:
+        return verdicts
+    mutants = np.stack([views[index][0].column() for index in pairs], axis=1)
+    golden = np.stack([views[index][1].column() for index in pairs], axis=1)
+    diff = (mutants != golden).reshape(length, len(names), len(pairs))
+    fails = (
+        diff[:, names.index(target)].any(axis=0)
+        if target in names
+        else np.zeros(len(pairs), dtype=bool)
+    )
+    watched = [names.index(name) for name in outputs if name in names]
+    dirty = diff[:, watched].any(axis=(0, 1))
+    for index, fail, dirt in zip(pairs, fails.tolist(), dirty.tolist()):
+        verdicts[index] = (fail, not dirt)
+    return verdicts
+
+
+Suite = tuple[StimulusSuite, list[Trace]]
 
 
 def _config_key(config: TestbenchConfig) -> tuple:
@@ -222,9 +281,7 @@ class SuiteMemo:
                 generate_testbench_suite(module, n_traces, config, seed=key[0])
                 for key in missing
             ]
-            goldens = golden().run_suite(
-                [stimulus for suite in suites for stimulus in suite], record=False
-            )
+            goldens = golden().run_suite(StimulusSuite.concat(suites), record=False)
             start = 0
             for key, suite in zip(missing, suites):
                 self._suites[key] = (suite, goldens[start : start + len(suite)])
@@ -240,7 +297,7 @@ def _simulate_mutant(
     module: Module,
     target: str,
     mutation: Mutation,
-    stimuli: list[list[dict[str, int]]],
+    stimuli: StimulusSuite,
     golden_traces: list[Trace],
     testbench_config: TestbenchConfig,
     n_traces: int,
@@ -437,7 +494,7 @@ class TargetSimulation:
             self._golden = simulator
         return simulator
 
-    def golden(self, stimuli: list[list[dict[str, int]]]) -> list[Trace]:
+    def golden(self, stimuli: StimulusSuite) -> list[Trace]:
         """Unrecorded golden traces."""
         return self.golden_simulator().run_suite(stimuli, record=False)
 
@@ -464,7 +521,7 @@ class TargetSimulation:
     def _simulate_alone(
         self,
         index: int,
-        stimuli: list[list[dict[str, int]]],
+        stimuli: StimulusSuite,
         golden_traces: list[Trace],
     ) -> Simulated:
         """The mutation at ``index`` on the per-mutant reference path."""
@@ -485,7 +542,7 @@ class TargetSimulation:
     def simulate(
         self,
         indices: list[int],
-        stimuli: list[list[dict[str, int]]],
+        stimuli: StimulusSuite,
         golden_traces: list[Trace],
     ) -> list[Simulated]:
         """Simulate and classify the mutations at ``indices``.
@@ -533,7 +590,7 @@ class TargetSimulation:
         suites = {index: (stimuli, golden_traces) for index in live}
         batch = 0
         while suites:
-            lanes = [stim for stims, _ in suites.values() for stim in stims]
+            lanes = StimulusSuite.concat([stims for stims, _ in suites.values()])
             selectors = [
                 self.selectors[index]
                 for index, (stims, _) in suites.items()

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import copy
 import difflib
+import functools
 from dataclasses import dataclass
 
 import networkx as nx
@@ -79,11 +80,17 @@ def _rhs_nodes(stmt: Statement) -> list[Node]:
     return list(stmt.rhs.walk())
 
 
+@functools.lru_cache(maxsize=8192)
+def _name_ratio(name: str, candidate: str) -> float:
+    """difflib similarity of two identifiers (pure, so memoized)."""
+    return difflib.SequenceMatcher(None, name, candidate).ratio()
+
+
 def _similar_names(name: str, candidates: list[str], limit: int = 5) -> list[str]:
     """Candidates ordered by syntactic similarity to ``name``."""
     scored = sorted(
         candidates,
-        key=lambda c: difflib.SequenceMatcher(None, name, c).ratio(),
+        key=lambda c: _name_ratio(name, c),
         reverse=True,
     )
     return scored[:limit]

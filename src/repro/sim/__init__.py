@@ -26,12 +26,12 @@ from .simulator import (
     reset_engine_stats,
 )
 from .testbench import (
+    StimulusSuite,
     TestbenchConfig,
     generate_stimulus,
     generate_testbench_suite,
     identify_clock,
     identify_reset,
-    random_value,
 )
 from .trace import ExecutionColumns, StatementExecution, Trace
 from .vector import VectorEvaluator, VectorRecorder, run_vector_suite, vectorizable
@@ -46,6 +46,7 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "StatementExecution",
+    "StimulusSuite",
     "TestbenchConfig",
     "Trace",
     "VectorEvaluator",
@@ -58,7 +59,6 @@ __all__ = [
     "generate_testbench_suite",
     "identify_clock",
     "identify_reset",
-    "random_value",
     "reset_engine_stats",
     "run_vector_suite",
     "vectorizable",

@@ -46,6 +46,8 @@ design fits 63-bit lanes, compiled scalar otherwise.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..verilog.ast_nodes import (
     AlwaysBlock,
     Assignment,
@@ -64,6 +66,7 @@ from .compiler import (
 )
 from .evaluator import Evaluator
 from .recorder import ExecutionRecorder, _PassBuffer
+from .testbench import StimulusSuite
 from .trace import Trace, _LazyExecutions
 from .values import truncate
 
@@ -216,17 +219,19 @@ class Simulator:
 
     def run_suite(
         self,
-        stimuli: list[list[dict[str, int]]],
+        stimuli: "StimulusSuite | list[list[dict[str, int]]]",
         record: bool = True,
         selectors: list[int] | None = None,
     ) -> list[Trace]:
         """Simulate a batch of independent stimuli on one design.
 
-        The compiled program, its register file, and per-run buffers are
-        shared across the whole suite — the program is compiled exactly
-        once (one cache entry, reused by every trace) and mixed-module
-        suites are rejected up front.  Traces are returned in stimulus
-        order.
+        ``stimuli`` is a :class:`~repro.sim.testbench.StimulusSuite` or a
+        list of per-trace frame lists (converted once with
+        :meth:`StimulusSuite.from_frames`).  The compiled program, its
+        register file, and per-run buffers are shared across the whole
+        suite — the program is compiled exactly once (one cache entry,
+        reused by every trace) and mixed-module suites are rejected up
+        front.  Traces are returned in stimulus order.
 
         With ``engine="vector"`` (always) or ``engine="auto"`` (for
         multi-trace suites), the whole suite executes in lockstep on
@@ -237,14 +242,15 @@ class Simulator:
         variant (default: all 0), so one suite can mix any of the
         program's variants lane by lane.
         """
-        if not stimuli:
+        suite = StimulusSuite.from_frames(stimuli)
+        if not len(suite):
             return []
-        self._check_suite_inputs(stimuli)
+        self._check_suite_inputs(suite)
         if selectors is None:
-            selectors = [0] * len(stimuli)
-        elif len(selectors) != len(stimuli):
+            selectors = [0] * len(suite)
+        elif len(selectors) != len(suite):
             raise ValueError(
-                f"{len(selectors)} selectors for a suite of {len(stimuli)} stimuli"
+                f"{len(selectors)} selectors for a suite of {len(suite)} stimuli"
             )
         for selector in set(selectors):
             self._check_selector(selector)
@@ -265,22 +271,24 @@ class Simulator:
                     "cache after a Simulator is built (derive changed designs "
                     "via clone())"
                 )
-            if self.engine == "vector" or len(stimuli) > 1:
+            if self.engine == "vector" or len(suite) > 1:
                 from .vector import run_vector_suite, vectorizable
 
                 if vectorizable(program):
                     return run_vector_suite(
                         self.module,
                         program,
-                        stimuli,
+                        suite,
                         record=record,
                         max_settle=self.MAX_SETTLE_ITERS,
                         selectors=selectors if program.n_variants else None,
                     )
                 _ENGINE_STATS["vector"]["scalar_fallbacks"] += 1
+        # Scalar engines walk the caller's frames when it passed frames.
+        lanes = suite if stimuli is suite else stimuli
         return [
             self.run(stimulus, record=record, selector=selector)
-            for stimulus, selector in zip(stimuli, selectors)
+            for stimulus, selector in zip(lanes, selectors)
         ]
 
     def _check_selector(self, selector: int) -> None:
@@ -291,24 +299,29 @@ class Simulator:
                 f" {n_variants} variant(s)"
             )
 
-    def _check_suite_inputs(self, stimuli: list[list[dict[str, int]]]) -> None:
+    def _check_suite_inputs(self, suite: StimulusSuite) -> None:
         """Reject suites whose stimuli drive signals not in this module.
 
         A suite is a batch of traces of *one* design; a stimulus written
         for a different module fails here with the offending trace named
         instead of erroring (or worse, recompiling) partway through.
+        The check reads the suite's input names once, not its frames.
         """
         known = self.module.decls
-        for index, stimulus in enumerate(stimuli):
-            for frame in stimulus:
-                for name in frame:
-                    if name not in known:
-                        raise SimulationError(
-                            f"stimulus drives unknown input {name!r} "
-                            f"(suite trace {index} does not belong to design "
-                            f"{self.module.name!r}; mixed-module suites are "
-                            "not supported)"
-                        )
+        for column, name in enumerate(suite.inputs):
+            if name in known:
+                continue
+            driving = np.arange(suite.values.shape[1]) < suite.lengths[:, None]
+            if suite.driven is not None:
+                driving = driving & suite.driven[:, :, column]
+            lanes = np.flatnonzero(driving.any(axis=1))
+            index = int(lanes[0]) if lanes.size else 0
+            raise SimulationError(
+                f"stimulus drives unknown input {name!r} "
+                f"(suite trace {index} does not belong to design "
+                f"{self.module.name!r}; mixed-module suites are "
+                "not supported)"
+            )
 
     # ------------------------------------------------------------------
     # Compiled engine

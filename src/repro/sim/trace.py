@@ -15,6 +15,13 @@ representation, materialized only when something actually indexes or
 iterates the record list; column-aware consumers (the explainer's
 vectorized dedup, :meth:`Trace.executions_of`,
 :meth:`Trace.executed_stmt_ids`, serialization) never pay for them.
+
+Traces of a vector-engine suite are *lane views*: their execution
+columns are slices of the suite's lane-major buffers, ``outputs`` is a
+:class:`_LaneOutputs` view of the lane's column of the suite's output
+matrix, and ``stimulus`` a view of the lane's row of its
+:class:`~repro.sim.testbench.StimulusSuite`.  They read like the lists
+they stand for and pickle to just their own lane's data.
 """
 
 from __future__ import annotations
@@ -246,7 +253,46 @@ class ExecutionColumns:
         return executions
 
 
-class _LazyExecutions:
+class _LazyList:
+    """Read-only list facade whose items are built on first access.
+
+    Subclasses give the length and :meth:`_build` the items; the facade
+    indexes, iterates and compares like the list it stands for.
+    """
+
+    __slots__ = ("_records",)
+
+    def __init__(self) -> None:
+        self._records: list | None = None
+
+    def _build(self) -> list:
+        raise NotImplementedError
+
+    def _materialized(self) -> list:
+        if self._records is None:
+            self._records = self._build()
+        return self._records
+
+    def __iter__(self):
+        return iter(self._materialized())
+
+    def __getitem__(self, index):
+        return self._materialized()[index]
+
+    def __eq__(self, other):
+        try:
+            other = list(other)
+        except TypeError:
+            # Non-iterable comparand (e.g. ``trace.executions == None``):
+            # defer instead of raising, like any well-behaved sequence.
+            return NotImplemented
+        return self._materialized() == other
+
+    def __repr__(self) -> str:
+        return repr(self._materialized())
+
+
+class _LazyExecutions(_LazyList):
     """Sequence facade over :class:`ExecutionColumns`.
 
     Recorded and deserialized traces both hold one of these instead of a
@@ -256,36 +302,61 @@ class _LazyExecutions:
     everything else transparently materializes on first access.
     """
 
-    __slots__ = ("columns", "_records")
+    __slots__ = ("columns",)
 
     def __init__(self, columns: ExecutionColumns):
+        super().__init__()
         self.columns = columns
-        self._records: list[StatementExecution] | None = None
 
-    def _materialized(self) -> list[StatementExecution]:
-        if self._records is None:
-            self._records = self.columns.unpack()
-        return self._records
+    def _build(self) -> list[StatementExecution]:
+        return self.columns.unpack()
 
     def __len__(self) -> int:
         return len(self.columns)
 
-    def __iter__(self):
-        return iter(self._materialized())
 
-    def __getitem__(self, index):
-        return self._materialized()[index]
+class _LaneOutputs(_LazyList):
+    """Sequence facade over one lane of a suite's output matrix.
 
-    def __eq__(self, other):
-        if isinstance(other, _LazyExecutions):
-            return self._materialized() == other._materialized()
-        try:
-            other = list(other)
-        except TypeError:
-            # Non-iterable comparand (e.g. ``trace.executions == None``):
-            # defer instead of raising, like any well-behaved sequence.
-            return NotImplemented
-        return self._materialized() == other
+    The vector engine samples every lane's outputs into one ``(cycles *
+    outputs, N)`` int64 matrix; a lane's :attr:`Trace.outputs` is this
+    view of its column instead of its own list of per-cycle dicts.  It
+    compares, indexes and iterates like that list (the dicts are built
+    on first access), :meth:`column` hands the raw values to vectorized
+    consumers (campaign classification), and pickling ships only this
+    lane's column.
+    """
+
+    __slots__ = ("names", "matrix", "lane", "length")
+
+    def __init__(self, names: tuple[str, ...], matrix: np.ndarray, lane: int, length: int):
+        super().__init__()
+        self.names = names
+        self.matrix = matrix
+        self.lane = lane
+        self.length = length
+
+    def column(self) -> np.ndarray:
+        """This lane's values, cycle-major: ``length * len(names)`` entries."""
+        return self.matrix[: self.length * len(self.names), self.lane]
+
+    def _build(self) -> list[dict[str, int]]:
+        names = self.names
+        width = len(names)
+        if not width:
+            return [{} for _ in range(self.length)]
+        values = self.column().tolist()
+        return [
+            dict(zip(names, values[row : row + width]))
+            for row in range(0, len(values), width)
+        ]
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __reduce__(self):
+        column = self.column().reshape(-1, 1).copy()
+        return (_LaneOutputs, (self.names, column, 0, self.length))
 
 
 @dataclass
@@ -303,6 +374,10 @@ class Trace:
     iterates it; the inference fast path dedups straight off the columns
     and never does.  ``executions`` is a plain (possibly empty) record
     list only for unrecorded runs and manually assembled traces.
+
+    ``stimulus`` and ``outputs`` are lists of per-cycle dicts, or — for
+    vector-engine lanes — sequence views that build those dicts on
+    first access (see the module docstring).
     """
 
     design: str

@@ -36,14 +36,20 @@ appends — consult the active mask.  Ragged suites (traces of unequal
 length) reuse the same mechanism: lanes past their last cycle are simply
 absent from the cycle's alive mask.
 
-Recording is batched: a ``RECORD`` appends one event holding the shape
-slot and the packed lhs/operand lane values plus the active mask.
-:meth:`VectorRecorder.finish` bulk-converts the event log to numpy
-matrices (one ``to_bytes`` pass, no per-value boxing) and splits it into
-one per-lane :class:`~repro.sim.trace.ExecutionColumns`, byte-equivalent
-(dtypes included) to what the scalar :class:`ExecutionRecorder` produces
-for the same trace — the differential tests in ``tests/test_vector.py``
-enforce equality down to the array dtype.
+The lane boundary is columnar both ways.  Stimulus comes in as a
+:class:`~repro.sim.testbench.StimulusSuite` (hand-written frame lists
+are converted once) and each ``(cycle, input)`` row packs with one
+``int.from_bytes`` over the suite's transposed bytes.  Recording is
+batched: a ``RECORD`` appends one event holding the shape slot and the
+packed lhs/operand lane values plus the active mask, and
+:meth:`VectorRecorder.finish` compacts the whole log lane-major in
+numpy, handing each lane an :class:`~repro.sim.trace.ExecutionColumns`
+of slices byte-equivalent (dtypes included) to what the scalar
+:class:`ExecutionRecorder` produces for the same trace — the
+differential tests in ``tests/test_vector.py`` and
+``tests/test_lane_boundary.py`` enforce equality down to the array
+dtype.  A lane's outputs and stimulus are views of the suite's output
+matrix and stimulus arrays, not per-lane copies.
 
 Lanes are 63 bits wide: every simulated value must stay a nonnegative
 ``int64`` on the wire.  :func:`vectorizable` audits a program's declared
@@ -55,6 +61,7 @@ handles the dispatch).
 
 from __future__ import annotations
 
+import functools
 import weakref
 from typing import Any, Callable
 
@@ -112,7 +119,8 @@ from .compiler import (
     _W_PART,
 )
 from .recorder import ShapeRow
-from .trace import ExecutionColumns, Trace, _LazyExecutions
+from .testbench import StimulusSuite
+from .trace import ExecutionColumns, _LaneOutputs, Trace, _LazyExecutions
 
 #: Maximum signal/register width a lane can carry: values must stay
 #: nonnegative in an ``int64``, so 63 bits.
@@ -361,7 +369,7 @@ class VectorRecorder:
     passes stage and dedup per statement (:meth:`begin_pass` /
     :meth:`commit_pass`), clock-edge records append directly — except
     each event carries packed per-lane values plus the active-lane mask.
-    :meth:`finish` splits the log into one per-lane
+    :meth:`finish` compacts the log into one per-lane
     :class:`ExecutionColumns`, byte-identical to what the scalar
     recorder produces for that lane's trace.
     """
@@ -426,95 +434,101 @@ class VectorRecorder:
     def finish(self) -> list[ExecutionColumns]:
         """One :class:`ExecutionColumns` per lane, scalar-byte-identical.
 
-        Bulk-converts the event log into ``(E, N)`` matrices, selects
-        each lane's active rows, and applies exactly the scalar
-        recorder's first-use shape-table compaction and dtype narrowing.
+        One lane-major compaction for the whole suite: the event log
+        becomes ``(E, N)`` matrices, ``np.nonzero`` over the transposed
+        active mask lists every lane's executions in order, and one
+        ``np.unique`` over ``lane * S + slot`` yields every lane's
+        first-use statement table and slot remap.  Each lane's columns
+        are contiguous slices of the resulting lane-major buffers,
+        narrowed to int32 per lane exactly as the scalar recorder does.
         """
         n = self.n_lanes
         events = self.events
-        if not events:
-            return [_empty_columns() for _ in range(n)]
         count = len(events)
-        all_mask = self._all
         shapes = self.shapes
         slots = np.fromiter((e[0] for e in events), np.int64, count)
         cycles = np.fromiter((e[1] for e in events), np.int64, count)
         lhs = _unpack([e[2] for e in events], n)
+        op_counts = np.fromiter((len(e[3]) for e in events), np.int64, count)
         flat = [value for e in events for value in e[3]]
         ops = _unpack(flat, n) if flat else np.zeros((0, n), dtype=np.int64)
-
-        if all(e[4] is None for e in events):
-            # Uniform fast path: every event covers every lane, so the
-            # first-use compaction is lane-independent — compute it once
-            # and only narrow the per-lane value columns.
-            used_slots, first_seen = np.unique(slots, return_index=True)
-            used = used_slots[np.argsort(first_seen, kind="stable")]
-            remap = np.zeros(len(shapes), dtype=np.int64)
-            remap[used] = np.arange(used.size)
-            stmt_slots = remap[slots].astype(np.int32)
-            stmt_table = [shapes[slot] for slot in used.tolist()]
-            cycles32 = cycles.astype(np.int32)
-            return [
-                ExecutionColumns(
-                    stmt_table,
-                    stmt_slots,
-                    cycles32,
-                    _narrow(lhs[:, lane]),
-                    _narrow(ops[:, lane]),
-                )
-                for lane in range(n)
-            ]
-
-        active = (
-            _unpack([e[4] if e[4] is not None else all_mask for e in events], n)
-            != 0
+        # Few distinct active masks recur across events: unpack each once.
+        distinct: dict[Any, int] = {}
+        which = np.fromiter(
+            (distinct.setdefault(e[4], len(distinct)) for e in events), np.int64, count
         )
-        op_counts = np.fromiter((len(e[3]) for e in events), np.int64, count)
-        row_active = (
-            np.repeat(active, op_counts, axis=0)
-            if flat
-            else np.zeros((0, n), dtype=bool)
-        )
+        masks = [self._all if mask is None else mask for mask in distinct]
+        active = (_unpack(masks, n) != 0)[which]
 
-        columns: list[ExecutionColumns] = []
-        for lane in range(n):
-            mask = active[:, lane]
-            lane_slots = slots[mask]
-            if not lane_slots.size:
-                columns.append(_empty_columns())
-                continue
-            used_slots, first_seen = np.unique(lane_slots, return_index=True)
-            used = used_slots[np.argsort(first_seen, kind="stable")]
-            remap = np.zeros(len(shapes), dtype=np.int64)
-            remap[used] = np.arange(used.size)
-            columns.append(
-                ExecutionColumns(
-                    [shapes[slot] for slot in used.tolist()],
-                    remap[lane_slots].astype(np.int32),
-                    cycles[mask].astype(np.int32),
-                    _narrow(lhs[mask, lane]),
-                    _narrow(ops[row_active[:, lane], lane]),
-                )
+        # (lane, event) pairs, lane-major: each lane's executions in order.
+        lane_of, event_of = np.nonzero(active.T)
+        bounds = _bounds(np.bincount(lane_of, minlength=n))
+
+        # First-use statement tables: sorting the distinct (lane, slot)
+        # keys by first pair index orders them by lane, then first use.
+        keys = lane_of * len(shapes) + slots[event_of]
+        used, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        used = used[order]
+        table_bounds = _bounds(np.bincount(used // len(shapes), minlength=n))
+        table_slots = (used % len(shapes)).tolist()
+        stmt_slots = (rank[inverse] - table_bounds[lane_of]).astype(np.int32)
+        pair_cycles = cycles[event_of].astype(np.int32)
+        pair_lhs = lhs[event_of, lane_of]
+
+        # Operand values: each pair's span of the flat op rows, in order.
+        pair_ops = op_counts[event_of]
+        op_bounds = _bounds(pair_ops)
+        op_starts = _bounds(op_counts)[:-1]
+        flat_rows = np.repeat(op_starts[event_of] - op_bounds[:-1], pair_ops)
+        flat_rows += np.arange(flat_rows.size)
+        flat_values = ops[flat_rows, np.repeat(lane_of, pair_ops)]
+        flat_bounds = op_bounds[bounds]
+
+        lhs_columns = _narrowed(pair_lhs, bounds)
+        flat_columns = _narrowed(flat_values, flat_bounds)
+        bounds_l = bounds.tolist()
+        table_l = table_bounds.tolist()
+        flat_l = flat_bounds.tolist()
+        return [
+            ExecutionColumns(
+                [shapes[slot] for slot in table_slots[table_l[lane] : table_l[lane + 1]]],
+                stmt_slots[bounds_l[lane] : bounds_l[lane + 1]],
+                pair_cycles[bounds_l[lane] : bounds_l[lane + 1]],
+                lhs_columns[lane][bounds_l[lane] : bounds_l[lane + 1]],
+                flat_columns[lane][flat_l[lane] : flat_l[lane + 1]],
             )
-        return columns
+            for lane in range(n)
+        ]
 
 
-def _narrow(column: np.ndarray) -> np.ndarray:
-    """int64 -> int32 narrowing, mirroring ``ExecutionColumns._column``."""
-    if column.size and column.min() >= _I32_MIN and column.max() <= _I32_MAX:
-        return column.astype(np.int32)
-    return column
+def _bounds(counts: np.ndarray) -> np.ndarray:
+    """Segment boundaries ``[0, c0, c0 + c1, ...]`` of a count vector."""
+    bounds = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=bounds[1:])
+    return bounds
 
 
-def _empty_columns() -> ExecutionColumns:
-    """The columns an empty scalar recorder finishes to, dtypes included."""
-    return ExecutionColumns(
-        [],
-        np.zeros(0, dtype=np.int32),
-        np.asarray([], dtype=np.int32),
-        np.asarray([], dtype=np.int64),
-        np.asarray([], dtype=np.int64),
-    )
+def _narrowed(values: np.ndarray, bounds: np.ndarray) -> list[np.ndarray]:
+    """Per segment, the buffer its int32/int64 column is a slice of.
+
+    A non-empty segment within int32 range narrows, like
+    ``ExecutionColumns._column``; the cast runs once for the batch.
+    """
+    counts = np.diff(bounds)
+    fits = np.zeros(len(counts), dtype=bool)
+    filled = counts > 0
+    if filled.any():
+        starts = bounds[:-1][filled]
+        fits[filled] = (np.minimum.reduceat(values, starts) >= _I32_MIN) & (
+            np.maximum.reduceat(values, starts) <= _I32_MAX
+        )
+    if not fits.any():
+        return [values] * len(counts)
+    narrow = values.astype(np.int32)
+    return [narrow if fit else values for fit in fits.tolist()]
 
 
 # ----------------------------------------------------------------------
@@ -1110,12 +1124,25 @@ _COMPARES = {
 _CODE_CACHE: dict[tuple[int, str], tuple] = {}
 
 
+@functools.lru_cache(maxsize=512)
+def _compile_source(source: str, filename: str) -> Any:
+    """``compile()`` of one generated pass, shared by identical sources.
+
+    Separately lowered but identical programs (the same design in
+    another session, a target program rebuilt in a pool worker)
+    translate to the same text, so they share one code object; the
+    program's K constants are bound at ``exec`` time.
+    """
+    return compile(source, filename, "exec")
+
+
 def _stream_code(program: CompiledProgram, name: str) -> tuple[Any, dict[int, str]]:
     """Translate (with caching) one stream to a compiled code object.
 
     ``name`` is a stream attribute (``comb_fast`` ...) or ``nba<i>`` for
     a non-blocking writer's dynamic-index stream, which additionally
-    returns its index register's packed value.
+    returns its index register's packed value.  The translation is
+    cached per program; the ``compile()`` per source text.
     """
     key = (id(program), name)
     entry = _CODE_CACHE.get(key)
@@ -1128,7 +1155,7 @@ def _stream_code(program: CompiledProgram, name: str) -> tuple[Any, dict[int, st
         stream, result_reg = getattr(program, name), None
     emitter = _StreamEmitter(program, stream, result_reg)
     source = emitter.source()
-    code = compile(source, f"<vector:{name}>", "exec")
+    code = _compile_source(source, f"<vector:{name}>")
     consts = dict(emitter.consts)
     ref = weakref.ref(program, lambda _r, _k=key: _CODE_CACHE.pop(_k, None))
     _CODE_CACHE[key] = (ref, code, consts)
@@ -1255,83 +1282,81 @@ def _pack(fields: np.ndarray) -> int:
 
 
 def _pack_stimuli(
-    program: CompiledProgram,
-    stimuli: list[list[dict[str, int]]],
-    max_cycles: int,
+    program: CompiledProgram, suite: StimulusSuite
 ) -> tuple[list[list[tuple[int, int, int]]], list[int]]:
-    """Tensorize a suite's stimulus into packed lane ints.
+    """Pack a suite's stimulus into lane ints, straight from its arrays.
 
     Returns, per cycle, ``(slot, packed values, packed not-driven mask)``
     triples for every slot some lane drives, plus the packed alive-lane
-    mask.  Each distinct stimulus object is tabulated once into a
-    ``(cycles, slots)`` array (a target program's suite replays one
-    testbench per mutant), the lanes are stacked in numpy, and every
-    ``(cycle, slot)`` row packs with one ``int.from_bytes``, so the cost
-    grows linearly with the lane count.
+    mask.  The masked values are transposed once to a contiguous
+    ``[cycles, inputs, lanes]`` little-endian array whose bytes are taken
+    once; each ``(cycle, input)`` row is then one ``int.from_bytes`` over
+    a ``memoryview`` slice (lane ``i`` lands at bits ``64 * i``).
     """
     from .simulator import SimulationError
 
     slot_of = program.slot_of
-    masks = program.masks
-    row_of: dict[str, int] = {}
-    distinct: dict[int, list[dict[str, int]]] = {}
-    for stimulus in stimuli:
-        if id(stimulus) in distinct:
-            continue
-        distinct[id(stimulus)] = stimulus
-        for frame in stimulus:
-            for name in frame:
-                if name not in row_of:
-                    if name not in slot_of:
-                        raise SimulationError(f"stimulus drives unknown input {name!r}")
-                    row_of[name] = len(row_of)
-    row_masks = [masks[slot_of[name]] for name in row_of]
-    width = len(row_of)
-    tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for key, stimulus in distinct.items():
-        # Plain lists first: one numpy conversion per stimulus, not one
-        # numpy item assignment per input per cycle.
-        values = [[0] * width for _ in range(max_cycles)]
-        driven = [[False] * width for _ in range(max_cycles)]
-        for cycle, frame in enumerate(stimulus):
-            value_row = values[cycle]
-            driven_row = driven[cycle]
-            for name, value in frame.items():
-                row = row_of[name]
-                value_row[row] = value & row_masks[row]
-                driven_row[row] = True
-        tables[key] = (
-            np.array(values, dtype=np.uint64).reshape(max_cycles, width),
-            np.array(driven, dtype=bool).reshape(max_cycles, width),
-        )
-    # (cycles, rows, lanes): each (cycle, row) vector is one packed int.
-    values = np.ascontiguousarray(
-        np.stack([tables[id(stimulus)][0] for stimulus in stimuli], axis=2)
-    )
-    driven = np.stack([tables[id(stimulus)][1] for stimulus in stimuli], axis=2)
-    undriven = np.where(driven, np.uint64(0), np.uint64(_M64))
-    any_driven = driven.any(axis=2).tolist()
-    lengths = np.array([len(stimulus) for stimulus in stimuli])
-    slots = [slot_of[name] for name in row_of]
+    for name in suite.inputs:
+        if name not in slot_of:
+            raise SimulationError(f"stimulus drives unknown input {name!r}")
+    slots = [slot_of[name] for name in suite.inputs]
+    n = len(suite)
+    lengths = suite.lengths
+    cycles = int(lengths.max())
+    values = suite.values[:, :cycles]
+    masks = [program.masks[slot] for slot in slots]
+    if values.dtype == object:
+        values = (values & np.array(masks, dtype=object)).astype(np.uint64)
+    else:
+        values = values & np.array(masks, dtype=np.uint64)
+    # A lane past its last cycle drives nothing, like an omitted input.
+    driven = (np.arange(cycles) < lengths[:, None])[:, :, None]
+    if suite.driven is not None:
+        driven = driven & suite.driven[:, :cycles]
+    if not driven.all():
+        driven = np.broadcast_to(driven, values.shape)
+        values = np.where(driven, values, np.uint64(0))
+        undriven = _lane_bytes(np.where(driven, np.uint64(0), np.uint64(_M64)))
+        any_driven = driven.any(axis=0).tolist()
+        all_driven = driven.all(axis=0).tolist()
+    else:
+        undriven = memoryview(b"")
+        any_driven = all_driven = [[True] * len(slots)] * cycles
+    packed = _lane_bytes(values)
+    row = 8 * n
     frames: list[list[tuple[int, int, int]]] = []
-    alive_masks: list[int] = []
-    for cycle in range(max_cycles):
-        frames.append(
-            [
-                (slot, _pack(values[cycle, row]), _pack(undriven[cycle, row]))
-                for row, slot in enumerate(slots)
-                if any_driven[cycle][row]
-            ]
-        )
-        alive = np.where(lengths > cycle, np.uint64(_M64), np.uint64(0))
-        alive_masks.append(_pack(alive))
+    offset = 0
+    for cycle in range(cycles):
+        frame = []
+        for slot, on, full in zip(slots, any_driven[cycle], all_driven[cycle]):
+            if on:
+                value = int.from_bytes(packed[offset : offset + row], "little")
+                keep = 0 if full else int.from_bytes(undriven[offset : offset + row], "little")
+                frame.append((slot, value, keep))
+            offset += row
+        frames.append(frame)
+    lane_all = _lane_ctx(n)[3]
+    shortest = int(lengths.min())
+    alive_masks = [
+        lane_all
+        if cycle < shortest
+        else _pack(np.where(lengths > cycle, np.uint64(_M64), np.uint64(0)))
+        for cycle in range(cycles)
+    ]
     return frames, alive_masks
+
+
+def _lane_bytes(cells: np.ndarray) -> memoryview:
+    """The ``[lanes, cycles, inputs]`` cells as cycle-, input-, lane-major bytes."""
+    return memoryview(
+        np.ascontiguousarray(cells.transpose(1, 2, 0), dtype="<u8").tobytes()
+    )
 
 
 def run_vector_suite(
     module: Module,
     program: CompiledProgram,
-    stimuli: list[list[dict[str, int]]],
+    stimuli: "StimulusSuite | list[list[dict[str, int]]]",
     record: bool = True,
     max_settle: int = 64,
     selectors: list[int] | None = None,
@@ -1355,13 +1380,14 @@ def run_vector_suite(
     """
     from .simulator import _ENGINE_STATS, SimulationError
 
-    if not stimuli:
+    suite = StimulusSuite.from_frames(stimuli)
+    if not len(suite):
         return []
-    n = len(stimuli)
-    lane_lengths = [len(stimulus) for stimulus in stimuli]
+    n = len(suite)
+    lane_lengths = suite.lengths.tolist()
     max_cycles = max(lane_lengths)
     lane_all = _lane_ctx(n)[3]
-    frames, alive_masks = _pack_stimuli(program, stimuli, max_cycles)
+    frames, alive_masks = _pack_stimuli(program, suite)
 
     env: list[int] = [0] * len(program.names)
     variant_lanes = 0
@@ -1374,7 +1400,7 @@ def run_vector_suite(
     recorder = VectorRecorder(program.shapes, n) if record else None
     pending: list = []
     out_slots = [slot for _, slot in program.output_slots]
-    out_names = [name for name, _ in program.output_slots]
+    out_names = tuple(name for name, _ in program.output_slots)
     out_frames: list[list[int]] = []
 
     # Purely sequential designs have empty comb streams: the settle loop
@@ -1393,7 +1419,7 @@ def run_vector_suite(
         nlanes = lanes ^ lane_all
         full = lanes == lane_all
         for slot, values, ndrive in frames[cycle]:
-            env[slot] = (env[slot] & ndrive) | values
+            env[slot] = (env[slot] & ndrive) | values if ndrive else values
 
         if comb_fast_fn is not None:
             for _iteration in range(max_settle):
@@ -1422,25 +1448,20 @@ def run_vector_suite(
                 evaluator.commit(pending, env)
 
     columns = recorder.finish() if recorder is not None else None
-    n_outs = len(out_names)
-    if out_frames and n_outs:
-        # Bulk lane extraction: one (cycles * outputs, N) matrix instead
-        # of a Python shift/mask per (lane, cycle, output).
-        out_matrix = _unpack(
-            [value for frame in out_frames for value in frame], n
-        )
-    else:
-        out_matrix = None
+    # Every lane's outputs are a view of one (cycles * outputs, N)
+    # matrix, unpacked in one pass; stimuli are views of the suite.
+    out_matrix = (
+        _unpack([value for frame in out_frames for value in frame], n)
+        if out_frames and out_names
+        else np.zeros((0, n), dtype=np.int64)
+    )
     traces: list[Trace] = []
-    for lane, stimulus in enumerate(stimuli):
-        trace = Trace(design=module.name, stimulus=[dict(s) for s in stimulus])
-        length = lane_lengths[lane]
-        if out_matrix is not None and length:
-            values = out_matrix[: length * n_outs, lane].tolist()
-            trace.outputs = [
-                dict(zip(out_names, values[row : row + n_outs]))
-                for row in range(0, length * n_outs, n_outs)
-            ]
+    for lane, length in enumerate(lane_lengths):
+        trace = Trace(
+            design=module.name,
+            stimulus=suite[lane],  # type: ignore[arg-type]
+            outputs=_LaneOutputs(out_names, out_matrix, lane, length),  # type: ignore[arg-type]
+        )
         if columns is not None:
             trace.executions = _LazyExecutions(columns[lane])
         traces.append(trace)

@@ -260,7 +260,6 @@ CHANGED = {
     "forced": {"req1": 1},
     "biases": {"req2": 0.9},
     "engine": "compiled",
-    "stimulus_rng": "legacy",
 }
 
 

@@ -1,0 +1,401 @@
+"""The vector engine's columnar lane boundary against per-lane oracles.
+
+* :meth:`VectorRecorder.finish` (one lane-major compaction for the whole
+  suite) must equal :func:`reference_finish`, the per-lane masked loop
+  it replaced, down to the shape table, every value and every dtype.
+* The campaign's vectorized classification must sort traces exactly as
+  :meth:`Trace.diverges_from`, trace by trace, does.
+* A lane-view trace (outputs, stimulus and execution columns all views
+  of suite-wide buffers) pickles to just its own lane's data.
+* Identical generated pass sources share one ``compile()``.
+"""
+
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.datagen.campaign import _classify
+from repro.designs import load_design
+from repro.sim import (
+    SimulationError,
+    Simulator,
+    StimulusSuite,
+    TestbenchConfig,
+    Trace,
+    generate_testbench_suite,
+    vector,
+)
+from repro.sim.trace import ExecutionColumns, _LaneOutputs
+from repro.sim.vector import VectorRecorder, _unpack
+from repro.verilog import parse_module
+
+_I32 = np.iinfo(np.int32)
+
+
+# ----------------------------------------------------------------------
+# Oracle: the per-lane masked compaction
+# ----------------------------------------------------------------------
+
+
+def reference_finish(recorder: VectorRecorder) -> list[ExecutionColumns]:
+    """Lane by lane: select the lane's active rows, compact, narrow."""
+    n = recorder.n_lanes
+    shapes = recorder.shapes
+    events = recorder.events
+
+    def narrow(column):
+        if column.size and column.min() >= _I32.min and column.max() <= _I32.max:
+            return column.astype(np.int32)
+        return column
+
+    def empty():
+        return ExecutionColumns(
+            [],
+            np.zeros(0, dtype=np.int32),
+            np.asarray([], dtype=np.int32),
+            np.asarray([], dtype=np.int64),
+            np.asarray([], dtype=np.int64),
+        )
+
+    if not events:
+        return [empty() for _ in range(n)]
+    slots = np.array([e[0] for e in events], dtype=np.int64)
+    cycles = np.array([e[1] for e in events], dtype=np.int64)
+    lhs = _unpack([e[2] for e in events], n)
+    flat = [value for e in events for value in e[3]]
+    ops = _unpack(flat, n) if flat else np.zeros((0, n), dtype=np.int64)
+    everyone = (1 << (64 * n)) - 1
+    active = _unpack([everyone if e[4] is None else e[4] for e in events], n) != 0
+    op_active = np.repeat(active, [len(e[3]) for e in events], axis=0)
+    columns = []
+    for lane in range(n):
+        mask = active[:, lane]
+        lane_slots = slots[mask]
+        if not lane_slots.size:
+            columns.append(empty())
+            continue
+        used_slots, first_seen = np.unique(lane_slots, return_index=True)
+        used = used_slots[np.argsort(first_seen, kind="stable")]
+        remap = np.zeros(len(shapes), dtype=np.int64)
+        remap[used] = np.arange(used.size)
+        columns.append(
+            ExecutionColumns(
+                [shapes[slot] for slot in used.tolist()],
+                remap[lane_slots].astype(np.int32),
+                cycles[mask].astype(np.int32),
+                narrow(lhs[mask, lane]),
+                narrow(ops[op_active[:, lane], lane]),
+            )
+        )
+    return columns
+
+
+def assert_columns_identical(actual, expected):
+    assert len(actual) == len(expected)
+    for left, right in zip(actual, expected):
+        assert left.stmt_table == right.stmt_table
+        for name in ("stmt_slots", "cycles", "lhs_values", "flat_values"):
+            a, b = getattr(left, name), getattr(right, name)
+            assert a.dtype == b.dtype, name
+            assert a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+
+
+def _pack_lanes(values) -> int:
+    return sum(value << (64 * lane) for lane, value in enumerate(values))
+
+
+@st.composite
+def event_logs(draw):
+    """A recorder with a random event log: masks sparse, full, or empty."""
+    n = draw(st.integers(1, 7))
+    n_shapes = draw(st.integers(1, 6))
+    shapes = tuple(
+        (100 + slot, f"t{slot}", tuple(f"o{k}" for k in range(width)), 8)
+        for slot, width in enumerate(
+            draw(st.lists(st.integers(0, 3), min_size=n_shapes, max_size=n_shapes))
+        )
+    )
+    small = st.integers(0, 300)
+    big = st.one_of(
+        st.sampled_from([_I32.max, _I32.max + 1]),
+        st.integers(_I32.max + 2, (1 << 63) - 1),
+    )
+    value = st.one_of(small, small, big)
+    recorder = VectorRecorder(shapes, n)
+    for cycle in range(draw(st.integers(0, 4))):
+        for _ in range(draw(st.integers(0, 6))):
+            slot = draw(st.integers(0, n_shapes - 1))
+            kind = draw(st.sampled_from(["all", "none", "sparse", "full"]))
+            if kind == "all":
+                active = None
+            else:
+                lanes = {
+                    "none": [False] * n,
+                    "full": [True] * n,
+                    "sparse": draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+                }[kind]
+                active = _pack_lanes([(1 << 64) - 1 if on else 0 for on in lanes])
+            recorder.append(
+                slot,
+                cycle,
+                _pack_lanes(draw(st.lists(value, min_size=n, max_size=n))),
+                tuple(
+                    _pack_lanes(draw(st.lists(value, min_size=n, max_size=n)))
+                    for _ in shapes[slot][2]
+                ),
+                active,
+            )
+    return recorder
+
+
+class TestBatchedCompaction:
+    @settings(max_examples=150, deadline=None)
+    @given(recorder=event_logs())
+    def test_matches_per_lane_reference(self, recorder):
+        assert_columns_identical(recorder.finish(), reference_finish(recorder))
+
+    def test_empty_log(self):
+        recorder = VectorRecorder(((0, "y", ("a",), 1),), 3)
+        assert_columns_identical(recorder.finish(), reference_finish(recorder))
+
+    @pytest.mark.parametrize("name", ["usbf_pl", "ibex_controller"])
+    def test_ragged_selector_suites(self, name, monkeypatch):
+        """Real recorders: ragged lanes, an empty lane, mutant selectors."""
+        from repro.datagen.mutation import mutate_statement, sample_mutations
+
+        module = load_design(name)
+        mutations = sample_mutations(
+            module, {"negation": 2, "operation": 2}, seed=3, min_operands=2
+        )
+        variants = [
+            mutate_statement(module.statement_by_id(m.stmt_id), m) for m in mutations
+        ]
+        stimuli = list(generate_testbench_suite(module, 4, TestbenchConfig(n_cycles=9)))
+        stimuli[1] = stimuli[1][:4]
+        stimuli[2] = []
+        lanes = [stimulus for _ in range(len(variants) + 1) for stimulus in stimuli]
+        selectors = [k for k in range(len(variants) + 1) for _ in stimuli]
+        recorders = []
+        finish = VectorRecorder.finish
+
+        def capture(self):
+            recorders.append(self)
+            return finish(self)
+
+        monkeypatch.setattr(VectorRecorder, "finish", capture)
+        simulator = Simulator(module, engine="vector", variants=variants)
+        traces = simulator.run_suite(lanes, selectors=selectors)
+        monkeypatch.undo()
+        (recorder,) = recorders
+        assert any(e[4] is not None for e in recorder.events)
+        expected = reference_finish(recorder)
+        assert_columns_identical(finish(recorder), expected)
+        assert_columns_identical([t.execution_columns() for t in traces], expected)
+
+
+# ----------------------------------------------------------------------
+# Classification: one numpy compare == diverges_from per trace
+# ----------------------------------------------------------------------
+
+
+def reference_classify(traces, goldens, target, outputs):
+    failing, correct = [], []
+    for trace, golden in zip(traces, goldens):
+        if trace.diverges_from(golden, signals=[target]):
+            failing.append(trace)
+        elif not trace.diverges_from(golden, signals=outputs):
+            correct.append(trace)
+    return failing, correct
+
+
+@st.composite
+def classification_rounds(draw):
+    names = ("x", "y", "z")[: draw(st.integers(1, 3))]
+    n = draw(st.integers(1, 8))
+    cycles = draw(st.integers(1, 5))
+    rows = cycles * len(names)
+    values = st.integers(0, 3)
+    golden_matrix = np.array(
+        draw(st.lists(values, min_size=rows * n, max_size=rows * n)), dtype=np.int64
+    ).reshape(rows, n)
+    mutant_matrix = golden_matrix.copy()
+    for _ in range(draw(st.integers(0, 2 * n))):
+        row, lane = draw(st.integers(0, rows - 1)), draw(st.integers(0, n - 1))
+        mutant_matrix[row, lane] = draw(values)
+    goldens, traces = [], []
+    for lane in range(n):
+        golden = _LaneOutputs(names, golden_matrix, lane, cycles)
+        mutant = _LaneOutputs(names, mutant_matrix, lane, cycles)
+        shape = draw(st.sampled_from(["view", "view", "list", "short", "foreign"]))
+        if shape == "list":
+            mutant = list(mutant)
+        elif shape == "short":
+            mutant = _LaneOutputs(names, mutant_matrix, lane, cycles - 1)
+        elif shape == "foreign":
+            mutant = _LaneOutputs(names, mutant_matrix[:, [lane]].copy(), 0, cycles)
+        goldens.append(Trace(design="d", outputs=golden))
+        traces.append(Trace(design="d", outputs=mutant))
+    target = draw(st.sampled_from(names))
+    outputs = list(draw(st.sets(st.sampled_from(names + ("absent",)))))
+    return traces, goldens, target, outputs
+
+
+class TestVectorizedClassify:
+    @settings(max_examples=200, deadline=None)
+    @given(round_=classification_rounds())
+    def test_matches_diverges_from(self, round_):
+        traces, goldens, target, outputs = round_
+        want_failing, want_correct = reference_classify(traces, goldens, target, outputs)
+        failing, correct = [], []
+        _classify(traces, goldens, target, outputs, failing, correct)
+        assert [id(t) for t in failing] == [id(t) for t in want_failing]
+        assert [id(t) for t in correct] == [id(t) for t in want_correct]
+        failed = {id(t) for t in failing}
+        assert all(t.is_failure == (id(t) in failed) for t in traces)
+
+    def test_recorded_round_matches_diverges_from(self, arbiter):
+        from repro.datagen.mutation import mutate_statement, sample_mutations
+
+        mutations = sample_mutations(arbiter, {"negation": 2, "operation": 2}, seed=1)
+        variants = [
+            mutate_statement(arbiter.statement_by_id(m.stmt_id), m) for m in mutations
+        ]
+        simulator = Simulator(arbiter, engine="vector", variants=variants)
+        suite = generate_testbench_suite(arbiter, 6, TestbenchConfig(n_cycles=7), seed=2)
+        goldens = simulator.run_suite(suite, record=False)
+        lanes = StimulusSuite.concat([suite] * len(variants))
+        selectors = [k for k in range(1, len(variants) + 1) for _ in suite]
+        traces = simulator.run_suite(lanes, selectors=selectors)
+        all_goldens = goldens * len(variants)
+        sizes = []
+        for target in arbiter.outputs:
+            want_failing, want_correct = reference_classify(
+                traces, all_goldens, target, arbiter.outputs
+            )
+            failing, correct = [], []
+            _classify(traces, all_goldens, target, arbiter.outputs, failing, correct)
+            assert [id(t) for t in failing] == [id(t) for t in want_failing]
+            assert [id(t) for t in correct] == [id(t) for t in want_correct]
+            sizes.append((len(failing), len(correct)))
+        assert any(f for f, _ in sizes) and any(c for _, c in sizes)
+
+
+# ----------------------------------------------------------------------
+# Lane views: outputs, stimulus, executions
+# ----------------------------------------------------------------------
+
+
+class TestLaneViews:
+    def test_pickled_lane_trace_carries_only_its_lane(self):
+        module = load_design("usbf_pl")
+        suite = generate_testbench_suite(module, 16, TestbenchConfig(n_cycles=12), seed=4)
+        traces = Simulator(module, engine="vector").run_suite(suite)
+        trace = traces[5]
+        assert isinstance(trace.outputs, _LaneOutputs)
+        assert trace.outputs.matrix.shape[1] == 16
+        assert trace.stimulus.suite is suite
+        blob = pickle.dumps(trace)
+        back = pickle.loads(blob)
+        assert back.outputs == trace.outputs
+        assert back.stimulus == trace.stimulus
+        assert back.stimulus == list(suite[5])
+        assert back.executions == trace.executions
+        assert back.outputs.matrix.shape == (12 * len(module.outputs), 1)
+        assert back.stimulus.suite.values.shape == (1, 12, len(module.inputs))
+        columns, original = back.execution_columns(), trace.execution_columns()
+        for name in ("stmt_slots", "cycles", "lhs_values", "flat_values"):
+            assert getattr(columns, name).nbytes == getattr(original, name).nbytes
+        assert len(blob) * 8 < len(pickle.dumps(traces))
+
+    def test_outputs_view_behaves_like_frames(self, arbiter):
+        suite = generate_testbench_suite(arbiter, 3, TestbenchConfig(n_cycles=5), seed=1)
+        vector_traces = Simulator(arbiter, engine="vector").run_suite(suite)
+        scalar = Simulator(arbiter, engine="compiled")
+        for stimulus, trace in zip(suite, vector_traces):
+            expected = scalar.run(stimulus).outputs
+            assert trace.outputs == expected
+            assert trace.n_cycles == len(expected)
+            assert trace.outputs[-1] == expected[-1]
+            assert trace.outputs[1:3] == expected[1:3]
+            assert trace.output_series("gnt1") == [f["gnt1"] for f in expected]
+
+    def test_design_without_outputs_keeps_cycle_count(self):
+        module = parse_module(
+            "module t(input clk, input a); reg r;"
+            " always @(posedge clk) r <= a; endmodule"
+        )
+        suite = [[{"a": 1}] * 4, [{"a": 0}] * 2]
+        vector_traces = Simulator(module, engine="vector").run_suite(suite)
+        scalar_traces = Simulator(module, engine="compiled").run_suite(suite)
+        assert [t.outputs for t in vector_traces] == [t.outputs for t in scalar_traces]
+        assert [t.n_cycles for t in vector_traces] == [4, 2]
+
+
+class TestPacking:
+    @pytest.mark.parametrize("extra", [{}, {"b": -3}, {"b": 1 << 70}])
+    def test_values_wider_than_the_input_are_masked(self, extra):
+        module = parse_module(
+            "module t(input clk, input [3:0] a, input [3:0] b,"
+            " output reg [3:0] acc, output [3:0] y);"
+            " assign y = a ^ b;"
+            " always @(posedge clk) acc <= acc + a;"
+            " endmodule"
+        )
+        stimuli = [
+            [{"a": 0xFF, "b": 0x1F}, {"a": 18}, {**extra}],
+            [{"a": 3}, {"b": 0xFFF0}],
+        ]
+        vector_traces = Simulator(module, engine="vector").run_suite(stimuli)
+        scalar = Simulator(module, engine="interpreted")
+        for stimulus, trace in zip(stimuli, vector_traces):
+            assert trace.outputs == scalar.run(stimulus).outputs
+
+
+class TestSuiteInputCheck:
+    def test_names_the_first_trace_driving_a_foreign_input(self, arbiter):
+        stimuli = [
+            [{"req1": 1}],
+            [{"req1": 1}, {"req1": 0}],
+            [{"req2": 1}, {"bogus": 1}],
+        ]
+        for engine in ("vector", "compiled", "interpreted"):
+            with pytest.raises(
+                SimulationError,
+                match="unknown input 'bogus' \\(suite trace 2 does not belong",
+            ):
+                Simulator(arbiter, engine=engine).run_suite(stimuli)
+
+
+# ----------------------------------------------------------------------
+# Content-keyed codegen
+# ----------------------------------------------------------------------
+
+
+class TestContentKeyedCodegen:
+    def test_identical_programs_compile_once(self, monkeypatch):
+        from repro.datagen.mutation import mutate_statement, sample_mutations
+
+        module = load_design("wb_mux_2")
+        mutations = sample_mutations(module, {"negation": 2}, seed=5)
+        variants = [
+            mutate_statement(module.statement_by_id(m.stmt_id), m) for m in mutations
+        ]
+        vector._compile_source.cache_clear()
+        compiled = []
+
+        def counting(source, filename, mode):
+            compiled.append(filename)
+            return compile(source, filename, mode)
+
+        monkeypatch.setattr(vector, "compile", counting, raising=False)
+        suite = generate_testbench_suite(module, 3, TestbenchConfig(n_cycles=4))
+        first = Simulator(module, engine="vector", variants=variants)
+        second = Simulator(module, engine="vector", variants=variants)
+        assert first.program is not second.program
+        runs = [sim.run_suite(suite, selectors=[1, 2, 0]) for sim in (first, second)]
+        assert compiled and len(compiled) == len(set(compiled))
+        assert [t.outputs for t in runs[0]] == [t.outputs for t in runs[1]]

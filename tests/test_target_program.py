@@ -71,7 +71,7 @@ def _variants(module, mutations):
 def assert_lanes_match_mutants(module, mutations, stimuli, engine="auto"):
     """Every (mutant, stimulus) lane == the mutant module run alone."""
     simulator = Simulator(module, engine=engine, variants=_variants(module, mutations))
-    lanes = [stimulus for _ in mutations for stimulus in stimuli] + stimuli
+    lanes = [stimulus for _ in mutations for stimulus in stimuli] + list(stimuli)
     selectors = [k for k in range(1, len(mutations) + 1) for _ in stimuli]
     traces = simulator.run_suite(lanes, selectors=selectors + [0] * len(stimuli))
     references = [Simulator(apply_mutation(module, m)) for m in mutations]

@@ -210,8 +210,8 @@ class TestPredicationCorners:
             "   else acc <= acc + a;"
             " end endmodule"
         )
-        suite = generate_testbench_suite(
-            module, 6, TestbenchConfig(n_cycles=15), seed=11
+        suite = list(
+            generate_testbench_suite(module, 6, TestbenchConfig(n_cycles=15), seed=11)
         )
         suite[0] = suite[0][:1]
         suite[3] = []
