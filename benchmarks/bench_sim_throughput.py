@@ -1,12 +1,15 @@
-"""Simulation-engine throughput: interpreted vs compiled vs vector.
+"""Simulation-engine throughput: interpreted vs vector.
 
 Measures cycles/sec and statements/sec on the four paper designs for
-all three execution engines and writes the results to ``BENCH_sim.json``
-at the repo root so the performance trajectory is tracked across PRs.
+both execution engines and writes the results to ``BENCH_sim.json`` at
+the repo root so the performance trajectory is tracked across PRs.
 The vector engine runs the whole testbench suite per design in lockstep
 (``run_suite``), so its wall time is per-suite rather than per-trace;
-``vector_speedup_*`` reports it against the compiled scalar loop over
-the same suite.
+``speedup_*`` reports it against the interpreter over the same suite.
+The ``vector_single`` column runs the same traces one at a time
+(``Simulator.run``, a one-lane suite each) — the cost of a caller that
+simulates a single trace — and ``single_speedup_*`` reports it against
+the interpreter.
 
 The ``--record`` arm selects the workload: ``on`` (trace-learning
 workload, columnar recording active), ``off`` (golden-trace workload,
@@ -15,14 +18,13 @@ the **recording overhead** per engine — recorded wall time over
 unrecorded wall time, the cost of columnar instrumentation itself.
 
 Unless ``--no-verify`` is given, the run first differential-tests the
-engines against their oracles on every design: the compiled and
-interpreted engines must produce identical recorded traces, the
-recorder's native columns must be byte-equivalent to repacking the
-materialized record objects, and every lane of the lockstep vector
-suite must be byte-identical — outputs and recorded columns — to the
-compiled scalar trace of the same stimulus.  Any divergence makes the
-process exit nonzero, so CI bench smoke doubles as an engine integrity
-gate.
+vector engine against the interpreter on every design: the
+interpreter's native recorder columns must be byte-equivalent to
+repacking its materialized record objects, and every lane of a ragged
+lockstep suite, plus every one-lane run, must be byte-identical —
+outputs and recorded columns, dtypes included — to the interpreter's
+trace of the same stimulus.  Any divergence makes the process exit
+nonzero, so CI bench smoke doubles as an engine integrity gate.
 
 Run with::
 
@@ -54,71 +56,92 @@ from repro.sim import (  # noqa: E402
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
-ENGINES = ("interpreted", "compiled", "vector")
+COLUMN_FIELDS = ("stmt_slots", "cycles", "lhs_values", "flat_values")
+
+
+def _columns_diverge(ours: ExecutionColumns, oracle: ExecutionColumns) -> str | None:
+    """The first column where ``ours`` is not byte-identical to ``oracle``."""
+    if ours is None or oracle is None or ours.stmt_table != oracle.stmt_table:
+        return "shape table"
+    for attr in COLUMN_FIELDS:
+        a, b = getattr(ours, attr), getattr(oracle, attr)
+        if type(a) is not type(b) or not np.array_equal(a, b):
+            return attr
+        if isinstance(a, np.ndarray) and a.dtype != b.dtype:
+            return attr
+    return None
 
 
 def verify_design(name: str, n_cycles: int, seed: int = 3) -> list[str]:
-    """Recorder-vs-oracle differential check for one design.
+    """Vector-vs-interpreter differential check for one design.
 
     Returns a list of human-readable divergence descriptions (empty when
-    the recorder is sound): compiled vs interpreted recorded traces, and
-    native recorder columns vs a repack of the materialized records.
+    the engines agree): the interpreter's native recorder columns vs a
+    repack of its materialized records, and every vector lane (a ragged
+    suite and one-lane runs) vs the interpreter's trace.
     """
     module = load_design(name)
     stimuli = generate_testbench_suite(
         module, 2, TestbenchConfig(n_cycles=n_cycles), seed=seed
     )
-    compiled = Simulator(module, engine="compiled")
-    interpreted = Simulator(module, engine="interpreted")
-    problems: list[str] = []
-    for index, stimulus in enumerate(stimuli):
-        tag = f"{name}[{index}]"
-        tc = compiled.run(stimulus)
-        ti = interpreted.run(stimulus)
-        if tc.outputs != ti.outputs:
-            problems.append(f"{tag}: engine outputs diverge")
-            continue
-        if list(tc.executions) != list(ti.executions):
-            problems.append(f"{tag}: recorded executions diverge between engines")
-            continue
-        columns = tc.execution_columns()
-        repacked = ExecutionColumns.pack(list(tc.executions))
-        if columns is None or columns.stmt_table != repacked.stmt_table:
-            problems.append(f"{tag}: recorder shape table != repacked shape table")
-            continue
-        for attr in ("stmt_slots", "cycles", "lhs_values", "flat_values"):
-            ours, oracle = getattr(columns, attr), getattr(repacked, attr)
-            if type(ours) is not type(oracle) or not np.array_equal(ours, oracle):
-                problems.append(f"{tag}: recorder column {attr} != repacked column")
-                break
-    problems.extend(verify_vector_suite(name, module, stimuli, compiled))
-    return problems
-
-
-def verify_vector_suite(name, module, stimuli, compiled) -> list[str]:
-    """Every vector lane must be byte-identical to the compiled trace."""
-    vector = Simulator(module, engine="vector")
     # Ragged on purpose: a truncated lane exercises per-lane liveness.
     suite = [list(s) for s in stimuli]
-    if len(suite) > 1:
-        suite[1] = suite[1][: max(1, len(suite[1]) // 2)]
+    suite[1] = suite[1][: max(1, len(suite[1]) // 2)]
+    interpreted = Simulator(module, engine="interpreted")
+    vector = Simulator(module, engine="vector")
     problems: list[str] = []
-    for index, (stimulus, actual) in enumerate(zip(suite, vector.run_suite(suite))):
-        tag = f"{name}[lane {index}]"
-        expected = compiled.run(stimulus)
-        if actual.outputs != expected.outputs:
-            problems.append(f"{tag}: vector outputs diverge from compiled")
-            continue
-        ours, oracle = actual.execution_columns(), expected.execution_columns()
-        if ours.stmt_table != oracle.stmt_table:
-            problems.append(f"{tag}: vector shape table diverges")
-            continue
-        for attr in ("stmt_slots", "cycles", "lhs_values", "flat_values"):
-            a, b = getattr(ours, attr), getattr(oracle, attr)
-            if a.dtype != b.dtype or not np.array_equal(a, b):
-                problems.append(f"{tag}: vector column {attr} diverges")
-                break
+    expected = [interpreted.run(stimulus) for stimulus in suite]
+    for index, trace in enumerate(expected):
+        repacked = ExecutionColumns.pack(list(trace.executions))
+        field = _columns_diverge(trace.execution_columns(), repacked)
+        if field is not None:
+            problems.append(f"{name}[{index}]: recorder {field} != repacked records")
+    runs = {
+        "lane": vector.run_suite(suite),
+        "one-lane run": [vector.run(stimulus) for stimulus in suite],
+    }
+    for kind, traces in runs.items():
+        for index, (actual, oracle) in enumerate(zip(traces, expected, strict=True)):
+            tag = f"{name}[{kind} {index}]"
+            if actual.outputs != oracle.outputs:
+                problems.append(f"{tag}: vector outputs diverge from interpreter")
+                continue
+            field = _columns_diverge(
+                actual.execution_columns(), oracle.execution_columns()
+            )
+            if field is not None:
+                problems.append(f"{tag}: vector {field} diverges from interpreter")
     return problems
+
+
+def _time_runs(run, stimuli, arms: tuple[str, ...], total_cycles: int) -> dict:
+    """Wall time of ``run(stimuli, record)`` per recording arm."""
+    stats: dict = {}
+    if "record" in arms:
+        t0 = time.perf_counter()
+        traces = run(stimuli, True)
+        record_s = time.perf_counter() - t0
+        n_statements = sum(len(t.executions) for t in traces)
+        stats["record"] = {
+            "wall_s": round(record_s, 6),
+            "cycles_per_s": round(total_cycles / record_s),
+            "statements_per_s": round(n_statements / record_s),
+        }
+    if "norecord" in arms:
+        t0 = time.perf_counter()
+        run(stimuli, False)
+        norecord_s = time.perf_counter() - t0
+        stats["norecord"] = {
+            "wall_s": round(norecord_s, 6),
+            "cycles_per_s": round(total_cycles / norecord_s),
+        }
+    if "record" in arms and "norecord" in arms:
+        # The recording-overhead arm: cost of columnar
+        # instrumentation relative to the uninstrumented streams.
+        stats["record_overhead"] = round(
+            stats["record"]["wall_s"] / stats["norecord"]["wall_s"], 2
+        )
+    return stats
 
 
 def bench_design(
@@ -131,63 +154,49 @@ def bench_design(
     total_cycles = n_traces * n_cycles
     row: dict = {"n_traces": n_traces, "n_cycles": n_cycles}
 
-    for engine in ENGINES:
+    for engine in ("interpreted", "vector"):
         t0 = time.perf_counter()
         simulator = Simulator(module, engine=engine)
-        setup_s = time.perf_counter() - t0
-        stats: dict = {"setup_s": round(setup_s, 6)}
+        stats: dict = {"setup_s": round(time.perf_counter() - t0, 6)}
         if engine == "vector":
-            from repro.sim import vectorizable
-
-            # A non-vectorizable design silently runs the scalar loop;
+            # A design too wide for 63-bit lanes runs on the interpreter;
             # flag it so the arm is not mistaken for a lockstep number.
-            stats["scalar_fallback"] = not vectorizable(simulator.program)
-            # Warm the per-stream codegen caches with a one-lane suite so
-            # the timed runs measure steady-state throughput; the one-time
-            # code generation cost is reported separately.
+            stats["scalar_fallback"] = not simulator.lockstep
+            # Warm the per-stream codegen caches with one-lane suites so
+            # the timed runs measure steady-state throughput; the
+            # one-time code generation cost is reported separately.
             t0 = time.perf_counter()
-            if "record" in arms:
-                simulator.run_suite(stimuli[:1], record=True)
-            if "norecord" in arms:
-                simulator.run_suite(stimuli[:1], record=False)
+            for record in (True, False):
+                simulator.run_suite(stimuli[:1], record=record)
             stats["codegen_s"] = round(time.perf_counter() - t0, 6)
-
-        if "record" in arms:
-            t0 = time.perf_counter()
-            traces = simulator.run_suite(stimuli, record=True)
-            record_s = time.perf_counter() - t0
-            n_statements = sum(len(t.executions) for t in traces)
-            stats["record"] = {
-                "wall_s": round(record_s, 6),
-                "cycles_per_s": round(total_cycles / record_s),
-                "statements_per_s": round(n_statements / record_s),
-            }
-
-        if "norecord" in arms:
-            t0 = time.perf_counter()
-            simulator.run_suite(stimuli, record=False)
-            norecord_s = time.perf_counter() - t0
-            stats["norecord"] = {
-                "wall_s": round(norecord_s, 6),
-                "cycles_per_s": round(total_cycles / norecord_s),
-            }
-
-        if "record" in arms and "norecord" in arms:
-            # The recording-overhead arm: cost of columnar
-            # instrumentation relative to the uninstrumented streams.
-            stats["record_overhead"] = round(
-                stats["record"]["wall_s"] / stats["norecord"]["wall_s"], 2
+        stats.update(
+            _time_runs(
+                lambda suite, record: simulator.run_suite(suite, record=record),
+                stimuli,
+                arms,
+                total_cycles,
             )
+        )
         row[engine] = stats
+        if engine == "vector":
+            row["vector_single"] = _time_runs(
+                lambda suite, record: [simulator.run(s, record=record) for s in suite],
+                list(stimuli),
+                arms,
+                total_cycles,
+            )
 
     for arm in arms:
-        row[f"speedup_{arm}"] = round(
-            row["interpreted"][arm]["wall_s"] / row["compiled"][arm]["wall_s"], 2
-        )
-        row[f"vector_speedup_{arm}"] = round(
-            row["compiled"][arm]["wall_s"] / row["vector"][arm]["wall_s"], 2
+        interpreted_s = row["interpreted"][arm]["wall_s"]
+        row[f"speedup_{arm}"] = round(interpreted_s / row["vector"][arm]["wall_s"], 2)
+        row[f"single_speedup_{arm}"] = round(
+            interpreted_s / row["vector_single"][arm]["wall_s"], 2
         )
     return row
+
+
+def _geomean(values: list[float]) -> float:
+    return round(math.prod(values) ** (1 / len(values)), 2)
 
 
 def main() -> int:
@@ -204,7 +213,7 @@ def main() -> int:
     parser.add_argument(
         "--no-verify",
         action="store_true",
-        help="skip the recorder-vs-oracle differential check",
+        help="skip the vector-vs-interpreter differential check",
     )
     parser.add_argument(
         "--output", default=str(REPO_ROOT / "BENCH_sim.json"), help="result path"
@@ -236,33 +245,27 @@ def main() -> int:
         results["designs"][name] = row
         parts = [f"{name:18s}"]
         for arm in arms:
-            parts.append(f"{arm} {row[f'speedup_{arm}']:>5.2f}x")
-            parts.append(f"vector {row[f'vector_speedup_{arm}']:>5.2f}x")
-        if "record_overhead" in row["compiled"]:
-            parts.append(f"overhead {row['compiled']['record_overhead']:>4.2f}x")
+            parts.append(f"{arm} vector {row[f'speedup_{arm}']:>5.2f}x")
+            parts.append(f"single {row[f'single_speedup_{arm}']:>5.2f}x")
+        if "record_overhead" in row["vector"]:
+            parts.append(f"overhead {row['vector']['record_overhead']:>4.2f}x")
         if "record" in arms:
             parts.append(
-                f"({row['compiled']['record']['statements_per_s']} stmt/s compiled)"
+                f"({row['vector']['record']['statements_per_s']} stmt/s vector)"
             )
         print(" ".join(parts))
 
+    designs = results["designs"].values()
     for arm in arms:
-        speedups = [r[f"speedup_{arm}"] for r in results["designs"].values()]
-        results[f"geomean_speedup_{arm}"] = round(
-            math.prod(speedups) ** (1 / len(speedups)), 2
+        results[f"geomean_speedup_{arm}"] = _geomean(
+            [r[f"speedup_{arm}"] for r in designs]
         )
-        vector_speedups = [
-            r[f"vector_speedup_{arm}"] for r in results["designs"].values()
-        ]
-        results[f"geomean_vector_speedup_{arm}"] = round(
-            math.prod(vector_speedups) ** (1 / len(vector_speedups)), 2
+        results[f"geomean_single_speedup_{arm}"] = _geomean(
+            [r[f"single_speedup_{arm}"] for r in designs]
         )
     if len(arms) == 2:
-        overheads = [
-            r["compiled"]["record_overhead"] for r in results["designs"].values()
-        ]
-        results["geomean_record_overhead"] = round(
-            math.prod(overheads) ** (1 / len(overheads)), 2
+        results["geomean_record_overhead"] = _geomean(
+            [r["vector"]["record_overhead"] for r in designs]
         )
 
     existing = {}
@@ -272,17 +275,17 @@ def main() -> int:
     existing.update(results)
     out.write_text(json.dumps(existing, indent=2) + "\n")
     if "record" in arms:
-        print(f"geomean record-mode speedup: {results['geomean_speedup_record']}x")
         print(
-            "geomean record-mode vector speedup over compiled:"
-            f" {results['geomean_vector_speedup_record']}x"
+            "geomean record-mode speedup over the interpreter:"
+            f" vector {results['geomean_speedup_record']}x,"
+            f" one-lane runs {results['geomean_single_speedup_record']}x"
         )
     if "geomean_record_overhead" in results:
         print(f"geomean recording overhead: {results['geomean_record_overhead']}x")
     print(f"wrote {out}")
     if divergences:
         print(
-            f"FAIL: {len(divergences)} recorder-vs-oracle divergence(s)",
+            f"FAIL: {len(divergences)} vector-vs-interpreter divergence(s)",
             file=sys.stderr,
         )
         return 1

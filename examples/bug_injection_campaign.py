@@ -43,7 +43,7 @@ def _run_campaigns(session: VeriBugSession) -> None:
     meta = design_info(DESIGN)
     print(f"design: {DESIGN} ({meta.description}, {meta.loc} lines)")
     # The session owns every knob the campaign will use.
-    print(f"engine={session.config.engine}"
+    print(f"engine={session.config.sim_engine}"
           f" localize_batch={session.config.localize_batch}")
 
     for target in meta.targets:

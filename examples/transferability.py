@@ -33,7 +33,7 @@ def main() -> None:
           f" {'Pr/Re(1)':>10}")
     for name in REGISTRY:
         module = load_design(name)
-        simulator = Simulator(module, engine=session.config.engine)
+        simulator = Simulator(module, engine=session.config.sim_engine)
         stimuli = generate_testbench_suite(
             module, 4, design_testbench(name, n_cycles=25), seed=9
         )

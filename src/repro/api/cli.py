@@ -46,6 +46,7 @@ import pathlib
 import sys
 import time
 
+from ..sim import ENGINES
 from .campaign import DEFAULT_PLAN, CampaignHandle
 from .config import SessionConfig
 from .session import VeriBugSession
@@ -170,7 +171,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             n_designs=n_designs,
             n_traces_per_design=args.traces,
             n_cycles=args.cycles,
-            engine=config.engine,
+            engine=config.sim_engine,
             source_dir=args.corpus,
         )
         session = VeriBugSession.train(config, corpus, log=not args.quiet)
@@ -346,9 +347,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         f" ({engines['vector']['lanes']} lanes,"
         f" {engines['vector']['variant_lanes']} on mutant variants,"
         f" {engines['vector']['cycles']} lane-cycles,"
-        f" {engines['vector']['scalar_fallbacks']} scalar fallback(s)),"
-        f" compiled {engines['compiled']['runs']} run(s)"
-        f" ({engines['compiled']['cycles']} cycles),"
+        f" {engines['vector']['scalar_fallbacks']} interpreter fallback(s)),"
+        f" interpreted {engines['interpreted']['runs']} run(s)"
+        f" ({engines['interpreted']['cycles']} cycles),"
         f" compile cache {cache_line['hits']} hit(s) /"
         f" {cache_line['misses']} miss(es),"
         f" {cache_line['entries']} live entr(ies),"
@@ -421,14 +422,14 @@ def cmd_localize(args: argparse.Namespace) -> int:
         # Bring-your-own-bug mode: golden + buggy sources, shared stimuli.
         golden = _parse_verilog_file(args.golden)
         buggy = _parse_verilog_file(args.source)
-        testbench = TestbenchConfig(n_cycles=args.cycles, engine=config.engine)
+        testbench = TestbenchConfig(n_cycles=args.cycles, engine=config.sim_engine)
         stimuli = generate_testbench_suite(
             golden, args.traces, testbench, seed=args.seed
         )
-        golden_traces = Simulator(golden, engine=config.engine).run_suite(
+        golden_traces = Simulator(golden, engine=config.sim_engine).run_suite(
             stimuli, record=False
         )
-        traces = Simulator(buggy, engine=config.engine).run_suite(stimuli)
+        traces = Simulator(buggy, engine=config.sim_engine).run_suite(stimuli)
         failing, correct = [], []
         _classify(traces, golden_traces, args.target, golden.outputs, failing, correct)
         if not failing:
@@ -668,8 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, cycles: int) -> None:
         p.add_argument("--model", help="checkpoint path (.npz)")
         p.add_argument("--seed", type=int, default=13, help="data seed")
-        p.add_argument("--engine",
-                       choices=("auto", "vector", "compiled", "interpreted"))
+        p.add_argument("--engine", choices=ENGINES)
         p.add_argument("--workers", type=int, help="simulation process pool size")
         p.add_argument("--localize-batch", type=int, dest="localize_batch",
                        help="mutants per shared localization batch")
@@ -686,8 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--cycles", type=int, default=25)
     train.add_argument("--epochs", type=int, default=30)
     train.add_argument("--seed", type=int, default=1)
-    train.add_argument("--engine",
-                       choices=("auto", "vector", "compiled", "interpreted"))
+    train.add_argument("--engine", choices=ENGINES)
     train.add_argument("--workers", type=int)
     train.add_argument("--corpus",
                        help="train on designs ingested from this directory"

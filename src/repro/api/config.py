@@ -1,12 +1,11 @@
 """Session configuration: every scale knob of the system in one place.
 
-Before the session facade, execution knobs were scattered across four
-surfaces: ``TestbenchConfig.engine``, ``VeriBugConfig.sim_engine``,
-``CorpusSpec(engine=)``, and constructor kwargs of the
-campaign/localizer classes.  :class:`SessionConfig` consolidates them
-behind a frozen dataclass with builder-style ``with_*`` methods, and
-:class:`repro.api.VeriBugSession` is the single consumer that fans the
-values back out to the engines.
+Before the session facade, execution knobs were scattered across
+``TestbenchConfig.engine``, ``CorpusSpec(engine=)``, and constructor
+kwargs of the campaign/localizer classes.  :class:`SessionConfig`
+consolidates them behind a frozen dataclass with builder-style
+``with_*`` methods, and :class:`repro.api.VeriBugSession` is the single
+consumer that fans the values back out to the engines.
 """
 
 from __future__ import annotations
@@ -32,10 +31,8 @@ class SessionConfig:
     Attributes:
         model: Model/training hyper-parameters (:class:`VeriBugConfig`).
         sim_engine: Simulation engine for every simulator the session
-            builds ("auto", "vector", "compiled", or "interpreted");
-            None defers to ``model.sim_engine`` (default "auto": the
-            lockstep vector engine for multi-trace suites, compiled
-            scalar otherwise).
+            builds: "vector" (default; the lockstep engine) or
+            "interpreted" (the reference oracle).
         n_workers: Size of the session's worker pool for mutant
             simulation, corpus generation, and sharded localization; 0
             runs sequentially (results are bit-identical either way).
@@ -69,7 +66,7 @@ class SessionConfig:
     """
 
     model: VeriBugConfig = field(default_factory=VeriBugConfig)
-    sim_engine: str | None = None
+    sim_engine: str = "vector"
     n_workers: int = 0
     localize_batch: int = 8
     cache_policy: str = "structural"
@@ -83,7 +80,7 @@ class SessionConfig:
     lint_policy: str = "record"
 
     def __post_init__(self):
-        if self.sim_engine is not None and self.sim_engine not in ENGINES:
+        if self.sim_engine not in ENGINES:
             raise ValueError(
                 f"unknown sim_engine {self.sim_engine!r};"
                 f" available: {', '.join(ENGINES)}"
@@ -111,11 +108,6 @@ class SessionConfig:
         if self.max_extra_batches < 0:
             raise ValueError("max_extra_batches must be >= 0")
 
-    @property
-    def engine(self) -> str:
-        """The resolved simulation engine (session-level wins)."""
-        return self.sim_engine if self.sim_engine is not None else self.model.sim_engine
-
     # ------------------------------------------------------------------
     # Builders
     # ------------------------------------------------------------------
@@ -128,8 +120,7 @@ class SessionConfig:
         return dataclasses.replace(self, model=model)
 
     def with_engine(self, sim_engine: str) -> SessionConfig:
-        """Select the simulation engine ("auto", "vector", "compiled",
-        or "interpreted")."""
+        """Select the simulation engine ("vector" or "interpreted")."""
         return dataclasses.replace(self, sim_engine=sim_engine)
 
     def with_workers(self, n_workers: int) -> SessionConfig:

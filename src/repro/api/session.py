@@ -81,9 +81,9 @@ def _default_corpus_spec(config: SessionConfig) -> "CorpusSpec":
 
     if config.corpus_dir is not None:
         return CorpusSpec(
-            n_designs=0, engine=config.engine, source_dir=config.corpus_dir
+            n_designs=0, engine=config.sim_engine, source_dir=config.corpus_dir
         )
-    return CorpusSpec(engine=config.engine)
+    return CorpusSpec(engine=config.sim_engine)
 
 
 class VeriBugSession:
@@ -328,7 +328,7 @@ class VeriBugSession:
         if testbench is None:
             if isinstance(design, str) and design in REGISTRY:
                 testbench = design_testbench(design, n_cycles=n_cycles)
-                testbench.engine = self.config.engine
+                testbench.engine = self.config.sim_engine
             elif (
                 isinstance(design, str)
                 and self.corpus is not None
@@ -338,10 +338,10 @@ class VeriBugSession:
                 # text (bit-density biases for wide compares) — the same
                 # treatment the hand-ported registry designs receive.
                 testbench = self.corpus.design(design).testbench(n_cycles)
-                testbench.engine = self.config.engine
+                testbench.engine = self.config.sim_engine
             else:
                 testbench = TestbenchConfig(
-                    n_cycles=n_cycles, engine=self.config.engine
+                    n_cycles=n_cycles, engine=self.config.sim_engine
                 )
         if mutations is None:
             cone = compute_static_slice(module, target).stmt_ids
@@ -544,7 +544,7 @@ class VeriBugSession:
         if self._runtime is not None:
             stats.update(self._runtime.stats().to_dict())
         stats["simulation"] = {
-            "engine": self.config.engine,
+            "engine": self.config.sim_engine,
             "engines": engine_stats(),
             "compile_cache": compile_cache_stats(),
             "suite_memo": self._suites.stats(),

@@ -35,13 +35,6 @@ class VeriBugConfig:
         suspicious_threshold: Heatmap inclusion threshold on the
             normalized norm-1 distance between Ft and Ct (paper: 0.10).
         seed: RNG seed for parameter initialization and shuffling.
-        sim_engine: Default simulation engine for pipelines built from
-            this config: "auto" (lockstep vector engine for multi-trace
-            suites, compiled scalar otherwise), "vector", "compiled"
-            (instruction-stream engine), or "interpreted" (reference
-            tree walker).  An explicitly provided
-            :class:`~repro.pipeline.CorpusSpec` or
-            :class:`~repro.sim.TestbenchConfig` takes precedence.
     """
 
     dc: int = 16
@@ -56,7 +49,6 @@ class VeriBugConfig:
     batch_size: int = 64
     suspicious_threshold: float = 0.10
     seed: int = 0
-    sim_engine: str = "auto"
 
     @property
     def operand_dim(self) -> int:

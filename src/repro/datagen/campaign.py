@@ -316,8 +316,9 @@ def _simulate_mutant(
     columns — no per-execution record objects exist anywhere on this
     path, in-process or across the worker boundary.
 
-    This is the per-mutant path: the interpreter (the reference oracle)
-    takes it, and :class:`TargetSimulation` falls back to it when a
+    This is the per-mutant path: :class:`TargetSimulation` takes it when
+    its simulator runs on the interpreter (the reference oracle, or a
+    program too wide for the lane audit) and falls back to it when a
     shared suite fails.  ``suites`` shares top-up suites across the
     mutants of one campaign (and the targets of one design).
     """
@@ -341,8 +342,8 @@ def _simulate_mutant(
             # A single oscillating stimulus fails the whole batch (the
             # vector engine runs the suite in lockstep).  Rerun trace by
             # trace so classification stops exactly at the offending
-            # stimulus, preserving the partial trace sets the scalar
-            # path always produced.
+            # stimulus, preserving the partial trace sets the interpreter
+            # produces.
             for stim, golden_trace in zip(stims, goldens):
                 try:
                     trace = simulator.run(stim)
@@ -408,8 +409,11 @@ class TargetSimulation:
     mutant on that reference path, which reports the error exactly
     where it did before.  Lowering errors (``SimulationError``,
     ``VerilogError``) propagate, as building the golden simulator would
-    raise them too.  With ``engine="interpreted"`` (the reference
-    oracle) every mutant takes that per-mutant path as its own module.
+    raise them too.  A simulator that is not
+    :attr:`~repro.sim.Simulator.lockstep` — ``engine="interpreted"`` (the
+    reference oracle), or a target program that fails the 63-bit lane
+    audit — runs no variants, so its mutants take that per-mutant path,
+    each as its own module.
     """
 
     def __init__(
@@ -458,14 +462,11 @@ class TargetSimulation:
 
         Selector 0 of every program is the golden design, so the first
         program lowered serves (a pool worker that only sees a later
-        group's mutants never lowers group 0).  The interpreter, which
-        takes no variants, gets the plain design.
+        group's mutants never lowers group 0).  On the interpreter,
+        selector 0 is all a program's simulator runs.
         """
         if self._golden is None:
-            if self.testbench_config.engine == "interpreted":
-                self._golden = Simulator(self.module, engine="interpreted")
-            else:
-                self._simulator(0)
+            self._simulator(0)
         assert self._golden is not None
         return self._golden
 
@@ -509,11 +510,7 @@ class TargetSimulation:
         """
         ((stimuli, golden_traces),) = self.fetch([self.seed])
         n = len(self.mutations)
-        step = (
-            1
-            if self.testbench_config.engine == "interpreted"
-            else MAX_PROGRAM_VARIANTS
-        )
+        step = MAX_PROGRAM_VARIANTS if self.golden_simulator().lockstep else 1
         bounds = sorted({0, min(1, n), *range(step, n, step), n})
         for low, high in zip(bounds, bounds[1:]):
             yield from self.simulate(list(range(low, high)), stimuli, golden_traces)
@@ -550,18 +547,19 @@ class TargetSimulation:
         Mutations of one program share each round's suite.  Returns one
         ``(outcome, failing, correct)`` triple per index, in order.
         """
-        if self.testbench_config.engine == "interpreted":
-            # The reference oracle simulates every mutant as its own module.
-            return [
-                self._simulate_alone(index, stimuli, golden_traces)
-                for index in indices
-            ]
         groups: dict[int, list[int]] = {}
         for index in indices:
             groups.setdefault(index // MAX_PROGRAM_VARIANTS, []).append(index)
         results: dict[int, Simulated] = {}
         for group, members in groups.items():
             simulator = self._simulator(group)
+            if not simulator.lockstep:
+                # No variant lanes: every mutant runs as its own module.
+                for index in members:
+                    results[index] = self._simulate_alone(
+                        index, stimuli, golden_traces
+                    )
+                continue
             live = []
             for index in members:
                 outcome = MutantOutcome(mutation=self.mutations[index])

@@ -32,9 +32,9 @@ class CorpusSpec:
         n_cycles: Cycles per testbench.
         test_fraction: Held-out fraction for Table-II-style evaluation.
         rvdg: Generator shape knobs (unused with ``source_dir``).
-        engine: Simulation engine ("auto", "vector", "compiled", or
-            "interpreted").  The default "auto" batches each design's
-            testbench suite onto the lockstep vector engine.
+        engine: Simulation engine ("vector" or "interpreted").  The
+            default "vector" runs each design's testbench suite in
+            lockstep.
         source_dir: When set, train on the Verilog corpus ingested from
             this directory (see :mod:`repro.ingest`) instead of RVDG
             synthetics.  Usable designs ship to workers as canonical
@@ -46,7 +46,7 @@ class CorpusSpec:
     n_cycles: int = 25
     test_fraction: float = 0.2
     rvdg: RVDGConfig = field(default_factory=RVDGConfig)
-    engine: str = "auto"
+    engine: str = "vector"
     source_dir: str | None = None
 
     def __post_init__(self):

@@ -1,16 +1,15 @@
 """Simulation substrate: values, evaluator, compiler, simulator, traces.
 
 Replaces the commercial/open simulator the paper relies on, with the
-statement-level instrumentation VeriBug needs built in.  Three engines
-are provided: the default compiled engine (AST lowered once to an
-instruction stream, executed by a tight dispatch loop), the lockstep
-vector engine (whole testbench suites executed at once over numpy lane
-vectors), and the original tree-walking interpreter, kept as the
-reference oracle.
+statement-level instrumentation VeriBug needs built in.  Two engines
+are provided: the default lockstep vector engine (a module lowered once
+to instruction streams, translated to SWAR functions that run a whole
+testbench suite at once over packed lanes; a single trace is a one-lane
+suite) and the tree-walking interpreter, kept as the reference oracle
+and run for designs wider than a 63-bit lane.
 """
 
 from .compiler import (
-    CompiledEvaluator,
     CompiledProgram,
     clear_compile_cache,
     compile_cache_stats,
@@ -34,11 +33,9 @@ from .testbench import (
     identify_reset,
 )
 from .trace import ExecutionColumns, StatementExecution, Trace
-from .vector import VectorEvaluator, VectorRecorder, run_vector_suite, vectorizable
 
 __all__ = [
     "ENGINES",
-    "CompiledEvaluator",
     "CompiledProgram",
     "Evaluator",
     "ExecutionColumns",
@@ -49,8 +46,6 @@ __all__ = [
     "StimulusSuite",
     "TestbenchConfig",
     "Trace",
-    "VectorEvaluator",
-    "VectorRecorder",
     "clear_compile_cache",
     "compile_cache_stats",
     "compile_module",
@@ -60,6 +55,4 @@ __all__ = [
     "identify_clock",
     "identify_reset",
     "reset_engine_stats",
-    "run_vector_suite",
-    "vectorizable",
 ]

@@ -11,9 +11,8 @@ width-resolved instruction stream over a signal *slot table*:
 * every expression node becomes one register op with its width, mask and
   constant operands resolved at compile time (SSA-ish: each op writes a
   fresh virtual register),
-* statement control flow (``if``/``case``) becomes conditional jumps, so
-  executing one settle pass is a single tight dispatch loop with no
-  recursion and no isinstance checks,
+* statement control flow (``if``/``case``) becomes forward-only
+  conditional jumps, with no recursion and no isinstance checks,
 * non-blocking assignments push ``(writer, value)`` pairs onto a pending
   list; writers re-resolve dynamic bit-select indices at commit time,
   exactly like the reference interpreter's ``write_lvalue``.
@@ -21,14 +20,14 @@ width-resolved instruction stream over a signal *slot table*:
 Each region (combinational pass, clock edge) is emitted twice: a *fast*
 stream with no instrumentation (used for settle iterations and
 ``record=False`` runs) and an *instrumented* stream whose ``RECORD``
-instructions append executed-assignment facts straight into the columnar
-recording sink (:class:`repro.sim.recorder.ExecutionRecorder`) — the
-record's statement shape is resolved at compile time
+instructions append executed-assignment facts to the columnar recorder —
+the record's statement shape is resolved at compile time
 (:attr:`CompiledProgram.shapes`; the instruction's meta index *is* the
 shape slot), so no record objects are ever constructed during
-simulation.  The compiled engine is trace-identical to the interpreter
-by construction; the differential property tests in
-``tests/test_compiler.py`` enforce it.
+simulation.  The streams are not executed here: :mod:`repro.sim.vector`
+translates each one into a lockstep SWAR function, whose lanes the
+differential tests in ``tests/test_vector.py`` pin against the
+interpreter.
 
 Compiled programs are cached per module *identity* (``id``), so repeated
 testbenches over the same module object never recompile.
@@ -83,7 +82,7 @@ SELECTOR = "$variant"
 _SELECTOR_WIDTH = 32
 
 # ----------------------------------------------------------------------
-# Opcodes (ints; ordered roughly by runtime frequency for the dispatcher)
+# Opcodes
 # ----------------------------------------------------------------------
 
 LOAD = 0  # (LOAD, dst, slot, mask)         regs[dst] = env[slot] & mask
@@ -167,7 +166,6 @@ class CompiledProgram:
         slot_of: Signal name -> slot index.
         names: Slot index -> signal name.
         widths / masks: Declared width and all-ones mask per slot.
-        n_regs: Virtual registers needed by the widest stream.
         comb_fast / comb_rec: Combinational pass without / with recording.
         seq_fast / seq_rec: Clock-edge pass without / with recording.
         nba_writers: Non-blocking lvalue writer specs (commit time).
@@ -176,7 +174,6 @@ class CompiledProgram:
             ``(stmt_id, target, operands, lhs_width)`` row per meta — a
             RECORD instruction's meta index doubles as the recorder slot.
         output_slots: ``(name, slot)`` pairs for module outputs.
-        n_instructions: Total instruction count (diagnostics/benchmarks).
         selector_slot: Slot of the variant selector in a target program
             (:func:`compile_target_program`); -1 for plain programs.
         n_variants: Number of selectable variants (selector values
@@ -188,7 +185,6 @@ class CompiledProgram:
     names: tuple[str, ...]
     widths: tuple[int, ...]
     masks: tuple[int, ...]
-    n_regs: int
     comb_fast: tuple[tuple, ...]
     comb_rec: tuple[tuple, ...]
     seq_fast: tuple[tuple, ...]
@@ -197,13 +193,8 @@ class CompiledProgram:
     metas: tuple[RecordMeta, ...]
     shapes: tuple[tuple[int, str, tuple[str, ...], int], ...]
     output_slots: tuple[tuple[str, int], ...]
-    n_instructions: int
     selector_slot: int = -1
     n_variants: int = 0
-
-    def initial_slots(self) -> list[int]:
-        """Fresh slot table with every signal at 0."""
-        return [0] * len(self.names)
 
 
 # ----------------------------------------------------------------------
@@ -496,7 +487,6 @@ class _ModuleCompiler:
         self.metas: list[RecordMeta] = []
         self._meta_of: dict[tuple[int, tuple[str, ...]], int] = {}
         self._reg = 0
-        self._max_regs = 0
 
     # -- helpers -------------------------------------------------------
     def new_reg(self) -> int:
@@ -656,7 +646,6 @@ class _ModuleCompiler:
             for blk in self.module.always_blocks:
                 if not blk.is_clocked:
                     self.stmt.visit(blk.body, code, record)
-        self._max_regs = max(self._max_regs, self._reg)
         return tuple(code)
 
     def compile(self) -> CompiledProgram:
@@ -673,7 +662,6 @@ class _ModuleCompiler:
             names=self.slot_names,
             widths=self.slot_widths,
             masks=self.slot_masks,
-            n_regs=max(self._max_regs, 1),
             comb_fast=comb_fast,
             comb_rec=comb_rec,
             seq_fast=seq_fast,
@@ -684,7 +672,6 @@ class _ModuleCompiler:
                 (m.stmt_id, m.target, m.operands, m.width) for m in self.metas
             ),
             output_slots=outputs,
-            n_instructions=len(comb_fast) + len(seq_fast),
             selector_slot=self.selector_slot,
             n_variants=self.n_variants,
         )
@@ -776,187 +763,3 @@ def compile_cache_stats() -> dict[str, int]:
     which bypass the cache.
     """
     return {**_CACHE_STATS, "entries": len(_CACHE)}
-
-
-# ----------------------------------------------------------------------
-# Execution engine
-# ----------------------------------------------------------------------
-
-
-class CompiledEvaluator:
-    """Executes compiled instruction streams with a tight dispatch loop.
-
-    One evaluator owns one preallocated virtual-register file and is
-    reused across cycles, settle passes, and whole testbench suites.
-    """
-
-    def __init__(self, program: CompiledProgram):
-        self.program = program
-        self.regs: list[int] = [0] * program.n_regs
-
-    def execute(
-        self,
-        code: tuple[tuple, ...],
-        env: list[int],
-        cycle: int,
-        sink,
-        pending: list[tuple[int, int]],
-    ) -> None:
-        """Run one instruction stream against the slot table ``env``.
-
-        Non-blocking updates are appended to ``pending`` (committed by
-        :meth:`commit`).  ``sink`` is the columnar recording sink for
-        instrumented streams — an
-        :class:`~repro.sim.recorder.ExecutionRecorder` (clock edge) or
-        its per-pass staging buffer (final comb evaluation); RECORD
-        instructions append the pre-resolved shape slot, cycle, lhs
-        value, and operand values directly to its columns.  Pass None
-        for fast streams.
-        """
-        regs = self.regs
-        metas = self.program.metas
-        if sink is not None:
-            rec_slots = sink.stmt_slots
-            rec_cycles = sink.cycles
-            rec_lhs = sink.lhs_values
-            rec_flat = sink.flat_values
-        ip = 0
-        n = len(code)
-        while ip < n:
-            ins = code[ip]
-            op = ins[0]
-            if op == LOAD:
-                regs[ins[1]] = env[ins[2]] & ins[3]
-            elif op == STORE:
-                env[ins[1]] = regs[ins[2]]
-            elif op == CONST:
-                regs[ins[1]] = ins[2]
-            elif op == AND:
-                regs[ins[1]] = regs[ins[2]] & regs[ins[3]]
-            elif op == OR:
-                regs[ins[1]] = regs[ins[2]] | regs[ins[3]]
-            elif op == XOR:
-                regs[ins[1]] = regs[ins[2]] ^ regs[ins[3]]
-            elif op == NOT:
-                regs[ins[1]] = ~regs[ins[2]] & ins[3]
-            elif op == JZ:
-                if not regs[ins[1]]:
-                    ip = ins[2]
-                    continue
-            elif op == JMP:
-                ip = ins[1]
-                continue
-            elif op == EQ:
-                regs[ins[1]] = 1 if regs[ins[2]] == regs[ins[3]] else 0
-            elif op == SELECT:
-                regs[ins[1]] = regs[ins[3]] if regs[ins[2]] else regs[ins[4]]
-            elif op == RECORD:
-                # Columnar append: the meta index is the shape slot.
-                rec_slots.append(ins[1])
-                rec_cycles.append(cycle)
-                rec_lhs.append(regs[ins[2]])
-                for s, m in metas[ins[1]].fetch:
-                    rec_flat.append(env[s] & m if s >= 0 else m)
-            elif op == NBA:
-                pending.append((ins[1], regs[ins[2]]))
-            elif op == ADD:
-                regs[ins[1]] = (regs[ins[2]] + regs[ins[3]]) & ins[4]
-            elif op == SUB:
-                regs[ins[1]] = (regs[ins[2]] - regs[ins[3]]) & ins[4]
-            elif op == LNOT:
-                regs[ins[1]] = 0 if regs[ins[2]] else 1
-            elif op == LAND:
-                regs[ins[1]] = 1 if (regs[ins[2]] and regs[ins[3]]) else 0
-            elif op == LOR:
-                regs[ins[1]] = 1 if (regs[ins[2]] or regs[ins[3]]) else 0
-            elif op == NE:
-                regs[ins[1]] = 1 if regs[ins[2]] != regs[ins[3]] else 0
-            elif op == LT:
-                regs[ins[1]] = 1 if regs[ins[2]] < regs[ins[3]] else 0
-            elif op == LE:
-                regs[ins[1]] = 1 if regs[ins[2]] <= regs[ins[3]] else 0
-            elif op == GT:
-                regs[ins[1]] = 1 if regs[ins[2]] > regs[ins[3]] else 0
-            elif op == GE:
-                regs[ins[1]] = 1 if regs[ins[2]] >= regs[ins[3]] else 0
-            elif op == XNOR:
-                regs[ins[1]] = ~(regs[ins[2]] ^ regs[ins[3]]) & ins[4]
-            elif op == NEG:
-                regs[ins[1]] = -regs[ins[2]] & ins[3]
-            elif op == MUL:
-                regs[ins[1]] = (regs[ins[2]] * regs[ins[3]]) & ins[4]
-            elif op == DIV:
-                b = regs[ins[3]]
-                regs[ins[1]] = (regs[ins[2]] // b if b else 0) & ins[4]
-            elif op == MOD:
-                b = regs[ins[3]]
-                regs[ins[1]] = (regs[ins[2]] % b if b else 0) & ins[4]
-            elif op == SHL:
-                b = regs[ins[3]]
-                regs[ins[1]] = (regs[ins[2]] << (b if b < 64 else 64)) & ins[4]
-            elif op == SHR:
-                b = regs[ins[3]]
-                regs[ins[1]] = regs[ins[2]] >> (b if b < 64 else 64)
-            elif op == RAND:
-                regs[ins[1]] = 1 if regs[ins[2]] == ins[3] else 0
-            elif op == ROR:
-                regs[ins[1]] = 1 if regs[ins[2]] else 0
-            elif op == RXOR:
-                regs[ins[1]] = regs[ins[2]].bit_count() & 1
-            elif op == RNAND:
-                regs[ins[1]] = 0 if regs[ins[2]] == ins[3] else 1
-            elif op == RNOR:
-                regs[ins[1]] = 0 if regs[ins[2]] else 1
-            elif op == RNXOR:
-                regs[ins[1]] = 1 - (regs[ins[2]].bit_count() & 1)
-            elif op == BITSEL:
-                regs[ins[1]] = (regs[ins[2]] >> regs[ins[3]]) & 1
-            elif op == PARTSEL:
-                regs[ins[1]] = (regs[ins[2]] >> ins[3]) & ins[4]
-            elif op == SHLOR:
-                regs[ins[1]] = (regs[ins[2]] << ins[3]) | regs[ins[4]]
-            elif op == REPL:
-                regs[ins[1]] = regs[ins[2]] * ins[3]
-            elif op == MASK:
-                regs[ins[1]] = regs[ins[2]] & ins[3]
-            elif op == JNZ:
-                if regs[ins[1]]:
-                    ip = ins[2]
-                    continue
-            elif op == STOREBIT:
-                cur = env[ins[1]] & ins[4]
-                index = regs[ins[3]]
-                cur = (cur & ~(1 << index)) | ((regs[ins[2]] & 1) << index)
-                env[ins[1]] = cur & ins[4]
-            elif op == STOREPART:
-                cur = env[ins[1]] & ins[5]
-                field = ins[4]
-                cur = (cur & ~(field << ins[3])) | ((regs[ins[2]] & field) << ins[3])
-                env[ins[1]] = cur & ins[5]
-            else:  # pragma: no cover - all opcodes are handled above
-                raise RuntimeError(f"unknown opcode {op}")
-            ip += 1
-
-    def commit(self, pending: list[tuple[int, int]], env: list[int]) -> None:
-        """Apply pending non-blocking updates in execution order."""
-        writers = self.program.nba_writers
-        for widx, value in pending:
-            w = writers[widx]
-            kind = w[0]
-            if kind == _W_NAME:
-                env[w[1]] = value
-            elif kind == _W_PART:
-                _, slot, fullmask, lsb, field = w
-                cur = env[slot] & fullmask
-                cur = (cur & ~(field << lsb)) | ((value & field) << lsb)
-                env[slot] = cur & fullmask
-            else:
-                _, slot, fullmask, index_code, index_reg = w
-                # Dynamic bit index: evaluated against the commit-time
-                # environment, matching the interpreter's write_lvalue.
-                self.execute(index_code, env, 0, None, [])
-                index = self.regs[index_reg]
-                cur = env[slot] & fullmask
-                cur = (cur & ~(1 << index)) | ((value & 1) << index)
-                env[slot] = cur & fullmask
-        pending.clear()

@@ -1,4 +1,4 @@
-"""Columnar-first execution recording shared by both simulator engines.
+"""Columnar-first execution recording for the interpreter.
 
 The paper's "free supervision" (§IV-C) is one execution record per
 assignment statement per cycle.  Materializing those as
@@ -8,13 +8,15 @@ execution — easily 10^5 allocations per trace set — only for downstream
 consumers (the explainer's vectorized dedup, the shard wire format) to
 repack them into :class:`~repro.sim.trace.ExecutionColumns` anyway.
 
-:class:`ExecutionRecorder` inverts that: both engines append executed
-facts straight into growing columns (statement slot, cycle, lhs value,
-flat operand values) against a statement-shape table resolved before the
-first cycle runs — at compile time for the compiled engine
-(``CompiledProgram.shapes``; the ``RECORD`` opcode's meta index *is* the
-slot), at construction time for the interpreter oracle
-(``Evaluator.statement_shape`` per statement).  Record objects are never
+:class:`ExecutionRecorder` inverts that: the interpreter appends
+executed facts straight into growing columns (statement slot, cycle, lhs
+value, flat operand values) against a statement-shape table resolved
+before the first cycle runs (``Evaluator.statement_shape`` per
+statement).  The vector engine's
+:class:`~repro.sim.vector.VectorRecorder` follows the same protocol over
+packed lanes, with the table resolved at compile time
+(``CompiledProgram.shapes``), and hands every lane columns
+byte-identical to these.  Record objects are never
 constructed during simulation; :meth:`ExecutionRecorder.finish` hands the
 columns to the trace, where they stay the source of truth and the record
 list is a lazy derived view.

@@ -1,7 +1,7 @@
 """Cycle-based two-state simulator with statement-level instrumentation.
 
-The simulator models one clock domain.  Each call to :meth:`Simulator.run`
-executes the following schedule per cycle:
+The simulator models one clock domain.  Each simulated trace executes
+the following schedule per cycle:
 
 1. apply the cycle's input stimulus,
 2. settle all combinational logic (level-sensitive always blocks and
@@ -17,31 +17,24 @@ on the next cycle boundary, which is indistinguishable from a true async
 reset at cycle granularity.
 
 Every executed assignment is recorded **columnar**: both engines append
-(slot, cycle, lhs value, operand values) straight into an
-:class:`repro.sim.recorder.ExecutionRecorder` against a statement-shape
-table resolved before the first cycle — no
+(slot, cycle, lhs value, operand values) straight into a recorder against
+a statement-shape table resolved before the first cycle — no
 :class:`~repro.sim.trace.StatementExecution` objects are constructed
 during the run; the trace's record list is a lazy view over the columns.
 Combinational statements keep only the record of the final (settled)
 evaluation pass of the cycle.
 
-Three execution engines implement this schedule:
+Two execution engines implement this schedule:
 
-* ``"compiled"`` (default) — the module is lowered once by
-  :mod:`repro.sim.compiler` into a flat instruction stream executed by a
-  tight dispatch loop over an integer slot table, with a module-identity
-  compile cache shared across simulator instances.
-* ``"interpreted"`` — the original recursive tree walk over the AST,
-  kept as the reference oracle; the compiled engine is trace-identical
-  to it (enforced by differential tests).
-* ``"vector"`` — the lockstep suite engine (:mod:`repro.sim.vector`):
-  :meth:`Simulator.run_suite` executes all traces of a suite at once
-  over numpy lane vectors; single :meth:`Simulator.run` calls use the
-  compiled scalar path.  Designs with >63-bit signals fall back
-  per-design to the compiled scalar engine.
-
-``"auto"`` picks per call: vector for multi-trace suites when the
-design fits 63-bit lanes, compiled scalar otherwise.
+* ``"vector"`` (default) — the module is lowered once by
+  :mod:`repro.sim.compiler` (module-identity compile cache) and every
+  suite runs in lockstep on :mod:`repro.sim.vector`; a single
+  :meth:`Simulator.run` is a one-lane suite.  A program that fails the
+  63-bit lane audit runs on the interpreter instead, decided once per
+  simulator and counted in ``engine_stats()["vector"]["scalar_fallbacks"]``.
+* ``"interpreted"`` — the recursive tree walk over the AST, kept as the
+  reference oracle; every vector lane is byte-identical to it (enforced
+  by differential tests).
 """
 
 from __future__ import annotations
@@ -58,17 +51,13 @@ from ..verilog.ast_nodes import (
     Module,
     Statement,
 )
-from .compiler import (
-    CompiledEvaluator,
-    CompiledProgram,
-    compile_module,
-    compile_target_program,
-)
+from .compiler import CompiledProgram, compile_module, compile_target_program
 from .evaluator import Evaluator
 from .recorder import ExecutionRecorder, _PassBuffer
 from .testbench import StimulusSuite
 from .trace import Trace, _LazyExecutions
 from .values import truncate
+from .vector import run_vector_suite, vectorizable
 
 
 class SimulationError(Exception):
@@ -76,15 +65,15 @@ class SimulationError(Exception):
 
 
 #: Engines accepted by :class:`Simulator`.
-ENGINES = ("compiled", "interpreted", "vector", "auto")
+ENGINES = ("vector", "interpreted")
 
-#: Cumulative per-engine execution counters (process-wide).  ``runs`` /
-#: ``cycles`` count scalar trace executions; the vector engine counts
-#: suite ``batches``, total ``lanes`` across them (``variant_lanes`` of
-#: them ran a target program's mutant variant), total lane ``cycles``,
-#: and ``scalar_fallbacks`` (suites refused by the 63-bit lane audit).
+#: Cumulative per-engine execution counters (process-wide).  The
+#: interpreter counts trace ``runs`` and their ``cycles``; the vector
+#: engine counts suite ``batches``, total ``lanes`` across them
+#: (``variant_lanes`` of them ran a target program's mutant variant),
+#: total lane ``cycles``, and ``scalar_fallbacks`` (simulators whose
+#: program failed the 63-bit lane audit and run on the interpreter).
 _ENGINE_STATS: dict[str, dict[str, int]] = {
-    "compiled": {"runs": 0, "cycles": 0},
     "interpreted": {"runs": 0, "cycles": 0},
     "vector": {
         "batches": 0,
@@ -112,18 +101,18 @@ class Simulator:
     """Instrumented simulator for one parsed module.
 
     Args:
-        module: The design to simulate.  With the compiled engine the
-            module must not be mutated in place afterwards (the compile
-            cache is keyed by object identity); derive modified designs
-            via ``clone()``.
-        engine: ``"compiled"`` (default), ``"interpreted"``, ``"vector"``,
-            or ``"auto"`` (vector for multi-trace suites when the design
-            fits 63-bit lanes, compiled scalar otherwise).
+        module: The design to simulate.  The module must not be mutated
+            in place afterwards (the compile cache is keyed by object
+            identity); derive modified designs via ``clone()``.
+        engine: ``"vector"`` (default) or ``"interpreted"``.
         variants: Replacement statements (e.g. one per campaign mutant)
             compiled with the module into one target program
             (:func:`repro.sim.compiler.compile_target_program`); a trace
             run with ``selector=k`` simulates the module with
-            ``variants[k - 1]`` swapped in.  Compiled engines only.
+            ``variants[k - 1]`` swapped in.  Only a :attr:`lockstep`
+            simulator runs variants: on the interpreter the simulator
+            runs the module itself (selector 0), and callers simulate
+            each variant as its own module.
 
     Example:
         >>> from repro.verilog import parse_module
@@ -139,7 +128,7 @@ class Simulator:
     def __init__(
         self,
         module: Module,
-        engine: str = "compiled",
+        engine: str = "vector",
         variants: "list[Statement] | tuple[Statement, ...]" = (),
     ):
         if engine not in ENGINES:
@@ -147,24 +136,16 @@ class Simulator:
         self.module = module
         self.engine = engine
         self.program: CompiledProgram | None = None
-        self.compiled: CompiledEvaluator | None = None
-        if variants and engine == "interpreted":
-            raise ValueError(
-                "statement variants need a compiled engine; the interpreter"
-                " simulates each mutant as its own module"
-            )
-        if engine != "interpreted":
-            # The compiled program carries widths, operands, and lvalue
-            # metadata itself; none of the interpreter state is needed.
-            # The vector/auto engines share it: single runs stay scalar
-            # and run_suite batches onto repro.sim.vector when it fits.
-            self.program = (
+        if engine == "vector":
+            program = (
                 compile_target_program(module, variants)
                 if variants
                 else compile_module(module)
             )
-            self.compiled = CompiledEvaluator(self.program)
-            return
+            if vectorizable(program):
+                self.program = program
+                return
+            _ENGINE_STATS["vector"]["scalar_fallbacks"] += 1
         self.evaluator = Evaluator(module)
         self.comb_blocks: list[AlwaysBlock] = [
             blk for blk in module.always_blocks if not blk.is_clocked
@@ -187,35 +168,37 @@ class Simulator:
             shapes.append(shape)
         self._shapes = tuple(shapes)
 
-    def initial_env(self) -> dict[str, int]:
-        """Fresh environment with every declared signal at 0."""
-        return {name: 0 for name in self.module.decls}
+    @property
+    def lockstep(self) -> bool:
+        """True when suites run on the vector engine (and variants can).
+
+        False on the interpreter: chosen with ``engine="interpreted"``,
+        or forced by a program that fails the 63-bit lane audit.
+        """
+        return self.program is not None
 
     def run(
         self,
         stimulus: list[dict[str, int]],
         record: bool = True,
-        env: dict[str, int] | None = None,
         selector: int = 0,
     ) -> Trace:
         """Simulate the design under per-cycle input assignments.
+
+        A one-lane :meth:`run_suite`.
 
         Args:
             stimulus: One dict per cycle mapping input names to values.
                 Missing inputs hold their previous value.
             record: When False, skip execution recording (faster; used when
                 only output waveforms are needed).
-            env: Optional pre-initialized environment (resumes state).
             selector: Variant to run on a target program (0 = the module
                 itself); see ``variants``.
 
         Returns:
             The completed :class:`Trace`.
         """
-        self._check_selector(selector)
-        if self.engine != "interpreted":
-            return self._run_compiled(stimulus, record, env, selector)
-        return self._run_interpreted(stimulus, record, env)
+        return self.run_suite([stimulus], record=record, selectors=[selector])[0]
 
     def run_suite(
         self,
@@ -227,16 +210,11 @@ class Simulator:
 
         ``stimuli`` is a :class:`~repro.sim.testbench.StimulusSuite` or a
         list of per-trace frame lists (converted once with
-        :meth:`StimulusSuite.from_frames`).  The compiled program, its
-        register file, and per-run buffers are shared across the whole
-        suite — the program is compiled exactly once (one cache entry,
-        reused by every trace) and mixed-module suites are rejected up
+        :meth:`StimulusSuite.from_frames`).  A :attr:`lockstep` simulator
+        runs the whole suite at once on :mod:`repro.sim.vector` with the
+        program compiled exactly once (one cache entry); the interpreter
+        runs it trace by trace.  Mixed-module suites are rejected up
         front.  Traces are returned in stimulus order.
-
-        With ``engine="vector"`` (always) or ``engine="auto"`` (for
-        multi-trace suites), the whole suite executes in lockstep on
-        :mod:`repro.sim.vector`; designs with >63-bit signals fall back
-        to the compiled scalar loop.
 
         On a target program, ``selectors`` gives each stimulus its
         variant (default: all 0), so one suite can mix any of the
@@ -254,42 +232,30 @@ class Simulator:
             )
         for selector in set(selectors):
             self._check_selector(selector)
-        if self.engine in ("vector", "auto"):
-            # One compile for the whole suite: re-resolving through the
-            # cache must hand back the identical program object, or the
-            # module was mutated/evicted mid-suite and every trace would
-            # silently recompile.  Target programs are held, not cached.
-            program = (
-                self.program
-                if self.program.n_variants
-                else compile_module(self.module)
+        if self.program is None:
+            # The interpreter walks the caller's frames when it passed frames.
+            lanes = suite if stimuli is suite else stimuli
+            return [self._run_interpreted(stimulus, record) for stimulus in lanes]
+        # Re-resolving through the cache must hand back the identical
+        # program object, or the module was mutated/evicted after this
+        # simulator was built and the suite would silently recompile.
+        # Target programs are held, not cached.
+        program = self.program
+        if not program.n_variants and compile_module(self.module) is not program:
+            raise SimulationError(
+                f"module {self.module.name!r} was recompiled mid-suite; "
+                "modules must not be mutated or evicted from the compile "
+                "cache after a Simulator is built (derive changed designs "
+                "via clone())"
             )
-            if program is not self.program:
-                raise SimulationError(
-                    f"module {self.module.name!r} was recompiled mid-suite; "
-                    "modules must not be mutated or evicted from the compile "
-                    "cache after a Simulator is built (derive changed designs "
-                    "via clone())"
-                )
-            if self.engine == "vector" or len(suite) > 1:
-                from .vector import run_vector_suite, vectorizable
-
-                if vectorizable(program):
-                    return run_vector_suite(
-                        self.module,
-                        program,
-                        suite,
-                        record=record,
-                        max_settle=self.MAX_SETTLE_ITERS,
-                        selectors=selectors if program.n_variants else None,
-                    )
-                _ENGINE_STATS["vector"]["scalar_fallbacks"] += 1
-        # Scalar engines walk the caller's frames when it passed frames.
-        lanes = suite if stimuli is suite else stimuli
-        return [
-            self.run(stimulus, record=record, selector=selector)
-            for stimulus, selector in zip(lanes, selectors)
-        ]
+        return run_vector_suite(
+            self.module,
+            program,
+            suite,
+            record=record,
+            max_settle=self.MAX_SETTLE_ITERS,
+            selectors=selectors if program.n_variants else None,
+        )
 
     def _check_selector(self, selector: int) -> None:
         n_variants = self.program.n_variants if self.program is not None else 0
@@ -324,97 +290,14 @@ class Simulator:
             )
 
     # ------------------------------------------------------------------
-    # Compiled engine
-    # ------------------------------------------------------------------
-    def _run_compiled(
-        self,
-        stimulus: list[dict[str, int]],
-        record: bool,
-        env: dict[str, int] | None,
-        selector: int,
-    ) -> Trace:
-        program = self.program
-        engine = self.compiled
-        slot_of = program.slot_of
-        masks = program.masks
-        slots = program.initial_slots()
-        if env is not None:
-            for name, value in env.items():
-                slot = slot_of.get(name)
-                if slot is not None:
-                    slots[slot] = value
-        if program.n_variants:
-            slots[program.selector_slot] = selector
-
-        trace = Trace(design=self.module.name, stimulus=[dict(s) for s in stimulus])
-        outputs = program.output_slots
-        pending: list[tuple[int, int]] = []
-        recorder = ExecutionRecorder(program.shapes) if record else None
-        stats = _ENGINE_STATS["compiled"]
-        stats["runs"] += 1
-        stats["cycles"] += len(stimulus)
-
-        for cycle, frame in enumerate(stimulus):
-            for name, value in frame.items():
-                slot = slot_of.get(name)
-                if slot is None:
-                    raise SimulationError(f"stimulus drives unknown input {name!r}")
-                slots[slot] = value & masks[slot]
-
-            self._settle_compiled(engine, slots, cycle, recorder, pending)
-            trace.outputs.append({name: slots[slot] for name, slot in outputs})
-
-            if recorder is not None:
-                engine.execute(program.seq_rec, slots, cycle, recorder, pending)
-            else:
-                engine.execute(program.seq_fast, slots, cycle, None, pending)
-            engine.commit(pending, slots)
-
-        if recorder is not None:
-            trace.executions = _LazyExecutions(recorder.finish())
-        if env is not None:
-            for name in self.module.decls:
-                env[name] = slots[slot_of[name]]
-        return trace
-
-    def _settle_compiled(
-        self,
-        engine: CompiledEvaluator,
-        slots: list[int],
-        cycle: int,
-        recorder: ExecutionRecorder | None,
-        pending: list[tuple[int, int]],
-    ) -> None:
-        program = self.program
-        comb_fast = program.comb_fast
-        for _iteration in range(self.MAX_SETTLE_ITERS):
-            before = slots[:]
-            engine.execute(comb_fast, slots, cycle, None, pending)
-            engine.commit(pending, slots)
-            if slots == before:
-                break
-        else:
-            raise SimulationError(
-                f"combinational logic did not settle in design {self.module.name!r}"
-            )
-        if recorder is None:
-            return
-        # One instrumented pass over the settled state, staged so only
-        # the last record per statement survives (ordered by stmt_id).
-        engine.execute(program.comb_rec, slots, cycle, recorder.begin_pass(), pending)
-        engine.commit(pending, slots)
-        recorder.commit_pass(cycle)
-
-    # ------------------------------------------------------------------
     # Interpreted engine (reference oracle)
     # ------------------------------------------------------------------
     def _run_interpreted(
         self,
         stimulus: list[dict[str, int]],
         record: bool,
-        env: dict[str, int] | None,
     ) -> Trace:
-        env = env if env is not None else self.initial_env()
+        env = {name: 0 for name in self.module.decls}
         trace = Trace(design=self.module.name, stimulus=[dict(s) for s in stimulus])
         widths = {n: d.width for n, d in self.module.decls.items()}
         outputs = self.module.outputs
@@ -425,8 +308,6 @@ class Simulator:
 
         for cycle, frame in enumerate(stimulus):
             for name, value in frame.items():
-                if name not in env:
-                    raise SimulationError(f"stimulus drives unknown input {name!r}")
                 env[name] = truncate(value, widths[name])
 
             self._settle(env, cycle, recorder)

@@ -62,9 +62,8 @@ class TestbenchConfig:
         biases: Input name -> per-bit one-probability override (used to
             make rare events such as address matches reachable).
         engine: Simulation engine used by consumers that build simulators
-            from this config: "auto" (default; lockstep vector engine for
-            multi-trace suites, compiled scalar otherwise), "vector",
-            "compiled", or "interpreted".
+            from this config: "vector" (default; the lockstep engine) or
+            "interpreted" (the reference oracle).
     """
 
     # Not a test class despite the Test* name (silences pytest collection).
@@ -76,7 +75,7 @@ class TestbenchConfig:
     one_probability: float = 0.5
     forced: dict[str, int] = field(default_factory=dict)
     biases: dict[str, float] = field(default_factory=dict)
-    engine: str = "auto"
+    engine: str = "vector"
 
 
 def identify_clock(module: Module) -> str | None:

@@ -2,9 +2,8 @@
 
 Every workload above the simulator — campaign golden/mutant runs, corpus
 generation, both benchmarks — simulates a *suite* of independent traces
-of one :class:`~repro.sim.compiler.CompiledProgram`.  The scalar engine
-pays the Python dispatch loop once per trace per cycle; this module pays
-it once per *suite* per cycle with SWAR (SIMD-within-a-register) over
+of one :class:`~repro.sim.compiler.CompiledProgram`.  This module runs
+each cycle once per *suite* with SWAR (SIMD-within-a-register) over
 Python big ints: every virtual register and every signal slot becomes a
 single arbitrary-precision integer packing N 64-bit lanes (one lane per
 trace), and each compiled instruction stream is translated once per
@@ -44,7 +43,7 @@ batched: a ``RECORD`` appends one event holding the shape slot and the
 packed lhs/operand lane values plus the active mask, and
 :meth:`VectorRecorder.finish` compacts the whole log lane-major in
 numpy, handing each lane an :class:`~repro.sim.trace.ExecutionColumns`
-of slices byte-equivalent (dtypes included) to what the scalar
+of slices byte-equivalent (dtypes included) to what the interpreter's
 :class:`ExecutionRecorder` produces for the same trace — the
 differential tests in ``tests/test_vector.py`` and
 ``tests/test_lane_boundary.py`` enforce equality down to the array
@@ -54,9 +53,9 @@ matrix and stimulus arrays, not per-lane copies.
 Lanes are 63 bits wide: every simulated value must stay a nonnegative
 ``int64`` on the wire.  :func:`vectorizable` audits a program's declared
 widths and a conservative per-register width bound over every
-instruction stream; designs that can overflow a lane fall back
-per-design to the compiled scalar engine (``Simulator.run_suite``
-handles the dispatch).
+instruction stream; :func:`run_vector_suite` refuses a program that can
+overflow a lane, and :class:`~repro.sim.Simulator` runs such a design on
+the interpreter instead.
 """
 
 from __future__ import annotations
@@ -146,7 +145,7 @@ def _stream_fits(code: tuple[tuple, ...], slot_widths: tuple[int, ...]) -> bool:
     is written before it is read in stream order) tracking an upper
     bound on each register's bit width.  Returns False as soon as any
     register value or instruction constant could exceed ``_LANE_BITS``
-    bits — the caller then falls back to the scalar engine.
+    bits — the design then runs on the interpreter.
     """
     w: dict[int, int] = {}
     for ins in code:
@@ -251,7 +250,7 @@ def _helpers(n: int) -> dict[str, Callable]:
     ``MUL``/``DIV``/``MOD`` and variable-count shifts/bit-selects need a
     per-lane Python loop: a product can exceed the lane field before the
     result mask is applied, and shift counts differ per lane.  Each
-    helper replicates the scalar engine's exact semantics lane by lane.
+    helper replicates the interpreter's exact semantics lane by lane.
     """
     helpers = _HELPERS.get(n)
     if helpers is not None:
@@ -544,7 +543,7 @@ class _StreamEmitter:
     (``e3 = env[3]``), runs the stream as straight-line big-int
     expressions over packed lane values, and writes stored slots back at
     the end.  Registers are plain locals (SSA within a stream); constant
-    registers fold at translate time with the scalar engine's exact
+    registers fold at translate time with the interpreter's exact
     semantics, and remaining constants become symbolic ``K`` globals so
     the compiled code object is lane-count independent (the binder
     replicates each constant across lanes).
@@ -1363,11 +1362,11 @@ def run_vector_suite(
 ) -> list[Trace]:
     """Simulate all ``stimuli`` of one compiled design in lockstep.
 
-    Implements exactly the scalar engine's per-cycle schedule (apply
+    Implements exactly the interpreter's per-cycle schedule (apply
     stimulus, settle comb to fixpoint, one instrumented comb pass,
     sample outputs, clock edge, commit) with every phase executing over
     all lanes at once.  Returns traces in stimulus order, byte-identical
-    to per-trace scalar runs — ragged suites included (a lane past its
+    to per-trace interpreter runs — ragged suites included (a lane past its
     last cycle is simply never active again).
 
     On a target program, ``selectors`` holds each lane's variant: the
@@ -1376,10 +1375,17 @@ def run_vector_suite(
     predicated like any other branch) and a whole mutant set shares one
     dispatch per cycle.
 
-    The caller is responsible for checking :func:`vectorizable` first.
+    Raises:
+        ValueError: If ``program`` fails the 63-bit lane audit
+            (:func:`vectorizable`); simulate it on the interpreter.
     """
     from .simulator import _ENGINE_STATS, SimulationError
 
+    if not vectorizable(program):
+        raise ValueError(
+            f"design {module.name!r} does not fit 63-bit lanes;"
+            " simulate it with engine='interpreted'"
+        )
     suite = StimulusSuite.from_frames(stimuli)
     if not len(suite):
         return []

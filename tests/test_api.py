@@ -98,8 +98,8 @@ class TestSessionConfig:
             .with_campaign_defaults(n_traces=3, min_correct_traces=1)
         )
         # The original is untouched (frozen + replace semantics).
-        assert base.engine == "auto" and base.n_workers == 0
-        assert tuned.engine == "interpreted"
+        assert base.sim_engine == "vector" and base.n_workers == 0
+        assert tuned.sim_engine == "interpreted"
         assert tuned.n_workers == 2
         assert tuned.localize_batch == 4
         assert tuned.cache_policy == "off"
@@ -117,11 +117,15 @@ class TestSessionConfig:
         with pytest.raises(ValueError):
             SessionConfig().with_model(VeriBugConfig(), epochs=3)
 
-    def test_engine_resolution_defers_to_model(self):
-        assert SessionConfig().engine == "auto"
-        via_model = SessionConfig(model=VeriBugConfig(sim_engine="interpreted"))
-        assert via_model.engine == "interpreted"
-        assert via_model.with_engine("compiled").engine == "compiled"
+    def test_sim_engine_is_one_session_field(self):
+        assert SessionConfig().sim_engine == "vector"
+        assert not hasattr(VeriBugConfig(), "sim_engine")
+        replaced = dataclasses.replace(SessionConfig(), sim_engine="interpreted")
+        assert replaced.sim_engine == "interpreted"
+        assert replaced.with_engine("vector").sim_engine == "vector"
+        for retired in ("auto", "compiled"):
+            with pytest.raises(ValueError, match="unknown sim_engine"):
+                SessionConfig(sim_engine=retired)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -449,7 +453,31 @@ class TestCLI:
         assert proc.returncode == 0, proc.stderr
         assert "== campaign:" in proc.stdout
         assert "context cache:" in proc.stdout
+        assert "0 interpreter fallback(s)" in proc.stdout
         assert out.exists()
+
+    def test_engine_choices_come_from_engines(self):
+        import argparse
+
+        from repro.api.cli import build_parser
+        from repro.sim import ENGINES
+
+        parser = build_parser()
+        (commands,) = [
+            action
+            for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        with_engine = [
+            name
+            for name, command in commands.choices.items()
+            for action in command._actions
+            if "--engine" in action.option_strings
+            and tuple(action.choices) == ENGINES
+        ]
+        assert {"train", "campaign", "localize"} <= set(with_engine)
+        with pytest.raises(SystemExit):
+            parser.parse_args(["train", "--engine", "compiled"])
 
     def test_localize_requires_inputs(self):
         from repro.api.cli import main

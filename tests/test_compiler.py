@@ -1,10 +1,12 @@
-"""Differential tests: compiled engine vs the reference interpreter.
+"""Differential tests of the lowering: vector engine vs the interpreter.
 
-The compiled engine's contract is *trace identity*: same ``Trace``
-(stimulus, per-cycle outputs, and every ``StatementExecution`` record,
-in order) as the tree-walking oracle, on every design the project
+Every program :mod:`repro.sim.compiler` lowers runs on the lockstep
+vector engine, whose contract is *trace identity*: same ``Trace``
+(stimulus, per-cycle outputs, and every recorded execution, columns
+down to dtypes) as the tree-walking oracle, on every design the project
 touches — the four paper designs, a pool of RVDG random designs, and
-hand-written corner cases for each lowering path.
+hand-written corner cases for each lowering path.  Single traces run as
+one-lane suites; ``tests/test_vector.py`` covers multi-lane suites.
 """
 
 import pytest
@@ -12,6 +14,7 @@ import pytest
 from repro.datagen import RandomVerilogDesignGenerator, RVDGConfig
 from repro.designs import REGISTRY, load_design
 from repro.sim import (
+    ENGINES,
     SimulationError,
     Simulator,
     TestbenchConfig,
@@ -21,20 +24,20 @@ from repro.sim import (
     generate_testbench_suite,
 )
 from repro.verilog import parse_module
+from tests.test_vector import assert_trace_byte_equal
 
 N_RVDG_DESIGNS = 25
 
 
 def assert_trace_identical(module, stimuli, record=True):
+    """Each stimulus as a one-lane vector run == the interpreter."""
     oracle = Simulator(module, engine="interpreted")
-    compiled = Simulator(module, engine="compiled")
+    vector = Simulator(module, engine="vector")
+    assert vector.lockstep, module.name
     for stimulus in stimuli:
         expected = oracle.run(stimulus, record=record)
-        actual = compiled.run(stimulus, record=record)
-        assert actual.design == expected.design
-        assert actual.stimulus == expected.stimulus
-        assert actual.outputs == expected.outputs
-        assert actual.executions == expected.executions
+        actual = vector.run(stimulus, record=record)
+        assert_trace_byte_equal(actual, expected, record)
 
 
 class TestPaperDesigns:
@@ -137,7 +140,7 @@ class TestLoweringCorners:
 
     def test_case_with_middle_default(self):
         # The interpreter keeps scanning later arms before falling back to
-        # a default that appears mid-list; the compiled engine must too.
+        # a default that appears mid-list; the lowering must too.
         self.diff(
             "module t(s, y); input [1:0] s; output reg [1:0] y;"
             " always @(*) case (s)"
@@ -178,33 +181,15 @@ class TestLoweringCorners:
             "module t(a, y); input a; output y; wire b;"
             " assign y = ~b | (a & ~a); assign b = y; endmodule"
         )
-        for engine in ("interpreted", "compiled"):
-            with pytest.raises(SimulationError):
+        for engine in ("interpreted", "vector"):
+            with pytest.raises(SimulationError, match="did not settle"):
                 Simulator(parse_module(source), engine=engine).run([{"a": 0}])
 
     def test_unknown_stimulus_raises_in_both_engines(self):
         source = "module t(a, y); input a; output y; assign y = a; endmodule"
-        for engine in ("interpreted", "compiled"):
-            with pytest.raises(SimulationError):
+        for engine in ("interpreted", "vector"):
+            with pytest.raises(SimulationError, match="unknown input 'ghost'"):
                 Simulator(parse_module(source), engine=engine).run([{"ghost": 1}])
-
-    def test_resumed_env_matches(self):
-        source = (
-            "module t(clk, q); input clk; output reg [3:0] q;"
-            " always @(posedge clk) q <= q + 4'd1; endmodule"
-        )
-        stim = [{"clk": 0}] * 3
-        envs = {}
-        for engine in ("interpreted", "compiled"):
-            module = parse_module(source)
-            sim = Simulator(module, engine=engine)
-            env = sim.initial_env()
-            first = sim.run(stim, env=env)
-            second = sim.run(stim, env=env)
-            envs[engine] = env
-            assert first.output_series("q") == [0, 1, 2]
-            assert second.output_series("q") == [3, 4, 5]
-        assert envs["interpreted"] == envs["compiled"]
 
 
 class TestCompileCache:
@@ -248,5 +233,7 @@ class TestBatchedRunner:
             assert got.executions == want.executions
 
     def test_unknown_engine_rejected(self, arbiter):
-        with pytest.raises(ValueError):
-            Simulator(arbiter, engine="jit")
+        assert ENGINES == ("vector", "interpreted")
+        for engine in ("jit", "auto", "compiled"):
+            with pytest.raises(ValueError, match="unknown engine"):
+                Simulator(arbiter, engine=engine)

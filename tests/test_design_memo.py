@@ -50,7 +50,7 @@ PAIR = textwrap.dedent(
 )
 
 
-def _config(engine: str = "auto") -> SessionConfig:
+def _config(engine: str = "vector") -> SessionConfig:
     return (
         SessionConfig()
         .with_engine(engine)
@@ -149,7 +149,7 @@ def fresh_results(trained_session):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("engine", ["auto", "compiled", "interpreted"])
+@pytest.mark.parametrize("engine", ["vector", "interpreted"])
 def test_warm_session_matches_fresh_sessions(engine, fresh_results):
     want = fresh_results(engine)
     with _session(_config(engine)) as session:
@@ -161,7 +161,7 @@ def test_warm_session_matches_fresh_sessions(engine, fresh_results):
 
 
 def test_session_pool_matches_fresh_sessions(fresh_results):
-    want = fresh_results("auto")
+    want = fresh_results("vector")
     with _session(_config().with_workers(2)) as session:
         for name, target in _paper_targets():
             assert_same_campaign(_run(session, name, target), want[name, target])
@@ -189,7 +189,7 @@ def test_memoized_suites_and_module_unchanged_by_campaigns(trained_session):
     name = "usbf_pl"
     config = _config()
     testbench = design_testbench(name, n_cycles=N_CYCLES)
-    testbench.engine = config.engine
+    testbench.engine = config.sim_engine
     with _session(config) as session:
         module = session.resolve_design(name)
         text = format_module(module)
@@ -229,7 +229,7 @@ def test_memo_releases_previous_design_while_its_handle_lives(trained_session):
         )
         handle_a.run()
         testbench = design_testbench("wb_mux_2", n_cycles=N_CYCLES)
-        testbench.engine = config.engine
+        testbench.engine = config.sim_engine
         ((_stimuli, goldens),) = handle_a.engine.suites.fetch(
             handle_a.module, [SEED], config.n_traces, testbench, no_golden_run
         )
@@ -259,7 +259,7 @@ CHANGED = {
     "one_probability": 0.75,
     "forced": {"req1": 1},
     "biases": {"req2": 0.9},
-    "engine": "compiled",
+    "engine": "interpreted",
 }
 
 

@@ -314,9 +314,9 @@ class TestLaneViews:
     def test_outputs_view_behaves_like_frames(self, arbiter):
         suite = generate_testbench_suite(arbiter, 3, TestbenchConfig(n_cycles=5), seed=1)
         vector_traces = Simulator(arbiter, engine="vector").run_suite(suite)
-        scalar = Simulator(arbiter, engine="compiled")
+        oracle = Simulator(arbiter, engine="interpreted")
         for stimulus, trace in zip(suite, vector_traces):
-            expected = scalar.run(stimulus).outputs
+            expected = oracle.run(stimulus).outputs
             assert trace.outputs == expected
             assert trace.n_cycles == len(expected)
             assert trace.outputs[-1] == expected[-1]
@@ -330,8 +330,8 @@ class TestLaneViews:
         )
         suite = [[{"a": 1}] * 4, [{"a": 0}] * 2]
         vector_traces = Simulator(module, engine="vector").run_suite(suite)
-        scalar_traces = Simulator(module, engine="compiled").run_suite(suite)
-        assert [t.outputs for t in vector_traces] == [t.outputs for t in scalar_traces]
+        oracle_traces = Simulator(module, engine="interpreted").run_suite(suite)
+        assert [t.outputs for t in vector_traces] == [t.outputs for t in oracle_traces]
         assert [t.n_cycles for t in vector_traces] == [4, 2]
 
 
@@ -362,7 +362,7 @@ class TestSuiteInputCheck:
             [{"req1": 1}, {"req1": 0}],
             [{"req2": 1}, {"bogus": 1}],
         ]
-        for engine in ("vector", "compiled", "interpreted"):
+        for engine in ("vector", "interpreted"):
             with pytest.raises(
                 SimulationError,
                 match="unknown input 'bogus' \\(suite trace 2 does not belong",

@@ -1,10 +1,11 @@
 """Differential tests for the columnar execution recorder.
 
-Both simulator engines write struct-of-arrays traces natively through
-:class:`~repro.sim.ExecutionRecorder`.  The recorder's contract has two
-halves, and every test here pins one of them:
+Both simulator engines write struct-of-arrays traces natively: the
+interpreter through :class:`~repro.sim.ExecutionRecorder`, the vector
+engine through its lane-batched recorder.  The recorder's contract has
+two halves, and every test here pins one of them:
 
-* **Engine identity** — the compiled engine and the tree-walking
+* **Engine identity** — the vector engine and the tree-walking
   interpreter record byte-equivalent columns for the same stimulus.
 * **Oracle identity** — the natively recorded columns are exactly what
   :meth:`ExecutionColumns.pack` would produce from the materialized
@@ -50,10 +51,10 @@ def assert_columns_equal(ours: ExecutionColumns, oracle: ExecutionColumns):
 
 def assert_recorder_sound(module, stimuli):
     """The full differential contract on one design + stimulus batch."""
-    compiled = Simulator(module, engine="compiled")
+    vector = Simulator(module, engine="vector")
     interpreted = Simulator(module, engine="interpreted")
     for stimulus in stimuli:
-        tc = compiled.run(stimulus)
+        tc = vector.run(stimulus)
         ti = interpreted.run(stimulus)
         assert tc.outputs == ti.outputs
 
@@ -103,13 +104,13 @@ class TestLaziness:
         )[0]
         return Simulator(module, engine=engine).run(stimulus)
 
-    @pytest.mark.parametrize("engine", ["compiled", "interpreted"])
+    @pytest.mark.parametrize("engine", ["vector", "interpreted"])
     def test_recorded_executions_are_lazy(self, engine):
         trace = self._recorded_trace(engine)
         assert isinstance(trace.executions, _LazyExecutions)
         assert trace.executions._records is None
 
-    @pytest.mark.parametrize("engine", ["compiled", "interpreted"])
+    @pytest.mark.parametrize("engine", ["vector", "interpreted"])
     def test_column_queries_do_not_materialize(self, engine):
         trace = self._recorded_trace(engine)
         stmt_ids = trace.executed_stmt_ids()
@@ -121,7 +122,7 @@ class TestLaziness:
         # Every query above ran off the columns; no records were built.
         assert trace.executions._records is None
 
-    @pytest.mark.parametrize("engine", ["compiled", "interpreted"])
+    @pytest.mark.parametrize("engine", ["vector", "interpreted"])
     def test_serialization_ships_columns_not_records(self, engine):
         trace = self._recorded_trace(engine)
         clone = pickle.loads(pickle.dumps(trace))
@@ -152,7 +153,8 @@ class TestWideValues:
 
     def test_wide_columns_fall_back_to_lists(self):
         module = parse_module(self.SOURCE)
-        trace = Simulator(module, engine="compiled").run(self.wide_stimuli()[0])
+        # Too wide for a vector lane: the interpreter records it.
+        trace = Simulator(module, engine="vector").run(self.wide_stimuli()[0])
         columns = trace.execution_columns()
         assert isinstance(columns.lhs_values, list)
         assert isinstance(columns.flat_values, list)
@@ -169,7 +171,7 @@ class TestWideValues:
 
 
 class TestEmptyTraces:
-    @pytest.mark.parametrize("engine", ["compiled", "interpreted"])
+    @pytest.mark.parametrize("engine", ["vector", "interpreted"])
     def test_empty_stimulus_records_empty_columns(self, engine):
         module = load_design(sorted(REGISTRY)[0])
         trace = Simulator(module, engine=engine).run([])
@@ -188,6 +190,6 @@ class TestEmptyTraces:
         stimulus = generate_testbench_suite(
             module, 1, TestbenchConfig(n_cycles=5), seed=2
         )[0]
-        trace = Simulator(module, engine="compiled").run(stimulus, record=False)
+        trace = Simulator(module, engine="vector").run(stimulus, record=False)
         assert trace.executions == []
         assert trace.execution_columns() is None

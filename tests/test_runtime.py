@@ -308,11 +308,11 @@ class TestPooledMatchesSequential:
 class TestCorpusEngines:
     def test_engines_produce_identical_samples(self):
         spec = dict(n_designs=4, n_traces_per_design=2, n_cycles=10)
-        compiled = generate_corpus(CorpusSpec(**spec, engine="compiled"), seed=5)
+        vector = generate_corpus(CorpusSpec(**spec, engine="vector"), seed=5)
         interpreted = generate_corpus(
             CorpusSpec(**spec, engine="interpreted"), seed=5
         )
-        assert [_sample_key(s) for s in compiled] == [
+        assert [_sample_key(s) for s in vector] == [
             _sample_key(s) for s in interpreted
         ]
 

@@ -4,11 +4,14 @@
 one replacement statement per mutant into a single program; a lane run
 with selector ``k`` must be byte-identical — outputs, stimulus echo, and
 recorded ``ExecutionColumns`` down to dtypes — to simulating the mutant
-module on its own, which the compiled engine in turn pins against the
-interpreter.  Campaign outcomes built on target programs must equal the
-per-mutant reference path mutant for mutant, including the oscillation
-error semantics.
+module on its own, on the vector engine and on the interpreter.
+Campaign outcomes built on target programs must equal the per-mutant
+reference path on the interpreter mutant for mutant, including the
+oscillation error semantics.
 """
+
+import dataclasses
+
 
 import numpy as np
 import pytest
@@ -38,6 +41,7 @@ from repro.sim import (
 )
 from repro.sim.compiler import SELECTOR, compile_target_program
 from repro.verilog import format_module, parse_module
+from repro.verilog.ast_nodes import Number
 from repro.verilog.printer import statement_source
 
 TABLE3_PLAN = {"negation": 2, "operation": 2, "misuse": 3}
@@ -68,14 +72,18 @@ def _variants(module, mutations):
     return [mutate_statement(module.statement_by_id(m.stmt_id), m) for m in mutations]
 
 
-def assert_lanes_match_mutants(module, mutations, stimuli, engine="auto"):
-    """Every (mutant, stimulus) lane == the mutant module run alone."""
-    simulator = Simulator(module, engine=engine, variants=_variants(module, mutations))
+def assert_lanes_match_mutants(module, mutations, stimuli, reference="vector"):
+    """Every (mutant, stimulus) lane == the mutant module run alone on
+    the ``reference`` engine."""
+    simulator = Simulator(module, variants=_variants(module, mutations))
+    assert simulator.lockstep
     lanes = [stimulus for _ in mutations for stimulus in stimuli] + list(stimuli)
     selectors = [k for k in range(1, len(mutations) + 1) for _ in stimuli]
     traces = simulator.run_suite(lanes, selectors=selectors + [0] * len(stimuli))
-    references = [Simulator(apply_mutation(module, m)) for m in mutations]
-    references.append(Simulator(module))
+    references = [
+        Simulator(apply_mutation(module, m), engine=reference) for m in mutations
+    ]
+    references.append(Simulator(module, engine=reference))
     for index, trace in enumerate(traces):
         reference = references[index // len(stimuli)]
         assert_trace_byte_equal(trace, reference.run(lanes[index]))
@@ -86,8 +94,8 @@ def _table3_targets():
 
 
 @pytest.mark.parametrize("name,target", _table3_targets())
-@pytest.mark.parametrize("engine", ["auto", "compiled"])
-def test_paper_target_lanes_identical(name, target, engine):
+@pytest.mark.parametrize("reference", ["vector", "interpreted"])
+def test_paper_target_lanes_identical(name, target, reference):
     module = load_design(name)
     cone = compute_static_slice(module, target).stmt_ids
     mutations = sample_mutations(
@@ -96,7 +104,7 @@ def test_paper_target_lanes_identical(name, target, engine):
     stimuli = ragged(
         generate_testbench_suite(module, 5, TestbenchConfig(n_cycles=12), seed=3)
     )
-    assert_lanes_match_mutants(module, mutations, stimuli, engine)
+    assert_lanes_match_mutants(module, mutations, stimuli, reference)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -109,14 +117,7 @@ def test_rvdg_mutant_lanes_identical(seed):
         module, {"negation": 2, "operation": 2, "misuse": 2}, seed=seed
     )
     stimuli = generate_testbench_suite(module, 3, TestbenchConfig(n_cycles=10), seed=seed)
-    assert_lanes_match_mutants(module, mutations, stimuli)
-    # And the mutants themselves against the interpreter oracle.
-    for mutation in mutations:
-        mutant = apply_mutation(module, mutation)
-        oracle = Simulator(mutant, engine="interpreted")
-        compiled = Simulator(mutant, engine="compiled")
-        for stimulus in stimuli:
-            assert_trace_byte_equal(compiled.run(stimulus), oracle.run(stimulus))
+    assert_lanes_match_mutants(module, mutations, stimuli, "interpreted")
 
 
 class TestProgramShape:
@@ -165,17 +166,38 @@ class TestProgramShape:
 
     def test_interpreter_has_no_variants(self, arbiter):
         mutations = sample_mutations(arbiter, {"negation": 1}, seed=1)
-        with pytest.raises(ValueError, match="compiled engine"):
-            Simulator(
-                arbiter, engine="interpreted", variants=_variants(arbiter, mutations)
-            )
+        simulator = Simulator(
+            arbiter, engine="interpreted", variants=_variants(arbiter, mutations)
+        )
+        assert not simulator.lockstep
+        stimuli = generate_testbench_suite(arbiter, 2, TestbenchConfig(n_cycles=3))
+        with pytest.raises(ValueError, match="out of range"):
+            simulator.run_suite(stimuli, selectors=[0, 1])
+
+    def test_wide_variant_runs_the_module_on_the_interpreter(self):
+        module = parse_module(
+            "module t(input [7:0] a, output [7:0] y); assign y = a + 8'd1; endmodule"
+        )
+        (stmt,) = module.statements()
+        variant = stmt.clone()
+        variant.rhs.right = Number(value=1, width=64, text="64'd1")
+        before = engine_stats()["vector"]["scalar_fallbacks"]
+        simulator = Simulator(module, variants=[variant])
+        # The target program fails the lane audit, the plain design does not.
+        assert Simulator(module).lockstep and not simulator.lockstep
+        assert engine_stats()["vector"]["scalar_fallbacks"] == before + 1
+        stimulus = [{"a": 255}, {"a": 3}]
+        assert_trace_byte_equal(
+            simulator.run(stimulus),
+            Simulator(module, engine="interpreted").run(stimulus),
+        )
+        with pytest.raises(ValueError, match="out of range"):
+            simulator.run(stimulus, selector=1)
 
     def test_counters(self, arbiter):
         mutations = sample_mutations(arbiter, {"negation": 2}, seed=1)
         before_programs = compile_cache_stats()["target_programs"]
-        simulator = Simulator(
-            arbiter, engine="auto", variants=_variants(arbiter, mutations)
-        )
+        simulator = Simulator(arbiter, variants=_variants(arbiter, mutations))
         assert compile_cache_stats()["target_programs"] == before_programs + 1
         stimuli = generate_testbench_suite(arbiter, 3, TestbenchConfig(n_cycles=4))
         before = engine_stats()["vector"]
@@ -235,7 +257,8 @@ class TestPathCopyMutants:
 
 
 def _per_mutant(module, target, mutations, stimuli, config, n_traces, seed):
-    """The reference: one module, one simulator, one top-up loop per mutant."""
+    """The reference: one module, one interpreter, one top-up loop per mutant."""
+    config = dataclasses.replace(config, engine="interpreted")
     golden = Simulator(module, engine=config.engine)
     golden_traces = golden.run_suite(stimuli, record=False)
     return [

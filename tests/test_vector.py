@@ -1,13 +1,13 @@
-"""Differential tests: lockstep vector engine vs compiled vs interpreter.
+"""Differential tests: lockstep vector engine vs the interpreter.
 
 The vector engine's contract is byte-identity per lane: running a suite
-through :func:`repro.sim.run_vector_suite` must produce, for every
-stimulus, the exact :class:`Trace` the compiled scalar engine produces —
-same outputs, same stimulus echo, and the same recorded
-``ExecutionColumns`` down to array dtypes — which the compiled engine in
-turn pins against the tree-walking interpreter.  Suites here are
-deliberately ragged and branch-divergent so the predication, join, and
-recorder-merge paths all carry real work.
+through :func:`repro.sim.vector.run_vector_suite` must produce, for
+every stimulus, the exact :class:`Trace` the tree-walking interpreter
+produces — same outputs, same stimulus echo, and the same recorded
+``ExecutionColumns`` down to array dtypes.  Suites here are deliberately
+ragged and branch-divergent so the predication, join, and recorder-merge
+paths all carry real work.  Designs too wide for a 63-bit lane run on
+the interpreter; campaigns over them must match ``engine="interpreted"``.
 """
 
 import numpy as np
@@ -27,25 +27,20 @@ from repro.sim import (
     compile_module,
     engine_stats,
     generate_testbench_suite,
-    run_vector_suite,
-    vectorizable,
 )
+from repro.sim.vector import run_vector_suite, vectorizable
 from repro.verilog import parse_module
 
 
 def assert_lane_identical(module, stimuli, record=True):
-    """Vector suite == per-stimulus compiled == interpreter, byte-exact."""
+    """Vector suite == per-stimulus interpreter runs, byte-exact."""
     program = compile_module(module)
     assert vectorizable(program), module.name
-    scalar = Simulator(module, engine="compiled")
     oracle = Simulator(module, engine="interpreted")
     vector_traces = run_vector_suite(module, program, stimuli, record=record)
     assert len(vector_traces) == len(stimuli)
     for stimulus, actual in zip(stimuli, vector_traces):
-        expected = scalar.run(stimulus, record=record)
-        reference = oracle.run(stimulus, record=record)
-        assert expected.outputs == reference.outputs
-        assert_trace_byte_equal(actual, expected, record)
+        assert_trace_byte_equal(actual, oracle.run(stimulus, record=record), record)
 
 
 def assert_trace_byte_equal(actual, expected, record=True):
@@ -221,7 +216,7 @@ class TestPredicationCorners:
     def test_repeated_and_partial_stimuli(self):
         """Lanes sharing one stimulus object, frames that drive only some
         inputs (the rest hold), and out-of-width values all pack as the
-        scalar engine applies them."""
+        interpreter applies them."""
         module = parse_module(
             "module t(input clk, input [3:0] a, input [3:0] b,"
             " output reg [3:0] acc, output [3:0] y);"
@@ -263,22 +258,39 @@ class TestEngineRouting:
         program = compile_module(parse_module(WIDE_SOURCE))
         assert not vectorizable(program)
 
+    def test_run_vector_suite_refuses_wide_program(self):
+        module = parse_module(
+            "module w(input [63:0] a, output [63:0] y);"
+            " assign y = a + 64'd1; endmodule"
+        )
+        stimulus = [{"a": 2**63 + 5}]
+        with pytest.raises(ValueError, match="63-bit lanes"):
+            run_vector_suite(module, compile_module(module), [stimulus])
+        trace = Simulator(module, engine="vector").run(stimulus)
+        assert trace.outputs[0]["y"] == 2**63 + 6
+        assert trace.outputs == Simulator(module, engine="interpreted").run(
+            stimulus
+        ).outputs
+
     def test_wide_design_falls_back_to_scalar(self):
         module = parse_module(WIDE_SOURCE)
-        sim = Simulator(module, engine="vector")
         before = engine_stats()
+        sim = Simulator(module, engine="vector")
+        assert not sim.lockstep
         suite = [[{"a": (1 << 63) + lane}] for lane in range(3)]
         traces = sim.run_suite(suite)
+        sim.run_suite(suite)
         after = engine_stats()
         assert [t.outputs[0]["y"] for t in traces] == [
             (~((1 << 63) + lane)) & ((1 << 64) - 1) for lane in range(3)
         ]
+        # The audit runs once per simulator, not once per suite.
         assert (
             after["vector"]["scalar_fallbacks"]
             == before["vector"]["scalar_fallbacks"] + 1
         )
         assert after["vector"]["batches"] == before["vector"]["batches"]
-        assert after["compiled"]["runs"] == before["compiled"]["runs"] + 3
+        assert after["interpreted"]["runs"] == before["interpreted"]["runs"] + 6
 
     def test_vector_counters_track_lanes_and_cycles(self, arbiter):
         sim = Simulator(arbiter, engine="vector")
@@ -292,37 +304,29 @@ class TestEngineRouting:
         assert after["vector"]["lanes"] == before["vector"]["lanes"] + 3
         assert after["vector"]["cycles"] == before["vector"]["cycles"] + 15
 
-    def test_auto_routes_multi_trace_suites_to_vector(self, arbiter):
-        sim = Simulator(arbiter, engine="auto")
-        suite = generate_testbench_suite(
-            arbiter, 2, TestbenchConfig(n_cycles=4), seed=2
-        )
-        before = engine_stats()
-        sim.run_suite(suite)
-        after = engine_stats()
-        assert after["vector"]["batches"] == before["vector"]["batches"] + 1
-
-    def test_auto_keeps_single_trace_suites_scalar(self, arbiter):
-        sim = Simulator(arbiter, engine="auto")
-        suite = generate_testbench_suite(
+    def test_single_run_is_a_one_lane_suite(self, arbiter):
+        sim = Simulator(arbiter)
+        assert sim.engine == "vector" and sim.lockstep
+        (stimulus,) = generate_testbench_suite(
             arbiter, 1, TestbenchConfig(n_cycles=4), seed=2
         )
         before = engine_stats()
-        sim.run_suite(suite)
+        trace = sim.run(stimulus)
         after = engine_stats()
-        assert after["vector"]["batches"] == before["vector"]["batches"]
-        assert after["compiled"]["runs"] == before["compiled"]["runs"] + 1
+        assert after["vector"]["batches"] == before["vector"]["batches"] + 1
+        assert after["vector"]["lanes"] == before["vector"]["lanes"] + 1
+        assert after["interpreted"]["runs"] == before["interpreted"]["runs"]
+        oracle = Simulator(arbiter, engine="interpreted")
+        assert_trace_byte_equal(trace, oracle.run(stimulus))
 
-    def test_vector_suite_matches_auto_and_compiled(self, arbiter):
+    def test_simulator_suite_matches_interpreter(self, arbiter):
         suite = ragged(
             generate_testbench_suite(arbiter, 5, TestbenchConfig(n_cycles=9), seed=4)
         )
-        compiled = Simulator(arbiter, engine="compiled").run_suite(suite)
-        for engine in ("vector", "auto"):
-            for actual, expected in zip(
-                Simulator(arbiter, engine=engine).run_suite(suite), compiled
-            ):
-                assert_trace_byte_equal(actual, expected)
+        oracle = Simulator(arbiter, engine="interpreted").run_suite(suite)
+        actual = Simulator(arbiter, engine="vector").run_suite(suite)
+        for got, want in zip(actual, oracle, strict=True):
+            assert_trace_byte_equal(got, want)
 
     def test_empty_suite(self, arbiter):
         assert Simulator(arbiter, engine="vector").run_suite([]) == []
@@ -363,33 +367,65 @@ class TestSuiteHygiene:
 
 
 # ----------------------------------------------------------------------
-# Campaign rankings: auto (vector) vs pinned compiled scalar
+# Campaign outcomes: vector vs the interpreter oracle
 # ----------------------------------------------------------------------
+
+WIDE_ACCUMULATOR = (
+    "module wide_acc(input clk, input rst_n, input [63:0] a, input [63:0] b,"
+    " output reg [63:0] acc, output [63:0] y);"
+    " assign y = a ^ b;"
+    " always @(posedge clk or negedge rst_n)"
+    "   if (!rst_n) acc <= 64'd0;"
+    "   else acc <= acc + (a & b);"
+    " endmodule"
+)
+
+
+def campaign_outcomes(localizer, module, target, mutations, engine):
+    campaign = CampaignEngine(
+        localizer,
+        n_traces=6,
+        testbench_config=TestbenchConfig(n_cycles=8, engine=engine),
+        seed=3,
+    )
+    return campaign.run(module, target, mutations).outcomes
+
+
+def assert_same_outcomes(actual, expected):
+    assert len(actual) == len(expected)
+    for got, want in zip(actual, expected):
+        assert got.observable == want.observable
+        assert got.localized == want.localized
+        assert got.rank == want.rank
+        assert got.suspiciousness == want.suspiciousness
+        assert got.n_failing == want.n_failing
+        assert got.n_correct == want.n_correct
+        assert got.error == want.error
 
 
 class TestCampaignBitIdentity:
-    def test_rankings_bit_identical_auto_vs_compiled(
-        self, localizer, arbiter
-    ):
+    def test_rankings_bit_identical_vector_vs_interpreted(self, localizer, arbiter):
         mutations = sample_mutations(
             arbiter, {"negation": 2, "operation": 2, "misuse": 1}, seed=1
         )
-        results = {}
-        for engine in ("auto", "compiled"):
-            campaign = CampaignEngine(
-                localizer,
-                n_traces=6,
-                testbench_config=TestbenchConfig(n_cycles=8, engine=engine),
-                seed=3,
-            )
-            results[engine] = campaign.run(arbiter, "gnt1", mutations)
-        for via_auto, via_scalar in zip(
-            results["auto"].outcomes, results["compiled"].outcomes
-        ):
-            assert via_auto.observable == via_scalar.observable
-            assert via_auto.localized == via_scalar.localized
-            assert via_auto.rank == via_scalar.rank
-            assert via_auto.suspiciousness == via_scalar.suspiciousness
-            assert via_auto.n_failing == via_scalar.n_failing
-            assert via_auto.n_correct == via_scalar.n_correct
-            assert via_auto.error == via_scalar.error
+        assert_same_outcomes(
+            campaign_outcomes(localizer, arbiter, "gnt1", mutations, "vector"),
+            campaign_outcomes(localizer, arbiter, "gnt1", mutations, "interpreted"),
+        )
+
+    def test_wide_design_campaign_matches_interpreted(self, localizer):
+        module = parse_module(WIDE_ACCUMULATOR)
+        mutations = sample_mutations(
+            module, {"negation": 2, "operation": 2, "misuse": 1}, seed=1
+        )
+        before = engine_stats()["vector"]
+        via_vector = campaign_outcomes(localizer, module, "acc", mutations, "vector")
+        after = engine_stats()["vector"]
+        # Golden and every mutant fail the lane audit: nothing ran in lockstep.
+        assert after["scalar_fallbacks"] > before["scalar_fallbacks"]
+        assert after["batches"] == before["batches"]
+        assert any(outcome.observable for outcome in via_vector)
+        assert_same_outcomes(
+            via_vector,
+            campaign_outcomes(localizer, module, "acc", mutations, "interpreted"),
+        )
