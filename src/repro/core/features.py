@@ -71,9 +71,15 @@ class Sample:
 class EncodedBatch:
     """Flattened, padded arrays for a batch of samples.
 
-    Layout: all paths of all operands of all samples are stacked into one
-    ``[P, T]`` token matrix; ``path_operand`` maps each path row to its
-    operand row; ``operand_stmt`` maps each operand row to its sample.
+    Layout: every ``(operand, path)`` pair of every sample is one *path
+    row*.  The token matrix holds each *distinct* token path once:
+    ``path_tokens``/``path_mask`` are ``[D, T]``, and ``path_index`` maps
+    each of the ``P`` path rows to its distinct row.  ``path_operand``
+    maps each path row to its operand row and ``operand_stmt`` each
+    operand row to its sample.  Paths hold AST node *types* only, so a
+    batch of ``P`` path rows typically needs far fewer ``D`` PathRNN
+    rows; stage 1 of the model runs the PathRNN once per distinct row
+    and gathers the result back with ``path_index``.
 
     ``operand_contexts`` carries, per operand row, the originating
     ``(StatementContext, operand_index)`` pair.  The PathRNN output of an
@@ -83,6 +89,7 @@ class EncodedBatch:
 
     path_tokens: np.ndarray
     path_mask: np.ndarray
+    path_index: np.ndarray
     path_operand: np.ndarray
     value_onehot: np.ndarray
     operand_stmt: np.ndarray
@@ -95,11 +102,12 @@ class EncodedBatch:
     def select(self, stmt_rows) -> "EncodedBatch":
         """The sub-batch of the given statement rows, in the given order.
 
-        Gathers the statements' operand rows and path rows and trims the
-        path axis to the selection's longest path, so every array equals
-        what :meth:`BatchEncoder.encode` returns for the same samples in
-        that order.  Training encodes its sample set once and selects
-        each minibatch from it.
+        Gathers the statements' operand rows and path rows, keeps only
+        the distinct paths they reference (renumbered in first-use
+        order) and trims the path axis to the longest of them, so every
+        array equals what :meth:`BatchEncoder.encode` returns for the
+        same samples in that order.  Training encodes its sample set
+        once and selects each minibatch from it.
         """
         stmt_rows = np.asarray(stmt_rows, dtype=np.int64)
         counts = np.asarray(self.operand_counts, dtype=np.int64)
@@ -107,11 +115,13 @@ class EncodedBatch:
         paths_per_operand = np.bincount(self.path_operand, minlength=self.n_operands)
         selected_paths = paths_per_operand[op_rows]
         path_rows = _concat_ranges(_starts(paths_per_operand)[op_rows], selected_paths)
-        mask = self.path_mask[path_rows]
-        steps = max(int(mask.sum(axis=1).max()) if len(path_rows) else 1, 1)
+        distinct, path_index = _first_seen_compaction(self.path_index[path_rows])
+        mask = self.path_mask[distinct]
+        steps = max(int(mask.sum(axis=1).max()) if len(distinct) else 1, 1)
         return EncodedBatch(
-            path_tokens=self.path_tokens[path_rows, :steps],
+            path_tokens=self.path_tokens[distinct, :steps],
             path_mask=np.ascontiguousarray(mask[:, :steps]),
+            path_index=path_index,
             path_operand=np.repeat(
                 np.arange(len(op_rows), dtype=np.int64), selected_paths
             ),
@@ -143,8 +153,23 @@ def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return offsets + np.arange(total, dtype=np.int64)
 
 
+def _first_seen_compaction(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``ids`` in first-seen order, and the rank of
+    each entry among them: ``distinct[rank] == ids``."""
+    values, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    by_first = np.argsort(first, kind="stable")
+    rank = np.empty(len(values), dtype=np.int64)
+    rank[by_first] = np.arange(len(values), dtype=np.int64)
+    return values[by_first], rank[inverse]
+
+
 class BatchEncoder:
     """Encodes :class:`Sample` lists into :class:`EncodedBatch` arrays.
+
+    Each :meth:`encode` call finds the distinct token paths among its
+    samples' operands and pads each one once (see :class:`EncodedBatch`
+    for the ``path_index`` layout); the distinct-path table lives only
+    as long as the call, so there is no unbounded interning state.
 
     Path token encodings are cached per context object, so repeated
     executions of the same statement — the common case — cost only the
@@ -160,24 +185,24 @@ class BatchEncoder:
         self.vocab = vocab
         self.value_encoder = value_encoder or ValueEncoder()
         self._path_cache: dict[
-            int, tuple[weakref.ref, list[list[list[int]]]]
+            int, tuple[weakref.ref, tuple[tuple[tuple[int, ...], ...], ...]]
         ] = {}
 
-    def _context_paths(self, context: StatementContext) -> list[list[list[int]]]:
+    def _context_paths(
+        self, context: StatementContext
+    ) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per operand, the token-id tuple of each of its paths."""
         key = id(context)
         entry = self._path_cache.get(key)
         if entry is not None and entry[0]() is context:
             return entry[1]
-        encoded = [
-            [self.vocab.encode_path(path) for path in operand_paths]
+        encoded = tuple(
+            tuple(tuple(self.vocab.encode_path(path)) for path in operand_paths)
             for operand_paths in context.contexts
-        ]
+        )
         ref = weakref.ref(context, lambda _r, _k=key: self._path_cache.pop(_k, None))
         self._path_cache[key] = (ref, encoded)
         return encoded
-
-    def _operand_paths(self, context: StatementContext, op_index: int) -> list[list[int]]:
-        return self._context_paths(context)[op_index]
 
     def encode(self, samples: list[Sample]) -> EncodedBatch:
         """Encode a list of samples into one batch.
@@ -185,47 +210,67 @@ class BatchEncoder:
         Raises:
             ValueError: If any sample has zero operands (not encodable).
         """
-        all_paths: list[list[int]] = []
-        path_operand: list[int] = []
-        operand_stmt: list[int] = []
+        distinct: dict[tuple[int, ...], int] = {}
+        # Per context of this call: its operands' distinct path rows
+        # (flat), their path counts and the ``(context, operand)`` pairs.
+        # The samples keep their contexts alive, so ``id`` is safe here.
+        layouts: dict[
+            int, tuple[list[int], list[int], list[tuple[StatementContext, int]]]
+        ] = {}
+        path_index: list[int] = []
+        paths_per_operand: list[int] = []
         values: list[int] = []
         labels: list[int] = []
         operand_counts: list[int] = []
         operand_contexts: list[tuple[StatementContext, int]] = []
 
-        operand_row = 0
-        for stmt_row, sample in enumerate(samples):
+        for sample in samples:
             context = sample.context
-            if context.n_operands == 0:
+            n_operands = context.n_operands
+            if n_operands == 0:
                 raise ValueError(
                     f"statement {context.stmt_id} has no operands; filter such "
                     "samples out with build_samples()"
                 )
-            if len(sample.operand_values) != context.n_operands:
+            if len(sample.operand_values) != n_operands:
                 raise ValueError(
                     f"statement {context.stmt_id}: {len(sample.operand_values)} "
-                    f"values for {context.n_operands} operands"
+                    f"values for {n_operands} operands"
                 )
-            operand_counts.append(context.n_operands)
-            for op_index in range(context.n_operands):
-                for path in self._operand_paths(context, op_index):
-                    all_paths.append(path)
-                    path_operand.append(operand_row)
-                operand_stmt.append(stmt_row)
-                values.append(sample.operand_values[op_index])
-                operand_contexts.append((context, op_index))
-                operand_row += 1
+            layout = layouts.get(id(context))
+            if layout is None:
+                operands = self._context_paths(context)[:n_operands]
+                layout = (
+                    [
+                        distinct.setdefault(path, len(distinct))
+                        for paths in operands
+                        for path in paths
+                    ],
+                    [len(paths) for paths in operands],
+                    [(context, op_index) for op_index in range(n_operands)],
+                )
+                layouts[id(context)] = layout
+            path_index.extend(layout[0])
+            paths_per_operand.extend(layout[1])
+            operand_contexts.extend(layout[2])
+            operand_counts.append(n_operands)
+            values.extend(sample.operand_values)
             labels.append(sample.label)
 
-        tokens, mask = self.vocab.pad_paths(all_paths)
+        tokens, mask = self.vocab.pad_paths(list(distinct))
+        counts = np.asarray(operand_counts, dtype=np.int64)
         return EncodedBatch(
             path_tokens=tokens,
             path_mask=mask,
-            path_operand=np.asarray(path_operand, dtype=np.int64),
+            path_index=np.asarray(path_index, dtype=np.int64),
+            path_operand=np.repeat(
+                np.arange(len(operand_contexts), dtype=np.int64),
+                np.asarray(paths_per_operand, dtype=np.int64),
+            ),
             value_onehot=self.value_encoder.one_hot(np.asarray(values)),
-            operand_stmt=np.asarray(operand_stmt, dtype=np.int64),
+            operand_stmt=np.repeat(np.arange(len(samples), dtype=np.int64), counts),
             labels=np.asarray(labels, dtype=np.int64),
-            n_operands=operand_row,
+            n_operands=len(operand_contexts),
             n_statements=len(samples),
             operand_counts=operand_counts,
             operand_contexts=operand_contexts,

@@ -16,11 +16,14 @@ Three stages, all fully batched over ragged statements via segment ops:
 3. **Final prediction** — ``MLP_θ2`` maps the statement embedding to
    2-class logits for the LHS value.
 
-Stage 1 is where the time goes (the PathRNN runs over every path of
-every operand).  It runs on the packed LSTM kernel
-(:func:`repro.nn.lstm_forward_fused`) in training and inference alike:
-with grad on it is one autograd node with a hand-written BPTT backward,
-with grad off it saves nothing.  Its output is *value-independent*:
+Stage 1 is where the time goes.  The encoded batch stores each distinct
+token path once (:class:`~repro.core.features.EncodedBatch`), so the
+PathRNN runs once per distinct path and ``path_index`` gathers the
+results back to every ``(operand, path)`` row before the per-operand
+sums — one formulation for training and inference alike.  The PathRNN
+is the packed LSTM kernel (:func:`repro.nn.lstm_forward_fused`): with
+grad on it is one autograd node with a hand-written BPTT backward, with
+grad off it saves nothing.  Its output is *value-independent*:
 ``c_i`` is a pure function of the static ``(StatementContext,
 operand_index)`` pair and the current weights.
 :class:`ContextEmbeddingCache` memoizes it per *structural fingerprint*
@@ -461,20 +464,42 @@ class VeriBugModel(Module):
         """PathRNN context embeddings ``c_i``, memoized under inference.
 
         With autograd on (training, reference arm) or when the cache is
-        disabled, every path row runs through the PathRNN.  Under
-        :func:`inference_mode`, distinct ``(context, operand)`` pairs are
-        computed once — duplicates within the batch share one forward row,
-        repeats across batches are served from the cache.
+        disabled, every distinct path of the batch runs through the
+        PathRNN once (:meth:`_path_sums`).  Under :func:`inference_mode`,
+        distinct ``(context, operand)`` structures are looked up in the
+        cache and only the misses' paths reach the same formulation.
         """
         if (
             is_grad_enabled()
             or not self.context_cache.enabled
             or batch.operand_contexts is None
         ):
-            tokens = self.node_embedding(batch.path_tokens)  # [P, T, E]
-            path_embed = self.path_rnn(tokens, batch.path_mask)  # [P, dc]
-            return segment_sum(path_embed, batch.path_operand, batch.n_operands)
+            return self._path_sums(
+                batch.path_tokens,
+                batch.path_mask,
+                batch.path_index,
+                batch.path_operand,
+                batch.n_operands,
+            )
         return Tensor(self._cached_context_embeddings(batch))
+
+    def _path_sums(
+        self,
+        tokens: np.ndarray,
+        mask: np.ndarray,
+        path_index: np.ndarray,
+        path_operand: np.ndarray,
+        n_operands: int,
+    ) -> Tensor:
+        """Stage 1 proper: ``segment_sum(gather_rows(PathRNN(embedding(
+        distinct rows)), path_index), path_operand)``.
+
+        The embedding lookup, the LSTM and its BPTT run once per distinct
+        path row of ``tokens``; ``path_index`` fans the results out to
+        every ``(operand, path)`` row, whose sums are the ``c_i``.
+        """
+        path_embed = self.path_rnn(self.node_embedding(tokens), mask)  # [D, dc]
+        return segment_sum(gather_rows(path_embed, path_index), path_operand, n_operands)
 
     def _cached_context_embeddings(self, batch: EncodedBatch) -> np.ndarray:
         cache = self.context_cache
@@ -498,15 +523,21 @@ class VeriBugModel(Module):
         if not missing:
             return out
 
-        # One fused pass over the paths of the representative rows only.
+        # One fused pass over the distinct paths of the representative
+        # rows only.
         representative = np.array([rows[0] for rows in missing], dtype=np.int64)
         segment_of = np.full(batch.n_operands, -1, dtype=np.int64)
         segment_of[representative] = np.arange(len(representative))
         selected = segment_of[batch.path_operand] >= 0
-        tokens = self.node_embedding(batch.path_tokens[selected])
-        path_embed = self.path_rnn(tokens, batch.path_mask[selected])
-        computed = segment_sum(
-            path_embed, segment_of[batch.path_operand[selected]], len(representative)
+        distinct, path_index = np.unique(
+            batch.path_index[selected], return_inverse=True
+        )
+        computed = self._path_sums(
+            batch.path_tokens[distinct],
+            batch.path_mask[distinct],
+            path_index,
+            segment_of[batch.path_operand[selected]],
+            len(representative),
         ).data
         for slot, rows in enumerate(missing):
             context, op_index = batch.operand_contexts[rows[0]]

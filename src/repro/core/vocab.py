@@ -8,6 +8,8 @@ the frontend maps onto the same token space.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from ..verilog.ast_nodes import BINARY_OP_NAMES, UNARY_OP_NAMES
@@ -74,9 +76,9 @@ class Vocabulary:
         return self._tokens[token_id]
 
     def pad_paths(
-        self, paths: list[list[int]], max_len: int | None = None
+        self, paths: Sequence[Sequence[int]], max_len: int | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Pad token id lists into (tokens, mask) matrices.
+        """Pad token id sequences into (tokens, mask) matrices.
 
         Args:
             paths: Ragged list of token-id sequences.

@@ -127,8 +127,17 @@ class TestBatchEncoder:
         batch = encoder.encode(samples)
         assert batch.n_statements == len(samples)
         assert batch.n_operands == sum(s.context.n_operands for s in samples)
-        assert batch.path_tokens.shape[0] == batch.path_mask.shape[0]
-        assert len(batch.path_operand) == batch.path_tokens.shape[0]
+        assert batch.path_tokens.shape == batch.path_mask.shape
+        assert len(batch.path_index) == len(batch.path_operand)
+        assert len(batch.path_operand) == sum(
+            len(paths) for s in samples for paths in s.context.contexts
+        )
+        # Each distinct token path is stored once and every row is used.
+        rows = {tuple(row) for row in batch.path_tokens.tolist()}
+        assert len(rows) == batch.path_tokens.shape[0]
+        assert np.array_equal(
+            np.unique(batch.path_index), np.arange(batch.path_tokens.shape[0])
+        )
         assert len(batch.operand_stmt) == batch.n_operands
         assert batch.value_onehot.shape == (batch.n_operands, 4)
 
@@ -201,9 +210,7 @@ class TestBatchEncoder:
         old = make_context(
             "module a(x, y, z); input x, y; output z; assign z = x & y; endmodule"
         )
-        stale_encoding = [
-            [list(p) for p in op] for op in encoder._context_paths(old)
-        ]
+        stale_encoding = encoder._context_paths(old)
         old_id = id(old)
         del old
         gc.collect()
@@ -226,12 +233,18 @@ class TestBatchEncoder:
         assert got == expected
         if id(new) == old_id:  # the regression scenario actually triggered
             assert got != stale_encoding
+        # The batch built from the recycled id carries the new paths too.
+        sample = Sample(new, (1,) * new.n_operands, 1)
+        got_batch, want_batch = encoder.encode([sample]), fresh.encode([sample])
+        assert np.array_equal(got_batch.path_tokens, want_batch.path_tokens)
+        assert np.array_equal(got_batch.path_index, want_batch.path_index)
 
 
 class TestEncodedBatchSelect:
     ARRAYS = (
         "path_tokens",
         "path_mask",
+        "path_index",
         "path_operand",
         "value_onehot",
         "operand_stmt",
