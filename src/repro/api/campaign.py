@@ -19,6 +19,7 @@ semantics are identical however you drive it:
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -140,46 +141,49 @@ class CampaignHandle:
     def stream(self) -> Iterator[CampaignUpdate]:
         """Yield scored mutants and incremental heatmaps as they complete.
 
-        Outcomes arrive in mutation order, in bursts at localization
-        batch boundaries (``SessionConfig.localize_batch`` mutants share
-        one set of model forward passes).  Abandoning the iterator
-        mid-campaign shuts the simulation worker pool down cleanly.
+        Outcomes arrive in mutation order, in bursts: at localization
+        batch boundaries in process (``SessionConfig.localize_batch``
+        mutants share one set of model forward passes), and one campaign
+        chunk at a time on a session pool, whose workers simulate and
+        localize each chunk.  Abandoning the iterator mid-campaign
+        closes the engine stream, which cancels the chunks no worker
+        has started; the session pool itself stays up.
         """
         sums: dict[int, float] = {}
         counts: dict[int, int] = {}
         completed = observable = localized = errors = 0
-        for outcome, localization in self.engine.iter_localized(
-            self.module, self.target, self.mutations
-        ):
-            completed += 1
-            if outcome.error:
-                errors += 1
-            if outcome.observable:
-                observable += 1
-            if outcome.localized:
-                localized += 1
-            if localization is not None:
-                for stmt_id, score in localization.heatmap.suspiciousness.items():
-                    sums[stmt_id] = sums.get(stmt_id, 0.0) + score
-                    counts[stmt_id] = counts.get(stmt_id, 0) + 1
-            mean = {stmt_id: sums[stmt_id] / counts[stmt_id] for stmt_id in sums}
-            snapshot = HeatmapSnapshot(
-                design=self.module.name,
-                target=self.target,
-                completed=completed,
-                total=len(self.mutations),
-                observable=observable,
-                localized=localized,
-                errors=errors,
-                suspiciousness=mean,
-                counts=dict(counts),
-                ranking=tuple(
-                    sorted(mean, key=lambda stmt_id: (-mean[stmt_id], stmt_id))
-                ),
-            )
-            yield CampaignUpdate(
-                outcome=outcome, localization=localization, snapshot=snapshot
-            )
+        pairs = self.engine.iter_localized(self.module, self.target, self.mutations)
+        with contextlib.closing(pairs):
+            for outcome, localization in pairs:
+                completed += 1
+                if outcome.error:
+                    errors += 1
+                if outcome.observable:
+                    observable += 1
+                if outcome.localized:
+                    localized += 1
+                if localization is not None:
+                    for stmt_id, score in localization.heatmap.suspiciousness.items():
+                        sums[stmt_id] = sums.get(stmt_id, 0.0) + score
+                        counts[stmt_id] = counts.get(stmt_id, 0) + 1
+                mean = {stmt_id: sums[stmt_id] / counts[stmt_id] for stmt_id in sums}
+                snapshot = HeatmapSnapshot(
+                    design=self.module.name,
+                    target=self.target,
+                    completed=completed,
+                    total=len(self.mutations),
+                    observable=observable,
+                    localized=localized,
+                    errors=errors,
+                    suspiciousness=mean,
+                    counts=dict(counts),
+                    ranking=tuple(
+                        sorted(mean, key=lambda stmt_id: (-mean[stmt_id], stmt_id))
+                    ),
+                )
+                yield CampaignUpdate(
+                    outcome=outcome, localization=localization, snapshot=snapshot
+                )
 
     def run(self) -> CampaignReport:
         """Execute the whole campaign and return the batch report.

@@ -101,8 +101,8 @@ class VeriBugSession:
 
     With ``config.n_workers > 0`` the session also owns a persistent
     :class:`~repro.runtime.ExecutionRuntime` — one lazily-started worker
-    pool serving mutant simulation, corpus generation, and sharded
-    localization for every campaign the session runs.  Call
+    pool serving campaign chunks (each simulated and localized on a
+    worker), corpus generation, and sharded localization.  Call
     :meth:`close` (or use the session as a context manager) to release
     the pool; sequential sessions have nothing to release.  Without a
     live runtime — sequential, or after :meth:`close` — all work runs in
@@ -150,7 +150,7 @@ class VeriBugSession:
             max_entries=self.config.cache_max_entries,
         )
         # The session likewise owns the execution runtime: one lazily
-        # started persistent worker pool serving campaign simulation,
+        # started persistent worker pool serving campaign chunks,
         # corpus generation, and sharded localization until close().
         self._runtime: ExecutionRuntime | None = None
         if self.config.n_workers > 0:
@@ -316,8 +316,9 @@ class VeriBugSession:
             seed / n_traces / localize_batch: Per-campaign overrides of
                 the session defaults.
 
-        Mutants are simulated on the session's worker pool while it is
-        open; a handle executed after :meth:`close` runs in process.
+        Mutants are simulated and localized on the session's worker pool
+        while it is open; a handle executed after :meth:`close` runs in
+        process.
 
         Returns:
             A :class:`CampaignHandle`; call ``.run()`` for the batch

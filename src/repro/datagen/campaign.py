@@ -22,18 +22,19 @@ Stimulus suites and their golden traces do not depend on the target, so
 a :class:`SuiteMemo` generates and golden-simulates each one once and
 serves it to every target of the design.
 
-Simulation of mutants is embarrassingly parallel: given a live
+Campaigns are embarrassingly parallel.  Given a live
 :class:`~repro.runtime.ExecutionRuntime` (the owning session's
-persistent pool, reused by consecutive campaigns), the campaign fans the
-simulate/classify phase out across its workers (one task per mutation;
-the campaign context — golden design, stimuli, golden traces, mutation
-plan — is shipped once per worker and referenced by id afterwards, and
-each worker lowers the target program once).  Without one, everything
-runs in process.  Parallel campaigns are bit-identical to sequential
-ones because every mutant derives its extra testbench seeds
-from its own ``node_index``
-(:func:`repro.runtime.seeding.mutant_topup_seed`), never from the
-worker that happens to simulate it.
+persistent pool, reused by consecutive campaigns), the campaign splits
+its mutation plan into *chunks* (:func:`plan_chunks`: contiguous spans
+inside one program group, mutant 0 alone first) and each pool task
+simulates, classifies *and* localizes one chunk on its worker, so trace
+sets never leave the worker that recorded them; only scored outcomes
+and localizations come back.  Without a live runtime everything runs in
+process.  Parallel campaigns are bit-identical to sequential ones
+because every mutant derives its extra testbench seeds from its own
+``node_index`` (:func:`repro.runtime.seeding.mutant_topup_seed`), never
+from the worker that happens to simulate it, and localization batch
+composition cannot change any attention weight.
 
 Localization itself runs on the inference fast path: up to
 ``localize_batch`` observable mutants are handed to
@@ -61,7 +62,7 @@ from ..core.localizer import (
     LocalizationRequest,
     LocalizationResult,
 )
-from ..runtime.seeding import mutant_topup_seed
+from ..runtime import mutant_topup_seed, plan_shards
 from ..sim.simulator import SimulationError, Simulator
 from ..sim.testbench import StimulusSuite, TestbenchConfig, generate_testbench_suite
 from ..sim.trace import Trace, _LaneOutputs
@@ -140,6 +141,24 @@ Simulated = tuple[MutantOutcome, list[Trace], list[Trace]]
 #: program per mutant; peak RSS 79 / 91 / 116 / 192 MB.  The default
 #: Table-III plan (7 mutants per target) fits in one program.
 MAX_PROGRAM_VARIANTS = 8
+
+
+def plan_chunks(n_mutations: int, n_workers: int) -> list[tuple[int, int]]:
+    """Contiguous ``(start, end)`` mutation spans for pooled campaigns.
+
+    Mutant 0 runs alone first, so the first update streams early; the
+    rest of each program group (:data:`MAX_PROGRAM_VARIANTS` mutants)
+    splits into at most ``n_workers`` balanced spans that share selector
+    lanes and top-up rounds.  Spans cover every index once, in order.
+    """
+    chunks = [(0, 1)] if n_mutations > 0 else []
+    for low in range(0, n_mutations, MAX_PROGRAM_VARIANTS):
+        start = max(low, 1)
+        size = min(low + MAX_PROGRAM_VARIANTS, n_mutations) - start
+        chunks.extend(
+            (start + a, start + b) for a, b in plan_shards(size, n_workers)
+        )
+    return chunks
 
 
 def _classify(
@@ -640,20 +659,23 @@ class CampaignEngine:
             simulation engine for golden and mutant runs.
         seed: Base seed for the testbench suite.
         min_correct_traces / max_extra_batches: Correct-trace top-up policy.
-        runtime: Optional :class:`~repro.runtime.ExecutionRuntime` to
-            fan mutant simulation out on while it is open.  A session
-            passes its persistent pool so consecutive campaigns reuse
-            one set of workers; localization batches may additionally
-            shard across the same pool when the localizer carries it.
+        runtime: Optional :class:`~repro.runtime.ExecutionRuntime` whose
+            workers simulate and localize campaign chunks while it is
+            open.  Workers localize with the weights the runtime mirrors
+            (:meth:`~repro.runtime.ExecutionRuntime.attach_model`); a
+            session passes its persistent pool, bound to the localizer's
+            model, so consecutive campaigns reuse one set of workers.
             Without a live runtime the campaign runs in process.
         localize_batch: Cap on the number of observable mutants whose
             localizations are encoded into shared model forward passes
-            (the inference fast path).  Batches ramp 1 → 2 → 4 → … up to
-            this cap so the first outcome streams immediately; 1
-            localizes each mutant with its own model call stream, larger
-            caps amortize per-call overhead at the cost of keeping up to
-            that many mutants' trace sets alive at once.  Outcomes are
-            identical for every value (attention is segment-local).
+            (the inference fast path).  In process, batches ramp
+            1 → 2 → 4 → … up to this cap so the first outcome streams
+            immediately; a pool chunk localizes in batches of up to the
+            cap.  1 localizes each mutant with its own model call
+            stream, larger caps amortize per-call overhead at the cost
+            of keeping up to that many mutants' trace sets alive at
+            once.  Outcomes are identical for every value (attention is
+            segment-local).
         suites: The :class:`SuiteMemo` serving the main and top-up
             suites.  A session passes its own, shared by every campaign
             it runs; by default the engine keeps a private one, shared
@@ -719,26 +741,34 @@ class CampaignEngine:
 
         Yields ``(outcome, localization)`` pairs in mutation order, each
         emitted as soon as its localization (or the decision that none is
-        needed — simulation error / not observable) completes.  Mutants
-        are simulated as selector lanes of the target's program (the
-        first alone, then the rest of its program together; one task per
-        mutant on a live runtime) and localized in shared batches of
-        observable mutants whose size ramps 1 → 2 → 4 → … up to
-        ``localize_batch``: the first result streams as soon as one
-        mutant is localizable, while long campaigns still amortize model
-        calls across full batches.  At most one program's mutants
-        (:data:`MAX_PROGRAM_VARIANTS`) hold trace sets at once, and
-        batch composition cannot change any outcome (attention is
-        segment-local; see :meth:`LocalizationEngine.localize_many`), so
-        :meth:`run` — which drains this iterator — is unaffected by the
-        ramp.  ``localization`` is None for erroring or unobservable
-        mutants.
+        needed — simulation error / not observable) completes;
+        ``localization`` is None for erroring or unobservable mutants.
+        In process, mutants are simulated as selector lanes of the
+        target's program (the first alone, then the rest of its program
+        together) and localized in shared batches of observable mutants
+        whose size ramps 1 → 2 → 4 → … up to ``localize_batch``, so the
+        first result streams early while long campaigns still amortize
+        model calls; at most one program's mutants
+        (:data:`MAX_PROGRAM_VARIANTS`) hold trace sets at once.  On a
+        live runtime each pool task simulates and localizes one
+        :func:`plan_chunks` chunk on its worker and pairs stream chunk
+        by chunk.  Batch composition cannot change any outcome
+        (attention is segment-local; see
+        :meth:`LocalizationEngine.localize_many`), so both ways — and
+        :meth:`run`, which drains this iterator — agree.
         """
-        if (
-            self.runtime is not None
-            and not self.runtime.closed
-            and len(mutations) > 1
-        ):
+        simulation = (
+            module,
+            target,
+            list(mutations),
+            self.testbench_config,
+            self.n_traces,
+            self.seed,
+            self.min_correct_traces,
+            self.max_extra_batches,
+        )
+        runtime = self.runtime
+        if runtime is not None and not runtime.closed and len(mutations) > 1:
             ((stimuli, golden_traces),) = self.suites.fetch(
                 module,
                 [self.seed],
@@ -746,44 +776,37 @@ class CampaignEngine:
                 self.testbench_config,
                 lambda: Simulator(module, engine=self.testbench_config.engine),
             )
-            simulated = self._simulate_parallel(
-                module, target, mutations, stimuli, golden_traces
+            yield from runtime.simulate_mutants(
+                (simulation, stimuli, golden_traces),
+                plan_chunks(len(mutations), runtime.n_workers),
+                self.localize_batch,
             )
-        else:
-            simulated = TargetSimulation(
-                module,
-                target,
-                mutations,
-                self.testbench_config,
-                self.n_traces,
-                self.seed,
-                self.min_correct_traces,
-                self.max_extra_batches,
-                self.suites,
-            ).stream()
+            return
 
+        simulated = TargetSimulation(*simulation, self.suites).stream()
         # ``buffered`` holds outcome slots awaiting emission in mutation
         # order; observable ones stay un-emittable until their shared
         # localization batch runs, which also flushes everything queued
         # behind them.
         buffered: list[tuple[MutantOutcome, LocalizationResult | None]] = []
-        pending: list[tuple[Mutation, MutantOutcome, list[Trace], list[Trace]]] = []
+        pending: list[Simulated] = []
         slots: list[int] = []  # buffered index of each pending mutant
         # Batch-size ramp: stream the first localization immediately,
         # then double toward the configured cap.
         flush_at = 1
-        for mutation, (outcome, failing, correct) in zip(mutations, simulated):
+        for item in simulated:
+            outcome = item[0]
             buffered.append((outcome, None))
             if outcome.error or not outcome.observable:
                 if not pending:
                     yield from buffered
                     buffered.clear()
                 continue
-            pending.append((mutation, outcome, failing, correct))
+            pending.append(item)
             slots.append(len(buffered) - 1)
             if len(pending) >= min(flush_at, self.localize_batch):
                 for slot, localization in zip(
-                    slots, self._localize_pending(module, target, pending)
+                    slots, localize_simulated(self.localizer, module, target, pending)
                 ):
                     buffered[slot] = (buffered[slot][0], localization)
                 pending.clear()
@@ -793,51 +816,35 @@ class CampaignEngine:
                 buffered.clear()
         if pending:
             for slot, localization in zip(
-                slots, self._localize_pending(module, target, pending)
+                slots, localize_simulated(self.localizer, module, target, pending)
             ):
                 buffered[slot] = (buffered[slot][0], localization)
         yield from buffered
 
-    def _simulate_parallel(self, module, target, mutations, stimuli, golden_traces):
-        context = (
-            module,
-            target,
-            stimuli,
-            golden_traces,
-            self.testbench_config,
-            self.n_traces,
-            self.seed,
-            self.min_correct_traces,
-            self.max_extra_batches,
-            list(mutations),
-        )
-        return self.runtime.simulate_mutants(context, mutations)
 
-    def _localize_pending(
-        self,
-        module: Module,
-        target: str,
-        pending: list[tuple[Mutation, MutantOutcome, list[Trace], list[Trace]]],
-    ) -> list[LocalizationResult]:
-        """Localize a batch of observable mutants and score their outcomes."""
-        requests = [
-            LocalizationRequest(
-                module=apply_mutation(module, mutation),
-                target=target,
-                failing_traces=failing,
-                correct_traces=correct,
-            )
-            for mutation, _outcome, failing, correct in pending
-        ]
-        localizations: list[LocalizationResult] = self.localizer.localize_many(
-            requests
+def localize_simulated(
+    localizer: LocalizationEngine,
+    module: Module,
+    target: str,
+    pending: list[Simulated],
+) -> list[LocalizationResult]:
+    """Localize a batch of observable mutants and score their outcomes.
+
+    Shared by the in-process campaign loop and the pool's chunk task.
+    """
+    requests = [
+        LocalizationRequest(
+            module=apply_mutation(module, outcome.mutation),
+            target=target,
+            failing_traces=failing,
+            correct_traces=correct,
         )
-        for (mutation, outcome, _failing, _correct), localization in zip(
-            pending, localizations
-        ):
-            outcome.rank = localization.rank_of(mutation.stmt_id)
-            outcome.suspiciousness = localization.heatmap.suspiciousness.get(
-                mutation.stmt_id
-            )
-            outcome.localized = localization.is_top1(mutation.stmt_id)
-        return localizations
+        for outcome, failing, correct in pending
+    ]
+    localizations: list[LocalizationResult] = localizer.localize_many(requests)
+    for (outcome, _failing, _correct), localization in zip(pending, localizations):
+        stmt_id = outcome.mutation.stmt_id
+        outcome.rank = localization.rank_of(stmt_id)
+        outcome.suspiciousness = localization.heatmap.suspiciousness.get(stmt_id)
+        outcome.localized = localization.is_top1(stmt_id)
+    return localizations

@@ -2,8 +2,9 @@
 
 One subsystem owns every process pool in the system.  The
 :class:`ExecutionRuntime` is a lazily-started, spawn-safe, persistent
-pool that serves campaign mutant simulation, corpus generation, and
-sharded localization with shared read-only model weights; see
+pool that serves campaign chunks (simulated and localized on the
+worker), corpus generation, and sharded localization with shared
+read-only model weights; see
 :mod:`repro.runtime.runtime` for the full design and
 ``docs/architecture.md`` ("Execution runtime") for the lifecycle
 diagram.

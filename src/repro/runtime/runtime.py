@@ -19,10 +19,10 @@ worker pool:
   autograd state (localization runs the no-grad fused path only).  When
   the owning session retrains or reloads weights, the model's
   ``_on_state_loaded`` hook bumps the runtime's *weight epoch*; the next
-  localization dispatch attaches an epoch-tagged refresh snapshot that
-  stale workers apply before computing.  No pool restart, no retrain
-  races: a shard tagged epoch ``e`` is always computed with epoch-``e``
-  weights.
+  localization or campaign dispatch attaches an epoch-tagged refresh
+  snapshot that stale workers apply before computing.  No pool restart,
+  no retrain races: a task tagged epoch ``e`` is always computed with
+  epoch-``e`` weights.
 * **Sharded localization.**  :meth:`localize_many` partitions a request
   batch into contiguous, balanced shards (one per worker at most) and
   merges results in shard order, so the output ordering — and, because
@@ -31,18 +31,19 @@ worker pool:
   single-process fast path.  Execution dedup and the structural
   context-embedding cache stay worker-local; workers report cache-hit
   deltas that the runtime aggregates into fleet-wide stats.
-* **Sticky campaign contexts.**  Mutant-simulation tasks reference their
-  campaign context (golden design, stimuli, golden traces) by id and
-  carry it as a parent-side memoized pickle blob, deserialized at most
-  once per worker per campaign.
-* **Zero-repack trace wire format.**  Everything that crosses the pool
-  boundary carrying executions (mutant trace sets coming back from
-  simulation tasks, shard requests going out to localization workers)
-  is columnar end to end: the simulator records straight into
-  :class:`~repro.sim.trace.ExecutionColumns`, ``Trace.__getstate__``
-  ships those arrays as-is, and the receiving side consumes them
-  without ever materializing record objects — no per-execution packing
-  or unpacking happens on either side of the boundary.
+* **Worker-resident campaign chunks.**  :meth:`simulate_mutants` runs a
+  campaign as one task per chunk (a contiguous mutation span of one
+  program group): the worker simulates the chunk's mutants as selector
+  lanes, localizes the observable ones on its weight mirror and returns
+  scored ``(outcome, localization)`` pairs.  Every chunk task carries the
+  campaign context as one pickled blob (a target has only a handful of
+  chunks), deserialized at most once per worker per campaign.
+* **Columnar trace wire format.**  Campaign traces never cross the
+  pool; traces travel only in explicit :meth:`localize_many` shard
+  requests.  Those are columnar end to end: the simulator records
+  straight into :class:`~repro.sim.trace.ExecutionColumns`,
+  ``Trace.__getstate__`` ships those arrays as-is, and the worker
+  consumes them without materializing record objects.
 
 Lifecycle: the runtime is cheap to construct (no processes until the
 first parallel dispatch), reusable across campaigns/corpora, and closed
@@ -56,23 +57,23 @@ import multiprocessing
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .worker import (
-    MissingWorkerContext,
     ModelPayload,
     StaleWorkerWeights,
     _init_worker,
+    _task_campaign_chunk,
     _task_corpus_design,
     _task_localize_shard,
     _task_refresh_weights,
-    _task_simulate_mutant,
     _task_warmup,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.localizer import LocalizationRequest, LocalizationResult
     from ..core.model import VeriBugModel
+    from ..datagen.campaign import MutantOutcome
 
 #: Start methods that do not inherit parent state mid-flight.
 SPAWN_SAFE_METHODS = ("spawn", "forkserver")
@@ -103,11 +104,13 @@ def plan_shards(n_items: int, n_shards: int) -> list[tuple[int, int]]:
 class RuntimeStats:
     """A point-in-time snapshot of one runtime's counters.
 
-    ``worker_cache_*`` / ``worker_memo_*`` aggregate the per-shard deltas
-    reported by workers — the fleet-wide equivalents of the in-process
+    ``worker_cache_*`` / ``worker_memo_*`` aggregate the cache deltas
+    workers report per localization shard and per campaign chunk — the
+    fleet-wide equivalents of the in-process
     ``ContextEmbeddingCache.stats()`` and ``AttentionRowMemo.stats()``.
     They make the sharded hit-rate drop (worker-local caches see only
-    their shard's structural overlap) visible without the bench script.
+    their own tasks' structural overlap) visible without the bench
+    script.
     """
 
     n_workers: int
@@ -319,7 +322,7 @@ class ExecutionRuntime:
         Registers a weight listener on the model: ``Trainer.train`` and
         ``load_state_dict`` both fire ``_on_state_loaded``, which bumps
         this runtime's weight epoch and invalidates the memoized
-        snapshot.  Workers refresh lazily, per shard, via the epoch tag.
+        snapshot.  Workers refresh lazily, per task, via the epoch tag.
         """
         self._model = model
         self._model_options = {
@@ -343,10 +346,11 @@ class ExecutionRuntime:
         One refresh task per worker (each sleeps briefly so the batch
         spreads across the pool rather than one idle worker draining
         them all) and the pool is marked current: subsequent shard
-        dispatches stop attaching snapshots.  A worker the broadcast
-        missed raises :class:`StaleWorkerWeights` on its next shard and
-        the parent retries that shard with the snapshot attached, so
-        the broadcast is an optimization, never a correctness premise.
+        and chunk dispatches stop attaching snapshots.  A worker the
+        broadcast missed raises :class:`StaleWorkerWeights` on its next
+        task and the parent retries that task with the snapshot
+        attached, so the broadcast is an optimization, never a
+        correctness premise.
         """
         blob = self._snapshot_blob()
         for _ in range(self.n_workers):
@@ -432,79 +436,66 @@ class ExecutionRuntime:
                     self._snapshot_blob(),
                 ).result()
             results.extend(shard_results)
-            counters.worker_cache_hits += delta["hits"]
-            counters.worker_cache_misses += delta["misses"]
-            counters.worker_cache_cross_epoch_hits += delta["cross_epoch_hits"]
-            counters.worker_memo_hits += delta.get("memo_hits", 0)
-            counters.worker_memo_misses += delta.get("memo_misses", 0)
-            counters.worker_memo_cross_epoch_hits += delta.get(
-                "memo_cross_epoch_hits", 0
-            )
+            self._fold_delta(delta)
         return results
 
-    # ------------------------------------------------------------------
-    # Campaign simulation
-    # ------------------------------------------------------------------
-    def simulate_mutants(self, context: tuple, mutations: Iterable) -> Iterator:
-        """Fan one campaign's mutant simulations across the pool.
+    def _fold_delta(self, delta: dict[str, int]) -> None:
+        """Add one task's worker cache/memo counter delta to the totals."""
+        for name, value in delta.items():
+            setattr(self._counters, name, getattr(self._counters, name) + value)
 
-        ``context`` is the per-campaign tuple the simulate task consumes
-        (golden design, target, stimuli, golden traces, trace policy); it
-        is pickled once here, attached to the campaign's first
-        ``2 * n_workers`` tasks (statistically enough to seed every
-        worker once), and installed at most once per worker.  A worker
-        that received none of the seeded tasks raises
-        :class:`MissingWorkerContext` and that task is retried with the
-        blob attached, so later tasks pay no per-task context transfer
-        without any scheduling assumption.  Yields
-        ``(outcome, failing, correct)`` triples in mutation order as
-        they complete, so campaign streaming semantics are preserved.
+    # ------------------------------------------------------------------
+    # Campaigns
+    # ------------------------------------------------------------------
+    def simulate_mutants(
+        self,
+        context: tuple,
+        chunks: list[tuple[int, int]],
+        localize_batch: int,
+    ) -> Iterator[tuple["MutantOutcome", "LocalizationResult | None"]]:
+        """Run one campaign on the pool, one task per mutation chunk.
 
-        Submission is windowed, not bulk: at most ``2 * n_workers``
-        simulation tasks are in flight at a time, the next one submitted
-        only as results are consumed.  ``ProcessPoolExecutor`` has no
-        task priorities — it drains its queue FIFO — so keeping the sim
-        queue shallow is what lets an interleaved :meth:`localize_many`
-        dispatch (a streaming campaign localizing mutants while later
-        mutants still simulate) run its shards after at most one window
-        of sim tasks instead of stalling behind the campaign's whole
-        backlog.  The window still keeps every worker busy: ``n_workers``
-        tasks run while ``n_workers`` more sit queued.
+        ``context`` is ``(TargetSimulation arguments, stimuli,
+        golden_traces)``, pickled once and carried by every chunk task.
+        ``chunks`` are contiguous ``(start, end)`` mutation spans in
+        order (:func:`~repro.datagen.campaign.plan_chunks`); each task
+        simulates its span and localizes the observable mutants, in
+        batches of at most ``localize_batch``, with current-epoch
+        weights.  Yields scored ``(outcome, localization)`` pairs in
+        mutation order and folds each chunk's cache/memo delta into
+        :meth:`stats`.  A stale worker's chunk is retried with the
+        weight snapshot, as in :meth:`localize_many`; closing the
+        generator early cancels the chunks no worker has started.
         """
         pool = self._ensure_pool()
         ctx_id = self._next_ctx_id
         self._next_ctx_id += 1
         blob = pickle.dumps(context, protocol=pickle.HIGHEST_PROTOCOL)
-        mutations = list(mutations)
-        # The window size doubles as the blob-seeding horizon: every
-        # submission in the first window carries the context blob, so
-        # the seeding guarantee of the bulk-submit scheme is unchanged.
-        window = 2 * self.n_workers
-        self._counters.campaigns_served += 1
-        self._counters.tasks_dispatched += len(mutations)
+        epoch = self._weight_epoch
+        refresh = (
+            self._snapshot_blob() if epoch != self._pool_weight_epoch else None
+        )
 
-        def submit(index: int):
+        def submit(span: tuple[int, int], refresh_blob: bytes | None):
             return pool.submit(
-                _task_simulate_mutant,
-                ctx_id,
-                blob if index < window else None,
-                mutations[index],
+                _task_campaign_chunk, ctx_id, blob, epoch, refresh_blob, span, localize_batch
             )
 
-        futures = [submit(index) for index in range(min(window, len(mutations)))]
-        for index in range(len(mutations)):
-            try:
-                result = futures[index].result()
-            except MissingWorkerContext:
-                result = pool.submit(
-                    _task_simulate_mutant, ctx_id, blob, mutations[index]
-                ).result()
-            # Top the window up before yielding: the consumer may take
-            # arbitrarily long with the result (e.g. localizing), and the
-            # pool should be working on the next mutants meanwhile.
-            if len(futures) < len(mutations):
-                futures.append(submit(len(futures)))
-            yield result
+        futures = [submit(span, refresh) for span in chunks]
+        self._counters.campaigns_served += 1
+        self._counters.tasks_dispatched += len(futures)
+        try:
+            for span, future in zip(chunks, futures):
+                try:
+                    pairs, delta = future.result()
+                except StaleWorkerWeights:
+                    self._counters.weight_refresh_dispatches += 1
+                    pairs, delta = submit(span, self._snapshot_blob()).result()
+                self._fold_delta(delta)
+                yield from pairs
+        finally:
+            for future in futures:
+                future.cancel()
 
     # ------------------------------------------------------------------
     # Corpus generation

@@ -10,22 +10,25 @@ lives in the module-level :data:`_STATE` dict:
   localization runs entirely on the no-grad fast path, so the snapshot
   is read-only by construction.  When the parent retrains or reloads
   weights it bumps the epoch and attaches a refreshed snapshot to the
-  next shard task; the worker rebuilds only when the tags disagree.
-* ``contexts`` — a small LRU of campaign contexts (golden design,
-  stimuli, golden traces, trace policy, mutation plan).  Simulation
-  tasks carry their context as a pre-pickled blob that is deserialized
-  once per worker per campaign and served from this store afterwards.
-* ``simulations`` — the campaign's
-  :class:`~repro.datagen.campaign.TargetSimulation` per live context:
-  the target program is lowered once per worker, not once per mutant.
+  next shard or chunk task; the worker rebuilds only when the tags
+  disagree.
+* ``campaigns`` — a small LRU of campaign chunk contexts: the
+  campaign's :class:`~repro.datagen.campaign.TargetSimulation` plus its
+  main stimulus suite and golden traces.  Every chunk task carries the
+  context as a pre-pickled blob; a worker deserializes it once per
+  campaign and keeps the simulation, so each target program is lowered
+  once per worker however many chunks of the campaign it runs.
 
-Task functions return plain picklable values; localization shards also
-return the worker cache's hit/miss delta so the parent runtime can
-aggregate a fleet-wide hit rate.  Traces move in both directions in
-their columnar form (the simulator records struct-of-arrays natively
-and ``Trace`` serializes the same arrays), so neither the worker nor
-the parent ever materializes per-execution record objects for transport
-— the explainer dedups straight off the columns on arrival.
+Task functions return plain picklable values.  A campaign chunk
+simulates, classifies and localizes its mutants on the worker and
+returns only scored outcomes and localization results, so campaign
+traces never cross the pool.  Traces travel only inside explicit
+sharded ``localize_many`` requests, in their columnar form (the
+simulator records struct-of-arrays natively and ``Trace`` serializes
+the same arrays), so the worker never materializes per-execution
+record objects for transport.  Localization tasks also return the
+worker cache and memo hit/miss deltas, which the parent runtime
+aggregates into fleet-wide hit rates.
 """
 
 from __future__ import annotations
@@ -73,22 +76,12 @@ class ModelPayload:
 
 
 class StaleWorkerWeights(RuntimeError):
-    """A shard arrived for a weight epoch this worker cannot satisfy.
+    """A shard or chunk arrived for a weight epoch this worker lacks.
 
     Happens when this worker missed the best-effort refresh broadcast a
     weight change triggers (it was busy, or spawned later with the pool's
     original init snapshot).  The parent catches this and resubmits the
-    shard with the refresh snapshot attached.
-    """
-
-
-class MissingWorkerContext(RuntimeError):
-    """A simulation task referenced a campaign context this worker lacks.
-
-    Context blobs ride along only on a campaign's first few tasks (enough
-    to cover every worker in the common case); a worker that received
-    none of those raises this, and the parent resubmits the task with the
-    blob attached.
+    task with the refresh snapshot attached.
     """
 
 
@@ -96,8 +89,7 @@ class MissingWorkerContext(RuntimeError):
 _STATE: dict[str, Any] = {
     "model_init": None,  # ModelPayload | None shipped via initargs
     "engine": None,  # (epoch, LocalizationEngine)
-    "contexts": OrderedDict(),  # ctx_id -> campaign context tuple
-    "simulations": {},  # ctx_id -> TargetSimulation of that campaign
+    "campaigns": OrderedDict(),  # ctx_id -> (TargetSimulation, stimuli, goldens)
 }
 
 
@@ -106,20 +98,20 @@ def _init_worker(model_init_blob: bytes | None) -> None:
 
     The blob is pickled once in the parent and handed to every worker the
     pool ever spawns; the model itself is built lazily on the first
-    localization shard so simulation-only pools never pay for it.
+    localization shard or campaign chunk, so corpus-only pools never pay
+    for it.
     """
     _STATE["model_init"] = (
         pickle.loads(model_init_blob) if model_init_blob is not None else None
     )
     _STATE["engine"] = None
-    _STATE["contexts"] = OrderedDict()
-    _STATE["simulations"] = {}
+    _STATE["campaigns"] = OrderedDict()
 
 
 def _build_engine(payload: ModelPayload):
     """Construct a worker-local localization engine from a snapshot."""
     # Imports are deferred so pool startup only pays for them when a
-    # localization shard actually arrives.
+    # task actually localizes.
     from ..core import BatchEncoder, Vocabulary
     from ..core.localizer import LocalizationEngine
     from ..core.model import VeriBugModel
@@ -161,6 +153,23 @@ def _ensure_engine(epoch: int, refresh_blob: bytes | None):
     )
 
 
+def _cache_counters(engine) -> dict[str, int]:
+    """The worker cache and memo counters, named as the parent folds them."""
+    cache, memo = engine.model.context_cache, engine.model.attention_memo
+    return {
+        "worker_cache_hits": cache.hits,
+        "worker_cache_misses": cache.misses,
+        "worker_cache_cross_epoch_hits": cache.cross_epoch_hits,
+        "worker_memo_hits": memo.hits,
+        "worker_memo_misses": memo.misses,
+        "worker_memo_cross_epoch_hits": memo.cross_epoch_hits,
+    }
+
+
+def _counter_delta(engine, before: dict[str, int]) -> dict[str, int]:
+    return {name: value - before[name] for name, value in _cache_counters(engine).items()}
+
+
 def _task_localize_shard(
     epoch: int,
     requests: list,
@@ -178,38 +187,25 @@ def _task_localize_shard(
     this shard, for fleet-wide aggregation in the parent.
     """
     engine = _ensure_engine(epoch, refresh_blob)
-    cache = engine.model.context_cache
-    memo = engine.model.attention_memo
-    before = (cache.hits, cache.misses, cache.cross_epoch_hits)
-    memo_before = (memo.hits, memo.misses, memo.cross_epoch_hits)
+    before = _cache_counters(engine)
     results = engine.localize_many(requests, batch_size=batch_size)
-    return results, {
-        "hits": cache.hits - before[0],
-        "misses": cache.misses - before[1],
-        "cross_epoch_hits": cache.cross_epoch_hits - before[2],
-        "entries": len(cache),
-        "memo_hits": memo.hits - memo_before[0],
-        "memo_misses": memo.misses - memo_before[1],
-        "memo_cross_epoch_hits": memo.cross_epoch_hits - memo_before[2],
-        "memo_entries": len(memo),
-    }
+    return results, _counter_delta(engine, before)
 
 
-def _install_context(ctx_id: int, context_blob: bytes | None) -> tuple:
-    """Deserialize and LRU-store a campaign context, once per worker."""
-    contexts: OrderedDict = _STATE["contexts"]
-    cached = contexts.get(ctx_id)
+def _campaign(ctx_id: int, context_blob: bytes) -> tuple:
+    """A campaign's simulation and main suite, deserialized once per worker."""
+    campaigns: OrderedDict = _STATE["campaigns"]
+    cached = campaigns.get(ctx_id)
     if cached is not None:
-        contexts.move_to_end(ctx_id)
+        campaigns.move_to_end(ctx_id)
         return cached
-    if context_blob is None:
-        raise MissingWorkerContext(f"worker has no campaign context {ctx_id}")
-    context = pickle.loads(context_blob)
-    while len(contexts) >= MAX_CONTEXTS:
-        evicted, _ = contexts.popitem(last=False)
-        _STATE["simulations"].pop(evicted, None)
-    contexts[ctx_id] = context
-    return context
+    from ..datagen.campaign import TargetSimulation
+
+    simulation, stimuli, golden_traces = pickle.loads(context_blob)
+    while len(campaigns) >= MAX_CONTEXTS:
+        campaigns.popitem(last=False)
+    cached = campaigns[ctx_id] = (TargetSimulation(*simulation), stimuli, golden_traces)
+    return cached
 
 
 def _task_refresh_weights(refresh_blob: bytes, delay: float = 0.0) -> int:
@@ -219,7 +215,7 @@ def _task_refresh_weights(refresh_blob: bytes, delay: float = 0.0) -> int:
     briefly so the batch spreads across the pool instead of one idle
     worker draining them all; coverage is still best-effort — a worker
     that missed every broadcast raises :class:`StaleWorkerWeights` on
-    its next shard and is refreshed by the parent's retry.
+    its next task and is refreshed by the parent's retry.
     """
     payload = pickle.loads(refresh_blob)
     _build_engine(payload)
@@ -230,50 +226,40 @@ def _task_refresh_weights(refresh_blob: bytes, delay: float = 0.0) -> int:
     return os.getpid()
 
 
-def _task_simulate_mutant(ctx_id: int, context_blob: bytes | None, mutation):
-    """Simulate and classify one campaign mutant (no localization).
+def _task_campaign_chunk(
+    ctx_id: int,
+    context_blob: bytes,
+    epoch: int,
+    refresh_blob: bytes | None,
+    span: tuple[int, int],
+    localize_batch: int,
+) -> tuple[list[tuple], dict[str, int]]:
+    """Simulate, classify and localize one chunk of a campaign's mutants.
 
-    ``context_blob`` is the campaign context pickled once in the parent
-    and attached only to a campaign's first few tasks; a worker that
-    already installed ``ctx_id`` skips deserialization, and one that
-    never saw a blob raises :class:`MissingWorkerContext` for the parent
-    to retry with the blob attached.
-
-    The context carries the campaign's whole mutation list, so each
-    worker lowers each target program it needs once (a
-    :class:`~repro.datagen.campaign.TargetSimulation` kept with the
-    context) and runs every mutant it receives as selector lanes of it,
-    sharing top-up suites across them.
+    The chunk is the contiguous mutation span ``span`` of one program
+    group, simulated as selector lanes of that program (shared suites
+    and top-up rounds).  Its observable mutants are then localized on
+    the worker engine for ``epoch``, in batches of at most
+    ``localize_batch``, and scored by the same helper as the in-process
+    campaign.  Returns ``(outcome, localization)`` pairs in mutation
+    order plus the cache/memo delta; the trace sets stay here.  The
+    weights are checked before any simulation, so a stale worker raises
+    :class:`StaleWorkerWeights` without wasted work.
     """
-    from ..datagen.campaign import TargetSimulation
+    from ..datagen.campaign import localize_simulated
 
-    (
-        module,
-        target,
-        stimuli,
-        golden_traces,
-        testbench_config,
-        n_traces,
-        seed,
-        min_correct_traces,
-        max_extra_batches,
-        mutations,
-    ) = _install_context(ctx_id, context_blob)
-    simulations = _STATE["simulations"]
-    simulation = simulations.get(ctx_id)
-    if simulation is None:
-        simulation = simulations[ctx_id] = TargetSimulation(
-            module,
-            target,
-            mutations,
-            testbench_config,
-            n_traces,
-            seed,
-            min_correct_traces,
-            max_extra_batches,
-        )
-    index = mutations.index(mutation)
-    return simulation.simulate([index], stimuli, golden_traces)[0]
+    engine = _ensure_engine(epoch, refresh_blob)
+    simulation, stimuli, golden_traces = _campaign(ctx_id, context_blob)
+    simulated = simulation.simulate(list(range(*span)), stimuli, golden_traces)
+    observable = [item for item in simulated if item[0].observable]
+    before = _cache_counters(engine)
+    localizations = {}
+    for start in range(0, len(observable), localize_batch):
+        batch = observable[start : start + localize_batch]
+        found = localize_simulated(engine, simulation.module, simulation.target, batch)
+        localizations.update((id(item[0]), result) for item, result in zip(batch, found))
+    pairs = [(outcome, localizations.get(id(outcome))) for outcome, _, _ in simulated]
+    return pairs, _counter_delta(engine, before)
 
 
 def _task_corpus_design(index: int, source: str, spec, seed: int):

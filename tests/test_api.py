@@ -310,7 +310,7 @@ class TestStreamingCampaign:
         """With the default cap the first localization must not wait for
         the whole plan: batches ramp 1 -> 2 -> 4 -> ... (multiple
         localize calls), instead of one end-of-campaign burst."""
-        from repro.datagen.campaign import CampaignEngine
+        from repro.datagen import campaign
 
         handle = session.campaign(
             "wb_mux_2",
@@ -320,13 +320,13 @@ class TestStreamingCampaign:
             seed=3,
         )
         batch_sizes = []
-        original = CampaignEngine._localize_pending
+        original = campaign.localize_simulated
 
-        def spy(self, module, target, pending):
+        def spy(localizer, module, target, pending):
             batch_sizes.append(len(pending))
-            return original(self, module, target, pending)
+            return original(localizer, module, target, pending)
 
-        monkeypatch.setattr(CampaignEngine, "_localize_pending", spy)
+        monkeypatch.setattr(campaign, "localize_simulated", spy)
         observable = sum(1 for u in handle.stream() if u.outcome.observable)
         assert observable >= 2  # the workload must exercise the ramp
         assert len(batch_sizes) >= 2  # streamed in more than one burst

@@ -12,6 +12,9 @@ runtime") is pinned here:
 * ``close()`` joins every worker process — nothing leaks — and work
   dispatched afterwards runs in process, spawning nothing;
 * pooled campaigns and corpora equal sequential ones;
+* pooled campaigns run as worker-resident chunks (simulate + localize on
+  the worker, no trace round trip) and an abandoned stream cancels the
+  chunks no worker has started;
 * pools are spawn-safe by construction, and seed derivation depends on
   task identity only.
 """
@@ -472,130 +475,211 @@ class TestColumnarTraces:
         ]
 
 
-class _FakeFuture:
-    def __init__(self, value, error=None):
-        self._value = value
-        self._error = error
+class _LazyFuture:
+    """Computes on ``result()``; ``cancel()`` succeeds until then."""
+
+    def __init__(self, compute):
+        self._compute = compute
+        self.state = "pending"
 
     def result(self):
-        if self._error is not None:
-            error, self._error = self._error, None
-            raise error
+        assert self.state != "cancelled"
+        self.state = "done"
+        return self._compute()
 
-        return self._value
+    def cancel(self):
+        if self.state == "pending":
+            self.state = "cancelled"
+        return self.state == "cancelled"
 
 
-class _FakePool:
-    """Records submissions; results come back immediately (no processes)."""
+class _InlinePool:
+    """Runs submitted tasks in this process, lazily; records the futures."""
 
-    def __init__(self, fail_first_without_blob: bool = False):
-        self.submissions: list[tuple] = []
-        self._fail_first_without_blob = fail_first_without_blob
+    def __init__(self):
+        self.futures: list[_LazyFuture] = []
 
-    def submit(self, fn, ctx_id, blob, mutation):
-        from repro.runtime.worker import MissingWorkerContext
-
-        self.submissions.append((ctx_id, blob, mutation))
-        if self._fail_first_without_blob and blob is None:
-            self._fail_first_without_blob = False
-            return _FakeFuture(
-                None, MissingWorkerContext("worker lacks context")
-            )
-        return _FakeFuture(mutation)
+    def submit(self, fn, *args):
+        future = _LazyFuture(lambda: fn(*args))
+        self.futures.append(future)
+        return future
 
     def shutdown(self, wait=True):
         pass
 
 
-class TestWindowedSimulationDispatch:
-    """Campaign sims must not monopolize the executor queue.
+#: A plan of 17 mutants: three program groups (8 + 8 + 1).
+CHUNKED_DESIGN = "usbf_pl"
+CHUNKED_PLAN = {"negation": 6, "operation": 6, "misuse": 5}
 
-    ``ProcessPoolExecutor`` drains FIFO with no priorities, so the only
-    way an interleaved ``localize_many`` dispatch (streaming campaigns
-    localize mutants while later mutants still simulate) can run promptly
-    is for ``simulate_mutants`` to keep at most one small window of sim
-    tasks queued — never the whole campaign backlog.  These tests pin the
-    window invariant deterministically with a recording fake pool.
-    """
 
-    def _runtime_with_fake_pool(self, n_workers=2, **fake_kwargs):
-        runtime = ExecutionRuntime(n_workers)
-        fake = _FakePool(**fake_kwargs)
-        runtime._pool = fake  # bypasses _ensure_pool's lazy start
-        return runtime, fake
+def _chunked_campaign(session):
+    module = session.resolve_design(CHUNKED_DESIGN)
+    target = design_info(CHUNKED_DESIGN).targets[0]
+    mutations = sample_mutations(
+        module,
+        CHUNKED_PLAN,
+        seed=3,
+        restrict_to=compute_static_slice(module, target).stmt_ids,
+        min_operands=2,
+        exclude_dead=True,
+    )
+    assert len(mutations) == 17
+    return session.campaign(
+        CHUNKED_DESIGN, target, mutations, n_cycles=8, seed=3, n_traces=8
+    )
 
-    def test_in_flight_tasks_never_exceed_window(self):
-        runtime, fake = self._runtime_with_fake_pool(n_workers=2)
-        mutations = [f"m{i}" for i in range(11)]
-        window = 2 * runtime.n_workers
-        stream = runtime.simulate_mutants(("ctx",), mutations)
-        # Submission is lazy: nothing hits the queue before consumption.
-        assert fake.submissions == []
-        consumed = []
-        for result in stream:
-            consumed.append(result)
-            in_flight = len(fake.submissions) - len(consumed)
-            assert in_flight <= window
-        assert consumed == mutations  # mutation order preserved
-        assert len(fake.submissions) == len(mutations)
-        assert runtime.stats().tasks_dispatched == len(mutations)
-        runtime.close()
 
-    def test_localize_shards_jump_the_sim_backlog(self):
-        """The streaming-campaign interleave: after consuming one sim
-        result, a localize dispatch waits behind at most one window of
-        queued sim tasks, not the campaign's full backlog."""
-        runtime, fake = self._runtime_with_fake_pool(n_workers=2)
-        mutations = [f"m{i}" for i in range(40)]
-        stream = runtime.simulate_mutants(("ctx",), mutations)
-        next(stream)  # consumer now holds one result (and localizes it)
-        window = 2 * runtime.n_workers
-        queued_sims = len(fake.submissions) - 1
-        assert queued_sims <= window  # a shard submitted now runs soon
-        assert len(fake.submissions) < len(mutations)
-        runtime.close()
+@pytest.fixture(scope="module")
+def pooled_chunked():
+    """The 17-mutant campaign on a 2-worker pool: updates and runtime stats."""
+    session = _paper_session(n_workers=2)
+    try:
+        updates = list(_chunked_campaign(session).stream())
+        return updates, session.runtime_stats()
+    finally:
+        session.close()
 
-    def test_first_window_carries_context_blob(self):
-        runtime, fake = self._runtime_with_fake_pool(n_workers=2)
-        mutations = [f"m{i}" for i in range(11)]
-        window = 2 * runtime.n_workers
-        list(runtime.simulate_mutants(("ctx",), mutations))
-        blobs = [blob for _ctx_id, blob, _mutation in fake.submissions]
-        assert all(blob is not None for blob in blobs[:window])
-        assert all(blob is None for blob in blobs[window:])
-        runtime.close()
 
-    def test_missing_context_retry_survives_windowing(self):
-        runtime, fake = self._runtime_with_fake_pool(
-            n_workers=1, fail_first_without_blob=True
-        )
-        mutations = [f"m{i}" for i in range(5)]
-        results = list(runtime.simulate_mutants(("ctx",), mutations))
-        assert results == mutations
-        # The failed submission was retried once, with the blob attached.
-        retried = [
-            (blob, mutation)
-            for _ctx_id, blob, mutation in fake.submissions
-            if mutation == mutations[2 * runtime.n_workers]
+@pytest.fixture
+def inline_worker():
+    """Let this process play a pool worker; restore its state afterwards."""
+    from repro.runtime.worker import _STATE
+
+    saved = dict(_STATE)
+    yield
+    _STATE.clear()
+    _STATE.update(saved)
+
+
+def _same_ranking(a, b, scores) -> bool:
+    """Rankings equal up to the order of statements with tied scores."""
+    return sorted(a) == sorted(b) and all(
+        x == y or abs(scores[x] - scores[y]) <= TOL for x, y in zip(a, b)
+    )
+
+
+class TestCampaignChunks:
+    """Pooled campaigns run as worker-resident simulate+localize chunks."""
+
+    def test_plan_starts_alone_and_covers_every_index_in_order(self):
+        from repro.datagen.campaign import plan_chunks
+
+        assert plan_chunks(0, 2) == []
+        assert plan_chunks(1, 2) == [(0, 1)]
+        assert plan_chunks(7, 2) == [(0, 1), (1, 4), (4, 7)]
+        assert plan_chunks(17, 2) == [
+            (0, 1), (1, 5), (5, 8), (8, 12), (12, 16), (16, 17)
         ]
-        assert len(retried) == 2
-        assert retried[0][0] is None and retried[1][0] is not None
-        runtime.close()
+        for n_mutations in range(0, 30):
+            for n_workers in (1, 2, 3, 8):
+                chunks = plan_chunks(n_mutations, n_workers)
+                flat = [i for start, end in chunks for i in range(start, end)]
+                assert flat == list(range(n_mutations))
+                assert all(start < end for start, end in chunks)
+                if n_mutations:
+                    assert chunks[0] == (0, 1)
+
+    def test_plan_never_straddles_a_program_group(self):
+        from repro.datagen.campaign import MAX_PROGRAM_VARIANTS, plan_chunks
+
+        for n_mutations in range(1, 40):
+            for n_workers in (1, 2, 3, 8):
+                chunks = plan_chunks(n_mutations, n_workers)
+                per_group: dict[int, int] = {}
+                for start, end in chunks[1:]:
+                    group = start // MAX_PROGRAM_VARIANTS
+                    assert (end - 1) // MAX_PROGRAM_VARIANTS == group
+                    per_group[group] = per_group.get(group, 0) + 1
+                assert all(count <= n_workers for count in per_group.values())
+
+    def test_pooled_matches_sequential_with_heatmaps(self, pooled_chunked):
+        pooled, _stats = pooled_chunked
+        sequential = list(_chunked_campaign(_paper_session(n_workers=0)).stream())
+        assert len(pooled) == len(sequential) == 17
+        _assert_same_outcomes(
+            [u.outcome for u in pooled], [u.outcome for u in sequential]
+        )
+        localized = 0
+        for got, want in zip(pooled, sequential):
+            assert abs(
+                (got.outcome.suspiciousness or 0.0)
+                - (want.outcome.suspiciousness or 0.0)
+            ) <= TOL
+            assert (got.localization is None) == (want.localization is None)
+            if want.localization is None:
+                continue
+            localized += 1
+            scores = want.localization.heatmap.suspiciousness
+            got_scores = got.localization.heatmap.suspiciousness
+            assert got_scores.keys() == scores.keys()
+            assert all(abs(got_scores[k] - scores[k]) <= TOL for k in scores)
+            assert _same_ranking(
+                got.localization.ranking, want.localization.ranking, scores
+            )
+        assert localized >= 2, "the plan must localize mutants in several chunks"
+        final, reference = pooled[-1].snapshot, sequential[-1].snapshot
+        assert final.counts == reference.counts
+        assert _same_ranking(
+            final.ranking, reference.ranking, reference.suspiciousness
+        )
+
+    def test_workers_localize_without_trace_round_trip(self, pooled_chunked):
+        _updates, stats = pooled_chunked
+        # One task per chunk; no sharded localize_many, so no campaign
+        # trace set was shipped back out to a worker.
+        assert stats["tasks_dispatched"] == 6
+        assert stats["localize_calls"] == 0
+        memo = stats["worker_memo"]
+        assert memo["hits"] + memo["misses"] > 0
+
+    def test_abandoned_stream_cancels_queued_chunks(self, inline_worker):
+        from repro.runtime.worker import _init_worker
+
+        session = _paper_session(n_workers=2)
+        runtime = session.runtime
+        pool = _InlinePool()
+        runtime._pool = pool  # bypasses _ensure_pool's lazy start
+        runtime._pool_weight_epoch = runtime.weight_epoch
+        _init_worker(runtime._snapshot_blob())
+        try:
+            handle = _chunked_campaign(session)
+            stream = handle.stream()
+            assert next(stream).outcome.mutation == handle.mutations[0]
+            stream.close()
+            states = [future.state for future in pool.futures]
+            assert states == ["done"] + ["cancelled"] * 5
+        finally:
+            session.close()
+
+    def test_stale_worker_chunk_is_retried_with_snapshot(self, inline_worker):
+        from repro.runtime.worker import _init_worker
+
+        module = load_design("wb_mux_2")
+        plan = {"negation": 1, "operation": 1, "misuse": 1}
+        session = _paper_session(n_workers=2)
+        runtime = session.runtime
+        pool = _InlinePool()
+        runtime._pool = pool
+        runtime._pool_weight_epoch = runtime.weight_epoch
+        _init_worker(None)  # a worker that never received weights
+        try:
+            pooled = session.campaign(module, "wbs0_we_o", plan=plan, seed=29).run()
+            stats = session.runtime_stats()
+        finally:
+            session.close()
+        # The first chunk raised StaleWorkerWeights and was resubmitted
+        # with the snapshot; later chunks found the rebuilt engine.
+        assert stats["weight_refresh_dispatches"] == 1
+        assert len(pool.futures) == stats["tasks_dispatched"] + 1
+        sequential = _paper_session(n_workers=0).campaign(
+            module, "wbs0_we_o", plan=plan, seed=29
+        ).run()
+        _assert_same_outcomes(pooled.outcomes, sequential.outcomes)
 
 
 class TestWorkerProtocol:
     """In-process checks of the worker task protocol's recovery paths."""
-
-    def test_missing_context_raises_for_retry(self):
-        from repro.runtime.worker import (
-            MissingWorkerContext,
-            _STATE,
-            _install_context,
-        )
-
-        _STATE["contexts"].clear()
-        with pytest.raises(MissingWorkerContext):
-            _install_context(99, None)
 
     def test_stale_weights_raise_without_refresh(self):
         from repro.runtime.worker import (
