@@ -1,29 +1,24 @@
-"""Localization inference throughput: fused/cached arms vs reference.
+"""Localization inference throughput: fast and sharded arms vs reference.
 
 Measures the Table-III campaign's *localization* phase — model inference
-over every observable mutant's failing/correct trace sets — under five
-configurations:
+over every observable mutant's failing/correct trace sets — on three
+arms:
 
-* **reference** — the pre-fast-path behavior: one model row per
-  execution, full autograd graph, one model call stream per mutant;
-* **fused** — deduplicated samples, ``inference_mode`` forward passes on
-  the packed PathRNN kernel, cross-mutant shared batches
-  (``LocalizationEngine.localize_many``), context cache off;
-* **fused_cache** — plus the structural context-embedding cache (cold
-  at the start of the timed run; its overall hit rate and the
-  cross-mutant share — hits on entries created while localizing an
-  earlier batch of mutants — are reported);
-* **fused_head_memo** — the whole inference roofline: fused model-head
-  kernels (``model_forward_fused``) plus the campaign-scoped
-  attention-row memo, both cold at the start of the timed run.  The
-  earlier arms pin the head kernels and memo *off* so their historical
-  meaning is preserved;
-* **sharded_workers** — the full fast path (head + memo included,
-  worker-local) sharded across an :class:`repro.runtime.ExecutionRuntime`
-  worker pool at each size in ``--workers`` (pool started and warmed
-  before timing, the way a session amortizes it; worker-local caches and
-  memos start cold).  Scaling is meaningful only with that many physical
-  cores — ``cpu_cores`` is recorded next to the results.
+* **reference** — ``fast_inference=False``: one autograd model row per
+  execution, one model call stream per mutant;
+* **fast** — the default path: deduplicated samples in cross-mutant
+  shared batches (``LocalizationEngine.localize_many``), the no-grad
+  fused forward (``model_forward_fused``), the structural
+  context-embedding cache and the attention-row memo.  Cache and memo
+  start cold; their overall hit rates and cross-mutant shares — hits on
+  entries created while localizing an earlier batch of mutants — are
+  reported;
+* **sharded_workers** — the fast arm sharded across an
+  :class:`repro.runtime.ExecutionRuntime` worker pool at each size in
+  ``--workers`` (pool started and warmed before timing, the way a
+  session amortizes it; worker-local caches and memos start cold).
+  Scaling is meaningful only with that many physical cores —
+  ``cpu_cores`` is recorded next to the results.
 
 Mutant simulation is run once and shared by all arms, so the reported
 speedups isolate inference.  The end-to-end campaign latency (simulate +
@@ -32,8 +27,8 @@ the reference and full fast arms.  Heatmap rankings and suspiciousness
 scores are verified identical (within 1e-9) across every arm; a
 divergence is recorded per arm in the JSON (``rankings_identical``),
 the results are still written, and the process exits nonzero — so the
-``--smoke`` CI run doubles as a differential assertion for the
-fused/cached/memoized arms while keeping the artifact inspectable.
+``--smoke`` CI run doubles as a differential assertion for the fast and
+sharded arms while keeping the artifact inspectable.
 
 Run with::
 
@@ -189,70 +184,37 @@ def simulate_workload(workload, n_traces: int, n_cycles: int, seed: int):
 
 
 def run_reference(reference: LocalizationEngine, cases) -> tuple[float, list]:
-    model = reference.model
-    saved = (model.fused_head, model.attention_memo.enabled)
-    model.fused_head = False
-    model.attention_memo.enabled = False
-    try:
-        t0 = time.perf_counter()
-        results = [
-            reference.localize(c["mutant"], c["target"], c["failing"], c["correct"])
-            for c in cases
-        ]
-        wall = time.perf_counter() - t0
-    finally:
-        model.fused_head, model.attention_memo.enabled = saved
-    return wall, results
+    t0 = time.perf_counter()
+    results = [
+        reference.localize(c["mutant"], c["target"], c["failing"], c["correct"])
+        for c in cases
+    ]
+    return time.perf_counter() - t0, results
 
 
 def run_fast(
-    fast: LocalizationEngine,
-    cases,
-    localize_batch: int,
-    cache: bool,
-    head: bool = False,
-    memo: bool = False,
+    fast: LocalizationEngine, cases, localize_batch: int
 ) -> tuple[float, list, dict, dict]:
-    """Time one fast-path arm with all three layer switches pinned.
+    """Time the fast arm in shared batches of ``localize_batch`` mutants.
 
-    ``cache`` gates the context-embedding cache, ``head``/``memo`` the
-    fused model-head kernels and the attention-row memo; the PathRNN
-    always runs the packed kernel.  Cache and memo start cold and
-    their hit/miss stats are returned, so the reported hit rates cover
-    exactly the timed work.
+    The context cache and attention-row memo start cold and their
+    hit/miss stats are returned, so the reported hit rates cover exactly
+    the timed work.
     """
     model = fast.model
-    saved = (
-        model.context_cache.enabled,
-        model.fused_head,
-        model.attention_memo.enabled,
-    )
-    model.context_cache.enabled = cache
-    model.fused_head = head
-    model.attention_memo.enabled = memo
-    model.context_cache.clear()
-    model.context_cache.reset_stats()
-    model.attention_memo.clear()
-    model.attention_memo.reset_stats()
-    try:
-        t0 = time.perf_counter()
-        results = []
-        for start in range(0, len(cases), localize_batch):
-            chunk = cases[start : start + localize_batch]
-            requests = [
-                LocalizationRequest(
-                    c["mutant"], c["target"], c["failing"], c["correct"]
-                )
-                for c in chunk
-            ]
-            results.extend(fast.localize_many(requests))
-        wall = time.perf_counter() - t0
-    finally:
-        (
-            model.context_cache.enabled,
-            model.fused_head,
-            model.attention_memo.enabled,
-        ) = saved
+    for memo in (model.context_cache, model.attention_memo):
+        memo.clear()
+        memo.reset_stats()
+    t0 = time.perf_counter()
+    results = []
+    for start in range(0, len(cases), localize_batch):
+        chunk = cases[start : start + localize_batch]
+        requests = [
+            LocalizationRequest(c["mutant"], c["target"], c["failing"], c["correct"])
+            for c in chunk
+        ]
+        results.extend(fast.localize_many(requests))
+    wall = time.perf_counter() - t0
     cache_stats = model.context_cache.stats()
     memo_stats = model.attention_memo.stats()
     model.context_cache.clear()
@@ -269,18 +231,10 @@ def run_sharded(
     amortizes pool startup across its lifetime, so steady-state shard
     throughput is the number that matters.  Worker-local context caches
     and attention-row memos start cold (fresh pool), mirroring the
-    cold-start of the single-process ``fused_head_memo`` arm.
+    cold-start of the single-process ``fast`` arm.
     """
-    model = fast.model
     with ExecutionRuntime(n_workers) as runtime:
-        runtime.attach_model(
-            model,
-            cache_enabled=True,
-            cache_max_entries=model.context_cache.max_entries,
-            memo_enabled=True,
-            memo_max_entries=model.attention_memo.max_entries,
-            fast_inference=True,
-        )
+        runtime.attach_model(fast.model)
         runtime.warm_up()
         t0 = time.perf_counter()
         results = []
@@ -383,14 +337,8 @@ def main() -> None:
 
     repeats = max(1, args.repeats)
     ref_wall, ref_results = best_of(repeats, run_reference, reference, cases)
-    fused_wall, fused_results, _, _ = best_of(
-        repeats, run_fast, fast, cases, args.batch, cache=False
-    )
-    full_wall, full_results, cache_stats, _ = best_of(
-        repeats, run_fast, fast, cases, args.batch, cache=True
-    )
-    head_wall, head_results, _, memo_stats = best_of(
-        repeats, run_fast, fast, cases, args.batch, cache=True, head=True, memo=True
+    fast_wall, fast_results, cache_stats, memo_stats = best_of(
+        repeats, run_fast, fast, cases, args.batch
     )
 
     # Every arm must be observably identical to the autograd reference.
@@ -406,11 +354,7 @@ def main() -> None:
             divergences[arm] = str(err)
             return False
 
-    arm_ok = {
-        "fused": check_arm("fused", fused_results),
-        "fused_cache": check_arm("fused_cache", full_results),
-        "fused_head_memo": check_arm("fused_head_memo", head_results),
-    }
+    arm_ok = {"fast": check_arm("fast", fast_results)}
 
     sharded_arms = {}
     for n_workers in worker_arms:
@@ -419,7 +363,7 @@ def main() -> None:
         )
         sharded_arms[str(n_workers)] = {
             **arm_metrics(sharded_wall, total_executions),
-            "speedup_vs_single_process": round(head_wall / sharded_wall, 2),
+            "speedup_vs_single_process": round(fast_wall / sharded_wall, 2),
             "worker_cache_hit_rate": runtime_stats["worker_cache"]["hit_rate"],
             "worker_memo_hit_rate": runtime_stats["worker_memo"]["hit_rate"],
             "shard_sizes_last_call": runtime_stats["last_shard_sizes"],
@@ -452,30 +396,25 @@ def main() -> None:
         },
         "localization": {
             "reference": arm_metrics(ref_wall, total_executions),
-            "fused": arm_metrics(fused_wall, total_executions),
-            "fused_cache": {
-                **arm_metrics(full_wall, total_executions),
+            "fast": {
+                **arm_metrics(fast_wall, total_executions),
+                # Cross-mutant rates count hits on entries created by an
+                # earlier localize_many call: with structural keys this
+                # is the golden/mutant overlap shared *across mutants* (a
+                # lower bound — same-batch sharing is not counted).  The
+                # memo answers first, so the cache sees only memo misses.
                 "cache_hit_rate": round(cache_stats["hit_rate"], 4),
-                # Hits on entries created by an earlier localize_many
-                # call: with structural keys this is the golden/mutant
-                # overlap shared *across mutants* (a lower bound — same
-                # batch cross-mutant sharing is not counted).
-                "cross_mutant_hit_rate": round(
+                "cache_cross_mutant_hit_rate": round(
                     cache_stats["cross_epoch_hit_rate"], 4
                 ),
                 "cache_entries": cache_stats["entries"],
-            },
-            "fused_head_memo": {
-                **arm_metrics(head_wall, total_executions),
                 "memo_hit_rate": round(memo_stats["hit_rate"], 4),
                 "memo_cross_mutant_hit_rate": round(
                     memo_stats["cross_epoch_hit_rate"], 4
                 ),
                 "memo_entries": memo_stats["entries"],
-                "speedup_vs_fused_cache": round(full_wall / head_wall, 2),
             },
-            "speedup": round(ref_wall / head_wall, 2),
-            "speedup_vs_fused": round(fused_wall / head_wall, 2),
+            "speedup": round(ref_wall / fast_wall, 2),
             "arm_rankings_identical": arm_ok,
             "rankings_identical": not divergences,
             "sharded_workers": sharded_arms,
@@ -488,22 +427,16 @@ def main() -> None:
     }
 
     loc = results["localization"]
-    head_arm = loc["fused_head_memo"]
+    fast_arm = loc["fast"]
     print(
-        f"localization: reference {ref_wall:.2f}s -> fused {fused_wall:.2f}s"
-        f" -> fused+cache {full_wall:.2f}s -> fused+head+memo {head_wall:.2f}s"
+        f"localization: reference {ref_wall:.2f}s -> fast {fast_wall:.2f}s"
+        f" ({loc['speedup']}x, {fast_arm['executions_per_s']} exec/s)"
     )
     print(
-        f"  {loc['speedup']}x vs reference, "
-        f"{loc['speedup_vs_fused']}x vs fused, "
-        f"{head_arm['speedup_vs_fused_cache']}x vs fused+cache, "
-        f"{head_arm['executions_per_s']} exec/s"
-    )
-    print(
-        f"  cache hit rate {loc['fused_cache']['cache_hit_rate']:.1%} "
-        f"(cross-mutant {loc['fused_cache']['cross_mutant_hit_rate']:.1%}), "
-        f"memo hit rate {head_arm['memo_hit_rate']:.1%} (cross-mutant "
-        f"{head_arm['memo_cross_mutant_hit_rate']:.1%}), rankings "
+        f"  cache hit rate {fast_arm['cache_hit_rate']:.1%} "
+        f"(cross-mutant {fast_arm['cache_cross_mutant_hit_rate']:.1%}), "
+        f"memo hit rate {fast_arm['memo_hit_rate']:.1%} (cross-mutant "
+        f"{fast_arm['memo_cross_mutant_hit_rate']:.1%}), rankings "
         f"{'identical' if not divergences else 'DIVERGED'} over "
         f"{len(cases)} mutants"
     )

@@ -32,11 +32,10 @@ from .campaign import (
     CampaignUpdate,
     HeatmapSnapshot,
 )
-from .config import CACHE_POLICIES, LINT_POLICIES, SessionConfig
+from .config import LINT_POLICIES, SessionConfig
 from .session import VeriBugSession, generate_corpus
 
 __all__ = [
-    "CACHE_POLICIES",
     "DEFAULT_PLAN",
     "LINT_POLICIES",
     "CampaignHandle",

@@ -17,10 +17,6 @@ from ..core.config import VeriBugConfig
 from ..ingest.corpus import LINT_POLICIES
 from ..sim.simulator import ENGINES
 
-#: Valid context-embedding cache policies.
-CACHE_POLICIES = ("structural", "off")
-
-
 @dataclass(frozen=True)
 class SessionConfig:
     """Every tunable of a :class:`~repro.api.VeriBugSession`.
@@ -43,10 +39,8 @@ class SessionConfig:
             :meth:`~repro.api.VeriBugSession.close`.
         localize_batch: Observable mutants per shared localization batch
             (the cross-mutant inference fast path).
-        cache_policy: Context-embedding cache policy — "structural"
-            (fingerprint-keyed, shared across mutants/designs) or "off".
-        cache_max_entries: LRU bound of the structural cache.
-        fast_inference: Use the deduplicated no-grad inference path;
+        fast_inference: Localize on the fast arm (execution dedup,
+            no-grad fused head, context cache and attention-row memo);
             False pins the per-execution autograd reference arm.
         seed: Data seed — corpus generation, testbench suites, and
             mutation sampling (model-init seeding lives in
@@ -69,8 +63,6 @@ class SessionConfig:
     sim_engine: str = "vector"
     n_workers: int = 0
     localize_batch: int = 8
-    cache_policy: str = "structural"
-    cache_max_entries: int = 100_000
     fast_inference: bool = True
     seed: int = 0
     n_traces: int = 12
@@ -85,11 +77,6 @@ class SessionConfig:
                 f"unknown sim_engine {self.sim_engine!r};"
                 f" available: {', '.join(ENGINES)}"
             )
-        if self.cache_policy not in CACHE_POLICIES:
-            raise ValueError(
-                f"unknown cache_policy {self.cache_policy!r};"
-                f" available: {', '.join(CACHE_POLICIES)}"
-            )
         if self.lint_policy not in LINT_POLICIES:
             raise ValueError(
                 f"unknown lint_policy {self.lint_policy!r};"
@@ -99,8 +86,6 @@ class SessionConfig:
             raise ValueError("localize_batch must be >= 1")
         if self.n_workers < 0:
             raise ValueError("n_workers must be >= 0")
-        if self.cache_max_entries < 1:
-            raise ValueError("cache_max_entries must be >= 1")
         if self.n_traces < 1:
             raise ValueError("n_traces must be >= 1")
         if self.min_correct_traces < 0:
@@ -130,15 +115,6 @@ class SessionConfig:
     def with_localize_batch(self, localize_batch: int) -> SessionConfig:
         """Set the cross-mutant shared-localization batch size."""
         return dataclasses.replace(self, localize_batch=localize_batch)
-
-    def with_cache(
-        self, cache_policy: str, max_entries: int | None = None
-    ) -> SessionConfig:
-        """Select the context-embedding cache policy (and LRU bound)."""
-        updates: dict = {"cache_policy": cache_policy}
-        if max_entries is not None:
-            updates["cache_max_entries"] = max_entries
-        return dataclasses.replace(self, **updates)
 
     def with_seed(self, seed: int) -> SessionConfig:
         """Set the data seed (corpus, testbenches, mutation sampling)."""

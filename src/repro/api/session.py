@@ -1,7 +1,7 @@
 """The VeriBug session facade: one stateful owner of the whole stack.
 
-A :class:`VeriBugSession` owns the trained model and its codec, the
-structural context-embedding cache, and the configuration every engine
+A :class:`VeriBugSession` owns the trained model (with its context
+cache and attention-row memo) and its codec, and the configuration every engine
 below it consumes (simulation engine selection, worker-pool sizing,
 localization batching).  Everything the paper's evaluation does is one
 method away:
@@ -90,14 +90,8 @@ class VeriBugSession:
     """Facade over training, localization, and campaigns.
 
     Construct via :meth:`train` (fresh model), :meth:`from_checkpoint`
-    (saved weights), or directly from components.  The session applies
-    its :class:`SessionConfig` cache policy to the model's
-    context-embedding cache at construction, and every engine it builds
-    inherits the config's engine/worker/batching knobs.
-
-    A model should belong to one session at a time: the session *owns*
-    the model's cache policy, so constructing a second session over the
-    same model object reconfigures the cache for both.
+    (saved weights), or directly from components.  Every engine it
+    builds inherits the config's engine/worker/batching knobs.
 
     With ``config.n_workers > 0`` the session also owns a persistent
     :class:`~repro.runtime.ExecutionRuntime` — one lazily-started worker
@@ -136,32 +130,14 @@ class VeriBugSession:
         self.encoder = encoder or BatchEncoder(model.vocab)
         self.train_metrics = train_metrics
         self.test_metrics = test_metrics
-        # The session owns the cache policy: one place decides whether
-        # structural memoization is active and how large it may grow.
-        # The attention-row memo follows the same policy — both layers
-        # are structural memoization, just of different forward stages.
-        cache_enabled = self.config.cache_policy == "structural"
-        model.context_cache.configure(
-            enabled=cache_enabled,
-            max_entries=self.config.cache_max_entries,
-        )
-        model.attention_memo.configure(
-            enabled=cache_enabled,
-            max_entries=self.config.cache_max_entries,
-        )
-        # The session likewise owns the execution runtime: one lazily
+        # The session owns the execution runtime: one lazily
         # started persistent worker pool serving campaign chunks,
         # corpus generation, and sharded localization until close().
         self._runtime: ExecutionRuntime | None = None
         if self.config.n_workers > 0:
             self._runtime = ExecutionRuntime(self.config.n_workers)
             self._runtime.attach_model(
-                model,
-                cache_enabled=cache_enabled,
-                cache_max_entries=self.config.cache_max_entries,
-                memo_enabled=cache_enabled,
-                memo_max_entries=self.config.cache_max_entries,
-                fast_inference=self.config.fast_inference,
+                model, fast_inference=self.config.fast_inference
             )
         self._localizer = LocalizationEngine(
             model,

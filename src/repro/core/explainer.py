@@ -228,29 +228,28 @@ def normalized_l1_distance(a: np.ndarray, b: np.ndarray) -> float:
 class Explainer:
     """Builds attention maps and heatmaps from a trained model.
 
+    Two arms build the attention maps, picked by ``fast_inference``:
+
+    * **fast** (default) — executions are deduplicated
+      (:meth:`distinct_samples`); samples whose ``(structure, operand
+      values)`` pair was already scored are served whole from the
+      model's :class:`~repro.core.model.AttentionRowMemo`, and the rest
+      run under :func:`repro.nn.inference_mode`, where the model takes
+      the fused head (:func:`~repro.core.model.model_forward_fused`) and
+      serves repeated operand structures from its
+      :class:`~repro.core.model.ContextEmbeddingCache`;
+    * **reference** — one autograd forward row per execution, no dedup
+      and no memoization.
+
+    The maps agree within 1e-9 (a sample's attention does not depend on
+    its batch beyond last-ulp BLAS rounding, and the weighted mean is
+    exact), which ``tests/test_inference_fastpath.py`` pins.
+
     Args:
         model: The trained VeriBug model.
         encoder: Batch encoder bound to the model's vocabulary.
         config: Hyper-parameter source (defaults to the model's).
-        fast_inference: Deduplicate byte-identical executions and run
-            forward passes under :func:`repro.nn.inference_mode`.  The
-            aggregated maps are identical to the per-execution path (the
-            attention of one sample does not depend on its batch, and the
-            weighted mean is exact); disable only to benchmark against or
-            differentially test the pre-dedup reference path.
-
-    Under ``inference_mode`` the model runs the fused head
-    (:func:`~repro.core.model.model_forward_fused`) and serves repeated
-    contexts from its :class:`~repro.core.model.ContextEmbeddingCache`;
-    samples whose ``(structure, operand values)`` pair was already scored
-    are served whole from the model's
-    :class:`~repro.core.model.AttentionRowMemo` without encoding at all.
-    All of these are gated on autograd being off, so
-    ``fast_inference=False`` still exercises the unmodified per-execution
-    autograd reference arm.  Toggle ``model.fused_head`` /
-    ``model.context_cache.enabled`` /
-    ``model.attention_memo.enabled`` to isolate any layer when
-    benchmarking.
+        fast_inference: Run the fast arm; False runs the reference arm.
     """
 
     def __init__(
@@ -357,44 +356,37 @@ class Explainer:
     def _memoized_rows(self, samples: list[Sample], batch_size: int) -> list:
         """Attention row per sample, via the model's attention-row memo.
 
-        With the memo enabled, samples whose ``(structure, operand
-        values)`` pair was already scored — by an earlier trace set,
-        mutant, or request — skip encoding and the whole forward pass;
-        samples *within* this call sharing one memo key collapse onto a
-        single representative forward row (a statement's attention row is
-        segment-local, so the representative's row is bit-identical to
-        recomputing each duplicate).  Rows come back in sample order, so
-        callers accumulate attention maps in the exact order (and thus
-        the exact float rounding) of the memo-off path.  With the memo
-        disabled every sample is encoded, matching the pre-memo behavior
-        batch for batch.
+        Samples whose ``(structure, operand values)`` pair was already
+        scored — by an earlier trace set, mutant, or request — skip
+        encoding and the whole forward pass; samples *within* this call
+        sharing one memo key collapse onto a single representative
+        forward row (a statement's attention row is segment-local, so the
+        representative's row is bit-identical to recomputing each
+        duplicate).  Rows come back in sample order, so callers
+        accumulate attention maps in sample order.
         """
         memo = self.model.attention_memo
         rows: list[np.ndarray | None] = [None] * len(samples)
-        if memo.enabled:
-            # Each sample's key is built exactly once and reused for the
-            # dedup map, the memo lookup, and the store below.
-            pending_groups: list[list[int]] = []
-            pending_keys: list[tuple] = []
-            group_slot: dict = {}
-            key_for = memo.key_for
-            get_by_key = memo.get_by_key
-            for index, sample in enumerate(samples):
-                key = key_for(sample)
-                slot = group_slot.get(key)
-                if slot is not None:
-                    pending_groups[slot].append(index)
-                    continue
-                row = get_by_key(key)
-                if row is not None:
-                    rows[index] = row
-                else:
-                    group_slot[key] = len(pending_groups)
-                    pending_groups.append([index])
-                    pending_keys.append(key)
-        else:
-            pending_groups = [[index] for index in range(len(samples))]
-            pending_keys = []
+        # Each sample's key is built exactly once and reused for the
+        # dedup map, the memo lookup, and the store below.
+        pending_groups: list[list[int]] = []
+        pending_keys: list[tuple] = []
+        group_slot: dict = {}
+        key_for = memo.key_for
+        get_by_key = memo.get_by_key
+        for index, sample in enumerate(samples):
+            key = key_for(sample)
+            slot = group_slot.get(key)
+            if slot is not None:
+                pending_groups[slot].append(index)
+                continue
+            row = get_by_key(key)
+            if row is not None:
+                rows[index] = row
+            else:
+                group_slot[key] = len(pending_groups)
+                pending_groups.append([index])
+                pending_keys.append(key)
         with inference_mode():
             for start in range(0, len(pending_groups), batch_size):
                 chunk = pending_groups[start : start + batch_size]
@@ -403,8 +395,7 @@ class Explainer:
                 for offset, weights in enumerate(output.attention_per_statement()):
                     for index in chunk[offset]:
                         rows[index] = weights
-                    if memo.enabled:
-                        memo.put_by_key(pending_keys[start + offset], weights)
+                    memo.put_by_key(pending_keys[start + offset], weights)
         return rows
 
     def _attention_map_per_execution(
@@ -487,17 +478,3 @@ class Explainer:
                     case="both",
                 )
         return heatmap
-
-    def explain(
-        self,
-        target: str,
-        contexts: dict[int, StatementContext],
-        failing_traces: list[Trace],
-        correct_traces: list[Trace],
-        restrict_to: set[int] | None = None,
-        threshold: float | None = None,
-    ) -> Heatmap:
-        """One-call pipeline: attention maps for both sets, then ``Ht``."""
-        ft = self.attention_map(contexts, failing_traces, restrict_to)
-        ct = self.attention_map(contexts, correct_traces, restrict_to)
-        return self.build_heatmap(target, ft, ct, threshold)

@@ -77,19 +77,24 @@ class LocalizationEngine:
 
     This is the *engine* layer: it owns no session state beyond the model
     handed to it and is driven by :class:`repro.api.VeriBugSession` (the
-    facade).
+    facade).  Every localization runs through :meth:`localize_many`
+    (:meth:`localize` is its one-request form): slice and extract
+    contexts per request, build ``Ft``/``Ct``, then the heatmap and
+    ranking.  Only the ``Ft``/``Ct`` step depends on the arm.
 
     Args:
         model / encoder / config: The trained model and its codec.
-        fast_inference: Use the deduplicated no-grad inference path (see
-            :class:`Explainer`); results are identical to the reference
-            per-execution path.
+        fast_inference: Build ``Ft``/``Ct`` on the fast arm — every
+            request's deduplicated samples in shared no-grad batches,
+            with the fused head, context cache and attention-row memo
+            (see :class:`Explainer`).  False runs the per-execution
+            autograd reference arm; results agree within 1e-9.
         runtime: Optional :class:`~repro.runtime.ExecutionRuntime`.  When
             set (the session wires its own), :meth:`localize_many`
             batches of two or more requests are sharded across the
             runtime's workers — each worker localizing its span on a
-            read-only weight mirror with worker-local execution dedup
-            and context cache — and merged back in request order.
+            read-only weight mirror with worker-local execution dedup,
+            context cache and memo — and merged back in request order.
             Rankings are bit-identical to the single-process fast path.
     """
 
@@ -136,6 +141,8 @@ class LocalizationEngine:
     ) -> LocalizationResult:
         """Localize a failure observed at ``target``.
 
+        The one-request form of :meth:`localize_many`.
+
         Args:
             module: The (buggy) design under debug.
             target: Output where the failure symptomatizes.
@@ -146,28 +153,10 @@ class LocalizationEngine:
         Returns:
             The :class:`LocalizationResult` with heatmap and ranking.
         """
-        # One localization = one cache/memo epoch: hits on entries created
-        # in an earlier epoch are cross-request (cross-mutant) sharing.
-        self.model.context_cache.begin_epoch()
-        self.model.attention_memo.begin_epoch()
-        static_slice = compute_static_slice(module, target)
-        contexts = extract_module_contexts(slice_statements(module, static_slice))
-        heatmap = self.explainer.explain(
-            target=target,
-            contexts=contexts,
-            failing_traces=failing_traces,
-            correct_traces=correct_traces,
-            restrict_to=static_slice.stmt_ids,
-            threshold=threshold,
+        request = LocalizationRequest(
+            module, target, failing_traces, correct_traces, threshold
         )
-        ranking = [entry.stmt_id for entry in heatmap.ranked()]
-        return LocalizationResult(
-            target=target,
-            heatmap=heatmap,
-            static_slice=static_slice,
-            contexts=contexts,
-            ranking=ranking,
-        )
+        return self.localize_many([request])[0]
 
     def localize_many(
         self,
@@ -176,20 +165,15 @@ class LocalizationEngine:
     ) -> list[LocalizationResult]:
         """Localize several failures with shared forward passes.
 
-        All requests' distinct samples are concatenated into one stream
-        and encoded into ``batch_size``-row model calls, so the per-call
-        overhead (LSTM step loop, op dispatch) is amortized across
-        mutants instead of being paid per small trace set.  Inside the
-        ``inference_mode`` scope the model also selects the fused PathRNN
-        kernel plus the fused head and memoizes context embeddings per
-        distinct ``(context, operand)`` pair, so a statement whose paths
-        were embedded for one distinct sample never re-runs the PathRNN
-        for any other operand values; the attention-row memo further
-        collapses whole ``(structure, operand values)`` repeats — the
-        golden/mutant overlap — onto a single forward row each.  Results
-        are identical to calling :meth:`localize` per
-        request: attention weights are segment-local, so a sample's
-        weights do not depend on which batch it lands in.
+        On the fast arm, all requests' distinct samples are concatenated
+        into one stream and encoded into ``batch_size``-row model calls,
+        so the per-call overhead (LSTM step loop, op dispatch) is
+        amortized across mutants instead of being paid per small trace
+        set; the attention-row memo collapses whole ``(structure,
+        operand values)`` repeats — the golden/mutant overlap — onto a
+        single forward row each.  Attention weights are segment-local, so
+        a sample's weights do not depend on which batch it lands in, and
+        each result equals localizing its request alone.
 
         Args:
             requests: The pending localizations, in result order.
@@ -198,52 +182,34 @@ class LocalizationEngine:
         Returns:
             One :class:`LocalizationResult` per request, same order.
         """
-        if not self.fast_inference:
-            # Reference path: per-request, per-execution inference.
-            return [
-                self.localize(
-                    request.module,
-                    request.target,
-                    request.failing_traces,
-                    request.correct_traces,
-                    request.threshold,
-                )
-                for request in requests
-            ]
-
         if self._wants_shards(len(requests)):
             return self.runtime.localize_many(requests, batch_size=batch_size)
-
+        # One call = one cache/memo epoch: hits on entries created in an
+        # earlier epoch are cross-request (cross-mutant) sharing.
         self.model.context_cache.begin_epoch()
         self.model.attention_memo.begin_epoch()
         prepared: list[tuple[StaticSlice, dict[int, StatementContext]]] = []
-        maps: list[tuple[AttentionMap, AttentionMap]] = []
-        flat_samples: list[Sample] = []
-        flat_adds: list[tuple[AttentionMap, int, int]] = []
         for request in requests:
             static_slice = compute_static_slice(request.module, request.target)
             contexts = extract_module_contexts(
                 slice_statements(request.module, static_slice)
             )
-            ft, ct = AttentionMap(), AttentionMap()
-            for amap, traces in ((ft, request.failing_traces), (ct, request.correct_traces)):
-                samples, stmt_ids, counts = self.explainer.distinct_samples(
-                    contexts, traces, static_slice.stmt_ids
-                )
-                flat_samples.extend(samples)
-                flat_adds.extend(
-                    (amap, stmt_id, count)
-                    for stmt_id, count in zip(stmt_ids, counts)
-                )
             prepared.append((static_slice, contexts))
-            maps.append((ft, ct))
-
-        # The memo collapses samples shared across requests (the
-        # golden/mutant overlap) onto one forward row each; rows are
-        # applied in flat order, so maps accumulate exactly as without it.
-        rows = self.explainer._memoized_rows(flat_samples, batch_size)
-        for weights, (amap, stmt_id, count) in zip(rows, flat_adds):
-            amap.add(stmt_id, weights, count)
+        if self.fast_inference:
+            maps = self._shared_maps(requests, prepared, batch_size)
+        else:
+            attention_map = self.explainer.attention_map
+            maps = [
+                (
+                    attention_map(
+                        contexts, request.failing_traces, slice_.stmt_ids, batch_size
+                    ),
+                    attention_map(
+                        contexts, request.correct_traces, slice_.stmt_ids, batch_size
+                    ),
+                )
+                for request, (slice_, contexts) in zip(requests, prepared)
+            ]
 
         results: list[LocalizationResult] = []
         for request, (static_slice, contexts), (ft, ct) in zip(
@@ -263,3 +229,32 @@ class LocalizationEngine:
                 )
             )
         return results
+
+    def _shared_maps(
+        self,
+        requests: list[LocalizationRequest],
+        prepared: list[tuple[StaticSlice, dict[int, StatementContext]]],
+        batch_size: int,
+    ) -> list[tuple[AttentionMap, AttentionMap]]:
+        """Fast-arm ``(Ft, Ct)`` per request, from one shared sample stream."""
+        maps: list[tuple[AttentionMap, AttentionMap]] = []
+        flat_samples: list[Sample] = []
+        flat_adds: list[tuple[AttentionMap, int, int]] = []
+        for request, (static_slice, contexts) in zip(requests, prepared):
+            ft, ct = AttentionMap(), AttentionMap()
+            for amap, traces in ((ft, request.failing_traces), (ct, request.correct_traces)):
+                samples, stmt_ids, counts = self.explainer.distinct_samples(
+                    contexts, traces, static_slice.stmt_ids
+                )
+                flat_samples.extend(samples)
+                flat_adds.extend(
+                    (amap, stmt_id, count)
+                    for stmt_id, count in zip(stmt_ids, counts)
+                )
+            maps.append((ft, ct))
+        # Rows come back in flat order, so every map accumulates its
+        # samples in first-seen order.
+        rows = self.explainer._memoized_rows(flat_samples, batch_size)
+        for weights, (amap, stmt_id, count) in zip(rows, flat_adds):
+            amap.add(stmt_id, weights, count)
+        return maps

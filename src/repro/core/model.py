@@ -64,38 +64,25 @@ from .features import EncodedBatch, Sample
 from .vocab import Vocabulary
 
 
-class ContextEmbeddingCache:
-    """Memoizes PathRNN context embeddings per *structural* fingerprint.
+class _EpochLRU:
+    """The LRU, request-epoch and hit-counter machinery both memos share.
 
-    Keys are :meth:`StatementContext.structural_key` fingerprints — the
-    operand's ordered leaf-to-leaf path tuple — not object identities.
-    Structurally identical operands therefore share one entry even when
-    they live in different context objects: a campaign that re-extracts
-    fresh :class:`StatementContext` objects for every mutant still hits
-    the entries populated by earlier mutants on the golden/mutant
-    statement overlap (the cross-campaign memoization the identity-keyed
-    scheme could never provide).  Sharing is exact, not approximate: the
-    fingerprint pins the paths *and their order*, so the summed PathRNN
-    output is bit-identical to recomputing it.
-
-    Entries outlive their contexts by design, so boundedness comes from
-    an LRU policy (``max_entries``) instead of weakref eviction.  Entries
-    are valid only for the weights they were computed with; owners of the
-    weights invalidate via :meth:`clear` (``Trainer.train`` and
-    ``VeriBugModel.load_state_dict`` both do).
-
-    :meth:`begin_epoch` lets callers mark request boundaries — the
-    localizer opens a new epoch per ``localize``/``localize_many`` call —
-    and hits on entries created in an *earlier* epoch are counted
-    separately (``cross_epoch_hits``).  Since one localization call never
-    spans the same mutant twice, cross-epoch hits are a lower bound on
+    Entries are ``key -> (epoch, value)`` in a dict whose order tracks
+    recency; :meth:`put_by_key` evicts least-recently-used overflow past
+    ``max_entries``.  :meth:`begin_epoch` marks a request boundary — the
+    localizer opens one per ``localize_many`` call — and hits on entries
+    created in an *earlier* epoch are counted separately
+    (``cross_epoch_hits``).  Since one localization call never spans the
+    same mutant twice, cross-epoch hits are a lower bound on
     cross-mutant sharing, the number ``BENCH_localize.json`` reports.
+    Entries are valid only for the weights they were computed with; the
+    model clears both memos on every weight change
+    (``VeriBugModel._on_state_loaded``).
     """
 
-    def __init__(self, enabled: bool = True, max_entries: int = 100_000):
+    def __init__(self, max_entries: int = 100_000):
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
-        self.enabled = enabled
         self.max_entries = max_entries
         self._entries: dict[object, tuple[int, np.ndarray]] = {}
         self._epoch = 0
@@ -111,28 +98,8 @@ class ContextEmbeddingCache:
         """Mark a request boundary (one localization call = one epoch)."""
         self._epoch += 1
 
-    def configure(self, enabled: bool, max_entries: int | None = None) -> None:
-        """Re-apply a cache policy (validated, with immediate effect).
-
-        Disabling drops every resident entry (a disabled cache is never
-        consulted, so keeping them would just pin memory); shrinking
-        ``max_entries`` evicts LRU overflow now rather than at the next
-        :meth:`put`.
-        """
-        if max_entries is not None:
-            if max_entries < 1:
-                raise ValueError("max_entries must be >= 1")
-            self.max_entries = max_entries
-        self.enabled = enabled
-        if not enabled:
-            self.clear()
-        while len(self._entries) > self.max_entries:
-            self._entries.pop(next(iter(self._entries)))
-            self.evictions += 1
-
-    def get(self, context: StatementContext, op_index: int) -> np.ndarray | None:
-        """The cached ``c_i`` row for the operand's structure, or None."""
-        key = context.structural_key(op_index)
+    def get_by_key(self, key) -> np.ndarray | None:
+        """The entry stored under ``key``, or None (counted either way)."""
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
@@ -145,16 +112,13 @@ class ContextEmbeddingCache:
             self.cross_epoch_hits += 1
         return entry[1]
 
-    def put(
-        self, context: StatementContext, op_index: int, embedding: np.ndarray
-    ) -> None:
-        """Store an embedding, evicting least-recently-used overflow."""
-        key = context.structural_key(op_index)
+    def put_by_key(self, key, value: np.ndarray) -> None:
+        """Store ``value`` under ``key``, evicting LRU overflow."""
         self._entries.pop(key, None)
         while len(self._entries) >= self.max_entries:
             self._entries.pop(next(iter(self._entries)))
             self.evictions += 1
-        self._entries[key] = (self._epoch, embedding)
+        self._entries[key] = (self._epoch, value)
 
     def clear(self) -> None:
         """Drop every entry (weights changed or owner reset)."""
@@ -168,7 +132,7 @@ class ContextEmbeddingCache:
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0.0 when unused)."""
+        """Fraction of lookups served from memory (0.0 when unused)."""
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
@@ -191,7 +155,41 @@ class ContextEmbeddingCache:
         }
 
 
-class AttentionRowMemo:
+class ContextEmbeddingCache(_EpochLRU):
+    """Memoizes PathRNN context embeddings per *structural* fingerprint.
+
+    Keys are :meth:`StatementContext.structural_key` fingerprints — the
+    operand's ordered leaf-to-leaf path tuple — not object identities.
+    Structurally identical operands therefore share one entry even when
+    they live in different context objects: a campaign that re-extracts
+    fresh :class:`StatementContext` objects for every mutant still hits
+    the entries populated by earlier mutants on the golden/mutant
+    statement overlap (the cross-campaign memoization the identity-keyed
+    scheme could never provide).  Sharing is exact, not approximate: the
+    fingerprint pins the paths *and their order*, so the summed PathRNN
+    output is bit-identical to recomputing it.
+
+    Entries outlive their contexts by design, so boundedness comes from
+    the LRU bound (``max_entries``) instead of weakref eviction.
+    """
+
+    @staticmethod
+    def key_for(context: StatementContext, op_index: int):
+        """Cache key: the operand's structural fingerprint."""
+        return context.structural_key(op_index)
+
+    def get(self, context: StatementContext, op_index: int) -> np.ndarray | None:
+        """The cached ``c_i`` row for the operand's structure, or None."""
+        return self.get_by_key(self.key_for(context, op_index))
+
+    def put(
+        self, context: StatementContext, op_index: int, embedding: np.ndarray
+    ) -> None:
+        """Store an embedding, evicting least-recently-used overflow."""
+        self.put_by_key(self.key_for(context, op_index), embedding)
+
+
+class AttentionRowMemo(_EpochLRU):
     """Memoizes final attention rows per ``(structure, operand values)``.
 
     The campaign-scoped complement of :class:`ContextEmbeddingCache`: the
@@ -210,121 +208,26 @@ class AttentionRowMemo:
 
     Only attention rows are memoized — never logits — so ``predict`` and
     evaluation semantics are untouched; the memo is consulted by the
-    explainer/localizer heatmap fast paths exclusively, and only while
-    autograd is off.  Lifecycle mirrors the cache: LRU-bounded
-    (``max_entries``), invalidated on weight changes via
-    ``VeriBugModel._on_state_loaded``, with per-request epochs
-    (:meth:`begin_epoch`) separating same-request repeats from the
-    cross-mutant hits (``cross_epoch_hits``) the bench reports.
+    explainer's fast path (``Explainer._memoized_rows``) exclusively,
+    never by ``forward``.  The hot loop there builds each sample's key
+    once with :meth:`key_for` and reuses it for the dedup group map,
+    :meth:`get_by_key` and :meth:`put_by_key` — the key tuple hashes its
+    fingerprints on every dict op, so rebuilding it per operation is
+    measurable at 10^4 samples per call.
     """
-
-    def __init__(self, enabled: bool = True, max_entries: int = 100_000):
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.enabled = enabled
-        self.max_entries = max_entries
-        self._entries: dict[object, tuple[int, np.ndarray]] = {}
-        self._epoch = 0
-        self.hits = 0
-        self.misses = 0
-        self.cross_epoch_hits = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     @staticmethod
     def key_for(sample: Sample) -> tuple:
         """Memo key: the statement's structural key plus operand values."""
         return (sample.context.statement_key(), sample.operand_values)
 
-    def begin_epoch(self) -> None:
-        """Mark a request boundary (one localization call = one epoch)."""
-        self._epoch += 1
-
-    def configure(self, enabled: bool, max_entries: int | None = None) -> None:
-        """Re-apply a memo policy (validated, with immediate effect)."""
-        if max_entries is not None:
-            if max_entries < 1:
-                raise ValueError("max_entries must be >= 1")
-            self.max_entries = max_entries
-        self.enabled = enabled
-        if not enabled:
-            self.clear()
-        while len(self._entries) > self.max_entries:
-            self._entries.pop(next(iter(self._entries)))
-            self.evictions += 1
-
     def get(self, sample: Sample) -> np.ndarray | None:
         """The memoized attention row for the sample, or None."""
         return self.get_by_key(self.key_for(sample))
 
-    def get_by_key(self, key: tuple) -> np.ndarray | None:
-        """:meth:`get` for callers that already built the key.
-
-        The hot loop (``Explainer._memoized_rows``) builds each sample's
-        key once and reuses it for the dedup group map, the lookup, and
-        the store — the key tuple hashes its fingerprints on every dict
-        op, so rebuilding it per operation is measurable at 10^4 samples
-        per call.
-        """
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        # LRU touch: re-insert so dict order tracks recency.
-        del self._entries[key]
-        self._entries[key] = entry
-        self.hits += 1
-        if entry[0] != self._epoch:
-            self.cross_epoch_hits += 1
-        return entry[1]
-
     def put(self, sample: Sample, row: np.ndarray) -> None:
         """Store an attention row, evicting least-recently-used overflow."""
         self.put_by_key(self.key_for(sample), row)
-
-    def put_by_key(self, key: tuple, row: np.ndarray) -> None:
-        """:meth:`put` for callers that already built the key."""
-        self._entries.pop(key, None)
-        while len(self._entries) >= self.max_entries:
-            self._entries.pop(next(iter(self._entries)))
-            self.evictions += 1
-        self._entries[key] = (self._epoch, row)
-
-    def clear(self) -> None:
-        """Drop every entry (weights changed or owner reset)."""
-        self._entries.clear()
-
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.cross_epoch_hits = 0
-        self.evictions = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the memo (0.0 when unused)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    @property
-    def cross_epoch_hit_rate(self) -> float:
-        """Fraction of lookups served from an earlier epoch's entries."""
-        total = self.hits + self.misses
-        return self.cross_epoch_hits / total if total else 0.0
-
-    def stats(self) -> dict[str, float]:
-        """Hit/miss counters plus the derived hit rates."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-            "cross_epoch_hits": self.cross_epoch_hits,
-            "cross_epoch_hit_rate": self.cross_epoch_hit_rate,
-            "entries": len(self._entries),
-            "evictions": self.evictions,
-        }
 
 
 @dataclass
@@ -395,12 +298,8 @@ class VeriBugModel(Module):
         self.context_cache = ContextEmbeddingCache()
         #: Inference-only memo of final attention rows keyed on
         #: ``(statement structure, operand values)``; consulted by the
-        #: explainer/localizer heatmap fast paths, never by ``forward``.
+        #: explainer's fast path, never by ``forward``.
         self.attention_memo = AttentionRowMemo()
-        #: Route no-grad forwards through :func:`model_forward_fused`
-        #: (raw-ndarray head kernels).  The autograd Tensor path stays
-        #: the reference oracle and is always used while grad is on.
-        self.fused_head = True
         #: Callbacks fired whenever the weights change wholesale
         #: (``load_state_dict`` or a completed ``Trainer.train`` run) —
         #: the execution runtime registers here to version its read-only
@@ -433,11 +332,11 @@ class VeriBugModel(Module):
     def forward(self, batch: EncodedBatch) -> ModelOutput:
         """Run the full model on an encoded batch.
 
-        Under :func:`inference_mode` (with :attr:`fused_head` left on)
-        the pass is routed through :func:`model_forward_fused`; the
-        Tensor path below is the autograd reference.
+        With autograd off (:func:`inference_mode`) the pass runs
+        :func:`model_forward_fused`; with grad on, the Tensor path below
+        — the autograd reference, and the training forward.
         """
-        if self.fused_head and not is_grad_enabled():
+        if not is_grad_enabled():
             return model_forward_fused(self, batch)
         x = self._operand_embeddings(batch)
         updated = self._aggregation(x, batch)
@@ -463,17 +362,13 @@ class VeriBugModel(Module):
     def _context_embeddings(self, batch: EncodedBatch) -> Tensor:
         """PathRNN context embeddings ``c_i``, memoized under inference.
 
-        With autograd on (training, reference arm) or when the cache is
-        disabled, every distinct path of the batch runs through the
-        PathRNN once (:meth:`_path_sums`).  Under :func:`inference_mode`,
-        distinct ``(context, operand)`` structures are looked up in the
-        cache and only the misses' paths reach the same formulation.
+        With autograd on (training, reference arm) every distinct path of
+        the batch runs through the PathRNN once (:meth:`_path_sums`).
+        Under :func:`inference_mode`, distinct ``(context, operand)``
+        structures are looked up in the cache and only the misses' paths
+        reach the same formulation.
         """
-        if (
-            is_grad_enabled()
-            or not self.context_cache.enabled
-            or batch.operand_contexts is None
-        ):
+        if is_grad_enabled() or batch.operand_contexts is None:
             return self._path_sums(
                 batch.path_tokens,
                 batch.path_mask,
@@ -512,12 +407,11 @@ class VeriBugModel(Module):
         for row, (context, op_index) in enumerate(batch.operand_contexts):
             groups.setdefault(context.structural_key(op_index), []).append(row)
 
-        missing: list[tuple[int, ...]] = []  # (representative row, ...rows)
+        missing: list[tuple[object, list[int]]] = []  # (key, rows)
         for key, rows in groups.items():
-            context, op_index = batch.operand_contexts[rows[0]]
-            embedding = cache.get(context, op_index)
+            embedding = cache.get_by_key(key)
             if embedding is None:
-                missing.append(tuple(rows))
+                missing.append((key, rows))
             else:
                 out[rows] = embedding
         if not missing:
@@ -525,7 +419,7 @@ class VeriBugModel(Module):
 
         # One fused pass over the distinct paths of the representative
         # rows only.
-        representative = np.array([rows[0] for rows in missing], dtype=np.int64)
+        representative = np.array([rows[0] for _, rows in missing], dtype=np.int64)
         segment_of = np.full(batch.n_operands, -1, dtype=np.int64)
         segment_of[representative] = np.arange(len(representative))
         selected = segment_of[batch.path_operand] >= 0
@@ -539,11 +433,10 @@ class VeriBugModel(Module):
             segment_of[batch.path_operand[selected]],
             len(representative),
         ).data
-        for slot, rows in enumerate(missing):
-            context, op_index = batch.operand_contexts[rows[0]]
+        for slot, (key, rows) in enumerate(missing):
             embedding = computed[slot]
-            cache.put(context, op_index, embedding.copy())
-            out[list(rows)] = embedding
+            cache.put_by_key(key, embedding.copy())
+            out[rows] = embedding
         return out
 
     def _aggregation(self, x: Tensor, batch: EncodedBatch) -> Tensor:
@@ -569,14 +462,14 @@ class VeriBugModel(Module):
 def model_forward_fused(model: VeriBugModel, batch: EncodedBatch) -> ModelOutput:
     """Full no-grad forward pass on raw arrays (no Tensor graph).
 
-    Stage 1 reuses :meth:`VeriBugModel._context_embeddings` — the
-    packed PathRNN kernel, served from the context cache when it is
-    enabled — and the head stages run through the raw kernels in
-    :mod:`repro.nn.fused`.  Every numpy call matches the Tensor path in
-    operand order, so the returned arrays are bit-identical to
-    ``forward`` evaluated under :func:`~repro.nn.inference_mode` with
-    :attr:`~VeriBugModel.fused_head` off; the autograd path stays the
-    reference oracle.
+    This is :meth:`VeriBugModel.forward` whenever autograd is off.
+    Stage 1 reuses :meth:`VeriBugModel._context_embeddings` — the context
+    cache, with the packed PathRNN kernel computing its misses — and the
+    head stages run through the raw kernels in :mod:`repro.nn.fused`.
+    Every numpy call matches the Tensor path in operand order, so the
+    outputs equal the grad-on autograd forward (the reference oracle)
+    up to BLAS batch-shape rounding of the cache misses' stage 1, within
+    1e-9 (the fused-head differential tests).
 
     Raises:
         RuntimeError: If autograd is enabled (the outputs carry no graph,

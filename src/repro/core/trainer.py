@@ -83,9 +83,6 @@ class Trainer:
         """
         if not samples:
             raise ValueError("cannot train on an empty sample list")
-        # Stage-1 embeddings memoized by earlier inference (e.g. a
-        # mid-training evaluate) are stale the moment a step runs.
-        self.model.context_cache.clear()
         epochs = epochs if epochs is not None else self.config.epochs
         rng = np.random.default_rng(self.config.seed)
         labels = np.array([s.label for s in samples])
@@ -93,44 +90,46 @@ class Trainer:
         history = TrainHistory()
         # Encode once; each minibatch is a row selection of this batch.
         encoded = self.encoder.encode(samples)
-
-        for epoch in range(epochs):
-            order = rng.permutation(len(samples))
-            epoch_loss = 0.0
-            epoch_ce = 0.0
-            epoch_reg = 0.0
-            n_batches = 0
-            for start in range(0, len(samples), self.config.batch_size):
-                batch = encoded.select(order[start : start + self.config.batch_size])
-                output = self.model(batch)
-                loss, parts = veribug_loss(
-                    output.logits,
-                    batch.labels,
-                    output.updated_embeddings,
-                    batch.operand_stmt,
-                    class_weights=class_weights,
-                    alpha=self.config.alpha,
-                )
-                self.optimizer.zero_grad()
-                loss.backward()
-                self.optimizer.step()
-                epoch_loss += loss.item()
-                epoch_ce += parts["ce"]
-                epoch_reg += parts["reg"]
-                n_batches += 1
-            history.losses.append(epoch_loss / n_batches)
-            history.ce_terms.append(epoch_ce / n_batches)
-            history.reg_terms.append(epoch_reg / n_batches)
-            if log:
-                print(
-                    f"epoch {epoch + 1:3d}/{epochs}: "
-                    f"loss={history.losses[-1]:.4f} "
-                    f"ce={history.ce_terms[-1]:.4f} reg={history.reg_terms[-1]:.4f}"
-                )
-        # Weights changed wholesale: flush memoized embeddings and let
-        # weight listeners (e.g. an execution runtime holding read-only
-        # worker snapshots) version the new state.
-        self.model._on_state_loaded()
+        try:
+            for epoch in range(epochs):
+                order = rng.permutation(len(samples))
+                epoch_loss = 0.0
+                epoch_ce = 0.0
+                epoch_reg = 0.0
+                n_batches = 0
+                for start in range(0, len(samples), self.config.batch_size):
+                    batch = encoded.select(order[start : start + self.config.batch_size])
+                    output = self.model(batch)
+                    loss, parts = veribug_loss(
+                        output.logits,
+                        batch.labels,
+                        output.updated_embeddings,
+                        batch.operand_stmt,
+                        class_weights=class_weights,
+                        alpha=self.config.alpha,
+                    )
+                    self.optimizer.zero_grad()
+                    loss.backward()
+                    self.optimizer.step()
+                    epoch_loss += loss.item()
+                    epoch_ce += parts["ce"]
+                    epoch_reg += parts["reg"]
+                    n_batches += 1
+                history.losses.append(epoch_loss / n_batches)
+                history.ce_terms.append(epoch_ce / n_batches)
+                history.reg_terms.append(epoch_reg / n_batches)
+                if log:
+                    print(
+                        f"epoch {epoch + 1:3d}/{epochs}: "
+                        f"loss={history.losses[-1]:.4f} "
+                        f"ce={history.ce_terms[-1]:.4f} reg={history.reg_terms[-1]:.4f}"
+                    )
+        finally:
+            # The weights changed — wholesale, or partly when a step
+            # raised: flush memoized embeddings and attention rows and let
+            # weight listeners (e.g. an execution runtime holding
+            # read-only worker snapshots) version the new state.
+            self.model._on_state_loaded()
         return history
 
     def evaluate(self, samples: list[Sample], batch_size: int = 512) -> EvalMetrics:

@@ -15,8 +15,9 @@ worker pool:
   stream is derived from *what* is computed (design index, mutation
   node, shard), never from *where* (see :mod:`repro.runtime.seeding`).
 * **Workers carry read-only weights.**  The pool initializer ships a
-  pickled ``state_dict`` snapshot; workers rebuild the model without any
-  autograd state (localization runs the no-grad fused path only).  When
+  pickled ``state_dict`` snapshot and the session's inference arm
+  (``fast_inference``); workers rebuild the model without any autograd
+  state, and on the fast arm localize on the no-grad fused path.  When
   the owning session retrains or reloads weights, the model's
   ``_on_state_loaded`` hook bumps the runtime's *weight epoch*; the next
   localization or campaign dispatch attaches an epoch-tagged refresh
@@ -28,9 +29,10 @@ worker pool:
   merges results in shard order, so the output ordering — and, because
   attention is segment-local and the fused kernel padding-invariant,
   every ranking and suspiciousness score — is bit-identical to the
-  single-process fast path.  Execution dedup and the structural
-  context-embedding cache stay worker-local; workers report cache-hit
-  deltas that the runtime aggregates into fleet-wide stats.
+  single-process fast path.  Execution dedup, the structural
+  context-embedding cache and the attention-row memo stay worker-local;
+  workers report cache and memo hit deltas that the runtime aggregates
+  into fleet-wide stats (:class:`RuntimeStats`).
 * **Worker-resident campaign chunks.**  :meth:`simulate_mutants` runs a
   campaign as one task per chunk (a contiguous mutation span of one
   program group): the worker simulates the chunk's mutants as selector
@@ -53,6 +55,7 @@ owns one when ``SessionConfig.n_workers > 0``.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import pickle
 from concurrent.futures import ProcessPoolExecutor
@@ -100,30 +103,25 @@ def plan_shards(n_items: int, n_shards: int) -> list[tuple[int, int]]:
     return spans
 
 
-@dataclass(frozen=True)
-class RuntimeStats:
-    """A point-in-time snapshot of one runtime's counters.
+@dataclass
+class _Counters:
+    """The cumulative counters of one runtime.
 
     ``worker_cache_*`` / ``worker_memo_*`` aggregate the cache deltas
-    workers report per localization shard and per campaign chunk — the
-    fleet-wide equivalents of the in-process
-    ``ContextEmbeddingCache.stats()`` and ``AttentionRowMemo.stats()``.
-    They make the sharded hit-rate drop (worker-local caches see only
-    their own tasks' structural overlap) visible without the bench
-    script.
+    workers report per localization shard and per campaign chunk (the
+    worker names its delta keys after these fields) — the fleet-wide
+    equivalents of the in-process ``ContextEmbeddingCache.stats()`` and
+    ``AttentionRowMemo.stats()``.  They make the sharded hit-rate drop
+    (worker-local caches see only their own tasks' structural overlap)
+    visible without the bench script.
     """
 
-    n_workers: int
-    start_method: str
-    started: bool
-    closed: bool
-    pools_started: int
-    campaigns_served: int
-    corpus_runs: int
-    localize_calls: int
-    tasks_dispatched: int
-    weight_epoch: int
-    weight_refresh_dispatches: int
+    pools_started: int = 0
+    campaigns_served: int = 0
+    corpus_runs: int = 0
+    localize_calls: int = 0
+    tasks_dispatched: int = 0
+    weight_refresh_dispatches: int = 0
     last_shard_sizes: tuple[int, ...] = ()
     worker_cache_hits: int = 0
     worker_cache_misses: int = 0
@@ -131,6 +129,18 @@ class RuntimeStats:
     worker_memo_hits: int = 0
     worker_memo_misses: int = 0
     worker_memo_cross_epoch_hits: int = 0
+
+
+@dataclass(kw_only=True)
+class RuntimeStats(_Counters):
+    """A point-in-time snapshot of one runtime: pool state plus a copy
+    of every :class:`_Counters` field."""
+
+    n_workers: int
+    start_method: str
+    started: bool
+    closed: bool
+    weight_epoch: int
 
     @property
     def worker_cache_hit_rate(self) -> float:
@@ -170,23 +180,6 @@ class RuntimeStats:
                 "cross_epoch_hits": self.worker_memo_cross_epoch_hits,
             },
         }
-
-
-@dataclass
-class _Counters:
-    pools_started: int = 0
-    campaigns_served: int = 0
-    corpus_runs: int = 0
-    localize_calls: int = 0
-    tasks_dispatched: int = 0
-    weight_refresh_dispatches: int = 0
-    last_shard_sizes: tuple[int, ...] = ()
-    worker_cache_hits: int = 0
-    worker_cache_misses: int = 0
-    worker_cache_cross_epoch_hits: int = 0
-    worker_memo_hits: int = 0
-    worker_memo_misses: int = 0
-    worker_memo_cross_epoch_hits: int = 0
 
 
 class ExecutionRuntime:
@@ -232,7 +225,7 @@ class ExecutionRuntime:
         self._counters = _Counters()
         # Weight-snapshot plumbing (populated by attach_model).
         self._model: "VeriBugModel | None" = None
-        self._model_options: dict = {}
+        self._fast_inference = True
         self._weight_epoch = 0
         self._snapshot_cache: tuple[int, bytes] | None = None
         self._next_ctx_id = 0
@@ -308,14 +301,7 @@ class ExecutionRuntime:
     # Weights
     # ------------------------------------------------------------------
     def attach_model(
-        self,
-        model: "VeriBugModel",
-        *,
-        cache_enabled: bool = True,
-        cache_max_entries: int = 100_000,
-        memo_enabled: bool = True,
-        memo_max_entries: int = 100_000,
-        fast_inference: bool = True,
+        self, model: "VeriBugModel", *, fast_inference: bool = True
     ) -> None:
         """Bind the session's model so workers can mirror it read-only.
 
@@ -325,13 +311,7 @@ class ExecutionRuntime:
         snapshot.  Workers refresh lazily, per task, via the epoch tag.
         """
         self._model = model
-        self._model_options = {
-            "cache_enabled": cache_enabled,
-            "cache_max_entries": cache_max_entries,
-            "memo_enabled": memo_enabled,
-            "memo_max_entries": memo_max_entries,
-            "fast_inference": fast_inference,
-        }
+        self._fast_inference = fast_inference
         model.add_weight_listener(self._on_weights_changed)
 
     def _on_weights_changed(self) -> None:
@@ -374,7 +354,7 @@ class ExecutionRuntime:
                 config=self._model.config,
                 state=self._model.state_dict(),
                 epoch=self._weight_epoch,
-                **self._model_options,
+                fast_inference=self._fast_inference,
             )
             self._snapshot_cache = (
                 self._weight_epoch,
@@ -422,21 +402,27 @@ class ExecutionRuntime:
         counters.localize_calls += 1
         counters.tasks_dispatched += len(futures)
         counters.last_shard_sizes = tuple(end - start for start, end in shards)
-        for index, future in enumerate(futures):
-            try:
-                shard_results, delta = future.result()
-            except StaleWorkerWeights:
-                start, end = shards[index]
-                counters.weight_refresh_dispatches += 1
-                shard_results, delta = pool.submit(
-                    _task_localize_shard,
-                    epoch,
-                    requests[start:end],
-                    batch_size,
-                    self._snapshot_blob(),
-                ).result()
-            results.extend(shard_results)
-            self._fold_delta(delta)
+        try:
+            for index, future in enumerate(futures):
+                try:
+                    shard_results, delta = future.result()
+                except StaleWorkerWeights:
+                    start, end = shards[index]
+                    counters.weight_refresh_dispatches += 1
+                    shard_results, delta = pool.submit(
+                        _task_localize_shard,
+                        epoch,
+                        requests[start:end],
+                        batch_size,
+                        self._snapshot_blob(),
+                    ).result()
+                results.extend(shard_results)
+                self._fold_delta(delta)
+        finally:
+            # A failed shard fails the call: drop the shards no worker
+            # has started.
+            for future in futures:
+                future.cancel()
         return results
 
     def _fold_delta(self, delta: dict[str, int]) -> None:
@@ -514,31 +500,22 @@ class ExecutionRuntime:
         ]
         self._counters.corpus_runs += 1
         self._counters.tasks_dispatched += len(futures)
-        return [future.result() for future in futures]
+        try:
+            return [future.result() for future in futures]
+        finally:
+            for future in futures:
+                future.cancel()
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def stats(self) -> RuntimeStats:
         """Snapshot of the runtime's counters (see :class:`RuntimeStats`)."""
-        c = self._counters
         return RuntimeStats(
             n_workers=self.n_workers,
             start_method=self.start_method,
             started=self.started,
             closed=self.closed,
-            pools_started=c.pools_started,
-            campaigns_served=c.campaigns_served,
-            corpus_runs=c.corpus_runs,
-            localize_calls=c.localize_calls,
-            tasks_dispatched=c.tasks_dispatched,
             weight_epoch=self._weight_epoch,
-            weight_refresh_dispatches=c.weight_refresh_dispatches,
-            last_shard_sizes=c.last_shard_sizes,
-            worker_cache_hits=c.worker_cache_hits,
-            worker_cache_misses=c.worker_cache_misses,
-            worker_cache_cross_epoch_hits=c.worker_cache_cross_epoch_hits,
-            worker_memo_hits=c.worker_memo_hits,
-            worker_memo_misses=c.worker_memo_misses,
-            worker_memo_cross_epoch_hits=c.worker_memo_cross_epoch_hits,
+            **dataclasses.asdict(self._counters),
         )

@@ -6,9 +6,10 @@ lives in the module-level :data:`_STATE` dict:
 
 * ``engine`` — a worker-local :class:`LocalizationEngine` built from the
   weight snapshot shipped at pool init (``initargs``), tagged with the
-  weight epoch it was built from.  The model carries no autograd state:
-  localization runs entirely on the no-grad fast path, so the snapshot
-  is read-only by construction.  When the parent retrains or reloads
+  weight epoch it was built from, on the session's inference arm.  The
+  worker never trains, so the snapshot is read-only by construction
+  (even the reference arm's autograd graphs are only ever read
+  forward).  When the parent retrains or reloads
   weights it bumps the epoch and attaches a refreshed snapshot to the
   next shard or chunk task; the worker rebuilds only when the tags
   disagree.
@@ -58,20 +59,12 @@ class ModelPayload:
         config: Model hyper-parameters (architecture must match ``state``).
         state: A ``state_dict`` snapshot of the trained weights.
         epoch: The weight epoch the snapshot was taken at.
-        cache_enabled / cache_max_entries: Session cache policy, applied
-            to the worker-local :class:`ContextEmbeddingCache`.
-        memo_enabled / memo_max_entries: Session attention-row memo
-            policy, applied to the worker-local :class:`AttentionRowMemo`.
         fast_inference: Mirror of the session's inference-arm switch.
     """
 
     config: "VeriBugConfig"
     state: dict[str, np.ndarray]
     epoch: int
-    cache_enabled: bool = True
-    cache_max_entries: int = 100_000
-    memo_enabled: bool = True
-    memo_max_entries: int = 100_000
     fast_inference: bool = True
 
 
@@ -119,12 +112,6 @@ def _build_engine(payload: ModelPayload):
     vocab = Vocabulary()
     model = VeriBugModel(payload.config, vocab)
     model.load_state_dict(payload.state)
-    model.context_cache.configure(
-        enabled=payload.cache_enabled, max_entries=payload.cache_max_entries
-    )
-    model.attention_memo.configure(
-        enabled=payload.memo_enabled, max_entries=payload.memo_max_entries
-    )
     engine = LocalizationEngine(
         model,
         BatchEncoder(vocab),

@@ -9,9 +9,10 @@ Four contracts:
 * **Streaming** — `CampaignHandle.stream()` yields per-mutant outcomes
   equal to `run()`'s, with incremental `HeatmapSnapshot`s whose final
   state is bit-identical to the batch report's.
-* **Config** — `SessionConfig` consolidates the scattered knobs,
-  validates them, and the session applies the cache policy it declares;
-  `CorpusSpec` validates its sizes at construction.
+* **Config** — `SessionConfig` consolidates the scattered knobs and
+  validates them, and building a session leaves a shared model's
+  memoized state alone; `CorpusSpec` validates its sizes at
+  construction.
 * **CLI** — `python -m repro campaign --smoke` (the CI smoke) works
   end-to-end against the committed checkpoint.
 """
@@ -93,7 +94,6 @@ class TestSessionConfig:
             base.with_engine("interpreted")
             .with_workers(2)
             .with_localize_batch(4)
-            .with_cache("off", max_entries=7)
             .with_seed(5)
             .with_campaign_defaults(n_traces=3, min_correct_traces=1)
         )
@@ -102,8 +102,6 @@ class TestSessionConfig:
         assert tuned.sim_engine == "interpreted"
         assert tuned.n_workers == 2
         assert tuned.localize_batch == 4
-        assert tuned.cache_policy == "off"
-        assert tuned.cache_max_entries == 7
         assert tuned.seed == 5
         assert tuned.n_traces == 3 and tuned.min_correct_traces == 1
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -131,10 +129,9 @@ class TestSessionConfig:
         "kwargs",
         [
             {"sim_engine": "jit"},
-            {"cache_policy": "weak"},
+            {"lint_policy": "strict"},
             {"localize_batch": 0},
             {"n_workers": -1},
-            {"cache_max_entries": 0},
             {"n_traces": 0},
             {"min_correct_traces": -1},
             {"max_extra_batches": -1},
@@ -161,20 +158,20 @@ class TestSessionConfig:
         with pytest.raises(ValueError):
             CorpusSpec(**kwargs)
 
-    def test_session_applies_cache_policy(self, trained_session):
-        on = VeriBugSession(trained_session.model, trained_session.encoder)
-        assert trained_session.model.context_cache.enabled
-        assert on.cache_stats()["entries"] >= 0
-        off = VeriBugSession(
-            trained_session.model,
-            trained_session.encoder,
-            SessionConfig().with_cache("off", max_entries=11),
+    def test_session_leaves_shared_model_cache_alone(self, trained_session):
+        """Building a second session over a model leaves its warm
+        context cache and attention-row memo as they were."""
+        model = trained_session.model
+        first = VeriBugSession(model, trained_session.encoder)
+        buggy, failing, correct = planted_bug_case()
+        first.localize(buggy, "y", failing, correct)
+        before = (first.cache_stats(), first.memo_stats())
+        assert before[0]["entries"] > 0 and before[1]["entries"] > 0
+        second = VeriBugSession(
+            model, trained_session.encoder, SessionConfig(fast_inference=False)
         )
-        assert not trained_session.model.context_cache.enabled
-        assert trained_session.model.context_cache.max_entries == 11
-        del off
-        # Restore the shared fixture's default policy.
-        VeriBugSession(trained_session.model, trained_session.encoder)
+        assert (second.cache_stats(), second.memo_stats()) == before
+        assert model.context_cache.max_entries == 100_000
 
 
 # ----------------------------------------------------------------------
@@ -194,6 +191,25 @@ class TestEngineEquivalence:
         )
         for stmt_id, score in engine_result.heatmap.suspiciousness.items():
             assert abs(session_result.heatmap.suspiciousness[stmt_id] - score) < TOL
+
+    @pytest.mark.parametrize("fast_inference", [True, False])
+    def test_localize_is_one_request_localize_many(self, session, fast_inference):
+        """On both arms ``localize`` equals ``localize_many`` of one
+        request: identical rankings, suspiciousness within 1e-9."""
+        from repro.core import LocalizationRequest
+
+        arm = VeriBugSession(
+            session.model, session.encoder, SessionConfig(fast_inference=fast_inference)
+        )
+        buggy, failing, correct = planted_bug_case()
+        single = arm.localize(buggy, "y", failing, correct)
+        (batched,) = arm.localize_many(
+            [LocalizationRequest(buggy, "y", failing, correct)]
+        )
+        assert single.ranking == batched.ranking
+        assert single.heatmap.suspiciousness.keys() == batched.heatmap.suspiciousness.keys()
+        for stmt_id, score in batched.heatmap.suspiciousness.items():
+            assert abs(single.heatmap.suspiciousness[stmt_id] - score) < TOL
 
     def test_campaign_engine_matches_handle(self, session):
         module = load_design("wb_mux_2")
@@ -333,46 +349,13 @@ class TestStreamingCampaign:
         assert batch_sizes[0] == 1  # first result localized immediately
         assert sum(batch_sizes) == observable
 
-    def test_cache_configure_policy(self, session):
-        from repro.core import ContextEmbeddingCache
-
-        from tests.test_fused_rnn import make_context
-
-        cache = ContextEmbeddingCache(max_entries=8)
-        import numpy as np
-
-        contexts = [
-            make_context(i, 1, paths=[[("And",) * (i + 1)]]) for i in range(4)
-        ]
-        for i, context in enumerate(contexts):
-            cache.put(context, 0, np.full(2, float(i)))
-        # Shrinking evicts LRU overflow immediately.
-        cache.configure(enabled=True, max_entries=2)
-        assert len(cache) == 2
-        assert cache.get(contexts[0], 0) is None
-        assert cache.get(contexts[3], 0) is not None
-        # Disabling drops the resident entries (they'd just pin memory).
-        cache.configure(enabled=False)
-        assert len(cache) == 0 and not cache.enabled
-        with pytest.raises(ValueError):
-            cache.configure(enabled=True, max_entries=0)
-
     def test_structural_cache_shares_across_mutants(self, session, handle):
         """The headline: fresh contexts per mutant still hit the cache."""
         cache = session.model.context_cache
         cache.clear()
         cache.reset_stats()
-        # Pin the attention-row memo off: it would serve repeated
-        # (structure, values) pairs whole, so the context cache would
-        # never see the cross-mutant lookups this test measures.
-        memo = session.model.attention_memo
-        saved = memo.enabled
-        memo.enabled = False
-        memo.clear()
-        try:
-            list(handle.stream())
-        finally:
-            memo.enabled = saved
+        session.model.attention_memo.clear()
+        list(handle.stream())
         stats = cache.stats()
         assert stats["cross_epoch_hits"] > 0
         assert stats["cross_epoch_hit_rate"] > 0.0

@@ -142,14 +142,12 @@ class TestStageOneDifferential:
 class TestInferenceCacheMiss:
     def test_cache_misses_match_the_expanded_oracle(self, model, encoder, tiny_samples):
         """A cold cache computes the misses' distinct paths; the values
-        equal the cache-off expanded batch, and the refilled cache serves
-        the same values on the next call."""
+        equal the grad-on forward of the expanded batch, and the refilled
+        cache serves the same values on the next call."""
         batch = encoder.encode(tiny_samples[::7])
         cache = model.context_cache
+        oracle = model(expand(batch))
         with inference_mode():
-            cache.enabled = False
-            oracle = model(expand(batch))
-            cache.enabled = True
             cache.clear()
             cache.reset_stats()
             cold = model(batch)
@@ -167,10 +165,8 @@ class TestInferenceCacheMiss:
         first = [row for row, s in enumerate(samples) if s.design == samples[0].design]
         assert len(first) < len(samples)
         cache = model.context_cache
+        oracle = model(expand(batch))
         with inference_mode():
-            cache.enabled = False
-            oracle = model(expand(batch))
-            cache.enabled = True
             cache.clear()
             model(batch.select(first))  # warms the first design's structures
             cache.reset_stats()

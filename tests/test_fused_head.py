@@ -2,22 +2,24 @@
 
 The contracts pinned here mirror ``tests/test_fused_rnn.py`` one layer up:
 
-* **Differential** — ``model_forward_fused`` agrees with the autograd
-  forward within 1e-9 on hypothesis-random ragged statement batches, and
-  is bit-identical to the no-grad Tensor path it replaces.
+* **Differential** — the no-grad forward (``model_forward_fused``, with
+  its context cache) agrees with the grad-on autograd forward within
+  1e-9 on hypothesis-random ragged statement batches.
 * **Batch invariance** — a statement's attention row does not depend on
   which (ragged) batch it lands in (within 1e-9; BLAS batch-shape
   blocking perturbs the last ulp), the property that makes memoized rows
   reusable across batches.
-* **Memo semantics** — rankings with the attention-row memo on equal the
-  memo-off fast path and the autograd reference; keys are structural
-  (statement structure + operand values, label excluded); the LRU bound
-  and epoch accounting match the context cache's.
+* **Memo semantics** — rankings and attention maps with a cold or warm
+  attention-row memo equal the memo-free autograd reference arm within
+  1e-9; keys are structural (statement structure + operand values, label
+  excluded); the LRU bound and epoch accounting match the context
+  cache's.
 * **Gating** — every fused kernel (and the fused forward) refuses to run
   while autograd is enabled, including ``enable_grad`` nested inside
   ``inference_mode``.
-* **Invalidation** — ``load_state_dict`` and a completed ``Trainer.train``
-  run both clear the memo via the ``_on_state_loaded`` weight hook.
+* **Invalidation** — ``load_state_dict`` and a ``Trainer.train`` run,
+  completed or interrupted by a raising step, all clear the memo via the
+  ``_on_state_loaded`` weight hook.
 """
 
 import numpy as np
@@ -29,6 +31,7 @@ from repro.core import (
     AttentionRowMemo,
     BatchEncoder,
     Explainer,
+    LocalizationEngine,
     Trainer,
     VeriBugConfig,
     VeriBugModel,
@@ -49,8 +52,8 @@ from repro.nn import (
 )
 
 from tests.test_fused_rnn import (
+    cold_memos,
     make_context,
-    model_switches,
     path_lists,
     planted_bug_case,
 )
@@ -162,8 +165,7 @@ class TestFusedHeadDifferential:
         assert reference.logits.requires_grad
         with inference_mode():
             fused = model.forward(batch)
-            model.fused_head = False
-            tensor_nograd = model.forward(batch)
+        assert not fused.logits.requires_grad
         assert np.allclose(fused.logits.data, reference.logits.data, atol=TOL)
         assert np.allclose(
             fused.attention.data, reference.attention.data, atol=TOL
@@ -172,12 +174,6 @@ class TestFusedHeadDifferential:
             fused.updated_embeddings.data,
             reference.updated_embeddings.data,
             atol=TOL,
-        )
-        # Against the no-grad Tensor path the fused head is bit-identical
-        # (same numpy calls in the same operand order).
-        assert np.array_equal(fused.logits.data, tensor_nograd.logits.data)
-        assert np.array_equal(
-            fused.attention.data, tensor_nograd.attention.data
         )
 
     @given(samples=statement_batches())
@@ -200,7 +196,9 @@ class TestFusedHeadDifferential:
                     alone.attention_per_statement()[0], row, rtol=0, atol=TOL
                 )
 
-    def test_predict_uses_fused_head(self):
+    def test_predict_uses_fused_forward(self):
+        """``predict`` runs no-grad (the fused forward, filling the
+        context cache) and agrees with the grad-on forward."""
         model = tiny_model(3)
         encoder = BatchEncoder(model.vocab)
         samples = [
@@ -209,8 +207,8 @@ class TestFusedHeadDifferential:
         ]
         batch = encoder.encode(samples)
         fused_pred = model.predict(batch)
-        model.fused_head = False
-        assert np.array_equal(fused_pred, model.predict(batch))
+        assert model.context_cache.misses > 0
+        assert np.array_equal(fused_pred, model.forward(batch).predictions())
 
 
 # ----------------------------------------------------------------------
@@ -247,14 +245,13 @@ class TestGradRefusal:
         with pytest.raises(RuntimeError, match="inference_mode"):
             linear_forward_fused(model.predictor.layers[0], np.ones((1, model.config.operand_dim)))
 
-    def test_training_forward_builds_graph_despite_fused_head(self):
-        """With grad on, the dispatch must ignore fused_head entirely."""
+    def test_training_forward_builds_graph(self):
+        """With grad on, the forward dispatches to the autograd path."""
         model = tiny_model(4)
         encoder = BatchEncoder(model.vocab)
         batch = encoder.encode(
             [Sample(make_context(0, 2), operand_values=(1, 2), label=1)]
         )
-        assert model.fused_head
         output = model.forward(batch)
         assert output.logits.requires_grad
         assert output.attention.requires_grad
@@ -304,21 +301,23 @@ class TestAttentionRowMemo:
         stats = memo.stats()
         assert stats["cross_epoch_hits"] == 1
         assert 0.0 < stats["cross_epoch_hit_rate"] <= 1.0
-        memo.configure(enabled=False)
-        assert len(memo) == 0 and not memo.enabled
         with pytest.raises(ValueError):
-            memo.configure(enabled=True, max_entries=0)
+            AttentionRowMemo(max_entries=0)
 
     def test_memo_on_off_ranking_identity(self, trained_session, localizer):
+        """Memo on (the fast arm, cold and warm) vs memo off (the
+        autograd reference arm): same rankings, scores within 1e-9."""
         buggy, failing, correct = planted_bug_case()
         model = trained_session.model
-        with model_switches(model, cache=True, memo=True):
+        with cold_memos(model):
             cold = localizer.localize(buggy, "y", failing, correct)
             warm = localizer.localize(buggy, "y", failing, correct)
             assert model.attention_memo.hits > 0
             assert model.attention_memo.cross_epoch_hits > 0
-        with model_switches(model, cache=True, memo=False):
-            plain = localizer.localize(buggy, "y", failing, correct)
+        reference = LocalizationEngine(
+            model, trained_session.encoder, fast_inference=False
+        )
+        plain = reference.localize(buggy, "y", failing, correct)
         for result in (cold, warm):
             assert result.ranking == plain.ranking
             assert set(result.heatmap.suspiciousness) == set(
@@ -328,9 +327,9 @@ class TestAttentionRowMemo:
                 assert abs(result.heatmap.suspiciousness[stmt_id] - score) <= TOL
 
     def test_memoized_maps_match_reference(self, trained_session, arbiter):
-        """Attention maps with a cold or warm memo equal the memo-off
-        maps within 1e-9 (batch regrouping perturbs BLAS rounding, so
-        bit-identity across the memo toggle is not guaranteed)."""
+        """Attention maps with a cold or warm memo equal the reference
+        arm's within 1e-9 (batch regrouping perturbs BLAS rounding, so
+        bit-identity across arms is not guaranteed)."""
         from repro.analysis import extract_module_contexts
         from tests.test_fused_rnn import assert_maps_equal, design_traces
 
@@ -338,12 +337,13 @@ class TestAttentionRowMemo:
         explainer = Explainer(model, trained_session.encoder)
         contexts = extract_module_contexts(arbiter.statements())
         traces = design_traces(arbiter, n_traces=3)
-        with model_switches(model, cache=True, memo=True):
+        with cold_memos(model):
             cold = explainer.attention_map(contexts, traces)
             warm = explainer.attention_map(contexts, traces)
             assert model.attention_memo.hits > 0
-        with model_switches(model, cache=True, memo=False):
-            reference = explainer.attention_map(contexts, traces)
+        reference = Explainer(
+            model, trained_session.encoder, fast_inference=False
+        ).attention_map(contexts, traces)
         for amap in (cold, warm):
             assert_maps_equal(amap, reference)
         # Warm lookups serve the exact rows the cold pass stored.
@@ -398,3 +398,41 @@ class TestWeightInvalidation:
         trainer = Trainer(model, BatchEncoder(model.vocab), model.config)
         trainer.train(tiny_samples[:24], epochs=1)
         assert len(model.attention_memo) == 0
+
+    def test_interrupted_train_still_invalidates(self, tiny_samples):
+        """A step that raises after earlier steps changed the weights
+        still clears both memos, fires the weight listeners once, and
+        advances a live session runtime's weight epoch."""
+        from repro.api import SessionConfig, VeriBugSession
+
+        model = tiny_model(13)
+        session = VeriBugSession(
+            model, config=SessionConfig(model=model.config, n_workers=2)
+        )
+        try:
+            self._warm_memo(model)
+            assert len(model.context_cache) > 0
+            fired = []
+            model.add_weight_listener(lambda: fired.append(True))
+            epoch = session.runtime.weight_epoch
+            trainer = Trainer(model, session.encoder, model.config)
+            step = trainer.optimizer.step
+            calls = []
+
+            def failing_step():
+                calls.append(True)
+                if len(calls) == 2:
+                    raise RuntimeError("step interrupted")
+                step()
+
+            trainer.optimizer.step = failing_step
+            samples = tiny_samples[: 3 * model.config.batch_size]
+            with pytest.raises(RuntimeError, match="step interrupted"):
+                trainer.train(samples, epochs=1)
+            assert len(calls) == 2
+            assert len(model.context_cache) == 0
+            assert len(model.attention_memo) == 0
+            assert fired == [True]
+            assert session.runtime.weight_epoch == epoch + 1
+        finally:
+            session.close()

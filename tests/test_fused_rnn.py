@@ -9,8 +9,9 @@ forward, in training and inference.  Its oracle is the per-step
   ``dx``, ``dW_ih``, ``dW_hh`` and ``dbias`` within 1e-10 (hypothesis,
   zero-length rows, all-padded batches and T=1 included); a whole model
   on the kernel matches the oracle-LSTM model in loss gradients and a
-  3-epoch loss history.  The full model produces identical
-  rankings/suspiciousness with the context cache on vs off (mirroring
+  3-epoch loss history.  The cached fast arm produces the rankings and
+  suspiciousness (within 1e-9) of the per-execution autograd reference
+  arm, which never consults the cache (mirroring
   ``tests/test_inference_fastpath.py``).
 * **Property (hypothesis)** — appending masked steps never changes the
   final hidden state, and the cache can never serve a dead context's
@@ -94,24 +95,15 @@ class OracleLSTM(Module):
 
 
 @contextmanager
-def model_switches(model, cache: bool, memo: bool = False):
-    """Pin the context-cache/memo switches, starting cold.
-
-    The attention-row memo defaults to *off* here so the cache-stat
-    assertions below keep measuring the context cache: with the memo on,
-    repeated samples skip encoding entirely and never consult the cache.
-    """
-    saved = (model.context_cache.enabled, model.attention_memo.enabled)
-    model.context_cache.enabled = cache
-    model.context_cache.clear()
-    model.context_cache.reset_stats()
-    model.attention_memo.enabled = memo
-    model.attention_memo.clear()
-    model.attention_memo.reset_stats()
+def cold_memos(model):
+    """Run with an empty context cache and attention-row memo, zeroed
+    counters, and leave both empty for the next test."""
+    for memo in (model.context_cache, model.attention_memo):
+        memo.clear()
+        memo.reset_stats()
     try:
         yield
     finally:
-        model.context_cache.enabled, model.attention_memo.enabled = saved
         model.context_cache.clear()
         model.attention_memo.clear()
 
@@ -328,7 +320,7 @@ class TestModelOnOracle:
 
 
 # ----------------------------------------------------------------------
-# Model-level differential: cache / kernel on vs off
+# Model-level differential: cached fast arm vs autograd reference
 # ----------------------------------------------------------------------
 
 
@@ -373,33 +365,52 @@ def planted_bug_case():
 
 class TestModelCacheDifferential:
     def test_attention_maps_paper_designs(self, trained_session):
-        """Cache on vs off: identical maps on the paper designs."""
+        """Cached fast arm vs the cache-free autograd reference arm:
+        identical maps on the paper designs."""
         model = trained_session.model
-        explainer = Explainer(
-            model, trained_session.encoder, trained_session.config.model
+        config = trained_session.config.model
+        explainer = Explainer(model, trained_session.encoder, config)
+        reference = Explainer(
+            model, trained_session.encoder, config, fast_inference=False
         )
         for name in REGISTRY:
             module = load_design(name)
             contexts = extract_module_contexts(module.statements())
             traces = design_traces(module)
-            with model_switches(model, cache=True):
+            with cold_memos(model):
                 cached = explainer.attention_map(contexts, traces)
                 assert model.context_cache.misses > 0
-            with model_switches(model, cache=False):
-                plain = explainer.attention_map(contexts, traces)
+            plain = reference.attention_map(contexts, traces)
             assert_maps_equal(cached, plain)
 
     def test_localize_rankings_cache_on_vs_off(self, trained_session, localizer):
+        """Cold and warm cache (the fast arm) vs no cache (the reference
+        arm): the same rankings, suspiciousness within 1e-9."""
         buggy, failing, correct = planted_bug_case()
         model = trained_session.model
-        with model_switches(model, cache=True):
-            cached = localizer.localize(buggy, "y", failing, correct)
-        with model_switches(model, cache=False):
-            plain = localizer.localize(buggy, "y", failing, correct)
-        assert cached.ranking == plain.ranking
-        assert set(cached.heatmap.suspiciousness) == set(plain.heatmap.suspiciousness)
-        for stmt_id, score in plain.heatmap.suspiciousness.items():
-            assert abs(cached.heatmap.suspiciousness[stmt_id] - score) < TOL
+        legacy = LocalizationEngine(
+            model,
+            trained_session.encoder,
+            trained_session.config.model,
+            fast_inference=False,
+        )
+        plain = legacy.localize(buggy, "y", failing, correct)
+        with cold_memos(model):
+            cold = localizer.localize(buggy, "y", failing, correct)
+            # Empty the memo so the second call re-encodes every sample
+            # and its stage 1 is served from the warm cache.
+            model.attention_memo.clear()
+            misses = model.context_cache.misses
+            warm = localizer.localize(buggy, "y", failing, correct)
+            assert model.context_cache.misses == misses
+            assert model.context_cache.cross_epoch_hits > 0
+        for cached in (cold, warm):
+            assert cached.ranking == plain.ranking
+            assert set(cached.heatmap.suspiciousness) == set(
+                plain.heatmap.suspiciousness
+            )
+            for stmt_id, score in plain.heatmap.suspiciousness.items():
+                assert abs(cached.heatmap.suspiciousness[stmt_id] - score) < TOL
 
     def test_matches_legacy_per_execution_reference(self, trained_session, localizer):
         """Fused+cached fast path == the pre-dedup autograd reference arm."""
@@ -411,7 +422,7 @@ class TestModelCacheDifferential:
             trained_session.config.model,
             fast_inference=False,
         )
-        with model_switches(model, cache=True):
+        with cold_memos(model):
             fast = localizer.localize(buggy, "y", failing, correct)
         reference = legacy.localize(buggy, "y", failing, correct)
         assert fast.ranking == reference.ranking
@@ -429,9 +440,12 @@ class TestModelCacheDifferential:
         explainer = Explainer(model, trained_session.encoder)
         contexts = extract_module_contexts(arbiter.statements())
         traces = design_traces(arbiter, n_traces=3)
-        with model_switches(model, cache=True):
+        with cold_memos(model):
             explainer.attention_map(contexts, traces)
             cold = model.context_cache.stats()
+            # The warm memo would serve every sample whole; empty it so
+            # the second pass re-encodes and consults the cache.
+            model.attention_memo.clear()
             explainer.attention_map(contexts, traces)
             warm = model.context_cache.stats()
             assert len(model.context_cache) > 0
@@ -449,6 +463,7 @@ class TestModelCacheDifferential:
             reborn = parse_module(arbiter_source)
             reborn_contexts = extract_module_contexts(reborn.statements())
             reborn_traces = design_traces(reborn, n_traces=3)
+            model.attention_memo.clear()
             before = model.context_cache.stats()
             explainer.attention_map(reborn_contexts, reborn_traces)
             after = model.context_cache.stats()
@@ -571,15 +586,19 @@ class TestStructuralKeys:
         assert stats["cross_epoch_hits"] == 1
         assert 0.0 < stats["cross_epoch_hit_rate"] <= 1.0
 
-    def test_disabled_cache_is_bypassed(self, trained_session, arbiter):
+    def test_reference_arm_bypasses_cache_and_memo(self, trained_session, arbiter):
+        """The autograd reference arm never reads or fills either memo."""
         model = trained_session.model
-        explainer = Explainer(model, trained_session.encoder)
+        reference = Explainer(
+            model, trained_session.encoder, fast_inference=False
+        )
         contexts = extract_module_contexts(arbiter.statements())
         traces = design_traces(arbiter, n_traces=2)
-        with model_switches(model, cache=False):
-            explainer.attention_map(contexts, traces)
-            assert len(model.context_cache) == 0
-            assert model.context_cache.hits == 0
+        with cold_memos(model):
+            reference.attention_map(contexts, traces)
+            for memo in (model.context_cache, model.attention_memo):
+                assert len(memo) == 0
+                assert memo.hits == memo.misses == 0
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,8 @@ runtime") is pinned here:
 * pooled campaigns and corpora equal sequential ones;
 * pooled campaigns run as worker-resident chunks (simulate + localize on
   the worker, no trace round trip) and an abandoned stream cancels the
-  chunks no worker has started;
+  chunks no worker has started; a failed localization shard or corpus
+  task likewise cancels the tasks queued behind it;
 * pools are spawn-safe by construction, and seed derivation depends on
   task identity only.
 """
@@ -719,6 +720,42 @@ class TestWorkerProtocol:
                 assert (state[name] == value).all()
         finally:
             _STATE["engine"], _STATE["model_init"] = saved
+
+
+class TestFailedTaskCancelsQueue:
+    """A task that raises fails the call and cancels the queued rest."""
+
+    @staticmethod
+    def _inline_runtime(monkeypatch, task_name: str):
+        import repro.runtime.runtime as runtime_module
+
+        def broken_task(*args):
+            raise ValueError("task failed")
+
+        monkeypatch.setattr(runtime_module, task_name, broken_task)
+        runtime = ExecutionRuntime(3)
+        pool = _InlinePool()
+        runtime._pool = pool  # bypasses _ensure_pool's lazy start
+        runtime._pool_weight_epoch = runtime.weight_epoch
+        return runtime, pool
+
+    def test_localize_many_cancels_unstarted_shards(self, monkeypatch):
+        runtime, pool = self._inline_runtime(monkeypatch, "_task_localize_shard")
+        with pytest.raises(ValueError, match="task failed"):
+            runtime.localize_many([object()] * 3)
+        assert [future.state for future in pool.futures] == [
+            "done", "cancelled", "cancelled"
+        ]
+        runtime.close()
+
+    def test_map_corpus_cancels_unstarted_designs(self, monkeypatch):
+        runtime, pool = self._inline_runtime(monkeypatch, "_task_corpus_design")
+        with pytest.raises(ValueError, match="task failed"):
+            runtime.map_corpus(["a", "b", "c"], spec=None, seed=0)
+        assert [future.state for future in pool.futures] == [
+            "done", "cancelled", "cancelled"
+        ]
+        runtime.close()
 
 
 class TestSpawnSafety:
