@@ -18,16 +18,15 @@ Implements paper §IV-D:
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..analysis.contexts import StatementContext
 from ..nn import inference_mode
-from ..sim.trace import Trace
+from ..sim.trace import SuiteLog, Trace
 from .config import VeriBugConfig
-from .features import BatchEncoder, Sample, sample_from_execution
+from .features import BatchEncoder, Sample, operand_gather, sample_from_execution
 from .model import VeriBugModel
 
 #: Suspiciousness assigned to statements that only execute in failing
@@ -35,105 +34,153 @@ from .model import VeriBugModel
 FT_ONLY_SUSPICIOUSNESS = 1.0
 
 
-def _columnar_distinct(trace_columns, contexts, restrict_to, accumulate) -> bool:
-    """Deduplicate a whole trace set straight off its execution columns.
+def _log_distinct(
+    segments: list[tuple[SuiteLog, list[int], np.ndarray | None, np.ndarray | None]],
+    contexts: dict[int, StatementContext],
+    restrict_to: set[int] | None,
+) -> tuple[list[Sample], list[int], list[int]]:
+    """Deduplicate a trace set straight off its event logs.
 
-    A fixed number of numpy operations spans the set, whatever its trace
-    count.  Each distinct ``stmt_table`` entry is interned once as a
-    global statement slot (entries outside ``restrict_to`` or without a
-    context with operands are dropped); the set's columns are
-    concatenated into one padded ``[rows, 1 + max_width]`` key matrix —
-    slot, then operand values (−1-padded; simulator values are
-    non-negative) — filled with one gather per operand width; and one
-    stable ``np.lexsort`` brings equal rows together.  A group's first
-    sorted row is its first occurrence and supplies its label.  Groups
-    replay through ``accumulate`` in first-occurrence order — exactly the
-    order and counts of the record-by-record loop, so attention maps stay
-    bit-identical.  Returns False, before calling ``accumulate``, when
-    any trace's values don't fit an integer array (>63-bit operands keep
-    list columns); the caller then runs the record loop.
+    Each segment is ``(log, lanes, lane_positions, event_positions)``:
+    the set's lanes of one suite log with each lane's trace position, or
+    a stacked log of plain columns (:meth:`SuiteLog.stack`, lane 0) with
+    each event's trace position.  Per log, events whose statement is
+    outside ``restrict_to`` or has no context with operands are dropped
+    *before* lanes expand; the kept events' active cells in the set's
+    lanes become ``(trace, event)`` rows whose operand values are
+    gathered in context-operand order
+    (:func:`~repro.core.features.operand_gather`, one plan per shape
+    row).  A row's key is its stmt id and those values, −1-padded
+    (simulator values are non-negative, and a stmt id pins its context
+    width, so padding never merges or splits a group) — exactly the
+    record loop's ``(stmt_id, operand_values)`` group key.  One
+    ``np.lexsort`` with the record-loop order ``(trace position,
+    event)`` as its least significant key makes each group's first
+    sorted row its first occurrence, which supplies the label; groups
+    come back in first-occurrence order with their counts.
     """
-    traces = [columns for columns in trace_columns if len(columns)]
-    for columns in traces:
-        if not (
-            isinstance(columns.flat_values, np.ndarray)
-            and isinstance(columns.lhs_values, np.ndarray)
-        ):
-            return False
-    if not traces:
-        return True
+    kept: dict[int, tuple[StatementContext, int]] = {}
+    for stmt_id, context in contexts.items():
+        width = context.n_operands
+        if width and (restrict_to is None or stmt_id in restrict_to):
+            kept[stmt_id] = (context, width)
+    stride = max((len(segment[0].slots) for segment in segments), default=0)
 
-    # Intern table entries: a missing key is assigned the next index.
-    entry_of: defaultdict[tuple, int] = defaultdict()
-    entry_of.default_factory = entry_of.__len__
-    table: list[int] = []  # every trace's table, as entry indices
-    bases = np.empty(len(traces), dtype=np.int64)
-    for index, columns in enumerate(traces):
-        bases[index] = len(table)
-        table.extend(map(entry_of.__getitem__, columns.stmt_table))
-    entries = list(entry_of)
-    entry_widths = np.empty(len(entries), dtype=np.int64)
-    entry_kept = np.empty(len(entries), dtype=bool)
-    for index, (stmt_id, _target, operands, _width) in enumerate(entries):
-        context = contexts.get(stmt_id)
-        entry_widths[index] = len(operands)
-        entry_kept[index] = (
-            (restrict_to is None or stmt_id in restrict_to)
-            and context is not None
-            and context.n_operands > 0
+    plans: dict[tuple[int, tuple[str, ...]], tuple[int, ...]] = {}
+    pieces = []
+    for log, lanes, lane_positions, event_positions in segments:
+        kept_shape = np.fromiter(
+            map(kept.__contains__, log.stmt_ids.tolist()), bool, len(log.shapes)
         )
-
-    lengths = np.fromiter(map(len, traces), dtype=np.int64, count=len(traces))
-    slots = np.concatenate([columns.stmt_slots for columns in traces])
-    row_entries = np.asarray(table, dtype=np.int64)[
-        slots + np.repeat(bases, lengths)
-    ]
-    row_widths = entry_widths[row_entries]
-    offsets = np.zeros(len(row_entries), dtype=np.int64)
-    np.cumsum(row_widths[:-1], out=offsets[1:])
-    keep = np.flatnonzero(entry_kept[row_entries])
-    if not keep.size:
-        return True
-    flat = np.concatenate([columns.flat_values for columns in traces])
-    lhs = np.concatenate([columns.lhs_values for columns in traces])
-
-    kept_widths = row_widths[keep]
-    kept_offsets = offsets[keep]
-    keyed = np.full((keep.size, 1 + int(kept_widths.max())), -1, dtype=np.int64)
-    keyed[:, 0] = row_entries[keep]
-    # A statement slot pins its width, so the padding never splits or
-    # merges a group; a few distinct widths per set, one gather each.
-    for width in np.flatnonzero(np.bincount(kept_widths)).tolist():
-        rows = np.flatnonzero(kept_widths == width)
-        keyed[rows, 1 : 1 + width] = flat[
-            kept_offsets[rows][:, None] + np.arange(width)
+        events = np.flatnonzero(kept_shape[log.slots])
+        if not events.size:
+            continue
+        # Lane-major: each lane's kept events in order, lanes in set order.
+        lane_index, event_index = np.nonzero(log.active.T[lanes][:, events])
+        if not lane_index.size:
+            continue
+        events = events[event_index]
+        lane_of = np.asarray(lanes)[lane_index]
+        rows = log.slots[events]
+        # Per shape row these lanes executed, its gather plan as a
+        # −1-padded matrix row (a target program's table also holds
+        # other variants' rows, which these contexts may not resolve).
+        seen = np.zeros(len(log.shapes), dtype=bool)
+        seen[rows] = True
+        kept_rows = np.flatnonzero(seen).tolist()
+        row_plans = []
+        for row in kept_rows:
+            stmt_id, _target, operands, _width = log.shapes[row]
+            plan = plans.get((stmt_id, operands))
+            if plan is None:
+                plan = plans[stmt_id, operands] = operand_gather(
+                    operands, kept[stmt_id][0]
+                )
+            row_plans.append(plan)
+        plan_matrix = np.full(
+            (len(log.shapes), max(map(len, row_plans))), -1, dtype=np.int64
+        )
+        for row, plan in zip(kept_rows, row_plans):
+            plan_matrix[row, : len(plan)] = plan
+        gather = plan_matrix[rows]
+        pad = gather < 0
+        values = log.ops[
+            log.op_starts[events][:, None] + np.where(pad, 0, gather), lane_of[:, None]
         ]
+        values[pad] = -1
+        positions = (
+            lane_positions[lane_index]  # type: ignore[index]
+            if event_positions is None
+            else event_positions[events]
+        )
+        pieces.append(
+            (
+                log.stmt_ids[rows],
+                values,
+                log.lhs[events, lane_of],
+                positions * stride + events,
+            )
+        )
+    if not pieces:
+        return [], [], []
 
-    # Stable sort: within a run of equal rows, the first sorted index is
-    # the group's first occurrence.
-    order = np.lexsort(keyed.T[::-1])
-    ranked = keyed[order]
+    width = max(piece[1].shape[1] for piece in pieces)
+    keyed = np.full((sum(len(piece[0]) for piece in pieces), 1 + width), -1, np.int64)
+    start = 0
+    for ids, values, _lhs, _order in pieces:
+        keyed[start : start + len(ids), 0] = ids
+        keyed[start : start + len(ids), 1 : 1 + values.shape[1]] = values
+        start += len(ids)
+    lhs = np.concatenate([piece[2] for piece in pieces])
+    order = np.concatenate([piece[3] for piece in pieces])
+
+    sort = np.lexsort((order, *keyed.T[::-1]))
+    ranked = keyed[sort]
     starts = np.flatnonzero(
         np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1)))
     )
     group_counts = np.diff(np.append(starts, len(ranked)))
-    firsts = order[starts]
-    replay = np.argsort(firsts)
+    firsts = sort[starts]
+    replay = np.argsort(order[firsts])
     first = firsts[replay]
-    labels = lhs[keep[first]] != 0
-    for row, label, count in zip(
-        keyed[first].tolist(), labels.tolist(), group_counts[replay].tolist()
-    ):
-        stmt_id, _target, operands, _width = entries[row[0]]
-        value_map = dict(zip(operands, row[1:]))
-        context = contexts[stmt_id]
-        sample = Sample(
-            context=context,
-            operand_values=tuple(value_map[op.name] for op in context.operands),
-            label=int(label),
-        )
-        accumulate(stmt_id, sample, count)
-    return True
+    samples: list[Sample] = []
+    labels = (lhs[first] != 0).view(np.int8).tolist()
+    for row, label in zip(keyed[first].tolist(), labels):
+        context, n_operands = kept[row[0]]
+        samples.append(Sample(context, tuple(row[1 : 1 + n_operands]), label))
+    return samples, keyed[first, 0].tolist(), group_counts[replay].tolist()
+
+
+def _record_loop_distinct(
+    contexts: dict[int, StatementContext],
+    traces: list[Trace],
+    restrict_to: set[int] | None,
+) -> tuple[list[Sample], list[int], list[int]]:
+    """The record-by-record dedup, for sets holding >63-bit values."""
+    groups: dict[tuple[int, tuple[int, ...]], int] = {}
+    samples: list[Sample] = []
+    stmt_ids: list[int] = []
+    counts: list[int] = []
+    for trace in traces:
+        for execution in trace.executions:
+            if restrict_to is not None and execution.stmt_id not in restrict_to:
+                continue
+            context = contexts.get(execution.stmt_id)
+            if context is None:
+                continue
+            sample = sample_from_execution(context, execution)
+            if sample is None:
+                continue
+            key = (execution.stmt_id, sample.operand_values)
+            slot = groups.get(key)
+            if slot is None:
+                groups[key] = len(samples)
+                samples.append(sample)
+                stmt_ids.append(execution.stmt_id)
+                counts.append(1)
+            else:
+                counts[slot] += 1
+    return samples, stmt_ids, counts
 
 
 @dataclass
@@ -279,51 +326,41 @@ class Explainer:
         traces the same statement overwhelmingly re-executes with values
         it has already been seen with.
 
-        The whole set is deduplicated in one pass off the traces'
-        columnar execution views (:meth:`Trace.columnize` —
-        simulator-recorded and deserialized traces already carry them
-        natively, so the packing shim only fires for hand-assembled
-        traces): one concatenation, one padded key matrix and one stable
-        ``np.lexsort`` (:func:`_columnar_distinct`), with no per-trace or
-        per-execution numpy work, while preserving the exact first-seen
-        order and counts of the record-by-record loop, so both paths
-        produce bit-identical attention maps.  The record loop remains as
-        the fallback when any trace holds >63-bit operand values, which
-        don't fit integer arrays and keep Python-list columns at the
-        recorder boundary.
+        The set is deduplicated straight off its event logs
+        (:func:`_log_distinct`): vector-engine lanes are read in their
+        suites' :class:`~repro.sim.trace.SuiteLog` without compacting
+        them, and every other trace (interpreter runs, deserialized and
+        :meth:`Trace.columnize`-d traces) joins one stacked, one-lane log
+        of its columns (:meth:`SuiteLog.stack`).  One padded key matrix
+        and one ``np.lexsort`` group the whole set while preserving the
+        exact first-seen order and counts of the record-by-record loop,
+        so both produce bit-identical attention maps.  The record loop
+        remains as the fallback when a trace holds >63-bit values, which
+        keep Python-list columns at the recorder boundary.
         """
-        groups: dict[tuple[int, tuple[int, ...]], int] = {}
-        samples: list[Sample] = []
-        stmt_ids: list[int] = []
-        counts: list[int] = []
-
-        def accumulate(stmt_id: int, sample: Sample, count: int) -> None:
-            key = (stmt_id, sample.operand_values)
-            slot = groups.get(key)
-            if slot is None:
-                groups[key] = len(samples)
-                samples.append(sample)
-                stmt_ids.append(stmt_id)
-                counts.append(count)
-            else:
-                counts[slot] += count
-
-        trace_columns = [trace.columnize() for trace in traces]
-        if traces:
-            if _columnar_distinct(trace_columns, contexts, restrict_to, accumulate):
-                return samples, stmt_ids, counts
-        for trace in traces:
-            for execution in trace.executions:
-                if restrict_to is not None and execution.stmt_id not in restrict_to:
-                    continue
-                context = contexts.get(execution.stmt_id)
-                if context is None:
-                    continue
-                sample = sample_from_execution(context, execution)
-                if sample is None:
-                    continue
-                accumulate(execution.stmt_id, sample, 1)
-        return samples, stmt_ids, counts
+        by_log: dict[int, tuple[SuiteLog, list[int], list[int]]] = {}
+        stacked: list[int] = []
+        for position, trace in enumerate(traces):
+            located = trace.execution_log()
+            if located is None:
+                stacked.append(position)
+                continue
+            log, lane = located
+            members = by_log.setdefault(id(log), (log, [], []))
+            members[1].append(lane)
+            members[2].append(position)
+        segments: list = [
+            (log, lanes, np.asarray(positions), None)
+            for log, lanes, positions in by_log.values()
+        ]
+        if stacked:
+            columns = [traces[position].columnize() for position in stacked]
+            log = SuiteLog.stack(columns)
+            if log is None:
+                return _record_loop_distinct(contexts, traces, restrict_to)
+            lengths = [len(trace_columns) for trace_columns in columns]
+            segments.append((log, [0], None, np.repeat(stacked, lengths)))
+        return _log_distinct(segments, contexts, restrict_to)
 
     def attention_map(
         self,

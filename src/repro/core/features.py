@@ -295,6 +295,21 @@ def sample_from_execution(
     return Sample(context=context, operand_values=values, label=label, design=design)
 
 
+def operand_gather(
+    operands: tuple[str, ...], context: StatementContext
+) -> tuple[int, ...]:
+    """Where each context operand instance reads its value in a record.
+
+    ``operands`` is a statement-shape row's operand list (the order the
+    recorder stores values in); the plan holds, per instance of
+    ``context.operands``, the index of its value there.  A repeated name
+    resolves to its last position, as :attr:`StatementExecution.
+    operand_map` does.
+    """
+    value_index = {name: index for index, name in enumerate(operands)}
+    return tuple(value_index[op.name] for op in context.operands)
+
+
 def _columnar_samples(
     columns,
     contexts: dict[int, StatementContext],
@@ -326,10 +341,7 @@ def _columnar_samples(
         ):
             plans.append(None)
             continue
-        value_index = {name: index for index, name in enumerate(operands)}
-        plans.append(
-            (context, tuple(value_index[op.name] for op in context.operands))
-        )
+        plans.append((context, operand_gather(operands, context)))
     offsets = columns.operand_offsets().tolist()
     flat_list = flat.tolist()
     lhs_list = lhs.tolist()

@@ -15,8 +15,9 @@ before the first cycle runs (``Evaluator.statement_shape`` per
 statement).  The vector engine's
 :class:`~repro.sim.vector.VectorRecorder` follows the same protocol over
 packed lanes, with the table resolved at compile time
-(``CompiledProgram.shapes``), and hands every lane columns
-byte-identical to these.  Record objects are never
+(``CompiledProgram.shapes``); it keeps one event log for the whole suite
+(:class:`~repro.sim.trace.SuiteLog`), whose on-demand per-lane columns
+are byte-identical to these.  Record objects are never
 constructed during simulation; :meth:`ExecutionRecorder.finish` hands the
 columns to the trace, where they stay the source of truth and the record
 list is a lazy derived view.

@@ -16,17 +16,23 @@ iterates the record list; column-aware consumers (the explainer's
 vectorized dedup, :meth:`Trace.executions_of`,
 :meth:`Trace.executed_stmt_ids`, serialization) never pay for them.
 
-Traces of a vector-engine suite are *lane views*: their execution
-columns are slices of the suite's lane-major buffers, ``outputs`` is a
+Traces of a vector-engine suite are *lane views*: their executions are
+one lane of the suite's event-major :class:`SuiteLog`, ``outputs`` is a
 :class:`_LaneOutputs` view of the lane's column of the suite's output
 matrix, and ``stimulus`` a view of the lane's row of its
-:class:`~repro.sim.testbench.StimulusSuite`.  They read like the lists
-they stand for and pickle to just their own lane's data.
+:class:`~repro.sim.testbench.StimulusSuite`.  The execution dedup reads
+the log directly; a lane's :class:`ExecutionColumns` are compacted out of
+it only when a per-lane consumer (pickling, training, coverage, record
+iteration) asks, and then for every lane of the log at once.  Lane views
+read like the lists they stand for and pickle to just their own lane's
+data.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -35,6 +41,9 @@ import numpy as np
 #: mismatch.  The angle brackets keep it disjoint from every legal
 #: Verilog identifier.
 LENGTH_DIVERGENCE = "<n_cycles>"
+
+_I32_MIN = np.iinfo(np.int32).min
+_I32_MAX = np.iinfo(np.int32).max
 
 
 @dataclass(frozen=True)
@@ -292,27 +301,225 @@ class _LazyList:
         return repr(self._materialized())
 
 
-class _LazyExecutions(_LazyList):
-    """Sequence facade over :class:`ExecutionColumns`.
+class SuiteLog:
+    """The executions of a whole recorded suite, event-major.
 
-    Recorded and deserialized traces both hold one of these instead of a
-    materialized record list: column-aware consumers (the explainer's
-    execution dedup, coverage queries, serialization) read
-    :attr:`columns` directly and never pay for object construction;
-    everything else transparently materializes on first access.
+    One event per record the engine emitted, in emission order:
+    ``slots``/``cycles`` are ``[E]`` (a slot indexes :attr:`shapes`, the
+    statement-shape table, whose stmt ids and operand counts are
+    :attr:`stmt_ids` and :attr:`widths`), ``lhs`` and ``active`` are
+    ``[E, N]`` over the suite's N lanes, and event ``e`` owns the operand
+    rows ``ops[op_starts[e] : op_starts[e] + widths[slots[e]]]`` of the
+    ``[F, N]`` operand matrix.  Lane ``n`` executed event ``e`` iff
+    ``active[e, n]``.
+
+    The execution dedup groups straight off these arrays.  Per-lane
+    :class:`ExecutionColumns` exist only on demand
+    (:meth:`lane_columns`), built for every lane in one compaction and
+    cached; lane execution counts never need them.
     """
 
-    __slots__ = ("columns",)
+    __slots__ = (
+        "shapes",
+        "stmt_ids",
+        "widths",
+        "slots",
+        "cycles",
+        "lhs",
+        "op_starts",
+        "ops",
+        "active",
+        "_lanes",
+        "_counts",
+    )
 
-    def __init__(self, columns: ExecutionColumns):
+    def __init__(self, shapes, slots, cycles, lhs, ops, active):
+        self.shapes = shapes
+        self.stmt_ids = np.fromiter((row[0] for row in shapes), np.int64, len(shapes))
+        self.widths = np.fromiter((len(row[2]) for row in shapes), np.int64, len(shapes))
+        self.slots = slots
+        self.cycles = cycles
+        self.lhs = lhs
+        self.op_starts = _bounds(self.widths[slots])[:-1]
+        self.ops = ops
+        self.active = active
+        self._lanes: list[ExecutionColumns] | None = None
+        self._counts: list[int] | None = None
+
+    @classmethod
+    def stack(cls, columns: list[ExecutionColumns]) -> "SuiteLog | None":
+        """One lane, all active: the given traces' columns back to back.
+
+        Traces that are not vector lanes (interpreter runs, deserialized
+        and :meth:`Trace.columnize`-d traces) enter the event-log dedup
+        this way, a whole set in one log.  None when a >63-bit value
+        kept some trace's columns as Python lists.
+        """
+        for trace_columns in columns:
+            if not (
+                isinstance(trace_columns.flat_values, np.ndarray)
+                and isinstance(trace_columns.lhs_values, np.ndarray)
+            ):
+                return None
+        # One shape table for the stack: each distinct row interned once.
+        index: defaultdict[tuple, int] = defaultdict()
+        index.default_factory = index.__len__
+        rows = chain.from_iterable(trace_columns.stmt_table for trace_columns in columns)
+        table = np.fromiter(map(index.__getitem__, rows), np.int64)
+        table_starts = _bounds([len(c.stmt_table) for c in columns])[:-1]
+        slots = table[
+            np.concatenate([c.stmt_slots for c in columns])
+            + np.repeat(table_starts, [len(c) for c in columns])
+        ]
+        return cls(
+            tuple(index),
+            slots,
+            np.concatenate([c.cycles for c in columns]),
+            np.concatenate([c.lhs_values for c in columns]).reshape(-1, 1),
+            np.concatenate([c.flat_values for c in columns]).reshape(-1, 1),
+            np.ones((len(slots), 1), dtype=bool),
+        )
+
+    @property
+    def n_lanes(self) -> int:
+        return self.active.shape[1]
+
+    def lane_count(self, lane: int) -> int:
+        """Executions recorded in one lane, without compacting."""
+        if self._counts is None:
+            self._counts = np.count_nonzero(self.active, axis=0).tolist()
+        return self._counts[lane]
+
+    def lane_columns(self) -> list[ExecutionColumns]:
+        """One :class:`ExecutionColumns` per lane, interpreter-byte-identical.
+
+        One lane-major compaction for the whole suite, run once per log:
+        ``np.nonzero`` over the transposed active mask lists every lane's
+        executions in order, and one ``np.unique`` over ``lane * S +
+        slot`` yields every lane's first-use statement table and slot
+        remap.  Each lane's columns are contiguous slices of the
+        resulting lane-major buffers, narrowed to int32 per lane exactly
+        as the scalar recorder does.
+        """
+        if self._lanes is None:
+            self._lanes = self._compact()
+        return self._lanes
+
+    def _compact(self) -> list[ExecutionColumns]:
+        n = self.n_lanes
+        shapes = self.shapes
+        slots, cycles, lhs, ops, active = self.slots, self.cycles, self.lhs, self.ops, self.active
+        op_counts = self.widths[slots]
+
+        # (lane, event) pairs, lane-major: each lane's executions in order.
+        lane_of, event_of = np.nonzero(active.T)
+        bounds = _bounds(np.bincount(lane_of, minlength=n))
+
+        # First-use statement tables: sorting the distinct (lane, slot)
+        # keys by first pair index orders them by lane, then first use.
+        keys = lane_of * len(shapes) + slots[event_of]
+        used, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        used = used[order]
+        table_bounds = _bounds(np.bincount(used // len(shapes), minlength=n))
+        table_slots = (used % len(shapes)).tolist()
+        stmt_slots = (rank[inverse] - table_bounds[lane_of]).astype(np.int32)
+        pair_cycles = cycles[event_of].astype(np.int32)
+        pair_lhs = lhs[event_of, lane_of]
+
+        # Operand values: each pair's span of the flat op rows, in order.
+        pair_ops = op_counts[event_of]
+        op_bounds = _bounds(pair_ops)
+        flat_rows = np.repeat(self.op_starts[event_of] - op_bounds[:-1], pair_ops)
+        flat_rows += np.arange(flat_rows.size)
+        flat_values = ops[flat_rows, np.repeat(lane_of, pair_ops)]
+        flat_bounds = op_bounds[bounds]
+
+        lhs_columns = _narrowed(pair_lhs, bounds)
+        flat_columns = _narrowed(flat_values, flat_bounds)
+        bounds_l = bounds.tolist()
+        table_l = table_bounds.tolist()
+        flat_l = flat_bounds.tolist()
+        return [
+            ExecutionColumns(
+                [shapes[slot] for slot in table_slots[table_l[lane] : table_l[lane + 1]]],
+                stmt_slots[bounds_l[lane] : bounds_l[lane + 1]],
+                pair_cycles[bounds_l[lane] : bounds_l[lane + 1]],
+                lhs_columns[lane][bounds_l[lane] : bounds_l[lane + 1]],
+                flat_columns[lane][flat_l[lane] : flat_l[lane + 1]],
+            )
+            for lane in range(n)
+        ]
+
+
+def _bounds(counts: np.ndarray) -> np.ndarray:
+    """Segment boundaries ``[0, c0, c0 + c1, ...]`` of a count vector."""
+    bounds = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=bounds[1:])
+    return bounds
+
+
+def _narrowed(values: np.ndarray, bounds: np.ndarray) -> list[np.ndarray]:
+    """Per segment, the buffer its int32/int64 column is a slice of.
+
+    A non-empty segment within int32 range narrows, like
+    ``ExecutionColumns._column``; the cast runs once for the batch.
+    """
+    counts = np.diff(bounds)
+    fits = np.zeros(len(counts), dtype=bool)
+    filled = counts > 0
+    if filled.any():
+        starts = bounds[:-1][filled]
+        fits[filled] = (np.minimum.reduceat(values, starts) >= _I32_MIN) & (
+            np.maximum.reduceat(values, starts) <= _I32_MAX
+        )
+    if not fits.any():
+        return [values] * len(counts)
+    narrow = values.astype(np.int32)
+    return [narrow if fit else values for fit in fits.tolist()]
+
+
+class _LazyExecutions(_LazyList):
+    """Sequence facade over one trace's executions.
+
+    Holds either the trace's :class:`ExecutionColumns` (interpreter runs,
+    deserialized and :meth:`Trace.columnize`-d traces) or a ``(log,
+    lane)`` pair into a vector suite's :class:`SuiteLog`, whose
+    :attr:`columns` compact on first access.  Column-aware consumers
+    read :attr:`columns` (or, for the dedup, the log) and never pay for
+    object construction; everything else transparently materializes on
+    first access.  ``len()`` never compacts.
+    """
+
+    __slots__ = ("_columns", "log", "lane")
+
+    def __init__(
+        self,
+        columns: ExecutionColumns | None = None,
+        log: SuiteLog | None = None,
+        lane: int = 0,
+    ):
         super().__init__()
-        self.columns = columns
+        self._columns = columns
+        self.log = log
+        self.lane = lane
+
+    @property
+    def columns(self) -> ExecutionColumns:
+        columns = self._columns
+        if columns is None:
+            columns = self._columns = self.log.lane_columns()[self.lane]  # type: ignore[union-attr]
+        return columns
 
     def _build(self) -> list[StatementExecution]:
         return self.columns.unpack()
 
     def __len__(self) -> int:
-        return len(self.columns)
+        if self._columns is None:
+            return self.log.lane_count(self.lane)  # type: ignore[union-attr]
+        return len(self._columns)
 
 
 class _LaneOutputs(_LazyList):
@@ -363,17 +570,19 @@ class _LaneOutputs(_LazyList):
 class Trace:
     """A full simulation run of one design under one stimulus.
 
-    Recorded traces are columnar end to end: the simulator writes
-    :class:`ExecutionColumns` natively (never constructing a
-    :class:`StatementExecution` during the run), ``executions`` is a
-    :class:`_LazyExecutions` view over those columns, and serialization
-    ships the arrays as-is — zero repacking on either side of a process
-    boundary (campaign workers return traces, localization shards receive
-    them; a recorded trace holds easily 10^5 executions per shard).  The
-    record list materializes only when something explicitly indexes or
-    iterates it; the inference fast path dedups straight off the columns
-    and never does.  ``executions`` is a plain (possibly empty) record
-    list only for unrecorded runs and manually assembled traces.
+    Recorded traces are columnar end to end: the simulator records
+    columns (the interpreter) or one event log per suite (the vector
+    engine) natively, never constructing a :class:`StatementExecution`
+    during the run; ``executions`` is a :class:`_LazyExecutions` view
+    over those columns or over the trace's lane of the log, and
+    serialization ships the column arrays as-is — zero repacking on
+    either side of a process boundary (localization shards receive
+    traces; a recorded trace holds easily 10^5 executions per shard).
+    The record list materializes only when something explicitly indexes
+    or iterates it; the inference fast path dedups straight off the log
+    (:meth:`execution_log`) and never does.  ``executions`` is a plain
+    (possibly empty) record list only for unrecorded runs and manually
+    assembled traces.
 
     ``stimulus`` and ``outputs`` are lists of per-cycle dicts, or — for
     vector-engine lanes — sequence views that build those dicts on
@@ -389,13 +598,25 @@ class Trace:
     def execution_columns(self) -> ExecutionColumns | None:
         """The columnar execution view, when this trace carries one.
 
-        Recorded and deserialized traces always do; manually assembled
-        traces (tests, dynamic slices) return None until
+        Recorded and deserialized traces always do (a vector lane
+        compacts its suite's log on the first such call); manually
+        assembled traces (tests, dynamic slices) return None until
         :meth:`columnize` packs them.
         """
         executions = self.executions
         if isinstance(executions, _LazyExecutions):
             return executions.columns
+        return None
+
+    def execution_log(self) -> tuple[SuiteLog, int] | None:
+        """``(log, lane)`` for a vector-engine lane, else None.
+
+        A lane's executions live in its suite's :class:`SuiteLog`; the
+        execution dedup reads them there without compacting the lane.
+        """
+        executions = self.executions
+        if isinstance(executions, _LazyExecutions) and executions.log is not None:
+            return executions.log, executions.lane
         return None
 
     def columnize(self) -> ExecutionColumns:

@@ -39,11 +39,14 @@ The lane boundary is columnar both ways.  Stimulus comes in as a
 :class:`~repro.sim.testbench.StimulusSuite` (hand-written frame lists
 are converted once) and each ``(cycle, input)`` row packs with one
 ``int.from_bytes`` over the suite's transposed bytes.  Recording is
-batched: a ``RECORD`` appends one event holding the shape slot and the
-packed lhs/operand lane values plus the active mask, and
-:meth:`VectorRecorder.finish` compacts the whole log lane-major in
-numpy, handing each lane an :class:`~repro.sim.trace.ExecutionColumns`
-of slices byte-equivalent (dtypes included) to what the interpreter's
+one event log per suite: a generated ``RECORD`` line appends one
+``(slot, cycle, lhs, ops, active)`` tuple of packed lane ints through a
+bound ``list.append``, and :meth:`VectorRecorder.finish` only unpacks
+the log into a :class:`~repro.sim.trace.SuiteLog` of ``[E, N]`` arrays.
+The execution dedup reads that log directly.  A lane's
+:class:`~repro.sim.trace.ExecutionColumns` are compacted out of it only
+when a per-lane consumer asks (one lane-major pass for every lane of the
+log), byte-equivalent (dtypes included) to what the interpreter's
 :class:`ExecutionRecorder` produces for the same trace — the
 differential tests in ``tests/test_vector.py`` and
 ``tests/test_lane_boundary.py`` enforce equality down to the array
@@ -62,7 +65,7 @@ from __future__ import annotations
 
 import functools
 import weakref
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -119,16 +122,13 @@ from .compiler import (
 )
 from .recorder import ShapeRow
 from .testbench import StimulusSuite
-from .trace import ExecutionColumns, _LaneOutputs, Trace, _LazyExecutions
+from .trace import SuiteLog, Trace, _LaneOutputs, _LazyExecutions
 
 #: Maximum signal/register width a lane can carry: values must stay
 #: nonnegative in an ``int64``, so 63 bits.
 _LANE_BITS = 63
 _LANE_MASK = (1 << _LANE_BITS) - 1
 _M64 = (1 << 64) - 1
-
-_I32_MIN = np.iinfo(np.int32).min
-_I32_MAX = np.iinfo(np.int32).max
 
 _JUMP_OPS = (JZ, JNZ, JMP)
 
@@ -331,7 +331,7 @@ def _helpers(n: int) -> dict[str, Callable]:
 # ----------------------------------------------------------------------
 
 
-def _unpack(values: list[int], n: int) -> np.ndarray:
+def _unpack(values: Sequence[int], n: int) -> np.ndarray:
     """Bulk-convert packed lane ints to an ``(len(values), n)`` matrix.
 
     One bytes join plus one zero-copy ``frombuffer`` instead of a numpy
@@ -340,40 +340,24 @@ def _unpack(values: list[int], n: int) -> np.ndarray:
     need for the truthiness test).
     """
     nbytes = n * 8
-    buf = b"".join(v.to_bytes(nbytes, "little") for v in values)
+    buf = b"".join([v.to_bytes(nbytes, "little") for v in values])
     return np.frombuffer(buf, dtype="<i8").reshape(len(values), n)
-
-
-class _VectorPass:
-    """Staging sink for one instrumented comb pass over all lanes."""
-
-    __slots__ = ("events",)
-
-    def __init__(self) -> None:
-        #: ``(slot, lhs, ops, active)`` per record event; lhs/ops/active
-        #: are packed lane ints (``active`` None means all lanes).
-        self.events: list[tuple] = []
-
-    def append(self, slot: int, cycle: int, lhs: int, ops: tuple, active) -> None:
-        self.events.append((slot, lhs, ops, active))
-
-    def clear(self) -> None:
-        self.events.clear()
 
 
 class VectorRecorder:
     """Batched execution recording for all lanes of one suite.
 
     Events mirror the scalar :class:`ExecutionRecorder` protocol — comb
-    passes stage and dedup per statement (:meth:`begin_pass` /
-    :meth:`commit_pass`), clock-edge records append directly — except
-    each event carries packed per-lane values plus the active-lane mask.
-    :meth:`finish` compacts the log into one per-lane
-    :class:`ExecutionColumns`, byte-identical to what the scalar
-    recorder produces for that lane's trace.
+    passes stage and dedup per statement (:attr:`stage` /
+    :meth:`commit_pass`), clock-edge records append to :attr:`events`
+    directly — except each event carries packed per-lane values plus the
+    active-lane mask.  The generated passes append
+    ``(slot, cycle, lhs, ops, active)`` tuples through a bound
+    ``list.append``; :meth:`finish` unpacks the log into one
+    :class:`~repro.sim.trace.SuiteLog`.
     """
 
-    __slots__ = ("shapes", "n_lanes", "events", "_stage", "_all")
+    __slots__ = ("shapes", "n_lanes", "events", "stage", "_all", "_stmt_of")
 
     def __init__(self, shapes: tuple[ShapeRow, ...], n_lanes: int):
         self.shapes = shapes
@@ -381,153 +365,71 @@ class VectorRecorder:
         #: ``(slot, cycle, lhs, ops, active)`` per event; lhs, each op,
         #: and active are packed lane ints (active None == all lanes).
         self.events: list[tuple] = []
-        self._stage: _VectorPass | None = None
+        #: The instrumented comb pass's events, until :meth:`commit_pass`.
+        self.stage: list[tuple] = []
         self._all = _lane_ctx(n_lanes)[3]
-
-    def append(self, slot: int, cycle: int, lhs: int, ops: tuple, active) -> None:
-        """Direct (clock-edge) record append, in execution order."""
-        self.events.append((slot, cycle, lhs, ops, active))
+        self._stmt_of = [shape[0] for shape in shapes]
 
     # -- combinational settle passes -----------------------------------
-    def begin_pass(self) -> _VectorPass:
-        stage = self._stage
-        if stage is None:
-            stage = self._stage = _VectorPass()
-        else:
-            stage.clear()
-        return stage
-
-    def commit_pass(self, cycle: int) -> None:
+    def commit_pass(self) -> None:
         """Fold the staged comb pass into the event log.
 
         Keeps the *last* staged record per statement per lane and
         appends the survivors ordered by statement id — the settled-
         value dedup the scalar recorder applies per trace.
         """
-        stage = self._stage
-        if stage is None or not stage.events:
+        stage = self.stage
+        if not stage:
             return
-        shapes = self.shapes
         latest: dict[int, tuple] = {}
-        for event in stage.events:
+        for event in stage:
             slot = event[0]
             prev = latest.get(slot)
             latest[slot] = event if prev is None else self._merge(prev, event)
-        for slot in sorted(latest, key=lambda s: shapes[s][0]):
-            _, lhs, ops, active = latest[slot]
-            self.events.append((slot, cycle, lhs, ops, active))
+        append = self.events.append
+        for slot in sorted(latest, key=self._stmt_of.__getitem__):
+            append(latest[slot])
         stage.clear()
 
     def _merge(self, old: tuple, new: tuple) -> tuple:
         """Lane-wise keep-last of two staged events for one statement."""
-        na = new[3]
+        na = new[4]
         if na is None:
             return new
         inv = na ^ self._all
-        lhs = (new[1] & na) | (old[1] & inv)
-        ops = tuple((nv & na) | (ov & inv) for ov, nv in zip(old[2], new[2]))
-        active = None if old[3] is None else (old[3] | na)
-        return (new[0], lhs, ops, active)
+        lhs = (new[2] & na) | (old[2] & inv)
+        ops = tuple((nv & na) | (ov & inv) for ov, nv in zip(old[3], new[3]))
+        active = None if old[4] is None else (old[4] | na)
+        return (new[0], new[1], lhs, ops, active)
 
     # -- finalization --------------------------------------------------
-    def finish(self) -> list[ExecutionColumns]:
-        """One :class:`ExecutionColumns` per lane, scalar-byte-identical.
+    def finish(self) -> SuiteLog:
+        """The event log as numpy arrays, one :class:`SuiteLog`.
 
-        One lane-major compaction for the whole suite: the event log
-        becomes ``(E, N)`` matrices, ``np.nonzero`` over the transposed
-        active mask lists every lane's executions in order, and one
-        ``np.unique`` over ``lane * S + slot`` yields every lane's
-        first-use statement table and slot remap.  Each lane's columns
-        are contiguous slices of the resulting lane-major buffers,
-        narrowed to int32 per lane exactly as the scalar recorder does.
+        Packed lane ints unpack in bulk (:func:`_unpack`); the few
+        distinct active masks that recur across events unpack once each.
+        Nothing is compacted per lane here.
         """
         n = self.n_lanes
         events = self.events
-        count = len(events)
-        shapes = self.shapes
-        slots = np.fromiter((e[0] for e in events), np.int64, count)
-        cycles = np.fromiter((e[1] for e in events), np.int64, count)
-        lhs = _unpack([e[2] for e in events], n)
-        op_counts = np.fromiter((len(e[3]) for e in events), np.int64, count)
-        flat = [value for e in events for value in e[3]]
-        ops = _unpack(flat, n) if flat else np.zeros((0, n), dtype=np.int64)
-        # Few distinct active masks recur across events: unpack each once.
-        distinct: dict[Any, int] = {}
-        which = np.fromiter(
-            (distinct.setdefault(e[4], len(distinct)) for e in events), np.int64, count
+        fields: tuple[tuple[Any, ...], ...] = tuple(zip(*events)) or ((),) * 5
+        slots, cycles, lhs, ops, masks = fields
+        flat = [value for values in ops for value in values]
+        distinct = {mask: index for index, mask in enumerate(dict.fromkeys(masks))}
+        which = np.fromiter(map(distinct.__getitem__, masks), np.int64, len(events))
+        # Lane-major in memory (an ``[E, N]`` view of ``[N, E]``): the
+        # dedup and the compaction both read the mask lane by lane.
+        active = (
+            _unpack([self._all if mask is None else mask for mask in distinct], n) != 0
+        ).T[:, which].T
+        return SuiteLog(
+            self.shapes,
+            np.array(slots, dtype=np.int64),
+            np.array(cycles, dtype=np.int64),
+            _unpack(lhs, n),
+            _unpack(flat, n) if flat else np.zeros((0, n), dtype=np.int64),
+            active,
         )
-        masks = [self._all if mask is None else mask for mask in distinct]
-        active = (_unpack(masks, n) != 0)[which]
-
-        # (lane, event) pairs, lane-major: each lane's executions in order.
-        lane_of, event_of = np.nonzero(active.T)
-        bounds = _bounds(np.bincount(lane_of, minlength=n))
-
-        # First-use statement tables: sorting the distinct (lane, slot)
-        # keys by first pair index orders them by lane, then first use.
-        keys = lane_of * len(shapes) + slots[event_of]
-        used, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        order = np.argsort(first, kind="stable")
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        used = used[order]
-        table_bounds = _bounds(np.bincount(used // len(shapes), minlength=n))
-        table_slots = (used % len(shapes)).tolist()
-        stmt_slots = (rank[inverse] - table_bounds[lane_of]).astype(np.int32)
-        pair_cycles = cycles[event_of].astype(np.int32)
-        pair_lhs = lhs[event_of, lane_of]
-
-        # Operand values: each pair's span of the flat op rows, in order.
-        pair_ops = op_counts[event_of]
-        op_bounds = _bounds(pair_ops)
-        op_starts = _bounds(op_counts)[:-1]
-        flat_rows = np.repeat(op_starts[event_of] - op_bounds[:-1], pair_ops)
-        flat_rows += np.arange(flat_rows.size)
-        flat_values = ops[flat_rows, np.repeat(lane_of, pair_ops)]
-        flat_bounds = op_bounds[bounds]
-
-        lhs_columns = _narrowed(pair_lhs, bounds)
-        flat_columns = _narrowed(flat_values, flat_bounds)
-        bounds_l = bounds.tolist()
-        table_l = table_bounds.tolist()
-        flat_l = flat_bounds.tolist()
-        return [
-            ExecutionColumns(
-                [shapes[slot] for slot in table_slots[table_l[lane] : table_l[lane + 1]]],
-                stmt_slots[bounds_l[lane] : bounds_l[lane + 1]],
-                pair_cycles[bounds_l[lane] : bounds_l[lane + 1]],
-                lhs_columns[lane][bounds_l[lane] : bounds_l[lane + 1]],
-                flat_columns[lane][flat_l[lane] : flat_l[lane + 1]],
-            )
-            for lane in range(n)
-        ]
-
-
-def _bounds(counts: np.ndarray) -> np.ndarray:
-    """Segment boundaries ``[0, c0, c0 + c1, ...]`` of a count vector."""
-    bounds = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=bounds[1:])
-    return bounds
-
-
-def _narrowed(values: np.ndarray, bounds: np.ndarray) -> list[np.ndarray]:
-    """Per segment, the buffer its int32/int64 column is a slice of.
-
-    A non-empty segment within int32 range narrows, like
-    ``ExecutionColumns._column``; the cast runs once for the batch.
-    """
-    counts = np.diff(bounds)
-    fits = np.zeros(len(counts), dtype=bool)
-    filled = counts > 0
-    if filled.any():
-        starts = bounds[:-1][filled]
-        fits[filled] = (np.minimum.reduceat(values, starts) >= _I32_MIN) & (
-            np.maximum.reduceat(values, starts) <= _I32_MAX
-        )
-    if not fits.any():
-        return [values] * len(counts)
-    narrow = values.astype(np.int32)
-    return [narrow if fit else values for fit in fits.tolist()]
 
 
 # ----------------------------------------------------------------------
@@ -773,8 +675,8 @@ class _StreamEmitter:
                     parts.append(self.K(m))
             ops = f"({', '.join(parts)},)" if parts else "()"
             self.emit(
-                f"sink.append({ins[1]}, cycle, {self.ref(ins[2])},"
-                f" {ops}, {self.effect_act()})"
+                f"sink(({ins[1]}, cycle, {self.ref(ins[2])},"
+                f" {ops}, {self.effect_act()}))"
             )
         elif op == NBA:
             self.emit(
@@ -1404,6 +1306,9 @@ def run_vector_suite(
         variant_lanes = sum(1 for selector in selectors if selector)
     evaluator = VectorEvaluator(program, n)
     recorder = VectorRecorder(program.shapes, n) if record else None
+    # Generated RECORD lines call these bound ``list.append``s directly.
+    stage = recorder.stage.append if recorder is not None else None
+    record_event = recorder.events.append if recorder is not None else None
     pending: list = []
     out_slots = [slot for _, slot in program.output_slots]
     out_names = tuple(name for name, _ in program.output_slots)
@@ -1440,20 +1345,19 @@ def run_vector_suite(
                     f"combinational logic did not settle in design {module.name!r}"
                 )
             if comb_rec_fn is not None:
-                stage = recorder.begin_pass()  # type: ignore[union-attr]
                 comb_rec_fn(env, cycle, stage, pending, lanes, nlanes, full)
                 if pending:
                     evaluator.commit(pending, env)
-                recorder.commit_pass(cycle)  # type: ignore[union-attr]
+                recorder.commit_pass()  # type: ignore[union-attr]
 
         out_frames.append([env[slot] for slot in out_slots])
 
         if seq_fn is not None:
-            seq_fn(env, cycle, recorder, pending, lanes, nlanes, full)
+            seq_fn(env, cycle, record_event, pending, lanes, nlanes, full)
             if pending:
                 evaluator.commit(pending, env)
 
-    columns = recorder.finish() if recorder is not None else None
+    log = recorder.finish() if recorder is not None else None
     # Every lane's outputs are a view of one (cycles * outputs, N)
     # matrix, unpacked in one pass; stimuli are views of the suite.
     out_matrix = (
@@ -1468,8 +1372,8 @@ def run_vector_suite(
             stimulus=suite[lane],  # type: ignore[arg-type]
             outputs=_LaneOutputs(out_names, out_matrix, lane, length),  # type: ignore[arg-type]
         )
-        if columns is not None:
-            trace.executions = _LazyExecutions(columns[lane])
+        if log is not None:
+            trace.executions = _LazyExecutions(log=log, lane=lane)
         traces.append(trace)
 
     stats = _ENGINE_STATS["vector"]

@@ -1,8 +1,9 @@
 """Execution dedup against its record-loop oracle.
 
-``Explainer.distinct_samples`` groups a whole trace set's executions in
-one columnar pass (one concatenation, one key matrix, one stable
-``np.lexsort``).  Its output — samples, stmt ids and counts, in
+``Explainer.distinct_samples`` groups a whole trace set's executions
+straight off its event logs (one key matrix, one ``np.lexsort``):
+vector lanes in their suite's log, other traces in one stacked log of
+their columns.  Its output — samples, stmt ids and counts, in
 first-seen order — must equal the record-by-record loop exactly (the
 ``check_dedup`` fixture), on synthetic column sets built to hit every
 corner of the key matrix and on real ragged vector-suite lanes.

@@ -1,8 +1,11 @@
 """The vector engine's columnar lane boundary against per-lane oracles.
 
-* :meth:`VectorRecorder.finish` (one lane-major compaction for the whole
-  suite) must equal :func:`reference_finish`, the per-lane masked loop
-  it replaced, down to the shape table, every value and every dtype.
+* A recorder's event log, unpacked by :meth:`VectorRecorder.finish` and
+  compacted on demand (:meth:`SuiteLog.lane_columns`, one lane-major
+  compaction for the whole suite), must equal :func:`reference_finish`,
+  the per-lane masked loop over the raw events, down to the shape
+  table, every value and every dtype; lane counts must match without
+  compacting.
 * The campaign's vectorized classification must sort traces exactly as
   :meth:`Trace.diverges_from`, trace by trace, does.
 * A lane-view trace (outputs, stimulus and execution columns all views
@@ -10,6 +13,7 @@
 * Identical generated pass sources share one ``compile()``.
 """
 
+import pathlib
 import pickle
 
 import numpy as np
@@ -139,28 +143,39 @@ def event_logs(draw):
                     "sparse": draw(st.lists(st.booleans(), min_size=n, max_size=n)),
                 }[kind]
                 active = _pack_lanes([(1 << 64) - 1 if on else 0 for on in lanes])
-            recorder.append(
-                slot,
-                cycle,
-                _pack_lanes(draw(st.lists(value, min_size=n, max_size=n))),
-                tuple(
-                    _pack_lanes(draw(st.lists(value, min_size=n, max_size=n)))
-                    for _ in shapes[slot][2]
-                ),
-                active,
+            recorder.events.append(
+                (
+                    slot,
+                    cycle,
+                    _pack_lanes(draw(st.lists(value, min_size=n, max_size=n))),
+                    tuple(
+                        _pack_lanes(draw(st.lists(value, min_size=n, max_size=n)))
+                        for _ in shapes[slot][2]
+                    ),
+                    active,
+                )
             )
     return recorder
+
+
+def assert_log_matches(log, expected):
+    """Counts first (they must not compact), then the compacted lanes."""
+    assert [log.lane_count(lane) for lane in range(log.n_lanes)] == [
+        len(columns) for columns in expected
+    ]
+    assert log._lanes is None
+    assert_columns_identical(log.lane_columns(), expected)
 
 
 class TestBatchedCompaction:
     @settings(max_examples=150, deadline=None)
     @given(recorder=event_logs())
     def test_matches_per_lane_reference(self, recorder):
-        assert_columns_identical(recorder.finish(), reference_finish(recorder))
+        assert_log_matches(recorder.finish(), reference_finish(recorder))
 
     def test_empty_log(self):
         recorder = VectorRecorder(((0, "y", ("a",), 1),), 3)
-        assert_columns_identical(recorder.finish(), reference_finish(recorder))
+        assert_log_matches(recorder.finish(), reference_finish(recorder))
 
     @pytest.mark.parametrize("name", ["usbf_pl", "ibex_controller"])
     def test_ragged_selector_suites(self, name, monkeypatch):
@@ -193,7 +208,8 @@ class TestBatchedCompaction:
         (recorder,) = recorders
         assert any(e[4] is not None for e in recorder.events)
         expected = reference_finish(recorder)
-        assert_columns_identical(finish(recorder), expected)
+        assert_log_matches(finish(recorder), expected)
+        assert [len(t.executions) for t in traces] == [len(c) for c in expected]
         assert_columns_identical([t.execution_columns() for t in traces], expected)
 
 
@@ -333,6 +349,54 @@ class TestLaneViews:
         oracle_traces = Simulator(module, engine="interpreted").run_suite(suite)
         assert [t.outputs for t in vector_traces] == [t.outputs for t in oracle_traces]
         assert [t.n_cycles for t in vector_traces] == [4, 2]
+
+
+class TestOnDemandCompaction:
+    """Lanes compact only for per-lane consumers, once per suite log."""
+
+    @pytest.fixture
+    def compactions(self, monkeypatch):
+        from repro.sim.trace import SuiteLog
+
+        logs = []
+        compact = SuiteLog._compact
+
+        def counting(self):
+            logs.append(self)
+            return compact(self)
+
+        monkeypatch.setattr(SuiteLog, "_compact", counting)
+        return logs
+
+    def test_sequential_campaign_runs_no_compaction(self, trained_session, compactions):
+        from repro.api import VeriBugSession
+        from repro.sim import engine_stats
+
+        checkpoint = pathlib.Path(__file__).parent / ".cache" / "model_e30_d20_s1.npz"
+        session = VeriBugSession.from_checkpoint(checkpoint)
+        batches = engine_stats()["vector"]["batches"]
+        report = session.campaign(
+            "wb_mux_2",
+            "wbs0_we_o",
+            plan={"negation": 2, "operation": 2, "misuse": 2},
+            n_cycles=8,
+            seed=3,
+        ).run()
+        session.close()
+        assert engine_stats()["vector"]["batches"] > batches
+        assert any(outcome.localized for outcome in report.outcomes)
+        assert compactions == []
+
+    def test_one_compaction_serves_every_lane(self, compactions):
+        module = load_design("usbf_pl")
+        suite = generate_testbench_suite(module, 6, TestbenchConfig(n_cycles=10), seed=2)
+        traces = Simulator(module, engine="vector").run_suite(suite)
+        counts = [len(trace.executions) for trace in traces]
+        assert all(counts) and compactions == []
+        pickle.dumps(traces[3])
+        assert len(compactions) == 1
+        assert [len(trace.execution_columns()) for trace in traces] == counts
+        assert len(compactions) == 1
 
 
 class TestPacking:

@@ -454,7 +454,7 @@ class TestColumnarTraces:
         assert list(back.executions) == wide
 
         # Array-column traces first, the list-column trace last: the
-        # columnar pass must bail out before accumulating anything, or the
+        # log dedup must bail out before accumulating anything, or the
         # record loop would count the narrow traces twice.
         contexts = {
             0: StatementContext(

@@ -8,16 +8,28 @@ produces — same outputs, same stimulus echo, and the same recorded
 ragged and branch-divergent so the predication, join, and recorder-merge
 paths all carry real work.  Designs too wide for a 63-bit lane run on
 the interpreter; campaigns over them must match ``engine="interpreted"``.
+
+Fuzzed *mutant* lanes run RVDG designs and their ``sample_mutations``
+mutants as selector lanes of one target program, over two ragged
+suites: every lane's on-demand columns must equal the interpreter
+running that mutant module alone, and ``Explainer.distinct_samples``
+must equal the record loop (the ``check_dedup`` fixture) on shuffled
+subsets of one mutant's lanes drawn from both suites, mixed with one
+pickled lane and one interpreter trace — one trace set spanning several
+event logs and a one-lane log of plain columns.
 """
+
+import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import extract_module_contexts
 from repro.datagen import RandomVerilogDesignGenerator, RVDGConfig
 from repro.datagen.campaign import CampaignEngine
-from repro.datagen.mutation import sample_mutations
+from repro.datagen.mutation import apply_mutation, mutate_statement, sample_mutations
 from repro.sim import (
     SimulationError,
     Simulator,
@@ -117,6 +129,98 @@ def test_rvdg_lane_identical_without_recording(seed):
     module = generator.generate("d")
     suite = generate_testbench_suite(module, 4, TestbenchConfig(n_cycles=10), seed=3)
     assert_lane_identical(module, suite, record=False)
+
+
+# ----------------------------------------------------------------------
+# Fuzzed mutant lanes: target programs vs per-mutant interpreter runs
+# ----------------------------------------------------------------------
+
+N_STIMULI = 5
+N_CYCLES = 8
+
+
+def _design(seed: int):
+    """An RVDG design, its mutants, and their lockstep target program."""
+    module = RandomVerilogDesignGenerator(
+        RVDGConfig(n_inputs=4, n_state=3, n_outputs=2, n_branches=3), seed=seed
+    ).generate("d")
+    mutations = sample_mutations(
+        module, {"negation": 2, "operation": 2, "misuse": 2}, seed=seed
+    )
+    assume(mutations)
+    variants = [
+        mutate_statement(module.statement_by_id(m.stmt_id), m) for m in mutations
+    ]
+    simulator = Simulator(module, engine="vector", variants=variants)
+    assume(simulator.lockstep)
+    modules = [module] + [apply_mutation(module, m) for m in mutations]
+    return modules, simulator
+
+
+def _suite(module, modules, simulator, seed):
+    """One ragged stimulus suite run as every variant's lanes."""
+    stimuli = ragged(
+        generate_testbench_suite(
+            module, N_STIMULI, TestbenchConfig(n_cycles=N_CYCLES), seed=seed
+        )
+    )
+    lanes = [stimulus for _ in modules for stimulus in stimuli]
+    selectors = [k for k in range(len(modules)) for _ in stimuli]
+    try:
+        traces = simulator.run_suite(lanes, selectors=selectors)
+    except SimulationError:
+        # Some lane oscillates: its mutant alone must fail the same way.
+        failed = 0
+        for stimulus, selector in zip(lanes, selectors):
+            try:
+                Simulator(modules[selector], engine="interpreted").run(stimulus)
+            except SimulationError:
+                failed += 1
+        assert failed
+        assume(False)
+    return traces, selectors, lanes
+
+
+@given(seed=st.integers(min_value=0, max_value=10_000), data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_mutant_lanes_match_per_mutant_oracles(check_dedup, seed, data):
+    modules, simulator = _design(seed)
+    suites = [_suite(modules[0], modules, simulator, seed + k) for k in range(2)]
+
+    # Dedup first, while every lane is still an uncompacted log view.
+    variant = data.draw(st.integers(0, len(modules) - 1), label="variant")
+    module = modules[variant]
+    lanes = [
+        trace
+        for traces, selectors, _ in suites
+        for trace, selector in zip(traces, selectors)
+        if selector == variant
+    ]
+    contexts = extract_module_contexts(module.statements())
+    stimulus = generate_testbench_suite(
+        module, 1, TestbenchConfig(n_cycles=N_CYCLES), seed=seed + 2
+    )[0]
+    interpreted = Simulator(module, engine="interpreted").run(stimulus)
+    picked = data.draw(
+        st.lists(st.sampled_from(range(len(lanes))), min_size=1, max_size=8),
+        label="lanes",
+    )
+    trace_set = [lanes[index] for index in picked]
+    trace_set.append(pickle.loads(pickle.dumps(lanes[picked[0]])))
+    trace_set.append(interpreted)
+    trace_set = data.draw(st.permutations(trace_set), label="order")
+    restrict_to = data.draw(
+        st.none() | st.sets(st.sampled_from(sorted(contexts))).map(frozenset)
+        if contexts
+        else st.none(),
+        label="restrict_to",
+    )
+    check_dedup(contexts, trace_set, restrict_to)
+
+    for traces, selectors, stimuli in suites:
+        for trace, selector, lane_stimulus in zip(traces, selectors, stimuli):
+            oracle = Simulator(modules[selector], engine="interpreted")
+            assert_trace_byte_equal(trace, oracle.run(lane_stimulus))
 
 
 # ----------------------------------------------------------------------
