@@ -33,6 +33,12 @@ context object, mutant, or design — skip the PathRNN entirely and
 inference reduces to the value-MLP stages.  The cache is consulted only
 while autograd is off; training and the per-execution reference arm
 never see it.
+
+Training adds one node on top of the PathRNN's:
+:meth:`VeriBugModel.training_loss` runs the stage-1 fan-out, stages 2-3
+and the loss as :func:`repro.nn.head_loss_fused`, whose backward is also
+written by hand.  The grad-on :meth:`VeriBugModel.forward` Tensor graph
+plus :func:`repro.nn.veribug_loss` is its oracle.
 """
 
 from __future__ import annotations
@@ -51,13 +57,12 @@ from ..nn import (
     Tensor,
     concat,
     gather_rows,
+    head_forward_fused,
+    head_loss_fused,
     inference_mode,
     is_grad_enabled,
-    mlp_forward_fused,
     segment_softmax,
-    segment_softmax_fused,
     segment_sum,
-    segment_sum_fused,
 )
 from .config import VeriBugConfig
 from .features import EncodedBatch, Sample
@@ -232,7 +237,7 @@ class AttentionRowMemo(_EpochLRU):
 
 @dataclass
 class ModelOutput:
-    """Everything the trainer and explainer need from one forward pass.
+    """Everything the explainer and evaluation need from one forward pass.
 
     Attributes:
         logits: ``[B, 2]`` statement-level prediction logits.
@@ -334,7 +339,8 @@ class VeriBugModel(Module):
 
         With autograd off (:func:`inference_mode`) the pass runs
         :func:`model_forward_fused`; with grad on, the Tensor path below
-        — the autograd reference, and the training forward.
+        — the autograd reference of both that forward and the training
+        node (:meth:`training_loss`).
         """
         if not is_grad_enabled():
             return model_forward_fused(self, batch)
@@ -450,6 +456,33 @@ class VeriBugModel(Module):
         scores = updated @ self.attention_vector  # [M]
         return segment_softmax(scores, batch.operand_stmt, batch.n_statements)
 
+    def training_loss(
+        self, batch: EncodedBatch, class_weights: np.ndarray | None, alpha: float
+    ) -> tuple[Tensor, dict[str, float]]:
+        """The training loss of one minibatch as a three-node graph.
+
+        Embedding lookup and packed PathRNN node over the batch's distinct
+        paths, then one head-and-loss node (:func:`repro.nn.head_loss_fused`)
+        whose hand-written backward sends a single ``[D, dc]`` gradient
+        into the PathRNN's BPTT.  The value equals :func:`repro.nn.
+        veribug_loss` on :meth:`forward`'s grad-on outputs, which stay the
+        oracle of this node (``tests/test_fused_head.py``).
+
+        Returns:
+            ``(loss, {"ce": ..., "reg": ...})``.
+        """
+        path_embed = self.path_rnn(self.node_embedding(batch.path_tokens), batch.path_mask)
+        return head_loss_fused(
+            path_embed,
+            batch,
+            self.aggregation_mlp,
+            self.epsilon,
+            self.attention_vector,
+            self.predictor,
+            class_weights=class_weights,
+            alpha=alpha,
+        )
+
     # ------------------------------------------------------------------
     # Convenience inference
     # ------------------------------------------------------------------
@@ -465,7 +498,7 @@ def model_forward_fused(model: VeriBugModel, batch: EncodedBatch) -> ModelOutput
     This is :meth:`VeriBugModel.forward` whenever autograd is off.
     Stage 1 reuses :meth:`VeriBugModel._context_embeddings` — the context
     cache, with the packed PathRNN kernel computing its misses — and the
-    head stages run through the raw kernels in :mod:`repro.nn.fused`.
+    head stages run through :func:`repro.nn.head_forward_fused`.
     Every numpy call matches the Tensor path in operand order, so the
     outputs equal the grad-on autograd forward (the reference oracle)
     up to BLAS batch-shape rounding of the cache misses' stage 1, within
@@ -478,28 +511,22 @@ def model_forward_fused(model: VeriBugModel, batch: EncodedBatch) -> ModelOutput
     if is_grad_enabled():
         raise RuntimeError(
             "model_forward_fused requires autograd to be disabled; wrap the "
-            "call in repro.nn.inference_mode() (training must use the Tensor "
-            "autograd path)"
+            "call in repro.nn.inference_mode() (its outputs carry no graph; "
+            "training runs VeriBugModel.training_loss)"
         )
     # Stage 1: x_i = (c_i || v_i) — context cache included.
     context = model._context_embeddings(batch).data  # [M, dc]
     x = np.concatenate([context, batch.value_onehot], axis=1)  # [M, dc+dv]
-    # Stage 2a: x*_i = MLP_θ1(Σ_j x_j + ε · x_i).
-    stmt_sum = segment_sum_fused(x, batch.operand_stmt, batch.n_statements)
-    updated = mlp_forward_fused(
+    # Stages 2-3: aggregation, attention, predictor.
+    updated, attention, logits = head_forward_fused(
+        x,
+        batch.operand_stmt,
+        batch.n_statements,
         model.aggregation_mlp,
-        stmt_sum[batch.operand_stmt] + model.epsilon.data * x,
+        model.epsilon,
+        model.attention_vector,
+        model.predictor,
     )
-    # Stage 2b: w = softmax(a · x*ᵀ) within each statement.
-    scores = updated @ model.attention_vector.data  # [M]
-    attention = segment_softmax_fused(
-        scores, batch.operand_stmt, batch.n_statements
-    )
-    # Stage 3: logits = MLP_θ2(Σ_i w_i x_i).
-    statement = segment_sum_fused(
-        attention.reshape(-1, 1) * x, batch.operand_stmt, batch.n_statements
-    )
-    logits = mlp_forward_fused(model.predictor, statement)
     return ModelOutput(
         logits=Tensor(logits),
         attention=Tensor(attention),

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..nn import Adam, class_weights_from_labels, veribug_loss
+from ..nn import Adam, class_weights_from_labels
 from .config import VeriBugConfig
 from .features import BatchEncoder, Sample
 from .model import VeriBugModel
@@ -99,14 +99,8 @@ class Trainer:
                 n_batches = 0
                 for start in range(0, len(samples), self.config.batch_size):
                     batch = encoded.select(order[start : start + self.config.batch_size])
-                    output = self.model(batch)
-                    loss, parts = veribug_loss(
-                        output.logits,
-                        batch.labels,
-                        output.updated_embeddings,
-                        batch.operand_stmt,
-                        class_weights=class_weights,
-                        alpha=self.config.alpha,
+                    loss, parts = self.model.training_loss(
+                        batch, class_weights, self.config.alpha
                     )
                     self.optimizer.zero_grad()
                     loss.backward()

@@ -7,17 +7,14 @@ building blocks, optimizers, and the paper's loss.
 from .functional import (
     concat,
     embedding,
-    frobenius_norm,
     gather_rows,
     log_softmax,
-    one_hot,
-    segment_mean,
     segment_softmax,
     segment_sum,
-    softmax,
-    stack,
 )
 from .fused import (
+    head_forward_fused,
+    head_loss_fused,
     linear_forward_fused,
     mlp_forward_fused,
     segment_softmax_fused,
@@ -52,8 +49,9 @@ __all__ = [
     "concat",
     "embedding",
     "enable_grad",
-    "frobenius_norm",
     "gather_rows",
+    "head_forward_fused",
+    "head_loss_fused",
     "inference_mode",
     "is_grad_enabled",
     "linear_forward_fused",
@@ -61,14 +59,10 @@ __all__ = [
     "log_softmax",
     "lstm_forward_fused",
     "mlp_forward_fused",
-    "one_hot",
-    "segment_mean",
     "segment_softmax",
     "segment_softmax_fused",
     "segment_sum",
     "segment_sum_fused",
-    "softmax",
-    "stack",
     "veribug_loss",
     "weighted_cross_entropy",
 ]

@@ -30,21 +30,6 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
     return out
 
 
-def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    """Stack same-shape tensors along a new axis."""
-    data = np.stack([t.data for t in tensors], axis=axis)
-    out = tensors[0]._make(data, tuple(tensors))
-
-    def backward(grad: np.ndarray) -> None:
-        for idx, tensor in enumerate(tensors):
-            index = [slice(None)] * grad.ndim
-            index[axis] = idx
-            tensor._accum(grad[tuple(index)])
-
-    out._backward = backward
-    return out
-
-
 def embedding(table: Tensor, indices: np.ndarray) -> Tensor:
     """Row lookup ``table[indices]`` with scatter-add backward."""
     indices = np.asarray(indices, dtype=np.int64)
@@ -78,16 +63,6 @@ def segment_sum(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor
     return out
 
 
-def segment_mean(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-    """Mean of rows per segment (empty segments yield zero)."""
-    segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    counts = np.bincount(segment_ids, minlength=num_segments).astype(np.float64)
-    counts = np.maximum(counts, 1.0)
-    total = segment_sum(x, segment_ids, num_segments)
-    shape = (num_segments,) + (1,) * (x.data.ndim - 1)
-    return total / Tensor(counts.reshape(shape))
-
-
 def gather_rows(x: Tensor, indices: np.ndarray) -> Tensor:
     """Row gather ``x[indices]`` (differentiable)."""
     return embedding(x, indices)
@@ -115,28 +90,8 @@ def segment_softmax(scores: Tensor, segment_ids: np.ndarray, num_segments: int) 
     return exp_scores / gather_rows(denom, segment_ids)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Standard softmax along an axis (max-shifted for stability)."""
-    shift = Tensor(x.data.max(axis=axis, keepdims=True))
-    exp_x = (x - shift).exp()
-    return exp_x / exp_x.sum(axis=axis, keepdims=True)
-
-
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax along an axis."""
     shift = Tensor(x.data.max(axis=axis, keepdims=True))
     shifted = x - shift
     return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
-
-
-def one_hot(indices: np.ndarray, depth: int) -> np.ndarray:
-    """Plain numpy one-hot encoding (inputs, not differentiable)."""
-    indices = np.asarray(indices, dtype=np.int64)
-    out = np.zeros((len(indices), depth), dtype=np.float64)
-    out[np.arange(len(indices)), indices] = 1.0
-    return out
-
-
-def frobenius_norm(x: Tensor, axis=None, eps: float = 1e-12) -> Tensor:
-    """Frobenius norm, optionally per-axis, with an epsilon for stability."""
-    return ((x * x).sum(axis=axis) + eps).sqrt()

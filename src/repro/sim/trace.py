@@ -22,8 +22,9 @@ one lane of the suite's event-major :class:`SuiteLog`, ``outputs`` is a
 matrix, and ``stimulus`` a view of the lane's row of its
 :class:`~repro.sim.testbench.StimulusSuite`.  The execution dedup reads
 the log directly; a lane's :class:`ExecutionColumns` are compacted out of
-it only when a per-lane consumer (pickling, training, coverage, record
-iteration) asks, and then for every lane of the log at once.  Lane views
+it only when a per-lane consumer (training, coverage, record iteration)
+asks, and then for every lane of the log at once; the first lane
+pickled out of a log compacts alone.  Lane views
 read like the lists they stand for and pickle to just their own lane's
 data.
 """
@@ -316,7 +317,8 @@ class SuiteLog:
     The execution dedup groups straight off these arrays.  Per-lane
     :class:`ExecutionColumns` exist only on demand
     (:meth:`lane_columns`), built for every lane in one compaction and
-    cached; lane execution counts never need them.
+    cached; the first lane pickled out of the log compacts alone
+    (:meth:`lane_column`).  Lane execution counts never need them.
     """
 
     __slots__ = (
@@ -330,6 +332,7 @@ class SuiteLog:
         "ops",
         "active",
         "_lanes",
+        "_lone_lane",
         "_counts",
     )
 
@@ -344,6 +347,7 @@ class SuiteLog:
         self.ops = ops
         self.active = active
         self._lanes: list[ExecutionColumns] | None = None
+        self._lone_lane = False
         self._counts: list[int] | None = None
 
     @classmethod
@@ -405,10 +409,32 @@ class SuiteLog:
             self._lanes = self._compact()
         return self._lanes
 
+    def lane_column(self, lane: int) -> ExecutionColumns:
+        """One lane's columns for pickling, byte-identical to
+        ``lane_columns()[lane]``.
+
+        The first lane asked for runs the compaction over its own column
+        of the log alone and leaves the other lanes uncompacted, so
+        shipping one lane of a suite never pays for the rest.  A second
+        lane compacts the whole log once (:meth:`lane_columns`): a log
+        that ships two lanes usually ships most of them (87% of the
+        lanes of the Table-III localization workload), and compacting
+        those one by one made pickling them 2.2x slower.
+        """
+        if self._lanes is None and not self._lone_lane:
+            self._lone_lane = True
+            return self._compact_lanes([lane])[0]
+        return self.lane_columns()[lane]
+
     def _compact(self) -> list[ExecutionColumns]:
-        n = self.n_lanes
+        return self._compact_lanes(slice(None))
+
+    def _compact_lanes(self, lanes) -> list[ExecutionColumns]:
+        """Compact the lanes ``lanes`` (a slice or index list) selects."""
         shapes = self.shapes
-        slots, cycles, lhs, ops, active = self.slots, self.cycles, self.lhs, self.ops, self.active
+        slots, cycles = self.slots, self.cycles
+        lhs, ops, active = self.lhs[:, lanes], self.ops[:, lanes], self.active[:, lanes]
+        n = active.shape[1]
         op_counts = self.widths[slots]
 
         # (lane, event) pairs, lane-major: each lane's executions in order.
@@ -511,6 +537,13 @@ class _LazyExecutions(_LazyList):
         columns = self._columns
         if columns is None:
             columns = self._columns = self.log.lane_columns()[self.lane]  # type: ignore[union-attr]
+        return columns
+
+    def own_columns(self) -> ExecutionColumns:
+        """:attr:`columns` as pickling needs them (:meth:`SuiteLog.lane_column`)."""
+        columns = self._columns
+        if columns is None:
+            columns = self._columns = self.log.lane_column(self.lane)  # type: ignore[union-attr]
         return columns
 
     def _build(self) -> list[StatementExecution]:
@@ -640,9 +673,12 @@ class Trace:
 
     def __getstate__(self) -> dict:
         state = {k: v for k, v in self.__dict__.items() if k != "executions"}
-        columns = self.execution_columns()
-        if columns is None:
-            columns = ExecutionColumns.pack(self.executions)
+        executions = self.executions
+        if isinstance(executions, _LazyExecutions):
+            # A lane ships its own columns (see SuiteLog.lane_column).
+            columns = executions.own_columns()
+        else:
+            columns = ExecutionColumns.pack(executions)
         state["_exec_columns"] = columns
         return state
 

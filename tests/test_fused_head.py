@@ -14,9 +14,18 @@ The contracts pinned here mirror ``tests/test_fused_rnn.py`` one layer up:
   1e-9; keys are structural (statement structure + operand values, label
   excluded); the LRU bound and epoch accounting match the context
   cache's.
-* **Gating** — every fused kernel (and the fused forward) refuses to run
-  while autograd is enabled, including ``enable_grad`` nested inside
-  ``inference_mode``.
+* **Training node** — ``VeriBugModel.training_loss`` (one head-and-loss
+  autograd node with a hand-written backward, :func:`repro.nn.
+  head_loss_fused`) equals the Tensor-graph oracle kept here
+  (``model(batch)`` + ``veribug_loss`` + ``backward()``): the loss value
+  exactly, every parameter gradient and the ``[D, dc]`` PathRNN-output
+  gradient within 1e-10, on hypothesis-random ragged batches and the
+  edge cases, and a 3-epoch ``Trainer`` history within 1e-9 relative of
+  the oracle training loop.  A training step records at most three
+  autograd nodes.
+* **Gating** — the fused forward refuses to run while autograd is
+  enabled, including ``enable_grad`` nested inside ``inference_mode``;
+  the raw kernels run in either mode.
 * **Invalidation** — ``load_state_dict`` and a ``Trainer.train`` run,
   completed or interrupted by a raising step, all clear the memo via the
   ``_on_state_loaded`` weight hook.
@@ -40,7 +49,10 @@ from repro.core import (
 )
 from repro.core.features import Sample
 from repro.nn import (
+    Adam,
+    Module,
     Tensor,
+    class_weights_from_labels,
     enable_grad,
     inference_mode,
     linear_forward_fused,
@@ -49,6 +61,7 @@ from repro.nn import (
     segment_softmax_fused,
     segment_sum,
     segment_sum_fused,
+    veribug_loss,
 )
 
 from tests.test_fused_rnn import (
@@ -59,6 +72,7 @@ from tests.test_fused_rnn import (
 )
 
 TOL = 1e-9
+GRAD_TOL = 1e-10
 
 
 def tiny_model(seed: int = 0) -> VeriBugModel:
@@ -232,18 +246,28 @@ class TestGradRefusal:
                 with pytest.raises(RuntimeError, match="inference_mode"):
                     model_forward_fused(model, batch)
 
-    def test_kernels_refuse_grad(self):
-        x = np.ones((3, 2))
+    def test_kernels_run_with_grad_enabled(self):
+        """The raw kernels record nothing, so they run in either grad
+        mode and return the same arrays."""
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(3, 2))
         ids = np.array([0, 0, 1])
-        with pytest.raises(RuntimeError, match="inference_mode"):
-            segment_sum_fused(x, ids, 2)
-        with pytest.raises(RuntimeError, match="inference_mode"):
-            segment_softmax_fused(np.ones(3), ids, 2)
         model = tiny_model(2)
-        with pytest.raises(RuntimeError, match="inference_mode"):
-            mlp_forward_fused(model.predictor, np.ones((1, model.config.operand_dim)))
-        with pytest.raises(RuntimeError, match="inference_mode"):
-            linear_forward_fused(model.predictor.layers[0], np.ones((1, model.config.operand_dim)))
+        rows = rng.normal(size=(4, model.config.operand_dim))
+
+        def run():
+            return (
+                segment_sum_fused(x, ids, 2),
+                segment_softmax_fused(x[:, 0], ids, 2),
+                mlp_forward_fused(model.predictor, rows),
+                linear_forward_fused(model.predictor.layers[0], rows),
+            )
+
+        with inference_mode():
+            want = run()
+        for got, expected in zip(run(), want):
+            assert isinstance(got, np.ndarray)
+            assert np.array_equal(got, expected)
 
     def test_training_forward_builds_graph(self):
         """With grad on, the forward dispatches to the autograd path."""
@@ -255,6 +279,217 @@ class TestGradRefusal:
         output = model.forward(batch)
         assert output.logits.requires_grad
         assert output.attention.requires_grad
+
+
+# ----------------------------------------------------------------------
+# The training node vs the Tensor-graph oracle
+# ----------------------------------------------------------------------
+
+
+class RecordingRNN(Module):
+    """Wraps a PathRNN and keeps its output, whose ``grad`` after the
+    backward is the loss gradient of the ``[D, dc]`` path embeddings."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.output = None
+
+    def forward(self, x, mask):
+        self.output = self.inner(x, mask)
+        return self.output
+
+
+def oracle_loss(model, batch, class_weights, alpha):
+    """The reference training objective: the grad-on Tensor forward plus
+    ``veribug_loss``."""
+    output = model(batch)
+    return veribug_loss(
+        output.logits,
+        batch.labels,
+        output.updated_embeddings,
+        batch.operand_stmt,
+        class_weights=class_weights,
+        alpha=alpha,
+    )
+
+
+def loss_and_gradients(model, batch, class_weights, alpha, fused):
+    """Loss, parts, parameter gradients and the path-embedding gradient."""
+    model.zero_grad()
+    if fused:
+        loss, parts = model.training_loss(batch, class_weights, alpha)
+    else:
+        loss, parts = oracle_loss(model, batch, class_weights, alpha)
+    loss.backward()
+    grads = {name: param.grad.copy() for name, param in model.named_parameters()}
+    path_grad = model.path_rnn.output.grad.copy()
+    model.zero_grad()
+    return loss.item(), parts, grads, path_grad
+
+
+def assert_node_matches_oracle(model, batch, class_weights, alpha):
+    model.path_rnn = RecordingRNN(model.path_rnn)
+    got = loss_and_gradients(model, batch, class_weights, alpha, fused=True)
+    want = loss_and_gradients(model, batch, class_weights, alpha, fused=False)
+    # The node's forward repeats the oracle's arithmetic op for op.
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+    assert got[2].keys() == want[2].keys()
+    for name, grad in want[2].items():
+        assert got[2][name].shape == grad.shape, name
+        assert np.max(np.abs(got[2][name] - grad), initial=0.0) <= GRAD_TOL, name
+    assert got[3].shape == want[3].shape == (len(batch.path_tokens), model.config.dc)
+    assert np.max(np.abs(got[3] - want[3]), initial=0.0) <= GRAD_TOL
+
+
+def oracle_train(model, encoder, samples, epochs):
+    """The Tensor-graph training loop ``Trainer.train`` replaced, kept as
+    its oracle: same shuffling, minibatches and Adam settings."""
+    config = model.config
+    optimizer = Adam(model.parameters(), lr=config.lr, weight_decay=config.weight_decay)
+    rng = np.random.default_rng(config.seed)
+    class_weights = class_weights_from_labels(np.array([s.label for s in samples]))
+    encoded = encoder.encode(samples)
+    losses, ce_terms, reg_terms = [], [], []
+    for _ in range(epochs):
+        order = rng.permutation(len(samples))
+        totals = np.zeros(3)
+        n_batches = 0
+        for start in range(0, len(samples), config.batch_size):
+            batch = encoded.select(order[start : start + config.batch_size])
+            loss, parts = oracle_loss(model, batch, class_weights, config.alpha)
+            optimizer.zero_grad()
+            loss.backward()
+            optimizer.step()
+            totals += (loss.item(), parts["ce"], parts["reg"])
+            n_batches += 1
+        losses.append(totals[0] / n_batches)
+        ce_terms.append(totals[1] / n_batches)
+        reg_terms.append(totals[2] / n_batches)
+    return losses, ce_terms, reg_terms
+
+
+def graph_nodes(root):
+    """Every non-leaf Tensor reachable from ``root``."""
+    nodes, stack, seen = [], [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._parents:
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+class TestHeadLossNode:
+    @given(
+        samples=statement_batches(),
+        seed=st.integers(0, 2**31),
+        alpha=st.sampled_from([0.0, 0.1, 2.5]),
+        weighted=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_oracle_on_random_batches(self, samples, seed, alpha, weighted):
+        model = tiny_model(seed % 1000)
+        batch = BatchEncoder(model.vocab).encode(samples)
+        rng = np.random.default_rng(seed)
+        class_weights = rng.uniform(0.2, 3.0, size=2) if weighted else None
+        assert_node_matches_oracle(model, batch, class_weights, alpha)
+
+    def test_one_statement_one_operand(self):
+        model = tiny_model(5)
+        batch = BatchEncoder(model.vocab).encode(
+            [Sample(make_context(0, 1), operand_values=(3,), label=1)]
+        )
+        assert batch.n_statements == batch.n_operands == 1
+        assert_node_matches_oracle(model, batch, np.array([0.5, 1.5]), 0.1)
+
+    def test_one_operand_statements(self):
+        model = tiny_model(6)
+        samples = [
+            Sample(
+                make_context(i, 1, paths=[[("And",) * (i + 1), ("Not", "Lvalue")]]),
+                operand_values=(i,),
+                label=i % 2,
+            )
+            for i in range(5)
+        ]
+        batch = BatchEncoder(model.vocab).encode(samples)
+        assert batch.operand_counts == [1] * 5
+        assert_node_matches_oracle(model, batch, class_weights_from_labels(batch.labels), 0.1)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_other_hidden_activations(self, tiny_samples, activation):
+        model = tiny_model(10)
+        model.aggregation_mlp.activation = activation
+        model.predictor.activation = activation
+        batch = BatchEncoder(model.vocab).encode(tiny_samples[:24])
+        weights = class_weights_from_labels(batch.labels)
+        assert_node_matches_oracle(model, batch, weights, 0.1)
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_single_class_labels_and_zero_alpha(self, tiny_samples, label):
+        model = tiny_model(8)
+        samples = [s for s in tiny_samples if s.label == label][:40]
+        batch = BatchEncoder(model.vocab).encode(samples)
+        weights = class_weights_from_labels(batch.labels)
+        assert_node_matches_oracle(model, batch, weights, 0.0)
+        assert_node_matches_oracle(model, batch, weights, 0.1)
+
+    def test_corpus_minibatch(self, tiny_config, vocab, encoder, tiny_samples):
+        model = VeriBugModel(tiny_config, vocab)
+        full = encoder.encode(tiny_samples)
+        batch = full.select(np.arange(0, len(tiny_samples), 3)[: tiny_config.batch_size])
+        assert len(batch.path_tokens) < len(batch.path_index)
+        weights = class_weights_from_labels(full.labels)
+        assert_node_matches_oracle(model, batch, weights, tiny_config.alpha)
+
+    def test_three_epoch_history_matches_oracle_loop(
+        self, tiny_config, vocab, encoder, tiny_samples
+    ):
+        samples = tiny_samples[:160]
+        model = VeriBugModel(tiny_config, vocab)
+        twin = VeriBugModel(tiny_config, vocab)
+        fused = Trainer(model, encoder).train(samples, epochs=3)
+        oracle = oracle_train(twin, encoder, samples, epochs=3)
+        for got, want in zip(
+            (fused.losses, fused.ce_terms, fused.reg_terms), oracle
+        ):
+            assert np.allclose(got, want, rtol=1e-9, atol=0.0)
+
+    def test_training_step_records_at_most_three_nodes(
+        self, tiny_config, vocab, encoder, tiny_samples, monkeypatch
+    ):
+        model = VeriBugModel(tiny_config, vocab)
+        batch = encoder.encode(tiny_samples[:32])
+        made = []
+        make = Tensor._make
+
+        def counting(self, data, parents):
+            out = make(self, data, parents)
+            if out.requires_grad:
+                made.append(out)
+            return out
+
+        monkeypatch.setattr(Tensor, "_make", counting)
+        loss, _ = model.training_loss(batch, None, tiny_config.alpha)
+        assert len(made) <= 3
+        assert made[-1] is loss
+        assert len(graph_nodes(loss)) <= 3
+        loss.backward()
+        assert all(param.grad is not None for param in model.parameters())
+
+    def test_grad_off_records_nothing(self):
+        model = tiny_model(9)
+        batch = BatchEncoder(model.vocab).encode(
+            [Sample(make_context(0, 2), operand_values=(1, 2), label=1)]
+        )
+        with inference_mode():
+            loss, parts = model.training_loss(batch, None, 0.1)
+        assert not loss.requires_grad and not loss._parents
+        assert np.isclose(loss.item(), parts["ce"] + 0.1 * parts["reg"], rtol=1e-15)
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,9 @@
 * The campaign's vectorized classification must sort traces exactly as
   :meth:`Trace.diverges_from`, trace by trace, does.
 * A lane-view trace (outputs, stimulus and execution columns all views
-  of suite-wide buffers) pickles to just its own lane's data.
+  of suite-wide buffers) pickles to just its own lane's data, compacting
+  that lane alone (:meth:`SuiteLog.lane_column`) byte-identically to the
+  whole-suite compaction.
 * Identical generated pass sources share one ``compile()``.
 """
 
@@ -393,10 +395,30 @@ class TestOnDemandCompaction:
         traces = Simulator(module, engine="vector").run_suite(suite)
         counts = [len(trace.executions) for trace in traces]
         assert all(counts) and compactions == []
-        pickle.dumps(traces[3])
-        assert len(compactions) == 1
+        pickle.dumps(traces[3])  # compacts lane 3 alone
+        assert compactions == []
         assert [len(trace.execution_columns()) for trace in traces] == counts
         assert len(compactions) == 1
+
+    def test_pickling_a_lane_compacts_it_alone(self, compactions):
+        """The first pickled lane of a log compacts alone; a second one
+        compacts the whole log once.  Either way a lane ships the bytes
+        the whole-log compaction yields for it."""
+        module = load_design("usbf_pl")
+        suite = generate_testbench_suite(module, 6, TestbenchConfig(n_cycles=10), seed=2)
+        traces = Simulator(module, engine="vector").run_suite(suite)
+        log, _ = traces[0].execution_log()
+        first = pickle.dumps(traces[3])
+        assert log._lanes is None and compactions == []
+        wire = [pickle.dumps(trace) for trace in traces]
+        assert compactions == [log] and wire[3] == first
+        lanes = log.lane_columns()
+        for lane in range(log.n_lanes):
+            alone = log._compact_lanes([lane])[0]
+            assert pickle.dumps(alone) == pickle.dumps(lanes[lane])
+        batched = Simulator(module, engine="vector").run_suite(suite)
+        batched[0].execution_columns()
+        assert wire == [pickle.dumps(trace) for trace in batched]
 
 
 class TestPacking:
