@@ -17,9 +17,10 @@ Two callers build on them:
 
 Every forward kernel replicates its autograd counterpart op for op (same
 numpy calls, same operand order), so outputs are bit-identical to the
-Tensor path; the Tensor path (``VeriBugModel.forward`` with grad on,
-plus :func:`repro.nn.loss.veribug_loss`) stays the reference oracle of
-both the forward and the hand-written backward.
+Tensor path.  ``VeriBugModel.forward`` with grad on, plus
+:func:`repro.nn.loss.veribug_loss`, stays the reference oracle of both
+the forward and the hand-written backward; the loss functions are read
+by the tests only.
 """
 
 from __future__ import annotations
@@ -164,16 +165,17 @@ def _mlp_backward(mlp: MLP, tape: list[np.ndarray], grad: np.ndarray) -> np.ndar
 
 
 def _scatter_rows(values: np.ndarray, segment_ids: np.ndarray, num_segments: int) -> np.ndarray:
-    """``segment_sum`` for the backward pass, as one GEMM.
+    """``segment_sum`` of 2-D rows for the backward pass.
 
-    A ``[num_segments, N]`` 0/1 matrix times ``values``: several times
-    cheaper than ``np.add.at`` on 2-D rows at minibatch sizes.  Its
-    summation order differs from the forward kernel's, which the
-    backward's 1e-10 contract allows.
+    One weighted ``np.bincount`` over ``(segment, column)`` keys: several
+    times cheaper than ``np.add.at`` on 2-D rows, and linear in the rows
+    and segments, so time and memory grow with the batch as the Tensor
+    graph's did.
     """
-    onehot = np.zeros((num_segments, len(segment_ids)))
-    onehot[segment_ids, np.arange(len(segment_ids))] = 1.0
-    return onehot @ values
+    width = values.shape[1]
+    keys = (segment_ids[:, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(keys, weights=values.ravel(), minlength=num_segments * width)
+    return sums.reshape(num_segments, width)
 
 
 def head_forward_fused(
@@ -334,14 +336,11 @@ def head_loss_fused(
         d_x += _scatter_rows(d_input, operand_stmt, n_statements)[operand_stmt]
 
         # Stage 1 fan-out: each distinct path row collects the gradient
-        # of every (operand, path) row gathered from it, through a dense
-        # [D, M] count matrix (minibatch-sized) and one GEMM.
+        # of every (operand, path) row gathered from it.
         if path_embed.requires_grad:
-            fan_out = np.bincount(
-                batch.path_index * len(x) + batch.path_operand,
-                minlength=len(paths) * len(x),
-            ).reshape(len(paths), len(x))
-            path_embed._accum(fan_out @ d_x[:, :dc])
+            path_embed._accum(
+                _scatter_rows(d_x[batch.path_operand, :dc], batch.path_index, len(paths))
+            )
 
     result = path_embed._make(np.asarray(loss), (path_embed, *params))
     result._backward = backward

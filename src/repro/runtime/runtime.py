@@ -43,7 +43,10 @@ worker pool:
 * **Columnar trace wire format.**  Campaign traces never cross the
   pool; traces travel only in explicit :meth:`localize_many` shard
   requests.  Those are columnar end to end: the simulator records
-  straight into :class:`~repro.sim.trace.ExecutionColumns`,
+  straight into :class:`~repro.sim.trace.ExecutionColumns` (a vector
+  lane's are compacted out of its suite log first, once per log and
+  for the shipped lanes only, by
+  :func:`~repro.sim.trace.compact_shipped_lanes`),
   ``Trace.__getstate__`` ships those arrays as-is, and the worker
   consumes them without materializing record objects.
 
@@ -62,6 +65,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
+from ..sim.trace import compact_shipped_lanes
 from .worker import (
     ModelPayload,
     StaleWorkerWeights,
@@ -385,6 +389,13 @@ class ExecutionRuntime:
         # workers the broadcast missed.
         refresh = (
             self._snapshot_blob() if epoch != self._pool_weight_epoch else None
+        )
+        # Shards pickle their traces: compact just the lanes they ship.
+        compact_shipped_lanes(
+            trace
+            for request in requests
+            for traces in (request.failing_traces, request.correct_traces)
+            for trace in traces
         )
         shards = plan_shards(len(requests), self.n_workers)
         futures = [

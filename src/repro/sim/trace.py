@@ -22,16 +22,17 @@ one lane of the suite's event-major :class:`SuiteLog`, ``outputs`` is a
 matrix, and ``stimulus`` a view of the lane's row of its
 :class:`~repro.sim.testbench.StimulusSuite`.  The execution dedup reads
 the log directly; a lane's :class:`ExecutionColumns` are compacted out of
-it only when a per-lane consumer (training, coverage, record iteration)
-asks, and then for every lane of the log at once; the first lane
-pickled out of a log compacts alone.  Lane views
-read like the lists they stand for and pickle to just their own lane's
-data.
+it only when a per-lane consumer (pickling, training, coverage, record
+iteration) asks, and then for every lane of the log at once; a process
+boundary that knows every trace it ships compacts just those lanes
+first (:func:`compact_shipped_lanes`).  Lane views read like the lists
+they stand for and pickle to just their own lane's data.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -317,8 +318,7 @@ class SuiteLog:
     The execution dedup groups straight off these arrays.  Per-lane
     :class:`ExecutionColumns` exist only on demand
     (:meth:`lane_columns`), built for every lane in one compaction and
-    cached; the first lane pickled out of the log compacts alone
-    (:meth:`lane_column`).  Lane execution counts never need them.
+    cached; lane execution counts never need them.
     """
 
     __slots__ = (
@@ -332,7 +332,6 @@ class SuiteLog:
         "ops",
         "active",
         "_lanes",
-        "_lone_lane",
         "_counts",
     )
 
@@ -347,7 +346,6 @@ class SuiteLog:
         self.ops = ops
         self.active = active
         self._lanes: list[ExecutionColumns] | None = None
-        self._lone_lane = False
         self._counts: list[int] | None = None
 
     @classmethod
@@ -409,31 +407,12 @@ class SuiteLog:
             self._lanes = self._compact()
         return self._lanes
 
-    def lane_column(self, lane: int) -> ExecutionColumns:
-        """One lane's columns for pickling, byte-identical to
-        ``lane_columns()[lane]``.
-
-        The first lane asked for runs the compaction over its own column
-        of the log alone and leaves the other lanes uncompacted, so
-        shipping one lane of a suite never pays for the rest.  A second
-        lane compacts the whole log once (:meth:`lane_columns`): a log
-        that ships two lanes usually ships most of them (87% of the
-        lanes of the Table-III localization workload), and compacting
-        those one by one made pickling them 2.2x slower.
-        """
-        if self._lanes is None and not self._lone_lane:
-            self._lone_lane = True
-            return self._compact_lanes([lane])[0]
-        return self.lane_columns()[lane]
-
-    def _compact(self) -> list[ExecutionColumns]:
-        return self._compact_lanes(slice(None))
-
-    def _compact_lanes(self, lanes) -> list[ExecutionColumns]:
-        """Compact the lanes ``lanes`` (a slice or index list) selects."""
+    def _compact(self, lanes: list[int] | None = None) -> list[ExecutionColumns]:
+        """Every lane's columns, or those of the listed ``lanes`` only."""
         shapes = self.shapes
-        slots, cycles = self.slots, self.cycles
-        lhs, ops, active = self.lhs[:, lanes], self.ops[:, lanes], self.active[:, lanes]
+        slots, cycles, lhs, ops, active = self.slots, self.cycles, self.lhs, self.ops, self.active
+        if lanes is not None:
+            lhs, ops, active = lhs[:, lanes], ops[:, lanes], active[:, lanes]
         n = active.shape[1]
         op_counts = self.widths[slots]
 
@@ -537,13 +516,6 @@ class _LazyExecutions(_LazyList):
         columns = self._columns
         if columns is None:
             columns = self._columns = self.log.lane_columns()[self.lane]  # type: ignore[union-attr]
-        return columns
-
-    def own_columns(self) -> ExecutionColumns:
-        """:attr:`columns` as pickling needs them (:meth:`SuiteLog.lane_column`)."""
-        columns = self._columns
-        if columns is None:
-            columns = self._columns = self.log.lane_column(self.lane)  # type: ignore[union-attr]
         return columns
 
     def _build(self) -> list[StatementExecution]:
@@ -673,12 +645,9 @@ class Trace:
 
     def __getstate__(self) -> dict:
         state = {k: v for k, v in self.__dict__.items() if k != "executions"}
-        executions = self.executions
-        if isinstance(executions, _LazyExecutions):
-            # A lane ships its own columns (see SuiteLog.lane_column).
-            columns = executions.own_columns()
-        else:
-            columns = ExecutionColumns.pack(executions)
+        columns = self.execution_columns()
+        if columns is None:
+            columns = ExecutionColumns.pack(self.executions)
         state["_exec_columns"] = columns
         return state
 
@@ -753,3 +722,32 @@ class Trace:
         if self.n_cycles != other.n_cycles:
             return min(self.n_cycles, other.n_cycles), LENGTH_DIVERGENCE
         return None
+
+
+def compact_shipped_lanes(traces: Iterable[Trace]) -> None:
+    """Compact the lane columns of the lane views among ``traces``.
+
+    Pickling a lane ships its :class:`ExecutionColumns`, and the first
+    lane asked for compacts every lane of its log
+    (:meth:`SuiteLog.lane_columns`), shipped or not.  A caller that is
+    about to pickle a known set of traces calls this first: each log
+    then compacts once, over just the lanes the set holds, into
+    columns byte-identical to the whole-log compaction's.  Lanes whose
+    columns already exist, and logs that compacted already, are left
+    alone.
+    """
+    pending: dict[int, tuple[SuiteLog, list[_LazyExecutions]]] = {}
+    for trace in traces:
+        view = trace.executions
+        if isinstance(view, _LazyExecutions) and view._columns is None:
+            log = view.log
+            if log._lanes is None:  # type: ignore[union-attr]
+                pending.setdefault(id(log), (log, []))[1].append(view)  # type: ignore[arg-type]
+    for log, views in pending.values():
+        lanes = sorted({view.lane for view in views})
+        if len(lanes) == log.n_lanes:
+            columns = log.lane_columns()
+        else:
+            columns = dict(zip(lanes, log._compact(lanes)))
+        for view in views:
+            view._columns = columns[view.lane]

@@ -9,9 +9,7 @@
 * The campaign's vectorized classification must sort traces exactly as
   :meth:`Trace.diverges_from`, trace by trace, does.
 * A lane-view trace (outputs, stimulus and execution columns all views
-  of suite-wide buffers) pickles to just its own lane's data, compacting
-  that lane alone (:meth:`SuiteLog.lane_column`) byte-identically to the
-  whole-suite compaction.
+  of suite-wide buffers) pickles to just its own lane's data.
 * Identical generated pass sources share one ``compile()``.
 """
 
@@ -34,7 +32,7 @@ from repro.sim import (
     generate_testbench_suite,
     vector,
 )
-from repro.sim.trace import ExecutionColumns, _LaneOutputs
+from repro.sim.trace import ExecutionColumns, _LaneOutputs, compact_shipped_lanes
 from repro.sim.vector import VectorRecorder, _unpack
 from repro.verilog import parse_module
 
@@ -363,9 +361,9 @@ class TestOnDemandCompaction:
         logs = []
         compact = SuiteLog._compact
 
-        def counting(self):
-            logs.append(self)
-            return compact(self)
+        def counting(self, lanes=None):
+            logs.append(lanes)  # None: every lane of the log
+            return compact(self, lanes)
 
         monkeypatch.setattr(SuiteLog, "_compact", counting)
         return logs
@@ -395,30 +393,49 @@ class TestOnDemandCompaction:
         traces = Simulator(module, engine="vector").run_suite(suite)
         counts = [len(trace.executions) for trace in traces]
         assert all(counts) and compactions == []
-        pickle.dumps(traces[3])  # compacts lane 3 alone
-        assert compactions == []
+        pickle.dumps(traces[3])
+        assert len(compactions) == 1
         assert [len(trace.execution_columns()) for trace in traces] == counts
         assert len(compactions) == 1
 
-    def test_pickling_a_lane_compacts_it_alone(self, compactions):
-        """The first pickled lane of a log compacts alone; a second one
-        compacts the whole log once.  Either way a lane ships the bytes
-        the whole-log compaction yields for it."""
+    def test_shipped_lanes_compact_alone(self, compactions):
+        """A shipped set compacts each log once, over its own lanes only,
+        and every lane pickles to the whole-log compaction's bytes."""
         module = load_design("usbf_pl")
         suite = generate_testbench_suite(module, 6, TestbenchConfig(n_cycles=10), seed=2)
         traces = Simulator(module, engine="vector").run_suite(suite)
         log, _ = traces[0].execution_log()
-        first = pickle.dumps(traces[3])
-        assert log._lanes is None and compactions == []
-        wire = [pickle.dumps(trace) for trace in traces]
-        assert compactions == [log] and wire[3] == first
-        lanes = log.lane_columns()
-        for lane in range(log.n_lanes):
-            alone = log._compact_lanes([lane])[0]
-            assert pickle.dumps(alone) == pickle.dumps(lanes[lane])
-        batched = Simulator(module, engine="vector").run_suite(suite)
-        batched[0].execution_columns()
-        assert wire == [pickle.dumps(trace) for trace in batched]
+        shipped = [traces[4], traces[1], traces[4]]
+        compact_shipped_lanes(shipped)
+        assert compactions == [[1, 4]] and log._lanes is None
+        wire = [pickle.dumps(trace) for trace in shipped]
+        compact_shipped_lanes(shipped)
+        assert compactions == [[1, 4]] and log._lanes is None
+
+        whole = Simulator(module, engine="vector").run_suite(suite)
+        assert wire == [pickle.dumps(whole[lane]) for lane in (4, 1, 4)]
+        assert compactions == [[1, 4], None]
+        lanes = whole[0].execution_log()[0].lane_columns()
+        for lane in range(len(suite)):
+            alone = pickle.dumps(log._compact([lane])[0])
+            assert alone == pickle.dumps(lanes[lane])
+
+    def test_shipping_every_lane_is_one_whole_compaction(self, compactions, arbiter):
+        module = load_design("usbf_pl")
+        config = TestbenchConfig(n_cycles=10)
+        traces = Simulator(module, engine="vector").run_suite(
+            generate_testbench_suite(module, 4, config, seed=2)
+        )
+        others = Simulator(arbiter, engine="vector").run_suite(
+            generate_testbench_suite(arbiter, 5, config, seed=2)
+        )
+        oracle = Simulator(arbiter, engine="interpreted").run_suite(
+            generate_testbench_suite(arbiter, 2, config, seed=2)
+        )
+        compact_shipped_lanes([*traces, others[2], *oracle])
+        assert compactions == [None, [2]]
+        assert traces[0].execution_log()[0]._lanes is not None
+        assert others[0].execution_log()[0]._lanes is None
 
 
 class TestPacking:

@@ -741,8 +741,9 @@ class TestFailedTaskCancelsQueue:
 
     def test_localize_many_cancels_unstarted_shards(self, monkeypatch):
         runtime, pool = self._inline_runtime(monkeypatch, "_task_localize_shard")
+        stub = LocalizationRequest(None, "out", failing_traces=[], correct_traces=[])
         with pytest.raises(ValueError, match="task failed"):
-            runtime.localize_many([object()] * 3)
+            runtime.localize_many([stub] * 3)
         assert [future.state for future in pool.futures] == [
             "done", "cancelled", "cancelled"
         ]
