@@ -16,7 +16,9 @@ arms:
 * **sharded_workers** — the fast arm sharded across an
   :class:`repro.runtime.ExecutionRuntime` worker pool at each size in
   ``--workers`` (pool started and warmed before timing, the way a
-  session amortizes it; worker-local caches and memos start cold).
+  session amortizes it; worker-local caches and memos start cold).  The
+  timed region includes shipping the traces, each lane pickled as a
+  one-lane slice of its suite log, as ``session.localize_many`` does.
   Scaling is meaningful only with that many physical cores —
   ``cpu_cores`` is recorded next to the results.
 
@@ -163,11 +165,6 @@ def simulate_workload(workload, n_traces: int, n_cycles: int, seed: int):
             )
             if outcome.error or not outcome.observable:
                 continue
-            # Pack the columnar execution view outside the timed arms:
-            # it is a one-time per-trace cost (cached on the trace) that
-            # would otherwise land on whichever arm touches it first.
-            for trace in failing + correct:
-                trace.columnize()
             cases.append(
                 {
                     "design": name,

@@ -12,23 +12,23 @@ simulates a single trace — and ``single_speedup_*`` reports it against
 the interpreter.
 
 The ``--record`` arm selects the workload: ``on`` (trace-learning
-workload, columnar recording active), ``off`` (golden-trace workload,
+workload, execution recording active), ``off`` (golden-trace workload,
 fast streams only), or ``both`` (default), which additionally reports
 the **recording overhead** per engine — recorded wall time over
-unrecorded wall time, the cost of columnar instrumentation itself.
-Vector lanes compact their per-lane columns only when asked, so the
-recorded arm reads every trace's ``execution_columns()`` inside its
-timed region: it times recording plus compaction, as before lanes
-became on-demand views of the suite's event log.
+unrecorded wall time, the cost of execution recording itself.
+The recorded arm's timed region ends when the suite returns: lanes are
+views of the suite's event log, so nothing per lane remains to build.
 
 Unless ``--no-verify`` is given, the run first differential-tests the
 vector engine against the interpreter on every design: the
-interpreter's native recorder columns must be byte-equivalent to
-repacking its materialized record objects, and every lane of a ragged
-lockstep suite, plus every one-lane run, must be byte-identical —
-outputs and recorded columns, dtypes included — to the interpreter's
-trace of the same stimulus.  Any divergence makes the process exit
-nonzero, so CI bench smoke doubles as an engine integrity gate.
+interpreter's native event log must match, event for event, the log
+built from its materialized record objects, and every lane of a ragged
+lockstep suite (also after a pickle round trip), plus every one-lane
+run, must be identical — outputs and recorded events (shape row, cycle,
+lhs and operand values, dtypes included) — to the interpreter's trace
+of the same stimulus.  Any divergence makes the
+process exit nonzero, so CI bench smoke doubles as an engine integrity
+gate.
 
 Run with::
 
@@ -43,6 +43,7 @@ import json
 import math
 import os
 import pathlib
+import pickle
 import sys
 import time
 
@@ -52,8 +53,8 @@ import numpy as np  # noqa: E402
 
 from repro.designs import REGISTRY, load_design  # noqa: E402
 from repro.sim import (  # noqa: E402
-    ExecutionColumns,
     Simulator,
+    SuiteLog,
     TestbenchConfig,
     clear_compile_cache,
     generate_testbench_suite,
@@ -61,19 +62,22 @@ from repro.sim import (  # noqa: E402
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
-COLUMN_FIELDS = ("stmt_slots", "cycles", "lhs_values", "flat_values")
+def _events_diverge(ours: tuple[SuiteLog, int], oracle: tuple[SuiteLog, int]) -> str | None:
+    """The first field where a lane's events differ from ``oracle``'s.
 
-
-def _columns_diverge(ours: ExecutionColumns, oracle: ExecutionColumns) -> str | None:
-    """The first column where ``ours`` is not byte-identical to ``oracle``."""
-    if ours is None or oracle is None or ours.stmt_table != oracle.stmt_table:
-        return "shape table"
-    for attr in COLUMN_FIELDS:
-        a, b = getattr(ours, attr), getattr(oracle, attr)
-        if type(a) is not type(b) or not np.array_equal(a, b):
-            return attr
-        if isinstance(a, np.ndarray) and a.dtype != b.dtype:
-            return attr
+    Each ``(log, lane)`` is read as its one-lane slice; events compare
+    by the shape row their slot names (the two shape tables may differ),
+    then by cycle, lhs and operand values, dtypes included.
+    """
+    left, right = (log.lane_slice(lane) for log, lane in (ours, oracle))
+    if [left.shapes[slot] for slot in left.slots.tolist()] != [
+        right.shapes[slot] for slot in right.slots.tolist()
+    ]:
+        return "shape rows"
+    for name in ("cycles", "lhs", "ops"):
+        a, b = getattr(left, name), getattr(right, name)
+        if a.dtype != b.dtype or a.shape != b.shape or not np.array_equal(a, b):
+            return name
     return None
 
 
@@ -81,9 +85,9 @@ def verify_design(name: str, n_cycles: int, seed: int = 3) -> list[str]:
     """Vector-vs-interpreter differential check for one design.
 
     Returns a list of human-readable divergence descriptions (empty when
-    the engines agree): the interpreter's native recorder columns vs a
-    repack of its materialized records, and every vector lane (a ragged
-    suite and one-lane runs) vs the interpreter's trace.
+    the engines agree): the interpreter's native event log vs the log of
+    its materialized records, and every vector lane (a ragged suite, its
+    pickled lanes and one-lane runs) vs the interpreter's trace.
     """
     module = load_design(name)
     stimuli = generate_testbench_suite(
@@ -97,12 +101,14 @@ def verify_design(name: str, n_cycles: int, seed: int = 3) -> list[str]:
     problems: list[str] = []
     expected = [interpreted.run(stimulus) for stimulus in suite]
     for index, trace in enumerate(expected):
-        repacked = ExecutionColumns.pack(list(trace.executions))
-        field = _columns_diverge(trace.execution_columns(), repacked)
+        records = (SuiteLog.from_records(list(trace.executions)), 0)
+        field = _events_diverge(trace.execution_log(), records)
         if field is not None:
-            problems.append(f"{name}[{index}]: recorder {field} != repacked records")
+            problems.append(f"{name}[{index}]: recorder {field} != its records")
+    lanes = vector.run_suite(suite)
     runs = {
-        "lane": vector.run_suite(suite),
+        "lane": lanes,
+        "pickled lane": [pickle.loads(pickle.dumps(trace)) for trace in lanes],
         "one-lane run": [vector.run(stimulus) for stimulus in suite],
     }
     for kind, traces in runs.items():
@@ -111,9 +117,7 @@ def verify_design(name: str, n_cycles: int, seed: int = 3) -> list[str]:
             if actual.outputs != oracle.outputs:
                 problems.append(f"{tag}: vector outputs diverge from interpreter")
                 continue
-            field = _columns_diverge(
-                actual.execution_columns(), oracle.execution_columns()
-            )
+            field = _events_diverge(actual.execution_log(), oracle.execution_log())
             if field is not None:
                 problems.append(f"{tag}: vector {field} diverges from interpreter")
     return problems
@@ -125,10 +129,6 @@ def _time_runs(run, stimuli, arms: tuple[str, ...], total_cycles: int) -> dict:
     if "record" in arms:
         t0 = time.perf_counter()
         traces = run(stimuli, True)
-        # Vector lanes compact their columns on demand: read them inside
-        # the timed region, so the arm times recording *and* compaction.
-        for trace in traces:
-            trace.execution_columns()
         record_s = time.perf_counter() - t0
         n_statements = sum(len(t.executions) for t in traces)
         stats["record"] = {
@@ -145,8 +145,8 @@ def _time_runs(run, stimuli, arms: tuple[str, ...], total_cycles: int) -> dict:
             "cycles_per_s": round(total_cycles / norecord_s),
         }
     if "record" in arms and "norecord" in arms:
-        # The recording-overhead arm: cost of columnar
-        # instrumentation relative to the uninstrumented streams.
+        # The recording-overhead arm: cost of execution recording
+        # relative to the uninstrumented streams.
         stats["record_overhead"] = round(
             stats["record"]["wall_s"] / stats["norecord"]["wall_s"], 2
         )

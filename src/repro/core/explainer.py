@@ -24,9 +24,16 @@ import numpy as np
 
 from ..analysis.contexts import StatementContext
 from ..nn import inference_mode
-from ..sim.trace import SuiteLog, Trace
+from ..sim.trace import Trace
 from .config import VeriBugConfig
-from .features import BatchEncoder, Sample, operand_gather, sample_from_execution
+from .features import (
+    BatchEncoder,
+    Sample,
+    log_rows,
+    record_samples,
+    row_samples,
+    sample_from_execution,
+)
 from .model import VeriBugModel
 
 #: Suspiciousness assigned to statements that only execute in failing
@@ -35,105 +42,29 @@ FT_ONLY_SUSPICIOUSNESS = 1.0
 
 
 def _log_distinct(
-    segments: list[tuple[SuiteLog, list[int], np.ndarray | None, np.ndarray | None]],
     contexts: dict[int, StatementContext],
+    traces: list[Trace],
     restrict_to: set[int] | None,
 ) -> tuple[list[Sample], list[int], list[int]]:
     """Deduplicate a trace set straight off its event logs.
 
-    Each segment is ``(log, lanes, lane_positions, event_positions)``:
-    the set's lanes of one suite log with each lane's trace position, or
-    a stacked log of plain columns (:meth:`SuiteLog.stack`, lane 0) with
-    each event's trace position.  Per log, events whose statement is
-    outside ``restrict_to`` or has no context with operands are dropped
-    *before* lanes expand; the kept events' active cells in the set's
-    lanes become ``(trace, event)`` rows whose operand values are
-    gathered in context-operand order
-    (:func:`~repro.core.features.operand_gather`, one plan per shape
-    row).  A row's key is its stmt id and those values, −1-padded
-    (simulator values are non-negative, and a stmt id pins its context
-    width, so padding never merges or splits a group) — exactly the
-    record loop's ``(stmt_id, operand_values)`` group key.  One
-    ``np.lexsort`` with the record-loop order ``(trace position,
-    event)`` as its least significant key makes each group's first
-    sorted row its first occurrence, which supplies the label; groups
-    come back in first-occurrence order with their counts.
+    The set's rows come from :func:`~repro.core.features.log_rows`.  A
+    row's key is its stmt id and its −1-padded operand values (simulator
+    values are non-negative, and a stmt id pins its context width, so
+    padding never merges or splits a group) — exactly the record loop's
+    ``(stmt_id, operand_values)`` group key.  One ``np.lexsort`` with
+    the record-loop order ``(trace position, event)`` as its least
+    significant key makes each group's first sorted row its first
+    occurrence, which supplies the label; groups come back in
+    first-occurrence order with their counts.  Sets holding >63-bit
+    values take the record loop.
     """
-    kept: dict[int, tuple[StatementContext, int]] = {}
-    for stmt_id, context in contexts.items():
-        width = context.n_operands
-        if width and (restrict_to is None or stmt_id in restrict_to):
-            kept[stmt_id] = (context, width)
-    stride = max((len(segment[0].slots) for segment in segments), default=0)
-
-    plans: dict[tuple[int, tuple[str, ...]], tuple[int, ...]] = {}
-    pieces = []
-    for log, lanes, lane_positions, event_positions in segments:
-        kept_shape = np.fromiter(
-            map(kept.__contains__, log.stmt_ids.tolist()), bool, len(log.shapes)
-        )
-        events = np.flatnonzero(kept_shape[log.slots])
-        if not events.size:
-            continue
-        # Lane-major: each lane's kept events in order, lanes in set order.
-        lane_index, event_index = np.nonzero(log.active.T[lanes][:, events])
-        if not lane_index.size:
-            continue
-        events = events[event_index]
-        lane_of = np.asarray(lanes)[lane_index]
-        rows = log.slots[events]
-        # Per shape row these lanes executed, its gather plan as a
-        # −1-padded matrix row (a target program's table also holds
-        # other variants' rows, which these contexts may not resolve).
-        seen = np.zeros(len(log.shapes), dtype=bool)
-        seen[rows] = True
-        kept_rows = np.flatnonzero(seen).tolist()
-        row_plans = []
-        for row in kept_rows:
-            stmt_id, _target, operands, _width = log.shapes[row]
-            plan = plans.get((stmt_id, operands))
-            if plan is None:
-                plan = plans[stmt_id, operands] = operand_gather(
-                    operands, kept[stmt_id][0]
-                )
-            row_plans.append(plan)
-        plan_matrix = np.full(
-            (len(log.shapes), max(map(len, row_plans))), -1, dtype=np.int64
-        )
-        for row, plan in zip(kept_rows, row_plans):
-            plan_matrix[row, : len(plan)] = plan
-        gather = plan_matrix[rows]
-        pad = gather < 0
-        values = log.ops[
-            log.op_starts[events][:, None] + np.where(pad, 0, gather), lane_of[:, None]
-        ]
-        values[pad] = -1
-        positions = (
-            lane_positions[lane_index]  # type: ignore[index]
-            if event_positions is None
-            else event_positions[events]
-        )
-        pieces.append(
-            (
-                log.stmt_ids[rows],
-                values,
-                log.lhs[events, lane_of],
-                positions * stride + events,
-            )
-        )
-    if not pieces:
+    rows = log_rows(contexts, traces, restrict_to)
+    if rows is None:
+        return _record_loop_distinct(contexts, traces, restrict_to)
+    keyed, lhs, order = rows
+    if not len(order):
         return [], [], []
-
-    width = max(piece[1].shape[1] for piece in pieces)
-    keyed = np.full((sum(len(piece[0]) for piece in pieces), 1 + width), -1, np.int64)
-    start = 0
-    for ids, values, _lhs, _order in pieces:
-        keyed[start : start + len(ids), 0] = ids
-        keyed[start : start + len(ids), 1 : 1 + values.shape[1]] = values
-        start += len(ids)
-    lhs = np.concatenate([piece[2] for piece in pieces])
-    order = np.concatenate([piece[3] for piece in pieces])
-
     sort = np.lexsort((order, *keyed.T[::-1]))
     ranked = keyed[sort]
     starts = np.flatnonzero(
@@ -143,11 +74,7 @@ def _log_distinct(
     firsts = sort[starts]
     replay = np.argsort(order[firsts])
     first = firsts[replay]
-    samples: list[Sample] = []
-    labels = (lhs[first] != 0).view(np.int8).tolist()
-    for row, label in zip(keyed[first].tolist(), labels):
-        context, n_operands = kept[row[0]]
-        samples.append(Sample(context, tuple(row[1 : 1 + n_operands]), label))
+    samples = row_samples(keyed[first], lhs[first], contexts)
     return samples, keyed[first, 0].tolist(), group_counts[replay].tolist()
 
 
@@ -161,25 +88,16 @@ def _record_loop_distinct(
     samples: list[Sample] = []
     stmt_ids: list[int] = []
     counts: list[int] = []
-    for trace in traces:
-        for execution in trace.executions:
-            if restrict_to is not None and execution.stmt_id not in restrict_to:
-                continue
-            context = contexts.get(execution.stmt_id)
-            if context is None:
-                continue
-            sample = sample_from_execution(context, execution)
-            if sample is None:
-                continue
-            key = (execution.stmt_id, sample.operand_values)
-            slot = groups.get(key)
-            if slot is None:
-                groups[key] = len(samples)
-                samples.append(sample)
-                stmt_ids.append(execution.stmt_id)
-                counts.append(1)
-            else:
-                counts[slot] += 1
+    for stmt_id, sample in record_samples(contexts, traces, restrict_to):
+        key = (stmt_id, sample.operand_values)
+        slot = groups.get(key)
+        if slot is None:
+            groups[key] = len(samples)
+            samples.append(sample)
+            stmt_ids.append(stmt_id)
+            counts.append(1)
+        else:
+            counts[slot] += 1
     return samples, stmt_ids, counts
 
 
@@ -327,40 +245,16 @@ class Explainer:
         it has already been seen with.
 
         The set is deduplicated straight off its event logs
-        (:func:`_log_distinct`): vector-engine lanes are read in their
-        suites' :class:`~repro.sim.trace.SuiteLog` without compacting
-        them, and every other trace (interpreter runs, deserialized and
-        :meth:`Trace.columnize`-d traces) joins one stacked, one-lane log
-        of its columns (:meth:`SuiteLog.stack`).  One padded key matrix
-        and one ``np.lexsort`` group the whole set while preserving the
-        exact first-seen order and counts of the record-by-record loop,
-        so both produce bit-identical attention maps.  The record loop
-        remains as the fallback when a trace holds >63-bit values, which
-        keep Python-list columns at the recorder boundary.
+        (:func:`_log_distinct`): every trace's lane is read in its log
+        (a vector suite's, an interpreter run's, or a pickled lane's)
+        and hand-assembled traces join one log of their records.  One
+        padded key matrix and one ``np.lexsort`` group the whole set
+        while preserving the exact first-seen order and counts of the
+        record-by-record loop, so both produce bit-identical attention
+        maps.  The record loop remains as the fallback when a trace
+        holds >63-bit values (``object`` log arrays).
         """
-        by_log: dict[int, tuple[SuiteLog, list[int], list[int]]] = {}
-        stacked: list[int] = []
-        for position, trace in enumerate(traces):
-            located = trace.execution_log()
-            if located is None:
-                stacked.append(position)
-                continue
-            log, lane = located
-            members = by_log.setdefault(id(log), (log, [], []))
-            members[1].append(lane)
-            members[2].append(position)
-        segments: list = [
-            (log, lanes, np.asarray(positions), None)
-            for log, lanes, positions in by_log.values()
-        ]
-        if stacked:
-            columns = [traces[position].columnize() for position in stacked]
-            log = SuiteLog.stack(columns)
-            if log is None:
-                return _record_loop_distinct(contexts, traces, restrict_to)
-            lengths = [len(trace_columns) for trace_columns in columns]
-            segments.append((log, [0], None, np.repeat(stacked, lengths)))
-        return _log_distinct(segments, contexts, restrict_to)
+        return _log_distinct(contexts, traces, restrict_to)
 
     def attention_map(
         self,

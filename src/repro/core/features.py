@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from ..analysis.contexts import StatementContext
-from ..sim.trace import StatementExecution, Trace
+from ..sim.trace import StatementExecution, SuiteLog, Trace
 from .vocab import Vocabulary
 
 
@@ -310,56 +311,193 @@ def operand_gather(
     return tuple(value_index[op.name] for op in context.operands)
 
 
-def _columnar_samples(
-    columns,
+def log_rows(
     contexts: dict[int, StatementContext],
-    design: str,
+    traces: list[Trace],
     restrict_to: set[int] | None,
-    samples: list[Sample],
-) -> bool:
-    """Build one trace's samples straight off its execution columns.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """A trace set's sample rows, gathered straight off its event logs.
 
-    Per statement *slot* the operand-resolution plan (which flat-column
-    index feeds each context operand instance) is computed once; per
-    execution only a tuple gather and a label test remain — no
-    :class:`~repro.sim.trace.StatementExecution` or ``operand_map`` dict
-    is ever constructed.  Sample order and values are identical to the
-    record-by-record loop.  Returns False (caller falls back to the
-    record path) when a >63-bit value kept the columns as Python lists.
+    Traces are grouped by log: the lanes of one suite log form one
+    segment; one-lane logs sharing a shape table are read back to back
+    as one log whose events carry their trace position, and so are all
+    hand-assembled traces, in one log of their records
+    (:meth:`SuiteLog.from_records`).  Per log, events whose statement
+    is outside ``restrict_to`` or has no context with operands are
+    dropped *before* lanes expand; the kept events' active cells in the
+    set's lanes become rows, lane-major, whose operand values are
+    gathered in context-operand order (:func:`operand_gather`, one plan
+    per shape row).
+
+    Returns ``(keyed, lhs, order)``: ``keyed`` is ``[R, 1 + W]``, a
+    row's stmt id then its operand values, −1-padded to the widest
+    context; ``order`` is the record-loop position ``trace position *
+    stride + event`` of each row.  None when some log holds >63-bit
+    values (``object`` arrays); callers then take the record loop.
     """
-    flat = columns.flat_values
-    lhs = columns.lhs_values
-    if not (isinstance(flat, np.ndarray) and isinstance(lhs, np.ndarray)):
-        return False
-    plans: list[tuple[StatementContext, tuple[int, ...]] | None] = []
-    for stmt_id, _target, operands, _width in columns.stmt_table:
-        context = contexts.get(stmt_id)
-        if (
-            (restrict_to is not None and stmt_id not in restrict_to)
-            or context is None
-            or context.n_operands == 0
-        ):
-            plans.append(None)
-            continue
-        plans.append((context, operand_gather(operands, context)))
-    offsets = columns.operand_offsets().tolist()
-    flat_list = flat.tolist()
-    lhs_list = lhs.tolist()
-    for row, slot in enumerate(columns.stmt_slots.tolist()):
-        plan = plans[slot]
-        if plan is None:
-            continue
-        context, gather = plan
-        base = offsets[row]
-        samples.append(
-            Sample(
-                context=context,
-                operand_values=tuple(flat_list[base + index] for index in gather),
-                label=1 if lhs_list[row] != 0 else 0,
-                design=design,
-            )
+    by_log: dict[int, tuple[SuiteLog, list[int], list[int]]] = {}
+    by_table: dict[int, tuple[list[SuiteLog], list[int]]] = {}
+    plain: list[int] = []
+    for position, trace in enumerate(traces):
+        located = trace.execution_log()
+        if located is None:
+            plain.append(position)
+        elif located[0].n_lanes == 1:
+            logs, positions = by_table.setdefault(id(located[0].shapes), ([], []))
+            logs.append(located[0])
+            positions.append(position)
+        else:
+            log, lane = located
+            members = by_log.setdefault(id(log), (log, [], []))
+            members[1].append(lane)
+            members[2].append(position)
+    segments: list = [
+        (log, lanes, np.asarray(positions), None)
+        for log, lanes, positions in by_log.values()
+    ]
+    # One-lane logs over one table (interpreter runs, a shard's pickled
+    # lanes of one suite) are read as one log, event by event.
+    for logs, positions in by_table.values():
+        lengths = [len(log.slots) for log in logs]
+        log = logs[0] if len(logs) == 1 else _stacked(logs)
+        segments.append((log, [0], None, np.repeat(positions, lengths)))
+    if plain:
+        records = [traces[position].executions for position in plain]
+        log = SuiteLog.from_records(chain.from_iterable(records))
+        segments.append((log, [0], None, np.repeat(plain, list(map(len, records)))))
+    if any(segment[0].wide for segment in segments):
+        return None
+
+    kept = {
+        stmt_id: context
+        for stmt_id, context in contexts.items()
+        if context.n_operands and (restrict_to is None or stmt_id in restrict_to)
+    }
+    stride = max((len(segment[0].slots) for segment in segments), default=0)
+    plans: dict[tuple[int, tuple[str, ...]], tuple[int, ...]] = {}
+    pieces = []
+    for log, lanes, lane_positions, event_positions in segments:
+        kept_shape = np.fromiter(
+            map(kept.__contains__, log.stmt_ids.tolist()), bool, len(log.shapes)
         )
-    return True
+        events = np.flatnonzero(kept_shape[log.slots])
+        if not events.size:
+            continue
+        # Lane-major: each lane's kept events in order, lanes in set order.
+        lane_index, event_index = np.nonzero(log.active.T[lanes][:, events])
+        if not lane_index.size:
+            continue
+        events = events[event_index]
+        lane_of = np.asarray(lanes)[lane_index]
+        rows = log.slots[events]
+        # Per shape row these lanes executed, its gather plan as a
+        # −1-padded matrix row (a target program's table also holds
+        # other variants' rows, which these contexts may not resolve).
+        seen = np.zeros(len(log.shapes), dtype=bool)
+        seen[rows] = True
+        kept_rows = np.flatnonzero(seen).tolist()
+        row_plans = []
+        for row in kept_rows:
+            stmt_id, _target, operands, _width = log.shapes[row]
+            plan = plans.get((stmt_id, operands))
+            if plan is None:
+                plan = plans[stmt_id, operands] = operand_gather(operands, kept[stmt_id])
+            row_plans.append(plan)
+        plan_matrix = np.full(
+            (len(log.shapes), max(map(len, row_plans))), -1, dtype=np.int64
+        )
+        for row, plan in zip(kept_rows, row_plans):
+            plan_matrix[row, : len(plan)] = plan
+        gather = plan_matrix[rows]
+        pad = gather < 0
+        values = log.ops[
+            log.op_starts[events][:, None] + np.where(pad, 0, gather), lane_of[:, None]
+        ]
+        values[pad] = -1
+        positions = (
+            lane_positions[lane_index]
+            if event_positions is None
+            else event_positions[events]
+        )
+        pieces.append(
+            (log.stmt_ids[rows], values, log.lhs[events, lane_of], positions * stride + events)
+        )
+
+    if not pieces:
+        empty = np.zeros(0, np.int64)
+        return np.zeros((0, 1), np.int64), empty, empty
+    width = max(piece[1].shape[1] for piece in pieces)
+    keyed = np.full((sum(len(piece[0]) for piece in pieces), 1 + width), -1, np.int64)
+    start = 0
+    for ids, values, _lhs, _order in pieces:
+        keyed[start : start + len(ids), 0] = ids
+        keyed[start : start + len(ids), 1 : 1 + values.shape[1]] = values
+        start += len(ids)
+    lhs = np.concatenate([piece[2] for piece in pieces])
+    order = np.concatenate([piece[3] for piece in pieces])
+    return keyed, lhs, order
+
+
+def _stacked(logs: list[SuiteLog]) -> SuiteLog:
+    """One-lane logs over one shape table, back to back in one log."""
+    first = logs[0]
+    return SuiteLog(
+        first.shapes,
+        *(
+            np.concatenate([getattr(log, name) for log in logs])
+            for name in ("slots", "cycles", "lhs", "ops", "active")
+        ),
+        first.stmt_ids,
+        first.widths,
+    )
+
+
+def row_samples(
+    keyed: np.ndarray,
+    lhs: np.ndarray,
+    contexts: dict[int, StatementContext],
+    design: str = "",
+) -> list[Sample]:
+    """One sample per :func:`log_rows` row: its context, values and label."""
+    ends = {
+        stmt_id: (contexts[stmt_id], 1 + contexts[stmt_id].n_operands)
+        for stmt_id in np.unique(keyed[:, 0]).tolist()
+    }
+    new = object.__new__
+    samples: list[Sample] = []
+    labels = (lhs != 0).view(np.int8).tolist()
+    for row, label in zip(keyed.tolist(), labels):
+        context, end = ends[row[0]]
+        sample = new(Sample)
+        # Frozen dataclass: fill the instance dict directly (its
+        # __init__ pays an object.__setattr__ per field).
+        sample.__dict__.update(
+            context=context, operand_values=tuple(row[1:end]), label=label, design=design
+        )
+        samples.append(sample)
+    return samples
+
+
+def record_samples(
+    contexts: dict[int, StatementContext],
+    traces: list[Trace],
+    restrict_to: set[int] | None = None,
+    design: str = "",
+):
+    """``(stmt_id, sample)`` per execution record, in trace order.
+
+    The record-by-record path, for sets holding >63-bit values.
+    """
+    for trace in traces:
+        for execution in trace.executions:
+            if restrict_to is not None and execution.stmt_id not in restrict_to:
+                continue
+            context = contexts.get(execution.stmt_id)
+            if context is None:
+                continue
+            sample = sample_from_execution(context, execution, design)
+            if sample is not None:
+                yield execution.stmt_id, sample
 
 
 def build_samples(
@@ -370,10 +508,10 @@ def build_samples(
 ) -> list[Sample]:
     """Convert traces into model samples.
 
-    Traces that carry a columnar execution view (every simulator-recorded
-    or deserialized trace) are featurized without materializing their
-    record list; hand-assembled traces and >63-bit values take the
-    record-by-record path.
+    The rows come off the traces' event logs (:func:`log_rows`) and are
+    put back in record order, trace by trace, so samples equal the
+    record-by-record loop's; sets holding >63-bit values take that loop
+    (:func:`record_samples`).
 
     Args:
         contexts: Statement contexts keyed by stmt_id.
@@ -384,23 +522,13 @@ def build_samples(
     Returns:
         Samples for every execution of every context-bearing statement.
     """
-    samples: list[Sample] = []
-    for trace in traces:
-        columns = trace.execution_columns()
-        if columns is not None and _columnar_samples(
-            columns, contexts, design, restrict_to, samples
-        ):
-            continue
-        for execution in trace.executions:
-            if restrict_to is not None and execution.stmt_id not in restrict_to:
-                continue
-            context = contexts.get(execution.stmt_id)
-            if context is None:
-                continue
-            sample = sample_from_execution(context, execution, design)
-            if sample is not None:
-                samples.append(sample)
-    return samples
+    rows = log_rows(contexts, traces, restrict_to)
+    if rows is None:
+        pairs = record_samples(contexts, traces, restrict_to, design)
+        return [sample for _stmt_id, sample in pairs]
+    keyed, lhs, order = rows
+    sort = np.argsort(order, kind="stable")
+    return row_samples(keyed[sort], lhs[sort], contexts, design)
 
 
 def train_test_split(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.contexts import StatementContext
-from ..sim.trace import Trace
+from ..sim.trace import SuiteLog, Trace
 from ..verilog.ast_nodes import Module
 from ..verilog.printer import statement_source
 from .explainer import Heatmap
@@ -24,20 +24,16 @@ _BINS = " ░▒▓█"
 def execution_coverage(traces: list[Trace]) -> dict[int, int]:
     """Per-statement execution counts across a trace set.
 
-    The coverage query behind heatmap annotations: recorded traces are
-    counted straight off their columnar view (one ``np.unique`` over the
-    slot column per trace — no record objects materialize); traces
-    without columns fall back to the record loop.
+    The coverage query behind heatmap annotations, counted off each
+    trace's lane of its event log (one ``np.unique`` per trace, no
+    record objects); a hand-assembled trace's records enter as a
+    one-lane log (:meth:`SuiteLog.from_records`).
     """
     counts: dict[int, int] = {}
     for trace in traces:
-        columns = trace.execution_columns()
-        if columns is not None:
-            for stmt_id, count in columns.execution_counts().items():
-                counts[stmt_id] = counts.get(stmt_id, 0) + count
-        else:
-            for execution in trace.executions:
-                counts[execution.stmt_id] = counts.get(execution.stmt_id, 0) + 1
+        log, lane = trace.execution_log() or (SuiteLog.from_records(trace.executions), 0)
+        for stmt_id, count in log.stmt_counts(lane).items():
+            counts[stmt_id] = counts.get(stmt_id, 0) + count
     return counts
 
 

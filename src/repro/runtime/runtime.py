@@ -40,15 +40,16 @@ worker pool:
   scored ``(outcome, localization)`` pairs.  Every chunk task carries the
   campaign context as one pickled blob (a target has only a handful of
   chunks), deserialized at most once per worker per campaign.
-* **Columnar trace wire format.**  Campaign traces never cross the
+* **Event-log trace wire format.**  Campaign traces never cross the
   pool; traces travel only in explicit :meth:`localize_many` shard
-  requests.  Those are columnar end to end: the simulator records
-  straight into :class:`~repro.sim.trace.ExecutionColumns` (a vector
-  lane's are compacted out of its suite log first, once per log and
-  for the shipped lanes only, by
-  :func:`~repro.sim.trace.compact_shipped_lanes`),
-  ``Trace.__getstate__`` ships those arrays as-is, and the worker
-  consumes them without materializing record objects.
+  requests.  The simulator records every trace as a lane of a
+  :class:`~repro.sim.trace.SuiteLog`, ``Trace.__getstate__`` ships that
+  lane's one-lane slice of the log, and the worker dedups straight off
+  it without materializing record objects.
+* **A dead worker costs one call.**  A worker that dies breaks its
+  ``ProcessPoolExecutor`` for good; the dispatch that sees the
+  ``BrokenProcessPool`` discards the pool and re-raises, and the next
+  dispatch spawns a fresh one.  Nothing is retried.
 
 Lifecycle: the runtime is cheap to construct (no processes until the
 first parallel dispatch), reusable across campaigns/corpora, and closed
@@ -58,14 +59,15 @@ owns one when ``SessionConfig.n_workers > 0``.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import multiprocessing
 import pickle
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
-from ..sim.trace import compact_shipped_lanes
 from .worker import (
     ModelPayload,
     StaleWorkerWeights,
@@ -268,6 +270,23 @@ class ExecutionRuntime:
             self._model.remove_weight_listener(self._on_weights_changed)
             self._model = None
         self._snapshot_cache = None
+        self._discard_pool()
+
+    @contextlib.contextmanager
+    def _dispatching(self) -> Iterator[None]:
+        """Discard a broken pool (a worker died) and re-raise.
+
+        Every dispatch runs its ``submit`` and ``result`` calls inside
+        this scope, so the call that meets a ``BrokenProcessPool`` fails
+        and the next one starts a fresh pool.
+        """
+        try:
+            yield
+        except BrokenProcessPool:
+            self._discard_pool()
+            raise
+
+    def _discard_pool(self) -> None:
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
@@ -296,10 +315,11 @@ class ExecutionRuntime:
         it.  Returns the worker PIDs that answered.
         """
         pool = self._ensure_pool()
-        futures = [
-            pool.submit(_task_warmup, 0.05) for _ in range(self.n_workers)
-        ]
-        return [future.result() for future in futures]
+        with self._dispatching():
+            futures = [
+                pool.submit(_task_warmup, 0.05) for _ in range(self.n_workers)
+            ]
+            return [future.result() for future in futures]
 
     # ------------------------------------------------------------------
     # Weights
@@ -337,8 +357,13 @@ class ExecutionRuntime:
         correctness premise.
         """
         blob = self._snapshot_blob()
-        for _ in range(self.n_workers):
-            self._pool.submit(_task_refresh_weights, blob, 0.02)
+        try:
+            for _ in range(self.n_workers):
+                self._pool.submit(_task_refresh_weights, blob, 0.02)
+        except BrokenProcessPool:
+            # The next dispatch starts a pool with the current weights.
+            self._discard_pool()
+            return
         self._pool_weight_epoch = self._weight_epoch
         self._counters.weight_refresh_dispatches += 1
 
@@ -390,50 +415,44 @@ class ExecutionRuntime:
         refresh = (
             self._snapshot_blob() if epoch != self._pool_weight_epoch else None
         )
-        # Shards pickle their traces: compact just the lanes they ship.
-        compact_shipped_lanes(
-            trace
-            for request in requests
-            for traces in (request.failing_traces, request.correct_traces)
-            for trace in traces
-        )
         shards = plan_shards(len(requests), self.n_workers)
-        futures = [
-            pool.submit(
-                _task_localize_shard,
-                epoch,
-                requests[start:end],
-                batch_size,
-                refresh,
-            )
-            for start, end in shards
-        ]
-        results: list["LocalizationResult"] = []
-        counters = self._counters
-        counters.localize_calls += 1
-        counters.tasks_dispatched += len(futures)
-        counters.last_shard_sizes = tuple(end - start for start, end in shards)
-        try:
-            for index, future in enumerate(futures):
-                try:
-                    shard_results, delta = future.result()
-                except StaleWorkerWeights:
-                    start, end = shards[index]
-                    counters.weight_refresh_dispatches += 1
-                    shard_results, delta = pool.submit(
-                        _task_localize_shard,
-                        epoch,
-                        requests[start:end],
-                        batch_size,
-                        self._snapshot_blob(),
-                    ).result()
-                results.extend(shard_results)
-                self._fold_delta(delta)
-        finally:
-            # A failed shard fails the call: drop the shards no worker
-            # has started.
-            for future in futures:
-                future.cancel()
+        with self._dispatching():
+            futures = [
+                pool.submit(
+                    _task_localize_shard,
+                    epoch,
+                    requests[start:end],
+                    batch_size,
+                    refresh,
+                )
+                for start, end in shards
+            ]
+            results: list["LocalizationResult"] = []
+            counters = self._counters
+            counters.localize_calls += 1
+            counters.tasks_dispatched += len(futures)
+            counters.last_shard_sizes = tuple(end - start for start, end in shards)
+            try:
+                for index, future in enumerate(futures):
+                    try:
+                        shard_results, delta = future.result()
+                    except StaleWorkerWeights:
+                        start, end = shards[index]
+                        counters.weight_refresh_dispatches += 1
+                        shard_results, delta = pool.submit(
+                            _task_localize_shard,
+                            epoch,
+                            requests[start:end],
+                            batch_size,
+                            self._snapshot_blob(),
+                        ).result()
+                    results.extend(shard_results)
+                    self._fold_delta(delta)
+            finally:
+                # A failed shard fails the call: drop the shards no worker
+                # has started.
+                for future in futures:
+                    future.cancel()
         return results
 
     def _fold_delta(self, delta: dict[str, int]) -> None:
@@ -478,21 +497,22 @@ class ExecutionRuntime:
                 _task_campaign_chunk, ctx_id, blob, epoch, refresh_blob, span, localize_batch
             )
 
-        futures = [submit(span, refresh) for span in chunks]
-        self._counters.campaigns_served += 1
-        self._counters.tasks_dispatched += len(futures)
-        try:
-            for span, future in zip(chunks, futures):
-                try:
-                    pairs, delta = future.result()
-                except StaleWorkerWeights:
-                    self._counters.weight_refresh_dispatches += 1
-                    pairs, delta = submit(span, self._snapshot_blob()).result()
-                self._fold_delta(delta)
-                yield from pairs
-        finally:
-            for future in futures:
-                future.cancel()
+        with self._dispatching():
+            futures = [submit(span, refresh) for span in chunks]
+            self._counters.campaigns_served += 1
+            self._counters.tasks_dispatched += len(futures)
+            try:
+                for span, future in zip(chunks, futures):
+                    try:
+                        pairs, delta = future.result()
+                    except StaleWorkerWeights:
+                        self._counters.weight_refresh_dispatches += 1
+                        pairs, delta = submit(span, self._snapshot_blob()).result()
+                    self._fold_delta(delta)
+                    yield from pairs
+            finally:
+                for future in futures:
+                    future.cancel()
 
     # ------------------------------------------------------------------
     # Corpus generation
@@ -505,17 +525,18 @@ class ExecutionRuntime:
         are in design order and bit-identical to the sequential path.
         """
         pool = self._ensure_pool()
-        futures = [
-            pool.submit(_task_corpus_design, index, source, spec, seed)
-            for index, source in enumerate(sources)
-        ]
-        self._counters.corpus_runs += 1
-        self._counters.tasks_dispatched += len(futures)
-        try:
-            return [future.result() for future in futures]
-        finally:
-            for future in futures:
-                future.cancel()
+        with self._dispatching():
+            futures = [
+                pool.submit(_task_corpus_design, index, source, spec, seed)
+                for index, source in enumerate(sources)
+            ]
+            self._counters.corpus_runs += 1
+            self._counters.tasks_dispatched += len(futures)
+            try:
+                return [future.result() for future in futures]
+            finally:
+                for future in futures:
+                    future.cancel()
 
     # ------------------------------------------------------------------
     # Introspection

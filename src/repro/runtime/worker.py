@@ -24,10 +24,11 @@ Task functions return plain picklable values.  A campaign chunk
 simulates, classifies and localizes its mutants on the worker and
 returns only scored outcomes and localization results, so campaign
 traces never cross the pool.  Traces travel only inside explicit
-sharded ``localize_many`` requests, in their columnar form (the
-simulator records struct-of-arrays natively and ``Trace`` serializes
-the same arrays), so the worker never materializes per-execution
-record objects for transport.  Localization tasks also return the
+sharded ``localize_many`` requests, each as a one-lane slice of its
+event log (the simulator records :class:`~repro.sim.trace.SuiteLog`
+lanes natively and ``Trace`` pickles its lane's slice), which the
+worker dedups as-is, so it never materializes per-execution record
+objects for transport.  Localization tasks also return the
 worker cache and memo hit/miss deltas, which the parent runtime
 aggregates into fleet-wide hit rates.
 """

@@ -6,7 +6,10 @@ are provided: the default lockstep vector engine (a module lowered once
 to instruction streams, translated to SWAR functions that run a whole
 testbench suite at once over packed lanes; a single trace is a one-lane
 suite) and the tree-walking interpreter, kept as the reference oracle
-and run for designs wider than a 63-bit lane.
+and run for designs wider than a 63-bit lane.  Both record executions
+in one format, the event-major :class:`SuiteLog` (a lane per trace: a
+vector suite's log has one per suite trace, an interpreter run's one);
+a recorded :class:`Trace` is a view of its lane.
 """
 
 from .compiler import (
@@ -32,18 +35,18 @@ from .testbench import (
     identify_clock,
     identify_reset,
 )
-from .trace import ExecutionColumns, StatementExecution, Trace
+from .trace import StatementExecution, SuiteLog, Trace
 
 __all__ = [
     "ENGINES",
     "CompiledProgram",
     "Evaluator",
-    "ExecutionColumns",
     "ExecutionRecorder",
     "SimulationError",
     "Simulator",
     "StatementExecution",
     "StimulusSuite",
+    "SuiteLog",
     "TestbenchConfig",
     "Trace",
     "clear_compile_cache",

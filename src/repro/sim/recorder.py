@@ -1,52 +1,48 @@
-"""Columnar-first execution recording for the interpreter.
+"""Execution recording for the interpreter.
 
 The paper's "free supervision" (§IV-C) is one execution record per
 assignment statement per cycle.  Materializing those as
 :class:`~repro.sim.trace.StatementExecution` objects costs one frozen
 dataclass, one operand-value tuple, and several attribute stores per
 execution — easily 10^5 allocations per trace set — only for downstream
-consumers (the explainer's vectorized dedup, the shard wire format) to
-repack them into :class:`~repro.sim.trace.ExecutionColumns` anyway.
+consumers (the explainer's dedup, training samples, the shard wire
+format) to read them as arrays anyway.
 
 :class:`ExecutionRecorder` inverts that: the interpreter appends
-executed facts straight into growing columns (statement slot, cycle, lhs
+executed facts straight into growing lists (statement slot, cycle, lhs
 value, flat operand values) against a statement-shape table resolved
 before the first cycle runs (``Evaluator.statement_shape`` per
-statement).  The vector engine's
-:class:`~repro.sim.vector.VectorRecorder` follows the same protocol over
-packed lanes, with the table resolved at compile time
-(``CompiledProgram.shapes``); it keeps one event log for the whole suite
-(:class:`~repro.sim.trace.SuiteLog`), whose on-demand per-lane columns
-are byte-identical to these.  Record objects are never
-constructed during simulation; :meth:`ExecutionRecorder.finish` hands the
-columns to the trace, where they stay the source of truth and the record
-list is a lazy derived view.
+statement), and :meth:`ExecutionRecorder.finish` turns them into a
+one-lane :class:`~repro.sim.trace.SuiteLog` over that table — the same
+format the vector engine's :class:`~repro.sim.vector.VectorRecorder`
+produces for a whole suite, with its table resolved at compile time
+(``CompiledProgram.shapes``).  Record objects are never constructed
+during simulation; the trace's record list is a lazy derived view of
+its lane.
 
 Combinational settle passes need dedup semantics (only the final settled
 evaluation of each statement per cycle is kept, ordered by statement id),
 so they stage into a reusable per-pass buffer that
-:meth:`ExecutionRecorder.commit_pass` folds into the main columns.
-Clock-edge records append to the main columns directly, in execution
+:meth:`ExecutionRecorder.commit_pass` folds into the main lists.
+Clock-edge records append to the main lists directly, in execution
 order — exactly the schedule the object-record path implemented.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .trace import ExecutionColumns
+from .trace import SuiteLog
 
 #: A statement-shape row — ``(stmt_id, target, operands, lhs_width)``,
-#: the exact layout of :attr:`ExecutionColumns.stmt_table`.
+#: the layout of :attr:`SuiteLog.shapes`.
 ShapeRow = tuple[int, str, tuple[str, ...], int]
 
 
 class _PassBuffer:
     """Reusable staging sink for one combinational settle pass.
 
-    Exposes the same four column attributes as the recorder itself, so
+    Exposes the same four list attributes as the recorder itself, so
     engine record paths append identically whether they target the main
-    columns (clock edge) or a pass stage (final comb evaluation).
+    lists (clock edge) or a pass stage (final comb evaluation).
     """
 
     __slots__ = ("stmt_slots", "cycles", "lhs_values", "flat_values")
@@ -65,7 +61,7 @@ class _PassBuffer:
 
 
 class ExecutionRecorder:
-    """Appends executed-assignment facts straight into growing columns.
+    """Appends executed-assignment facts straight into growing lists.
 
     Args:
         shapes: The statement-shape table (:data:`ShapeRow` per slot).
@@ -110,7 +106,7 @@ class ExecutionRecorder:
         return stage
 
     def commit_pass(self, cycle: int) -> None:
-        """Fold the staged comb pass into the main columns.
+        """Fold the staged comb pass into the main lists.
 
         Keeps the *last* staged record per statement and appends the
         survivors ordered by statement id — the settled-value dedup both
@@ -139,32 +135,12 @@ class ExecutionRecorder:
         stage.clear()
 
     # -- finalization --------------------------------------------------
-    def finish(self) -> ExecutionColumns:
-        """Freeze the columns, compacting the shape table to first use.
+    def finish(self) -> SuiteLog:
+        """The recorded run as a one-lane, all-active :class:`SuiteLog`.
 
-        The compacted table keeps only statements that actually executed,
-        in first-occurrence order — byte-equivalent to
-        :meth:`ExecutionColumns.pack` over the materialized record list,
-        so recorded and repacked traces are identical on the wire.  Value
-        columns narrow through :meth:`ExecutionColumns._column`, which is
-        where the >63-bit Python-list fallback survives.
+        Slots index the full shape table; values are int64, or
+        ``object`` when a >63-bit value overflows a lane.
         """
-        shapes = self.shapes
-        if self.stmt_slots:
-            slots = np.asarray(self.stmt_slots, dtype=np.int64)
-            used_slots, first_seen = np.unique(slots, return_index=True)
-            used = used_slots[np.argsort(first_seen, kind="stable")]
-            remap = np.zeros(len(shapes), dtype=np.int64)
-            remap[used] = np.arange(used.size)
-            stmt_slots = remap[slots].astype(np.int32)
-            stmt_table = [shapes[slot] for slot in used.tolist()]
-        else:
-            stmt_slots = np.zeros(0, dtype=np.int32)
-            stmt_table = []
-        return ExecutionColumns(
-            stmt_table,
-            stmt_slots,
-            np.asarray(self.cycles, dtype=np.int32),
-            ExecutionColumns._column(self.lhs_values),
-            ExecutionColumns._column(self.flat_values),
+        return SuiteLog.one_lane(
+            self.shapes, self.stmt_slots, self.cycles, self.lhs_values, self.flat_values
         )

@@ -16,11 +16,12 @@ stimulus and the clocked block's ``if (!rst_n)`` branch performs the reset
 on the next cycle boundary, which is indistinguishable from a true async
 reset at cycle granularity.
 
-Every executed assignment is recorded **columnar**: both engines append
-(slot, cycle, lhs value, operand values) straight into a recorder against
-a statement-shape table resolved before the first cycle — no
+Every executed assignment is recorded into an event log: both engines
+append (slot, cycle, lhs value, operand values) straight into a recorder
+against a statement-shape table resolved before the first cycle, and
+finish as a :class:`~repro.sim.trace.SuiteLog` — no
 :class:`~repro.sim.trace.StatementExecution` objects are constructed
-during the run; the trace's record list is a lazy view over the columns.
+during the run; the trace's record list is a lazy view of its lane.
 Combinational statements keep only the record of the final (settled)
 evaluation pass of the cycle.
 

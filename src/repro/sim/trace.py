@@ -6,35 +6,33 @@ for every assignment statement that actually executed in a cycle, with
 the values its operands held at evaluation time.  This is the "free
 supervision" of paper §IV-C.
 
-The executions are **columnar-first**: both simulator engines record
-straight into :class:`ExecutionColumns` (via
-:class:`repro.sim.recorder.ExecutionRecorder`), and a recorded trace's
-``executions`` attribute is a :class:`_LazyExecutions` view over those
-columns.  :class:`StatementExecution` objects are a *derived*
-representation, materialized only when something actually indexes or
-iterates the record list; column-aware consumers (the explainer's
-vectorized dedup, :meth:`Trace.executions_of`,
+Recorded executions have one format, :class:`SuiteLog`: an event-major
+log whose lanes are traces.  The vector engine records one log per
+suite (:class:`repro.sim.vector.VectorRecorder`), the interpreter a
+one-lane log per run (:class:`repro.sim.recorder.ExecutionRecorder`),
+and a recorded trace's ``executions`` attribute is a
+:class:`_LazyExecutions` view of its ``(log, lane)``.
+:class:`StatementExecution` objects are a *derived* representation,
+materialized only when something actually indexes or iterates the
+record list; log-aware consumers (the explainer's dedup, training
+samples, coverage, :meth:`Trace.executions_of`,
 :meth:`Trace.executed_stmt_ids`, serialization) never pay for them.
+Hand-assembled record lists enter the format through
+:meth:`SuiteLog.from_records`.
 
-Traces of a vector-engine suite are *lane views*: their executions are
-one lane of the suite's event-major :class:`SuiteLog`, ``outputs`` is a
-:class:`_LaneOutputs` view of the lane's column of the suite's output
-matrix, and ``stimulus`` a view of the lane's row of its
-:class:`~repro.sim.testbench.StimulusSuite`.  The execution dedup reads
-the log directly; a lane's :class:`ExecutionColumns` are compacted out of
-it only when a per-lane consumer (pickling, training, coverage, record
-iteration) asks, and then for every lane of the log at once; a process
-boundary that knows every trace it ships compacts just those lanes
-first (:func:`compact_shipped_lanes`).  Lane views read like the lists
-they stand for and pickle to just their own lane's data.
+Traces of a vector-engine suite are *lane views*: besides their
+executions, ``outputs`` is a :class:`_LaneOutputs` view of the lane's
+column of the suite's output matrix and ``stimulus`` a view of the
+lane's row of its :class:`~repro.sim.testbench.StimulusSuite`.  Lane
+views read like the lists they stand for and pickle to just their own
+lane's data: a pickled trace's executions are a one-lane slice of its
+log (:meth:`SuiteLog.lane_slice`).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -43,9 +41,6 @@ import numpy as np
 #: mismatch.  The angle brackets keep it disjoint from every legal
 #: Verilog identifier.
 LENGTH_DIVERGENCE = "<n_cycles>"
-
-_I32_MIN = np.iinfo(np.int32).min
-_I32_MAX = np.iinfo(np.int32).max
 
 
 @dataclass(frozen=True)
@@ -74,194 +69,6 @@ class StatementExecution:
     def operand_map(self) -> dict[str, int]:
         """Operand name -> value mapping for this execution."""
         return dict(zip(self.operands, self.operand_values))
-
-
-class ExecutionColumns:
-    """The executions of one trace in columnar (struct-of-arrays) form.
-
-    Layout: ``stmt_table`` holds one ``(stmt_id, target, operands,
-    lhs_width)`` row per distinct statement shape; per execution there is
-    a slot into that table, a cycle, an lhs value, and a span of
-    ``operand_width(slot)`` entries in the flat operand-value column.
-    Execution order is preserved exactly.
-
-    Value columns are int64 numpy arrays when every value fits (the
-    common case — they pickle as flat buffers and feed the explainer's
-    vectorized dedup without conversion) and plain Python lists when a
-    >63-bit simulator value forces arbitrary precision.
-
-    Since the simulator records columnar natively
-    (:class:`repro.sim.recorder.ExecutionRecorder`), this is the source
-    of truth for a recorded trace in-process and on the wire;
-    :meth:`pack` remains for manually assembled record lists and
-    round-trip testing.
-    """
-
-    __slots__ = ("stmt_table", "stmt_slots", "cycles", "lhs_values", "flat_values")
-
-    def __init__(self, stmt_table, stmt_slots, cycles, lhs_values, flat_values):
-        self.stmt_table = stmt_table
-        self.stmt_slots = stmt_slots
-        self.cycles = cycles
-        self.lhs_values = lhs_values
-        self.flat_values = flat_values
-
-    def __len__(self) -> int:
-        return len(self.stmt_slots)
-
-    @staticmethod
-    def _column(values: list[int]):
-        """The narrowest integer array, or the list on >63-bit overflow."""
-        try:
-            column = np.asarray(values, dtype=np.int64)
-        except OverflowError:
-            return values
-        if column.size and (
-            column.min() >= np.iinfo(np.int32).min
-            and column.max() <= np.iinfo(np.int32).max
-        ):
-            return column.astype(np.int32)
-        return column
-
-    @classmethod
-    def pack(cls, executions: list[StatementExecution]) -> "ExecutionColumns":
-        stmt_table: list[tuple[int, str, tuple[str, ...], int]] = []
-        index_of: dict[tuple[int, str, tuple[str, ...], int], int] = {}
-        stmt_slots: list[int] = []
-        cycles: list[int] = []
-        lhs_values: list[int] = []
-        flat_values: list[int] = []
-        for execution in executions:
-            key = (
-                execution.stmt_id,
-                execution.target,
-                execution.operands,
-                execution.lhs_width,
-            )
-            slot = index_of.get(key)
-            if slot is None:
-                slot = index_of[key] = len(stmt_table)
-                stmt_table.append(key)
-            stmt_slots.append(slot)
-            cycles.append(execution.cycle)
-            lhs_values.append(execution.lhs_value)
-            flat_values.extend(execution.operand_values)
-        return cls(
-            stmt_table,
-            np.asarray(stmt_slots, dtype=np.int32),
-            np.asarray(cycles, dtype=np.int32),
-            cls._column(lhs_values),
-            cls._column(flat_values),
-        )
-
-    def unpack(self) -> list[StatementExecution]:
-        """Rebuild the execution records, identically and in order."""
-        executions: list[StatementExecution] = []
-        new = object.__new__
-        flat = self.flat_values
-        if isinstance(flat, np.ndarray):
-            flat = flat.tolist()
-        lhs_column = self.lhs_values
-        if isinstance(lhs_column, np.ndarray):
-            lhs_column = lhs_column.tolist()
-        position = 0
-        for slot, cycle, lhs_value in zip(
-            self.stmt_slots.tolist(), self.cycles.tolist(), lhs_column
-        ):
-            stmt_id, target, operands, lhs_width = self.stmt_table[slot]
-            end = position + len(operands)
-            execution = new(StatementExecution)
-            # Frozen dataclass: populate the instance dict directly
-            # (object.__setattr__ per field costs ~4x as much, which
-            # matters at 10^5 records per trace set).
-            execution.__dict__.update(
-                stmt_id=stmt_id,
-                cycle=cycle,
-                target=target,
-                operands=operands,
-                operand_values=tuple(flat[position:end]),
-                lhs_value=lhs_value,
-                lhs_width=lhs_width,
-            )
-            executions.append(execution)
-            position = end
-        return executions
-
-    def operand_offsets(self) -> np.ndarray:
-        """Start offset of each execution's span in ``flat_values``.
-
-        Length ``len(self) + 1``; execution ``i`` owns
-        ``flat_values[offsets[i]:offsets[i + 1]]``.
-        """
-        offsets = np.zeros(len(self.stmt_slots) + 1, dtype=np.int64)
-        if len(self.stmt_slots):
-            widths = np.fromiter(
-                (len(row[2]) for row in self.stmt_table),
-                dtype=np.int64,
-                count=len(self.stmt_table),
-            )
-            np.cumsum(widths[self.stmt_slots], out=offsets[1:])
-        return offsets
-
-    def executed_stmt_ids(self) -> set[int]:
-        """Ids of statements with at least one execution (no unpack)."""
-        if not len(self.stmt_slots):
-            return set()
-        table = self.stmt_table
-        return {table[slot][0] for slot in np.unique(self.stmt_slots).tolist()}
-
-    def execution_counts(self) -> dict[int, int]:
-        """Per-statement execution counts — the coverage query.
-
-        One ``np.unique`` over the slot column; no records materialize.
-        """
-        if not len(self.stmt_slots):
-            return {}
-        slots, counts = np.unique(self.stmt_slots, return_counts=True)
-        table = self.stmt_table
-        return {
-            table[slot][0]: count
-            for slot, count in zip(slots.tolist(), counts.tolist())
-        }
-
-    def executions_of(self, stmt_id: int) -> list[StatementExecution]:
-        """Records of one statement only, gathered straight off the columns.
-
-        Materializes just the matching rows — a trace-wide unpack is never
-        paid for a single-statement query.
-        """
-        wanted = [
-            slot for slot, row in enumerate(self.stmt_table) if row[0] == stmt_id
-        ]
-        if not wanted:
-            return []
-        rows = np.flatnonzero(np.isin(self.stmt_slots, wanted))
-        if not rows.size:
-            return []
-        offsets = self.operand_offsets()
-        flat = self.flat_values
-        if isinstance(flat, np.ndarray):
-            flat = flat.tolist()
-        lhs_column = self.lhs_values
-        new = object.__new__
-        executions: list[StatementExecution] = []
-        for row in rows.tolist():
-            stmt_id_, target, operands, lhs_width = self.stmt_table[
-                int(self.stmt_slots[row])
-            ]
-            start = int(offsets[row])
-            execution = new(StatementExecution)
-            execution.__dict__.update(
-                stmt_id=stmt_id_,
-                cycle=int(self.cycles[row]),
-                target=target,
-                operands=operands,
-                operand_values=tuple(flat[start : start + len(operands)]),
-                lhs_value=int(lhs_column[row]),
-                lhs_width=lhs_width,
-            )
-            executions.append(execution)
-        return executions
 
 
 class _LazyList:
@@ -304,21 +111,22 @@ class _LazyList:
 
 
 class SuiteLog:
-    """The executions of a whole recorded suite, event-major.
+    """The recorded executions of a suite's lanes, event-major.
 
-    One event per record the engine emitted, in emission order:
-    ``slots``/``cycles`` are ``[E]`` (a slot indexes :attr:`shapes`, the
-    statement-shape table, whose stmt ids and operand counts are
-    :attr:`stmt_ids` and :attr:`widths`), ``lhs`` and ``active`` are
-    ``[E, N]`` over the suite's N lanes, and event ``e`` owns the operand
-    rows ``ops[op_starts[e] : op_starts[e] + widths[slots[e]]]`` of the
-    ``[F, N]`` operand matrix.  Lane ``n`` executed event ``e`` iff
-    ``active[e, n]``.
+    The one container of recorded executions: a vector suite's log has
+    one lane per trace, an interpreter run's (and a pickled trace's) has
+    one lane.  One event per record the engine emitted, in emission
+    order: ``slots``/``cycles`` are ``[E]`` (a slot indexes
+    :attr:`shapes`, the statement-shape table, whose stmt ids and
+    operand counts are :attr:`stmt_ids` and :attr:`widths`), ``lhs`` and
+    ``active`` are ``[E, N]`` over the N lanes, and event ``e`` owns the
+    ``op_counts[e]`` operand rows from ``op_starts[e]`` on of the
+    ``[F, N]`` operand matrix.  Lane ``n`` executed event ``e``
+    iff ``active[e, n]``.
 
-    The execution dedup groups straight off these arrays.  Per-lane
-    :class:`ExecutionColumns` exist only on demand
-    (:meth:`lane_columns`), built for every lane in one compaction and
-    cached; lane execution counts never need them.
+    Value arrays are int64, or ``object`` when a value overflows 63 bits
+    (an interpreter run of a wide design); the execution dedup and
+    sample gathers read int64 logs only.
     """
 
     __slots__ = (
@@ -328,135 +136,167 @@ class SuiteLog:
         "slots",
         "cycles",
         "lhs",
+        "op_counts",
         "op_starts",
         "ops",
         "active",
-        "_lanes",
         "_counts",
     )
 
-    def __init__(self, shapes, slots, cycles, lhs, ops, active):
+    def __init__(self, shapes, slots, cycles, lhs, ops, active, stmt_ids=None, widths=None):
         self.shapes = shapes
-        self.stmt_ids = np.fromiter((row[0] for row in shapes), np.int64, len(shapes))
-        self.widths = np.fromiter((len(row[2]) for row in shapes), np.int64, len(shapes))
+        # A log over another log's table (a lane slice) shares its
+        # derived columns instead of walking the table again.
+        if stmt_ids is None:
+            stmt_ids = np.fromiter((row[0] for row in shapes), np.int64, len(shapes))
+            widths = np.fromiter((len(row[2]) for row in shapes), np.int64, len(shapes))
+        self.stmt_ids = stmt_ids
+        self.widths = widths
         self.slots = slots
         self.cycles = cycles
         self.lhs = lhs
-        self.op_starts = _bounds(self.widths[slots])[:-1]
+        self.op_counts = self.widths[slots]
+        self.op_starts = _bounds(self.op_counts)[:-1]
         self.ops = ops
         self.active = active
-        self._lanes: list[ExecutionColumns] | None = None
         self._counts: list[int] | None = None
 
     @classmethod
-    def stack(cls, columns: list[ExecutionColumns]) -> "SuiteLog | None":
-        """One lane, all active: the given traces' columns back to back.
+    def one_lane(cls, shapes, slots, cycles, lhs, flat) -> "SuiteLog":
+        """A one-lane, all-active log of plain per-event lists.
 
-        Traces that are not vector lanes (interpreter runs, deserialized
-        and :meth:`Trace.columnize`-d traces) enter the event-log dedup
-        this way, a whole set in one log.  None when a >63-bit value
-        kept some trace's columns as Python lists.
+        ``flat`` holds each event's operand values back to back.
         """
-        for trace_columns in columns:
-            if not (
-                isinstance(trace_columns.flat_values, np.ndarray)
-                and isinstance(trace_columns.lhs_values, np.ndarray)
-            ):
-                return None
-        # One shape table for the stack: each distinct row interned once.
-        index: defaultdict[tuple, int] = defaultdict()
-        index.default_factory = index.__len__
-        rows = chain.from_iterable(trace_columns.stmt_table for trace_columns in columns)
-        table = np.fromiter(map(index.__getitem__, rows), np.int64)
-        table_starts = _bounds([len(c.stmt_table) for c in columns])[:-1]
-        slots = table[
-            np.concatenate([c.stmt_slots for c in columns])
-            + np.repeat(table_starts, [len(c) for c in columns])
-        ]
         return cls(
-            tuple(index),
-            slots,
-            np.concatenate([c.cycles for c in columns]),
-            np.concatenate([c.lhs_values for c in columns]).reshape(-1, 1),
-            np.concatenate([c.flat_values for c in columns]).reshape(-1, 1),
+            shapes,
+            np.asarray(slots, dtype=np.int64),
+            np.asarray(cycles, dtype=np.int64),
+            _value_column(lhs),
+            _value_column(flat),
             np.ones((len(slots), 1), dtype=bool),
+        )
+
+    @classmethod
+    def from_records(cls, executions: Iterable[StatementExecution]) -> "SuiteLog":
+        """One lane holding ``executions`` in order, over their first-use
+        shape table: how hand-assembled record lists enter the log format.
+        """
+        index: dict[tuple, int] = {}
+        slots: list[int] = []
+        cycles: list[int] = []
+        lhs: list[int] = []
+        flat: list[int] = []
+        for execution in executions:
+            slot = index.setdefault(
+                (
+                    execution.stmt_id,
+                    execution.target,
+                    execution.operands,
+                    execution.lhs_width,
+                ),
+                len(index),
+            )
+            slots.append(slot)
+            cycles.append(execution.cycle)
+            lhs.append(execution.lhs_value)
+            flat.extend(execution.operand_values)
+        return cls.one_lane(tuple(index), slots, cycles, lhs, flat)
+
+    def __reduce__(self):
+        return (
+            SuiteLog,
+            (
+                self.shapes,
+                self.slots,
+                self.cycles,
+                self.lhs,
+                self.ops,
+                self.active,
+                self.stmt_ids,
+                self.widths,
+            ),
         )
 
     @property
     def n_lanes(self) -> int:
         return self.active.shape[1]
 
+    @property
+    def wide(self) -> bool:
+        """True when a >63-bit value keeps the value arrays as ``object``."""
+        return self.lhs.dtype == object or self.ops.dtype == object
+
     def lane_count(self, lane: int) -> int:
-        """Executions recorded in one lane, without compacting."""
+        """Executions recorded in one lane."""
         if self._counts is None:
             self._counts = np.count_nonzero(self.active, axis=0).tolist()
         return self._counts[lane]
 
-    def lane_columns(self) -> list[ExecutionColumns]:
-        """One :class:`ExecutionColumns` per lane, interpreter-byte-identical.
+    def lane_slice(self, lane: int) -> "SuiteLog":
+        """One lane alone: its events, their operand rows, the same shapes.
 
-        One lane-major compaction for the whole suite, run once per log:
-        ``np.nonzero`` over the transposed active mask lists every lane's
-        executions in order, and one ``np.unique`` over ``lane * S +
-        slot`` yields every lane's first-use statement table and slot
-        remap.  Each lane's columns are contiguous slices of the
-        resulting lane-major buffers, narrowed to int32 per lane exactly
-        as the scalar recorder does.
+        What a pickled lane ships; a one-lane, all-active log is its own
+        slice.
         """
-        if self._lanes is None:
-            self._lanes = self._compact()
-        return self._lanes
+        if self.n_lanes == 1 and self.lane_count(0) == len(self.slots):
+            return self
+        mask = self.active[:, lane]
+        return SuiteLog(
+            self.shapes,
+            self.slots[mask],
+            self.cycles[mask],
+            self.lhs[mask, lane : lane + 1],
+            self.ops[np.repeat(mask, self.op_counts), lane : lane + 1],
+            np.ones((self.lane_count(lane), 1), dtype=bool),
+            self.stmt_ids,
+            self.widths,
+        )
 
-    def _compact(self, lanes: list[int] | None = None) -> list[ExecutionColumns]:
-        """Every lane's columns, or those of the listed ``lanes`` only."""
+    def records(self, lane: int, mask: np.ndarray | None = None) -> list[StatementExecution]:
+        """One lane's execution records in order; with ``mask``, only the
+        events it selects (a subset of the lane's active events)."""
+        if mask is None:
+            mask = self.active[:, lane]
+        flat = self.ops[np.repeat(mask, self.op_counts), lane].tolist()
         shapes = self.shapes
-        slots, cycles, lhs, ops, active = self.slots, self.cycles, self.lhs, self.ops, self.active
-        if lanes is not None:
-            lhs, ops, active = lhs[:, lanes], ops[:, lanes], active[:, lanes]
-        n = active.shape[1]
-        op_counts = self.widths[slots]
-
-        # (lane, event) pairs, lane-major: each lane's executions in order.
-        lane_of, event_of = np.nonzero(active.T)
-        bounds = _bounds(np.bincount(lane_of, minlength=n))
-
-        # First-use statement tables: sorting the distinct (lane, slot)
-        # keys by first pair index orders them by lane, then first use.
-        keys = lane_of * len(shapes) + slots[event_of]
-        used, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        order = np.argsort(first, kind="stable")
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        used = used[order]
-        table_bounds = _bounds(np.bincount(used // len(shapes), minlength=n))
-        table_slots = (used % len(shapes)).tolist()
-        stmt_slots = (rank[inverse] - table_bounds[lane_of]).astype(np.int32)
-        pair_cycles = cycles[event_of].astype(np.int32)
-        pair_lhs = lhs[event_of, lane_of]
-
-        # Operand values: each pair's span of the flat op rows, in order.
-        pair_ops = op_counts[event_of]
-        op_bounds = _bounds(pair_ops)
-        flat_rows = np.repeat(self.op_starts[event_of] - op_bounds[:-1], pair_ops)
-        flat_rows += np.arange(flat_rows.size)
-        flat_values = ops[flat_rows, np.repeat(lane_of, pair_ops)]
-        flat_bounds = op_bounds[bounds]
-
-        lhs_columns = _narrowed(pair_lhs, bounds)
-        flat_columns = _narrowed(flat_values, flat_bounds)
-        bounds_l = bounds.tolist()
-        table_l = table_bounds.tolist()
-        flat_l = flat_bounds.tolist()
-        return [
-            ExecutionColumns(
-                [shapes[slot] for slot in table_slots[table_l[lane] : table_l[lane + 1]]],
-                stmt_slots[bounds_l[lane] : bounds_l[lane + 1]],
-                pair_cycles[bounds_l[lane] : bounds_l[lane + 1]],
-                lhs_columns[lane][bounds_l[lane] : bounds_l[lane + 1]],
-                flat_columns[lane][flat_l[lane] : flat_l[lane + 1]],
+        new = object.__new__
+        executions: list[StatementExecution] = []
+        position = 0
+        for slot, cycle, lhs_value in zip(
+            self.slots[mask].tolist(),
+            self.cycles[mask].tolist(),
+            self.lhs[mask, lane].tolist(),
+        ):
+            stmt_id, target, operands, lhs_width = shapes[slot]
+            end = position + len(operands)
+            execution = new(StatementExecution)
+            # Frozen dataclass: populate the instance dict directly
+            # (object.__setattr__ per field costs ~4x as much, which
+            # matters at 10^5 records per trace set).
+            execution.__dict__.update(
+                stmt_id=stmt_id,
+                cycle=cycle,
+                target=target,
+                operands=operands,
+                operand_values=tuple(flat[position:end]),
+                lhs_value=lhs_value,
+                lhs_width=lhs_width,
             )
-            for lane in range(n)
-        ]
+            executions.append(execution)
+            position = end
+        return executions
+
+    def records_of(self, lane: int, stmt_id: int) -> list[StatementExecution]:
+        """One lane's records of one statement, gathered off the log."""
+        matching = self.stmt_ids[self.slots] == stmt_id
+        return self.records(lane, self.active[:, lane] & matching)
+
+    def stmt_counts(self, lane: int) -> dict[int, int]:
+        """Per-statement execution counts of one lane: the coverage query."""
+        ids, counts = np.unique(
+            self.stmt_ids[self.slots[self.active[:, lane]]], return_counts=True
+        )
+        return dict(zip(ids.tolist(), counts.tolist()))
 
 
 def _bounds(counts: np.ndarray) -> np.ndarray:
@@ -466,65 +306,37 @@ def _bounds(counts: np.ndarray) -> np.ndarray:
     return bounds
 
 
-def _narrowed(values: np.ndarray, bounds: np.ndarray) -> list[np.ndarray]:
-    """Per segment, the buffer its int32/int64 column is a slice of.
-
-    A non-empty segment within int32 range narrows, like
-    ``ExecutionColumns._column``; the cast runs once for the batch.
-    """
-    counts = np.diff(bounds)
-    fits = np.zeros(len(counts), dtype=bool)
-    filled = counts > 0
-    if filled.any():
-        starts = bounds[:-1][filled]
-        fits[filled] = (np.minimum.reduceat(values, starts) >= _I32_MIN) & (
-            np.maximum.reduceat(values, starts) <= _I32_MAX
-        )
-    if not fits.any():
-        return [values] * len(counts)
-    narrow = values.astype(np.int32)
-    return [narrow if fit else values for fit in fits.tolist()]
+def _value_column(values: list[int]) -> np.ndarray:
+    """``[len(values), 1]`` int64, or ``object`` on >63-bit overflow."""
+    try:
+        column = np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        column = np.empty(len(values), dtype=object)
+        column[:] = values
+    return column.reshape(-1, 1)
 
 
 class _LazyExecutions(_LazyList):
-    """Sequence facade over one trace's executions.
+    """Sequence facade over one lane of a :class:`SuiteLog`.
 
-    Holds either the trace's :class:`ExecutionColumns` (interpreter runs,
-    deserialized and :meth:`Trace.columnize`-d traces) or a ``(log,
-    lane)`` pair into a vector suite's :class:`SuiteLog`, whose
-    :attr:`columns` compact on first access.  Column-aware consumers
-    read :attr:`columns` (or, for the dedup, the log) and never pay for
-    object construction; everything else transparently materializes on
-    first access.  ``len()`` never compacts.
+    Log-aware consumers (the execution dedup, training samples,
+    coverage, pickling) read :attr:`log` and never pay for object
+    construction; everything else materializes the lane's records on
+    first access.  ``len()`` reads the lane's active count.
     """
 
-    __slots__ = ("_columns", "log", "lane")
+    __slots__ = ("log", "lane")
 
-    def __init__(
-        self,
-        columns: ExecutionColumns | None = None,
-        log: SuiteLog | None = None,
-        lane: int = 0,
-    ):
+    def __init__(self, log: SuiteLog, lane: int = 0):
         super().__init__()
-        self._columns = columns
         self.log = log
         self.lane = lane
 
-    @property
-    def columns(self) -> ExecutionColumns:
-        columns = self._columns
-        if columns is None:
-            columns = self._columns = self.log.lane_columns()[self.lane]  # type: ignore[union-attr]
-        return columns
-
     def _build(self) -> list[StatementExecution]:
-        return self.columns.unpack()
+        return self.log.records(self.lane)
 
     def __len__(self) -> int:
-        if self._columns is None:
-            return self.log.lane_count(self.lane)  # type: ignore[union-attr]
-        return len(self._columns)
+        return self.log.lane_count(self.lane)
 
 
 class _LaneOutputs(_LazyList):
@@ -575,17 +387,16 @@ class _LaneOutputs(_LazyList):
 class Trace:
     """A full simulation run of one design under one stimulus.
 
-    Recorded traces are columnar end to end: the simulator records
-    columns (the interpreter) or one event log per suite (the vector
-    engine) natively, never constructing a :class:`StatementExecution`
-    during the run; ``executions`` is a :class:`_LazyExecutions` view
-    over those columns or over the trace's lane of the log, and
-    serialization ships the column arrays as-is — zero repacking on
-    either side of a process boundary (localization shards receive
-    traces; a recorded trace holds easily 10^5 executions per shard).
-    The record list materializes only when something explicitly indexes
-    or iterates it; the inference fast path dedups straight off the log
-    (:meth:`execution_log`) and never does.  ``executions`` is a plain
+    Recorded traces are log views end to end: both engines record a
+    :class:`SuiteLog` natively (one lane per vector-suite trace, one
+    lane for an interpreter run), never constructing a
+    :class:`StatementExecution` during the run; ``executions`` is a
+    :class:`_LazyExecutions` view of the trace's lane, and
+    serialization ships that lane's slice of the log (a one-lane log)
+    with zero repacking on either side of a process boundary.  The
+    record list materializes only when something explicitly indexes or
+    iterates it; the dedup, training samples and coverage read the log
+    (:meth:`execution_log`) and never do.  ``executions`` is a plain
     (possibly empty) record list only for unrecorded runs and manually
     assembled traces.
 
@@ -600,61 +411,30 @@ class Trace:
     executions: list[StatementExecution] = field(default_factory=list)
     is_failure: bool = False
 
-    def execution_columns(self) -> ExecutionColumns | None:
-        """The columnar execution view, when this trace carries one.
+    def execution_log(self) -> tuple[SuiteLog, int] | None:
+        """``(log, lane)`` for a recorded or deserialized trace, else None.
 
-        Recorded and deserialized traces always do (a vector lane
-        compacts its suite's log on the first such call); manually
-        assembled traces (tests, dynamic slices) return None until
-        :meth:`columnize` packs them.
+        None only for unrecorded runs and hand-assembled traces, whose
+        ``executions`` is a plain record list.
         """
         executions = self.executions
         if isinstance(executions, _LazyExecutions):
-            return executions.columns
-        return None
-
-    def execution_log(self) -> tuple[SuiteLog, int] | None:
-        """``(log, lane)`` for a vector-engine lane, else None.
-
-        A lane's executions live in its suite's :class:`SuiteLog`; the
-        execution dedup reads them there without compacting the lane.
-        """
-        executions = self.executions
-        if isinstance(executions, _LazyExecutions) and executions.log is not None:
             return executions.log, executions.lane
         return None
 
-    def columnize(self) -> ExecutionColumns:
-        """The columnar execution view, packing (once) if necessary.
-
-        Simulator-recorded and deserialized traces already carry their
-        columns, so this is a plain attribute read for them; the packing
-        shim survives only for traces assembled from record objects by
-        hand (tests, dynamic slices).  Packed columns are cached on the
-        trace — the record list is kept, so nothing later re-pays
-        :meth:`ExecutionColumns.unpack` — and serialization reuses them
-        via ``__getstate__``.
-        """
-        executions = self.executions
-        if isinstance(executions, _LazyExecutions):
-            return executions.columns
-        lazy = _LazyExecutions(ExecutionColumns.pack(executions))
-        lazy._records = executions
-        self.executions = lazy
-        return lazy.columns
-
     def __getstate__(self) -> dict:
         state = {k: v for k, v in self.__dict__.items() if k != "executions"}
-        columns = self.execution_columns()
-        if columns is None:
-            columns = ExecutionColumns.pack(self.executions)
-        state["_exec_columns"] = columns
+        located = self.execution_log()
+        if located is None:
+            state["_exec_log"] = SuiteLog.from_records(self.executions)
+        else:
+            state["_exec_log"] = located[0].lane_slice(located[1])
         return state
 
     def __setstate__(self, state: dict) -> None:
-        columns = state.pop("_exec_columns")
+        log = state.pop("_exec_log")
         self.__dict__.update(state)
-        self.__dict__["executions"] = _LazyExecutions(columns)
+        self.__dict__["executions"] = _LazyExecutions(log)
 
     @property
     def n_cycles(self) -> int:
@@ -664,20 +444,20 @@ class Trace:
     def executions_of(self, stmt_id: int) -> list[StatementExecution]:
         """All executions of one statement across the trace.
 
-        On a columnar trace whose record view has not materialized, the
-        matching rows are gathered straight off the columns; otherwise
-        the (already paid-for) record list is scanned.
+        A recorded trace whose record view has not materialized gathers
+        the matching events straight off its log; otherwise the
+        (already paid-for) record list is scanned.
         """
         executions = self.executions
         if isinstance(executions, _LazyExecutions) and executions._records is None:
-            return executions.columns.executions_of(stmt_id)
+            return executions.log.records_of(executions.lane, stmt_id)
         return [e for e in executions if e.stmt_id == stmt_id]
 
     def executed_stmt_ids(self) -> set[int]:
-        """Ids of statements that executed at least once (column-aware)."""
+        """Ids of statements that executed at least once (log-aware)."""
         executions = self.executions
         if isinstance(executions, _LazyExecutions) and executions._records is None:
-            return executions.columns.executed_stmt_ids()
+            return set(executions.log.stmt_counts(executions.lane))
         return {e.stmt_id for e in executions}
 
     def output_series(self, name: str) -> list[int]:
@@ -722,32 +502,3 @@ class Trace:
         if self.n_cycles != other.n_cycles:
             return min(self.n_cycles, other.n_cycles), LENGTH_DIVERGENCE
         return None
-
-
-def compact_shipped_lanes(traces: Iterable[Trace]) -> None:
-    """Compact the lane columns of the lane views among ``traces``.
-
-    Pickling a lane ships its :class:`ExecutionColumns`, and the first
-    lane asked for compacts every lane of its log
-    (:meth:`SuiteLog.lane_columns`), shipped or not.  A caller that is
-    about to pickle a known set of traces calls this first: each log
-    then compacts once, over just the lanes the set holds, into
-    columns byte-identical to the whole-log compaction's.  Lanes whose
-    columns already exist, and logs that compacted already, are left
-    alone.
-    """
-    pending: dict[int, tuple[SuiteLog, list[_LazyExecutions]]] = {}
-    for trace in traces:
-        view = trace.executions
-        if isinstance(view, _LazyExecutions) and view._columns is None:
-            log = view.log
-            if log._lanes is None:  # type: ignore[union-attr]
-                pending.setdefault(id(log), (log, []))[1].append(view)  # type: ignore[arg-type]
-    for log, views in pending.values():
-        lanes = sorted({view.lane for view in views})
-        if len(lanes) == log.n_lanes:
-            columns = log.lane_columns()
-        else:
-            columns = dict(zip(lanes, log._compact(lanes)))
-        for view in views:
-            view._columns = columns[view.lane]

@@ -43,15 +43,13 @@ one event log per suite: a generated ``RECORD`` line appends one
 ``(slot, cycle, lhs, ops, active)`` tuple of packed lane ints through a
 bound ``list.append``, and :meth:`VectorRecorder.finish` only unpacks
 the log into a :class:`~repro.sim.trace.SuiteLog` of ``[E, N]`` arrays.
-The execution dedup reads that log directly.  A lane's
-:class:`~repro.sim.trace.ExecutionColumns` are compacted out of it only
-when a per-lane consumer asks (one lane-major pass for every lane of the
-log), byte-equivalent (dtypes included) to what the interpreter's
-:class:`ExecutionRecorder` produces for the same trace — the
-differential tests in ``tests/test_vector.py`` and
-``tests/test_lane_boundary.py`` enforce equality down to the array
-dtype.  A lane's outputs and stimulus are views of the suite's output
-matrix and stimulus arrays, not per-lane copies.
+Every lane's trace is a ``(log, lane)`` view of that log, the same
+format the interpreter's :class:`ExecutionRecorder` produces as a
+one-lane log, and event for event identical to it — the differential
+tests in ``tests/test_vector.py`` and ``tests/test_lane_boundary.py``
+compare shape rows, cycles, values and dtypes.  A lane's outputs and
+stimulus are views of the suite's output matrix and stimulus arrays, not
+per-lane copies.
 
 Lanes are 63 bits wide: every simulated value must stay a nonnegative
 ``int64`` on the wire.  :func:`vectorizable` audits a program's declared
@@ -408,7 +406,6 @@ class VectorRecorder:
 
         Packed lane ints unpack in bulk (:func:`_unpack`); the few
         distinct active masks that recur across events unpack once each.
-        Nothing is compacted per lane here.
         """
         n = self.n_lanes
         events = self.events
@@ -418,7 +415,7 @@ class VectorRecorder:
         distinct = {mask: index for index, mask in enumerate(dict.fromkeys(masks))}
         which = np.fromiter(map(distinct.__getitem__, masks), np.int64, len(events))
         # Lane-major in memory (an ``[E, N]`` view of ``[N, E]``): the
-        # dedup and the compaction both read the mask lane by lane.
+        # dedup, sample gathers and lane slices read the mask by lane.
         active = (
             _unpack([self._all if mask is None else mask for mask in distinct], n) != 0
         ).T[:, which].T

@@ -6,6 +6,7 @@ so the suite stays fast while still exercising real end-to-end behavior.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.api import generate_corpus
@@ -129,6 +130,29 @@ def fresh_model(tiny_config, vocab):
 @pytest.fixture
 def encoder(vocab):
     return BatchEncoder(vocab)
+
+
+def assert_executions_identical(actual, expected):
+    """Two recorded traces' executions are event-for-event identical.
+
+    Each trace's lane is read as a one-lane slice of its log; per event
+    the shape row, cycle, lhs value and operand values must agree, and
+    so must the dtypes of the cycle, lhs and operand arrays.  The two
+    logs' shape tables may differ (a target program's also holds other
+    variants' rows): events compare by the row their slot names.
+    """
+    left, right = (
+        log.lane_slice(lane)
+        for log, lane in (actual.execution_log(), expected.execution_log())
+    )
+    assert [left.shapes[slot] for slot in left.slots.tolist()] == [
+        right.shapes[slot] for slot in right.slots.tolist()
+    ], "shape rows"
+    for name in ("cycles", "lhs", "ops"):
+        a, b = getattr(left, name), getattr(right, name)
+        assert a.dtype == b.dtype, name
+        assert a.shape == b.shape, name
+        assert np.array_equal(a, b), name
 
 
 def record_loop_distinct(contexts, traces, restrict_to=None):

@@ -2,11 +2,13 @@
 
 ``Explainer.distinct_samples`` groups a whole trace set's executions
 straight off its event logs (one key matrix, one ``np.lexsort``):
-vector lanes in their suite's log, other traces in one stacked log of
-their columns.  Its output — samples, stmt ids and counts, in
+every recorded trace's lane in its log, hand-assembled traces in one
+log of their records.  Its output — samples, stmt ids and counts, in
 first-seen order — must equal the record-by-record loop exactly (the
-``check_dedup`` fixture), on synthetic column sets built to hit every
-corner of the key matrix and on real ragged vector-suite lanes.
+``check_dedup`` fixture), on synthetic logs built to hit every corner
+of the key matrix and on real ragged vector-suite lanes.  Training
+samples gathered off the same rows must equal the record loop's, in
+record order.
 """
 
 import numpy as np
@@ -15,13 +17,14 @@ from hypothesis import strategies as st
 
 from repro.analysis import compute_static_slice, extract_module_contexts
 from repro.analysis.contexts import OperandInstance, StatementContext
+from repro.core.features import build_samples, record_samples
 from repro.datagen.mutation import apply_mutation, mutate_statement, sample_mutations
 from repro.designs import design_info, load_design
 from repro.sim import Simulator, TestbenchConfig, generate_testbench_suite
-from repro.sim.trace import ExecutionColumns, Trace, _LazyExecutions
+from repro.sim.trace import SuiteLog, Trace, _LazyExecutions
 
 NAMES = "abcd"
-#: Small values collide often; the large one only fits an int64 column.
+#: Small values collide often; the large one needs all of an int64.
 VALUES = [0, 1, 2, 3, 1 << 40]
 
 
@@ -55,36 +58,41 @@ def statements(draw):
 
 @st.composite
 def trace_sets(draw):
-    """A trace set with per-trace tables that share, permute and omit
-    shapes, int32 and int64 columns mixed, and empty traces."""
+    """A trace set over synthetic logs whose tables share, permute and
+    omit shapes, with several lanes under random active masks (empty
+    lanes and empty logs included); traces are lanes of those logs,
+    repeats allowed, some turned into hand-assembled record lists."""
     shapes, contexts = draw(statements())
     traces = []
-    for _ in range(draw(st.integers(1, 5))):
-        table = draw(st.permutations(shapes))[: draw(st.integers(0, len(shapes)))]
-        slots, lhs, flat = [], [], []
+    for _ in range(draw(st.integers(1, 3))):
+        table = tuple(draw(st.permutations(shapes))[: draw(st.integers(0, len(shapes)))])
+        n = draw(st.integers(1, 3))
+        lane_values = st.lists(st.sampled_from(VALUES), min_size=n, max_size=n)
+        slots, lhs, ops, active = [], [], [], []
         if table:
             for _ in range(draw(st.integers(0, 12))):
                 slot = draw(st.integers(0, len(table) - 1))
                 slots.append(slot)
-                lhs.append(draw(st.sampled_from(VALUES)))
-                flat.extend(draw(st.sampled_from(VALUES)) for _ in table[slot][2])
-        dtype = np.int32 if max(lhs + flat, default=0) < 1 << 31 else np.int64
-        if draw(st.booleans()):
-            dtype = np.int64
-        columns = ExecutionColumns(
-            list(table),
-            np.asarray(slots, dtype=np.int32),
-            np.arange(len(slots), dtype=np.int32),
-            np.asarray(lhs, dtype=dtype),
-            np.asarray(flat, dtype=dtype),
+                lhs.append(draw(lane_values))
+                ops.extend(draw(lane_values) for _ in table[slot][2])
+                active.append(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        log = SuiteLog(
+            table,
+            np.asarray(slots, dtype=np.int64),
+            np.arange(len(slots), dtype=np.int64),
+            np.asarray(lhs, dtype=np.int64).reshape(-1, n),
+            np.asarray(ops, dtype=np.int64).reshape(-1, n),
+            np.asarray(active, dtype=bool).reshape(-1, n),
         )
-        trace = Trace(design="synthetic")
-        trace.executions = _LazyExecutions(columns)
-        traces.append(trace)
+        for lane in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n + 1)):
+            executions = _LazyExecutions(log, lane)
+            if draw(st.booleans()):
+                executions = list(executions)
+            traces.append(Trace(design="synthetic", executions=executions))
     restrict_to = draw(
         st.none() | st.sets(st.integers(0, 4)).map(frozenset)
     )
-    return contexts, traces, restrict_to
+    return contexts, draw(st.permutations(traces)), restrict_to
 
 
 @given(trace_sets())
@@ -94,9 +102,19 @@ def test_synthetic_columns_match_record_loop(check_dedup, case):
     check_dedup(contexts, traces, restrict_to)
 
 
+@given(trace_sets())
+@settings(max_examples=100, deadline=None)
+def test_synthetic_samples_match_record_loop(case):
+    """Training samples gathered off the logs come out in record order,
+    equal to the record-by-record loop's."""
+    contexts, traces, restrict_to = case
+    want = [sample for _stmt_id, sample in record_samples(contexts, traces, restrict_to)]
+    assert build_samples(contexts, traces, restrict_to=restrict_to) == want
+
+
 def test_ragged_vector_lanes_match_record_loop(check_dedup):
     """A target program's ragged suite: lanes with non-uniform active
-    masks, so each lane records its own statement table (full, shortened
+    masks, so each lane executes its own statement table (full, shortened
     and empty lanes execute different statement sets).  Each mutant's
     lanes form one trace set, deduplicated under that mutant's contexts,
     as a campaign localizes it."""
@@ -119,7 +137,10 @@ def test_ragged_vector_lanes_match_record_loop(check_dedup):
     selectors = [k for k in range(len(mutations) + 1) for _ in stimuli]
     traces = Simulator(module, variants=variants).run_suite(lanes, selectors=selectors)
 
-    tables = {tuple(trace.execution_columns().stmt_table) for trace in traces}
+    tables = set()
+    for trace in traces:
+        log, lane = trace.execution_log()
+        tables.add(tuple(dict.fromkeys(log.slots[log.active[:, lane]].tolist())))
     assert len(tables) > 2
 
     modules = [module] + [apply_mutation(module, m) for m in mutations]

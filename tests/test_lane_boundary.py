@@ -1,19 +1,17 @@
-"""The vector engine's columnar lane boundary against per-lane oracles.
+"""The vector engine's lane boundary against per-lane oracles.
 
-* A recorder's event log, unpacked by :meth:`VectorRecorder.finish` and
-  compacted on demand (:meth:`SuiteLog.lane_columns`, one lane-major
-  compaction for the whole suite), must equal :func:`reference_finish`,
-  the per-lane masked loop over the raw events, down to the shape
-  table, every value and every dtype; lane counts must match without
-  compacting.
+* A recorder's event log, unpacked by :meth:`VectorRecorder.finish`,
+  must slice into one-lane logs (:meth:`SuiteLog.lane_slice`, what a
+  pickled lane ships) equal to :func:`reference_finish`, the per-lane
+  masked loop over the raw events, down to every value and every dtype;
+  lane counts must match.
 * The campaign's vectorized classification must sort traces exactly as
   :meth:`Trace.diverges_from`, trace by trace, does.
-* A lane-view trace (outputs, stimulus and execution columns all views
-  of suite-wide buffers) pickles to just its own lane's data.
+* A lane-view trace (outputs, stimulus and executions all views of
+  suite-wide buffers) pickles to just its own lane's data.
 * Identical generated pass sources share one ``compile()``.
 """
 
-import pathlib
 import pickle
 
 import numpy as np
@@ -27,81 +25,56 @@ from repro.sim import (
     SimulationError,
     Simulator,
     StimulusSuite,
+    SuiteLog,
     TestbenchConfig,
     Trace,
     generate_testbench_suite,
     vector,
 )
-from repro.sim.trace import ExecutionColumns, _LaneOutputs, compact_shipped_lanes
+from repro.sim.trace import _LaneOutputs
 from repro.sim.vector import VectorRecorder, _unpack
 from repro.verilog import parse_module
 
-_I32 = np.iinfo(np.int32)
-
 
 # ----------------------------------------------------------------------
-# Oracle: the per-lane masked compaction
+# Oracle: the per-lane masked slice
 # ----------------------------------------------------------------------
 
 
-def reference_finish(recorder: VectorRecorder) -> list[ExecutionColumns]:
-    """Lane by lane: select the lane's active rows, compact, narrow."""
+def reference_finish(recorder: VectorRecorder) -> list[SuiteLog]:
+    """Lane by lane: the lane's active events and operand rows, alone."""
     n = recorder.n_lanes
-    shapes = recorder.shapes
     events = recorder.events
-
-    def narrow(column):
-        if column.size and column.min() >= _I32.min and column.max() <= _I32.max:
-            return column.astype(np.int32)
-        return column
-
-    def empty():
-        return ExecutionColumns(
-            [],
-            np.zeros(0, dtype=np.int32),
-            np.asarray([], dtype=np.int32),
-            np.asarray([], dtype=np.int64),
-            np.asarray([], dtype=np.int64),
-        )
-
-    if not events:
-        return [empty() for _ in range(n)]
     slots = np.array([e[0] for e in events], dtype=np.int64)
     cycles = np.array([e[1] for e in events], dtype=np.int64)
-    lhs = _unpack([e[2] for e in events], n)
+    lhs = _unpack([e[2] for e in events], n) if events else np.zeros((0, n), np.int64)
     flat = [value for e in events for value in e[3]]
     ops = _unpack(flat, n) if flat else np.zeros((0, n), dtype=np.int64)
     everyone = (1 << (64 * n)) - 1
-    active = _unpack([everyone if e[4] is None else e[4] for e in events], n) != 0
+    masks = [everyone if e[4] is None else e[4] for e in events]
+    active = _unpack(masks, n) != 0 if events else np.zeros((0, n), bool)
     op_active = np.repeat(active, [len(e[3]) for e in events], axis=0)
-    columns = []
+    slices = []
     for lane in range(n):
         mask = active[:, lane]
-        lane_slots = slots[mask]
-        if not lane_slots.size:
-            columns.append(empty())
-            continue
-        used_slots, first_seen = np.unique(lane_slots, return_index=True)
-        used = used_slots[np.argsort(first_seen, kind="stable")]
-        remap = np.zeros(len(shapes), dtype=np.int64)
-        remap[used] = np.arange(used.size)
-        columns.append(
-            ExecutionColumns(
-                [shapes[slot] for slot in used.tolist()],
-                remap[lane_slots].astype(np.int32),
-                cycles[mask].astype(np.int32),
-                narrow(lhs[mask, lane]),
-                narrow(ops[op_active[:, lane], lane]),
+        slices.append(
+            SuiteLog(
+                recorder.shapes,
+                slots[mask],
+                cycles[mask],
+                lhs[mask, lane : lane + 1],
+                ops[op_active[:, lane], lane : lane + 1],
+                np.ones((int(mask.sum()), 1), dtype=bool),
             )
         )
-    return columns
+    return slices
 
 
-def assert_columns_identical(actual, expected):
+def assert_logs_identical(actual, expected):
     assert len(actual) == len(expected)
     for left, right in zip(actual, expected):
-        assert left.stmt_table == right.stmt_table
-        for name in ("stmt_slots", "cycles", "lhs_values", "flat_values"):
+        assert left.shapes == right.shapes
+        for name in ("slots", "cycles", "lhs", "ops", "active"):
             a, b = getattr(left, name), getattr(right, name)
             assert a.dtype == b.dtype, name
             assert a.shape == b.shape, name
@@ -124,10 +97,7 @@ def event_logs(draw):
         )
     )
     small = st.integers(0, 300)
-    big = st.one_of(
-        st.sampled_from([_I32.max, _I32.max + 1]),
-        st.integers(_I32.max + 2, (1 << 63) - 1),
-    )
+    big = st.integers(1 << 31, (1 << 63) - 1)
     value = st.one_of(small, small, big)
     recorder = VectorRecorder(shapes, n)
     for cycle in range(draw(st.integers(0, 4))):
@@ -159,15 +129,16 @@ def event_logs(draw):
 
 
 def assert_log_matches(log, expected):
-    """Counts first (they must not compact), then the compacted lanes."""
+    """Lane counts, then every lane's slice."""
     assert [log.lane_count(lane) for lane in range(log.n_lanes)] == [
-        len(columns) for columns in expected
+        len(lane_log.slots) for lane_log in expected
     ]
-    assert log._lanes is None
-    assert_columns_identical(log.lane_columns(), expected)
+    assert_logs_identical([log.lane_slice(lane) for lane in range(log.n_lanes)], expected)
 
 
 class TestBatchedCompaction:
+    """Each lane's slice of the suite log against the per-lane oracle."""
+
     @settings(max_examples=150, deadline=None)
     @given(recorder=event_logs())
     def test_matches_per_lane_reference(self, recorder):
@@ -179,7 +150,8 @@ class TestBatchedCompaction:
 
     @pytest.mark.parametrize("name", ["usbf_pl", "ibex_controller"])
     def test_ragged_selector_suites(self, name, monkeypatch):
-        """Real recorders: ragged lanes, an empty lane, mutant selectors."""
+        """Real recorders: ragged lanes, an empty lane, mutant selectors;
+        the pickled lanes carry exactly the reference slices."""
         from repro.datagen.mutation import mutate_statement, sample_mutations
 
         module = load_design(name)
@@ -209,8 +181,10 @@ class TestBatchedCompaction:
         assert any(e[4] is not None for e in recorder.events)
         expected = reference_finish(recorder)
         assert_log_matches(finish(recorder), expected)
-        assert [len(t.executions) for t in traces] == [len(c) for c in expected]
-        assert_columns_identical([t.execution_columns() for t in traces], expected)
+        assert [len(t.executions) for t in traces] == [len(s.slots) for s in expected]
+        shipped = [pickle.loads(pickle.dumps(t)).execution_log() for t in traces]
+        assert {lane for _log, lane in shipped} == {0}
+        assert_logs_identical([log for log, _lane in shipped], expected)
 
 
 # ----------------------------------------------------------------------
@@ -322,10 +296,28 @@ class TestLaneViews:
         assert back.executions == trace.executions
         assert back.outputs.matrix.shape == (12 * len(module.outputs), 1)
         assert back.stimulus.suite.values.shape == (1, 12, len(module.inputs))
-        columns, original = back.execution_columns(), trace.execution_columns()
-        for name in ("stmt_slots", "cycles", "lhs_values", "flat_values"):
-            assert getattr(columns, name).nbytes == getattr(original, name).nbytes
         assert len(blob) * 8 < len(pickle.dumps(traces))
+
+    def test_pickled_lane_holds_a_one_lane_log_of_its_events(self):
+        """A pickled lane ships a one-lane log of exactly ``lane_count``
+        events, all active; re-pickling ships that log unchanged."""
+        module = load_design("usbf_pl")
+        suite = generate_testbench_suite(module, 5, TestbenchConfig(n_cycles=10), seed=2)
+        suite = [list(stimulus) for stimulus in suite]
+        suite[1] = suite[1][:3]
+        suite[3] = []
+        traces = Simulator(module, engine="vector").run_suite(suite)
+        log, _ = traces[0].execution_log()
+        assert log.n_lanes == 5
+        for lane, trace in enumerate(traces):
+            back = pickle.loads(pickle.dumps(trace))
+            lane_log, lane_index = back.execution_log()
+            assert (lane_log.n_lanes, lane_index) == (1, 0)
+            assert len(lane_log.slots) == log.lane_count(lane) == len(back.executions)
+            assert lane_log.active.all()
+            assert lane_log.ops.shape == (int(lane_log.widths[lane_log.slots].sum()), 1)
+            assert lane_log.lane_slice(0) is lane_log
+            assert list(back.executions) == list(trace.executions)
 
     def test_outputs_view_behaves_like_frames(self, arbiter):
         suite = generate_testbench_suite(arbiter, 3, TestbenchConfig(n_cycles=5), seed=1)
@@ -349,93 +341,6 @@ class TestLaneViews:
         oracle_traces = Simulator(module, engine="interpreted").run_suite(suite)
         assert [t.outputs for t in vector_traces] == [t.outputs for t in oracle_traces]
         assert [t.n_cycles for t in vector_traces] == [4, 2]
-
-
-class TestOnDemandCompaction:
-    """Lanes compact only for per-lane consumers, once per suite log."""
-
-    @pytest.fixture
-    def compactions(self, monkeypatch):
-        from repro.sim.trace import SuiteLog
-
-        logs = []
-        compact = SuiteLog._compact
-
-        def counting(self, lanes=None):
-            logs.append(lanes)  # None: every lane of the log
-            return compact(self, lanes)
-
-        monkeypatch.setattr(SuiteLog, "_compact", counting)
-        return logs
-
-    def test_sequential_campaign_runs_no_compaction(self, trained_session, compactions):
-        from repro.api import VeriBugSession
-        from repro.sim import engine_stats
-
-        checkpoint = pathlib.Path(__file__).parent / ".cache" / "model_e30_d20_s1.npz"
-        session = VeriBugSession.from_checkpoint(checkpoint)
-        batches = engine_stats()["vector"]["batches"]
-        report = session.campaign(
-            "wb_mux_2",
-            "wbs0_we_o",
-            plan={"negation": 2, "operation": 2, "misuse": 2},
-            n_cycles=8,
-            seed=3,
-        ).run()
-        session.close()
-        assert engine_stats()["vector"]["batches"] > batches
-        assert any(outcome.localized for outcome in report.outcomes)
-        assert compactions == []
-
-    def test_one_compaction_serves_every_lane(self, compactions):
-        module = load_design("usbf_pl")
-        suite = generate_testbench_suite(module, 6, TestbenchConfig(n_cycles=10), seed=2)
-        traces = Simulator(module, engine="vector").run_suite(suite)
-        counts = [len(trace.executions) for trace in traces]
-        assert all(counts) and compactions == []
-        pickle.dumps(traces[3])
-        assert len(compactions) == 1
-        assert [len(trace.execution_columns()) for trace in traces] == counts
-        assert len(compactions) == 1
-
-    def test_shipped_lanes_compact_alone(self, compactions):
-        """A shipped set compacts each log once, over its own lanes only,
-        and every lane pickles to the whole-log compaction's bytes."""
-        module = load_design("usbf_pl")
-        suite = generate_testbench_suite(module, 6, TestbenchConfig(n_cycles=10), seed=2)
-        traces = Simulator(module, engine="vector").run_suite(suite)
-        log, _ = traces[0].execution_log()
-        shipped = [traces[4], traces[1], traces[4]]
-        compact_shipped_lanes(shipped)
-        assert compactions == [[1, 4]] and log._lanes is None
-        wire = [pickle.dumps(trace) for trace in shipped]
-        compact_shipped_lanes(shipped)
-        assert compactions == [[1, 4]] and log._lanes is None
-
-        whole = Simulator(module, engine="vector").run_suite(suite)
-        assert wire == [pickle.dumps(whole[lane]) for lane in (4, 1, 4)]
-        assert compactions == [[1, 4], None]
-        lanes = whole[0].execution_log()[0].lane_columns()
-        for lane in range(len(suite)):
-            alone = pickle.dumps(log._compact([lane])[0])
-            assert alone == pickle.dumps(lanes[lane])
-
-    def test_shipping_every_lane_is_one_whole_compaction(self, compactions, arbiter):
-        module = load_design("usbf_pl")
-        config = TestbenchConfig(n_cycles=10)
-        traces = Simulator(module, engine="vector").run_suite(
-            generate_testbench_suite(module, 4, config, seed=2)
-        )
-        others = Simulator(arbiter, engine="vector").run_suite(
-            generate_testbench_suite(arbiter, 5, config, seed=2)
-        )
-        oracle = Simulator(arbiter, engine="interpreted").run_suite(
-            generate_testbench_suite(arbiter, 2, config, seed=2)
-        )
-        compact_shipped_lanes([*traces, others[2], *oracle])
-        assert compactions == [None, [2]]
-        assert traces[0].execution_log()[0]._lanes is not None
-        assert others[0].execution_log()[0]._lanes is None
 
 
 class TestPacking:

@@ -1,52 +1,51 @@
-"""Differential tests for the columnar execution recorder.
+"""Differential tests for the execution recorders.
 
-Both simulator engines write struct-of-arrays traces natively: the
-interpreter through :class:`~repro.sim.ExecutionRecorder`, the vector
-engine through its lane-batched recorder.  The recorder's contract has
+Both simulator engines record their executions as event logs natively:
+the interpreter a one-lane :class:`~repro.sim.SuiteLog` through
+:class:`~repro.sim.ExecutionRecorder`, the vector engine one log per
+suite through its lane-batched recorder.  The recorder's contract has
 two halves, and every test here pins one of them:
 
 * **Engine identity** — the vector engine and the tree-walking
-  interpreter record byte-equivalent columns for the same stimulus.
-* **Oracle identity** — the natively recorded columns are exactly what
-  :meth:`ExecutionColumns.pack` would produce from the materialized
-  record objects, column types and dtypes included.  That makes the
-  record-object path a trustworthy oracle for the columnar one.
+  interpreter record event-for-event identical logs for the same
+  stimulus (``assert_executions_identical``, dtypes included).
+* **Oracle identity** — the natively recorded log is event for event
+  what :meth:`SuiteLog.from_records` builds from the materialized record
+  objects.  That makes the record-object path a trustworthy oracle for
+  the log.
 
 The suite drives both random RVDG designs (hypothesis-chosen seeds) and
 the paper designs, plus hand-written corners the pool can't reach:
->63-bit values (the recorder's Python-list fallback), empty traces, and
-the laziness guarantee that recorded runs never construct
+>63-bit values (``object`` value arrays), empty traces, and the
+laziness guarantee that recorded runs never construct
 ``StatementExecution`` objects unless a caller iterates the view.
 """
 
 import pickle
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import extract_module_contexts
 from repro.datagen import RandomVerilogDesignGenerator, RVDGConfig
 from repro.designs import REGISTRY, load_design
 from repro.sim import (
-    ExecutionColumns,
     Simulator,
+    SuiteLog,
     TestbenchConfig,
+    Trace,
     generate_testbench_suite,
 )
 from repro.sim.trace import _LazyExecutions
 from repro.verilog import parse_module
 
+from conftest import assert_executions_identical
 
-def assert_columns_equal(ours: ExecutionColumns, oracle: ExecutionColumns):
-    """Byte-level equivalence: same shape table, types, dtypes, values."""
-    assert ours.stmt_table == oracle.stmt_table
-    for attr in ("stmt_slots", "cycles", "lhs_values", "flat_values"):
-        a, b = getattr(ours, attr), getattr(oracle, attr)
-        assert type(a) is type(b), f"{attr}: {type(a)} != {type(b)}"
-        if isinstance(a, np.ndarray):
-            assert a.dtype == b.dtype, f"{attr}: {a.dtype} != {b.dtype}"
-        assert np.array_equal(a, b), f"{attr} values differ"
+
+def records_trace(records) -> Trace:
+    """A trace over the one-lane log :meth:`SuiteLog.from_records` builds."""
+    return Trace(design="records", executions=_LazyExecutions(SuiteLog.from_records(records)))
 
 
 def assert_recorder_sound(module, stimuli):
@@ -58,18 +57,17 @@ def assert_recorder_sound(module, stimuli):
         ti = interpreted.run(stimulus)
         assert tc.outputs == ti.outputs
 
-        # Both engines must expose native columns (no record objects yet).
-        cc, ci = tc.execution_columns(), ti.execution_columns()
-        assert cc is not None and ci is not None
-        assert_columns_equal(cc, ci)
+        # Both engines must expose a native log (no record objects yet).
+        assert tc.execution_log() is not None and ti.execution_log() is not None
+        assert_executions_identical(tc, ti)
 
-        # Native columns == repack of the materialized record oracle.
+        # Native log == the log of the materialized record oracle.
         records = list(tc.executions)
         assert records == list(ti.executions)
-        assert_columns_equal(cc, ExecutionColumns.pack(records))
+        assert_executions_identical(tc, records_trace(records))
 
-        # Unpack/pack round trip is the identity on recorded columns.
-        assert_columns_equal(ExecutionColumns.pack(cc.unpack()), cc)
+        # Records -> log -> records is the identity.
+        assert list(records_trace(records).executions) == records
 
 
 class TestRecorderDifferential:
@@ -118,23 +116,25 @@ class TestLaziness:
         for stmt_id in stmt_ids:
             assert trace.executions_of(stmt_id)
         assert len(trace.executions) > 0
-        assert trace.execution_columns().execution_counts()
-        # Every query above ran off the columns; no records were built.
+        log, lane = trace.execution_log()
+        assert log.stmt_counts(lane)
+        # Every query above ran off the log; no records were built.
         assert trace.executions._records is None
 
     @pytest.mark.parametrize("engine", ["vector", "interpreted"])
     def test_serialization_ships_columns_not_records(self, engine):
+        """A pickled trace carries its lane's slice of the log."""
         trace = self._recorded_trace(engine)
         clone = pickle.loads(pickle.dumps(trace))
         assert isinstance(clone.executions, _LazyExecutions)
         assert clone.executions._records is None
-        assert_columns_equal(clone.execution_columns(), trace.execution_columns())
+        assert_executions_identical(clone, trace)
         assert clone.outputs == trace.outputs
         assert list(clone.executions) == list(trace.executions)
 
 
 class TestWideValues:
-    """>63-bit values force the recorder's Python-list column fallback."""
+    """>63-bit values keep Python ints: ``object`` value arrays."""
 
     SOURCE = (
         "module t(a, b, y); input [69:0] a, b; output reg [70:0] y;"
@@ -152,13 +152,14 @@ class TestWideValues:
         ]
 
     def test_wide_columns_fall_back_to_lists(self):
+        """The log's value arrays fall back to ``object`` (Python ints)."""
         module = parse_module(self.SOURCE)
         # Too wide for a vector lane: the interpreter records it.
         trace = Simulator(module, engine="vector").run(self.wide_stimuli()[0])
-        columns = trace.execution_columns()
-        assert isinstance(columns.lhs_values, list)
-        assert isinstance(columns.flat_values, list)
-        assert max(columns.flat_values) >= (1 << 69)
+        log, _lane = trace.execution_log()
+        assert log.wide
+        assert log.lhs.dtype == object and log.ops.dtype == object
+        assert max(log.ops[:, 0]) >= (1 << 69)
 
     def test_wide_recorder_matches_oracles(self):
         assert_recorder_sound(parse_module(self.SOURCE), self.wide_stimuli())
@@ -169,21 +170,39 @@ class TestWideValues:
         clone = pickle.loads(pickle.dumps(trace))
         assert list(clone.executions) == list(trace.executions)
 
+    def test_wide_trace_round_trips_with_object_arrays_and_dedups(self, check_dedup):
+        """A >63-bit interpreter trace pickles as an ``object`` log and
+        dedups like its records, alone and mixed with narrow traces."""
+        module = parse_module(self.SOURCE)
+        simulator = Simulator(module, engine="interpreted")
+        trace = simulator.run(self.wide_stimuli()[0])
+        clone = pickle.loads(pickle.dumps(trace))
+        log, _lane = clone.execution_log()
+        assert log.lhs.dtype == object and log.ops.dtype == object
+        assert_executions_identical(clone, trace)
+        contexts = extract_module_contexts(module.statements())
+        narrow = simulator.run([{"a": 3, "b": 4}, {"a": 7, "b": 9}])
+        assert not narrow.execution_log()[0].wide
+        for trace_set in ([clone], [narrow, clone, trace], [trace, narrow]):
+            groups = check_dedup(contexts, trace_set)
+            assert sum(group[-1] for group in groups) == sum(
+                len(t.executions) for t in trace_set
+            )
+
 
 class TestEmptyTraces:
     @pytest.mark.parametrize("engine", ["vector", "interpreted"])
     def test_empty_stimulus_records_empty_columns(self, engine):
         module = load_design(sorted(REGISTRY)[0])
         trace = Simulator(module, engine=engine).run([])
-        columns = trace.execution_columns()
-        assert columns is not None
-        assert len(columns) == 0
-        assert columns.stmt_table == []
+        log, lane = trace.execution_log()
+        assert len(log.slots) == 0 and log.lane_count(lane) == 0
         assert len(trace.executions) == 0
         assert trace.executions == []
         assert trace.executed_stmt_ids() == set()
         clone = pickle.loads(pickle.dumps(trace))
         assert len(clone.executions) == 0
+        assert_executions_identical(clone, trace)
 
     def test_unrecorded_run_has_no_columns(self):
         module = load_design(sorted(REGISTRY)[0])
@@ -192,4 +211,4 @@ class TestEmptyTraces:
         )[0]
         trace = Simulator(module, engine="vector").run(stimulus, record=False)
         assert trace.executions == []
-        assert trace.execution_columns() is None
+        assert trace.execution_log() is None

@@ -25,7 +25,6 @@ from __future__ import annotations
 import multiprocessing
 import pathlib
 
-import numpy as np
 import pytest
 
 from repro.analysis import compute_static_slice
@@ -189,6 +188,32 @@ class TestPoolLifecycle:
             assert stats["campaigns_served"] == 2
         finally:
             session.close()
+
+    @pytest.mark.timeout(180)
+    def test_dead_worker_costs_one_campaign(self):
+        """A killed worker breaks the pool: the next campaign raises and
+        discards it, the one after runs on a fresh pool and matches a
+        sequential session."""
+        import os
+        import signal
+        from concurrent.futures.process import BrokenProcessPool
+
+        module = load_design("wb_mux_2")
+        plan = {"negation": 1, "operation": 1, "misuse": 1}
+        session = _paper_session(n_workers=2)
+        try:
+            os.kill(session.runtime.warm_up()[0], signal.SIGKILL)
+            with pytest.raises(BrokenProcessPool):
+                session.campaign(module, "wbs0_we_o", plan=plan, seed=29).run()
+            assert not session.runtime.started
+            recovered = session.campaign(module, "wbs0_we_o", plan=plan, seed=29).run()
+            assert session.runtime_stats()["pools_started"] == 2
+        finally:
+            session.close()
+        sequential = _paper_session(n_workers=0).campaign(
+            module, "wbs0_we_o", plan=plan, seed=29
+        ).run()
+        _assert_same_outcomes(recovered.outcomes, sequential.outcomes)
 
     def test_handle_executed_after_close_runs_in_process(self):
         module = load_design("wb_mux_2")
@@ -355,7 +380,7 @@ class TestWeightRefresh:
 
 
 class TestColumnarTraces:
-    """The columnar trace wire format feeding the sharded path."""
+    """The trace wire format feeding the sharded path: one-lane logs."""
 
     def _roundtrip(self, traces):
         import pickle
@@ -371,13 +396,13 @@ class TestColumnarTraces:
         assert back.stimulus == trace.stimulus
         assert back.outputs == trace.outputs
         assert back.is_failure == trace.is_failure
-        # A deserialized trace re-serializes from its columns directly.
+        # A deserialized trace re-serializes its one-lane log as-is.
         (again,) = self._roundtrip([back])
         assert list(again.executions) == list(trace.executions)
 
     def test_columnar_dedup_matches_object_loop(self, requests, check_dedup):
         """Recorded traces and their pickled round trip both dedup off
-        native columns; each must equal the record loop."""
+        their event logs; each must equal the record loop."""
         from repro.analysis import compute_static_slice
         from repro.analysis.contexts import extract_module_contexts
         from repro.analysis.slicing import slice_statements
@@ -389,7 +414,7 @@ class TestColumnarTraces:
             )
             for traces in (request.failing_traces, request.correct_traces):
                 for trace_set in (traces, self._roundtrip(traces)):
-                    assert all(t.execution_columns() is not None for t in trace_set)
+                    assert all(t.execution_log() is not None for t in trace_set)
                     groups = check_dedup(contexts, trace_set, static_slice.stmt_ids)
                     assert groups
 
@@ -430,7 +455,7 @@ class TestColumnarTraces:
 
     def test_wide_values_fall_back_to_object_path(self, check_dedup):
         from repro.analysis.contexts import OperandInstance, StatementContext
-        from repro.sim.trace import ExecutionColumns, StatementExecution, Trace
+        from repro.sim.trace import StatementExecution, SuiteLog, Trace
 
         def executions(value):
             return [
@@ -448,13 +473,12 @@ class TestColumnarTraces:
 
         wide = executions(1 << 90)
         trace = Trace(design="wide", executions=wide)
-        columns = ExecutionColumns.pack(wide)
-        assert isinstance(columns.flat_values, list)  # >63-bit: no array
+        assert SuiteLog.from_records(wide).wide  # >63-bit: object arrays
         (back,) = self._roundtrip([trace])
         assert list(back.executions) == wide
 
-        # Array-column traces first, the list-column trace last: the
-        # log dedup must bail out before accumulating anything, or the
+        # int64-log traces first, the object-log trace last: the log
+        # dedup must bail out before accumulating anything, or the
         # record loop would count the narrow traces twice.
         contexts = {
             0: StatementContext(
@@ -465,9 +489,7 @@ class TestColumnarTraces:
             )
         }
         narrow = [Trace(design="wide", executions=executions(v)) for v in (1, 2, 1)]
-        assert all(
-            isinstance(t.columnize().flat_values, np.ndarray) for t in narrow
-        )
+        assert not any(SuiteLog.from_records(t.executions).wide for t in narrow)
         groups = check_dedup(contexts, narrow + [back])
         assert [(values, count) for _s, values, _l, _c, count in groups] == [
             ((1,), 6),

@@ -3,17 +3,17 @@
 :func:`repro.sim.compiler.compile_target_program` lowers a design plus
 one replacement statement per mutant into a single program; a lane run
 with selector ``k`` must be byte-identical — outputs, stimulus echo, and
-recorded ``ExecutionColumns`` down to dtypes — to simulating the mutant
-module on its own, on the vector engine and on the interpreter.
+recorded executions event for event, dtypes included, also after a
+pickle round trip — to simulating the mutant module on its own, on the
+vector engine and on the interpreter.
 Campaign outcomes built on target programs must equal the per-mutant
 reference path on the interpreter mutant for mutant, including the
 oscillation error semantics.
 """
 
 import dataclasses
+import pickle
 
-
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,6 +44,8 @@ from repro.verilog import format_module, parse_module
 from repro.verilog.ast_nodes import Number
 from repro.verilog.printer import statement_source
 
+from conftest import assert_executions_identical
+
 TABLE3_PLAN = {"negation": 2, "operation": 2, "misuse": 3}
 
 
@@ -51,13 +53,8 @@ def assert_trace_byte_equal(actual, expected):
     assert actual.design == expected.design
     assert actual.stimulus == expected.stimulus
     assert actual.outputs == expected.outputs
-    left = actual.execution_columns()
-    right = expected.execution_columns()
-    assert left.stmt_table == right.stmt_table
-    for field in ("stmt_slots", "cycles", "lhs_values", "flat_values"):
-        a, b = getattr(left, field), getattr(right, field)
-        assert a.dtype == b.dtype, field
-        assert np.array_equal(a, b), field
+    assert_executions_identical(actual, expected)
+    assert_executions_identical(pickle.loads(pickle.dumps(actual)), expected)
 
 
 def ragged(suite):

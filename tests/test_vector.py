@@ -4,19 +4,20 @@ The vector engine's contract is byte-identity per lane: running a suite
 through :func:`repro.sim.vector.run_vector_suite` must produce, for
 every stimulus, the exact :class:`Trace` the tree-walking interpreter
 produces — same outputs, same stimulus echo, and the same recorded
-``ExecutionColumns`` down to array dtypes.  Suites here are deliberately
+executions event for event, dtypes included, before and after a pickle
+round trip.  Suites here are deliberately
 ragged and branch-divergent so the predication, join, and recorder-merge
 paths all carry real work.  Designs too wide for a 63-bit lane run on
 the interpreter; campaigns over them must match ``engine="interpreted"``.
 
 Fuzzed *mutant* lanes run RVDG designs and their ``sample_mutations``
 mutants as selector lanes of one target program, over two ragged
-suites: every lane's on-demand columns must equal the interpreter
-running that mutant module alone, and ``Explainer.distinct_samples``
+suites: every lane's executions must equal the interpreter running
+that mutant module alone, and ``Explainer.distinct_samples``
 must equal the record loop (the ``check_dedup`` fixture) on shuffled
 subsets of one mutant's lanes drawn from both suites, mixed with one
 pickled lane and one interpreter trace — one trace set spanning several
-event logs and a one-lane log of plain columns.
+suite logs and two one-lane logs.
 """
 
 import pickle
@@ -43,6 +44,8 @@ from repro.sim import (
 from repro.sim.vector import run_vector_suite, vectorizable
 from repro.verilog import parse_module
 
+from conftest import assert_executions_identical
+
 
 def assert_lane_identical(module, stimuli, record=True):
     """Vector suite == per-stimulus interpreter runs, byte-exact."""
@@ -61,13 +64,8 @@ def assert_trace_byte_equal(actual, expected, record=True):
     assert actual.outputs == expected.outputs
     if not record:
         return
-    left = actual.execution_columns()
-    right = expected.execution_columns()
-    assert left.stmt_table == right.stmt_table
-    for field in ("stmt_slots", "cycles", "lhs_values", "flat_values"):
-        a, b = getattr(left, field), getattr(right, field)
-        assert a.dtype == b.dtype, field
-        assert np.array_equal(a, b), field
+    assert_executions_identical(actual, expected)
+    assert_executions_identical(pickle.loads(pickle.dumps(actual)), expected)
 
 
 def ragged(suite):
