@@ -1,5 +1,8 @@
 """Static analysis substrate: CDFG, VDG, COI, slicing, operand contexts.
 
+The per-design facts slicing, contexts, dead code and cycle checks read
+come from one frozen :class:`DesignIndex` per module (:func:`design_index`).
+
 Replaces the GoldMine artifacts the paper consumes (§II).
 """
 
@@ -14,6 +17,7 @@ from .contexts import (
     extract_module_contexts,
     extract_statement_context,
 )
+from .index import DesignIndex, StatementReads, design_index
 from .slicing import (
     DynamicSlice,
     StaticSlice,
@@ -24,12 +28,14 @@ from .slicing import (
 from .vdg import build_vdg, dependency_cone
 
 __all__ = [
+    "DesignIndex",
     "DynamicSlice",
     "LVALUE",
     "OperandFingerprint",
     "OperandInstance",
     "RVALUE",
     "StatementContext",
+    "StatementReads",
     "StaticSlice",
     "build_cdfg",
     "build_coi_graph",
@@ -38,6 +44,7 @@ __all__ = [
     "compute_static_slice",
     "cone_of_influence",
     "dependency_cone",
+    "design_index",
     "extract_module_contexts",
     "extract_statement_context",
     "slice_statements",

@@ -14,22 +14,7 @@ from dataclasses import dataclass, field
 
 from ..verilog.ast_nodes import Module, Statement
 from ..sim.trace import StatementExecution, Trace
-from .vdg import build_vdg, dependency_cone
-
-
-@dataclass
-class StaticSlice:
-    """The statements relevant to one target variable.
-
-    Attributes:
-        target: The target (output) variable name.
-        dep_vars: ``Dep_t`` — every variable the target depends on.
-        stmt_ids: Ids of statements whose LHS is in ``dep_vars``.
-    """
-
-    target: str
-    dep_vars: set[str]
-    stmt_ids: set[int]
+from .index import StaticSlice, design_index
 
 
 @dataclass
@@ -50,19 +35,18 @@ class DynamicSlice:
 def compute_static_slice(module: Module, target: str) -> StaticSlice:
     """Slice a design statically for a target variable.
 
+    Served by the module's :class:`~repro.analysis.index.DesignIndex`:
+    one BFS over the VDG adjacency per target, memoized.
+
     Args:
         module: The parsed design.
         target: Target variable (usually an output).
 
     Returns:
-        The :class:`StaticSlice` with the dependency cone and statement ids.
+        The :class:`StaticSlice` with the dependency cone and statement
+        ids (frozensets, shared between calls).
     """
-    vdg = build_vdg(module)
-    dep_vars = dependency_cone(vdg, target)
-    stmt_ids = {
-        stmt.stmt_id for stmt in module.statements() if stmt.target.name in dep_vars
-    }
-    return StaticSlice(target=target, dep_vars=dep_vars, stmt_ids=stmt_ids)
+    return design_index(module).static_slice(target)
 
 
 def compute_dynamic_slice(static_slice: StaticSlice, trace: Trace) -> DynamicSlice:
@@ -82,5 +66,7 @@ def compute_dynamic_slice(static_slice: StaticSlice, trace: Trace) -> DynamicSli
 def slice_statements(module: Module, static_slice: StaticSlice) -> list[Statement]:
     """The AST statements of a static slice, in stmt_id order."""
     return [
-        stmt for stmt in module.statements() if stmt.stmt_id in static_slice.stmt_ids
+        stmt
+        for stmt in design_index(module).statements
+        if stmt.stmt_id in static_slice.stmt_ids
     ]

@@ -16,19 +16,16 @@ from __future__ import annotations
 
 import networkx as nx
 
-from ..verilog.ast_nodes import (
-    Assignment,
-    Block,
-    Case,
-    If,
-    Module,
-    Statement,
-    collect_identifiers,
-)
+from ..verilog.ast_nodes import Module
+from .index import design_index
 
 
 def build_vdg(module: Module) -> nx.DiGraph:
     """Build the variable dependency graph of a module.
+
+    A labeled view of the design index's statement reads
+    (:class:`~repro.analysis.index.DesignIndex`); slicing itself runs
+    on the index's plain adjacency and never builds this graph.
 
     Returns:
         A directed graph whose nodes are signal names and whose edges are
@@ -37,49 +34,14 @@ def build_vdg(module: Module) -> nx.DiGraph:
     graph = nx.DiGraph(name=f"vdg:{module.name}")
     for name in module.decls:
         graph.add_node(name)
-
-    for assign in module.assigns:
-        for src in collect_identifiers(assign.rhs):
-            _add_edge(graph, src, assign.target.name, "data")
-        _add_select_deps(graph, assign)
-
-    for blk in module.always_blocks:
-        _walk(graph, blk.body, control_vars=[])
+    index = design_index(module)
+    for stmt in index.statements:
+        reads = index.reads(stmt.stmt_id)
+        for src in reads.data + reads.select:
+            _add_edge(graph, src, reads.target, "data")
+        for src in reads.control:
+            _add_edge(graph, src, reads.target, "control")
     return graph
-
-
-def _add_select_deps(graph: nx.DiGraph, stmt) -> None:
-    """Index expressions on the LHS act as data dependencies too."""
-    for sub in (stmt.target.index, stmt.target.msb, stmt.target.lsb):
-        if sub is not None:
-            for src in collect_identifiers(sub):
-                _add_edge(graph, src, stmt.target.name, "data")
-
-
-def _walk(graph: nx.DiGraph, stmt: Statement, control_vars: list[str]) -> None:
-    if isinstance(stmt, Block):
-        for child in stmt.statements:
-            _walk(graph, child, control_vars)
-    elif isinstance(stmt, If):
-        cond_vars = collect_identifiers(stmt.cond)
-        inner = control_vars + cond_vars
-        _walk(graph, stmt.then_stmt, inner)
-        if stmt.else_stmt is not None:
-            _walk(graph, stmt.else_stmt, inner)
-    elif isinstance(stmt, Case):
-        subject_vars = collect_identifiers(stmt.subject)
-        for item in stmt.items:
-            label_vars: list[str] = []
-            for label in item.labels:
-                label_vars.extend(collect_identifiers(label))
-            _walk(graph, item.body, control_vars + subject_vars + label_vars)
-    elif isinstance(stmt, Assignment):
-        target = stmt.target.name
-        for src in collect_identifiers(stmt.rhs):
-            _add_edge(graph, src, target, "data")
-        _add_select_deps(graph, stmt)
-        for src in control_vars:
-            _add_edge(graph, src, target, "control")
 
 
 def _add_edge(graph: nx.DiGraph, src: str, dst: str, etype: str) -> None:

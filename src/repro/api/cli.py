@@ -389,6 +389,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 # localize
 # ----------------------------------------------------------------------
 def cmd_localize(args: argparse.Namespace) -> int:
+    from ..analysis import design_index
     from ..core import render_heatmap
     from ..datagen.campaign import _classify
     from ..sim import Simulator, TestbenchConfig, generate_testbench_suite
@@ -402,14 +403,14 @@ def cmd_localize(args: argparse.Namespace) -> int:
     if not args.source and not args.design:
         raise SystemExit("need --design NAME or --golden/--source files")
     if args.design:
-        from ..designs import REGISTRY, design_info, load_design
+        from ..designs import REGISTRY, design_info, golden_module
 
         if args.design not in REGISTRY:
             raise SystemExit(
                 f"unknown design {args.design!r};"
                 f" available: {', '.join(REGISTRY)}"
             )
-        if args.target not in load_design(args.design).outputs:
+        if args.target not in golden_module(REGISTRY[args.design].source).outputs:
             raise SystemExit(
                 f"design {args.design!r} has no output {args.target!r};"
                 f" paper targets: {', '.join(design_info(args.design).targets)}"
@@ -453,7 +454,7 @@ def cmd_localize(args: argparse.Namespace) -> int:
         if update.localization is None:
             continue
         outcome, localization = update.outcome, update.localization
-        stmt = module.statement_by_id(outcome.mutation.stmt_id)
+        stmt = design_index(module).statement(outcome.mutation.stmt_id)
         print(f"injected {outcome.mutation.kind} bug into stmt"
               f" {outcome.mutation.stmt_id}: {statement_source(stmt)}")
         print(f"observable with {outcome.n_failing} failing /"

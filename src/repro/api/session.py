@@ -42,13 +42,12 @@ from ..core import (
 )
 from ..datagen import CampaignEngine, Mutation, sample_mutations
 from ..datagen.campaign import SuiteMemo
-from ..designs import REGISTRY, design_testbench, load_design
+from ..designs import REGISTRY, design_testbench, golden_module
 from ..nn import load_state, save_state
 from ..runtime import ExecutionRuntime
 from ..sim.testbench import TestbenchConfig
 from ..sim.trace import Trace
 from ..verilog.ast_nodes import Module
-from ..verilog.parser import parse_module
 from .campaign import DEFAULT_PLAN, CampaignHandle
 from .config import SessionConfig
 
@@ -103,7 +102,7 @@ class VeriBugSession:
     process.
 
     Campaigns share one per-design memo: registry designs are parsed once
-    per session (:meth:`resolve_design`), and a :class:`SuiteMemo` keeps
+    per process (:meth:`resolve_design`), and a :class:`SuiteMemo` keeps
     the stimulus suites and golden traces of the design most recently
     campaigned, so its targets generate and golden-simulate each suite
     once.  Its counters appear in :meth:`runtime_stats`.
@@ -148,7 +147,6 @@ class VeriBugSession:
         )
         self._trainer: Trainer | None = None
         self._corpus = corpus
-        self._designs: dict[str, Module] = {}
         self._suites = SuiteMemo()
 
     # ------------------------------------------------------------------
@@ -450,23 +448,21 @@ class VeriBugSession:
 
         Accepts a parsed :class:`Module` (returned as-is), the name of a
         registered evaluation design, the name of a usable design in the
-        session's ingested corpus, or raw Verilog source text (parsed
-        anew on every call).
+        session's ingested corpus, or raw Verilog source text.
 
-        A name resolves to one module shared by the whole session: each
-        registry design is parsed on first use and cached, and corpus
-        names return :meth:`IngestedCorpus.module`.  Shared modules are
-        immutable by contract (:func:`~repro.datagen.apply_mutation`
-        returns path copies); callers that need to edit one should
-        ``clone()`` it.
+        Registry names and raw source resolve to the process-wide
+        :func:`~repro.designs.golden_module` of their source text: parsed
+        once per process and shared by every session, so its design index
+        and slices are built once too.  Corpus names return
+        :meth:`IngestedCorpus.module`.  Shared modules are immutable by
+        contract (:func:`~repro.datagen.apply_mutation` returns path
+        copies); callers that need to edit one should ``clone()`` it or
+        use :func:`~repro.designs.load_design`.
         """
         if isinstance(design, Module):
             return design
         if design in REGISTRY:
-            module = self._designs.get(design)
-            if module is None:
-                module = self._designs[design] = load_design(design)
-            return module
+            return golden_module(REGISTRY[design].source)
         corpus = self.corpus
         if corpus is not None and design in corpus:
             return corpus.module(design)
@@ -474,7 +470,7 @@ class VeriBugSession:
         # after comments/blank lines); a mistyped registry name merely
         # *containing* the substring must not hit the parser.
         if re.search(r"(?m)^\s*module\b", design):
-            return parse_module(design)
+            return golden_module(design)
         available = list(REGISTRY)
         if corpus is not None:
             available += corpus.names()

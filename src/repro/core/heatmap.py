@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.contexts import StatementContext
+from ..analysis.index import design_index
 from ..sim.trace import SuiteLog, Trace
 from ..verilog.ast_nodes import Module
 from ..verilog.printer import statement_source
@@ -128,8 +129,9 @@ def render_heatmap(
         lines.append("(no statement exceeded the suspiciousness threshold)")
         return "\n".join(lines)
 
+    index = design_index(module)
     for entry in heatmap.ranked():
-        stmt = module.statement_by_id(entry.stmt_id)
+        stmt = index.statement(entry.stmt_id)
         context = contexts.get(entry.stmt_id)
         names = context.operand_names() if context else tuple(
             f"op{i}" for i in range(len(entry.weights))

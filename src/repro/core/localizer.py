@@ -4,7 +4,10 @@ Given a design, a target output, and two trace sets (failing / correct),
 the localizer:
 
 1. slices the design statically for the target (``Dep_t``),
-2. extracts operand contexts for the slice statements,
+2. extracts operand contexts for the slice statements (both read off
+   the design's frozen :class:`~repro.analysis.DesignIndex`, so a
+   mutant shares everything but its mutated statement's context with
+   its golden design),
 3. runs model inference on every executed slice statement,
 4. aggregates attention into ``Ft`` and ``Ct``,
 5. emits the heatmap ``Ht`` and a suspiciousness ranking.
@@ -14,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..analysis.contexts import StatementContext, extract_module_contexts
-from ..analysis.slicing import StaticSlice, compute_static_slice, slice_statements
+from ..analysis.contexts import StatementContext
+from ..analysis.index import StaticSlice, design_index
 from ..sim.trace import Trace
 from ..verilog.ast_nodes import Module
 from .config import VeriBugConfig
@@ -31,8 +34,9 @@ class LocalizationResult:
     Attributes:
         target: The failing output that was localized.
         heatmap: The final heatmap ``Ht``.
-        static_slice: The dependency slice used.
-        contexts: Contexts of the slice statements.
+        static_slice: The dependency slice used (frozensets, shared).
+        contexts: Contexts of the slice statements (this result's own
+            dict; the contexts in it are shared and read-only).
         ranking: stmt_ids of heatmap entries by decreasing suspiciousness.
     """
 
@@ -78,9 +82,10 @@ class LocalizationEngine:
     This is the *engine* layer: it owns no session state beyond the model
     handed to it and is driven by :class:`repro.api.VeriBugSession` (the
     facade).  Every localization runs through :meth:`localize_many`
-    (:meth:`localize` is its one-request form): slice and extract
-    contexts per request, build ``Ft``/``Ct``, then the heatmap and
-    ranking.  Only the ``Ft``/``Ct`` step depends on the arm.
+    (:meth:`localize` is its one-request form): read the slice and
+    contexts off each request's design index, build ``Ft``/``Ct``, then
+    the heatmap and ranking.  Only the ``Ft``/``Ct`` step depends on the
+    arm.
 
     Args:
         model / encoder / config: The trained model and its codec.
@@ -190,11 +195,10 @@ class LocalizationEngine:
         self.model.attention_memo.begin_epoch()
         prepared: list[tuple[StaticSlice, dict[int, StatementContext]]] = []
         for request in requests:
-            static_slice = compute_static_slice(request.module, request.target)
-            contexts = extract_module_contexts(
-                slice_statements(request.module, static_slice)
+            index = design_index(request.module)
+            prepared.append(
+                (index.static_slice(request.target), index.contexts(request.target))
             )
-            prepared.append((static_slice, contexts))
         if self.fast_inference:
             maps = self._shared_maps(requests, prepared, batch_size)
         else:

@@ -12,6 +12,7 @@ from .mutation import (
     creates_combinational_cycle,
     dead_statement_ids,
     enumerate_mutations,
+    mutant_index,
     sample_mutations,
 )
 from .rvdg import RandomVerilogDesignGenerator, RVDGConfig, derive_testbench
@@ -29,5 +30,6 @@ __all__ = [
     "dead_statement_ids",
     "derive_testbench",
     "enumerate_mutations",
+    "mutant_index",
     "sample_mutations",
 ]

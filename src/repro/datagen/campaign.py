@@ -41,11 +41,12 @@ Localization itself runs on the inference fast path: up to
 :meth:`LocalizationEngine.localize_many`, which deduplicates their executions
 and encodes them into shared no-grad forward passes; under that no-grad
 scope the model runs the fused PathRNN kernel and serves repeated
-statement contexts from its context-embedding cache (each mutant's
-contexts are re-extracted per localization, so within a batch the cache
-collapses the PathRNN cost of every distinct operand-value combination
-of one statement down to a single embedding).  Rankings are identical
-to per-mutant localization.
+statement contexts from its context-embedding cache.  A mutant's slice
+and contexts come from its golden design's frozen
+:class:`~repro.analysis.DesignIndex` patched with the one mutated
+statement, so the contexts of every untouched statement are the golden
+design's own objects.  Rankings are identical to per-mutant
+localization.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from ..sim.simulator import SimulationError, Simulator
 from ..sim.testbench import StimulusSuite, TestbenchConfig, generate_testbench_suite
 from ..sim.trace import Trace, _LaneOutputs
 from ..verilog.ast_nodes import Module
-from .mutation import Mutation, apply_mutation, mutate_statement
+from .mutation import Mutation, apply_mutation, mutant_index
 
 
 @dataclass
@@ -329,10 +330,11 @@ def _simulate_mutant(
 
     Pure function of its arguments so it can run either inline or inside a
     worker process; returns the outcome shell plus the failing/correct
-    trace sets the localizer needs.  Recorded mutant runs are columnar
-    end to end: the simulator writes execution columns natively, failure
-    classification only reads outputs, and the localizer dedups off the
-    columns — no per-execution record objects exist anywhere on this
+    trace sets the localizer needs.  Recorded mutant runs stay in the
+    one execution format end to end: each trace is a lane of the
+    simulator's :class:`~repro.sim.trace.SuiteLog`, failure
+    classification only reads outputs, and the localizer dedups straight
+    off the log — no per-execution record objects exist anywhere on this
     path, in-process or across the worker boundary.
 
     This is the per-mutant path: :class:`TargetSimulation` takes it when
@@ -499,8 +501,8 @@ class TargetSimulation:
         for index in range(start, min(start + MAX_PROGRAM_VARIANTS, len(self.mutations))):
             mutation = self.mutations[index]
             try:
-                variant = mutate_statement(
-                    self.module.statement_by_id(mutation.stmt_id), mutation
+                variant = mutant_index(self.module, mutation).statement(
+                    mutation.stmt_id
                 )
             except ValueError as exc:
                 self.errors[index] = str(exc)

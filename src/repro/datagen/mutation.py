@@ -13,6 +13,13 @@ Implements the paper's three data-centric mutation classes:
 One bug per mutated design (no masking interplay).  Mutants that would
 create a combinational cycle (possible with variable misuse) are rejected
 at enumeration time via a conservative static cycle check.
+
+Every question asked of a design here — its statements, dead code, cycle
+verdict — is answered by its frozen :class:`~repro.analysis.DesignIndex`.
+A mutant's index is the golden one patched with the mutated statement
+(:func:`mutant_index`, memoized per golden index and mutation), so a
+mutated statement is built once however often its mutant is sampled,
+lowered into a target program or localized.
 """
 
 from __future__ import annotations
@@ -22,8 +29,7 @@ import difflib
 import functools
 from dataclasses import dataclass
 
-import networkx as nx
-
+from ..analysis.index import DesignIndex, bind_index, design_index
 from ..verilog.ast_nodes import (
     Assignment,
     BinaryOp,
@@ -117,11 +123,29 @@ def enumerate_mutations(
             ``min_operands=2``.
 
     Returns:
-        All mutations, statement order then node order.
+        All mutations, statement order then node order (memoized per
+        design index and arguments; a fresh list per call).
     """
+    index = design_index(module)
+    key = ("mutations", frozenset(kinds), misuse_candidates_per_site, min_operands)
+    found = index.memo.get(key)
+    if found is None:
+        found = index.memo[key] = tuple(
+            _enumerate(module, index, kinds, misuse_candidates_per_site, min_operands)
+        )
+    return list(found)
+
+
+def _enumerate(
+    module: Module,
+    index: DesignIndex,
+    kinds: tuple[str, ...],
+    misuse_candidates_per_site: int,
+    min_operands: int,
+) -> list[Mutation]:
     mutations: list[Mutation] = []
     signal_names = list(module.decls)
-    for stmt in module.statements():
+    for stmt in index.statements:
         nodes = _rhs_nodes(stmt)
         n_operands = sum(1 for n in nodes if isinstance(n, Identifier))
         if n_operands < min_operands:
@@ -196,16 +220,36 @@ def _negation_mutations(
     return out
 
 
+def mutant_index(module: Module, mutation: Mutation) -> DesignIndex:
+    """The design index of ``module`` with ``mutation`` applied.
+
+    The golden index patched with the mutated statement
+    (:meth:`~repro.analysis.DesignIndex.patched`), memoized per golden
+    index and mutation; ``mutant_index(...).statement(mutation.stmt_id)``
+    is the one mutated statement of that mutant.
+
+    Raises:
+        KeyError: If no statement has the mutation's ``stmt_id``.
+        ValueError: If the mutation cannot be applied at its site.
+    """
+    index = design_index(module)
+    found = index.memo.get(mutation)
+    if found is None:
+        statement = mutate_statement(index.statement(mutation.stmt_id), mutation)
+        found = index.memo[mutation] = index.patched(statement)
+    return found
+
+
 def apply_mutation(module: Module, mutation: Mutation) -> Module:
     """Apply a mutation to a path copy of the design.
 
-    Only the mutated statement's right-hand side is copied deeply, plus
-    a shallow copy of every node on the way to it (the module, its
-    statement lists, the enclosing always block and control statements,
-    and the statement itself).  Every other
-    subtree is shared with ``module``, so a mutant costs one statement's
-    copy rather than the whole design's.  Like any compiled module, a
-    design and its mutants must be treated as immutable.
+    The mutated statement comes from :func:`mutant_index`; the copy
+    shares every other subtree with ``module``: only the module, its
+    statement lists, the enclosing always block and the control
+    statements on the way to the mutation site are copied, shallowly.
+    The mutant is bound to its patched index, so slicing or localizing
+    it never re-analyses the design.  Like any compiled module, a design
+    and its mutants must be treated as immutable.
 
     Returns:
         The mutated module (the input module is never modified).
@@ -214,35 +258,37 @@ def apply_mutation(module: Module, mutation: Mutation) -> Module:
         KeyError: If no statement has the mutation's ``stmt_id``.
         ValueError: If the mutation cannot be applied at its site.
     """
+    patched = mutant_index(module, mutation)
+    statement = patched.statement(mutation.stmt_id)
     mutant = copy.copy(module)
     mutant.assigns = list(module.assigns)
     for index, assign in enumerate(module.assigns):
         if assign.stmt_id == mutation.stmt_id:
-            mutant.assigns[index] = mutate_statement(assign, mutation)
+            mutant.assigns[index] = statement
+            bind_index(mutant, patched)
             return mutant
     mutant.always_blocks = list(module.always_blocks)
     for index, block in enumerate(module.always_blocks):
-        body = _path_copy(block.body, mutation)
+        body = _path_copy(block.body, statement)
         if body is not None:
             block = mutant.always_blocks[index] = copy.copy(block)
             block.body = body
+            bind_index(mutant, patched)
             return mutant
     raise KeyError(f"no statement with id {mutation.stmt_id}")
 
 
-def _path_copy(stmt: Statement, mutation: Mutation) -> Statement | None:
-    """``stmt`` with the mutated statement below it replaced, or None.
+def _path_copy(stmt: Statement, statement: Statement) -> Statement | None:
+    """``stmt`` with ``statement`` replacing the one of its id, or None.
 
-    Copies only the control statements between ``stmt`` and the mutation
-    site; their other children stay shared.
+    Copies only the control statements between ``stmt`` and the
+    replaced statement; their other children stay shared.
     """
     if isinstance(stmt, Assignment):
-        if stmt.stmt_id != mutation.stmt_id:
-            return None
-        return mutate_statement(stmt, mutation)
+        return statement if stmt.stmt_id == statement.stmt_id else None
     if isinstance(stmt, Block):
         for index, child in enumerate(stmt.statements):
-            found = _path_copy(child, mutation)
+            found = _path_copy(child, statement)
             if found is not None:
                 spine = copy.copy(stmt)
                 spine.statements = list(stmt.statements)
@@ -252,7 +298,7 @@ def _path_copy(stmt: Statement, mutation: Mutation) -> Statement | None:
     if isinstance(stmt, If):
         for attr in ("then_stmt", "else_stmt"):
             child = getattr(stmt, attr)
-            found = None if child is None else _path_copy(child, mutation)
+            found = None if child is None else _path_copy(child, statement)
             if found is not None:
                 spine = copy.copy(stmt)
                 setattr(spine, attr, found)
@@ -260,7 +306,7 @@ def _path_copy(stmt: Statement, mutation: Mutation) -> Statement | None:
         return None
     if isinstance(stmt, Case):
         for index, item in enumerate(stmt.items):
-            found = _path_copy(item.body, mutation)
+            found = _path_copy(item.body, statement)
             if found is not None:
                 item = copy.copy(item)
                 item.body = found
@@ -351,37 +397,25 @@ def creates_combinational_cycle(module: Module) -> bool:
     means the fixpoint may not exist; we reject such mutants, matching
     real simulators rejecting oscillating netlists.
 
-    The dependence structure is built by the lint layer's
-    :func:`repro.lint.comb_feedback`; the ``cycle.comb`` lint rule and
-    this rejection check share one analysis by construction.
+    The verdict is the design index's
+    (:attr:`~repro.analysis.DesignIndex.has_comb_cycle`), over the same
+    read sites as the ``cycle.comb`` lint rule: both share one analysis
+    by construction.
     """
-    from ..lint.cycles import comb_feedback
-
-    graph, cross_edges = comb_feedback(module)
-    # Oscillation requires a feedback loop whose state crosses evaluation
-    # passes: a cycle in the full read graph containing a cross-pass edge.
-    component_of: dict[str, int] = {}
-    for index, component in enumerate(nx.strongly_connected_components(graph)):
-        for node in component:
-            component_of[node] = index
-    for src, dst in cross_edges:
-        if src == dst or component_of.get(src) == component_of.get(dst):
-            return True
-    return False
+    return design_index(module).has_comb_cycle
 
 
-def dead_statement_ids(module: Module) -> set[int]:
+def dead_statement_ids(module: Module) -> frozenset[int]:
     """Statement ids whose target is outside every output's cone.
 
-    Delegates to the lint layer's dead-code analysis
+    The design index's dead-code analysis, which the lint rule
+    ``dead.unobservable`` also reads
     (:func:`repro.lint.unobservable_statement_ids`).  A bug injected into
     such a statement can never symptomatize at any output, so campaigns
     skip those sites (``sample_mutations(..., exclude_dead=True)``).
     Empty for designs without outputs.
     """
-    from ..lint.deadcode import unobservable_statement_ids
-
-    return unobservable_statement_ids(module)
+    return design_index(module).dead_statement_ids
 
 
 def sample_mutations(
@@ -425,6 +459,7 @@ def sample_mutations(
         dead = dead_statement_ids(module)
         if dead:
             all_mutations = [m for m in all_mutations if m.stmt_id not in dead]
+    golden_cycle = design_index(module).has_comb_cycle
     for kind, count in counts.items():
         pool = [m for m in all_mutations if m.kind == kind]
         rng.shuffle(pool)
@@ -432,11 +467,17 @@ def sample_mutations(
         for mutation in pool:
             if taken >= count:
                 break
-            try:
-                mutant = apply_mutation(module, mutation)
-            except ValueError:
-                continue
-            if creates_combinational_cycle(mutant):
+            if mutation.kind == "misuse":
+                # A misuse swaps one read: recheck over the patched reads.
+                try:
+                    cycle = mutant_index(module, mutation).has_comb_cycle
+                except ValueError:
+                    continue
+            else:
+                # Negation and operation mutants read what the golden
+                # statement reads, so the golden verdict holds.
+                cycle = golden_cycle
+            if cycle:
                 continue
             plan.append(mutation)
             taken += 1

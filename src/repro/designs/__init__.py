@@ -7,6 +7,7 @@ same module names and the exact target outputs of Table III.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from ..sim.testbench import TestbenchConfig
@@ -87,13 +88,13 @@ def design_names() -> list[str]:
 
 
 def load_design(name: str) -> Module:
-    """Parse a registered design into a fresh module.
+    """Parse a registered design into a fresh, editable module.
 
-    Every call parses anew.  A :class:`~repro.api.VeriBugSession`
-    resolves registry names to one module per session instead (see
-    ``VeriBugSession.resolve_design``), shared by all of its campaigns:
-    treat that module as immutable, and ``clone()`` it (or call this
-    function) to get a copy you may edit.
+    Every call parses anew, and the module never enters the process-wide
+    golden cache.  :class:`~repro.api.VeriBugSession` resolves registry
+    names to the shared :func:`golden_module` of their source instead:
+    call this function (or ``clone()`` that module) to get a copy you
+    may edit.
 
     Raises:
         KeyError: For unknown design names.
@@ -103,6 +104,20 @@ def load_design(name: str) -> Module:
             f"unknown design {name!r}; available: {', '.join(REGISTRY)}"
         )
     return parse_module(REGISTRY[name].source)
+
+
+@functools.lru_cache(maxsize=64)
+def golden_module(source: str) -> Module:
+    """The process-wide golden module of a Verilog source text.
+
+    Parsed once per distinct source text and shared by every session in
+    the process (like the vector engine's ``compile()`` cache), so the
+    module's design index and compiled program are built once too.  The
+    module is immutable by contract: mutants are path copies
+    (:func:`~repro.datagen.apply_mutation`), and callers that need to
+    edit a design use :func:`load_design` or ``clone()``.
+    """
+    return parse_module(source)
 
 
 def design_info(name: str) -> DesignInfo:
@@ -129,5 +144,6 @@ __all__ = [
     "design_info",
     "design_names",
     "design_testbench",
+    "golden_module",
     "load_design",
 ]

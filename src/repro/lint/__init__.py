@@ -31,7 +31,7 @@ lint during ingestion.
 from __future__ import annotations
 
 from ..verilog.ast_nodes import Module
-from .cycles import CombinationalCycleRule, comb_feedback, oscillating_components
+from .cycles import CombinationalCycleRule, oscillating_components
 from .deadcode import (
     ConstantBranchRule,
     DeadStatementRule,
@@ -97,7 +97,6 @@ __all__ = [
     "TruncatingAssignmentRule",
     "UndrivenRule",
     "UnusedRule",
-    "comb_feedback",
     "default_rules",
     "lint_module",
     "oscillating_components",

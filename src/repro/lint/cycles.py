@@ -6,7 +6,8 @@ variable is combinationally driven and has not yet been assigned
 unconditionally earlier in the same pass of the same process (ordered
 blocking-assignment semantics).  A dependence cycle that contains a
 cross-pass edge means the fixpoint may not exist — the design can
-oscillate.  :func:`comb_feedback` builds that dependence structure;
+oscillate.  The design index records that dependence structure as
+combinational read sites (:meth:`repro.analysis.DesignIndex.comb_components`);
 ``cycle.comb`` reports each oscillation-capable cycle, and the mutation
 engine's :func:`repro.datagen.mutation.creates_combinational_cycle`
 rejects mutants on exactly the same analysis.
@@ -16,105 +17,10 @@ from __future__ import annotations
 
 from typing import Iterable
 
-import networkx as nx
-
+from ..analysis.index import design_index
 from ..diagnostics import Diagnostic
-from ..verilog.ast_nodes import (
-    Assignment,
-    Block,
-    Case,
-    If,
-    Module,
-    Statement,
-    collect_identifiers,
-)
+from ..verilog.ast_nodes import Module
 from .engine import LintContext, Rule
-
-
-def comb_feedback(
-    module: Module,
-) -> tuple[nx.DiGraph, set[tuple[str, str]]]:
-    """Combinational read-dependence graph plus its cross-pass edges.
-
-    Returns:
-        ``(graph, cross_edges)``: a directed graph with an edge
-        ``u -> v`` for every combinational read of ``u`` feeding an
-        assignment to ``v``, and the subset of edges whose read happens
-        *across* settle passes (the read variable was not already
-        assigned unconditionally earlier in the same pass).  A cycle is
-        oscillation-capable iff it contains a cross-pass edge.
-    """
-    comb_driven: set[str] = {a.target.name for a in module.assigns}
-    for blk in module.always_blocks:
-        if blk.is_clocked:
-            continue
-        for node in blk.body.walk():
-            if isinstance(node, Assignment):
-                comb_driven.add(node.target.name)
-
-    graph = nx.DiGraph()
-    cross_edges: set[tuple[str, str]] = set()
-
-    def read_edges(names: list[str], targets: set[str], assigned: set[str]) -> None:
-        for src in names:
-            if src not in comb_driven:
-                continue
-            cross_pass = src not in assigned
-            for dst in targets:
-                graph.add_edge(src, dst)
-                if cross_pass:
-                    cross_edges.add((src, dst))
-
-    def targets_of(stmt: Statement) -> set[str]:
-        found: set[str] = set()
-        for node in stmt.walk():
-            if isinstance(node, Assignment):
-                found.add(node.target.name)
-        return found
-
-    def walk(stmt: Statement, assigned: set[str]) -> set[str]:
-        """Process a statement; return vars unconditionally assigned by it."""
-        if isinstance(stmt, Block):
-            newly: set[str] = set()
-            for child in stmt.statements:
-                newly |= walk(child, assigned | newly)
-            return newly
-        if isinstance(stmt, If):
-            read_edges(
-                collect_identifiers(stmt.cond), targets_of(stmt), assigned
-            )
-            then_assigned = walk(stmt.then_stmt, set(assigned))
-            if stmt.else_stmt is not None:
-                else_assigned = walk(stmt.else_stmt, set(assigned))
-                return then_assigned & else_assigned
-            return set()
-        if isinstance(stmt, Case):
-            names = collect_identifiers(stmt.subject)
-            for item in stmt.items:
-                for label in item.labels:
-                    names.extend(collect_identifiers(label))
-            read_edges(names, targets_of(stmt), assigned)
-            branch_sets = [walk(item.body, set(assigned)) for item in stmt.items]
-            has_default = any(not item.labels for item in stmt.items)
-            if branch_sets and has_default:
-                common = branch_sets[0]
-                for bs in branch_sets[1:]:
-                    common = common & bs
-                return common
-            return set()
-        if isinstance(stmt, Assignment):
-            read_edges(collect_identifiers(stmt.rhs), {stmt.target.name}, assigned)
-            return {stmt.target.name}
-        return set()
-
-    for assign in module.assigns:
-        read_edges(
-            collect_identifiers(assign.rhs), {assign.target.name}, assigned=set()
-        )
-    for blk in module.always_blocks:
-        if not blk.is_clocked:
-            walk(blk.body, set())
-    return graph, cross_edges
 
 
 def oscillating_components(module: Module) -> list[list[str]]:
@@ -124,20 +30,7 @@ def oscillating_components(module: Module) -> list[list[str]]:
     connected component of the combinational read graph that contains a
     cross-pass edge (including single-signal self-loops).
     """
-    graph, cross_edges = comb_feedback(module)
-    component_of: dict[str, int] = {}
-    components: list[set[str]] = []
-    for index, component in enumerate(nx.strongly_connected_components(graph)):
-        components.append(set(component))
-        for node in component:
-            component_of[node] = index
-    guilty: set[int] = set()
-    for src, dst in cross_edges:
-        if src == dst:
-            guilty.add(component_of[src])
-        elif component_of.get(src) == component_of.get(dst):
-            guilty.add(component_of[src])
-    return sorted(sorted(components[i]) for i in guilty)
+    return design_index(module).comb_components()
 
 
 class CombinationalCycleRule(Rule):

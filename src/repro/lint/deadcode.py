@@ -1,9 +1,10 @@
 """Dead-code rules: logic that can never reach an output.
 
 * ``dead.unobservable`` — an assignment whose target is outside *every*
-  output's dependency cone (:func:`repro.analysis.dependency_cone` over
-  the VDG).  Such statements can never influence observable behavior:
-  simulating them is wasted work, and bugs injected into them are
+  output's dependency cone
+  (:attr:`repro.analysis.DesignIndex.dead_statement_ids`).  Such
+  statements can never influence observable behavior: simulating them
+  is wasted work, and bugs injected into them are
   unkillable — the mutation engine consults exactly this analysis
   (:func:`repro.datagen.mutation.dead_statement_ids`) to keep campaigns
   off them.
@@ -26,24 +27,15 @@ from ..verilog.ast_nodes import Case, If, Module
 from .engine import LintContext, Rule, iter_assignments
 
 
-def unobservable_statement_ids(module: Module) -> set[int]:
+def unobservable_statement_ids(module: Module) -> frozenset[int]:
     """Ids of assignment statements outside every output's cone.
 
-    Returns an empty set for designs without outputs.
+    Read off the module's design index; empty for designs without
+    outputs.
     """
-    if not module.outputs:
-        return set()
-    from ..analysis import build_vdg, dependency_cone
+    from ..analysis.index import design_index
 
-    vdg = build_vdg(module)
-    observable: set[str] = set()
-    for output in module.outputs:
-        observable |= dependency_cone(vdg, output)
-    return {
-        stmt.stmt_id
-        for stmt in module.statements()
-        if stmt.target.name not in observable
-    }
+    return design_index(module).dead_statement_ids
 
 
 class DeadStatementRule(Rule):

@@ -2,7 +2,7 @@
 
 A :class:`Rule` inspects one design through a :class:`LintContext` — a
 lazy bundle of the module plus the static-analysis substrate the rules
-share (driver map, read map, VDG, width resolution, output dependency
+share (driver map, read map, width resolution, the design index's output
 cones) — and yields :class:`~repro.diagnostics.Diagnostic` findings.
 :class:`LintEngine` runs a rule set over a module and returns a
 :class:`LintReport` with the findings in the stable diagnostic order.
@@ -71,9 +71,7 @@ class LintContext:
         self.file = file
         self._drivers: dict[str, list[DriverSite]] | None = None
         self._reads: dict[str, tuple[int, int]] | None = None
-        self._vdg = None
         self._evaluator = None
-        self._observable_vars: set[str] | None = None
 
     # ------------------------------------------------------------------
     # Driver / read maps
@@ -172,33 +170,19 @@ class LintContext:
         return reads
 
     # ------------------------------------------------------------------
-    # Graphs / widths / cones
+    # Cones / widths
     # ------------------------------------------------------------------
     @property
-    def vdg(self):
-        """The module's variable dependency graph (built once)."""
-        if self._vdg is None:
-            from ..analysis import build_vdg
-
-            self._vdg = build_vdg(self.module)
-        return self._vdg
-
-    @property
-    def observable_vars(self) -> set[str]:
+    def observable_vars(self) -> frozenset[str]:
         """Union of every output's dependency cone (the live signal set).
 
         Empty for designs with no outputs — rules that reason about
         observability must skip such designs rather than flagging
-        everything dead.
+        everything dead.  Read off the module's design index.
         """
-        if self._observable_vars is None:
-            from ..analysis import dependency_cone
+        from ..analysis.index import design_index
 
-            observable: set[str] = set()
-            for output in self.module.outputs:
-                observable |= dependency_cone(self.vdg, output)
-            self._observable_vars = observable
-        return self._observable_vars
+        return design_index(self.module).observable
 
     def const_value(self, expr) -> int | None:
         """Evaluate an expression of literals/parameters, else None."""

@@ -732,11 +732,14 @@ def compile_target_program(
         ValueError: If a variant names no statement of ``module``, or
             changes the statement's kind or lvalue.
     """
-    originals = {stmt.stmt_id: stmt for stmt in module.statements()}
+    from ..analysis.index import design_index
+
+    index = design_index(module)
     for variant in variants:
-        original = originals.get(variant.stmt_id)
-        if original is None:
-            raise ValueError(f"variant of unknown statement {variant.stmt_id}")
+        try:
+            original = index.statement(variant.stmt_id)
+        except KeyError:
+            raise ValueError(f"variant of unknown statement {variant.stmt_id}") from None
         if type(variant) is not type(original) or variant.target != original.target:
             raise ValueError(
                 f"variant of statement {variant.stmt_id} changes its kind or target"

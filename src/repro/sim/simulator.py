@@ -362,8 +362,10 @@ class Simulator:
     ) -> None:
         """Fire all clocked blocks and commit non-blocking updates.
 
-        Clock-edge records append to the recorder's main columns directly
-        in execution order (no settle-pass dedup applies here).
+        Clock-edge records append to the recorder directly in execution
+        order (no settle-pass dedup applies here); the recorder's
+        :meth:`~repro.sim.recorder.ExecutionRecorder.finish` turns them
+        into the run's one-lane :class:`~repro.sim.trace.SuiteLog`.
         """
         nba_updates: list[tuple[Assignment, int]] = []
         for blk in self.seq_blocks:

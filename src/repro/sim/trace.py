@@ -203,15 +203,20 @@ class SuiteLog:
         return cls.one_lane(tuple(index), slots, cycles, lhs, flat)
 
     def __reduce__(self):
+        # The wire form narrows slots and cycles to int32 when they fit
+        # and drops the all-true mask of a one-lane, all-active log (what
+        # a pickled lane ships); :func:`_restore_log` restores both, so
+        # consumers see int64 columns and a mask as before.
+        full = self.n_lanes == 1 and self.lane_count(0) == len(self.slots)
         return (
-            SuiteLog,
+            _restore_log,
             (
                 self.shapes,
-                self.slots,
-                self.cycles,
+                _wire_int(self.slots),
+                _wire_int(self.cycles),
                 self.lhs,
                 self.ops,
-                self.active,
+                None if full else self.active,
                 self.stmt_ids,
                 self.widths,
             ),
@@ -297,6 +302,33 @@ class SuiteLog:
             self.stmt_ids[self.slots[self.active[:, lane]]], return_counts=True
         )
         return dict(zip(ids.tolist(), counts.tolist()))
+
+
+_INT32 = np.iinfo(np.int32)
+
+
+def _wire_int(column: np.ndarray) -> np.ndarray:
+    """An int64 index column as int32 when its values fit."""
+    if column.size and (column.min() < _INT32.min or column.max() > _INT32.max):
+        return column
+    return column.astype(np.int32)
+
+
+def _restore_log(shapes, slots, cycles, lhs, ops, active, stmt_ids, widths) -> SuiteLog:
+    """Unpickle a :class:`SuiteLog`: int64 slots and cycles, and the
+    all-true mask when the wire form omitted it."""
+    if active is None:
+        active = np.ones((len(slots), 1), dtype=bool)
+    return SuiteLog(
+        shapes,
+        slots.astype(np.int64),
+        cycles.astype(np.int64),
+        lhs,
+        ops,
+        active,
+        stmt_ids,
+        widths,
+    )
 
 
 def _bounds(counts: np.ndarray) -> np.ndarray:

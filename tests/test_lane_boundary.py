@@ -35,6 +35,8 @@ from repro.sim.trace import _LaneOutputs
 from repro.sim.vector import VectorRecorder, _unpack
 from repro.verilog import parse_module
 
+from conftest import assert_executions_identical
+
 
 # ----------------------------------------------------------------------
 # Oracle: the per-lane masked slice
@@ -318,6 +320,39 @@ class TestLaneViews:
             assert lane_log.ops.shape == (int(lane_log.widths[lane_log.slots].sum()), 1)
             assert lane_log.lane_slice(0) is lane_log
             assert list(back.executions) == list(trace.executions)
+
+    def test_pickled_lane_wire_form_is_narrow_and_restores_exactly(self):
+        """On the wire a lane ships int32 slots and cycles and no all-true
+        mask; unpickled, its log has int64 columns and the mask again and
+        is event for event identical to the lane.  A multi-lane log keeps
+        its mask on the wire."""
+        module = load_design("usbf_pl")
+        suite = generate_testbench_suite(module, 4, TestbenchConfig(n_cycles=10), seed=2)
+        traces = Simulator(module, engine="vector").run_suite(suite)
+        log, _ = traces[0].execution_log()
+        wire = log.__reduce__()[1]
+        assert wire[5] is log.active
+        back = pickle.loads(pickle.dumps(log))
+        for name in ("slots", "cycles", "lhs", "ops", "active"):
+            assert getattr(back, name).dtype == getattr(log, name).dtype
+            assert np.array_equal(getattr(back, name), getattr(log, name))
+        for lane, trace in enumerate(traces):
+            sliced = log.lane_slice(lane)
+            wire = sliced.__reduce__()[1]
+            assert wire[1].dtype == wire[2].dtype == np.int32
+            assert wire[5] is None
+            full = (sliced.shapes, sliced.slots, sliced.cycles, sliced.lhs, sliced.ops,
+                    sliced.active, sliced.stmt_ids, sliced.widths)
+            # Narrowing and the dropped mask save 4 + 4 + 1 bytes per
+            # event; at least 8 of them survive the fixed overheads.
+            assert len(pickle.dumps(sliced)) <= len(pickle.dumps(full)) - 8 * len(sliced.slots)
+            back = pickle.loads(pickle.dumps(trace))
+            lane_log, _ = back.execution_log()
+            assert lane_log.slots.dtype == lane_log.cycles.dtype == np.int64
+            assert lane_log.active.dtype == bool
+            assert lane_log.active.shape == (len(lane_log.slots), 1)
+            assert lane_log.active.all()
+            assert_executions_identical(back, trace)
 
     def test_outputs_view_behaves_like_frames(self, arbiter):
         suite = generate_testbench_suite(arbiter, 3, TestbenchConfig(n_cycles=5), seed=1)
