@@ -5,7 +5,7 @@ counts the paper reports for the original full-featured designs, and
 benchmarks the frontend+analysis cost per design.
 """
 
-from repro.analysis import build_cdfg, build_vdg
+from repro.analysis import design_index
 from repro.designs import REGISTRY, design_info, load_design
 from repro.verilog import parse_module
 
@@ -31,17 +31,18 @@ def test_table1_design_details(benchmark):
 
 
 def test_table1_frontend_throughput(benchmark):
-    """Parse + CDFG + VDG for every design (the GoldMine-replacement path)."""
-    sources = [design_info(name).source for name in REGISTRY]
+    """Parse, index and slice every design, as a campaign does per golden."""
+    designs = [(design_info(name).source, load_design(name).outputs) for name in REGISTRY]
 
     def frontend():
         total_stmts = 0
-        for source in sources:
+        for source, outputs in designs:
             module = parse_module(source)
-            build_vdg(module)
-            build_cdfg(module)
-            total_stmts += len(module.statements())
+            index = design_index(module)
+            for output in outputs:
+                index.static_slice(output)
+            total_stmts += len(index.statements)
         return total_stmts
 
     total = benchmark(frontend)
-    print(f"\nfrontend+analysis over {len(sources)} designs: {total} statements")
+    print(f"\nfrontend+analysis over {len(designs)} designs: {total} statements")

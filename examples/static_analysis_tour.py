@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Tour of the static-analysis substrate (the GoldMine replacement).
 
-Parses the Ibex controller re-implementation and shows every artifact
-the VeriBug pipeline consumes: the VDG with its dependency cone, the
-CDFG, the cone of influence over a 3-cycle unrolling, design slices, and
-the AST operand contexts — plus the structural fingerprint that keys the
-session's cross-mutant context-embedding cache, and the semantic lint
-report built on top of the same graphs.
+Parses the Ibex controller re-implementation and shows every static
+fact the VeriBug pipeline consumes, all served by the design's frozen
+index (`repro.analysis.design_index`): per-statement data, select and
+control reads (the VDG's edges), the target's dependency cone, its
+static slice, the AST operand contexts of the slice statements and the
+combinational-cycle check — plus the structural fingerprint that keys
+the session's cross-mutant context-embedding cache, and the semantic
+lint report built on the same index.
 
 This is the layer *below* `repro.api.VeriBugSession` (see "API layering"
 in docs/architecture.md); designs are loaded through the API facade.
@@ -14,15 +16,7 @@ in docs/architecture.md); designs are loaded through the API facade.
 Run:  python examples/static_analysis_tour.py
 """
 
-from repro.analysis import (
-    build_cdfg,
-    build_vdg,
-    compute_static_slice,
-    cone_of_influence,
-    dependency_cone,
-    extract_statement_context,
-    slice_statements,
-)
+from repro.analysis import design_index
 from repro.api import load_design
 from repro.lint import lint_module
 from repro.verilog.printer import statement_source
@@ -36,37 +30,29 @@ def main() -> None:
     print(f"inputs: {len(module.inputs)}, outputs: {len(module.outputs)}, "
           f"statements: {len(module.statements())}")
 
-    print("\n== Variable Dependency Graph (VDG) ==")
-    vdg = build_vdg(module)
-    print(f"{vdg.number_of_nodes()} variables, {vdg.number_of_edges()} dependencies")
-    cone = dependency_cone(vdg, TARGET)
-    print(f"Dep({TARGET}) = {sorted(cone)}")
+    index = design_index(module)
 
-    print("\n== Control-Data Flow Graph (CDFG) ==")
-    cdfg = build_cdfg(module)
-    kinds: dict[str, int] = {}
-    for _node, attrs in cdfg.nodes(data=True):
-        kinds[attrs["kind"]] = kinds.get(attrs["kind"], 0) + 1
-    print(f"{cdfg.number_of_nodes()} nodes by kind: {kinds}")
+    print("\n== Statement reads (the VDG's edges) ==")
+    for stmt in index.statements[:6]:
+        reads = index.reads(stmt.stmt_id)
+        print(f"  [{stmt.stmt_id:>3}] {reads.target}: data={list(reads.data)}"
+              f" select={list(reads.select)} control={list(reads.control)}")
+    if len(index.statements) > 6:
+        print(f"  ... and {len(index.statements) - 6} more")
 
-    print("\n== Cone of influence (3-cycle unrolling) ==")
-    coi = cone_of_influence(module, TARGET, 3)
-    by_cycle: dict[int, int] = {}
-    for _signal, cycle in coi:
-        by_cycle[cycle] = by_cycle.get(cycle, 0) + 1
-    print(f"timed variables per cycle: {dict(sorted(by_cycle.items()))}")
+    print(f"\n== Dependency cone of {TARGET!r} ==")
+    print(f"Dep({TARGET}) = {sorted(index.cone(TARGET))}")
 
     print(f"\n== Static slice for target {TARGET!r} ==")
-    static_slice = compute_static_slice(module, TARGET)
-    statements = slice_statements(module, static_slice)
-    print(f"{len(statements)} statements in the slice:")
-    for stmt in statements[:8]:
-        print(f"  [{stmt.stmt_id:>3}] {statement_source(stmt)}")
-    if len(statements) > 8:
-        print(f"  ... and {len(statements) - 8} more")
+    stmt_ids = sorted(index.static_slice(TARGET).stmt_ids)
+    print(f"{len(stmt_ids)} statements in the slice:")
+    for stmt_id in stmt_ids[:8]:
+        print(f"  [{stmt_id:>3}] {statement_source(index.statement(stmt_id))}")
+    if len(stmt_ids) > 8:
+        print(f"  ... and {len(stmt_ids) - 8} more")
 
     print("\n== Operand contexts of the first slice statement ==")
-    context = extract_statement_context(statements[0])
+    context = index.contexts(TARGET)[stmt_ids[0]]
     for operand, paths in zip(context.operands, context.contexts):
         print(f"  {operand.name}:")
         for path in paths:
@@ -79,9 +65,13 @@ def main() -> None:
     for op_index, operand in enumerate(context.operands):
         print(f"  {operand.name}: {context.structural_key(op_index)}")
 
-    print("\n== Semantic lint (repro.lint over the same graphs) ==")
-    # The lint engine reuses the VDG and output dependency cones built
-    # above: driver analysis, combinational-cycle detection, latch
+    print("\n== Combinational cycles ==")
+    components = index.comb_components()
+    print(f"oscillation-capable components: {components or 'none'}")
+
+    print("\n== Semantic lint (repro.lint over the same index) ==")
+    # The lint engine reuses the index above (output cones, comb read
+    # sites): driver analysis, combinational-cycle detection, latch
     # inference, race checks, width diagnostics, and dead-code analysis
     # all run without ever simulating the design.
     report = lint_module(module, file="ibex_controller.v")

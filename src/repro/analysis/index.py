@@ -29,8 +29,6 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 
-import networkx as nx
-
 from ..verilog.ast_nodes import (
     Assignment,
     Block,
@@ -192,22 +190,19 @@ class _Dependences:
 
     def components(self) -> list[list[str]]:
         if self._components is None:
-            graph = nx.DiGraph()
+            graph: dict[str, dict[str, None]] = {}
             cross_edges: set[tuple[str, str]] = set()
             for _stmt_id, names, targets, assigned in self.sites:
                 for source in names:
                     if source not in self.comb_driven:
                         continue
+                    successors = graph.setdefault(source, {})
                     for target in targets:
-                        graph.add_edge(source, target)
+                        successors[target] = None
                         if source not in assigned:
                             cross_edges.add((source, target))
-            component_of: dict[str, int] = {}
-            members: list[set[str]] = []
-            for number, component in enumerate(nx.strongly_connected_components(graph)):
-                members.append(component)
-                for node in component:
-                    component_of[node] = number
+            members = _strongly_connected(graph)
+            component_of = {node: number for number, group in enumerate(members) for node in group}
             guilty = {
                 component_of[source]
                 for source, target in cross_edges
@@ -215,6 +210,52 @@ class _Dependences:
             }
             self._components = sorted(sorted(members[i]) for i in guilty)
         return self._components
+
+
+def _strongly_connected(graph: dict[str, dict[str, None]]) -> list[list[str]]:
+    """Tarjan's strongly connected components of ``graph`` (node -> successors).
+
+    Iterative, so a combinational chain of any length stays within the
+    recursion limit.  Every node reached appears in exactly one component.
+    """
+    order: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    on_stack: set[str] = set()
+    components: list[list[str]] = []
+    for root in graph:
+        if root in order:
+            continue
+        order[root] = low[root] = len(order)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(graph[root]))]
+        while work:
+            node, successors = work[-1]
+            for successor in successors:
+                if successor not in order:
+                    order[successor] = low[successor] = len(order)
+                    stack.append(successor)
+                    on_stack.add(successor)
+                    work.append((successor, iter(graph.get(successor, ()))))
+                    break
+                if successor in on_stack:
+                    low[node] = min(low[node], order[successor])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == order[node]:
+                    component: list[str] = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    components.append(component)
+    return components
 
 
 class DesignIndex:
@@ -271,6 +312,14 @@ class DesignIndex:
     # ------------------------------------------------------------------
     # Dependences
     # ------------------------------------------------------------------
+    def cone(self, target: str) -> frozenset[str]:
+        """``Dep_t``: every variable ``target`` depends on, target included.
+
+        A BFS over the VDG adjacency, memoized.  Raises ValueError for
+        undeclared targets, naming the available variables.
+        """
+        return self._deps.cone(target)
+
     def static_slice(self, target: str) -> StaticSlice:
         """The target's static slice (memoized; frozensets).
 

@@ -1,8 +1,8 @@
 """Semantic lint: rule-based static analysis over parsed designs.
 
 The lint engine classifies designs *before* the system spends simulator
-and model cycles on them, reusing the VDG/CDFG substrate the paper
-builds for slicing (:mod:`repro.analysis`).  Findings are ordinary
+and model cycles on them, reusing the design index the paper's slicing
+reads (:func:`repro.analysis.design_index`).  Findings are ordinary
 :class:`repro.diagnostics.Diagnostic` records — the same shape the
 ingest detector emits — so ``file:line:col`` reports interleave across
 passes.

@@ -1,163 +1,108 @@
-"""Tests for VDG, CDFG, COI, and slicing."""
+"""Tests for the design index's VDG and CDFG facts, and for slicing."""
 
 import pytest
 
-from repro.analysis import (
-    build_cdfg,
-    build_coi_graph,
-    build_vdg,
-    compute_dynamic_slice,
-    compute_static_slice,
-    cone_of_influence,
-    dependency_cone,
-    slice_statements,
-    stmt_nodes,
-)
+from repro.analysis import compute_static_slice, design_index, slice_statements
+from repro.core.features import log_rows
 from repro.sim import Simulator
 from repro.verilog import parse_module
 
 
+def reads_of(module, target):
+    """The reads of every statement assigning ``target``, in id order."""
+    index = design_index(module)
+    return [index.reads(s.stmt_id) for s in index.statements if s.target.name == target]
+
+
 class TestVDG:
     def test_data_edges(self, arbiter):
-        vdg = build_vdg(arbiter)
-        assert vdg.has_edge("req1", "gnt1")
-        assert vdg.has_edge("req2", "gnt1")
+        data = {name for reads in reads_of(arbiter, "gnt1") for name in reads.data}
+        assert {"req1", "req2"} <= data
 
     def test_control_edges(self, arbiter):
-        vdg = build_vdg(arbiter)
-        assert vdg.has_edge("state", "gnt1")
-        assert "control" in vdg.edges["state", "gnt1"]["etype"]
+        gnt1 = reads_of(arbiter, "gnt1")
+        assert gnt1 and all(reads.control == ("state",) for reads in gnt1)
+        assert "state" in design_index(arbiter).cone("gnt1")
 
     def test_control_edge_from_reset(self, arbiter):
-        vdg = build_vdg(arbiter)
-        assert vdg.has_edge("rst_n", "state")
+        state = reads_of(arbiter, "state")
+        assert state and all(reads.control == ("rst_n",) for reads in state)
 
     def test_data_plus_control_label(self):
         m = parse_module(
             "module t(a, y); input a; output reg y;"
             " always @(*) if (a) y = a; else y = 1'b0; endmodule"
         )
-        vdg = build_vdg(m)
-        assert vdg.edges["a", "y"]["etype"] == "data+control"
+        then_reads, else_reads = reads_of(m, "y")
+        assert then_reads.data == ("a",) and then_reads.control == ("a",)
+        assert else_reads.data == () and else_reads.control == ("a",)
 
     def test_case_subject_is_control(self):
         m = parse_module(
             "module t(s, y); input [1:0] s; output reg y;"
             " always @(*) case (s) default: y = 1'b1; endcase endmodule"
         )
-        vdg = build_vdg(m)
-        assert vdg.has_edge("s", "y")
+        (reads,) = reads_of(m, "y")
+        assert reads.control == ("s",) and reads.data == ()
+        assert design_index(m).cone("y") == {"s", "y"}
 
     def test_lvalue_index_is_data_dep(self):
         m = parse_module(
             "module t(i, y); input [1:0] i; output reg [3:0] y;"
             " always @(*) y[i] = 1'b1; endmodule"
         )
-        vdg = build_vdg(m)
-        assert vdg.has_edge("i", "y")
+        (reads,) = reads_of(m, "y")
+        assert reads.select == ("i",) and reads.data == ()
+        assert design_index(m).cone("y") == {"i", "y"}
 
     def test_parameters_excluded(self):
         m = parse_module(
             "module t(a, y); parameter P = 1; input a; output y;"
             " assign y = a & P; endmodule"
         )
-        vdg = build_vdg(m)
-        assert "P" not in vdg
+        (reads,) = reads_of(m, "y")
+        assert reads.data == ("a", "P")
+        assert design_index(m).cone("y") == {"a", "y"}
 
     def test_dependency_cone(self, arbiter):
-        vdg = build_vdg(arbiter)
-        cone = dependency_cone(vdg, "gnt1")
+        cone = design_index(arbiter).cone("gnt1")
         assert cone == {"gnt1", "req1", "req2", "state", "rst_n"}
 
     def test_dependency_cone_includes_target(self, arbiter):
-        vdg = build_vdg(arbiter)
-        assert "gnt2" in dependency_cone(vdg, "gnt2")
+        assert "gnt2" in design_index(arbiter).cone("gnt2")
 
     def test_dependency_cone_unknown_target(self, arbiter):
         with pytest.raises(ValueError, match="ghost") as excinfo:
-            dependency_cone(build_vdg(arbiter), "ghost")
+            design_index(arbiter).cone("ghost")
         # The error lists the available candidates, not a bare KeyError.
         assert "gnt1" in str(excinfo.value)
         assert "available" in str(excinfo.value)
 
 
 class TestCDFG:
-    def test_stmt_nodes_cover_all_statements(self, arbiter):
-        cdfg = build_cdfg(arbiter)
-        mapping = stmt_nodes(cdfg)
-        assert set(mapping) == {s.stmt_id for s in arbiter.statements()}
+    """Statement-level control and data dependences, served by the index."""
 
-    def test_branch_nodes_exist(self, arbiter):
-        cdfg = build_cdfg(arbiter)
-        kinds = {attrs["kind"] for _n, attrs in cdfg.nodes(data=True)}
-        assert "branch" in kinds and "merge" in kinds
+    def test_stmt_nodes_cover_all_statements(self, arbiter):
+        ids = [stmt.stmt_id for stmt in design_index(arbiter).statements]
+        assert ids == sorted(s.stmt_id for s in arbiter.statements())
 
     def test_data_edge_between_statements(self):
         m = parse_module(
             "module t(a, y); input a; output y; wire mid;"
             " assign mid = ~a; assign y = mid; endmodule"
         )
-        cdfg = build_cdfg(m)
-        data_edges = [
-            (u, v)
-            for u, v, attrs in cdfg.edges(data=True)
-            if attrs.get("etype") == "data"
-        ]
-        assert ("stmt_0", "stmt_1") in data_edges
-
-    def test_branch_edge_labels(self):
-        m = parse_module(
-            "module t(a, y); input a; output reg y;"
-            " always @(*) if (a) y = 1'b1; else y = 1'b0; endmodule"
-        )
-        cdfg = build_cdfg(m)
-        labels = {
-            attrs.get("label")
-            for _u, _v, attrs in cdfg.edges(data=True)
-            if "label" in attrs
-        }
-        assert "true" in labels
+        index = design_index(m)
+        assert index.reads(1).data == ("mid",)
+        assert index.statement(0).target.name == "mid"
+        assert index.static_slice("y").stmt_ids == {0, 1}
 
     def test_case_without_default_falls_through(self):
         m = parse_module(
             "module t(s, y); input [1:0] s; output reg y;"
             " always @(*) case (s) 2'd0: y = 1'b1; endcase endmodule"
         )
-        cdfg = build_cdfg(m)  # must not raise
-        assert stmt_nodes(cdfg)
-
-
-class TestCOI:
-    def test_same_cycle_comb_dependence(self, arbiter):
-        graph = build_coi_graph(arbiter, 2)
-        assert graph.has_edge(("req1", 0), ("gnt1", 0))
-
-    def test_cross_cycle_seq_dependence(self, arbiter):
-        graph = build_coi_graph(arbiter, 2)
-        assert graph.has_edge(("state", 0), ("state", 1))
-
-    def test_no_seq_edge_at_cycle_zero(self, arbiter):
-        graph = build_coi_graph(arbiter, 2)
-        assert not any(src[1] < 0 for src, _dst in graph.edges)
-
-    def test_cone_of_influence_grows_with_depth(self, arbiter):
-        shallow = cone_of_influence(arbiter, "gnt1", 1)
-        deep = cone_of_influence(arbiter, "gnt1", 3)
-        assert len(deep) > len(shallow)
-
-    def test_cone_includes_goal(self, arbiter):
-        cone = cone_of_influence(arbiter, "gnt1", 2)
-        assert ("gnt1", 1) in cone
-
-    def test_bad_depth_raises(self, arbiter):
-        with pytest.raises(ValueError):
-            build_coi_graph(arbiter, 0)
-
-    def test_unknown_target_raises(self, arbiter):
-        with pytest.raises(ValueError, match="ghost") as excinfo:
-            cone_of_influence(arbiter, "ghost", 2)
-        assert "gnt1" in str(excinfo.value)
-        assert "available" in str(excinfo.value)
+        (reads,) = reads_of(m, "y")  # must not raise
+        assert reads.control == ("s",)
 
 
 class TestSlicing:
@@ -178,30 +123,31 @@ class TestSlicing:
         stmts = slice_statements(arbiter, sl)
         assert [s.stmt_id for s in stmts] == sorted(s.stmt_id for s in stmts)
 
+    # The dynamic slice of a trace is the executed part of the static
+    # slice: the localizer reads exactly the rows ``log_rows`` keeps.
+    @staticmethod
+    def dynamic_slice(module, target, stimulus):
+        sl = compute_static_slice(module, target)
+        trace = Simulator(module).run(stimulus)
+        keyed, _lhs, order = log_rows(design_index(module).contexts(target), [trace], sl.stmt_ids)
+        return sl, keyed[:, 0].tolist(), order.tolist()
+
     def test_dynamic_slice_excludes_untaken(self, arbiter):
-        sl = compute_static_slice(arbiter, "gnt1")
-        sim = Simulator(arbiter)
-        trace = sim.run([{"clk": 0, "rst_n": 1, "req1": 1, "req2": 0}])
-        dyn = compute_dynamic_slice(sl, trace)
+        _, stmt_ids, _ = self.dynamic_slice(
+            arbiter, "gnt1", [{"clk": 0, "rst_n": 1, "req1": 1, "req2": 0}]
+        )
         # state=0 -> only the else-branch gnt1 stmt (id 4) executes.
-        assert 4 in dyn.stmt_ids
-        assert 2 not in dyn.stmt_ids
+        assert 4 in stmt_ids
+        assert 2 not in stmt_ids
 
     def test_dynamic_slice_subset_of_static(self, arbiter):
-        sl = compute_static_slice(arbiter, "gnt1")
-        sim = Simulator(arbiter)
-        trace = sim.run(
-            [{"clk": 0, "rst_n": 1, "req1": 1, "req2": 1} for _ in range(4)]
+        sl, stmt_ids, _ = self.dynamic_slice(
+            arbiter, "gnt1", [{"clk": 0, "rst_n": 1, "req1": 1, "req2": 1} for _ in range(4)]
         )
-        dyn = compute_dynamic_slice(sl, trace)
-        assert dyn.stmt_ids <= sl.stmt_ids
+        assert stmt_ids and set(stmt_ids) <= sl.stmt_ids
 
     def test_dynamic_slice_execution_order(self, arbiter):
-        sl = compute_static_slice(arbiter, "gnt1")
-        sim = Simulator(arbiter)
-        trace = sim.run(
-            [{"clk": 0, "rst_n": 1, "req1": 1, "req2": 0} for _ in range(3)]
+        _, _, order = self.dynamic_slice(
+            arbiter, "gnt1", [{"clk": 0, "rst_n": 1, "req1": 1, "req2": 0} for _ in range(3)]
         )
-        dyn = compute_dynamic_slice(sl, trace)
-        cycles = [e.cycle for e in dyn.executions]
-        assert cycles == sorted(cycles)
+        assert order == sorted(order)

@@ -7,7 +7,9 @@ the index: each walks the AST of the module it is handed, and the
 mutants they see are independent path copies that no index knows.  The
 index must agree with them on every RVDG design and every enumerated
 mutant, on all Table-III cone mutants (the few misuse mutants that close
-a combinational cycle included), and on the sampled campaign plans.
+a combinational cycle included), on comb read graphs that stress the
+iterative Tarjan (a ring and a chain deeper than the recursion limit, a
+self-loop, disjoint rings), and on the sampled campaign plans.
 """
 
 from __future__ import annotations
@@ -23,12 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import (
-    compute_static_slice,
-    dependency_cone,
-    design_index,
-    extract_statement_context,
-)
+from repro.analysis import compute_static_slice, design_index, extract_statement_context
 from repro.api import SessionConfig, VeriBugSession
 from repro.datagen import (
     RandomVerilogDesignGenerator,
@@ -116,8 +113,13 @@ def oracle_vdg(module) -> nx.DiGraph:
     return graph
 
 
+def oracle_cone(vdg, target):
+    """Every variable ``target`` reaches against the VDG edges, target included."""
+    return {target} | nx.ancestors(vdg, target)
+
+
 def oracle_slice(module, target):
-    dep_vars = dependency_cone(oracle_vdg(module), target)
+    dep_vars = oracle_cone(oracle_vdg(module), target)
     stmt_ids = {s.stmt_id for s in module.statements() if s.target.name in dep_vars}
     return dep_vars, stmt_ids
 
@@ -213,7 +215,7 @@ def oracle_dead(module):
     vdg = oracle_vdg(module)
     observable = set()
     for output in module.outputs:
-        observable |= dependency_cone(vdg, output)
+        observable |= oracle_cone(vdg, output)
     return {s.stmt_id for s in module.statements() if s.target.name not in observable}
 
 
@@ -386,6 +388,53 @@ def test_probe_and_corpus_designs_match_the_oracles():
         assert_agrees(
             apply_mutation(probe, mutation), oracle_mutant(probe, mutation), probe.decls
         )
+
+
+def comb_chain(prefix, length, ring):
+    """``length`` chained continuous assigns, closed into a ring if asked."""
+    first = f"{prefix}{length - 1} ^ b" if ring else "b"
+    lines = [f"    wire {', '.join(f'{prefix}{i}' for i in range(length))};"]
+    lines.append(f"    assign {prefix}0 = {first};")
+    lines.extend(f"    assign {prefix}{i} = {prefix}{i - 1};" for i in range(1, length))
+    return "\n".join(lines)
+
+
+def comb_design(body, outputs):
+    return (
+        f"module g(b, {', '.join(outputs)});\n    input b;\n"
+        f"    output {', '.join(outputs)};\n{body}\nendmodule\n"
+    )
+
+
+#: Comb read graphs for the iterative Tarjan: ``(source, components)``.
+COMB_GRAPHS = {
+    # Deeper than the default recursion limit: a recursive walk would fail.
+    "ring_3000": (
+        comb_design(comb_chain("w", 3000, ring=True) + "\n    assign y = w2999;", ["y"]),
+        1,
+    ),
+    "self_loop": (comb_design("    assign a = a ^ b;", ["a"]), 1),
+    "two_rings": (
+        comb_design(
+            comb_chain("p", 3, ring=True) + "\n" + comb_chain("q", 4, ring=True)
+            + "\n    assign y = p2;\n    assign z = q3;",
+            ["y", "z"],
+        ),
+        2,
+    ),
+    "acyclic_3000": (
+        comb_design(comb_chain("w", 3000, ring=False) + "\n    assign y = w2999;", ["y"]),
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(COMB_GRAPHS))
+def test_comb_graph_edge_cases_match_the_oracles(name):
+    source, n_components = COMB_GRAPHS[name]
+    module = parse_module(source)
+    assert_agrees(module, module, module.outputs)
+    assert len(design_index(module).comb_components()) == n_components
 
 
 def _cone_mutants():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import build_vdg, compute_static_slice, dependency_cone
+from repro.analysis import compute_static_slice, design_index
 from repro.datagen import (
     CampaignEngine,
     Mutation,
@@ -53,10 +53,9 @@ class TestRegistry:
 
     @pytest.mark.parametrize("name", list(REGISTRY))
     def test_targets_have_nontrivial_cones(self, name):
-        module = load_design(name)
-        vdg = build_vdg(module)
+        index = design_index(load_design(name))
         for target in design_info(name).targets:
-            cone = dependency_cone(vdg, target)
+            cone = index.cone(target)
             assert len(cone) >= 3, f"{name}:{target} cone too small"
 
     @pytest.mark.parametrize("name", list(REGISTRY))

@@ -661,19 +661,13 @@ class TestMutationWiring:
 # ----------------------------------------------------------------------
 class TestConeErrors:
     def test_dependency_cone_names_target_and_candidates(self, arbiter):
-        from repro.analysis import build_vdg, dependency_cone
+        from repro.analysis import design_index
 
         with pytest.raises(ValueError) as excinfo:
-            dependency_cone(build_vdg(arbiter), "ghost")
+            design_index(arbiter).cone("ghost")
         message = str(excinfo.value)
         assert "'ghost'" in message
         assert "gnt1" in message and "gnt2" in message
-
-    def test_cone_of_influence_names_module(self, arbiter):
-        from repro.analysis import cone_of_influence
-
-        with pytest.raises(ValueError, match="'arb'"):
-            cone_of_influence(arbiter, "ghost", 2)
 
 
 # ----------------------------------------------------------------------

@@ -76,13 +76,13 @@ class TestGeneration:
 
     def test_interdependency_exists(self):
         """RVDG must create data flows among generated variables."""
-        from repro.analysis import build_vdg
+        from repro.analysis import design_index
 
-        module = RandomVerilogDesignGenerator(seed=2).generate("d")
-        vdg = build_vdg(module)
+        index = design_index(RandomVerilogDesignGenerator(seed=2).generate("d"))
         internal = [
-            (u, v)
-            for u, v in vdg.edges
-            if u.startswith(("s", "n")) and v.startswith(("s", "n", "out"))
+            (source, reads.target)
+            for reads in map(index.reads, (stmt.stmt_id for stmt in index.statements))
+            for source in reads.data + reads.select + reads.control
+            if source.startswith(("s", "n")) and reads.target.startswith(("s", "n", "out"))
         ]
         assert internal
