@@ -1,7 +1,7 @@
 """Simulation-engine throughput: interpreted vs vector.
 
-Measures cycles/sec and statements/sec on the four paper designs for
-both execution engines and writes the results to ``BENCH_sim.json`` at
+Measures cycles/sec, ns per lane-cycle and statements/sec on the four
+paper designs for both execution engines and writes the results to ``BENCH_sim.json`` at
 the repo root so the performance trajectory is tracked across PRs.
 The vector engine runs the whole testbench suite per design in lockstep
 (``run_suite``), so its wall time is per-suite rather than per-trace;
@@ -10,6 +10,8 @@ The ``vector_single`` column runs the same traces one at a time
 (``Simulator.run``, a one-lane suite each) — the cost of a caller that
 simulates a single trace — and ``single_speedup_*`` reports it against
 the interpreter.
+The vector arm also reports whether the design's program is
+``levelized`` (one comb pass per cycle instead of the fixpoint loop).
 
 The ``--record`` arm selects the workload: ``on`` (trace-learning
 workload, execution recording active), ``off`` (golden-trace workload,
@@ -134,6 +136,7 @@ def _time_runs(run, stimuli, arms: tuple[str, ...], total_cycles: int) -> dict:
         stats["record"] = {
             "wall_s": round(record_s, 6),
             "cycles_per_s": round(total_cycles / record_s),
+            "ns_per_lane_cycle": round(record_s / total_cycles * 1e9),
             "statements_per_s": round(n_statements / record_s),
         }
     if "norecord" in arms:
@@ -143,6 +146,7 @@ def _time_runs(run, stimuli, arms: tuple[str, ...], total_cycles: int) -> dict:
         stats["norecord"] = {
             "wall_s": round(norecord_s, 6),
             "cycles_per_s": round(total_cycles / norecord_s),
+            "ns_per_lane_cycle": round(norecord_s / total_cycles * 1e9),
         }
     if "record" in arms and "norecord" in arms:
         # The recording-overhead arm: cost of execution recording
@@ -171,6 +175,8 @@ def bench_design(
             # A design too wide for 63-bit lanes runs on the interpreter;
             # flag it so the arm is not mistaken for a lockstep number.
             stats["scalar_fallback"] = not simulator.lockstep
+            # One comb pass per cycle instead of the fixpoint loop.
+            stats["levelized"] = simulator.lockstep and simulator.program.levelized
             # Warm the per-stream codegen caches with one-lane suites so
             # the timed runs measure steady-state throughput; the
             # one-time code generation cost is reported separately.

@@ -10,6 +10,18 @@ cone is a BFS over it), the combinational read sites shared by the
 ``cycle.comb`` lint rule and the mutant cycle rejection, and per-target
 memos of cones, slices and contexts.
 
+The same read sites give the combinational *settle order*
+(:meth:`DesignIndex.settle_schedule`): the comb processes (continuous
+assigns and ``always @*`` blocks) in dependency order, ties kept in
+source order, so one pass in that order leaves every comb signal at the
+value the simulator's source-order fixpoint loop reaches.  Designs where
+one pass cannot reproduce that loop have no settle order: comb
+feedback, a signal with two comb drivers, a non-blocking assignment in
+a comb block, a comb block reading a signal it assigns later or only
+conditionally, a process cycle, or a process that keeps state across
+passes (a target not wholly assigned on every path) and could see an
+unsettled input in the loop's first pass.
+
 A mutant differs from its golden design in exactly one statement, so
 its index is the golden one patched with that statement
 (:meth:`DesignIndex.patched`): a patch that reads what the statement
@@ -26,7 +38,9 @@ index" in ``docs/architecture.md``.
 
 from __future__ import annotations
 
+import heapq
 import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ..verilog.ast_nodes import (
@@ -75,12 +89,43 @@ class StatementReads:
     control: tuple[str, ...]
 
 
-#: A combinational read site: ``(stmt_id, names, targets, assigned)``.
-#: ``names`` feed every variable in ``targets``; a name is read across
-#: settle passes unless it is in ``assigned`` (written unconditionally
-#: earlier in the same pass).  ``stmt_id`` is the assignment whose RHS
-#: the names are, or None for an ``if``/``case`` guard.
-_Site = tuple["int | None", tuple[str, ...], frozenset[str], frozenset[str]]
+@dataclass(frozen=True)
+class SettleSchedule:
+    """A one-pass combinational schedule (:meth:`DesignIndex.settle_schedule`).
+
+    Attributes:
+        order: Comb process numbers in dependency order.  Process ``p``
+            is ``module.assigns[p]`` for ``p < len(module.assigns)``,
+            else the ``p - len(module.assigns)``-th unclocked always
+            block.
+        passes: The most passes the source-order fixpoint loop can take
+            before nothing changes (it confirms with one more).
+    """
+
+    order: tuple[int, ...]
+    passes: int
+
+
+#: A combinational read site: ``(stmt_id, names, targets, assigned,
+#: process, settled)``.  ``names`` feed every variable in ``targets``; a
+#: name is read across settle passes unless it is in ``assigned``
+#: (written unconditionally earlier in the same pass), and reads its
+#: in-pass value whole only if it is in ``settled`` (assigned whole,
+#: without a bit or part select, unconditionally earlier).  ``stmt_id``
+#: is the assignment whose RHS the names are, or None for an
+#: ``if``/``case`` guard; ``process`` is the comb process number.
+_Site = tuple[
+    "int | None", tuple[str, ...], frozenset[str], frozenset[str], int, frozenset[str]
+]
+
+#: A comb process: ``(targets, whole, nonblocking)`` -- every variable it
+#: writes, those it assigns whole on every path, and whether it makes a
+#: non-blocking assignment.
+_Process = tuple[frozenset[str], frozenset[str], bool]
+
+
+#: A memo slot not filled yet (None is a verdict).
+_UNSET = object()
 
 
 class _Dependences:
@@ -90,13 +135,16 @@ class _Dependences:
     patched statement's reads.
     """
 
-    def __init__(self, reads, writers, decls, outputs, sites, comb_driven):
+    def __init__(self, reads, writers, decls, outputs, sites, comb_driven, processes):
         self.reads: dict[int, StatementReads] = reads
         self.writers: dict[str, tuple[int, ...]] = writers
         self.decls: frozenset[str] = decls
         self.outputs: tuple[str, ...] = outputs
         self.sites: tuple[_Site, ...] = sites
         self.comb_driven: frozenset[str] = comb_driven
+        self.processes: tuple[_Process, ...] = processes
+        self._preds: object = _UNSET
+        self._settle: object = _UNSET
         self._readers: dict[str, frozenset[str]] | None = None
         self._cones: dict[str, frozenset[str]] = {}
         self._slices: dict[str, StaticSlice] = {}
@@ -126,11 +174,17 @@ class _Dependences:
         all_reads = dict(self.reads)
         all_reads[stmt_id] = reads
         sites = tuple(
-            (site_id, reads.data if site_id == stmt_id else names, targets, assigned)
-            for site_id, names, targets, assigned in self.sites
+            (site_id, reads.data if site_id == stmt_id else names, *rest)
+            for site_id, names, *rest in self.sites
         )
         patched = _Dependences(
-            all_reads, self.writers, self.decls, self.outputs, sites, self.comb_driven
+            all_reads,
+            self.writers,
+            self.decls,
+            self.outputs,
+            sites,
+            self.comb_driven,
+            self.processes,
         )
         if self._readers is not None and reads.target in self.decls:
             patched._readers = dict(self._readers)
@@ -192,7 +246,7 @@ class _Dependences:
         if self._components is None:
             graph: dict[str, dict[str, None]] = {}
             cross_edges: set[tuple[str, str]] = set()
-            for _stmt_id, names, targets, assigned in self.sites:
+            for _stmt_id, names, targets, assigned, *_ in self.sites:
                 for source in names:
                     if source not in self.comb_driven:
                         continue
@@ -210,6 +264,96 @@ class _Dependences:
             }
             self._components = sorted(sorted(members[i]) for i in guilty)
         return self._components
+
+    def settle_preds(self) -> tuple[frozenset[int], ...] | None:
+        """Each comb process's source processes, or None when no order works.
+
+        None on comb feedback, a signal with two comb drivers, a
+        non-blocking comb assignment, or a comb block reading a signal it
+        assigns later or only conditionally.
+        """
+        if self._preds is _UNSET:
+            self._preds = self._settle_preds()
+        return self._preds  # type: ignore[return-value]
+
+    def _settle_preds(self) -> tuple[frozenset[int], ...] | None:
+        if self.components():
+            return None
+        driver: dict[str, int] = {}
+        for number, (targets, _whole, nonblocking) in enumerate(self.processes):
+            if nonblocking:
+                return None
+            for name in targets:
+                if driver.setdefault(name, number) != number:
+                    return None
+        preds: list[set[int]] = [set() for _ in self.processes]
+        for stmt_id, names, _targets, _assigned, process, settled in self.sites:
+            if stmt_id is not None:
+                names = names + self.reads[stmt_id].select
+            for name in names:
+                source = driver.get(name)
+                if source == process:
+                    if name not in settled:
+                        return None
+                elif source is not None:
+                    preds[process].add(source)
+        return tuple(frozenset(sources) for sources in preds)
+
+    def settle(self) -> SettleSchedule | None:
+        if self._settle is _UNSET:
+            preds = self.settle_preds()
+            self._settle = None if preds is None else _schedule(self.processes, preds)
+        return self._settle  # type: ignore[return-value]
+
+
+def _schedule(
+    processes: tuple[_Process, ...], preds: "list[frozenset[int]] | tuple[frozenset[int], ...]"
+) -> SettleSchedule | None:
+    """The settle order of ``preds`` and the passes the source-order loop takes.
+
+    None on a process cycle, or when a process that keeps state could
+    see an unsettled input in the loop's first pass.
+    """
+    order = _stable_topological(preds)
+    if order is None:
+        return None
+    # The source-order loop settles process p in the first pass whose
+    # run of p comes after its sources' final runs.
+    passes = [0] * len(preds)
+    for number in order:
+        need = max(
+            (passes[source] + (source > number) for source in preds[number]),
+            default=1,
+        )
+        targets, whole, _nonblocking = processes[number]
+        if need > 1 and not targets <= whole:
+            return None
+        passes[number] = need
+    return SettleSchedule(order, max(passes, default=0))
+
+
+def _stable_topological(
+    preds: "list[frozenset[int]] | tuple[frozenset[int], ...]",
+) -> tuple[int, ...] | None:
+    """Kahn's order of ``preds`` (node -> its sources), smallest node first.
+
+    None when the graph has a cycle.
+    """
+    succs: list[list[int]] = [[] for _ in preds]
+    waiting = [len(sources) for sources in preds]
+    for number, sources in enumerate(preds):
+        for source in sources:
+            succs[source].append(number)
+    ready = [number for number, count in enumerate(waiting) if not count]
+    order: list[int] = []
+    while ready:
+        number = heapq.heappop(ready)
+        order.append(number)
+        for succ in succs[number]:
+            waiting[succ] -= 1
+            if not waiting[succ]:
+                heapq.heappush(ready, succ)
+    return tuple(order) if len(order) == len(preds) else None
 
 
 def _strongly_connected(graph: dict[str, dict[str, None]]) -> list[list[str]]:
@@ -273,7 +417,7 @@ class DesignIndex:
     """
 
     def __init__(self, module: Module):
-        statements, reads, sites, comb_driven = _walk_module(module)
+        statements, reads, sites, comb_driven, processes = _walk_module(module)
         writers: dict[str, list[int]] = {}
         for stmt in statements:
             writers.setdefault(stmt.target.name, []).append(stmt.stmt_id)
@@ -287,6 +431,7 @@ class DesignIndex:
             tuple(module.outputs),
             tuple(sites),
             frozenset(comb_driven),
+            tuple(processes),
         )
         self._base: DesignIndex | None = None
         self._patch: Statement | None = None
@@ -356,6 +501,25 @@ class DesignIndex:
     def has_comb_cycle(self) -> bool:
         """True when the combinational logic could oscillate."""
         return bool(self._deps.components())
+
+    def settle_schedule(self, variants: Sequence[Statement] = ()) -> SettleSchedule | None:
+        """The one-pass comb schedule, or None (see the module docstring).
+
+        With ``variants`` (replacement statements, as for
+        :meth:`patched`), the order also settles this design with any one
+        of them swapped in: it follows the union of their reads, and
+        None unless every variant's design has an order too.  Memoized
+        without variants.
+        """
+        if not variants:
+            return self._deps.settle()
+        designs = [self._deps, *(self.patched(variant)._deps for variant in variants)]
+        preds = [deps.settle_preds() for deps in designs]
+        known = [sources for sources in preds if sources is not None]
+        if len(known) < len(preds):
+            return None
+        union = [frozenset[int]().union(*sources) for sources in zip(*known)]
+        return _schedule(self._deps.processes, union)
 
     # ------------------------------------------------------------------
     # Contexts
@@ -442,75 +606,111 @@ def _select_reads(stmt: Statement) -> tuple[str, ...]:
 
 
 def _walk_module(module: Module):
-    """One walk: statements, their reads, comb read sites, comb drivers.
+    """One walk: statements, reads, comb read sites, comb drivers, processes.
 
     The read sites follow the simulator's settle semantics: a combinational
     process evaluates in order, so a read of a variable already assigned
     unconditionally earlier in the same pass is not a cross-pass read.
+    Processes are numbered in the simulator's comb pass order: continuous
+    assigns, then unclocked always blocks.
     """
     entries: list[tuple[Statement, tuple[str, ...]]] = []
     sites: list[_Site] = []
     comb_driven: set[str] = {assign.target.name for assign in module.assigns}
+    processes: list[_Process] = []
+    nonblocking = False
 
-    def site(stmt_id, names, targets, assigned) -> None:
-        sites.append((stmt_id, tuple(names), frozenset(targets), frozenset(assigned)))
+    def site(stmt_id, names, targets, assigned, settled) -> None:
+        sites.append(
+            (
+                stmt_id,
+                tuple(names),
+                frozenset(targets),
+                frozenset(assigned),
+                len(processes),
+                frozenset(settled),
+            )
+        )
 
-    def walk(stmt, control, assigned, comb):
-        """Return (variables unconditionally assigned, all targets) below stmt."""
+    def walk(stmt, control, assigned, settled, comb):
+        """Return (variables assigned unconditionally, of them whole, all
+        targets) below stmt."""
+        nonlocal nonblocking
         if isinstance(stmt, Block):
             newly: set[str] = set()
+            whole: set[str] = set()
             targets: set[str] = set()
             for child in stmt.statements:
-                child_assigned, child_targets = walk(child, control, assigned | newly, comb)
+                child_assigned, child_whole, child_targets = walk(
+                    child, control, assigned | newly, settled | whole, comb
+                )
                 newly |= child_assigned
+                whole |= child_whole
                 targets |= child_targets
-            return newly, targets
+            return newly, whole, targets
         if isinstance(stmt, If):
             guard = collect_identifiers(stmt.cond)
             inner = control + tuple(guard)
-            then_assigned, targets = walk(stmt.then_stmt, inner, assigned, comb)
-            newly = set()
+            then_assigned, then_whole, targets = walk(
+                stmt.then_stmt, inner, assigned, settled, comb
+            )
+            newly, whole = set(), set()
             if stmt.else_stmt is not None:
-                else_assigned, else_targets = walk(stmt.else_stmt, inner, assigned, comb)
+                else_assigned, else_whole, else_targets = walk(
+                    stmt.else_stmt, inner, assigned, settled, comb
+                )
                 targets = targets | else_targets
                 newly = then_assigned & else_assigned
+                whole = then_whole & else_whole
             if comb:
-                site(None, guard, targets, assigned)
-            return newly, targets
+                site(None, guard, targets, assigned, settled)
+            return newly, whole, targets
         if isinstance(stmt, Case):
             subject = tuple(collect_identifiers(stmt.subject))
             names = list(subject)
-            branches: list[set[str]] = []
+            branches: list[tuple[set[str], set[str]]] = []
             targets = set()
             for item in stmt.items:
                 labels: list[str] = []
                 for label in item.labels:
                     labels.extend(collect_identifiers(label))
                 names.extend(labels)
-                item_assigned, item_targets = walk(
-                    item.body, control + subject + tuple(labels), assigned, comb
+                item_assigned, item_whole, item_targets = walk(
+                    item.body, control + subject + tuple(labels), assigned, settled, comb
                 )
-                branches.append(item_assigned)
+                branches.append((item_assigned, item_whole))
                 targets |= item_targets
             if comb:
-                site(None, names, targets, assigned)
+                site(None, names, targets, assigned, settled)
             if branches and any(not item.labels for item in stmt.items):
-                return set.intersection(*branches), targets
-            return set(), targets
+                return (
+                    set.intersection(*(newly for newly, _ in branches)),
+                    set.intersection(*(whole for _, whole in branches)),
+                    targets,
+                )
+            return set(), set(), targets
         if isinstance(stmt, Assignment):
             entries.append((stmt, control))
             target = stmt.target.name
             if comb:
                 comb_driven.add(target)
-                site(stmt.stmt_id, collect_identifiers(stmt.rhs), {target}, assigned)
-            return {target}, {target}
-        return set(), set()
+                site(stmt.stmt_id, collect_identifiers(stmt.rhs), {target}, assigned, settled)
+                nonblocking = nonblocking or not stmt.blocking
+            return {target}, _whole_write(stmt), {target}
+        return set(), set(), set()
 
     for assign in module.assigns:
         entries.append((assign, ()))
-        site(assign.stmt_id, collect_identifiers(assign.rhs), {assign.target.name}, ())
+        site(assign.stmt_id, collect_identifiers(assign.rhs), {assign.target.name}, (), ())
+        processes.append(
+            (frozenset({assign.target.name}), frozenset(_whole_write(assign)), False)
+        )
     for block in module.always_blocks:
-        walk(block.body, (), frozenset(), not block.is_clocked)
+        comb = not block.is_clocked
+        nonblocking = False
+        _assigned, whole, targets = walk(block.body, (), frozenset(), frozenset(), comb)
+        if comb:
+            processes.append((frozenset(targets), frozenset(whole), nonblocking))
 
     entries.sort(key=lambda entry: entry[0].stmt_id)
     reads = {
@@ -522,7 +722,13 @@ def _walk_module(module: Module):
         )
         for stmt, control in entries
     }
-    return [stmt for stmt, _ in entries], reads, sites, comb_driven
+    return [stmt for stmt, _ in entries], reads, sites, comb_driven, processes
+
+
+def _whole_write(stmt: Statement) -> set[str]:
+    """The target, when the statement assigns it without a bit or part select."""
+    lv = stmt.target
+    return {lv.name} if lv.index is None and lv.msb is None else set()
 
 
 _INDEXES: dict[int, tuple[weakref.ref, DesignIndex]] = {}

@@ -345,6 +345,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         f" ({engines['vector']['lanes']} lanes,"
         f" {engines['vector']['variant_lanes']} on mutant variants,"
         f" {engines['vector']['cycles']} lane-cycles,"
+        f" {engines['vector']['comb_passes']} comb pass(es),"
+        f" {engines['vector']['fixpoint_batches']} fixpoint suite(s),"
         f" {engines['vector']['scalar_fallbacks']} interpreter fallback(s)),"
         f" interpreted {engines['interpreted']['runs']} run(s)"
         f" ({engines['interpreted']['cycles']} cycles),"

@@ -494,7 +494,8 @@ class VeriBugSession:
         Always contains a ``"simulation"`` block — the session's resolved
         engine selection, the process-wide per-engine execution counters
         (:func:`repro.sim.engine_stats`: scalar runs/cycles, vector suite
-        batches/lanes/cycles and scalar fallbacks), and the compile-cache
+        batches/lanes/cycles, comb passes, fixpoint-settled suites and
+        scalar fallbacks), and the compile-cache
         hit/miss/entry counts — so a bench regression names the engine
         that regressed — plus the session's campaign suite memo
         (``"suite_memo"``: suite lookups served from it, suites generated,

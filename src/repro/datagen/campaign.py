@@ -424,8 +424,12 @@ class TargetSimulation:
     design, or a private one).  Plans longer than :data:`MAX_PROGRAM_VARIANTS`
     get one program per that many mutants, each lowered on first use.
 
-    Outcomes and trace sets are identical to :func:`_simulate_mutant`
-    per mutant.  A suite that raises :class:`SimulationError` (an
+    A program records only its *record set*, the union of its mutants'
+    static slices of the target: the localizer reads nothing else of a
+    mutant's traces (paper §IV-B).  Outcomes and trace sets are
+    identical to :func:`_simulate_mutant` per mutant, each trace's
+    events being the per-mutant run's events of the record set.  A
+    suite that raises :class:`SimulationError` (an
     oscillating lane stops the whole lockstep suite) is rerun mutant by
     mutant on that reference path, which reports the error exactly
     where it did before.  Lowering errors (``SimulationError``,
@@ -498,19 +502,22 @@ class TargetSimulation:
             return simulator
         start = group * MAX_PROGRAM_VARIANTS
         variants = []
+        record_set: set[int] = set()
         for index in range(start, min(start + MAX_PROGRAM_VARIANTS, len(self.mutations))):
             mutation = self.mutations[index]
             try:
-                variant = mutant_index(self.module, mutation).statement(
-                    mutation.stmt_id
-                )
+                patched = mutant_index(self.module, mutation)
             except ValueError as exc:
                 self.errors[index] = str(exc)
                 continue
-            variants.append(variant)
+            variants.append(patched.statement(mutation.stmt_id))
+            record_set |= patched.static_slice(self.target).stmt_ids
             self.selectors[index] = len(variants)
         simulator = self._programs[group] = Simulator(
-            self.module, engine=self.testbench_config.engine, variants=variants
+            self.module,
+            engine=self.testbench_config.engine,
+            variants=variants,
+            record_set=frozenset(record_set),
         )
         if self._golden is None:
             self._golden = simulator

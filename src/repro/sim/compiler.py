@@ -24,10 +24,20 @@ instructions append executed-assignment facts to the columnar recorder —
 the record's statement shape is resolved at compile time
 (:attr:`CompiledProgram.shapes`; the instruction's meta index *is* the
 shape slot), so no record objects are ever constructed during
-simulation.  The streams are not executed here: :mod:`repro.sim.vector`
-translates each one into a lockstep SWAR function, whose lanes the
-differential tests in ``tests/test_vector.py`` pin against the
-interpreter.
+simulation.
+
+The combinational region is emitted in the design index's *settle
+order* (:meth:`~repro.analysis.DesignIndex.settle_schedule`) when the
+design has one and the source-order fixpoint loop it replaces settles
+within :data:`MAX_SETTLE_PASSES`; such a program is
+:attr:`~CompiledProgram.levelized`, and one comb pass per cycle settles
+it (the instrumented pass, when recording, settles and records at
+once).  Every other program keeps source order and the fixpoint loop.
+
+The streams are not executed here: :mod:`repro.sim.vector` translates
+each one into a lockstep SWAR function, whose lanes the differential
+tests in ``tests/test_vector.py`` and ``tests/test_settle_schedule.py``
+pin against the interpreter.
 
 Compiled programs are cached per module *identity* (``id``), so repeated
 testbenches over the same module object never recompile.
@@ -39,7 +49,12 @@ becomes a dispatch on a reserved selector slot: selector ``k`` runs
 variant ``k``, selector 0 the original statement.  A trace run with
 selector ``k`` is identical to a run of the design with variant ``k``
 swapped in, records included, so a target's whole mutant set shares one
-lowering and one vector codegen and runs as lanes of one suite.
+lowering and one vector codegen and runs as lanes of one suite.  A
+target program's settle order also follows its variants' reads, and
+the program is levelized only when one order settles the design with
+any one variant swapped in.  It may also take a *record set*:
+statements outside it emit no ``RECORD`` and get no shape row, so a
+lane records exactly the per-mutant run's events of those statements.
 """
 
 from __future__ import annotations
@@ -47,6 +62,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 
+from ..analysis.index import design_index
 from ..verilog.ast_nodes import (
     Assignment,
     BinaryOp,
@@ -75,6 +91,9 @@ from .values import mask as make_mask
 from .values import truncate
 
 _UNSIZED_WIDTH = 32
+
+#: Most comb passes per cycle before the simulator declares oscillation.
+MAX_SETTLE_PASSES = 64
 
 #: Slot name of a target program's variant selector (not a legal
 #: Verilog identifier, so it cannot collide with a design signal).
@@ -178,6 +197,8 @@ class CompiledProgram:
             (:func:`compile_target_program`); -1 for plain programs.
         n_variants: Number of selectable variants (selector values
             ``1..n_variants``); 0 for plain programs.
+        levelized: The comb streams run the comb processes in settle
+            order, so one comb pass per cycle settles the design.
     """
 
     design: str
@@ -195,6 +216,7 @@ class CompiledProgram:
     output_slots: tuple[tuple[str, int], ...]
     selector_slot: int = -1
     n_variants: int = 0
+    levelized: bool = False
 
 
 # ----------------------------------------------------------------------
@@ -454,8 +476,16 @@ class _StmtLowerer(StatementVisitor):
 class _ModuleCompiler:
     """Drives the lowering of one module into a :class:`CompiledProgram`."""
 
-    def __init__(self, module: Module, variants: tuple[Statement, ...] = ()):
+    def __init__(
+        self,
+        module: Module,
+        variants: tuple[Statement, ...] = (),
+        settle_order: tuple[int, ...] | None = None,
+        record_set: frozenset[int] | None = None,
+    ):
         self.module = module
+        self.settle_order = settle_order
+        self.record_set = record_set
         self.slot_of: dict[str, int] = {}
         names: list[str] = []
         widths: list[int] = []
@@ -558,7 +588,7 @@ class _ModuleCompiler:
             r = self.new_reg()
             code.append((MASK, r, value, make_mask(lv_width)))
             value = r
-        if record:
+        if record and (self.record_set is None or stmt.stmt_id in self.record_set):
             code.append((RECORD, self._meta_index(stmt, lv_width), value))
         if not blocking:
             code.append((NBA, self._writer_index(stmt), value))
@@ -641,11 +671,13 @@ class _ModuleCompiler:
                 if blk.is_clocked:
                     self.stmt.visit(blk.body, code, record)
         else:
-            for assign in self.module.assigns:
-                self.stmt.visit(assign, code, record)
-            for blk in self.module.always_blocks:
-                if not blk.is_clocked:
-                    self.stmt.visit(blk.body, code, record)
+            processes = [
+                *self.module.assigns,
+                *(blk.body for blk in self.module.always_blocks if not blk.is_clocked),
+            ]
+            order = self.settle_order
+            for number in range(len(processes)) if order is None else order:
+                self.stmt.visit(processes[number], code, record)
         return tuple(code)
 
     def compile(self) -> CompiledProgram:
@@ -674,6 +706,7 @@ class _ModuleCompiler:
             output_slots=outputs,
             selector_slot=self.selector_slot,
             n_variants=self.n_variants,
+            levelized=self.settle_order is not None,
         )
 
 
@@ -706,7 +739,8 @@ def compile_module(module: Module) -> CompiledProgram:
         _CACHE_STATS["hits"] += 1
         return entry[1]
     _CACHE_STATS["misses"] += 1
-    program = _ModuleCompiler(module).compile()
+    order = _settle_order(design_index(module), ())
+    program = _ModuleCompiler(module, settle_order=order).compile()
     try:
         ref = weakref.ref(module, lambda _r, _k=key: _CACHE.pop(_k, None))
     except TypeError:  # pragma: no cover - modules always support weakrefs
@@ -715,8 +749,22 @@ def compile_module(module: Module) -> CompiledProgram:
     return program
 
 
+def _settle_order(index, variants) -> tuple[int, ...] | None:
+    """The comb process order of a levelized program, or None.
+
+    The index's settle order over the design and its variants, when the
+    fixpoint loop it replaces cannot run out of passes on any of them.
+    """
+    schedule = index.settle_schedule(variants)
+    if schedule is None or schedule.passes >= MAX_SETTLE_PASSES:
+        return None
+    return schedule.order
+
+
 def compile_target_program(
-    module: Module, variants: "list[Statement] | tuple[Statement, ...]"
+    module: Module,
+    variants: "list[Statement] | tuple[Statement, ...]",
+    record_set: "frozenset[int] | None" = None,
 ) -> CompiledProgram:
     """Lower ``module`` plus replacement statements into one program.
 
@@ -728,12 +776,13 @@ def compile_target_program(
     non-blocking writers are shared.  Target programs are not cached:
     callers hold the one program of their target.
 
+    ``record_set`` (statement ids; None records every statement) limits
+    recording: other statements emit no record and get no shape row.
+
     Raises:
         ValueError: If a variant names no statement of ``module``, or
             changes the statement's kind or lvalue.
     """
-    from ..analysis.index import design_index
-
     index = design_index(module)
     for variant in variants:
         try:
@@ -749,7 +798,10 @@ def compile_target_program(
                 f"variant of statement {variant.stmt_id} changes its blocking mode"
             )
     _CACHE_STATS["target_programs"] += 1
-    return _ModuleCompiler(module, tuple(variants)).compile()
+    variants = tuple(variants)
+    return _ModuleCompiler(
+        module, variants, _settle_order(index, variants), record_set
+    ).compile()
 
 
 def clear_compile_cache() -> None:

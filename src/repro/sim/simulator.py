@@ -30,7 +30,9 @@ Two execution engines implement this schedule:
 * ``"vector"`` (default) — the module is lowered once by
   :mod:`repro.sim.compiler` (module-identity compile cache) and every
   suite runs in lockstep on :mod:`repro.sim.vector`; a single
-  :meth:`Simulator.run` is a one-lane suite.  A program that fails the
+  :meth:`Simulator.run` is a one-lane suite.  A levelized program
+  (comb logic with a settle order) reaches the fixpoint in one comb
+  pass per cycle.  A program that fails the
   63-bit lane audit runs on the interpreter instead, decided once per
   simulator and counted in ``engine_stats()["vector"]["scalar_fallbacks"]``.
 * ``"interpreted"`` — the recursive tree walk over the AST, kept as the
@@ -52,7 +54,12 @@ from ..verilog.ast_nodes import (
     Module,
     Statement,
 )
-from .compiler import CompiledProgram, compile_module, compile_target_program
+from .compiler import (
+    MAX_SETTLE_PASSES,
+    CompiledProgram,
+    compile_module,
+    compile_target_program,
+)
 from .evaluator import Evaluator
 from .recorder import ExecutionRecorder, _PassBuffer
 from .testbench import StimulusSuite
@@ -72,8 +79,11 @@ ENGINES = ("vector", "interpreted")
 #: interpreter counts trace ``runs`` and their ``cycles``; the vector
 #: engine counts suite ``batches``, total ``lanes`` across them
 #: (``variant_lanes`` of them ran a target program's mutant variant),
-#: total lane ``cycles``, and ``scalar_fallbacks`` (simulators whose
-#: program failed the 63-bit lane audit and run on the interpreter).
+#: total lane ``cycles``, ``comb_passes`` (comb passes run, each over a
+#: whole suite), ``fixpoint_batches`` (suites of a program that is not
+#: levelized, settled by the fixpoint loop), and ``scalar_fallbacks``
+#: (simulators whose program failed the 63-bit lane audit and run on
+#: the interpreter).
 _ENGINE_STATS: dict[str, dict[str, int]] = {
     "interpreted": {"runs": 0, "cycles": 0},
     "vector": {
@@ -81,6 +91,8 @@ _ENGINE_STATS: dict[str, dict[str, int]] = {
         "lanes": 0,
         "variant_lanes": 0,
         "cycles": 0,
+        "comb_passes": 0,
+        "fixpoint_batches": 0,
         "scalar_fallbacks": 0,
     },
 }
@@ -114,6 +126,10 @@ class Simulator:
             simulator runs variants: on the interpreter the simulator
             runs the module itself (selector 0), and callers simulate
             each variant as its own module.
+        record_set: Statement ids a target program records (None: all);
+            other statements emit no records on the vector engine.  The
+            interpreter, and a simulator without variants, record every
+            statement.
 
     Example:
         >>> from repro.verilog import parse_module
@@ -123,14 +139,12 @@ class Simulator:
         [1, 0]
     """
 
-    #: Maximum settling passes before declaring combinational oscillation.
-    MAX_SETTLE_ITERS = 64
-
     def __init__(
         self,
         module: Module,
         engine: str = "vector",
         variants: "list[Statement] | tuple[Statement, ...]" = (),
+        record_set: "frozenset[int] | None" = None,
     ):
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
@@ -139,7 +153,7 @@ class Simulator:
         self.program: CompiledProgram | None = None
         if engine == "vector":
             program = (
-                compile_target_program(module, variants)
+                compile_target_program(module, variants, record_set)
                 if variants
                 else compile_module(module)
             )
@@ -254,7 +268,6 @@ class Simulator:
             program,
             suite,
             record=record,
-            max_settle=self.MAX_SETTLE_ITERS,
             selectors=selectors if program.n_variants else None,
         )
 
@@ -326,7 +339,7 @@ class Simulator:
         self, env: dict[str, int], cycle: int, recorder: ExecutionRecorder | None
     ) -> None:
         """Run combinational logic to a fixpoint, then record one pass."""
-        for _iteration in range(self.MAX_SETTLE_ITERS):
+        for _iteration in range(MAX_SETTLE_PASSES):
             before = dict(env)
             self._comb_pass(env, cycle, sink=None)
             if env == before:

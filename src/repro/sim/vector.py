@@ -87,6 +87,7 @@ from .compiler import (
     LOR,
     LT,
     MASK,
+    MAX_SETTLE_PASSES,
     MOD,
     MUL,
     NBA,
@@ -1256,17 +1257,23 @@ def run_vector_suite(
     program: CompiledProgram,
     stimuli: "StimulusSuite | list[list[dict[str, int]]]",
     record: bool = True,
-    max_settle: int = 64,
     selectors: list[int] | None = None,
 ) -> list[Trace]:
     """Simulate all ``stimuli`` of one compiled design in lockstep.
 
     Implements exactly the interpreter's per-cycle schedule (apply
-    stimulus, settle comb to fixpoint, one instrumented comb pass,
-    sample outputs, clock edge, commit) with every phase executing over
-    all lanes at once.  Returns traces in stimulus order, byte-identical
-    to per-trace interpreter runs — ragged suites included (a lane past its
-    last cycle is simply never active again).
+    stimulus, settle comb, sample outputs, clock edge, commit) with
+    every phase executing over all lanes at once.  A
+    :attr:`~repro.sim.compiler.CompiledProgram.levelized` program
+    settles in exactly one comb pass per cycle, with no snapshot and no
+    compare: the instrumented pass when recording (it settles and
+    records at once), the fast pass otherwise.  Any other program
+    settles comb to a fixpoint (at most
+    :data:`~repro.sim.compiler.MAX_SETTLE_PASSES` passes, else
+    :class:`~repro.sim.SimulationError`) and then records with one
+    instrumented pass, like the interpreter.  Returns traces in stimulus
+    order, byte-identical to per-trace interpreter runs — ragged suites
+    included (a lane past its last cycle is simply never active again).
 
     On a target program, ``selectors`` holds each lane's variant: the
     selector slot is preset lane by lane and never written, so every
@@ -1317,6 +1324,8 @@ def run_vector_suite(
     comb_rec_fn = (
         evaluator.pass_fn("comb_rec") if record and program.comb_rec else None
     )
+    one_pass = program.levelized
+    comb_passes = 0
     if record:
         seq_fn = evaluator.pass_fn("seq_rec") if program.seq_rec else None
     else:
@@ -1329,10 +1338,19 @@ def run_vector_suite(
         for slot, values, ndrive in frames[cycle]:
             env[slot] = (env[slot] & ndrive) | values if ndrive else values
 
-        if comb_fast_fn is not None:
-            for _iteration in range(max_settle):
+        if comb_fast_fn is not None and one_pass:
+            # Levelized comb logic has no non-blocking assignment to commit.
+            if comb_rec_fn is not None:
+                comb_rec_fn(env, cycle, stage, pending, lanes, nlanes, full)
+                recorder.commit_pass()  # type: ignore[union-attr]
+            else:
+                comb_fast_fn(env, cycle, None, pending, lanes, nlanes, full)
+            comb_passes += 1
+        elif comb_fast_fn is not None:
+            for _iteration in range(MAX_SETTLE_PASSES):
                 snapshot = env.copy()
                 comb_fast_fn(env, cycle, None, pending, lanes, nlanes, full)
+                comb_passes += 1
                 if pending:
                     evaluator.commit(pending, env)
                 if env == snapshot:
@@ -1343,6 +1361,7 @@ def run_vector_suite(
                 )
             if comb_rec_fn is not None:
                 comb_rec_fn(env, cycle, stage, pending, lanes, nlanes, full)
+                comb_passes += 1
                 if pending:
                     evaluator.commit(pending, env)
                 recorder.commit_pass()  # type: ignore[union-attr]
@@ -1378,4 +1397,6 @@ def run_vector_suite(
     stats["lanes"] += n
     stats["variant_lanes"] += variant_lanes
     stats["cycles"] += sum(lane_lengths)
+    stats["comb_passes"] += comb_passes
+    stats["fixpoint_batches"] += bool(comb_fast_fn is not None and not one_pass)
     return traces

@@ -132,24 +132,40 @@ def encoder(vocab):
     return BatchEncoder(vocab)
 
 
-def assert_executions_identical(actual, expected):
+def assert_executions_identical(actual, expected, record_set=None):
     """Two recorded traces' executions are event-for-event identical.
 
     Each trace's lane is read as a one-lane slice of its log; per event
     the shape row, cycle, lhs value and operand values must agree, and
     so must the dtypes of the cycle, lhs and operand arrays.  The two
     logs' shape tables may differ (a target program's also holds other
-    variants' rows): events compare by the row their slot names.
+    variants' rows): events compare by the row their slot names.  With
+    ``record_set`` (statement ids), ``expected`` is a full recording and
+    ``actual`` must hold exactly its events of those statements.
     """
     left, right = (
         log.lane_slice(lane)
         for log, lane in (actual.execution_log(), expected.execution_log())
     )
+    events = np.arange(len(right.slots))
+    if record_set is not None:
+        events = events[np.isin(right.stmt_ids[right.slots], list(record_set))]
+    operand_rows = np.array(
+        [
+            row
+            for event in events.tolist()
+            for row in range(right.op_starts[event], right.op_starts[event] + right.op_counts[event])
+        ],
+        dtype=np.int64,
+    )
     assert [left.shapes[slot] for slot in left.slots.tolist()] == [
-        right.shapes[slot] for slot in right.slots.tolist()
+        right.shapes[slot] for slot in right.slots[events].tolist()
     ], "shape rows"
-    for name in ("cycles", "lhs", "ops"):
-        a, b = getattr(left, name), getattr(right, name)
+    for name, a, b in (
+        ("cycles", left.cycles, right.cycles[events]),
+        ("lhs", left.lhs, right.lhs[events]),
+        ("ops", left.ops, right.ops[operand_rows]),
+    ):
         assert a.dtype == b.dtype, name
         assert a.shape == b.shape, name
         assert np.array_equal(a, b), name

@@ -437,6 +437,7 @@ class TestCLI:
         assert "== campaign:" in proc.stdout
         assert "context cache:" in proc.stdout
         assert "0 interpreter fallback(s)" in proc.stdout
+        assert "0 fixpoint suite(s)" in proc.stdout
         assert out.exists()
 
     def test_engine_choices_come_from_engines(self):

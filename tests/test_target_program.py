@@ -8,7 +8,10 @@ pickle round trip — to simulating the mutant module on its own, on the
 vector engine and on the interpreter.
 Campaign outcomes built on target programs must equal the per-mutant
 reference path on the interpreter mutant for mutant, including the
-oscillation error semantics.
+oscillation error semantics.  A campaign program records only its
+record set (the union of its mutants' static slices of the target), so
+its traces must hold exactly the per-mutant recordings' events of those
+statements.
 """
 
 import dataclasses
@@ -28,6 +31,7 @@ from repro.datagen.campaign import (
 from repro.datagen.mutation import (
     Mutation,
     apply_mutation,
+    mutant_index,
     mutate_statement,
     sample_mutations,
 )
@@ -49,12 +53,12 @@ from conftest import assert_executions_identical
 TABLE3_PLAN = {"negation": 2, "operation": 2, "misuse": 3}
 
 
-def assert_trace_byte_equal(actual, expected):
+def assert_trace_byte_equal(actual, expected, record_set=None):
     assert actual.design == expected.design
     assert actual.stimulus == expected.stimulus
     assert actual.outputs == expected.outputs
-    assert_executions_identical(actual, expected)
-    assert_executions_identical(pickle.loads(pickle.dumps(actual)), expected)
+    assert_executions_identical(actual, expected, record_set)
+    assert_executions_identical(pickle.loads(pickle.dumps(actual)), expected, record_set)
 
 
 def ragged(suite):
@@ -266,13 +270,25 @@ def _per_mutant(module, target, mutations, stimuli, config, n_traces, seed):
     ]
 
 
-def assert_same_simulated(got, want):
+def record_sets(module, target, mutations):
+    """Each mutation's program record set: its group's slices of ``target``."""
+    size = campaign.MAX_PROGRAM_VARIANTS
+    groups = [
+        frozenset().union(
+            *(mutant_index(module, m).static_slice(target).stmt_ids for m in mutations[at : at + size])
+        )
+        for at in range(0, len(mutations), size)
+    ]
+    return [groups[index // size] for index in range(len(mutations))]
+
+
+def assert_same_simulated(got, want, record_set=None):
     (outcome, failing, correct), (ref, ref_failing, ref_correct) = got, want
     assert outcome == ref
     assert len(failing) == len(ref_failing) and len(correct) == len(ref_correct)
     for trace, expected in zip(failing + correct, ref_failing + ref_correct):
         assert trace.is_failure == expected.is_failure
-        assert_trace_byte_equal(trace, expected)
+        assert_trace_byte_equal(trace, expected, record_set)
 
 
 @pytest.mark.parametrize("name", list(REGISTRY))
@@ -292,8 +308,10 @@ def test_target_simulation_matches_per_mutant(name):
         indices = list(range(len(mutations)))
         got = simulation.simulate(indices[:1], stimuli, golden_traces)
         got += simulation.simulate(indices[1:], stimuli, golden_traces)
-        for pair in zip(got, want):
-            assert_same_simulated(*pair)
+        for pair, record_set in zip(
+            zip(got, want), record_sets(module, target, mutations), strict=True
+        ):
+            assert_same_simulated(*pair, record_set)
 
 
 def _long_plan(name):
@@ -317,8 +335,8 @@ def test_long_plan_splits_into_programs(monkeypatch):
     got = list(simulation.stream())
     assert compile_cache_stats()["target_programs"] - before == -(-len(mutations) // 3)
     assert len(got) == len(want)
-    for pair in zip(got, want):
-        assert_same_simulated(*pair)
+    for pair, record_set in zip(zip(got, want), record_sets(module, target, mutations)):
+        assert_same_simulated(*pair, record_set)
 
 
 def test_later_group_lowers_only_its_program(monkeypatch):
@@ -334,8 +352,9 @@ def test_later_group_lowers_only_its_program(monkeypatch):
     simulation = TargetSimulation(module, target, mutations, config, 4, 5, 8, 4)
     got = simulation.simulate([3, 4], stimuli, golden_traces)
     assert compile_cache_stats()["target_programs"] - before == 1
+    (record_set,) = set(record_sets(module, target, mutations)[3:5])
     for pair in zip(got, want):
-        assert_same_simulated(*pair)
+        assert_same_simulated(*pair, record_set)
 
 
 def test_interpreter_simulates_mutant_by_mutant():
@@ -408,3 +427,68 @@ def test_suite_memo_generated_once_per_key(arbiter):
             golden_trace.outputs
             == Simulator(arbiter).run(stimulus, record=False).outputs
         )
+
+
+# ----------------------------------------------------------------------
+# Table-III campaigns: the record set and the one-pass settle
+# ----------------------------------------------------------------------
+
+
+def _full_recording(module, engine="vector", variants=(), record_set=None):
+    """A campaign ``Simulator`` that ignores the record set."""
+    return Simulator(module, engine=engine, variants=variants)
+
+
+@pytest.fixture(scope="module")
+def table3_session():
+    """The tracked checkpoint with the Table-III plan seed (29)."""
+    import pathlib
+
+    from repro.api import SessionConfig, VeriBugSession
+
+    checkpoint = pathlib.Path(__file__).parent / ".cache" / "model_e30_d20_s1.npz"
+    return VeriBugSession.from_checkpoint(checkpoint, SessionConfig().with_seed(29))
+
+
+def _table3_campaign(session, name, target):
+    plan = session.campaign(name, target, plan=TABLE3_PLAN)
+    handle = session.campaign(name, target, plan.mutations, n_cycles=12, seed=29)
+    return [
+        (
+            update.outcome,
+            None
+            if update.localization is None
+            else (update.localization.ranking, update.localization.heatmap.suspiciousness),
+        )
+        for update in handle.stream()
+    ]
+
+
+@pytest.mark.parametrize("name", list(REGISTRY))
+def test_table3_campaign_records_its_slices_in_one_pass(name, table3_session, monkeypatch):
+    session = table3_session
+    assert session.runtime is None  # every suite runs in this process
+    module = session.resolve_design(name)
+    targets = design_info(name).targets
+    before = engine_stats()["vector"]
+    got = [_table3_campaign(session, name, target) for target in targets]
+    after = engine_stats()["vector"]
+    batches = after["batches"] - before["batches"]
+    assert batches and after["fixpoint_batches"] == before["fixpoint_batches"]
+    # Every lane of every suite runs 12 cycles: one comb pass each.
+    assert after["comb_passes"] - before["comb_passes"] == 12 * batches
+
+    for target, updates in zip(targets, got):
+        mutations = [outcome.mutation for outcome, _ in updates]
+        (record_set,) = set(record_sets(module, target, mutations))
+        program = TargetSimulation(
+            module, target, mutations, TestbenchConfig(), 2, 0, 1, 0
+        ).golden_simulator().program
+        assert program.levelized
+        assert {row[0] for row in program.shapes} == record_set
+        assert record_set < {stmt.stmt_id for stmt in module.statements()}
+
+    monkeypatch.setattr(campaign, "Simulator", _full_recording)
+    want = [_table3_campaign(session, name, target) for target in targets]
+    assert got == want
+    assert any(localization for updates in got for _, localization in updates)
