@@ -15,9 +15,10 @@ The vector arm also reports whether the design's program is
 
 The ``--record`` arm selects the workload: ``on`` (trace-learning
 workload, execution recording active), ``off`` (golden-trace workload,
-fast streams only), or ``both`` (default), which additionally reports
-the **recording overhead** per engine — recorded wall time over
-unrecorded wall time, the cost of execution recording itself.
+the same passes with no event sink), or ``both`` (default), which
+additionally reports the **recording overhead** per engine — recorded
+wall time over unrecorded wall time, the cost of execution recording
+itself.
 The recorded arm's timed region ends when the suite returns: lanes are
 views of the suite's event log, so nothing per lane remains to build.
 
@@ -28,7 +29,8 @@ built from its materialized record objects, and every lane of a ragged
 lockstep suite (also after a pickle round trip), plus every one-lane
 run, must be identical — outputs and recorded events (shape row, cycle,
 lhs and operand values, dtypes included) — to the interpreter's trace
-of the same stimulus.  Any divergence makes the
+of the same stimulus; an unrecorded suite must match its outputs and
+carry no log.  Any divergence makes the
 process exit nonzero, so CI bench smoke doubles as an engine integrity
 gate.
 
@@ -88,8 +90,9 @@ def verify_design(name: str, n_cycles: int, seed: int = 3) -> list[str]:
 
     Returns a list of human-readable divergence descriptions (empty when
     the engines agree): the interpreter's native event log vs the log of
-    its materialized records, and every vector lane (a ragged suite, its
-    pickled lanes and one-lane runs) vs the interpreter's trace.
+    its materialized records, every vector lane (a ragged suite, its
+    pickled lanes and one-lane runs) vs the interpreter's trace, and the
+    ragged suite run unrecorded: same outputs, no log.
     """
     module = load_design(name)
     stimuli = generate_testbench_suite(
@@ -122,6 +125,13 @@ def verify_design(name: str, n_cycles: int, seed: int = 3) -> list[str]:
             field = _events_diverge(actual.execution_log(), oracle.execution_log())
             if field is not None:
                 problems.append(f"{tag}: vector {field} diverges from interpreter")
+    # Unrecorded runs share the recording passes, with no event sink.
+    for index, actual in enumerate(vector.run_suite(suite, record=False)):
+        tag = f"{name}[unrecorded lane {index}]"
+        if actual.outputs != expected[index].outputs:
+            problems.append(f"{tag}: vector outputs diverge from interpreter")
+        if actual.execution_log() is not None or len(actual.executions):
+            problems.append(f"{tag}: carries a recorded log")
     return problems
 
 
@@ -150,7 +160,7 @@ def _time_runs(run, stimuli, arms: tuple[str, ...], total_cycles: int) -> dict:
         }
     if "record" in arms and "norecord" in arms:
         # The recording-overhead arm: cost of execution recording
-        # relative to the uninstrumented streams.
+        # relative to the same passes run without an event sink.
         stats["record_overhead"] = round(
             stats["record"]["wall_s"] / stats["norecord"]["wall_s"], 2
         )

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 from .analysis import extract_module_contexts
 from .core import Sample, build_samples
 from .datagen import RandomVerilogDesignGenerator, RVDGConfig
+from .designs import golden_module
 from .runtime.seeding import corpus_design_seed
 from .sim import ENGINES, Simulator, TestbenchConfig, generate_testbench_suite
-from .verilog import parse_module
 
 
 @dataclass
@@ -77,8 +77,10 @@ def _design_samples(
 
     Module-level so the parallel corpus layer can dispatch it to worker
     processes; the sequential path calls it inline with identical results.
+    The source parses once per process (:func:`golden_module`), so
+    later training passes reuse the module and its compiled program.
     """
-    module = parse_module(source)
+    module = golden_module(source)
     simulator = Simulator(module, engine=spec.engine)
     stimuli = generate_testbench_suite(
         module,

@@ -17,22 +17,21 @@ width-resolved instruction stream over a signal *slot table*:
   list; writers re-resolve dynamic bit-select indices at commit time,
   exactly like the reference interpreter's ``write_lvalue``.
 
-Each region (combinational pass, clock edge) is emitted twice: a *fast*
-stream with no instrumentation (used for settle iterations and
-``record=False`` runs) and an *instrumented* stream whose ``RECORD``
-instructions append executed-assignment facts to the columnar recorder —
-the record's statement shape is resolved at compile time
-(:attr:`CompiledProgram.shapes`; the instruction's meta index *is* the
-shape slot), so no record objects are ever constructed during
-simulation.
+Each region (combinational pass, clock edge) is emitted once, as one
+stream whose ``RECORD`` instructions stand for the executed-assignment
+facts of the statements it records.  A record's statement shape is
+resolved at compile time (:attr:`CompiledProgram.shapes`; the
+instruction's meta index *is* the shape slot), so no record objects are
+ever constructed during simulation; a pass run without an event sink
+(settle iterations, ``record=False`` runs) skips its ``RECORD`` lines.
 
 The combinational region is emitted in the design index's *settle
 order* (:meth:`~repro.analysis.DesignIndex.settle_schedule`) when the
 design has one and the source-order fixpoint loop it replaces settles
 within :data:`MAX_SETTLE_PASSES`; such a program is
 :attr:`~CompiledProgram.levelized`, and one comb pass per cycle settles
-it (the instrumented pass, when recording, settles and records at
-once).  Every other program keeps source order and the fixpoint loop.
+it (and records it, when the pass gets a sink).  Every other program
+keeps source order and the fixpoint loop.
 
 The streams are not executed here: :mod:`repro.sim.vector` translates
 each one into a lockstep SWAR function, whose lanes the differential
@@ -185,8 +184,9 @@ class CompiledProgram:
         slot_of: Signal name -> slot index.
         names: Slot index -> signal name.
         widths / masks: Declared width and all-ones mask per slot.
-        comb_fast / comb_rec: Combinational pass without / with recording.
-        seq_fast / seq_rec: Clock-edge pass without / with recording.
+        comb: Combinational pass; its ``RECORD`` instructions record
+            every statement of the record set.
+        seq: Clock-edge pass, instrumented like ``comb``.
         nba_writers: Non-blocking lvalue writer specs (commit time).
         metas: :class:`RecordMeta` table indexed by RECORD instructions.
         shapes: Statement-shape table for the columnar recorder, one
@@ -206,10 +206,8 @@ class CompiledProgram:
     names: tuple[str, ...]
     widths: tuple[int, ...]
     masks: tuple[int, ...]
-    comb_fast: tuple[tuple, ...]
-    comb_rec: tuple[tuple, ...]
-    seq_fast: tuple[tuple, ...]
-    seq_rec: tuple[tuple, ...]
+    comb: tuple[tuple, ...]
+    seq: tuple[tuple, ...]
     nba_writers: tuple[tuple, ...]
     metas: tuple[RecordMeta, ...]
     shapes: tuple[tuple[int, str, tuple[str, ...], int], ...]
@@ -397,25 +395,25 @@ class _StmtLowerer(StatementVisitor):
         super().__init__()
         self.c = compiler
 
-    def visit_Block(self, s: Block, code: list, record: bool) -> None:
+    def visit_Block(self, s: Block, code: list) -> None:
         for child in s.statements:
-            self.visit(child, code, record)
+            self.visit(child, code)
 
-    def visit_If(self, s: If, code: list, record: bool) -> None:
+    def visit_If(self, s: If, code: list) -> None:
         cond, _ = self.c.expr.visit(s.cond, code)
         jz_at = len(code)
         code.append(None)
-        self.visit(s.then_stmt, code, record)
+        self.visit(s.then_stmt, code)
         if s.else_stmt is None:
             code[jz_at] = (JZ, cond, len(code))
             return
         jmp_at = len(code)
         code.append(None)
         code[jz_at] = (JZ, cond, len(code))
-        self.visit(s.else_stmt, code, record)
+        self.visit(s.else_stmt, code)
         code[jmp_at] = (JMP, len(code))
 
-    def visit_Case(self, s: Case, code: list, record: bool) -> None:
+    def visit_Case(self, s: Case, code: list) -> None:
         subject, _ = self.c.expr.visit(s.subject, code)
         # The interpreter keeps the *last* default arm and scans the
         # labeled arms in source order; replicate both.
@@ -445,26 +443,24 @@ class _StmtLowerer(StatementVisitor):
             body_start = len(code)
             for at, hit in jumps:
                 code[at] = (JNZ, hit, body_start)
-            self.visit(item.body, code, record)
+            self.visit(item.body, code)
             end_jmps.append(len(code))
             code.append(None)
 
         if default_body is not None:
             code[miss_at] = (JMP, len(code))
-            self.visit(default_body, code, record)
+            self.visit(default_body, code)
         else:
             code[miss_at] = (JMP, len(code))
         end = len(code)
         for at in end_jmps:
             code[at] = (JMP, end)
 
-    def visit_Assignment(self, s: Assignment, code: list, record: bool) -> None:
-        self.c.emit_site(s, code, record)
+    def visit_Assignment(self, s: Assignment, code: list) -> None:
+        self.c.emit_site(s, code)
 
-    def visit_ContinuousAssign(
-        self, s: ContinuousAssign, code: list, record: bool
-    ) -> None:
-        self.c.emit_site(s, code, record)
+    def visit_ContinuousAssign(self, s: ContinuousAssign, code: list) -> None:
+        self.c.emit_site(s, code)
 
     def generic_visit(self, s: Statement, *args) -> None:
         # Matches the interpreter's error for unsupported statements.
@@ -536,9 +532,7 @@ class _ModuleCompiler:
         return self._const_evaluator.lvalue_width(lv)
 
     # -- assignment lowering -------------------------------------------
-    def emit_site(
-        self, stmt: "Assignment | ContinuousAssign", code: list, record: bool
-    ) -> None:
+    def emit_site(self, stmt: "Assignment | ContinuousAssign", code: list) -> None:
         """Lower one statement, or its selector dispatch in a target program.
 
         A statement with replacement arms becomes a jump table on the
@@ -550,7 +544,7 @@ class _ModuleCompiler:
         """
         arms = self.arms.get(stmt.stmt_id)
         if not arms:
-            self.emit_assign(stmt, code, record)
+            self.emit_assign(stmt, code)
             return
         slot = self.selector_slot
         selector = self.new_reg()
@@ -563,23 +557,18 @@ class _ModuleCompiler:
             code.append((EQ, hit, selector, label))
             tests.append(len(code))
             code.append((JNZ, hit, -1))  # target patched below
-        self.emit_assign(stmt, code, record)
+        self.emit_assign(stmt, code)
         end_jumps = [len(code)]
         code.append(None)
         for at, (_value, variant) in zip(tests, arms):
             code[at] = (JNZ, code[at][1], len(code))
-            self.emit_assign(variant, code, record)
+            self.emit_assign(variant, code)
             end_jumps.append(len(code))
             code.append(None)
         for at in end_jumps:
             code[at] = (JMP, len(code))
 
-    def emit_assign(
-        self,
-        stmt: "Assignment | ContinuousAssign",
-        code: list,
-        record: bool,
-    ) -> None:
+    def emit_assign(self, stmt: "Assignment | ContinuousAssign", code: list) -> None:
         blocking = not isinstance(stmt, Assignment) or stmt.blocking
         value, vwidth = self.expr.visit(stmt.rhs, code)
         lv = stmt.target
@@ -588,7 +577,7 @@ class _ModuleCompiler:
             r = self.new_reg()
             code.append((MASK, r, value, make_mask(lv_width)))
             value = r
-        if record and (self.record_set is None or stmt.stmt_id in self.record_set):
+        if self.record_set is None or stmt.stmt_id in self.record_set:
             code.append((RECORD, self._meta_index(stmt, lv_width), value))
         if not blocking:
             code.append((NBA, self._writer_index(stmt), value))
@@ -663,13 +652,13 @@ class _ModuleCompiler:
         return idx
 
     # -- regions -------------------------------------------------------
-    def _emit_region(self, record: bool, sequential: bool) -> tuple[tuple, ...]:
+    def _emit_region(self, sequential: bool) -> tuple[tuple, ...]:
         code: list = []
         self._reg = 0
         if sequential:
             for blk in self.module.always_blocks:
                 if blk.is_clocked:
-                    self.stmt.visit(blk.body, code, record)
+                    self.stmt.visit(blk.body, code)
         else:
             processes = [
                 *self.module.assigns,
@@ -677,14 +666,12 @@ class _ModuleCompiler:
             ]
             order = self.settle_order
             for number in range(len(processes)) if order is None else order:
-                self.stmt.visit(processes[number], code, record)
+                self.stmt.visit(processes[number], code)
         return tuple(code)
 
     def compile(self) -> CompiledProgram:
-        comb_fast = self._emit_region(record=False, sequential=False)
-        comb_rec = self._emit_region(record=True, sequential=False)
-        seq_fast = self._emit_region(record=False, sequential=True)
-        seq_rec = self._emit_region(record=True, sequential=True)
+        comb = self._emit_region(sequential=False)
+        seq = self._emit_region(sequential=True)
         outputs = tuple(
             (name, self.slot_of[name]) for name in self.module.outputs
         )
@@ -694,10 +681,8 @@ class _ModuleCompiler:
             names=self.slot_names,
             widths=self.slot_widths,
             masks=self.slot_masks,
-            comb_fast=comb_fast,
-            comb_rec=comb_rec,
-            seq_fast=seq_fast,
-            seq_rec=seq_rec,
+            comb=comb,
+            seq=seq,
             nba_writers=tuple(self.nba_writers),
             metas=tuple(self.metas),
             shapes=tuple(

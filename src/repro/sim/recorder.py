@@ -14,16 +14,18 @@ value, flat operand values) against a statement-shape table resolved
 before the first cycle runs (``Evaluator.statement_shape`` per
 statement), and :meth:`ExecutionRecorder.finish` turns them into a
 one-lane :class:`~repro.sim.trace.SuiteLog` over that table — the same
-format the vector engine's :class:`~repro.sim.vector.VectorRecorder`
-produces for a whole suite, with its table resolved at compile time
-(``CompiledProgram.shapes``).  Record objects are never constructed
+format the vector engine's generated passes log for a whole suite
+(:func:`~repro.sim.vector.unpack_events`), with its table resolved at
+compile time (``CompiledProgram.shapes``).  Record objects are never constructed
 during simulation; the trace's record list is a lazy derived view of
 its lane.
 
-Combinational settle passes need dedup semantics (only the final settled
-evaluation of each statement per cycle is kept, ordered by statement id),
-so they stage into a reusable per-pass buffer that
-:meth:`ExecutionRecorder.commit_pass` folds into the main lists.
+The interpreter's combinational settle passes need dedup semantics
+(only the final settled evaluation of each statement per cycle is kept,
+ordered by statement id), so they stage into a reusable per-pass buffer
+that :meth:`ExecutionRecorder.commit_pass` folds into the main lists.
+The vector engine needs no stage: its recording comb pass runs each
+``RECORD`` once and emits the events in statement-id order itself.
 Clock-edge records append to the main lists directly, in execution
 order — exactly the schedule the object-record path implemented.
 """
@@ -109,8 +111,9 @@ class ExecutionRecorder:
         """Fold the staged comb pass into the main lists.
 
         Keeps the *last* staged record per statement and appends the
-        survivors ordered by statement id — the settled-value dedup both
-        engines have always applied to combinational records.
+        survivors ordered by statement id — the settled-value dedup of
+        the interpreter's combinational records (the vector pass emits
+        them in that order directly).
         """
         stage = self._stage
         if stage is None or not stage.stmt_slots:

@@ -8,7 +8,7 @@ supervision" of paper §IV-C.
 
 Recorded executions have one format, :class:`SuiteLog`: an event-major
 log whose lanes are traces.  The vector engine records one log per
-suite (:class:`repro.sim.vector.VectorRecorder`), the interpreter a
+suite (:func:`repro.sim.vector.unpack_events`), the interpreter a
 one-lane log per run (:class:`repro.sim.recorder.ExecutionRecorder`),
 and a recorded trace's ``executions`` attribute is a
 :class:`_LazyExecutions` view of its ``(log, lane)``.

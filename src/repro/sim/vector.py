@@ -39,10 +39,13 @@ The lane boundary is columnar both ways.  Stimulus comes in as a
 :class:`~repro.sim.testbench.StimulusSuite` (hand-written frame lists
 are converted once) and each ``(cycle, input)`` row packs with one
 ``int.from_bytes`` over the suite's transposed bytes.  Recording is
-one event log per suite: a generated ``RECORD`` line appends one
-``(slot, cycle, lhs, ops, active)`` tuple of packed lane ints through a
-bound ``list.append``, and :meth:`VectorRecorder.finish` only unpacks
-the log into a :class:`~repro.sim.trace.SuiteLog` of ``[E, N]`` arrays.
+one event log per suite, written by the generated passes themselves: a
+``RECORD`` line builds one ``(slot, cycle, lhs, ops, active)`` tuple of
+packed lane ints when the pass got the log as its sink, and the pass
+footer extends the log with them in their final order (statement-id
+order for a comb pass, execution order for a clock edge).
+:func:`unpack_events` only unpacks the log into a
+:class:`~repro.sim.trace.SuiteLog` of ``[E, N]`` arrays.
 Every lane's trace is a ``(log, lane)`` view of that log, the same
 format the interpreter's :class:`ExecutionRecorder` produces as a
 one-lane log, and event for event identical to it — the differential
@@ -211,12 +214,7 @@ _VEC_OK: dict[int, tuple] = {}
 def _audit(program: CompiledProgram) -> bool:
     if any(width > _LANE_BITS for width in program.widths):
         return False
-    streams = [
-        program.comb_fast,
-        program.comb_rec,
-        program.seq_fast,
-        program.seq_rec,
-    ]
+    streams = [program.comb, program.seq]
     for writer in program.nba_writers:
         if writer[0] == _W_BIT:  # dynamic index re-executed at commit
             streams.append(writer[3])
@@ -326,7 +324,7 @@ def _helpers(n: int) -> dict[str, Callable]:
 
 
 # ----------------------------------------------------------------------
-# Vectorized recorder
+# Event log
 # ----------------------------------------------------------------------
 
 
@@ -343,91 +341,36 @@ def _unpack(values: Sequence[int], n: int) -> np.ndarray:
     return np.frombuffer(buf, dtype="<i8").reshape(len(values), n)
 
 
-class VectorRecorder:
-    """Batched execution recording for all lanes of one suite.
+def unpack_events(
+    shapes: tuple[ShapeRow, ...], events: list[tuple], n: int
+) -> SuiteLog:
+    """One suite's event log as numpy arrays, one :class:`SuiteLog`.
 
-    Events mirror the scalar :class:`ExecutionRecorder` protocol — comb
-    passes stage and dedup per statement (:attr:`stage` /
-    :meth:`commit_pass`), clock-edge records append to :attr:`events`
-    directly — except each event carries packed per-lane values plus the
-    active-lane mask.  The generated passes append
-    ``(slot, cycle, lhs, ops, active)`` tuples through a bound
-    ``list.append``; :meth:`finish` unpacks the log into one
-    :class:`~repro.sim.trace.SuiteLog`.
+    ``events`` holds the ``(slot, cycle, lhs, ops, active)`` tuples the
+    generated passes append, in log order: lhs, each op and active are
+    packed lane ints (active None == all lanes).  Packed lane ints unpack
+    in bulk (:func:`_unpack`); the few distinct active masks that recur
+    across events unpack once each.
     """
-
-    __slots__ = ("shapes", "n_lanes", "events", "stage", "_all", "_stmt_of")
-
-    def __init__(self, shapes: tuple[ShapeRow, ...], n_lanes: int):
-        self.shapes = shapes
-        self.n_lanes = n_lanes
-        #: ``(slot, cycle, lhs, ops, active)`` per event; lhs, each op,
-        #: and active are packed lane ints (active None == all lanes).
-        self.events: list[tuple] = []
-        #: The instrumented comb pass's events, until :meth:`commit_pass`.
-        self.stage: list[tuple] = []
-        self._all = _lane_ctx(n_lanes)[3]
-        self._stmt_of = [shape[0] for shape in shapes]
-
-    # -- combinational settle passes -----------------------------------
-    def commit_pass(self) -> None:
-        """Fold the staged comb pass into the event log.
-
-        Keeps the *last* staged record per statement per lane and
-        appends the survivors ordered by statement id — the settled-
-        value dedup the scalar recorder applies per trace.
-        """
-        stage = self.stage
-        if not stage:
-            return
-        latest: dict[int, tuple] = {}
-        for event in stage:
-            slot = event[0]
-            prev = latest.get(slot)
-            latest[slot] = event if prev is None else self._merge(prev, event)
-        append = self.events.append
-        for slot in sorted(latest, key=self._stmt_of.__getitem__):
-            append(latest[slot])
-        stage.clear()
-
-    def _merge(self, old: tuple, new: tuple) -> tuple:
-        """Lane-wise keep-last of two staged events for one statement."""
-        na = new[4]
-        if na is None:
-            return new
-        inv = na ^ self._all
-        lhs = (new[2] & na) | (old[2] & inv)
-        ops = tuple((nv & na) | (ov & inv) for ov, nv in zip(old[3], new[3]))
-        active = None if old[4] is None else (old[4] | na)
-        return (new[0], new[1], lhs, ops, active)
-
-    # -- finalization --------------------------------------------------
-    def finish(self) -> SuiteLog:
-        """The event log as numpy arrays, one :class:`SuiteLog`.
-
-        Packed lane ints unpack in bulk (:func:`_unpack`); the few
-        distinct active masks that recur across events unpack once each.
-        """
-        n = self.n_lanes
-        events = self.events
-        fields: tuple[tuple[Any, ...], ...] = tuple(zip(*events)) or ((),) * 5
-        slots, cycles, lhs, ops, masks = fields
-        flat = [value for values in ops for value in values]
-        distinct = {mask: index for index, mask in enumerate(dict.fromkeys(masks))}
-        which = np.fromiter(map(distinct.__getitem__, masks), np.int64, len(events))
-        # Lane-major in memory (an ``[E, N]`` view of ``[N, E]``): the
-        # dedup, sample gathers and lane slices read the mask by lane.
-        active = (
-            _unpack([self._all if mask is None else mask for mask in distinct], n) != 0
-        ).T[:, which].T
-        return SuiteLog(
-            self.shapes,
-            np.array(slots, dtype=np.int64),
-            np.array(cycles, dtype=np.int64),
-            _unpack(lhs, n),
-            _unpack(flat, n) if flat else np.zeros((0, n), dtype=np.int64),
-            active,
-        )
+    lane_all = _lane_ctx(n)[3]
+    fields: tuple[tuple[Any, ...], ...] = tuple(zip(*events)) or ((),) * 5
+    slots, cycles, lhs, ops, masks = fields
+    flat = [value for values in ops for value in values]
+    distinct = {mask: index for index, mask in enumerate(dict.fromkeys(masks))}
+    which = np.fromiter(map(distinct.__getitem__, masks), np.int64, len(events))
+    # Lane-major in memory (an ``[E, N]`` view of ``[N, E]``): the
+    # dedup, sample gathers and lane slices read the mask by lane.
+    active = (
+        _unpack([lane_all if mask is None else mask for mask in distinct], n) != 0
+    ).T[:, which].T
+    return SuiteLog(
+        shapes,
+        np.array(slots, dtype=np.int64),
+        np.array(cycles, dtype=np.int64),
+        _unpack(lhs, n),
+        _unpack(flat, n) if flat else np.zeros((0, n), dtype=np.int64),
+        active,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -448,6 +391,14 @@ class _StreamEmitter:
     the compiled code object is lane-count independent (the binder
     replicates each constant across lanes).
 
+    ``sink`` is the suite's event log, or None for a pass that records
+    nothing.  With a sink, each ``RECORD`` builds its event into a local
+    (operands are read pre-store, at the instruction); the footer extends
+    the log with them in an order fixed here: instruction order, which is
+    execution order, or, for a ``by_statement`` (comb) stream, statement
+    id with ties in instruction order — the order of the interpreter's
+    settled comb records, whatever the settle order of the pass.
+
     Jumpy streams maintain a runtime ``act``/``nact`` mask pair; each
     taken jump moves the taking lanes into a fresh join mask that is
     OR-ed back into ``act`` at the jump target (jumps are forward-only,
@@ -459,11 +410,15 @@ class _StreamEmitter:
         program: CompiledProgram,
         code: tuple[tuple, ...],
         result_reg: int | None = None,
+        by_statement: bool = False,
     ):
         self.program = program
         self.code = code
         self.result_reg = result_reg
+        self.by_statement = by_statement
         self.lines: list[str] = []
+        #: ``(footer sort key, n)`` per RECORD, whose event is local ``_v<n>``.
+        self.records: list[tuple[int, int]] = []
         #: reg -> ("a", source name) | ("l", folded lane constant)
         self.rv: dict[int, tuple] = {}
         #: Registers known to hold 0/1 in every lane's bit 0.
@@ -559,7 +514,7 @@ class _StreamEmitter:
     def effect_act(self) -> str:
         """Active-mask expression captured by RECORD/NBA effects.
 
-        All-active effects report ``None`` so the recorder's uniform
+        All-active effects report ``None`` so the event log's uniform
         fast path survives jumpy streams whose lanes never diverged.
         """
         if self.jumpy:
@@ -587,6 +542,9 @@ class _StreamEmitter:
             header.append("    act = lanes")
             header.append("    nact = nlanes")
         footer = [f"    env[{slot}] = e{slot}" for slot in sorted(self.writes)]
+        if self.records:
+            names = ", ".join(f"_v{n}" for _key, n in sorted(self.records))
+            footer.append(f"    if sink is not None: sink.extend(({names},))")
         if self.result_reg is not None:
             footer.append(f"    return {self.ref(self.result_reg)}")
         lines = header + self.lines + footer
@@ -672,9 +630,13 @@ class _StreamEmitter:
                 else:
                     parts.append(self.K(m))
             ops = f"({', '.join(parts)},)" if parts else "()"
+            # Straight-line code runs each RECORD once per pass; the
+            # footer hands the events to the sink in a fixed order.
+            n = len(self.records)
+            self.records.append((meta.stmt_id if self.by_statement else 0, n))
             self.emit(
-                f"sink(({ins[1]}, cycle, {self.ref(ins[2])},"
-                f" {ops}, {self.effect_act()}))"
+                f"if sink is not None: _v{n} = ({ins[1]}, cycle,"
+                f" {self.ref(ins[2])}, {ops}, {self.effect_act()})"
             )
         elif op == NBA:
             self.emit(
@@ -1038,7 +1000,7 @@ def _compile_source(source: str, filename: str) -> Any:
 def _stream_code(program: CompiledProgram, name: str) -> tuple[Any, dict[int, str]]:
     """Translate (with caching) one stream to a compiled code object.
 
-    ``name`` is a stream attribute (``comb_fast`` ...) or ``nba<i>`` for
+    ``name`` is a stream attribute (``comb``, ``seq``) or ``nba<i>`` for
     a non-blocking writer's dynamic-index stream, which additionally
     returns its index register's packed value.  The translation is
     cached per program; the ``compile()`` per source text.
@@ -1052,7 +1014,7 @@ def _stream_code(program: CompiledProgram, name: str) -> tuple[Any, dict[int, st
         stream, result_reg = writer[3], writer[4]
     else:
         stream, result_reg = getattr(program, name), None
-    emitter = _StreamEmitter(program, stream, result_reg)
+    emitter = _StreamEmitter(program, stream, result_reg, by_statement=name == "comb")
     source = emitter.source()
     code = _compile_source(source, f"<vector:{name}>")
     consts = dict(emitter.consts)
@@ -1112,7 +1074,10 @@ class VectorEvaluator:
 
     def pass_fn(self, name: str) -> Callable:
         """The bound ``_pass(env, cycle, sink, pending, lanes, nlanes,
-        full)`` function for one stream of this evaluator's program."""
+        full)`` function for one stream of this evaluator's program.
+
+        ``sink`` is the event log the pass extends with its records, or
+        None to record nothing (settle iterations, unrecorded runs)."""
         return _bound_fn(self.program, name, self.n_lanes)
 
     def _part_consts(self, widx: int) -> tuple[int, int, int]:
@@ -1263,17 +1228,19 @@ def run_vector_suite(
 
     Implements exactly the interpreter's per-cycle schedule (apply
     stimulus, settle comb, sample outputs, clock edge, commit) with
-    every phase executing over all lanes at once.  A
+    every phase executing over all lanes at once.  The program has one
+    comb and one clock-edge pass; each gets the suite's event log as its
+    sink when recording, None otherwise.  A
     :attr:`~repro.sim.compiler.CompiledProgram.levelized` program
     settles in exactly one comb pass per cycle, with no snapshot and no
-    compare: the instrumented pass when recording (it settles and
-    records at once), the fast pass otherwise.  Any other program
-    settles comb to a fixpoint (at most
+    compare, and that pass also records.  Any other program settles comb
+    to a fixpoint with no sink (at most
     :data:`~repro.sim.compiler.MAX_SETTLE_PASSES` passes, else
-    :class:`~repro.sim.SimulationError`) and then records with one
-    instrumented pass, like the interpreter.  Returns traces in stimulus
-    order, byte-identical to per-trace interpreter runs — ragged suites
-    included (a lane past its last cycle is simply never active again).
+    :class:`~repro.sim.SimulationError`) and then, when recording, runs
+    one more pass with the sink, like the interpreter.  Returns traces
+    in stimulus order, byte-identical to per-trace interpreter runs —
+    ragged suites included (a lane past its last cycle is simply never
+    active again).
 
     On a target program, ``selectors`` holds each lane's variant: the
     selector slot is preset lane by lane and never written, so every
@@ -1309,10 +1276,8 @@ def run_vector_suite(
         env[program.selector_slot] = _pack(np.array(selectors, dtype=np.uint64))
         variant_lanes = sum(1 for selector in selectors if selector)
     evaluator = VectorEvaluator(program, n)
-    recorder = VectorRecorder(program.shapes, n) if record else None
-    # Generated RECORD lines call these bound ``list.append``s directly.
-    stage = recorder.stage.append if recorder is not None else None
-    record_event = recorder.events.append if recorder is not None else None
+    # The event log: each pass run with it as its sink extends it.
+    events: list[tuple] | None = [] if record else None
     pending: list = []
     out_slots = [slot for _, slot in program.output_slots]
     out_names = tuple(name for name, _ in program.output_slots)
@@ -1320,16 +1285,10 @@ def run_vector_suite(
 
     # Purely sequential designs have empty comb streams: the settle loop
     # (and its fixpoint snapshot compare) can be skipped outright.
-    comb_fast_fn = evaluator.pass_fn("comb_fast") if program.comb_fast else None
-    comb_rec_fn = (
-        evaluator.pass_fn("comb_rec") if record and program.comb_rec else None
-    )
+    comb_fn = evaluator.pass_fn("comb") if program.comb else None
+    seq_fn = evaluator.pass_fn("seq") if program.seq else None
     one_pass = program.levelized
     comb_passes = 0
-    if record:
-        seq_fn = evaluator.pass_fn("seq_rec") if program.seq_rec else None
-    else:
-        seq_fn = evaluator.pass_fn("seq_fast") if program.seq_fast else None
 
     for cycle in range(max_cycles):
         lanes = alive_masks[cycle]
@@ -1338,18 +1297,14 @@ def run_vector_suite(
         for slot, values, ndrive in frames[cycle]:
             env[slot] = (env[slot] & ndrive) | values if ndrive else values
 
-        if comb_fast_fn is not None and one_pass:
+        if comb_fn is not None and one_pass:
             # Levelized comb logic has no non-blocking assignment to commit.
-            if comb_rec_fn is not None:
-                comb_rec_fn(env, cycle, stage, pending, lanes, nlanes, full)
-                recorder.commit_pass()  # type: ignore[union-attr]
-            else:
-                comb_fast_fn(env, cycle, None, pending, lanes, nlanes, full)
+            comb_fn(env, cycle, events, pending, lanes, nlanes, full)
             comb_passes += 1
-        elif comb_fast_fn is not None:
+        elif comb_fn is not None:
             for _iteration in range(MAX_SETTLE_PASSES):
                 snapshot = env.copy()
-                comb_fast_fn(env, cycle, None, pending, lanes, nlanes, full)
+                comb_fn(env, cycle, None, pending, lanes, nlanes, full)
                 comb_passes += 1
                 if pending:
                     evaluator.commit(pending, env)
@@ -1359,21 +1314,20 @@ def run_vector_suite(
                 raise SimulationError(
                     f"combinational logic did not settle in design {module.name!r}"
                 )
-            if comb_rec_fn is not None:
-                comb_rec_fn(env, cycle, stage, pending, lanes, nlanes, full)
+            if events is not None:
+                comb_fn(env, cycle, events, pending, lanes, nlanes, full)
                 comb_passes += 1
                 if pending:
                     evaluator.commit(pending, env)
-                recorder.commit_pass()  # type: ignore[union-attr]
 
         out_frames.append([env[slot] for slot in out_slots])
 
         if seq_fn is not None:
-            seq_fn(env, cycle, record_event, pending, lanes, nlanes, full)
+            seq_fn(env, cycle, events, pending, lanes, nlanes, full)
             if pending:
                 evaluator.commit(pending, env)
 
-    log = recorder.finish() if recorder is not None else None
+    log = unpack_events(program.shapes, events, n) if events is not None else None
     # Every lane's outputs are a view of one (cycles * outputs, N)
     # matrix, unpacked in one pass; stimuli are views of the suite.
     out_matrix = (
@@ -1398,5 +1352,5 @@ def run_vector_suite(
     stats["variant_lanes"] += variant_lanes
     stats["cycles"] += sum(lane_lengths)
     stats["comb_passes"] += comb_passes
-    stats["fixpoint_batches"] += bool(comb_fast_fn is not None and not one_pass)
+    stats["fixpoint_batches"] += bool(comb_fn is not None and not one_pass)
     return traces

@@ -1,6 +1,6 @@
 """The vector engine's lane boundary against per-lane oracles.
 
-* A recorder's event log, unpacked by :meth:`VectorRecorder.finish`,
+* A suite's event log, unpacked by :func:`repro.sim.vector.unpack_events`,
   must slice into one-lane logs (:meth:`SuiteLog.lane_slice`, what a
   pickled lane ships) equal to :func:`reference_finish`, the per-lane
   masked loop over the raw events, down to every value and every dtype;
@@ -32,7 +32,7 @@ from repro.sim import (
     vector,
 )
 from repro.sim.trace import _LaneOutputs
-from repro.sim.vector import VectorRecorder, _unpack
+from repro.sim.vector import _unpack, unpack_events
 from repro.verilog import parse_module
 
 from conftest import assert_executions_identical
@@ -43,10 +43,8 @@ from conftest import assert_executions_identical
 # ----------------------------------------------------------------------
 
 
-def reference_finish(recorder: VectorRecorder) -> list[SuiteLog]:
+def reference_finish(shapes, events, n) -> list[SuiteLog]:
     """Lane by lane: the lane's active events and operand rows, alone."""
-    n = recorder.n_lanes
-    events = recorder.events
     slots = np.array([e[0] for e in events], dtype=np.int64)
     cycles = np.array([e[1] for e in events], dtype=np.int64)
     lhs = _unpack([e[2] for e in events], n) if events else np.zeros((0, n), np.int64)
@@ -61,7 +59,7 @@ def reference_finish(recorder: VectorRecorder) -> list[SuiteLog]:
         mask = active[:, lane]
         slices.append(
             SuiteLog(
-                recorder.shapes,
+                shapes,
                 slots[mask],
                 cycles[mask],
                 lhs[mask, lane : lane + 1],
@@ -89,7 +87,8 @@ def _pack_lanes(values) -> int:
 
 @st.composite
 def event_logs(draw):
-    """A recorder with a random event log: masks sparse, full, or empty."""
+    """``(shapes, events, n)``: a random event log, masks sparse, full,
+    or empty."""
     n = draw(st.integers(1, 7))
     n_shapes = draw(st.integers(1, 6))
     shapes = tuple(
@@ -101,7 +100,7 @@ def event_logs(draw):
     small = st.integers(0, 300)
     big = st.integers(1 << 31, (1 << 63) - 1)
     value = st.one_of(small, small, big)
-    recorder = VectorRecorder(shapes, n)
+    events = []
     for cycle in range(draw(st.integers(0, 4))):
         for _ in range(draw(st.integers(0, 6))):
             slot = draw(st.integers(0, n_shapes - 1))
@@ -115,7 +114,7 @@ def event_logs(draw):
                     "sparse": draw(st.lists(st.booleans(), min_size=n, max_size=n)),
                 }[kind]
                 active = _pack_lanes([(1 << 64) - 1 if on else 0 for on in lanes])
-            recorder.events.append(
+            events.append(
                 (
                     slot,
                     cycle,
@@ -127,7 +126,7 @@ def event_logs(draw):
                     active,
                 )
             )
-    return recorder
+    return shapes, events, n
 
 
 def assert_log_matches(log, expected):
@@ -142,17 +141,17 @@ class TestBatchedCompaction:
     """Each lane's slice of the suite log against the per-lane oracle."""
 
     @settings(max_examples=150, deadline=None)
-    @given(recorder=event_logs())
-    def test_matches_per_lane_reference(self, recorder):
-        assert_log_matches(recorder.finish(), reference_finish(recorder))
+    @given(log=event_logs())
+    def test_matches_per_lane_reference(self, log):
+        assert_log_matches(unpack_events(*log), reference_finish(*log))
 
     def test_empty_log(self):
-        recorder = VectorRecorder(((0, "y", ("a",), 1),), 3)
-        assert_log_matches(recorder.finish(), reference_finish(recorder))
+        log = (((0, "y", ("a",), 1),), [], 3)
+        assert_log_matches(unpack_events(*log), reference_finish(*log))
 
     @pytest.mark.parametrize("name", ["usbf_pl", "ibex_controller"])
     def test_ragged_selector_suites(self, name, monkeypatch):
-        """Real recorders: ragged lanes, an empty lane, mutant selectors;
+        """Real event logs: ragged lanes, an empty lane, mutant selectors;
         the pickled lanes carry exactly the reference slices."""
         from repro.datagen.mutation import mutate_statement, sample_mutations
 
@@ -168,21 +167,20 @@ class TestBatchedCompaction:
         stimuli[2] = []
         lanes = [stimulus for _ in range(len(variants) + 1) for stimulus in stimuli]
         selectors = [k for k in range(len(variants) + 1) for _ in stimuli]
-        recorders = []
-        finish = VectorRecorder.finish
+        logs = []
 
-        def capture(self):
-            recorders.append(self)
-            return finish(self)
+        def capture(*log):
+            logs.append(log)
+            return unpack_events(*log)
 
-        monkeypatch.setattr(VectorRecorder, "finish", capture)
+        monkeypatch.setattr(vector, "unpack_events", capture)
         simulator = Simulator(module, engine="vector", variants=variants)
         traces = simulator.run_suite(lanes, selectors=selectors)
         monkeypatch.undo()
-        (recorder,) = recorders
-        assert any(e[4] is not None for e in recorder.events)
-        expected = reference_finish(recorder)
-        assert_log_matches(finish(recorder), expected)
+        (log,) = logs
+        assert any(e[4] is not None for e in log[1])
+        expected = reference_finish(*log)
+        assert_log_matches(unpack_events(*log), expected)
         assert [len(t.executions) for t in traces] == [len(s.slots) for s in expected]
         shipped = [pickle.loads(pickle.dumps(t)).execution_log() for t in traces]
         assert {lane for _log, lane in shipped} == {0}

@@ -48,7 +48,7 @@ from repro.verilog import format_module, parse_module
 from repro.verilog.ast_nodes import Number
 from repro.verilog.printer import statement_source
 
-from conftest import assert_executions_identical
+from conftest import ARBITER_SOURCE, assert_executions_identical
 
 TABLE3_PLAN = {"negation": 2, "operation": 2, "misuse": 3}
 
@@ -118,6 +118,69 @@ def test_rvdg_mutant_lanes_identical(seed):
         module, {"negation": 2, "operation": 2, "misuse": 2}, seed=seed
     )
     stimuli = generate_testbench_suite(module, 3, TestbenchConfig(n_cycles=10), seed=seed)
+    assert_lanes_match_mutants(module, mutations, stimuli, "interpreted")
+
+
+#: ``(source, levelized, [(kind, statement index, node index,
+#: replacement), ...])``: three variants of the first named statement
+#: that read its signals (one shared shape row) and a variant of another
+#: statement, all in one suite with golden lanes.
+MIXED_SELECTORS = {
+    # Settle order (p, q, y, z) differs from source and statement order.
+    "reordered": (
+        "module t(a, b, c, y, z); input [3:0] a, b, c; output [3:0] y, z;"
+        " wire [3:0] p, q; assign y = p ^ q; assign p = a & b;"
+        " assign q = b | c; assign z = y + a; endmodule",
+        True,
+        [
+            ("negation", 0, 1, "insert"),
+            ("negation", 0, 2, "insert"),
+            ("operation", 0, 0, "&"),
+            ("operation", 1, 0, "|"),
+        ],
+    ),
+    # A branchy comb block: records under predicated lanes.
+    "arbiter": (
+        ARBITER_SOURCE,
+        True,
+        [
+            ("negation", 2, 1, "insert"),
+            ("negation", 2, 2, "remove"),
+            ("operation", 2, 0, "|"),
+            ("operation", 5, 0, "|"),
+        ],
+    ),
+    # Comb feedback: no settle order, the fixpoint loop.
+    "feedback": (
+        "module t(a, b, y); input a, b; output y; wire p, q;"
+        " assign p = a & q; assign q = b | p; assign y = p ^ q; endmodule",
+        False,
+        [
+            ("negation", 2, 1, "insert"),
+            ("negation", 2, 2, "insert"),
+            ("operation", 2, 0, "&"),
+            ("operation", 1, 0, "&"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(MIXED_SELECTORS))
+def test_mixed_selectors_sharing_a_shape_row(name):
+    source, levelized, specs = MIXED_SELECTORS[name]
+    module = parse_module(source)
+    statements = module.statements()
+    mutations = [
+        Mutation(kind, statements[index].stmt_id, node, "", replacement)
+        for kind, index, node, replacement in specs
+    ]
+    program = compile_target_program(module, _variants(module, mutations))
+    assert program.levelized is levelized
+    shared = mutations[0].stmt_id
+    assert [row[0] for row in program.shapes].count(shared) == 1
+    stimuli = ragged(
+        generate_testbench_suite(module, 5, TestbenchConfig(n_cycles=10), seed=5)
+    )
     assert_lanes_match_mutants(module, mutations, stimuli, "interpreted")
 
 
