@@ -6,6 +6,9 @@ the repo root so the performance trajectory is tracked across PRs.
 The vector engine runs the whole testbench suite per design in lockstep
 (``run_suite``), so its wall time is per-suite rather than per-trace;
 ``speedup_*`` reports it against the interpreter over the same suite.
+Every arm is timed :data:`REPEATS` times and reports the median wall
+time (``wall_s``, from which the rates derive) and the ``spread``,
+slowest run over fastest.
 The ``vector_single`` column runs the same traces one at a time
 (``Simulator.run``, a one-lane suite each) — the cost of a caller that
 simulates a single trace — and ``single_speedup_*`` reports it against
@@ -48,6 +51,7 @@ import math
 import os
 import pathlib
 import pickle
+import statistics
 import sys
 import time
 
@@ -135,29 +139,40 @@ def verify_design(name: str, n_cycles: int, seed: int = 3) -> list[str]:
     return problems
 
 
+#: Timed runs per arm: single runs of one arm spread up to 1.7x on a
+#: shared host, so each arm reports the median wall time of these runs
+#: and their spread (slowest over fastest).
+REPEATS = 5
+
+
+def _timed(run, stimuli, record: bool, total_cycles: int) -> tuple[dict, list]:
+    """``run(stimuli, record)`` :data:`REPEATS` times: median and spread."""
+    walls = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        traces = run(stimuli, record)
+        walls.append(time.perf_counter() - t0)
+    wall_s = statistics.median(walls)
+    stats = {
+        "wall_s": round(wall_s, 6),
+        "spread": round(max(walls) / min(walls), 2),
+        "cycles_per_s": round(total_cycles / wall_s),
+        "ns_per_lane_cycle": round(wall_s / total_cycles * 1e9),
+    }
+    return stats, traces
+
+
 def _time_runs(run, stimuli, arms: tuple[str, ...], total_cycles: int) -> dict:
-    """Wall time of ``run(stimuli, record)`` per recording arm."""
+    """Median wall time of ``run(stimuli, record)`` per recording arm."""
     stats: dict = {}
     if "record" in arms:
-        t0 = time.perf_counter()
-        traces = run(stimuli, True)
-        record_s = time.perf_counter() - t0
+        stats["record"], traces = _timed(run, stimuli, True, total_cycles)
         n_statements = sum(len(t.executions) for t in traces)
-        stats["record"] = {
-            "wall_s": round(record_s, 6),
-            "cycles_per_s": round(total_cycles / record_s),
-            "ns_per_lane_cycle": round(record_s / total_cycles * 1e9),
-            "statements_per_s": round(n_statements / record_s),
-        }
+        stats["record"]["statements_per_s"] = round(
+            n_statements / stats["record"]["wall_s"]
+        )
     if "norecord" in arms:
-        t0 = time.perf_counter()
-        run(stimuli, False)
-        norecord_s = time.perf_counter() - t0
-        stats["norecord"] = {
-            "wall_s": round(norecord_s, 6),
-            "cycles_per_s": round(total_cycles / norecord_s),
-            "ns_per_lane_cycle": round(norecord_s / total_cycles * 1e9),
-        }
+        stats["norecord"], _traces = _timed(run, stimuli, False, total_cycles)
     if "record" in arms and "norecord" in arms:
         # The recording-overhead arm: cost of execution recording
         # relative to the same passes run without an event sink.

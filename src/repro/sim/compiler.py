@@ -13,9 +13,12 @@ width-resolved instruction stream over a signal *slot table*:
   fresh virtual register),
 * statement control flow (``if``/``case``) becomes forward-only
   conditional jumps, with no recursion and no isinstance checks,
-* non-blocking assignments push ``(writer, value)`` pairs onto a pending
-  list; writers re-resolve dynamic bit-select indices at commit time,
-  exactly like the reference interpreter's ``write_lvalue``.
+* a non-blocking assignment is an ``NBA`` naming its lvalue *writer*
+  (a whole signal, a part-select, or a bit-select with its own index
+  code); the vector engine commits the ``NBA`` ops of a pass in execution
+  order at the end of that pass, computing a dynamic bit index then,
+  against the commit-time values, exactly like the reference
+  interpreter's ``write_lvalue``.
 
 Each region (combinational pass, clock edge) is emitted once, as one
 stream whose ``RECORD`` instructions stand for the executed-assignment
@@ -115,7 +118,7 @@ JMP = 8  # (JMP, target)
 EQ = 9  # (EQ, dst, a, b)
 SELECT = 10  # (SELECT, dst, c, a, b)       regs[dst] = a if regs[c] else b
 RECORD = 11  # (RECORD, meta_idx, src)      append one columnar execution row
-NBA = 12  # (NBA, writer_idx, src)          pending non-blocking update
+NBA = 12  # (NBA, writer_idx, src)          non-blocking update, committed at pass end
 ADD = 13  # (ADD, dst, a, b, mask)
 SUB = 14  # (SUB, dst, a, b, mask)
 LNOT = 15  # (LNOT, dst, a)

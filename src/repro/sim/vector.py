@@ -30,8 +30,8 @@ OR-ed back in at the jump target.  Register writes run unmasked for all
 lanes — safe because lowering is SSA-ish (every op writes a fresh
 register and no jump target separates a register write from its readers,
 so a rejoining lane only ever reads registers computed on its own path).
-Only the effects — environment stores, non-blocking appends, record
-appends — consult the active mask.  Ragged suites (traces of unequal
+Only the effects — environment stores, non-blocking commits, records —
+consult the active mask.  Ragged suites (traces of unequal
 length) reuse the same mechanism: lanes past their last cycle are simply
 absent from the cycle's alive mask.
 
@@ -43,9 +43,11 @@ one event log per suite, written by the generated passes themselves: a
 ``RECORD`` line builds one ``(slot, cycle, lhs, ops, active)`` tuple of
 packed lane ints when the pass got the log as its sink, and the pass
 footer extends the log with them in their final order (statement-id
-order for a comb pass, execution order for a clock edge).
-:func:`unpack_events` only unpacks the log into a
-:class:`~repro.sim.trace.SuiteLog` of ``[E, N]`` arrays.
+order for a comb pass, execution order for a clock edge).  The footer
+also commits the pass's non-blocking writes, so one call of a pass is
+the interpreter's pass plus its commit.
+:func:`unpack_events` drops the events no lane executed and unpacks
+the rest into a :class:`~repro.sim.trace.SuiteLog` of ``[E, N]`` arrays.
 Every lane's trace is a ``(log, lane)`` view of that log, the same
 format the interpreter's :class:`ExecutionRecorder` produces as a
 one-lane log, and event for event identical to it — the differential
@@ -198,17 +200,35 @@ def vectorizable(program: CompiledProgram) -> bool:
     over every instruction stream (including non-blocking writers'
     dynamic index expressions).  The audit is cached per program.
     """
-    cached = _VEC_OK.get(id(program))
-    if cached is not None and cached[0]() is program:
-        return cached[1]
-    ok = _audit(program)
+    return _program_entry(program).ok
+
+
+class _ProgramEntry:
+    """Everything the engine derives from one program, built on demand:
+    the lane audit verdict, the comb and seq code objects with their K
+    constants (None for an empty stream), and the passes bound per lane
+    count."""
+
+    __slots__ = ("ref", "ok", "code", "fns")
+
+    def __init__(self, ref: weakref.ref, ok: bool):
+        self.ref = ref
+        self.ok = ok
+        self.code: tuple[tuple[Any, dict[int, str]] | None, ...] | None = None
+        self.fns: dict[int, tuple[Callable | None, ...]] = {}
+
+
+#: Program id -> its entry; a weakref on the program drops the entry.
+_PROGRAMS: dict[int, _ProgramEntry] = {}
+
+
+def _program_entry(program: CompiledProgram) -> _ProgramEntry:
     key = id(program)
-    ref = weakref.ref(program, lambda _r, _k=key: _VEC_OK.pop(_k, None))
-    _VEC_OK[key] = (ref, ok)
-    return ok
-
-
-_VEC_OK: dict[int, tuple] = {}
+    entry = _PROGRAMS.get(key)
+    if entry is None or entry.ref() is not program:
+        ref = weakref.ref(program, lambda _r, _k=key: _PROGRAMS.pop(_k, None))
+        entry = _PROGRAMS[key] = _ProgramEntry(ref, _audit(program))
+    return entry
 
 
 def _audit(program: CompiledProgram) -> bool:
@@ -348,10 +368,12 @@ def unpack_events(
 
     ``events`` holds the ``(slot, cycle, lhs, ops, active)`` tuples the
     generated passes append, in log order: lhs, each op and active are
-    packed lane ints (active None == all lanes).  Packed lane ints unpack
-    in bulk (:func:`_unpack`); the few distinct active masks that recur
-    across events unpack once each.
+    packed lane ints (active None == all lanes).  An event no lane
+    executed (a ``RECORD`` under an arm no lane took) is dropped.  Packed
+    lane ints unpack in bulk (:func:`_unpack`); the few distinct active
+    masks that recur across events unpack once each.
     """
+    events = [event for event in events if event[4] != 0]
     lane_all = _lane_ctx(n)[3]
     fields: tuple[tuple[Any, ...], ...] = tuple(zip(*events)) or ((),) * 5
     slots, cycles, lhs, ops, masks = fields
@@ -381,8 +403,8 @@ def unpack_events(
 class _StreamEmitter:
     """Translates one compiled instruction stream into SWAR Python source.
 
-    The generated ``_pass(env, cycle, sink, pending, lanes, nlanes,
-    full)`` function reads every touched environment slot into a local
+    The generated ``_pass(env, cycle, sink, lanes, nlanes, full)``
+    function reads every touched environment slot into a local
     (``e3 = env[3]``), runs the stream as straight-line big-int
     expressions over packed lane values, and writes stored slots back at
     the end.  Registers are plain locals (SSA within a stream); constant
@@ -399,6 +421,15 @@ class _StreamEmitter:
     id with ties in instruction order — the order of the interpreter's
     settled comb records, whatever the settle order of the pass.
 
+    An ``NBA`` keeps its value in a local ``_n<k>`` (an env alias could
+    be stored to before the commit) and, in a jumpy stream, its active
+    mask in ``_a<k>``.  Before the write-back, the footer commits them
+    in instruction order, which is execution order, each as the store
+    its writer names; a dynamic bit index is computed there, against
+    commit-time values, like the interpreter's ``write_lvalue``.  A
+    jumpy commit runs under ``if _a<k>:``, so an arm no lane took
+    commits nothing.
+
     Jumpy streams maintain a runtime ``act``/``nact`` mask pair; each
     taken jump moves the taking lanes into a fresh join mask that is
     OR-ed back into ``act`` at the jump target (jumps are forward-only,
@@ -409,16 +440,16 @@ class _StreamEmitter:
         self,
         program: CompiledProgram,
         code: tuple[tuple, ...],
-        result_reg: int | None = None,
         by_statement: bool = False,
     ):
         self.program = program
         self.code = code
-        self.result_reg = result_reg
         self.by_statement = by_statement
         self.lines: list[str] = []
         #: ``(footer sort key, n)`` per RECORD, whose event is local ``_v<n>``.
         self.records: list[tuple[int, int]] = []
+        #: ``(writer index, value register)`` per NBA, committed in the footer.
+        self.nbas: list[tuple[int, int]] = []
         #: reg -> ("a", source name) | ("l", folded lane constant)
         self.rv: dict[int, tuple] = {}
         #: Registers known to hold 0/1 in every lane's bit 0.
@@ -512,7 +543,7 @@ class _StreamEmitter:
             )
 
     def effect_act(self) -> str:
-        """Active-mask expression captured by RECORD/NBA effects.
+        """Active-mask expression a RECORD captures.
 
         All-active effects report ``None`` so the event log's uniform
         fast path survives jumpy streams whose lanes never diverged.
@@ -535,7 +566,8 @@ class _StreamEmitter:
                 self.emit(f"act = act | {names}")
                 self.emit("nact = act ^ ALL")
             self._emit_ins(ins)
-        header = ["def _pass(env, cycle, sink, pending, lanes, nlanes, full):"]
+        self._commit_nbas()
+        header = ["def _pass(env, cycle, sink, lanes, nlanes, full):"]
         for slot in sorted(self.reads | self.writes):
             header.append(f"    e{slot} = env[{slot}]")
         if self.jumpy:
@@ -545,12 +577,32 @@ class _StreamEmitter:
         if self.records:
             names = ", ".join(f"_v{n}" for _key, n in sorted(self.records))
             footer.append(f"    if sink is not None: sink.extend(({names},))")
-        if self.result_reg is not None:
-            footer.append(f"    return {self.ref(self.result_reg)}")
         lines = header + self.lines + footer
         if len(lines) == 1:
             lines.append("    pass")
         return "\n".join(lines) + "\n"
+
+    def _commit_nbas(self) -> None:
+        """Each NBA's store, in instruction order, over the lanes that ran it."""
+        for k, (widx, src) in enumerate(self.nbas):
+            writer = self.program.nba_writers[widx]
+            start = len(self.lines)
+            if self.jumpy:
+                self.emit(f"act = _a{k}")
+                self.emit("nact = act ^ ALL")
+            if writer[0] == _W_NAME:
+                self._emit_ins((STORE, writer[1], src))
+            elif writer[0] == _W_PART:
+                _, slot, fullmask, lsb, field = writer
+                self._emit_ins((STOREPART, slot, src, lsb, field, fullmask))
+            else:  # _W_BIT: the index against the commit-time env
+                _, slot, fullmask, index_code, index_reg = writer
+                for ins in index_code:
+                    self._emit_ins(ins)
+                self._emit_ins((STOREBIT, slot, src, index_reg, fullmask))
+            if self.jumpy:
+                body = self.lines[start:]
+                self.lines[start:] = [f"    if _a{k}:", *("    " + line for line in body)]
 
     def _emit_ins(self, ins: tuple) -> None:  # noqa: C901 - opcode dispatch
         op = ins[0]
@@ -639,10 +691,19 @@ class _StreamEmitter:
                 f" {self.ref(ins[2])}, {ops}, {self.effect_act()})"
             )
         elif op == NBA:
-            self.emit(
-                f"pending.append(({ins[1]}, {self.ref(ins[2])},"
-                f" {self.effect_act()}))"
-            )
+            # Committed in the footer; register -1 - k stands for the value.
+            k = len(self.nbas)
+            src = -1 - k
+            if self.lit(ins[2]) is None:
+                self.emit(f"_n{k} = {self.ref(ins[2])}")
+                rv[src] = ("a", f"_n{k}")
+            else:
+                rv[src] = rv[ins[2]]
+            if self.is_bool(ins[2]):
+                self.bools.add(src)
+            if self.jumpy:
+                self.emit(f"_a{k} = act")
+            self.nbas.append((ins[1], src))
         elif op in (ADD, SUB, MUL):
             la, lb = self.lit(ins[2]), self.lit(ins[3])
             if la is not None and lb is not None:
@@ -980,11 +1041,6 @@ _COMPARES = {
     GE: lambda a, b: a >= b,
 }
 
-#: Compiled pass code objects + their K constants, keyed by
-#: (program id, stream name); lane-count independent.
-_CODE_CACHE: dict[tuple[int, str], tuple] = {}
-
-
 @functools.lru_cache(maxsize=512)
 def _compile_source(source: str, filename: str) -> Any:
     """``compile()`` of one generated pass, shared by identical sources.
@@ -997,138 +1053,44 @@ def _compile_source(source: str, filename: str) -> Any:
     return compile(source, filename, "exec")
 
 
-def _stream_code(program: CompiledProgram, name: str) -> tuple[Any, dict[int, str]]:
-    """Translate (with caching) one stream to a compiled code object.
-
-    ``name`` is a stream attribute (``comb``, ``seq``) or ``nba<i>`` for
-    a non-blocking writer's dynamic-index stream, which additionally
-    returns its index register's packed value.  The translation is
-    cached per program; the ``compile()`` per source text.
-    """
-    key = (id(program), name)
-    entry = _CODE_CACHE.get(key)
-    if entry is not None and entry[0]() is program:
-        return entry[1], entry[2]
-    if name.startswith("nba"):
-        writer = program.nba_writers[int(name[3:])]
-        stream, result_reg = writer[3], writer[4]
-    else:
-        stream, result_reg = getattr(program, name), None
-    emitter = _StreamEmitter(program, stream, result_reg, by_statement=name == "comb")
-    source = emitter.source()
-    code = _compile_source(source, f"<vector:{name}>")
-    consts = dict(emitter.consts)
-    ref = weakref.ref(program, lambda _r, _k=key: _CODE_CACHE.pop(_k, None))
-    _CODE_CACHE[key] = (ref, code, consts)
-    return code, consts
+def _translate(program: CompiledProgram, name: str) -> tuple[Any, dict[int, str]]:
+    """One stream (``comb`` or ``seq``) as a code object and its K constants."""
+    emitter = _StreamEmitter(program, getattr(program, name), by_statement=name == "comb")
+    code = _compile_source(emitter.source(), f"<vector:{name}>")
+    return code, dict(emitter.consts)
 
 
-#: Bound pass functions, keyed by (program id, stream name, n_lanes).
-_FN_CACHE: dict[tuple[int, str, int], tuple] = {}
-
-
-def _bound_fn(program: CompiledProgram, name: str, n: int) -> Callable:
-    """Bind one stream's cached code object to an ``n``-lane context."""
-    key = (id(program), name, n)
-    entry = _FN_CACHE.get(key)
-    if entry is not None and entry[0]() is program:
-        return entry[1]
-    code, consts = _stream_code(program, name)
+def _bind(code: Any, consts: dict[int, str], n: int) -> Callable:
+    """Bind one translated pass to an ``n``-lane context."""
     ones, lane_l, lane_h, lane_all = _lane_ctx(n)
     bindings: dict[str, Any] = {"L": lane_l, "H": lane_h, "ALL": lane_all}
     bindings.update(_helpers(n))
     for value, kname in consts.items():
         bindings[kname] = value * ones
     exec(code, bindings)
-    fn = bindings["_pass"]
-    ref = weakref.ref(program, lambda _r, _k=key: _FN_CACHE.pop(_k, None))
-    _FN_CACHE[key] = (ref, fn)
-    return fn
+    return bindings["_pass"]
 
 
-# ----------------------------------------------------------------------
-# Execution engine
-# ----------------------------------------------------------------------
+def _pass_fns(program: CompiledProgram, n: int) -> tuple[Callable | None, ...]:
+    """The program's ``(comb, seq)`` ``_pass(env, cycle, sink, lanes,
+    nlanes, full)`` functions for ``n`` lanes, None for an empty stream.
 
-
-class VectorEvaluator:
-    """Executes compiled streams over all lanes of one suite in lockstep.
-
-    One evaluator owns the lane context (replication constants, per-lane
-    helper closures) and the non-blocking commit machinery; the per-pass
-    state itself lives in the generated stream functions' locals, so the
-    translated passes are cached per ``(program, n_lanes)`` and shared
-    across suites.
+    ``sink`` is the event log the pass extends with its records, or
+    None to record nothing (settle iterations, unrecorded runs).  Each
+    stream translates once per program, and binds once per lane count.
     """
-
-    def __init__(self, program: CompiledProgram, n_lanes: int):
-        self.program = program
-        self.n_lanes = n_lanes
-        ones, _l, _h, lane_all = _lane_ctx(n_lanes)
-        self.ones = ones
-        self.ALL = lane_all
-        self._storebitv = _helpers(n_lanes)["_storebitv"]
-        self._part_cache: dict[int, tuple[int, int, int]] = {}
-        self._nba_fns: dict[int, Callable] = {}
-        self._no_pending: list = []
-
-    def pass_fn(self, name: str) -> Callable:
-        """The bound ``_pass(env, cycle, sink, pending, lanes, nlanes,
-        full)`` function for one stream of this evaluator's program.
-
-        ``sink`` is the event log the pass extends with its records, or
-        None to record nothing (settle iterations, unrecorded runs)."""
-        return _bound_fn(self.program, name, self.n_lanes)
-
-    def _part_consts(self, widx: int) -> tuple[int, int, int]:
-        entry = self._part_cache.get(widx)
-        if entry is None:
-            _, _slot, fullmask, lsb, field = self.program.nba_writers[widx]
-            shifted = (field << lsb) & fullmask
-            keep = (fullmask & ~shifted) * self.ones
-            eff = (shifted >> lsb) * self.ones
-            entry = self._part_cache[widx] = (keep, eff, lsb)
-        return entry
-
-    def commit(self, pending: list, env: list[int]) -> None:
-        """Apply pending non-blocking updates in execution order.
-
-        ``pending`` holds ``(writer index, packed value, active mask)``
-        triples; inactive lanes keep their previous slot value.
-        """
-        writers = self.program.nba_writers
-        lane_all = self.ALL
-        for widx, value, act in pending:
-            w = writers[widx]
-            kind = w[0]
-            if kind == _W_NAME:
-                slot = w[1]
-                if act is None or act == lane_all:
-                    env[slot] = value
-                else:
-                    env[slot] = (env[slot] & (act ^ lane_all)) | (value & act)
-            elif kind == _W_PART:
-                slot = w[1]
-                keep, eff, lsb = self._part_consts(widx)
-                cur = env[slot] & keep
-                if eff:
-                    cur |= (value & eff) << lsb
-                if act is None or act == lane_all:
-                    env[slot] = cur
-                else:
-                    env[slot] = (env[slot] & (act ^ lane_all)) | (cur & act)
-            else:  # _W_BIT: dynamic index against the commit-time env
-                _, slot, fullmask, _index_code, _index_reg = w
-                fn = self._nba_fns.get(widx)
-                if fn is None:
-                    fn = self._nba_fns[widx] = self.pass_fn(f"nba{widx}")
-                index = fn(env, 0, None, self._no_pending, lane_all, 0, True)
-                cur = self._storebitv(env[slot], value, index, fullmask)
-                if act is None or act == lane_all:
-                    env[slot] = cur
-                else:
-                    env[slot] = (env[slot] & (act ^ lane_all)) | (cur & act)
-        pending.clear()
+    entry = _program_entry(program)
+    fns = entry.fns.get(n)
+    if fns is None:
+        if entry.code is None:
+            entry.code = tuple(
+                _translate(program, name) if getattr(program, name) else None
+                for name in ("comb", "seq")
+            )
+        fns = entry.fns[n] = tuple(
+            None if code is None else _bind(*code, n) for code in entry.code
+        )
+    return fns
 
 
 # ----------------------------------------------------------------------
@@ -1229,8 +1191,9 @@ def run_vector_suite(
     Implements exactly the interpreter's per-cycle schedule (apply
     stimulus, settle comb, sample outputs, clock edge, commit) with
     every phase executing over all lanes at once.  The program has one
-    comb and one clock-edge pass; each gets the suite's event log as its
-    sink when recording, None otherwise.  A
+    comb and one clock-edge pass, each of which commits its own
+    non-blocking writes; each gets the suite's event log as its sink
+    when recording, None otherwise.  A
     :attr:`~repro.sim.compiler.CompiledProgram.levelized` program
     settles in exactly one comb pass per cycle, with no snapshot and no
     compare, and that pass also records.  Any other program settles comb
@@ -1275,18 +1238,15 @@ def run_vector_suite(
             raise ValueError("selectors need a target program and one per stimulus")
         env[program.selector_slot] = _pack(np.array(selectors, dtype=np.uint64))
         variant_lanes = sum(1 for selector in selectors if selector)
-    evaluator = VectorEvaluator(program, n)
     # The event log: each pass run with it as its sink extends it.
     events: list[tuple] | None = [] if record else None
-    pending: list = []
     out_slots = [slot for _, slot in program.output_slots]
     out_names = tuple(name for name, _ in program.output_slots)
     out_frames: list[list[int]] = []
 
     # Purely sequential designs have empty comb streams: the settle loop
     # (and its fixpoint snapshot compare) can be skipped outright.
-    comb_fn = evaluator.pass_fn("comb") if program.comb else None
-    seq_fn = evaluator.pass_fn("seq") if program.seq else None
+    comb_fn, seq_fn = _pass_fns(program, n)
     one_pass = program.levelized
     comb_passes = 0
 
@@ -1298,16 +1258,13 @@ def run_vector_suite(
             env[slot] = (env[slot] & ndrive) | values if ndrive else values
 
         if comb_fn is not None and one_pass:
-            # Levelized comb logic has no non-blocking assignment to commit.
-            comb_fn(env, cycle, events, pending, lanes, nlanes, full)
+            comb_fn(env, cycle, events, lanes, nlanes, full)
             comb_passes += 1
         elif comb_fn is not None:
             for _iteration in range(MAX_SETTLE_PASSES):
                 snapshot = env.copy()
-                comb_fn(env, cycle, None, pending, lanes, nlanes, full)
+                comb_fn(env, cycle, None, lanes, nlanes, full)
                 comb_passes += 1
-                if pending:
-                    evaluator.commit(pending, env)
                 if env == snapshot:
                     break
             else:
@@ -1315,17 +1272,13 @@ def run_vector_suite(
                     f"combinational logic did not settle in design {module.name!r}"
                 )
             if events is not None:
-                comb_fn(env, cycle, events, pending, lanes, nlanes, full)
+                comb_fn(env, cycle, events, lanes, nlanes, full)
                 comb_passes += 1
-                if pending:
-                    evaluator.commit(pending, env)
 
         out_frames.append([env[slot] for slot in out_slots])
 
         if seq_fn is not None:
-            seq_fn(env, cycle, events, pending, lanes, nlanes, full)
-            if pending:
-                evaluator.commit(pending, env)
+            seq_fn(env, cycle, events, lanes, nlanes, full)
 
     log = unpack_events(program.shapes, events, n) if events is not None else None
     # Every lane's outputs are a view of one (cycles * outputs, N)

@@ -167,6 +167,18 @@ class TestLoweringCorners:
             [[{"clk": 0, "rst_n": 0}] + [{"clk": 0, "rst_n": 1}] * 4],
         )
 
+    def test_nba_bit_index_read_at_commit(self):
+        # ``z[i]`` commits after ``i <= i + 1``: its index is the new ``i``
+        # (z = 0, 0, 2, 6, 14, ...), not the one the pass saw (0, 0, 1, 3, 7).
+        self.diff(
+            "module t(clk, rst_n, a, z); input clk, rst_n; input [7:0] a;"
+            " output reg [7:0] z; reg [2:0] i;"
+            " always @(posedge clk or negedge rst_n)"
+            " if (!rst_n) begin i <= 3'd0; z <= 8'd0; end"
+            " else begin i <= i + 3'd1; z[i] <= a[0]; end endmodule",
+            [[{"clk": 0, "rst_n": 0, "a": 1}] + [{"clk": 0, "rst_n": 1, "a": 1}] * 6],
+        )
+
     def test_self_referencing_blocking_assign(self):
         # Target appears in its own RHS: the recorded operand value must
         # be the pre-store value in both engines.

@@ -130,7 +130,8 @@ def event_logs(draw):
 
 
 def assert_log_matches(log, expected):
-    """Lane counts, then every lane's slice."""
+    """No event without a lane, lane counts, then every lane's slice."""
+    assert log.active.any(axis=1).all()
     assert [log.lane_count(lane) for lane in range(log.n_lanes)] == [
         len(lane_log.slots) for lane_log in expected
     ]

@@ -81,6 +81,9 @@ def assert_lanes_match_mutants(module, mutations, stimuli, reference="vector"):
     lanes = [stimulus for _ in mutations for stimulus in stimuli] + list(stimuli)
     selectors = [k for k in range(1, len(mutations) + 1) for _ in stimuli]
     traces = simulator.run_suite(lanes, selectors=selectors + [0] * len(stimuli))
+    # An arm no lane took logs nothing: every suite event has a lane.
+    log, _lane = traces[0].execution_log()
+    assert log.active.any(axis=1).all()
     references = [
         Simulator(apply_mutation(module, m), engine=reference) for m in mutations
     ]

@@ -298,6 +298,43 @@ class TestPredicationCorners:
         ]
         assert_lane_identical(module, stimuli)
 
+    def test_nba_bit_stores_under_divergent_arms(self):
+        # Lanes take either arm of the ``if`` (both write a bit of ``z``)
+        # and case arms 0 or 1, never 3; every ``z[...]`` index is read at
+        # commit, after ``i <= i + 1``.
+        module = parse_module(
+            "module t(input clk, input rst_n, input s, input [1:0] sel,"
+            " input [7:0] a, output reg [7:0] z);"
+            " reg [2:0] i;"
+            " always @(posedge clk or negedge rst_n)"
+            "   if (!rst_n) begin i <= 3'd0; z <= 8'd0; end"
+            "   else begin"
+            "     i <= i + 3'd1;"
+            "     if (s) z[i] <= a[0];"
+            "     else z[i + 3'd2] <= a[1];"
+            "     case (sel)"
+            "       2'd0: z[i] <= ~a[2];"
+            "       2'd1: z[i + 3'd1] <= a[3];"
+            "       2'd3: z[i] <= 1'b1;"
+            "     endcase"
+            "   end endmodule"
+        )
+        stimuli = [
+            [{"clk": 0, "rst_n": 0, "s": 0, "sel": 0, "a": 0}]
+            + [
+                {
+                    "clk": 0,
+                    "rst_n": 1,
+                    "s": (lane + c) % 2 if lane > 1 else lane,
+                    "sel": (lane // 2 + c) % 2,
+                    "a": (lane * 53 + c * 29) % 256,
+                }
+                for c in range(9)
+            ]
+            for lane in range(5)
+        ]
+        assert_lane_identical(module, stimuli)
+
     def test_ragged_suite_with_empty_lane(self):
         module = parse_module(
             "module t(input clk, input rst_n, input [3:0] a,"
