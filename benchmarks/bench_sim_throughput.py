@@ -8,7 +8,13 @@ The vector engine runs the whole testbench suite per design in lockstep
 ``speedup_*`` reports it against the interpreter over the same suite.
 Every arm is timed :data:`REPEATS` times and reports the median wall
 time (``wall_s``, from which the rates derive) and the ``spread``,
-slowest run over fastest.
+slowest run over fastest.  A fixed pure-Python reference loop (the one
+``perfbench/run.py`` times around each campaign pass) is timed before
+and after each arm; ``reference_s`` is their mean and
+``uref_per_lane_cycle`` the arm's ``ns_per_lane_cycle`` in millionths of
+that reference time.  Host speed drifts between whole runs on a shared
+machine, so compare runs of different commits by ``uref_per_lane_cycle``;
+the raw nanoseconds stay beside it.
 The ``vector_single`` column runs the same traces one at a time
 (``Simulator.run``, a one-lane suite each) — the cost of a caller that
 simulates a single trace — and ``single_speedup_*`` reports it against
@@ -144,20 +150,44 @@ def verify_design(name: str, n_cycles: int, seed: int = 3) -> list[str]:
 #: and their spread (slowest over fastest).
 REPEATS = 5
 
+#: Iterations of the reference loop (about 40-75 ms on a 2.1 GHz 2-vCPU
+#: x86-64 VM), as in ``perfbench/run.py``'s campaign reference.
+REFERENCE_ITERATIONS = 300_000
+
+
+def reference_s() -> float:
+    """Wall time of a fixed pure-Python dict/int loop: the host's speed now.
+
+    The simulator's passes are interpreter-bound generated Python, so a
+    pure-Python loop drifts with them.
+    """
+    start = time.perf_counter()
+    table = dict.fromkeys(range(1024), 0)
+    total = 0
+    for i in range(REFERENCE_ITERATIONS):
+        table[i & 1023] = i
+        total += table[(i * 7) & 1023] ^ i
+    return time.perf_counter() - start
+
 
 def _timed(run, stimuli, record: bool, total_cycles: int) -> tuple[dict, list]:
-    """``run(stimuli, record)`` :data:`REPEATS` times: median and spread."""
+    """``run(stimuli, record)`` :data:`REPEATS` times between two reference
+    loops: median, spread and the median in reference units."""
+    before = reference_s()
     walls = []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
         traces = run(stimuli, record)
         walls.append(time.perf_counter() - t0)
+    reference = (before + reference_s()) / 2
     wall_s = statistics.median(walls)
     stats = {
         "wall_s": round(wall_s, 6),
         "spread": round(max(walls) / min(walls), 2),
         "cycles_per_s": round(total_cycles / wall_s),
         "ns_per_lane_cycle": round(wall_s / total_cycles * 1e9),
+        "reference_s": round(reference, 6),
+        "uref_per_lane_cycle": round(wall_s / reference / total_cycles * 1e6, 2),
     }
     return stats, traces
 

@@ -10,7 +10,7 @@ equivalent of `python -m repro campaign --design wb_mux_2`.
 With `with_workers(2)` the session owns one persistent worker pool
 (started lazily, reused by corpus generation and both targets' campaigns,
 released by the `with` block) instead of churning a process pool per
-run; sharded localization rides the same pool.
+run; each worker simulates and localizes its chunk of mutants.
 
 Run:  python examples/bug_injection_campaign.py
 """

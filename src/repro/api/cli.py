@@ -359,16 +359,11 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         f" {suite_memo['suites']} suite(s) held"
     )
     if "pool_size" in runtime_stats:
-        shard_sizes = ",".join(
-            str(s) for s in runtime_stats["last_shard_sizes"]
-        ) or "-"
         print(
             f"runtime: pool of {runtime_stats['pool_size']}"
             f" ({runtime_stats['start_method']}),"
             f" {runtime_stats['pools_started']} pool start(s) for"
             f" {runtime_stats['campaigns_served']} campaign(s),"
-            f" {runtime_stats['localize_calls']} sharded localize call(s)"
-            f" (last shards: {shard_sizes}),"
             f" worker cache hit rate"
             f" {runtime_stats['worker_cache']['hit_rate']:.1%},"
             f" worker memo hit rate"

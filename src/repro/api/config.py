@@ -29,13 +29,13 @@ class SessionConfig:
         sim_engine: Simulation engine for every simulator the session
             builds: "vector" (default; the lockstep engine) or
             "interpreted" (the reference oracle).
-        n_workers: Size of the session's worker pool for mutant
-            simulation, corpus generation, and sharded localization; 0
-            runs sequentially (results are bit-identical either way).
-            The session owns one persistent
+        n_workers: Size of the session's worker pool for campaigns
+            (each chunk of mutants simulated and localized on a worker)
+            and corpus generation; 0 runs sequentially (results are
+            bit-identical either way).  The session owns one persistent
             :class:`~repro.runtime.ExecutionRuntime`, lazily started on
             the first parallel dispatch and reused by every
-            campaign/corpus/localization until
+            campaign/corpus run until
             :meth:`~repro.api.VeriBugSession.close`.
         localize_batch: Observable mutants per shared localization batch
             (the cross-mutant inference fast path).

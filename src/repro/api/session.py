@@ -95,7 +95,9 @@ class VeriBugSession:
     With ``config.n_workers > 0`` the session also owns a persistent
     :class:`~repro.runtime.ExecutionRuntime` — one lazily-started worker
     pool serving campaign chunks (each simulated and localized on a
-    worker), corpus generation, and sharded localization.  Call
+    worker) and corpus generation.  :meth:`localize` and
+    :meth:`localize_many` run in process either way; the explicit
+    sharded path is ``session.runtime.localize_many``.  Call
     :meth:`close` (or use the session as a context manager) to release
     the pool; sequential sessions have nothing to release.  Without a
     live runtime — sequential, or after :meth:`close` — all work runs in
@@ -130,8 +132,8 @@ class VeriBugSession:
         self.train_metrics = train_metrics
         self.test_metrics = test_metrics
         # The session owns the execution runtime: one lazily
-        # started persistent worker pool serving campaign chunks,
-        # corpus generation, and sharded localization until close().
+        # started persistent worker pool serving campaign chunks and
+        # corpus generation until close().
         self._runtime: ExecutionRuntime | None = None
         if self.config.n_workers > 0:
             self._runtime = ExecutionRuntime(self.config.n_workers)
@@ -143,7 +145,6 @@ class VeriBugSession:
             self.encoder,
             self.config.model,
             fast_inference=self.config.fast_inference,
-            runtime=self._runtime,
         )
         self._trainer: Trainer | None = None
         self._corpus = corpus
@@ -413,8 +414,6 @@ class VeriBugSession:
         """
         if self._runtime is not None:
             self._runtime.close()
-            # Detach so campaign/corpus engines stop routing to it.
-            self._localizer.runtime = None
             self._runtime = None
 
     def __enter__(self) -> "VeriBugSession":
@@ -508,7 +507,7 @@ class VeriBugSession:
         sizes, the weight epoch, and the aggregated worker-side
         context-cache and attention-memo hit rates (see
         :class:`repro.runtime.RuntimeStats`) — the numbers that show the
-        per-worker caches losing cross-shard sharing as shard counts
+        per-worker caches losing cross-chunk sharing as chunk counts
         grow.
         """
         from ..sim.compiler import compile_cache_stats

@@ -94,13 +94,6 @@ class LocalizationEngine:
             with the fused head, context cache and attention-row memo
             (see :class:`Explainer`).  False runs the per-execution
             autograd reference arm; results agree within 1e-9.
-        runtime: Optional :class:`~repro.runtime.ExecutionRuntime`.  When
-            set (the session wires its own), :meth:`localize_many`
-            batches of two or more requests are sharded across the
-            runtime's workers — each worker localizing its span on a
-            read-only weight mirror with worker-local execution dedup,
-            context cache and memo — and merged back in request order.
-            Rankings are bit-identical to the single-process fast path.
     """
 
     def __init__(
@@ -109,31 +102,13 @@ class LocalizationEngine:
         encoder: BatchEncoder,
         config: VeriBugConfig | None = None,
         fast_inference: bool = True,
-        runtime=None,
     ):
         self.model = model
         self.encoder = encoder
         self.config = config or model.config
         self.fast_inference = fast_inference
-        self.runtime = runtime
         self.explainer = Explainer(
             model, encoder, self.config, fast_inference=fast_inference
-        )
-
-    def _wants_shards(self, n_requests: int) -> bool:
-        """Route to the sharded path only when parallelism can pay.
-
-        A single request (or a single-worker pool) would pay the
-        serialization toll without any concurrent compute, so those stay
-        on the in-process fast path; the reference (autograd) arm never
-        shards — it exists to pin behavior, not to be fast.
-        """
-        return (
-            self.fast_inference
-            and self.runtime is not None
-            and not self.runtime.closed
-            and self.runtime.n_workers >= 2
-            and n_requests >= 2
         )
 
     def localize(
@@ -187,8 +162,6 @@ class LocalizationEngine:
         Returns:
             One :class:`LocalizationResult` per request, same order.
         """
-        if self._wants_shards(len(requests)):
-            return self.runtime.localize_many(requests, batch_size=batch_size)
         # One call = one cache/memo epoch: hits on entries created in an
         # earlier epoch are cross-request (cross-mutant) sharing.
         self.model.context_cache.begin_epoch()

@@ -3,15 +3,16 @@
 One subsystem owns every process pool in the system.  The
 :class:`ExecutionRuntime` is a lazily-started, spawn-safe, persistent
 pool that serves campaign chunks (simulated and localized on the
-worker), corpus generation, and sharded localization with shared
-read-only model weights; see
-:mod:`repro.runtime.runtime` for the full design and
-``docs/architecture.md`` ("Execution runtime") for the lifecycle
-diagram.
+worker), corpus generation, and explicit sharded localization.  Every
+task that localizes carries its weight epoch and a read-only snapshot of
+that epoch's weights; see :mod:`repro.runtime.runtime` for the full
+design and ``docs/architecture.md`` ("Execution runtime") for the
+lifecycle diagram.
 
 Typical use is indirect — :class:`repro.api.VeriBugSession` owns a
 runtime whenever ``SessionConfig.n_workers > 0`` — but the layer is
-public for callers that want pool control without a session::
+public for callers that want pool control without a session (sessions
+localize in process; sharding a request batch is this explicit call)::
 
     from repro.runtime import ExecutionRuntime
 

@@ -14,17 +14,20 @@ worker pool:
   rule out.  Determinism comes from task identity instead: every random
   stream is derived from *what* is computed (design index, mutation
   node, shard), never from *where* (see :mod:`repro.runtime.seeding`).
-* **Workers carry read-only weights.**  The pool initializer ships a
-  pickled ``state_dict`` snapshot and the session's inference arm
-  (``fast_inference``); workers rebuild the model without any autograd
-  state, and on the fast arm localize on the no-grad fused path.  When
-  the owning session retrains or reloads weights, the model's
-  ``_on_state_loaded`` hook bumps the runtime's *weight epoch*; the next
-  localization or campaign dispatch attaches an epoch-tagged refresh
-  snapshot that stale workers apply before computing.  No pool restart,
-  no retrain races: a task tagged epoch ``e`` is always computed with
-  epoch-``e`` weights.
-* **Sharded localization.**  :meth:`localize_many` partitions a request
+* **Every task carries its weights.**  Each localization shard and
+  campaign chunk is submitted with the runtime's *weight epoch* and a
+  pickled snapshot of that epoch's ``state_dict`` plus the session's
+  inference arm (``fast_inference``), memoized once per epoch.  A worker
+  rebuilds its read-only model from the snapshot when its cached engine
+  is of another epoch, without any autograd state, and on the fast arm
+  localizes on the no-grad fused path.  When the owning session
+  retrains or reloads weights, the model's ``_on_state_loaded`` hook
+  bumps the epoch; tasks dispatched before that keep the snapshot they
+  were given.  No pool restart, no broadcast, no retry: a task tagged
+  epoch ``e`` is computed with epoch-``e`` weights by construction, on
+  any worker.
+* **Sharded localization.**  :meth:`localize_many` is the explicit
+  sharded path (sessions localize in process): it partitions a request
   batch into contiguous, balanced shards (one per worker at most) and
   merges results in shard order, so the output ordering — and, because
   attention is segment-local and the fused kernel padding-invariant,
@@ -49,7 +52,8 @@ worker pool:
 * **A dead worker costs one call.**  A worker that dies breaks its
   ``ProcessPoolExecutor`` for good; the dispatch that sees the
   ``BrokenProcessPool`` discards the pool and re-raises, and the next
-  dispatch spawns a fresh one.  Nothing is retried.
+  dispatch spawns a fresh one.  Nothing is retried; since a task is a
+  pure function of its arguments, a retry would be a plain resubmit.
 
 Lifecycle: the runtime is cheap to construct (no processes until the
 first parallel dispatch), reusable across campaigns/corpora, and closed
@@ -70,12 +74,9 @@ from typing import TYPE_CHECKING, Iterator
 
 from .worker import (
     ModelPayload,
-    StaleWorkerWeights,
-    _init_worker,
     _task_campaign_chunk,
     _task_corpus_design,
     _task_localize_shard,
-    _task_refresh_weights,
     _task_warmup,
 )
 
@@ -127,7 +128,6 @@ class _Counters:
     corpus_runs: int = 0
     localize_calls: int = 0
     tasks_dispatched: int = 0
-    weight_refresh_dispatches: int = 0
     last_shard_sizes: tuple[int, ...] = ()
     worker_cache_hits: int = 0
     worker_cache_misses: int = 0
@@ -171,7 +171,6 @@ class RuntimeStats(_Counters):
             "localize_calls": self.localize_calls,
             "tasks_dispatched": self.tasks_dispatched,
             "weight_epoch": self.weight_epoch,
-            "weight_refresh_dispatches": self.weight_refresh_dispatches,
             "last_shard_sizes": list(self.last_shard_sizes),
             "worker_cache": {
                 "hits": self.worker_cache_hits,
@@ -226,14 +225,13 @@ class ExecutionRuntime:
         self.n_workers = n_workers
         self._mp_context = mp_context
         self._pool: ProcessPoolExecutor | None = None
-        self._pool_weight_epoch: int | None = None
         self._closed = False
         self._counters = _Counters()
         # Weight-snapshot plumbing (populated by attach_model).
         self._model: "VeriBugModel | None" = None
         self._fast_inference = True
         self._weight_epoch = 0
-        self._snapshot_cache: tuple[int, bytes] | None = None
+        self._snapshot_cache: bytes | None = None
         self._next_ctx_id = 0
 
     # ------------------------------------------------------------------
@@ -295,19 +293,14 @@ class ExecutionRuntime:
         if self._closed:
             raise RuntimeError("ExecutionRuntime is closed")
         if self._pool is None:
-            blob = self._snapshot_blob() if self._model is not None else None
-            self._pool_weight_epoch = self._weight_epoch
             self._pool = ProcessPoolExecutor(
-                max_workers=self.n_workers,
-                mp_context=self._mp_context,
-                initializer=_init_worker,
-                initargs=(blob,),
+                max_workers=self.n_workers, mp_context=self._mp_context
             )
             self._counters.pools_started += 1
         return self._pool
 
     def warm_up(self) -> list[int]:
-        """Force every worker process to exist (and initialize) now.
+        """Force every worker process to exist now.
 
         Submitting ``n_workers`` tasks makes the executor spawn its full
         complement; benchmarks call this so pool startup is excluded
@@ -331,8 +324,8 @@ class ExecutionRuntime:
 
         Registers a weight listener on the model: ``Trainer.train`` and
         ``load_state_dict`` both fire ``_on_state_loaded``, which bumps
-        this runtime's weight epoch and invalidates the memoized
-        snapshot.  Workers refresh lazily, per task, via the epoch tag.
+        this runtime's weight epoch and drops the memoized snapshot.
+        Tasks dispatched from then on carry the new epoch's snapshot.
         """
         self._model = model
         self._fast_inference = fast_inference
@@ -341,31 +334,6 @@ class ExecutionRuntime:
     def _on_weights_changed(self) -> None:
         self._weight_epoch += 1
         self._snapshot_cache = None
-        if self._pool is not None:
-            self._broadcast_weights()
-
-    def _broadcast_weights(self) -> None:
-        """Best-effort push of the new snapshot to every live worker.
-
-        One refresh task per worker (each sleeps briefly so the batch
-        spreads across the pool rather than one idle worker draining
-        them all) and the pool is marked current: subsequent shard
-        and chunk dispatches stop attaching snapshots.  A worker the
-        broadcast missed raises :class:`StaleWorkerWeights` on its next
-        task and the parent retries that task with the snapshot
-        attached, so the broadcast is an optimization, never a
-        correctness premise.
-        """
-        blob = self._snapshot_blob()
-        try:
-            for _ in range(self.n_workers):
-                self._pool.submit(_task_refresh_weights, blob, 0.02)
-        except BrokenProcessPool:
-            # The next dispatch starts a pool with the current weights.
-            self._discard_pool()
-            return
-        self._pool_weight_epoch = self._weight_epoch
-        self._counters.weight_refresh_dispatches += 1
 
     @property
     def weight_epoch(self) -> int:
@@ -375,21 +343,16 @@ class ExecutionRuntime:
         """The current weights as a pickled :class:`ModelPayload` (memoized)."""
         if self._model is None:
             raise RuntimeError("no model attached to this runtime")
-        if (
-            self._snapshot_cache is None
-            or self._snapshot_cache[0] != self._weight_epoch
-        ):
+        if self._snapshot_cache is None:
             payload = ModelPayload(
                 config=self._model.config,
                 state=self._model.state_dict(),
-                epoch=self._weight_epoch,
                 fast_inference=self._fast_inference,
             )
-            self._snapshot_cache = (
-                self._weight_epoch,
-                pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL),
+            self._snapshot_cache = pickle.dumps(
+                payload, protocol=pickle.HIGHEST_PROTOCOL
             )
-        return self._snapshot_cache[1]
+        return self._snapshot_cache
 
     # ------------------------------------------------------------------
     # Localization
@@ -407,23 +370,16 @@ class ExecutionRuntime:
         if not requests:
             return []
         pool = self._ensure_pool()
-        epoch = self._weight_epoch
-        # Weight changes are pushed to workers eagerly (see
-        # _broadcast_weights); shards normally carry no snapshot and the
-        # per-shard epoch check plus the retry below close the gap for
-        # workers the broadcast missed.
-        refresh = (
-            self._snapshot_blob() if epoch != self._pool_weight_epoch else None
-        )
+        epoch, weights = self._weight_epoch, self._snapshot_blob()
         shards = plan_shards(len(requests), self.n_workers)
         with self._dispatching():
             futures = [
                 pool.submit(
                     _task_localize_shard,
                     epoch,
+                    weights,
                     requests[start:end],
                     batch_size,
-                    refresh,
                 )
                 for start, end in shards
             ]
@@ -433,19 +389,8 @@ class ExecutionRuntime:
             counters.tasks_dispatched += len(futures)
             counters.last_shard_sizes = tuple(end - start for start, end in shards)
             try:
-                for index, future in enumerate(futures):
-                    try:
-                        shard_results, delta = future.result()
-                    except StaleWorkerWeights:
-                        start, end = shards[index]
-                        counters.weight_refresh_dispatches += 1
-                        shard_results, delta = pool.submit(
-                            _task_localize_shard,
-                            epoch,
-                            requests[start:end],
-                            batch_size,
-                            self._snapshot_blob(),
-                        ).result()
+                for future in futures:
+                    shard_results, delta = future.result()
                     results.extend(shard_results)
                     self._fold_delta(delta)
             finally:
@@ -476,38 +421,31 @@ class ExecutionRuntime:
         ``chunks`` are contiguous ``(start, end)`` mutation spans in
         order (:func:`~repro.datagen.campaign.plan_chunks`); each task
         simulates its span and localizes the observable mutants, in
-        batches of at most ``localize_batch``, with current-epoch
-        weights.  Yields scored ``(outcome, localization)`` pairs in
-        mutation order and folds each chunk's cache/memo delta into
-        :meth:`stats`.  A stale worker's chunk is retried with the
-        weight snapshot, as in :meth:`localize_many`; closing the
-        generator early cancels the chunks no worker has started.
+        batches of at most ``localize_batch``, with the weights current
+        at this call: every chunk carries their epoch and snapshot, so a
+        weight change while the stream is consumed does not reach it.
+        Yields scored ``(outcome, localization)`` pairs in mutation
+        order and folds each chunk's cache/memo delta into
+        :meth:`stats`; closing the generator early cancels the chunks no
+        worker has started.
         """
         pool = self._ensure_pool()
         ctx_id = self._next_ctx_id
         self._next_ctx_id += 1
         blob = pickle.dumps(context, protocol=pickle.HIGHEST_PROTOCOL)
-        epoch = self._weight_epoch
-        refresh = (
-            self._snapshot_blob() if epoch != self._pool_weight_epoch else None
-        )
-
-        def submit(span: tuple[int, int], refresh_blob: bytes | None):
-            return pool.submit(
-                _task_campaign_chunk, ctx_id, blob, epoch, refresh_blob, span, localize_batch
-            )
-
+        epoch, weights = self._weight_epoch, self._snapshot_blob()
         with self._dispatching():
-            futures = [submit(span, refresh) for span in chunks]
+            futures = [
+                pool.submit(
+                    _task_campaign_chunk, ctx_id, blob, epoch, weights, span, localize_batch
+                )
+                for span in chunks
+            ]
             self._counters.campaigns_served += 1
             self._counters.tasks_dispatched += len(futures)
             try:
-                for span, future in zip(chunks, futures):
-                    try:
-                        pairs, delta = future.result()
-                    except StaleWorkerWeights:
-                        self._counters.weight_refresh_dispatches += 1
-                        pairs, delta = submit(span, self._snapshot_blob()).result()
+                for future in futures:
+                    pairs, delta = future.result()
                     self._fold_delta(delta)
                     yield from pairs
             finally:

@@ -4,15 +4,14 @@ Each pool worker is a plain Python process (spawned, never forked — see
 :class:`~repro.runtime.ExecutionRuntime`) whose entire mutable state
 lives in the module-level :data:`_STATE` dict:
 
-* ``engine`` — a worker-local :class:`LocalizationEngine` built from the
-  weight snapshot shipped at pool init (``initargs``), tagged with the
-  weight epoch it was built from, on the session's inference arm.  The
-  worker never trains, so the snapshot is read-only by construction
-  (even the reference arm's autograd graphs are only ever read
-  forward).  When the parent retrains or reloads
-  weights it bumps the epoch and attaches a refreshed snapshot to the
-  next shard or chunk task; the worker rebuilds only when the tags
-  disagree.
+* ``engine`` — a worker-local :class:`LocalizationEngine`, tagged with
+  the weight epoch it was built from, on the session's inference arm.
+  Every localization shard and campaign chunk carries its epoch and the
+  pickled weight snapshot of that epoch; the worker rebuilds the engine
+  from the snapshot only when the tags disagree, so a task is a pure
+  function of its arguments whichever worker runs it.  The worker never
+  trains, so the snapshot is read-only by construction (even the
+  reference arm's autograd graphs are only ever read forward).
 * ``campaigns`` — a small LRU of campaign chunk contexts: the
   campaign's :class:`~repro.datagen.campaign.TargetSimulation` plus its
   main stimulus suite and golden traces.  Every chunk task carries the
@@ -24,13 +23,13 @@ Task functions return plain picklable values.  A campaign chunk
 simulates, classifies and localizes its mutants on the worker and
 returns only scored outcomes and localization results, so campaign
 traces never cross the pool.  Traces travel only inside explicit
-sharded ``localize_many`` requests, each as a one-lane slice of its
-event log (the simulator records :class:`~repro.sim.trace.SuiteLog`
-lanes natively and ``Trace`` pickles its lane's slice), which the
-worker dedups as-is, so it never materializes per-execution record
-objects for transport.  Localization tasks also return the
-worker cache and memo hit/miss deltas, which the parent runtime
-aggregates into fleet-wide hit rates.
+:meth:`~repro.runtime.ExecutionRuntime.localize_many` shard requests,
+each as a one-lane slice of its event log (the simulator records
+:class:`~repro.sim.trace.SuiteLog` lanes natively and ``Trace`` pickles
+its lane's slice), which the worker dedups as-is, so it never
+materializes per-execution record objects for transport.  Localization
+tasks also return the worker cache and memo hit/miss deltas, which the
+parent runtime aggregates into fleet-wide hit rates.
 """
 
 from __future__ import annotations
@@ -56,60 +55,42 @@ MAX_CONTEXTS = 4
 class ModelPayload:
     """Everything a worker needs to rebuild the session's model read-only.
 
+    The runtime pickles one per weight epoch and ships it, next to that
+    epoch, with every localization shard and campaign chunk.
+
     Attributes:
         config: Model hyper-parameters (architecture must match ``state``).
         state: A ``state_dict`` snapshot of the trained weights.
-        epoch: The weight epoch the snapshot was taken at.
         fast_inference: Mirror of the session's inference-arm switch.
     """
 
     config: "VeriBugConfig"
     state: dict[str, np.ndarray]
-    epoch: int
     fast_inference: bool = True
 
 
-class StaleWorkerWeights(RuntimeError):
-    """A shard or chunk arrived for a weight epoch this worker lacks.
-
-    Happens when this worker missed the best-effort refresh broadcast a
-    weight change triggers (it was busy, or spawned later with the pool's
-    original init snapshot).  The parent catches this and resubmits the
-    task with the refresh snapshot attached.
-    """
-
-
-#: Worker-process state (one dict per process; set by the initializer).
+#: Worker-process state (one dict per process).
 _STATE: dict[str, Any] = {
-    "model_init": None,  # ModelPayload | None shipped via initargs
     "engine": None,  # (epoch, LocalizationEngine)
     "campaigns": OrderedDict(),  # ctx_id -> (TargetSimulation, stimuli, goldens)
 }
 
 
-def _init_worker(model_init_blob: bytes | None) -> None:
-    """Pool initializer: stash the (pickled) weight snapshot.
+def _ensure_engine(epoch: int, weights_blob: bytes):
+    """The worker engine for ``epoch``, rebuilt from ``weights_blob`` if stale.
 
-    The blob is pickled once in the parent and handed to every worker the
-    pool ever spawns; the model itself is built lazily on the first
-    localization shard or campaign chunk, so corpus-only pools never pay
-    for it.
+    ``weights_blob`` is the pickled :class:`ModelPayload` of ``epoch``.
     """
-    _STATE["model_init"] = (
-        pickle.loads(model_init_blob) if model_init_blob is not None else None
-    )
-    _STATE["engine"] = None
-    _STATE["campaigns"] = OrderedDict()
-
-
-def _build_engine(payload: ModelPayload):
-    """Construct a worker-local localization engine from a snapshot."""
+    cached = _STATE["engine"]
+    if cached is not None and cached[0] == epoch:
+        return cached[1]
     # Imports are deferred so pool startup only pays for them when a
     # task actually localizes.
     from ..core import BatchEncoder, Vocabulary
     from ..core.localizer import LocalizationEngine
     from ..core.model import VeriBugModel
 
+    payload: ModelPayload = pickle.loads(weights_blob)
     vocab = Vocabulary()
     model = VeriBugModel(payload.config, vocab)
     model.load_state_dict(payload.state)
@@ -119,26 +100,8 @@ def _build_engine(payload: ModelPayload):
         payload.config,
         fast_inference=payload.fast_inference,
     )
-    _STATE["engine"] = (payload.epoch, engine)
+    _STATE["engine"] = (epoch, engine)
     return engine
-
-
-def _ensure_engine(epoch: int, refresh_blob: bytes | None):
-    """The worker engine for ``epoch``, rebuilding from a refresh if stale."""
-    cached = _STATE["engine"]
-    if cached is not None and cached[0] == epoch:
-        return cached[1]
-    if refresh_blob is not None:
-        payload = pickle.loads(refresh_blob)
-        if payload.epoch == epoch:
-            return _build_engine(payload)
-    init = _STATE["model_init"]
-    if init is not None and init.epoch == epoch:
-        return _build_engine(init)
-    raise StaleWorkerWeights(
-        f"worker has no weights for epoch {epoch}"
-        f" (init epoch: {init.epoch if init else None})"
-    )
 
 
 def _cache_counters(engine) -> dict[str, int]:
@@ -160,11 +123,11 @@ def _counter_delta(engine, before: dict[str, int]) -> dict[str, int]:
 
 def _task_localize_shard(
     epoch: int,
+    weights_blob: bytes,
     requests: list,
     batch_size: int,
-    refresh_blob: bytes | None = None,
 ) -> tuple[list["LocalizationResult"], dict[str, int]]:
-    """Localize one shard of requests on the worker-local engine.
+    """Localize one shard of requests with the weights of ``epoch``.
 
     Execution dedup and the structural context-embedding cache are both
     worker-local: results are bit-identical to the parent's serial fast
@@ -174,7 +137,7 @@ def _task_localize_shard(
     Returns the shard's results plus the cache-counter delta incurred by
     this shard, for fleet-wide aggregation in the parent.
     """
-    engine = _ensure_engine(epoch, refresh_blob)
+    engine = _ensure_engine(epoch, weights_blob)
     before = _cache_counters(engine)
     results = engine.localize_many(requests, batch_size=batch_size)
     return results, _counter_delta(engine, before)
@@ -196,29 +159,11 @@ def _campaign(ctx_id: int, context_blob: bytes) -> tuple:
     return cached
 
 
-def _task_refresh_weights(refresh_blob: bytes, delay: float = 0.0) -> int:
-    """Eagerly install a weight snapshot (broadcast after a weight change).
-
-    The small ``delay`` keeps each broadcast task occupying its worker
-    briefly so the batch spreads across the pool instead of one idle
-    worker draining them all; coverage is still best-effort — a worker
-    that missed every broadcast raises :class:`StaleWorkerWeights` on
-    its next task and is refreshed by the parent's retry.
-    """
-    payload = pickle.loads(refresh_blob)
-    _build_engine(payload)
-    if delay:
-        time.sleep(delay)
-    import os
-
-    return os.getpid()
-
-
 def _task_campaign_chunk(
     ctx_id: int,
     context_blob: bytes,
     epoch: int,
-    refresh_blob: bytes | None,
+    weights_blob: bytes,
     span: tuple[int, int],
     localize_batch: int,
 ) -> tuple[list[tuple], dict[str, int]]:
@@ -227,16 +172,15 @@ def _task_campaign_chunk(
     The chunk is the contiguous mutation span ``span`` of one program
     group, simulated as selector lanes of that program (shared suites
     and top-up rounds).  Its observable mutants are then localized on
-    the worker engine for ``epoch``, in batches of at most
+    the worker engine for ``epoch`` (rebuilt from ``weights_blob`` when
+    this worker last localized at another epoch), in batches of at most
     ``localize_batch``, and scored by the same helper as the in-process
     campaign.  Returns ``(outcome, localization)`` pairs in mutation
-    order plus the cache/memo delta; the trace sets stay here.  The
-    weights are checked before any simulation, so a stale worker raises
-    :class:`StaleWorkerWeights` without wasted work.
+    order plus the cache/memo delta; the trace sets stay here.
     """
     from ..datagen.campaign import localize_simulated
 
-    engine = _ensure_engine(epoch, refresh_blob)
+    engine = _ensure_engine(epoch, weights_blob)
     simulation, stimuli, golden_traces = _campaign(ctx_id, context_blob)
     simulated = simulation.simulate(list(range(*span)), stimuli, golden_traces)
     observable = [item for item in simulated if item[0].observable]

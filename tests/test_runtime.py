@@ -3,12 +3,15 @@
 The runtime layer's contract (see ``docs/architecture.md``, "Execution
 runtime") is pinned here:
 
-* sharded ``localize_many`` is observably identical to the serial fast
-  path (rankings equal, suspiciousness within 1e-9);
+* the runtime's sharded ``localize_many`` is observably identical to
+  the serial fast path (rankings equal, suspiciousness within 1e-9),
+  and a pooled session's own ``localize_many`` runs in process;
 * one session = one process pool, reused across campaigns and corpus
   runs (pool reuse is the whole point of the layer);
-* weight changes (``load_state_dict`` / ``Trainer.train``) propagate to
-  workers through the epoch-tagged refresh protocol;
+* every localizing task carries its weight epoch and snapshot: after
+  ``load_state_dict`` new tasks use the new weights, tasks dispatched
+  before it the old ones, and a worker holding no engine (or another
+  epoch's) computes from the task's own snapshot;
 * ``close()`` joins every worker process — nothing leaks — and work
   dispatched afterwards runs in process, spawning nothing;
 * pooled campaigns and corpora equal sequential ones;
@@ -29,7 +32,7 @@ import pytest
 
 from repro.analysis import compute_static_slice
 from repro.api import SessionConfig, VeriBugSession, generate_corpus
-from repro.core import VeriBugConfig
+from repro.core import VeriBugConfig, VeriBugModel, Vocabulary
 from repro.core.localizer import LocalizationRequest
 from repro.datagen import sample_mutations
 from repro.datagen.campaign import _simulate_mutant
@@ -140,7 +143,7 @@ class TestShardedLocalization:
     def test_matches_serial_fast_path(self, worker_session, requests):
         serial = _paper_session(n_workers=0)
         _assert_identical(
-            worker_session.localize_many(requests),
+            worker_session.runtime.localize_many(requests),
             serial.localize_many(requests),
         )
         stats = worker_session.runtime_stats()
@@ -157,6 +160,16 @@ class TestShardedLocalization:
             assert not session.runtime.started
         finally:
             session.close()
+
+    def test_pooled_session_localizes_in_process(self, requests):
+        session = _paper_session(n_workers=2)
+        try:
+            pooled = session.localize_many(requests)
+            assert session.runtime_stats()["localize_calls"] == 0
+            assert not session.runtime.started
+        finally:
+            session.close()
+        _assert_identical(pooled, _paper_session(n_workers=0).localize_many(requests))
 
     def test_shard_plan_is_contiguous_and_balanced(self):
         assert plan_shards(0, 4) == []
@@ -273,7 +286,7 @@ class TestPoolLifecycle:
     def test_clean_shutdown_leaves_no_processes(self, requests):
         before = set(multiprocessing.active_children())
         session = _paper_session(n_workers=2)
-        session.localize_many(requests)
+        session.runtime.localize_many(requests)
         assert session.runtime.started
         session.close()
         leaked = [
@@ -346,37 +359,86 @@ class TestCorpusEngines:
         ]
 
 
+def _perturbed_state(session) -> dict:
+    """The session's weights changed wholesale, as a retrain would."""
+    state = session.model.state_dict()
+    state["attention_vector"] = state["attention_vector"] * 1.5
+    state["epsilon"] = state["epsilon"] + 0.25
+    return state
+
+
+def _scores_differ(a, b) -> bool:
+    """Some suspiciousness score moved by more than the tolerance."""
+    return any(
+        abs(x.heatmap.suspiciousness[s] - y.heatmap.suspiciousness[s]) > TOL
+        for x, y in zip(a, b)
+        for s in x.heatmap.suspiciousness
+        if s in y.heatmap.suspiciousness
+    )
+
+
 class TestWeightRefresh:
     def test_sharded_results_track_retrained_weights(self, requests):
+        module = load_design("wb_mux_2")
+        plan = {"negation": 1, "operation": 1, "misuse": 1}
         session = _paper_session(n_workers=2)
         try:
-            stale = session.localize_many(requests)
-            # Perturb the weights wholesale, as a retrain would.
-            state = session.model.state_dict()
-            state["attention_vector"] = state["attention_vector"] * 1.5
-            state["epsilon"] = state["epsilon"] + 0.25
+            stale = session.runtime.localize_many(requests)
+            state = _perturbed_state(session)
             session.model.load_state_dict(state)
             assert session.runtime.weight_epoch == 1
-
-            refreshed = session.localize_many(requests)
-            stats = session.runtime_stats()
-            assert stats["weight_refresh_dispatches"] >= 1
-
-            reference = _paper_session(n_workers=0)
-            reference.model.load_state_dict(state)
-            _assert_identical(refreshed, reference.localize_many(requests))
-            # The perturbation must actually have changed something,
-            # otherwise this test pins nothing.
-            changed = any(
-                abs(a.heatmap.suspiciousness[s] - b.heatmap.suspiciousness[s])
-                > TOL
-                for a, b in zip(stale, refreshed)
-                for s in a.heatmap.suspiciousness
-                if s in b.heatmap.suspiciousness
-            )
-            assert changed
+            refreshed = session.runtime.localize_many(requests)
+            campaign = session.campaign(module, "wbs0_we_o", plan=plan, seed=29).run()
+            assert session.runtime_stats()["campaigns_served"] == 1
         finally:
             session.close()
+        reference = _paper_session(n_workers=0)
+        reference.model.load_state_dict(state)
+        _assert_identical(refreshed, reference.localize_many(requests))
+        want = reference.campaign(module, "wbs0_we_o", plan=plan, seed=29).run()
+        _assert_same_outcomes(campaign.outcomes, want.outcomes)
+        for got, expected in zip(campaign.outcomes, want.outcomes):
+            assert abs((got.suspiciousness or 0.0) - (expected.suspiciousness or 0.0)) <= TOL
+        # The perturbation must actually have changed something,
+        # otherwise this test pins nothing.
+        assert _scores_differ(stale, refreshed)
+
+    def test_chunks_dispatched_before_a_reload_keep_their_weights(
+        self, inline_worker, requests
+    ):
+        """A stream's chunks are all submitted on its first update; a
+        reload afterwards must not reach the chunks still queued, even
+        when the same worker runs a task at the new epoch in between."""
+        session = _paper_session(n_workers=2)
+        runtime = session.runtime
+        pool = _InlinePool()
+        runtime._pool = pool  # bypasses _ensure_pool's lazy start
+        try:
+            stream = _chunked_campaign(session).stream()
+            updates = [next(stream)]
+            state = _perturbed_state(session)
+            session.model.load_state_dict(state)
+            between = runtime.localize_many(requests[:2])
+            updates.extend(stream)
+        finally:
+            session.close()
+        reloaded = _paper_session(n_workers=0)
+        reloaded.model.load_state_dict(state)
+        _assert_identical(between, reloaded.localize_many(requests[:2]))
+        before = list(_chunked_campaign(_paper_session(n_workers=0)).stream())
+        assert [future.state for future in pool.futures[:6]] == ["done"] * 6
+        _assert_same_outcomes([u.outcome for u in updates], [u.outcome for u in before])
+        for got, want in zip(updates, before):
+            assert (got.localization is None) == (want.localization is None)
+            if want.localization is not None:
+                _assert_identical([got.localization], [want.localization])
+        after = list(_chunked_campaign(reloaded).stream())
+        pairs = [
+            (got.localization, new.localization)
+            for got, new in zip(updates[1:], after[1:])
+            if new.localization is not None
+        ]
+        assert _scores_differ(*zip(*pairs))
 
 
 class TestColumnarTraces:
@@ -566,10 +628,17 @@ def pooled_chunked():
 
 @pytest.fixture
 def inline_worker():
-    """Let this process play a pool worker; restore its state afterwards."""
+    """Let this process play a fresh pool worker; restore its state afterwards.
+
+    Campaign contexts are keyed by a per-runtime id, so each test's
+    runtime needs a worker of its own, as a real pool would be.
+    """
+    from collections import OrderedDict
+
     from repro.runtime.worker import _STATE
 
     saved = dict(_STATE)
+    _STATE.update(engine=None, campaigns=OrderedDict())
     yield
     _STATE.clear()
     _STATE.update(saved)
@@ -657,14 +726,10 @@ class TestCampaignChunks:
         assert memo["hits"] + memo["misses"] > 0
 
     def test_abandoned_stream_cancels_queued_chunks(self, inline_worker):
-        from repro.runtime.worker import _init_worker
-
         session = _paper_session(n_workers=2)
         runtime = session.runtime
         pool = _InlinePool()
         runtime._pool = pool  # bypasses _ensure_pool's lazy start
-        runtime._pool_weight_epoch = runtime.weight_epoch
-        _init_worker(runtime._snapshot_blob())
         try:
             handle = _chunked_campaign(session)
             stream = handle.stream()
@@ -675,73 +740,35 @@ class TestCampaignChunks:
         finally:
             session.close()
 
-    def test_stale_worker_chunk_is_retried_with_snapshot(self, inline_worker):
-        from repro.runtime.worker import _init_worker
+
+class TestWorkerTasks:
+    """In-process checks that a task is a pure function of its arguments."""
+
+    def test_engineless_worker_runs_tasks_from_their_snapshots(
+        self, inline_worker, requests
+    ):
+        from repro.runtime.worker import _STATE
 
         module = load_design("wb_mux_2")
         plan = {"negation": 1, "operation": 1, "misuse": 1}
         session = _paper_session(n_workers=2)
         runtime = session.runtime
         pool = _InlinePool()
-        runtime._pool = pool
-        runtime._pool_weight_epoch = runtime.weight_epoch
-        _init_worker(None)  # a worker that never received weights
+        runtime._pool = pool  # bypasses _ensure_pool's lazy start
         try:
             pooled = session.campaign(module, "wbs0_we_o", plan=plan, seed=29).run()
+            assert _STATE["engine"][0] == runtime.weight_epoch
+            _STATE["engine"] = None
+            sharded = runtime.localize_many(requests)
             stats = session.runtime_stats()
         finally:
             session.close()
-        # The first chunk raised StaleWorkerWeights and was resubmitted
-        # with the snapshot; later chunks found the rebuilt engine.
-        assert stats["weight_refresh_dispatches"] == 1
-        assert len(pool.futures) == stats["tasks_dispatched"] + 1
-        sequential = _paper_session(n_workers=0).campaign(
-            module, "wbs0_we_o", plan=plan, seed=29
-        ).run()
-        _assert_same_outcomes(pooled.outcomes, sequential.outcomes)
-
-
-class TestWorkerProtocol:
-    """In-process checks of the worker task protocol's recovery paths."""
-
-    def test_stale_weights_raise_without_refresh(self):
-        from repro.runtime.worker import (
-            StaleWorkerWeights,
-            _STATE,
-            _ensure_engine,
-        )
-
-        saved = (_STATE["engine"], _STATE["model_init"])
-        _STATE["engine"] = None
-        _STATE["model_init"] = None
-        try:
-            with pytest.raises(StaleWorkerWeights):
-                _ensure_engine(epoch=3, refresh_blob=None)
-        finally:
-            _STATE["engine"], _STATE["model_init"] = saved
-
-    def test_refresh_blob_rebuilds_engine_at_epoch(self):
-        import pickle
-
-        from repro.core import VeriBugConfig, VeriBugModel, Vocabulary
-        from repro.runtime.worker import ModelPayload, _STATE, _ensure_engine
-
-        model = VeriBugModel(VeriBugConfig(), Vocabulary())
-        payload = ModelPayload(
-            config=model.config, state=model.state_dict(), epoch=7
-        )
-        blob = pickle.dumps(payload, protocol=5)
-        saved = (_STATE["engine"], _STATE["model_init"])
-        _STATE["engine"] = None
-        _STATE["model_init"] = None
-        try:
-            engine = _ensure_engine(epoch=7, refresh_blob=blob)
-            assert _STATE["engine"][0] == 7
-            state = engine.model.state_dict()
-            for name, value in model.state_dict().items():
-                assert (state[name] == value).all()
-        finally:
-            _STATE["engine"], _STATE["model_init"] = saved
+        assert stats["campaigns_served"] == stats["localize_calls"] == 1
+        assert len(pool.futures) == stats["tasks_dispatched"]
+        sequential = _paper_session(n_workers=0)
+        want = sequential.campaign(module, "wbs0_we_o", plan=plan, seed=29).run()
+        _assert_same_outcomes(pooled.outcomes, want.outcomes)
+        _assert_identical(sharded, sequential.localize_many(requests))
 
 
 class TestFailedTaskCancelsQueue:
@@ -756,9 +783,9 @@ class TestFailedTaskCancelsQueue:
 
         monkeypatch.setattr(runtime_module, task_name, broken_task)
         runtime = ExecutionRuntime(3)
+        runtime.attach_model(VeriBugModel(VeriBugConfig(), Vocabulary()))
         pool = _InlinePool()
         runtime._pool = pool  # bypasses _ensure_pool's lazy start
-        runtime._pool_weight_epoch = runtime.weight_epoch
         return runtime, pool
 
     def test_localize_many_cancels_unstarted_shards(self, monkeypatch):
