@@ -278,7 +278,12 @@ def verify_identical(reference_results, fast_results) -> None:
                 )
 
 
-def run_end_to_end(localizer, workload, n_traces, n_cycles, seed, localize_batch):
+def run_end_to_end(localizer, workload, n_traces, n_cycles, seed):
+    """Wall time of the workload's campaigns, simulation included.
+
+    Each campaign localizes one chunk of mutants per ``localize_many``
+    call, as a session's campaign does; ``--batch`` does not apply.
+    """
     t0 = time.perf_counter()
     for name, module, target, mutations in workload:
         campaign = CampaignEngine(
@@ -287,7 +292,6 @@ def run_end_to_end(localizer, workload, n_traces, n_cycles, seed, localize_batch
             testbench_config=design_testbench(name, n_cycles=n_cycles),
             seed=seed,
             min_correct_traces=8,
-            localize_batch=localize_batch,
         )
         campaign.run(module, target, mutations)
     return time.perf_counter() - t0
@@ -301,7 +305,10 @@ def main() -> None:
     )
     parser.add_argument("--traces", type=int, default=None, help="testbenches per mutant")
     parser.add_argument("--cycles", type=int, default=None, help="cycles per testbench")
-    parser.add_argument("--batch", type=int, default=8, help="mutants per shared localization batch")
+    parser.add_argument(
+        "--batch", type=int, default=8,
+        help="mutants per localize_many call in the fast and sharded arms",
+    )
     parser.add_argument(
         "--workers",
         default=None,
@@ -375,8 +382,8 @@ def main() -> None:
             " one physical core per worker"
         )
 
-    e2e_ref = run_end_to_end(reference, workload, n_traces, n_cycles, seed, 1)
-    e2e_fast = run_end_to_end(fast, workload, n_traces, n_cycles, seed, args.batch)
+    e2e_ref = run_end_to_end(reference, workload, n_traces, n_cycles, seed)
+    e2e_fast = run_end_to_end(fast, workload, n_traces, n_cycles, seed)
 
     results = {
         "workload": {

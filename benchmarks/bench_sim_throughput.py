@@ -6,9 +6,11 @@ the repo root so the performance trajectory is tracked across PRs.
 The vector engine runs the whole testbench suite per design in lockstep
 (``run_suite``), so its wall time is per-suite rather than per-trace;
 ``speedup_*`` reports it against the interpreter over the same suite.
-Every arm is timed :data:`REPEATS` times and reports the median wall
-time (``wall_s``, from which the rates derive) and the ``spread``,
-slowest run over fastest.  A fixed pure-Python reference loop (the one
+Every arm is timed in :data:`REPEATS` samples, each repeating the run
+until at least :data:`MIN_SAMPLE_S` of wall time has passed and counting
+its mean run time, and reports the median of those per-run times
+(``wall_s``, from which the rates derive) and the ``spread``, slowest
+sample over fastest.  A fixed pure-Python reference loop (the one
 ``perfbench/run.py`` times around each campaign pass) is timed before
 and after each arm; ``reference_s`` is their mean and
 ``uref_per_lane_cycle`` the arm's ``ns_per_lane_cycle`` in millionths of
@@ -145,10 +147,15 @@ def verify_design(name: str, n_cycles: int, seed: int = 3) -> list[str]:
     return problems
 
 
-#: Timed runs per arm: single runs of one arm spread up to 1.7x on a
-#: shared host, so each arm reports the median wall time of these runs
+#: Timed samples per arm: samples of one arm spread on a shared host,
+#: so each arm reports the median per-run wall time of these samples
 #: and their spread (slowest over fastest).
 REPEATS = 5
+
+#: Shortest wall time of one timed sample.  A vector suite of the
+#: default 8 traces x 50 cycles runs in about 4 ms, too short to time
+#: once; a sample repeats the run until this much time has passed.
+MIN_SAMPLE_S = 0.2
 
 #: Iterations of the reference loop (about 40-75 ms on a 2.1 GHz 2-vCPU
 #: x86-64 VM), as in ``perfbench/run.py``'s campaign reference.
@@ -171,14 +178,22 @@ def reference_s() -> float:
 
 
 def _timed(run, stimuli, record: bool, total_cycles: int) -> tuple[dict, list]:
-    """``run(stimuli, record)`` :data:`REPEATS` times between two reference
-    loops: median, spread and the median in reference units."""
+    """:data:`REPEATS` samples of ``run(stimuli, record)`` between two
+    reference loops: median per-run time, spread and the median in
+    reference units.  A sample repeats the run for at least
+    :data:`MIN_SAMPLE_S` and counts its mean run time."""
     before = reference_s()
     walls = []
     for _ in range(REPEATS):
+        runs = 0
         t0 = time.perf_counter()
-        traces = run(stimuli, record)
-        walls.append(time.perf_counter() - t0)
+        while True:
+            traces = run(stimuli, record)
+            runs += 1
+            elapsed = time.perf_counter() - t0
+            if elapsed >= MIN_SAMPLE_S:
+                break
+        walls.append(elapsed / runs)
     reference = (before + reference_s()) / 2
     wall_s = statistics.median(walls)
     stats = {

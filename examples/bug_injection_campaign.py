@@ -44,7 +44,7 @@ def _run_campaigns(session: VeriBugSession) -> None:
     print(f"design: {DESIGN} ({meta.description}, {meta.loc} lines)")
     # The session owns every knob the campaign will use.
     print(f"engine={session.config.sim_engine}"
-          f" localize_batch={session.config.localize_batch}")
+          f" fast_inference={session.config.fast_inference}")
 
     for target in meta.targets:
         handle = session.campaign(

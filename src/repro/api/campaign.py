@@ -141,13 +141,14 @@ class CampaignHandle:
     def stream(self) -> Iterator[CampaignUpdate]:
         """Yield scored mutants and incremental heatmaps as they complete.
 
-        Outcomes arrive in mutation order, in bursts: at localization
-        batch boundaries in process (``SessionConfig.localize_batch``
-        mutants share one set of model forward passes), and one campaign
-        chunk at a time on a session pool, whose workers simulate and
-        localize each chunk.  Abandoning the iterator mid-campaign
-        closes the engine stream, which cancels the chunks no worker
-        has started; the session pool itself stays up.
+        Outcomes arrive in mutation order, one campaign chunk
+        (:func:`~repro.datagen.campaign.plan_chunks`) at a time: mutant 0
+        alone first, then the rest of each program group, split across
+        the workers on a session pool.  A chunk's observable mutants
+        share one set of model forward passes, in process or on the
+        worker that simulated them.  Abandoning the iterator
+        mid-campaign closes the engine stream, which cancels the chunks
+        no worker has started; the session pool itself stays up.
         """
         sums: dict[int, float] = {}
         counts: dict[int, int] = {}

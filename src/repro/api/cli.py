@@ -74,8 +74,6 @@ def _build_config(args: argparse.Namespace) -> SessionConfig:
             config = config.with_engine(args.engine)
         if getattr(args, "workers", None) is not None:
             config = config.with_workers(args.workers)
-        if getattr(args, "localize_batch", None) is not None:
-            config = config.with_localize_batch(args.localize_batch)
         if getattr(args, "epochs", None) is not None:
             config = config.with_model(epochs=args.epochs)
         if getattr(args, "corpus", None) is not None:
@@ -667,8 +665,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=13, help="data seed")
         p.add_argument("--engine", choices=ENGINES)
         p.add_argument("--workers", type=int, help="simulation process pool size")
-        p.add_argument("--localize-batch", type=int, dest="localize_batch",
-                       help="mutants per shared localization batch")
         p.add_argument("--cycles", type=int, default=cycles,
                        help="cycles per testbench")
 

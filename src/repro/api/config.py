@@ -37,8 +37,6 @@ class SessionConfig:
             the first parallel dispatch and reused by every
             campaign/corpus run until
             :meth:`~repro.api.VeriBugSession.close`.
-        localize_batch: Observable mutants per shared localization batch
-            (the cross-mutant inference fast path).
         fast_inference: Localize on the fast arm (execution dedup,
             no-grad fused head, context cache and attention-row memo);
             False pins the per-execution autograd reference arm.
@@ -62,7 +60,6 @@ class SessionConfig:
     model: VeriBugConfig = field(default_factory=VeriBugConfig)
     sim_engine: str = "vector"
     n_workers: int = 0
-    localize_batch: int = 8
     fast_inference: bool = True
     seed: int = 0
     n_traces: int = 12
@@ -82,8 +79,6 @@ class SessionConfig:
                 f"unknown lint_policy {self.lint_policy!r};"
                 f" available: {', '.join(LINT_POLICIES)}"
             )
-        if self.localize_batch < 1:
-            raise ValueError("localize_batch must be >= 1")
         if self.n_workers < 0:
             raise ValueError("n_workers must be >= 0")
         if self.n_traces < 1:
@@ -111,10 +106,6 @@ class SessionConfig:
     def with_workers(self, n_workers: int) -> SessionConfig:
         """Size the session's persistent worker pool (0 = sequential)."""
         return dataclasses.replace(self, n_workers=n_workers)
-
-    def with_localize_batch(self, localize_batch: int) -> SessionConfig:
-        """Set the cross-mutant shared-localization batch size."""
-        return dataclasses.replace(self, localize_batch=localize_batch)
 
     def with_seed(self, seed: int) -> SessionConfig:
         """Set the data seed (corpus, testbenches, mutation sampling)."""

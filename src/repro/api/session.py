@@ -272,7 +272,6 @@ class VeriBugSession:
         n_cycles: int = 10,
         seed: int | None = None,
         n_traces: int | None = None,
-        localize_batch: int | None = None,
     ) -> CampaignHandle:
         """Prepare a bug-injection campaign (execute via the handle).
 
@@ -288,8 +287,8 @@ class VeriBugSession:
                 registered testbench (registry names) or a generic one,
                 both pinned to the session's simulation engine.
             n_cycles: Cycles per testbench when building the default.
-            seed / n_traces / localize_batch: Per-campaign overrides of
-                the session defaults.
+            seed / n_traces: Per-campaign overrides of the session
+                defaults.
 
         Mutants are simulated and localized on the session's worker pool
         while it is open; a handle executed after :meth:`close` runs in
@@ -339,11 +338,6 @@ class VeriBugSession:
             seed=seed,
             min_correct_traces=self.config.min_correct_traces,
             max_extra_batches=self.config.max_extra_batches,
-            localize_batch=(
-                self.config.localize_batch
-                if localize_batch is None
-                else localize_batch
-            ),
             runtime=self._runtime,
             suites=self._suites,
         )

@@ -265,24 +265,53 @@ class Explainer:
     ) -> AttentionMap:
         """Aggregate attention weights over all executions in a trace set.
 
+        The one-set form of :meth:`attention_maps`.
+
         Args:
             contexts: Statement contexts keyed by stmt_id.
             traces: Traces of one set (all failing or all correct).
             restrict_to: Optional stmt_id filter (the dynamic slice).
             batch_size: Inference batch size.
         """
-        if not self.fast_inference:
-            return self._attention_map_per_execution(
-                contexts, traces, restrict_to, batch_size
-            )
-        amap = AttentionMap()
-        samples, stmt_ids, counts = self.distinct_samples(
-            contexts, traces, restrict_to
-        )
-        rows = self._memoized_rows(samples, batch_size)
-        for index, weights in enumerate(rows):
-            amap.add(stmt_ids[index], weights, counts[index])
+        (amap,) = self.attention_maps([(contexts, traces, restrict_to)], batch_size)
         return amap
+
+    def attention_maps(
+        self,
+        sets: list[tuple[dict[int, StatementContext], list[Trace], set[int] | None]],
+        batch_size: int = 512,
+    ) -> list[AttentionMap]:
+        """One attention map per ``(contexts, traces, restrict_to)`` set.
+
+        On the fast arm every set's distinct samples join one stream of
+        memoized rows (:meth:`_memoized_rows`), so the sets share forward
+        passes and memo entries; rows come back in stream order, so each
+        map accumulates its samples in first-seen order, exactly as if
+        its set were scored alone.  The reference arm scores each set on
+        its own, one autograd row per execution.
+        """
+        if not self.fast_inference:
+            return [
+                self._attention_map_per_execution(contexts, traces, restrict_to, batch_size)
+                for contexts, traces, restrict_to in sets
+            ]
+        maps: list[AttentionMap] = []
+        flat_samples: list[Sample] = []
+        flat_adds: list[tuple[AttentionMap, int, int]] = []
+        for contexts, traces, restrict_to in sets:
+            amap = AttentionMap()
+            samples, stmt_ids, counts = self.distinct_samples(
+                contexts, traces, restrict_to
+            )
+            flat_samples.extend(samples)
+            flat_adds.extend(
+                (amap, stmt_id, count) for stmt_id, count in zip(stmt_ids, counts)
+            )
+            maps.append(amap)
+        rows = self._memoized_rows(flat_samples, batch_size)
+        for weights, (amap, stmt_id, count) in zip(rows, flat_adds):
+            amap.add(stmt_id, weights, count)
+        return maps
 
     def _memoized_rows(self, samples: list[Sample], batch_size: int) -> list:
         """Attention row per sample, via the model's attention-row memo.

@@ -22,8 +22,8 @@ from ..analysis.index import StaticSlice, design_index
 from ..sim.trace import Trace
 from ..verilog.ast_nodes import Module
 from .config import VeriBugConfig
-from .explainer import AttentionMap, Explainer, Heatmap
-from .features import BatchEncoder, Sample
+from .explainer import Explainer, Heatmap
+from .features import BatchEncoder
 from .model import VeriBugModel
 
 
@@ -106,7 +106,6 @@ class LocalizationEngine:
         self.model = model
         self.encoder = encoder
         self.config = config or model.config
-        self.fast_inference = fast_inference
         self.explainer = Explainer(
             model, encoder, self.config, fast_inference=fast_inference
         )
@@ -145,8 +144,10 @@ class LocalizationEngine:
     ) -> list[LocalizationResult]:
         """Localize several failures with shared forward passes.
 
-        On the fast arm, all requests' distinct samples are concatenated
-        into one stream and encoded into ``batch_size``-row model calls,
+        Every request's ``Ft`` and ``Ct`` come from one
+        :meth:`Explainer.attention_maps` call: on the fast arm all
+        requests' distinct samples are concatenated into one stream and
+        encoded into ``batch_size``-row model calls,
         so the per-call overhead (LSTM step loop, op dispatch) is
         amortized across mutants instead of being paid per small trace
         set; the attention-row memo collapses whole ``(structure,
@@ -172,25 +173,16 @@ class LocalizationEngine:
             prepared.append(
                 (index.static_slice(request.target), index.contexts(request.target))
             )
-        if self.fast_inference:
-            maps = self._shared_maps(requests, prepared, batch_size)
-        else:
-            attention_map = self.explainer.attention_map
-            maps = [
-                (
-                    attention_map(
-                        contexts, request.failing_traces, slice_.stmt_ids, batch_size
-                    ),
-                    attention_map(
-                        contexts, request.correct_traces, slice_.stmt_ids, batch_size
-                    ),
-                )
-                for request, (slice_, contexts) in zip(requests, prepared)
-            ]
+        sets = [
+            (contexts, traces, static_slice.stmt_ids)
+            for request, (static_slice, contexts) in zip(requests, prepared)
+            for traces in (request.failing_traces, request.correct_traces)
+        ]
+        maps = self.explainer.attention_maps(sets, batch_size)
 
         results: list[LocalizationResult] = []
-        for request, (static_slice, contexts), (ft, ct) in zip(
-            requests, prepared, maps
+        for request, (static_slice, contexts), ft, ct in zip(
+            requests, prepared, maps[0::2], maps[1::2]
         ):
             heatmap = self.explainer.build_heatmap(
                 request.target, ft, ct, request.threshold
@@ -207,31 +199,3 @@ class LocalizationEngine:
             )
         return results
 
-    def _shared_maps(
-        self,
-        requests: list[LocalizationRequest],
-        prepared: list[tuple[StaticSlice, dict[int, StatementContext]]],
-        batch_size: int,
-    ) -> list[tuple[AttentionMap, AttentionMap]]:
-        """Fast-arm ``(Ft, Ct)`` per request, from one shared sample stream."""
-        maps: list[tuple[AttentionMap, AttentionMap]] = []
-        flat_samples: list[Sample] = []
-        flat_adds: list[tuple[AttentionMap, int, int]] = []
-        for request, (static_slice, contexts) in zip(requests, prepared):
-            ft, ct = AttentionMap(), AttentionMap()
-            for amap, traces in ((ft, request.failing_traces), (ct, request.correct_traces)):
-                samples, stmt_ids, counts = self.explainer.distinct_samples(
-                    contexts, traces, static_slice.stmt_ids
-                )
-                flat_samples.extend(samples)
-                flat_adds.extend(
-                    (amap, stmt_id, count)
-                    for stmt_id, count in zip(stmt_ids, counts)
-                )
-            maps.append((ft, ct))
-        # Rows come back in flat order, so every map accumulates its
-        # samples in first-seen order.
-        rows = self.explainer._memoized_rows(flat_samples, batch_size)
-        for weights, (amap, stmt_id, count) in zip(rows, flat_adds):
-            amap.add(stmt_id, weights, count)
-        return maps

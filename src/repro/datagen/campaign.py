@@ -22,27 +22,29 @@ Stimulus suites and their golden traces do not depend on the target, so
 a :class:`SuiteMemo` generates and golden-simulates each one once and
 serves it to every target of the design.
 
-Campaigns are embarrassingly parallel.  Given a live
-:class:`~repro.runtime.ExecutionRuntime` (the owning session's
-persistent pool, reused by consecutive campaigns), the campaign splits
-its mutation plan into *chunks* (:func:`plan_chunks`: contiguous spans
-inside one program group, mutant 0 alone first) and each pool task
-simulates, classifies *and* localizes one chunk on its worker, so trace
-sets never leave the worker that recorded them; only scored outcomes
-and localizations come back.  Without a live runtime everything runs in
-process.  Parallel campaigns are bit-identical to sequential ones
-because every mutant derives its extra testbench seeds from its own
-``node_index`` (:func:`repro.runtime.seeding.mutant_topup_seed`), never
-from the worker that happens to simulate it, and localization batch
-composition cannot change any attention weight.
+A campaign is a list of *chunks* (:func:`plan_chunks`: contiguous
+mutation spans inside one program group, mutant 0 alone first), and
+one function runs a chunk: :meth:`TargetSimulation.localize_chunk`
+simulates and classifies its mutants, localizes the observable ones in
+one :meth:`LocalizationEngine.localize_many` call and scores them.
+Without a live :class:`~repro.runtime.ExecutionRuntime` the chunks run
+in process, one per program group after mutant 0.  Given one (the
+owning session's persistent pool, reused by consecutive campaigns),
+each program group splits into up to ``n_workers`` chunks and each pool
+task runs one chunk on its worker, so trace sets never leave the worker
+that recorded them; only scored outcomes and localizations come back.
+Pooled campaigns are bit-identical to sequential ones because every
+mutant derives its extra testbench seeds from its own ``node_index``
+(:func:`repro.runtime.seeding.mutant_topup_seed`), never from the
+worker that happens to simulate it, and the chunk a mutant is localized
+with cannot change any attention weight.
 
-Localization itself runs on the inference fast path: up to
-``localize_batch`` observable mutants are handed to
-:meth:`LocalizationEngine.localize_many`, which deduplicates their executions
-and encodes them into shared no-grad forward passes; under that no-grad
-scope the model runs the fused PathRNN kernel and serves repeated
-statement contexts from its context-embedding cache.  A mutant's slice
-and contexts come from its golden design's frozen
+Localization runs on the inference fast path:
+:meth:`LocalizationEngine.localize_many` deduplicates a chunk's
+executions and encodes them into shared no-grad forward passes; under
+that no-grad scope the model runs the fused PathRNN kernel and serves
+repeated statement contexts from its context-embedding cache.  A
+mutant's slice and contexts come from its golden design's frozen
 :class:`~repro.analysis.DesignIndex` patched with the one mutated
 statement, so the contexts of every untouched statement are the golden
 design's own objects.  Rankings are identical to per-mutant
@@ -145,12 +147,13 @@ MAX_PROGRAM_VARIANTS = 8
 
 
 def plan_chunks(n_mutations: int, n_workers: int) -> list[tuple[int, int]]:
-    """Contiguous ``(start, end)`` mutation spans for pooled campaigns.
+    """Contiguous ``(start, end)`` mutation spans: a campaign's chunks.
 
     Mutant 0 runs alone first, so the first update streams early; the
     rest of each program group (:data:`MAX_PROGRAM_VARIANTS` mutants)
     splits into at most ``n_workers`` balanced spans that share selector
-    lanes and top-up rounds.  Spans cover every index once, in order.
+    lanes and top-up rounds (one span in process, ``n_workers=1``).
+    Spans cover every index once, in order.
     """
     chunks = [(0, 1)] if n_mutations > 0 else []
     for low in range(0, n_mutations, MAX_PROGRAM_VARIANTS):
@@ -527,22 +530,6 @@ class TargetSimulation:
         """Unrecorded golden traces."""
         return self.golden_simulator().run_suite(stimuli, record=False)
 
-    def stream(self) -> Iterator[Simulated]:
-        """Every mutation's result on the main suite, in order, in chunks.
-
-        The main suite is the memo's entry for the campaign seed.  The
-        first mutant runs alone so its outcome streams without waiting
-        for the rest; the others then share one suite per round per
-        program (one program for a whole Table-III target).  The
-        interpreter yields mutant by mutant.
-        """
-        ((stimuli, golden_traces),) = self.fetch([self.seed])
-        n = len(self.mutations)
-        step = MAX_PROGRAM_VARIANTS if self.golden_simulator().lockstep else 1
-        bounds = sorted({0, min(1, n), *range(step, n, step), n})
-        for low, high in zip(bounds, bounds[1:]):
-            yield from self.simulate(list(range(low, high)), stimuli, golden_traces)
-
     def _simulate_alone(
         self,
         index: int,
@@ -610,6 +597,46 @@ class TargetSimulation:
                 outcome.observable = bool(failing)
         return [results[index] for index in indices]
 
+    def localize_chunk(
+        self,
+        span: tuple[int, int],
+        stimuli: StimulusSuite,
+        golden_traces: list[Trace],
+        localizer: LocalizationEngine,
+    ) -> list[tuple[MutantOutcome, LocalizationResult | None]]:
+        """Simulate, localize and score the mutations of one chunk.
+
+        ``span`` is a :func:`plan_chunks` chunk.  Its mutations are
+        simulated together (:meth:`simulate`) and every observable one is
+        localized in one :meth:`LocalizationEngine.localize_many` call;
+        attention is segment-local, so that batch cannot change a score.
+        Returns ``(outcome, localization)`` pairs in mutation order,
+        ``localization`` None for erroring or unobservable mutants.  The
+        in-process campaign and the pool's chunk task both run this.
+        """
+        simulated = self.simulate(list(range(*span)), stimuli, golden_traces)
+        requests = [
+            LocalizationRequest(
+                module=apply_mutation(self.module, outcome.mutation),
+                target=self.target,
+                failing_traces=failing,
+                correct_traces=correct,
+            )
+            for outcome, failing, correct in simulated
+            if outcome.observable
+        ]
+        found = iter(localizer.localize_many(requests) if requests else [])
+        pairs: list[tuple[MutantOutcome, LocalizationResult | None]] = []
+        for outcome, _failing, _correct in simulated:
+            localization = next(found) if outcome.observable else None
+            if localization is not None:
+                stmt_id = outcome.mutation.stmt_id
+                outcome.rank = localization.rank_of(stmt_id)
+                outcome.suspiciousness = localization.heatmap.suspiciousness.get(stmt_id)
+                outcome.localized = localization.is_top1(stmt_id)
+            pairs.append((outcome, localization))
+        return pairs
+
     def _run_rounds(self, simulator, live, results, stimuli, golden_traces) -> None:
         """The initial suite plus top-up rounds, one shared suite each."""
         outputs = self.module.outputs
@@ -675,16 +702,6 @@ class CampaignEngine:
             session passes its persistent pool, bound to the localizer's
             model, so consecutive campaigns reuse one set of workers.
             Without a live runtime the campaign runs in process.
-        localize_batch: Cap on the number of observable mutants whose
-            localizations are encoded into shared model forward passes
-            (the inference fast path).  In process, batches ramp
-            1 → 2 → 4 → … up to this cap so the first outcome streams
-            immediately; a pool chunk localizes in batches of up to the
-            cap.  1 localizes each mutant with its own model call
-            stream, larger caps amortize per-call overhead at the cost
-            of keeping up to that many mutants' trace sets alive at
-            once.  Outcomes are identical for every value (attention is
-            segment-local).
         suites: The :class:`SuiteMemo` serving the main and top-up
             suites.  A session passes its own, shared by every campaign
             it runs; by default the engine keeps a private one, shared
@@ -699,19 +716,15 @@ class CampaignEngine:
         seed: int = 0,
         min_correct_traces: int = 4,
         max_extra_batches: int = 4,
-        localize_batch: int = 8,
         runtime=None,
         suites: SuiteMemo | None = None,
     ):
-        if localize_batch < 1:
-            raise ValueError("localize_batch must be >= 1")
         self.localizer = localizer
         self.n_traces = n_traces
         self.testbench_config = testbench_config or TestbenchConfig()
         self.seed = seed
         self.min_correct_traces = min_correct_traces
         self.max_extra_batches = max_extra_batches
-        self.localize_batch = localize_batch
         self.runtime = runtime
         self.suites = SuiteMemo() if suites is None else suites
 
@@ -748,21 +761,16 @@ class CampaignEngine:
     ) -> Iterator[tuple[MutantOutcome, LocalizationResult | None]]:
         """Stream fully-scored outcomes as the campaign progresses.
 
-        Yields ``(outcome, localization)`` pairs in mutation order, each
-        emitted as soon as its localization (or the decision that none is
-        needed — simulation error / not observable) completes;
-        ``localization`` is None for erroring or unobservable mutants.
-        In process, mutants are simulated as selector lanes of the
-        target's program (the first alone, then the rest of its program
-        together) and localized in shared batches of observable mutants
-        whose size ramps 1 → 2 → 4 → … up to ``localize_batch``, so the
-        first result streams early while long campaigns still amortize
-        model calls; at most one program's mutants
-        (:data:`MAX_PROGRAM_VARIANTS`) hold trace sets at once.  On a
-        live runtime each pool task simulates and localizes one
-        :func:`plan_chunks` chunk on its worker and pairs stream chunk
-        by chunk.  Batch composition cannot change any outcome
-        (attention is segment-local; see
+        Yields ``(outcome, localization)`` pairs in mutation order, one
+        :func:`plan_chunks` chunk at a time, each chunk as soon as
+        :meth:`TargetSimulation.localize_chunk` has simulated, localized
+        and scored it; ``localization`` is None for erroring or
+        unobservable mutants.  In process the chunks run one after
+        another (mutant 0 alone, then the rest of each program group),
+        so at most one program's mutants hold trace sets at once; on a
+        live runtime each chunk is one pool task and each program group
+        splits into at most ``n_workers`` chunks.  Chunking cannot change
+        any outcome (attention is segment-local; see
         :meth:`LocalizationEngine.localize_many`), so both ways — and
         :meth:`run`, which drains this iterator — agree.
         """
@@ -788,72 +796,11 @@ class CampaignEngine:
             yield from runtime.simulate_mutants(
                 (simulation, stimuli, golden_traces),
                 plan_chunks(len(mutations), runtime.n_workers),
-                self.localize_batch,
             )
             return
-
-        simulated = TargetSimulation(*simulation, self.suites).stream()
-        # ``buffered`` holds outcome slots awaiting emission in mutation
-        # order; observable ones stay un-emittable until their shared
-        # localization batch runs, which also flushes everything queued
-        # behind them.
-        buffered: list[tuple[MutantOutcome, LocalizationResult | None]] = []
-        pending: list[Simulated] = []
-        slots: list[int] = []  # buffered index of each pending mutant
-        # Batch-size ramp: stream the first localization immediately,
-        # then double toward the configured cap.
-        flush_at = 1
-        for item in simulated:
-            outcome = item[0]
-            buffered.append((outcome, None))
-            if outcome.error or not outcome.observable:
-                if not pending:
-                    yield from buffered
-                    buffered.clear()
-                continue
-            pending.append(item)
-            slots.append(len(buffered) - 1)
-            if len(pending) >= min(flush_at, self.localize_batch):
-                for slot, localization in zip(
-                    slots, localize_simulated(self.localizer, module, target, pending)
-                ):
-                    buffered[slot] = (buffered[slot][0], localization)
-                pending.clear()
-                slots.clear()
-                flush_at *= 2
-                yield from buffered
-                buffered.clear()
-        if pending:
-            for slot, localization in zip(
-                slots, localize_simulated(self.localizer, module, target, pending)
-            ):
-                buffered[slot] = (buffered[slot][0], localization)
-        yield from buffered
-
-
-def localize_simulated(
-    localizer: LocalizationEngine,
-    module: Module,
-    target: str,
-    pending: list[Simulated],
-) -> list[LocalizationResult]:
-    """Localize a batch of observable mutants and score their outcomes.
-
-    Shared by the in-process campaign loop and the pool's chunk task.
-    """
-    requests = [
-        LocalizationRequest(
-            module=apply_mutation(module, outcome.mutation),
-            target=target,
-            failing_traces=failing,
-            correct_traces=correct,
-        )
-        for outcome, failing, correct in pending
-    ]
-    localizations: list[LocalizationResult] = localizer.localize_many(requests)
-    for (outcome, _failing, _correct), localization in zip(pending, localizations):
-        stmt_id = outcome.mutation.stmt_id
-        outcome.rank = localization.rank_of(stmt_id)
-        outcome.suspiciousness = localization.heatmap.suspiciousness.get(stmt_id)
-        outcome.localized = localization.is_top1(stmt_id)
-    return localizations
+        target_simulation = TargetSimulation(*simulation, self.suites)
+        ((stimuli, golden_traces),) = target_simulation.fetch([self.seed])
+        for span in plan_chunks(len(mutations), 1):
+            yield from target_simulation.localize_chunk(
+                span, stimuli, golden_traces, self.localizer
+            )

@@ -38,11 +38,13 @@ worker pool:
   into fleet-wide stats (:class:`RuntimeStats`).
 * **Worker-resident campaign chunks.**  :meth:`simulate_mutants` runs a
   campaign as one task per chunk (a contiguous mutation span of one
-  program group): the worker simulates the chunk's mutants as selector
-  lanes, localizes the observable ones on its weight mirror and returns
-  scored ``(outcome, localization)`` pairs.  Every chunk task carries the
-  campaign context as one pickled blob (a target has only a handful of
-  chunks), deserialized at most once per worker per campaign.
+  program group): the worker runs the chunk through
+  :meth:`~repro.datagen.campaign.TargetSimulation.localize_chunk`, the
+  function an in-process campaign runs per chunk, on its weight mirror
+  and returns scored ``(outcome, localization)`` pairs.  Every chunk
+  task carries the campaign context as one pickled blob (a target has
+  only a handful of chunks), deserialized at most once per worker per
+  campaign.
 * **Event-log trace wire format.**  Campaign traces never cross the
   pool; traces travel only in explicit :meth:`localize_many` shard
   requests.  The simulator records every trace as a lane of a
@@ -412,7 +414,6 @@ class ExecutionRuntime:
         self,
         context: tuple,
         chunks: list[tuple[int, int]],
-        localize_batch: int,
     ) -> Iterator[tuple["MutantOutcome", "LocalizationResult | None"]]:
         """Run one campaign on the pool, one task per mutation chunk.
 
@@ -420,10 +421,10 @@ class ExecutionRuntime:
         golden_traces)``, pickled once and carried by every chunk task.
         ``chunks`` are contiguous ``(start, end)`` mutation spans in
         order (:func:`~repro.datagen.campaign.plan_chunks`); each task
-        simulates its span and localizes the observable mutants, in
-        batches of at most ``localize_batch``, with the weights current
-        at this call: every chunk carries their epoch and snapshot, so a
-        weight change while the stream is consumed does not reach it.
+        runs :meth:`~repro.datagen.campaign.TargetSimulation.localize_chunk`
+        on its span with the weights current at this call: every chunk
+        carries their epoch and snapshot, so a weight change while the
+        stream is consumed does not reach it.
         Yields scored ``(outcome, localization)`` pairs in mutation
         order and folds each chunk's cache/memo delta into
         :meth:`stats`; closing the generator early cancels the chunks no
@@ -436,9 +437,7 @@ class ExecutionRuntime:
         epoch, weights = self._weight_epoch, self._snapshot_blob()
         with self._dispatching():
             futures = [
-                pool.submit(
-                    _task_campaign_chunk, ctx_id, blob, epoch, weights, span, localize_batch
-                )
+                pool.submit(_task_campaign_chunk, ctx_id, blob, epoch, weights, span)
                 for span in chunks
             ]
             self._counters.campaigns_served += 1

@@ -19,10 +19,11 @@ lives in the module-level :data:`_STATE` dict:
   campaign and keeps the simulation, so each target program is lowered
   once per worker however many chunks of the campaign it runs.
 
-Task functions return plain picklable values.  A campaign chunk
-simulates, classifies and localizes its mutants on the worker and
-returns only scored outcomes and localization results, so campaign
-traces never cross the pool.  Traces travel only inside explicit
+Task functions return plain picklable values.  A campaign chunk runs
+:meth:`~repro.datagen.campaign.TargetSimulation.localize_chunk`, the
+same function an in-process campaign runs per chunk, and returns only
+scored outcomes and localization results, so campaign traces never
+cross the pool.  Traces travel only inside explicit
 :meth:`~repro.runtime.ExecutionRuntime.localize_many` shard requests,
 each as a one-lane slice of its event log (the simulator records
 :class:`~repro.sim.trace.SuiteLog` lanes natively and ``Trace`` pickles
@@ -165,32 +166,22 @@ def _task_campaign_chunk(
     epoch: int,
     weights_blob: bytes,
     span: tuple[int, int],
-    localize_batch: int,
 ) -> tuple[list[tuple], dict[str, int]]:
     """Simulate, classify and localize one chunk of a campaign's mutants.
 
     The chunk is the contiguous mutation span ``span`` of one program
-    group, simulated as selector lanes of that program (shared suites
-    and top-up rounds).  Its observable mutants are then localized on
-    the worker engine for ``epoch`` (rebuilt from ``weights_blob`` when
-    this worker last localized at another epoch), in batches of at most
-    ``localize_batch``, and scored by the same helper as the in-process
-    campaign.  Returns ``(outcome, localization)`` pairs in mutation
-    order plus the cache/memo delta; the trace sets stay here.
+    group, run by
+    :meth:`~repro.datagen.campaign.TargetSimulation.localize_chunk` (the
+    function an in-process campaign runs per chunk) on the worker engine
+    for ``epoch``, rebuilt from ``weights_blob`` when this worker last
+    localized at another epoch.  Returns ``(outcome, localization)``
+    pairs in mutation order plus the cache/memo delta; the trace sets
+    stay here.
     """
-    from ..datagen.campaign import localize_simulated
-
     engine = _ensure_engine(epoch, weights_blob)
     simulation, stimuli, golden_traces = _campaign(ctx_id, context_blob)
-    simulated = simulation.simulate(list(range(*span)), stimuli, golden_traces)
-    observable = [item for item in simulated if item[0].observable]
     before = _cache_counters(engine)
-    localizations = {}
-    for start in range(0, len(observable), localize_batch):
-        batch = observable[start : start + localize_batch]
-        found = localize_simulated(engine, simulation.module, simulation.target, batch)
-        localizations.update((id(item[0]), result) for item, result in zip(batch, found))
-    pairs = [(outcome, localizations.get(id(outcome))) for outcome, _, _ in simulated]
+    pairs = simulation.localize_chunk(span, stimuli, golden_traces, engine)
     return pairs, _counter_delta(engine, before)
 
 

@@ -93,7 +93,6 @@ class TestSessionConfig:
         tuned = (
             base.with_engine("interpreted")
             .with_workers(2)
-            .with_localize_batch(4)
             .with_seed(5)
             .with_campaign_defaults(n_traces=3, min_correct_traces=1)
         )
@@ -101,7 +100,6 @@ class TestSessionConfig:
         assert base.sim_engine == "vector" and base.n_workers == 0
         assert tuned.sim_engine == "interpreted"
         assert tuned.n_workers == 2
-        assert tuned.localize_batch == 4
         assert tuned.seed == 5
         assert tuned.n_traces == 3 and tuned.min_correct_traces == 1
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -130,7 +128,6 @@ class TestSessionConfig:
         [
             {"sim_engine": "jit"},
             {"lint_policy": "strict"},
-            {"localize_batch": 0},
             {"n_workers": -1},
             {"n_traces": 0},
             {"min_correct_traces": -1},
@@ -264,7 +261,6 @@ class TestStreamingCampaign:
             plan={"negation": 2, "operation": 2, "misuse": 2},
             n_cycles=8,
             seed=3,
-            localize_batch=2,
         )
 
     def test_stream_outcomes_equal_run(self, handle):
@@ -322,10 +318,10 @@ class TestStreamingCampaign:
                 outcome.mutation.stmt_id
             )
 
-    def test_batch_ramp_streams_before_campaign_end(self, session, monkeypatch):
-        """With the default cap the first localization must not wait for
-        the whole plan: batches ramp 1 -> 2 -> 4 -> ... (multiple
-        localize calls), instead of one end-of-campaign burst."""
+    def test_chunks_stream_before_campaign_end(self, session, monkeypatch):
+        """In process the campaign runs its ``plan_chunks(n, 1)`` chunks one
+        after another through ``localize_chunk``, so the first update
+        arrives before the second chunk is simulated."""
         from repro.datagen import campaign
 
         handle = session.campaign(
@@ -335,19 +331,36 @@ class TestStreamingCampaign:
             n_cycles=8,
             seed=3,
         )
-        batch_sizes = []
-        original = campaign.localize_simulated
+        spans = []
+        original = campaign.TargetSimulation.localize_chunk
 
-        def spy(localizer, module, target, pending):
-            batch_sizes.append(len(pending))
-            return original(localizer, module, target, pending)
+        def spy(simulation, span, *args):
+            spans.append(span)
+            return original(simulation, span, *args)
 
-        monkeypatch.setattr(campaign, "localize_simulated", spy)
-        observable = sum(1 for u in handle.stream() if u.outcome.observable)
-        assert observable >= 2  # the workload must exercise the ramp
-        assert len(batch_sizes) >= 2  # streamed in more than one burst
-        assert batch_sizes[0] == 1  # first result localized immediately
-        assert sum(batch_sizes) == observable
+        monkeypatch.setattr(campaign.TargetSimulation, "localize_chunk", spy)
+        stream = handle.stream()
+        first = next(stream)
+        assert first.outcome.mutation == handle.mutations[0]
+        assert spans == [(0, 1)]  # the second chunk has not run yet
+        assert len(list(stream)) == len(handle) - 1
+        assert spans == campaign.plan_chunks(len(handle), 1)
+        assert len(spans) >= 2
+
+    @staticmethod
+    def _two_campaigns(session, handle):
+        """Stream the fixture campaign, then one with other mutants: at
+        least two localizing calls, the second on other mutants."""
+        list(handle.stream())
+        list(
+            session.campaign(
+                "wb_mux_2",
+                "wbs0_we_o",
+                plan={"negation": 2, "operation": 2, "misuse": 2},
+                n_cycles=8,
+                seed=4,
+            ).stream()
+        )
 
     def test_structural_cache_shares_across_mutants(self, session, handle):
         """The headline: fresh contexts per mutant still hit the cache."""
@@ -355,7 +368,7 @@ class TestStreamingCampaign:
         cache.clear()
         cache.reset_stats()
         session.model.attention_memo.clear()
-        list(handle.stream())
+        self._two_campaigns(session, handle)
         stats = cache.stats()
         assert stats["cross_epoch_hits"] > 0
         assert stats["cross_epoch_hit_rate"] > 0.0
@@ -366,7 +379,7 @@ class TestStreamingCampaign:
         memo = session.model.attention_memo
         memo.clear()
         memo.reset_stats()
-        list(handle.stream())
+        self._two_campaigns(session, handle)
         stats = memo.stats()
         assert stats["hits"] > 0
         assert stats["cross_epoch_hits"] > 0

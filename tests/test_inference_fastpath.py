@@ -181,16 +181,14 @@ class TestCampaignDifferential:
             testbench_config=design_testbench("wb_mux_2", n_cycles=10),
             seed=3,
         )
-        fast_campaign = CampaignEngine(localizer, localize_batch=4, **common)
+        fast_campaign = CampaignEngine(localizer, **common)
         legacy_localizer = LocalizationEngine(
             trained_session.model,
             trained_session.encoder,
             trained_session.config.model,
             fast_inference=False,
         )
-        legacy_campaign = CampaignEngine(
-            legacy_localizer, localize_batch=1, **common
-        )
+        legacy_campaign = CampaignEngine(legacy_localizer, **common)
 
         fast_result = fast_campaign.run(module, target, mutations)
         legacy_result = legacy_campaign.run(module, target, mutations)

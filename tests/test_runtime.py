@@ -745,10 +745,19 @@ class TestWorkerTasks:
     """In-process checks that a task is a pure function of its arguments."""
 
     def test_engineless_worker_runs_tasks_from_their_snapshots(
-        self, inline_worker, requests
+        self, inline_worker, requests, monkeypatch
     ):
+        from repro.datagen import campaign
         from repro.runtime.worker import _STATE
 
+        spans = []
+        original = campaign.TargetSimulation.localize_chunk
+
+        def spy(simulation, span, *args):
+            spans.append(span)
+            return original(simulation, span, *args)
+
+        monkeypatch.setattr(campaign.TargetSimulation, "localize_chunk", spy)
         module = load_design("wb_mux_2")
         plan = {"negation": 1, "operation": 1, "misuse": 1}
         session = _paper_session(n_workers=2)
@@ -765,8 +774,14 @@ class TestWorkerTasks:
             session.close()
         assert stats["campaigns_served"] == stats["localize_calls"] == 1
         assert len(pool.futures) == stats["tasks_dispatched"]
+        # The pool's chunk tasks and the in-process campaign run the
+        # same chunk function, each over its own chunk plan.
+        n = len(pooled.outcomes)
+        assert spans == campaign.plan_chunks(n, 2)
+        spans.clear()
         sequential = _paper_session(n_workers=0)
         want = sequential.campaign(module, "wbs0_we_o", plan=plan, seed=29).run()
+        assert spans == campaign.plan_chunks(n, 1) != campaign.plan_chunks(n, 2)
         _assert_same_outcomes(pooled.outcomes, want.outcomes)
         _assert_identical(sharded, sequential.localize_many(requests))
 

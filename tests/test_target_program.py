@@ -398,7 +398,9 @@ def test_long_plan_splits_into_programs(monkeypatch):
     want = _per_mutant(module, target, mutations, stimuli, config, 4, 5)
     before = compile_cache_stats()["target_programs"]
     simulation = TargetSimulation(module, target, mutations, config, 4, 5, 8, 4)
-    got = list(simulation.stream())
+    got = simulation.simulate(
+        list(range(len(mutations))), stimuli, simulation.golden(stimuli)
+    )
     assert compile_cache_stats()["target_programs"] - before == -(-len(mutations) // 3)
     assert len(got) == len(want)
     for pair, record_set in zip(zip(got, want), record_sets(module, target, mutations)):
@@ -430,7 +432,9 @@ def test_interpreter_simulates_mutant_by_mutant():
     want = _per_mutant(module, target, mutations, stimuli, config, 3, 7)
     before = compile_cache_stats()["target_programs"]
     simulation = TargetSimulation(module, target, mutations, config, 3, 7, 8, 4)
-    got = list(simulation.stream())
+    got = simulation.simulate(
+        list(range(len(mutations))), stimuli, simulation.golden(stimuli)
+    )
     assert compile_cache_stats()["target_programs"] == before
     assert len(got) == len(want)
     for pair in zip(got, want):
