@@ -26,14 +26,7 @@ from ..analysis.contexts import StatementContext
 from ..nn import inference_mode
 from ..sim.trace import Trace
 from .config import VeriBugConfig
-from .features import (
-    BatchEncoder,
-    Sample,
-    log_rows,
-    record_samples,
-    row_samples,
-    sample_from_execution,
-)
+from .features import BatchEncoder, Sample, log_rows, sample_from_execution
 from .model import VeriBugModel
 
 #: Suspiciousness assigned to statements that only execute in failing
@@ -41,64 +34,48 @@ from .model import VeriBugModel
 FT_ONLY_SUSPICIOUSNESS = 1.0
 
 
-def _log_distinct(
-    contexts: dict[int, StatementContext],
-    traces: list[Trace],
-    restrict_to: set[int] | None,
-) -> tuple[list[Sample], list[int], list[int]]:
-    """Deduplicate a trace set straight off its event logs.
+def _packed(keys: np.ndarray) -> np.ndarray:
+    """``keys``' columns packed mixed-radix into as few int64 columns as
+    their ranges allow (equal rows stay equal, distinct rows distinct),
+    so grouping sorts a word or two per row.  ``object`` keys pass."""
+    if keys.dtype == object:
+        return keys
+    words: list[np.ndarray] = []
+    word, capacity = None, 1
+    for column, lo, hi in zip(keys.T, keys.min(axis=0).tolist(), keys.max(axis=0).tolist()):
+        span = hi - lo + 1
+        if span >= 1 << 62:  # too wide to shift: a word of its own
+            words.append(column)
+            continue
+        if capacity * span >= 1 << 62:
+            words.append(word)
+            word, capacity = None, 1
+        word = column - lo if word is None else word * span + (column - lo)
+        capacity *= span
+    return np.column_stack(words if word is None else [*words, word])
 
-    The set's rows come from :func:`~repro.core.features.log_rows`.  A
-    row's key is its stmt id and its −1-padded operand values (simulator
-    values are non-negative, and a stmt id pins its context width, so
-    padding never merges or splits a group) — exactly the record loop's
-    ``(stmt_id, operand_values)`` group key.  One ``np.lexsort`` with
-    the record-loop order ``(trace position, event)`` as its least
-    significant key makes each group's first sorted row its first
-    occurrence, which supplies the label; groups come back in
-    first-occurrence order with their counts.  Sets holding >63-bit
-    values take the record loop.
+
+def _group_rows(keys: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group the equal rows of ``keys``, groups in order of their first row.
+
+    One ``np.lexsort`` with ``order`` (distinct per row) as its least
+    significant key makes each group's first sorted row its first row by
+    ``order``.  Returns ``(first, sizes, group)``: per group its first
+    row and its size, and per row its group's index.
     """
-    rows = log_rows(contexts, traces, restrict_to)
-    if rows is None:
-        return _record_loop_distinct(contexts, traces, restrict_to)
-    keyed, lhs, order = rows
-    if not len(order):
-        return [], [], []
-    sort = np.lexsort((order, *keyed.T[::-1]))
-    ranked = keyed[sort]
-    starts = np.flatnonzero(
-        np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1)))
-    )
-    group_counts = np.diff(np.append(starts, len(ranked)))
+    if not len(keys):
+        return (np.zeros(0, np.int64),) * 3
+    keys = _packed(keys)
+    sort = np.lexsort((order, *keys.T[::-1]))
+    ranked = keys[sort]
+    start = np.ones(len(sort), dtype=bool)
+    start[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    starts = np.flatnonzero(start)
     firsts = sort[starts]
     replay = np.argsort(order[firsts])
-    first = firsts[replay]
-    samples = row_samples(keyed[first], lhs[first], contexts)
-    return samples, keyed[first, 0].tolist(), group_counts[replay].tolist()
-
-
-def _record_loop_distinct(
-    contexts: dict[int, StatementContext],
-    traces: list[Trace],
-    restrict_to: set[int] | None,
-) -> tuple[list[Sample], list[int], list[int]]:
-    """The record-by-record dedup, for sets holding >63-bit values."""
-    groups: dict[tuple[int, tuple[int, ...]], int] = {}
-    samples: list[Sample] = []
-    stmt_ids: list[int] = []
-    counts: list[int] = []
-    for stmt_id, sample in record_samples(contexts, traces, restrict_to):
-        key = (stmt_id, sample.operand_values)
-        slot = groups.get(key)
-        if slot is None:
-            groups[key] = len(samples)
-            samples.append(sample)
-            stmt_ids.append(stmt_id)
-            counts.append(1)
-        else:
-            counts[slot] += 1
-    return samples, stmt_ids, counts
+    group = np.empty(len(sort), dtype=np.int64)
+    group[sort] = np.argsort(replay)[np.cumsum(start) - 1]
+    return firsts[replay], np.diff(starts, append=len(sort))[replay], group
 
 
 @dataclass
@@ -134,6 +111,34 @@ class AttentionMap:
     def statements(self) -> set[int]:
         """Ids of statements present in the map."""
         return set(self.weights)
+
+
+def mean_maps(
+    n_sets: int, segments: np.ndarray, rows: np.ndarray, widths: np.ndarray, counts: np.ndarray
+) -> list[AttentionMap]:
+    """Each set's attention map, as count-weighted segment means.
+
+    Row ``g`` of ``rows`` (zero-padded past ``widths[g]``) is the
+    attention row of ``counts[g]`` executions of statement ``segments[g]
+    == (set index, stmt_id)``.  Per segment, one ``np.add.at`` pass sums
+    the weighted rows in row order and the sum is divided by the
+    segment's count; a one-row segment keeps its row.  That is
+    :meth:`AttentionMap.add` over the rows up to float summation order
+    (exactly, for one or two rows per segment).
+    """
+    first, sizes, segment = _group_rows(segments, np.arange(len(segments)))
+    totals = np.bincount(segment, weights=counts, minlength=len(first))
+    sums = np.zeros((len(first), rows.shape[1]))
+    np.add.at(sums, segment, rows * counts[:, None])
+    means = sums / totals[:, None]
+    means[sizes == 1] = rows[first[sizes == 1]]
+    maps = [AttentionMap() for _ in range(n_sets)]
+    for (set_index, stmt_id), mean, width, total in zip(
+        segments[first].tolist(), means, widths[first].tolist(), totals.tolist()
+    ):
+        maps[set_index].weights[stmt_id] = mean[:width]
+        maps[set_index].counts[stmt_id] = int(total)
+    return maps
 
 
 @dataclass
@@ -196,19 +201,19 @@ class Explainer:
     Two arms build the attention maps, picked by ``fast_inference``:
 
     * **fast** (default) — executions are deduplicated
-      (:meth:`distinct_samples`); samples whose ``(structure, operand
-      values)`` pair was already scored are served whole from the
-      model's :class:`~repro.core.model.AttentionRowMemo`, and the rest
-      run under :func:`repro.nn.inference_mode`, where the model takes
-      the fused head (:func:`~repro.core.model.model_forward_fused`) and
-      serves repeated operand structures from its
+      (:meth:`distinct_samples`); ``(structure, operand values)`` keys
+      already scored are served from the model's
+      :class:`~repro.core.model.AttentionRowMemo`, and the rest run under
+      :func:`repro.nn.inference_mode`, where the model takes the fused
+      head (:func:`~repro.core.model.model_forward_fused`) and serves
+      repeated operand structures from its
       :class:`~repro.core.model.ContextEmbeddingCache`;
     * **reference** — one autograd forward row per execution, no dedup
       and no memoization.
 
     The maps agree within 1e-9 (a sample's attention does not depend on
-    its batch beyond last-ulp BLAS rounding, and the weighted mean is
-    exact), which ``tests/test_inference_fastpath.py`` pins.
+    its batch beyond last-ulp BLAS rounding, and a segment mean only
+    reorders float sums), which ``tests/test_inference_fastpath.py`` pins.
 
     Args:
         model: The trained VeriBug model.
@@ -231,30 +236,25 @@ class Explainer:
 
     def distinct_samples(
         self,
-        contexts: dict[int, StatementContext],
-        traces: list[Trace],
-        restrict_to: set[int] | None = None,
-    ) -> tuple[list[Sample], list[int], list[int]]:
-        """Group a trace set's executions by ``(stmt_id, operand_values)``.
+        sets: list[tuple[dict[int, StatementContext], list[Trace], set[int] | None]],
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Group every set's executions by ``(set, stmt_id, operand values)``.
 
-        Returns ``(samples, stmt_ids, counts)`` in first-seen order: one
-        representative sample per distinct group plus the group's
-        execution multiplicity.  Inference cost then scales with the
-        number of *distinct* samples, not executions — across cycles and
-        traces the same statement overwhelmingly re-executes with values
-        it has already been seen with.
-
-        The set is deduplicated straight off its event logs
-        (:func:`_log_distinct`): every trace's lane is read in its log
-        (a vector suite's, an interpreter run's, or a pickled lane's)
-        and hand-assembled traces join one log of their records.  One
-        padded key matrix and one ``np.lexsort`` group the whole set
-        while preserving the exact first-seen order and counts of the
-        record-by-record loop, so both produce bit-identical attention
-        maps.  The record loop remains as the fallback when a trace
-        holds >63-bit values (``object`` log arrays).
+        Returns ``(keyed, lhs, counts)`` per group: the ``keyed`` row
+        ``[set index, stmt_id, operand values...]`` (values −1-padded to
+        the widest context), the LHS value of its first execution (the
+        label) and its execution count.  Groups come in first-seen order
+        within each set, sets in order, exactly as the record-by-record
+        loop groups them.  Inference cost then scales with the number of
+        *distinct* samples — across cycles and traces a statement
+        overwhelmingly re-executes with values it was already seen with.
+        One :func:`~repro.core.features.log_rows` gather reads every set
+        off its traces' event logs, and one ``np.lexsort``, the set index
+        leading, groups the whole call.
         """
-        return _log_distinct(contexts, traces, restrict_to)
+        keyed, lhs, order = log_rows(sets)
+        first, counts, _group = _group_rows(keyed, order)
+        return keyed[first], lhs[first], counts
 
     def attention_map(
         self,
@@ -283,79 +283,67 @@ class Explainer:
     ) -> list[AttentionMap]:
         """One attention map per ``(contexts, traces, restrict_to)`` set.
 
-        On the fast arm every set's distinct samples join one stream of
-        memoized rows (:meth:`_memoized_rows`), so the sets share forward
-        passes and memo entries; rows come back in stream order, so each
-        map accumulates its samples in first-seen order, exactly as if
-        its set were scored alone.  The reference arm scores each set on
-        its own, one autograd row per execution.
+        On the fast arm one :meth:`distinct_samples` call groups every
+        set's executions, the call's distinct ``(structure, operand
+        values)`` memo keys are scored once each (:meth:`_memoized_rows`),
+        so the sets share forward passes and memo entries, and each set's
+        map is the count-weighted mean of its groups' rows per statement
+        (:func:`mean_maps`), as if its set were scored alone.  The
+        reference arm scores each set on its own, one autograd row per
+        execution.
         """
         if not self.fast_inference:
             return [
                 self._attention_map_per_execution(contexts, traces, restrict_to, batch_size)
                 for contexts, traces, restrict_to in sets
             ]
-        maps: list[AttentionMap] = []
-        flat_samples: list[Sample] = []
-        flat_adds: list[tuple[AttentionMap, int, int]] = []
-        for contexts, traces, restrict_to in sets:
-            amap = AttentionMap()
-            samples, stmt_ids, counts = self.distinct_samples(
-                contexts, traces, restrict_to
-            )
-            flat_samples.extend(samples)
-            flat_adds.extend(
-                (amap, stmt_id, count) for stmt_id, count in zip(stmt_ids, counts)
-            )
-            maps.append(amap)
-        rows = self._memoized_rows(flat_samples, batch_size)
-        for weights, (amap, stmt_id, count) in zip(rows, flat_adds):
-            amap.add(stmt_id, weights, count)
-        return maps
+        keyed, lhs, counts = self.distinct_samples(sets)
+        if not len(counts):
+            return [AttentionMap() for _ in sets]
+        stream = np.arange(len(counts))
+        memo = self.model.attention_memo
+        # Per (set, statement) segment: its context, width and structure.
+        seg_first, _sizes, segment = _group_rows(keyed[:, :2], stream)
+        contexts = [sets[index][0][stmt_id] for index, stmt_id in keyed[seg_first, :2].tolist()]
+        widths = np.array([context.n_operands for context in contexts])[segment]
+        memo_keys = keyed[:, 1:].copy()
+        memo_keys[:, 0] = np.array(list(map(memo.structure_id, contexts)))[segment]
+        key_first, uses, key_of = _group_rows(memo_keys, stream)
+        key_widths = widths[key_first]
+        keys = memo.row_keys(memo_keys[key_first].tolist(), key_widths.tolist())
+        key_segments = segment[key_first].tolist()
+        labels = (lhs[key_first] != 0).view(np.int8).tolist()
+        rows = self._memoized_rows(
+            keys,
+            uses.tolist(),
+            lambda k: Sample(contexts[key_segments[k]], keys[k][1], labels[k]),
+            batch_size,
+        )
+        padded = np.zeros((len(rows), keyed.shape[1] - 2))
+        padded[np.arange(padded.shape[1]) < key_widths[:, None]] = np.concatenate(rows)
+        return mean_maps(len(sets), keyed[:, :2], padded[key_of], widths, counts)
 
-    def _memoized_rows(self, samples: list[Sample], batch_size: int) -> list:
-        """Attention row per sample, via the model's attention-row memo.
+    def _memoized_rows(self, keys, uses, make_sample, batch_size: int) -> list:
+        """Attention row per distinct memo key, via the attention-row memo.
 
-        Samples whose ``(structure, operand values)`` pair was already
-        scored — by an earlier trace set, mutant, or request — skip
-        encoding and the whole forward pass; samples *within* this call
-        sharing one memo key collapse onto a single representative
-        forward row (a statement's attention row is segment-local, so the
-        representative's row is bit-identical to recomputing each
-        duplicate).  Rows come back in sample order, so callers
-        accumulate attention maps in sample order.
+        ``keys[k]`` (:meth:`~repro.core.model.AttentionRowMemo.key_for`)
+        stands for the call's ``uses[k]`` distinct samples carrying it;
+        ``make_sample(k)`` builds its representative.  Each key is looked
+        up once; keys not scored before (by an earlier set, mutant or
+        request) are encoded in key order, ``batch_size`` rows per
+        forward pass, and stored.  An attention row is segment-local, so
+        one row serves every sample with the key.
         """
         memo = self.model.attention_memo
-        rows: list[np.ndarray | None] = [None] * len(samples)
-        # Each sample's key is built exactly once and reused for the
-        # dedup map, the memo lookup, and the store below.
-        pending_groups: list[list[int]] = []
-        pending_keys: list[tuple] = []
-        group_slot: dict = {}
-        key_for = memo.key_for
-        get_by_key = memo.get_by_key
-        for index, sample in enumerate(samples):
-            key = key_for(sample)
-            slot = group_slot.get(key)
-            if slot is not None:
-                pending_groups[slot].append(index)
-                continue
-            row = get_by_key(key)
-            if row is not None:
-                rows[index] = row
-            else:
-                group_slot[key] = len(pending_groups)
-                pending_groups.append([index])
-                pending_keys.append(key)
+        rows = [memo.get_by_key(key, n) for key, n in zip(keys, uses)]
+        misses = [k for k, row in enumerate(rows) if row is None]
         with inference_mode():
-            for start in range(0, len(pending_groups), batch_size):
-                chunk = pending_groups[start : start + batch_size]
-                batch = self.encoder.encode([samples[group[0]] for group in chunk])
-                output = self.model(batch)
-                for offset, weights in enumerate(output.attention_per_statement()):
-                    for index in chunk[offset]:
-                        rows[index] = weights
-                    memo.put_by_key(pending_keys[start + offset], weights)
+            for start in range(0, len(misses), batch_size):
+                chunk = misses[start : start + batch_size]
+                output = self.model(self.encoder.encode(list(map(make_sample, chunk))))
+                for k, row in zip(chunk, output.attention_per_statement()):
+                    rows[k] = row
+                    memo.put_by_key(keys[k], row)
         return rows
 
     def _attention_map_per_execution(

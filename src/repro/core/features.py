@@ -43,11 +43,15 @@ class ValueEncoder:
         return 3
 
     def one_hot(self, values: np.ndarray) -> np.ndarray:
-        """One-hot encode an array of values into ``[N, DEPTH]``."""
-        indices = np.array([self.encode(int(v)) for v in values], dtype=np.int64)
-        out = np.zeros((len(indices), self.DEPTH), dtype=np.float64)
-        if len(indices):
-            out[np.arange(len(indices)), indices] = 1.0
+        """One-hot encode an array of values into ``[N, DEPTH]``.
+
+        :meth:`encode` over the whole array at once, as bucket masks
+        (``object`` arrays of >63-bit values compare the same way).
+        """
+        values = np.asarray(values)
+        indices = np.select([values == 0, values == 1, values < 256], [0, 1, 2], 3)
+        out = np.zeros((len(values), self.DEPTH), dtype=np.float64)
+        out[np.arange(len(values)), indices] = 1.0
         return out
 
 
@@ -312,73 +316,88 @@ def operand_gather(
 
 
 def log_rows(
-    contexts: dict[int, StatementContext],
-    traces: list[Trace],
-    restrict_to: set[int] | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """A trace set's sample rows, gathered straight off its event logs.
+    sets: list[tuple[dict[int, StatementContext], list[Trace], set[int] | None]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every ``(contexts, traces, restrict_to)`` set's sample rows,
+    gathered straight off the traces' event logs.
 
-    Traces are grouped by log: the lanes of one suite log form one
+    Sets sharing their ``contexts`` and ``restrict_to`` objects (a
+    request's failing and correct sets) are one *kind*, with one
+    kept-statement mask and one gather plan per shape row; kinds share
+    neither, since a mutant can give a stmt id other operands.  Traces
+    are grouped by log and kind: the lanes of one suite log form one
     segment; one-lane logs sharing a shape table are read back to back
-    as one log whose events carry their trace position, and so are all
+    as one log whose events carry their trace position, and so are
     hand-assembled traces, in one log of their records
-    (:meth:`SuiteLog.from_records`).  Per log, events whose statement
-    is outside ``restrict_to`` or has no context with operands are
-    dropped *before* lanes expand; the kept events' active cells in the
-    set's lanes become rows, lane-major, whose operand values are
-    gathered in context-operand order (:func:`operand_gather`, one plan
-    per shape row).
+    (:meth:`SuiteLog.from_records`).  Per segment, events whose
+    statement is outside ``restrict_to`` or has no context with operands
+    are dropped *before* lanes expand; the kept events' active cells
+    become rows, whose operand values are gathered in context-operand
+    order (:func:`operand_gather`).
 
-    Returns ``(keyed, lhs, order)``: ``keyed`` is ``[R, 1 + W]``, a
-    row's stmt id then its operand values, −1-padded to the widest
-    context; ``order`` is the record-loop position ``trace position *
-    stride + event`` of each row.  None when some log holds >63-bit
-    values (``object`` arrays); callers then take the record loop.
+    Returns ``(keyed, lhs, order)``: ``keyed`` is ``[R, 2 + W]``, a row's
+    set index, stmt id, then its operand values, −1-padded to the widest
+    context; ``order`` is its record-loop position over all sets' traces
+    back to back, ``trace position * stride + event``.  Value arrays are
+    ``object`` when some log holds >63-bit values.
     """
-    by_log: dict[int, tuple[SuiteLog, list[int], list[int]]] = {}
-    by_table: dict[int, tuple[list[SuiteLog], list[int]]] = {}
-    plain: list[int] = []
-    for position, trace in enumerate(traces):
-        located = trace.execution_log()
-        if located is None:
-            plain.append(position)
-        elif located[0].n_lanes == 1:
-            logs, positions = by_table.setdefault(id(located[0].shapes), ([], []))
-            logs.append(located[0])
-            positions.append(position)
-        else:
-            log, lane = located
-            members = by_log.setdefault(id(log), (log, [], []))
-            members[1].append(lane)
-            members[2].append(position)
+    kinds: dict[tuple[int, int], int] = {}
+    kept: list[dict[int, StatementContext]] = []
+    flat: list[tuple[int, Trace]] = []
+    by_log: dict[tuple[int, int], tuple[SuiteLog, list[int], list[int]]] = {}
+    by_table: dict[tuple[int, int], tuple[list[SuiteLog], list[int]]] = {}
+    plain: dict[int, list[int]] = {}
+    for set_index, (contexts, traces, restrict_to) in enumerate(sets):
+        kind = kinds.setdefault((id(contexts), id(restrict_to)), len(kinds))
+        if kind == len(kept):
+            kept.append(
+                {
+                    stmt_id: context
+                    for stmt_id, context in contexts.items()
+                    if context.n_operands
+                    and (restrict_to is None or stmt_id in restrict_to)
+                }
+            )
+        for trace in traces:
+            position = len(flat)
+            flat.append((set_index, trace))
+            located = trace.execution_log()
+            if located is None:
+                plain.setdefault(kind, []).append(position)
+            elif located[0].n_lanes == 1:
+                logs, positions = by_table.setdefault(
+                    (id(located[0].shapes), kind), ([], [])
+                )
+                logs.append(located[0])
+                positions.append(position)
+            else:
+                log, lane = located
+                members = by_log.setdefault((id(log), kind), (log, [], []))
+                members[1].append(lane)
+                members[2].append(position)
     segments: list = [
-        (log, lanes, np.asarray(positions), None)
-        for log, lanes, positions in by_log.values()
+        (log, kind, lanes, np.asarray(positions), None)
+        for (_log, kind), (log, lanes, positions) in by_log.items()
     ]
     # One-lane logs over one table (interpreter runs, a shard's pickled
     # lanes of one suite) are read as one log, event by event.
-    for logs, positions in by_table.values():
+    for (_table, kind), (logs, positions) in by_table.items():
         lengths = [len(log.slots) for log in logs]
         log = logs[0] if len(logs) == 1 else _stacked(logs)
-        segments.append((log, [0], None, np.repeat(positions, lengths)))
-    if plain:
-        records = [traces[position].executions for position in plain]
+        segments.append((log, kind, [0], None, np.repeat(positions, lengths)))
+    for kind, positions in plain.items():
+        records = [flat[position][1].executions for position in positions]
         log = SuiteLog.from_records(chain.from_iterable(records))
-        segments.append((log, [0], None, np.repeat(plain, list(map(len, records)))))
-    if any(segment[0].wide for segment in segments):
-        return None
+        segments.append((log, kind, [0], None, np.repeat(positions, list(map(len, records)))))
 
-    kept = {
-        stmt_id: context
-        for stmt_id, context in contexts.items()
-        if context.n_operands and (restrict_to is None or stmt_id in restrict_to)
-    }
     stride = max((len(segment[0].slots) for segment in segments), default=0)
-    plans: dict[tuple[int, tuple[str, ...]], tuple[int, ...]] = {}
+    set_of = np.fromiter((set_index for set_index, _trace in flat), np.int64, len(flat))
+    plans: list[dict[tuple[int, tuple[str, ...]], tuple[int, ...]]] = [{} for _ in kept]
     pieces = []
-    for log, lanes, lane_positions, event_positions in segments:
+    for log, kind, lanes, lane_positions, event_positions in segments:
+        kept_stmts, kind_plans = kept[kind], plans[kind]
         kept_shape = np.fromiter(
-            map(kept.__contains__, log.stmt_ids.tolist()), bool, len(log.shapes)
+            map(kept_stmts.__contains__, log.stmt_ids.tolist()), bool, len(log.shapes)
         )
         events = np.flatnonzero(kept_shape[log.slots])
         if not events.size:
@@ -399,9 +418,11 @@ def log_rows(
         row_plans = []
         for row in kept_rows:
             stmt_id, _target, operands, _width = log.shapes[row]
-            plan = plans.get((stmt_id, operands))
+            plan = kind_plans.get((stmt_id, operands))
             if plan is None:
-                plan = plans[stmt_id, operands] = operand_gather(operands, kept[stmt_id])
+                plan = kind_plans[stmt_id, operands] = operand_gather(
+                    operands, kept_stmts[stmt_id]
+                )
             row_plans.append(plan)
         plan_matrix = np.full(
             (len(log.shapes), max(map(len, row_plans))), -1, dtype=np.int64
@@ -415,27 +436,27 @@ def log_rows(
         ]
         values[pad] = -1
         positions = (
-            lane_positions[lane_index]
-            if event_positions is None
-            else event_positions[events]
+            lane_positions[lane_index] if event_positions is None else event_positions[events]
         )
-        pieces.append(
-            (log.stmt_ids[rows], values, log.lhs[events, lane_of], positions * stride + events)
-        )
+        ids, lhs = log.stmt_ids[rows], log.lhs[events, lane_of]
+        pieces.append((set_of[positions], ids, values, lhs, positions * stride + events))
 
     if not pieces:
-        empty = np.zeros(0, np.int64)
-        return np.zeros((0, 1), np.int64), empty, empty
-    width = max(piece[1].shape[1] for piece in pieces)
-    keyed = np.full((sum(len(piece[0]) for piece in pieces), 1 + width), -1, np.int64)
+        return np.zeros((0, 2), np.int64), np.zeros(0, np.int64), np.zeros(0, np.int64)
+    n_rows = sum(len(piece[1]) for piece in pieces)
+    width = max(piece[2].shape[1] for piece in pieces)
+    wide = any(piece[2].dtype == object for piece in pieces)
+    # Column-major: the grouping reads the key matrix column by column.
+    keyed = np.full((n_rows, 2 + width), -1, object if wide else np.int64, order="F")
     start = 0
-    for ids, values, _lhs, _order in pieces:
-        keyed[start : start + len(ids), 0] = ids
-        keyed[start : start + len(ids), 1 : 1 + values.shape[1]] = values
-        start += len(ids)
-    lhs = np.concatenate([piece[2] for piece in pieces])
-    order = np.concatenate([piece[3] for piece in pieces])
-    return keyed, lhs, order
+    for set_index, ids, values, _lhs, _order in pieces:
+        stop = start + len(ids)
+        keyed[start:stop, 0] = set_index
+        keyed[start:stop, 1] = ids
+        keyed[start:stop, 2 : 2 + values.shape[1]] = values
+        start = stop
+    lhs = np.concatenate([piece[3] for piece in pieces])
+    return keyed, lhs, np.concatenate([piece[4] for piece in pieces])
 
 
 def _stacked(logs: list[SuiteLog]) -> SuiteLog:
@@ -458,7 +479,8 @@ def row_samples(
     contexts: dict[int, StatementContext],
     design: str = "",
 ) -> list[Sample]:
-    """One sample per :func:`log_rows` row: its context, values and label."""
+    """One sample per ``[stmt id, −1-padded operand values]`` row: its
+    context, values and label."""
     ends = {
         stmt_id: (contexts[stmt_id], 1 + contexts[stmt_id].n_operands)
         for stmt_id in np.unique(keyed[:, 0]).tolist()
@@ -478,28 +500,6 @@ def row_samples(
     return samples
 
 
-def record_samples(
-    contexts: dict[int, StatementContext],
-    traces: list[Trace],
-    restrict_to: set[int] | None = None,
-    design: str = "",
-):
-    """``(stmt_id, sample)`` per execution record, in trace order.
-
-    The record-by-record path, for sets holding >63-bit values.
-    """
-    for trace in traces:
-        for execution in trace.executions:
-            if restrict_to is not None and execution.stmt_id not in restrict_to:
-                continue
-            context = contexts.get(execution.stmt_id)
-            if context is None:
-                continue
-            sample = sample_from_execution(context, execution, design)
-            if sample is not None:
-                yield execution.stmt_id, sample
-
-
 def build_samples(
     contexts: dict[int, StatementContext],
     traces: list[Trace],
@@ -510,8 +510,7 @@ def build_samples(
 
     The rows come off the traces' event logs (:func:`log_rows`) and are
     put back in record order, trace by trace, so samples equal the
-    record-by-record loop's; sets holding >63-bit values take that loop
-    (:func:`record_samples`).
+    record-by-record loop's.
 
     Args:
         contexts: Statement contexts keyed by stmt_id.
@@ -522,13 +521,9 @@ def build_samples(
     Returns:
         Samples for every execution of every context-bearing statement.
     """
-    rows = log_rows(contexts, traces, restrict_to)
-    if rows is None:
-        pairs = record_samples(contexts, traces, restrict_to, design)
-        return [sample for _stmt_id, sample in pairs]
-    keyed, lhs, order = rows
+    keyed, lhs, order = log_rows([(contexts, traces, restrict_to)])
     sort = np.argsort(order, kind="stable")
-    return row_samples(keyed[sort], lhs[sort], contexts, design)
+    return row_samples(keyed[sort, 1:], lhs[sort], contexts, design)
 
 
 def train_test_split(

@@ -145,16 +145,14 @@ class LocalizationEngine:
         """Localize several failures with shared forward passes.
 
         Every request's ``Ft`` and ``Ct`` come from one
-        :meth:`Explainer.attention_maps` call: on the fast arm all
-        requests' distinct samples are concatenated into one stream and
-        encoded into ``batch_size``-row model calls,
-        so the per-call overhead (LSTM step loop, op dispatch) is
-        amortized across mutants instead of being paid per small trace
-        set; the attention-row memo collapses whole ``(structure,
-        operand values)`` repeats — the golden/mutant overlap — onto a
-        single forward row each.  Attention weights are segment-local, so
-        a sample's weights do not depend on which batch it lands in, and
-        each result equals localizing its request alone.
+        :meth:`Explainer.attention_maps` call: on the fast arm one
+        grouping covers every request's sets, and each distinct
+        ``(structure, operand values)`` key of the call — the
+        golden/mutant overlap included — is scored once, in
+        ``batch_size``-row model calls shared across mutants.  Attention
+        weights are segment-local, so a sample's weights do not depend on
+        which batch it lands in, and each result equals localizing its
+        request alone.
 
         Args:
             requests: The pending localizations, in result order.

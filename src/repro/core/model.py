@@ -103,8 +103,10 @@ class _EpochLRU:
         """Mark a request boundary (one localization call = one epoch)."""
         self._epoch += 1
 
-    def get_by_key(self, key) -> np.ndarray | None:
-        """The entry stored under ``key``, or None (counted either way)."""
+    def get_by_key(self, key, uses: int = 1) -> np.ndarray | None:
+        """The entry stored under ``key``, or None.  A lookup made for
+        ``uses`` callers counts ``uses`` hits, or one miss (one value is
+        computed for all of them)."""
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
@@ -112,9 +114,9 @@ class _EpochLRU:
         # LRU touch: re-insert so dict order tracks recency.
         del self._entries[key]
         self._entries[key] = entry
-        self.hits += 1
+        self.hits += uses
         if entry[0] != self._epoch:
-            self.cross_epoch_hits += 1
+            self.cross_epoch_hits += uses
         return entry[1]
 
     def put_by_key(self, key, value: np.ndarray) -> None:
@@ -214,17 +216,32 @@ class AttentionRowMemo(_EpochLRU):
     Only attention rows are memoized — never logits — so ``predict`` and
     evaluation semantics are untouched; the memo is consulted by the
     explainer's fast path (``Explainer._memoized_rows``) exclusively,
-    never by ``forward``.  The hot loop there builds each sample's key
-    once with :meth:`key_for` and reuses it for the dedup group map,
-    :meth:`get_by_key` and :meth:`put_by_key` — the key tuple hashes its
-    fingerprints on every dict op, so rebuilding it per operation is
-    measurable at 10^4 samples per call.
+    never by ``forward``.
+
+    A key is ``(structure id, operand values)``, a tuple of ints: each
+    distinct :meth:`StatementContext.statement_key` is interned once
+    (:meth:`structure_id`; ids do not depend on the weights, so they
+    outlive :meth:`clear`).  The explainer looks each distinct key of a
+    ``localize_many`` call up once, for all the call's samples with it.
     """
 
+    def __init__(self, max_entries: int = 100_000):
+        super().__init__(max_entries)
+        self._structures: dict[tuple, int] = {}
+
+    def structure_id(self, context: StatementContext) -> int:
+        """The small int interned for the context's statement structure."""
+        return self._structures.setdefault(context.statement_key(), len(self._structures))
+
+    def key_for(self, sample: Sample) -> tuple[int, tuple[int, ...]]:
+        """Memo key: the statement's structure id plus operand values."""
+        return (self.structure_id(sample.context), sample.operand_values)
+
     @staticmethod
-    def key_for(sample: Sample) -> tuple:
-        """Memo key: the statement's structural key plus operand values."""
-        return (sample.context.statement_key(), sample.operand_values)
+    def row_keys(rows: list[list[int]], widths: list[int]) -> list[tuple[int, tuple[int, ...]]]:
+        """The memo key of each ``[structure id, operand values...]`` row
+        whose values are padded past its ``widths`` entry."""
+        return [(row[0], tuple(row[1 : 1 + width])) for row, width in zip(rows, widths)]
 
     def get(self, sample: Sample) -> np.ndarray | None:
         """The memoized attention row for the sample, or None."""

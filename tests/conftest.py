@@ -171,16 +171,9 @@ def assert_executions_identical(actual, expected, record_set=None):
         assert np.array_equal(a, b), name
 
 
-def record_loop_distinct(contexts, traces, restrict_to=None):
-    """Reference execution dedup, one record at a time.
-
-    Iterates every trace's execution records through
-    ``sample_from_execution`` and groups them by ``(stmt_id,
-    operand_values)`` in first-seen order.  Returns one ``(stmt_id,
-    operand_values, label, context stmt_id, count)`` tuple per group; the
-    label is the group's first execution's.
-    """
-    groups: dict[tuple, list] = {}
+def record_loop_samples(contexts, traces, restrict_to=None):
+    """Reference sample extraction: ``(stmt_id, sample)`` per execution
+    record, in trace order, through ``sample_from_execution``."""
     for trace in traces:
         for execution in trace.executions:
             stmt_id = execution.stmt_id
@@ -190,43 +183,63 @@ def record_loop_distinct(contexts, traces, restrict_to=None):
             ):
                 continue
             sample = sample_from_execution(context, execution)
-            if sample is None:
-                continue
-            group = groups.get((stmt_id, sample.operand_values))
-            if group is None:
-                groups[(stmt_id, sample.operand_values)] = [
-                    stmt_id,
-                    sample.operand_values,
-                    sample.label,
-                    context.stmt_id,
-                    1,
-                ]
-            else:
-                group[-1] += 1
+            if sample is not None:
+                yield stmt_id, sample
+
+
+def record_loop_distinct(contexts, traces, restrict_to=None):
+    """Reference execution dedup, one record at a time.
+
+    Groups :func:`record_loop_samples` by ``(stmt_id, operand_values)``
+    in first-seen order.  Returns one ``(stmt_id, operand_values, label,
+    context stmt_id, count)`` tuple per group; the label is the group's
+    first execution's.
+    """
+    groups: dict[tuple, list] = {}
+    for stmt_id, sample in record_loop_samples(contexts, traces, restrict_to):
+        group = groups.get((stmt_id, sample.operand_values))
+        if group is None:
+            groups[(stmt_id, sample.operand_values)] = [
+                stmt_id,
+                sample.operand_values,
+                sample.label,
+                sample.context.stmt_id,
+                1,
+            ]
+        else:
+            group[-1] += 1
     return [tuple(group) for group in groups.values()]
+
+
+def distinct_groups(explainer, sets):
+    """``Explainer.distinct_samples`` over ``sets``, per set in
+    :func:`record_loop_distinct`'s tuple form."""
+    keyed, lhs, counts = explainer.distinct_samples(sets)
+    assert len(keyed) == len(lhs) == len(counts)
+    groups = [[] for _ in sets]
+    for row, value, count in zip(keyed.tolist(), lhs.tolist(), counts.tolist()):
+        set_index, stmt_id = row[:2]
+        context = sets[set_index][0][stmt_id]
+        values = tuple(row[2 : 2 + context.n_operands])
+        assert all(v == -1 for v in row[2 + context.n_operands :])
+        label = 1 if value != 0 else 0
+        groups[set_index].append((stmt_id, values, label, context.stmt_id, count))
+    return groups
 
 
 @pytest.fixture(scope="session")
 def check_dedup(vocab):
     """Assert ``Explainer.distinct_samples`` equals the record loop.
 
-    The returned function compares samples (operand values, label,
-    context stmt id), stmt ids and counts exactly, in order, and returns
-    the groups.
+    The returned function compares the groups' stmt ids, operand values,
+    labels, context stmt ids and counts exactly, in order, and returns
+    them.
     """
     explainer = Explainer(VeriBugModel(VeriBugConfig(), vocab), BatchEncoder(vocab))
 
     def check(contexts, traces, restrict_to=None):
-        samples, stmt_ids, counts = explainer.distinct_samples(
-            contexts, traces, restrict_to
-        )
-        got = [
-            (stmt_id, sample.operand_values, sample.label, sample.context.stmt_id, n)
-            for sample, stmt_id, n in zip(samples, stmt_ids, counts)
-        ]
-        assert len(samples) == len(stmt_ids) == len(counts)
-        want = record_loop_distinct(contexts, traces, restrict_to)
-        assert got == want
+        (got,) = distinct_groups(explainer, [(contexts, traces, restrict_to)])
+        assert got == record_loop_distinct(contexts, traces, restrict_to)
         return got
 
     return check

@@ -129,8 +129,8 @@ class TestSlicing:
     def dynamic_slice(module, target, stimulus):
         sl = compute_static_slice(module, target)
         trace = Simulator(module).run(stimulus)
-        keyed, _lhs, order = log_rows(design_index(module).contexts(target), [trace], sl.stmt_ids)
-        return sl, keyed[:, 0].tolist(), order.tolist()
+        keyed, _lhs, order = log_rows([(design_index(module).contexts(target), [trace], sl.stmt_ids)])
+        return sl, keyed[:, 1].tolist(), order.tolist()
 
     def test_dynamic_slice_excludes_untaken(self, arbiter):
         _, stmt_ids, _ = self.dynamic_slice(

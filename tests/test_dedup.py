@@ -3,8 +3,9 @@
 ``Explainer.distinct_samples`` groups a whole trace set's executions
 straight off its event logs (one key matrix, one ``np.lexsort``):
 every recorded trace's lane in its log, hand-assembled traces in one
-log of their records.  Its output — samples, stmt ids and counts, in
-first-seen order — must equal the record-by-record loop exactly (the
+log of their records.  Its output — stmt ids, operand values, labels
+and counts, in first-seen order — must equal the record-by-record loop
+exactly (the
 ``check_dedup`` fixture), on synthetic logs built to hit every corner
 of the key matrix and on real ragged vector-suite lanes.  Training
 samples gathered off the same rows must equal the record loop's, in
@@ -17,11 +18,13 @@ from hypothesis import strategies as st
 
 from repro.analysis import compute_static_slice, extract_module_contexts
 from repro.analysis.contexts import OperandInstance, StatementContext
-from repro.core.features import build_samples, record_samples
+from repro.core.features import build_samples
 from repro.datagen.mutation import apply_mutation, mutate_statement, sample_mutations
 from repro.designs import design_info, load_design
 from repro.sim import Simulator, TestbenchConfig, generate_testbench_suite
 from repro.sim.trace import SuiteLog, Trace, _LazyExecutions
+
+from conftest import record_loop_samples
 
 NAMES = "abcd"
 #: Small values collide often; the large one needs all of an int64.
@@ -108,7 +111,7 @@ def test_synthetic_samples_match_record_loop(case):
     """Training samples gathered off the logs come out in record order,
     equal to the record-by-record loop's."""
     contexts, traces, restrict_to = case
-    want = [sample for _stmt_id, sample in record_samples(contexts, traces, restrict_to)]
+    want = [sample for _stmt_id, sample in record_loop_samples(contexts, traces, restrict_to)]
     assert build_samples(contexts, traces, restrict_to=restrict_to) == want
 
 

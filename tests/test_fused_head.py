@@ -591,6 +591,14 @@ class TestAttentionRowMemo:
 # ----------------------------------------------------------------------
 
 
+def memoized_rows(explainer, samples):
+    """The fast arm's memoized attention row per sample."""
+    keys = [explainer.model.attention_memo.key_for(sample) for sample in samples]
+    return explainer._memoized_rows(
+        keys, [1] * len(keys), samples.__getitem__, batch_size=8
+    )
+
+
 class TestWeightInvalidation:
     def _warm_memo(self, model):
         encoder = BatchEncoder(model.vocab)
@@ -608,7 +616,7 @@ class TestWeightInvalidation:
             )
             for i in range(4)
         ]
-        rows = explainer._memoized_rows(samples, batch_size=8)
+        rows = memoized_rows(explainer, samples)
         assert len(model.attention_memo) > 0
         return samples, rows
 
@@ -622,7 +630,7 @@ class TestWeightInvalidation:
         assert len(model.context_cache) == 0
         # Recomputed rows reflect the new weights, not the stale memo.
         explainer = Explainer(model, BatchEncoder(model.vocab))
-        fresh = explainer._memoized_rows(samples, batch_size=8)
+        fresh = memoized_rows(explainer, samples)
         assert any(
             not np.array_equal(old, new) for old, new in zip(rows, fresh)
         )

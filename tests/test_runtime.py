@@ -539,9 +539,8 @@ class TestColumnarTraces:
         (back,) = self._roundtrip([trace])
         assert list(back.executions) == wide
 
-        # int64-log traces first, the object-log trace last: the log
-        # dedup must bail out before accumulating anything, or the
-        # record loop would count the narrow traces twice.
+        # int64-log traces first, the object-log trace last: one key
+        # matrix holds them all, as ``object``, and groups across them.
         contexts = {
             0: StatementContext(
                 stmt_id=0,
