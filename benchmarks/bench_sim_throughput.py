@@ -21,8 +21,10 @@ The ``vector_single`` column runs the same traces one at a time
 (``Simulator.run``, a one-lane suite each) — the cost of a caller that
 simulates a single trace — and ``single_speedup_*`` reports it against
 the interpreter.
-The vector arm also reports whether the design's program is
-``levelized`` (one comb pass per cycle instead of the fixpoint loop).
+The vector arms also report whether the design's program is
+``levelized`` (one comb pass per cycle instead of the fixpoint loop) and
+the lane ``field_bits`` it packs at (8, 16, 32 or 64; 0 on a scalar
+fallback).
 
 The ``--record`` arm selects the workload: ``on`` (trace-learning
 workload, execution recording active), ``off`` (golden-trace workload,
@@ -75,6 +77,7 @@ from repro.sim import (  # noqa: E402
     clear_compile_cache,
     generate_testbench_suite,
 )
+from repro.sim.vector import field_bits  # noqa: E402
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -247,6 +250,7 @@ def bench_design(
             stats["scalar_fallback"] = not simulator.lockstep
             # One comb pass per cycle instead of the fixpoint loop.
             stats["levelized"] = simulator.lockstep and simulator.program.levelized
+            stats["field_bits"] = field_bits(simulator.program)
             # Warm the per-stream codegen caches with one-lane suites so
             # the timed runs measure steady-state throughput; the
             # one-time code generation cost is reported separately.
@@ -264,12 +268,15 @@ def bench_design(
         )
         row[engine] = stats
         if engine == "vector":
-            row["vector_single"] = _time_runs(
-                lambda suite, record: [simulator.run(s, record=record) for s in suite],
-                list(stimuli),
-                arms,
-                total_cycles,
-            )
+            row["vector_single"] = {
+                "field_bits": stats["field_bits"],
+                **_time_runs(
+                    lambda suite, record: [simulator.run(s, record=record) for s in suite],
+                    list(stimuli),
+                    arms,
+                    total_cycles,
+                ),
+            }
 
     for arm in arms:
         interpreted_s = row["interpreted"][arm]["wall_s"]

@@ -308,14 +308,13 @@ class Explainer:
         widths = np.array([context.n_operands for context in contexts])[segment]
         memo_keys = keyed[:, 1:].copy()
         memo_keys[:, 0] = np.array(list(map(memo.structure_id, contexts)))[segment]
-        key_first, uses, key_of = _group_rows(memo_keys, stream)
+        key_first, _sizes, key_of = _group_rows(memo_keys, stream)
         key_widths = widths[key_first]
         keys = memo.row_keys(memo_keys[key_first].tolist(), key_widths.tolist())
         key_segments = segment[key_first].tolist()
         labels = (lhs[key_first] != 0).view(np.int8).tolist()
         rows = self._memoized_rows(
             keys,
-            uses.tolist(),
             lambda k: Sample(contexts[key_segments[k]], keys[k][1], labels[k]),
             batch_size,
         )
@@ -323,19 +322,19 @@ class Explainer:
         padded[np.arange(padded.shape[1]) < key_widths[:, None]] = np.concatenate(rows)
         return mean_maps(len(sets), keyed[:, :2], padded[key_of], widths, counts)
 
-    def _memoized_rows(self, keys, uses, make_sample, batch_size: int) -> list:
+    def _memoized_rows(self, keys, make_sample, batch_size: int) -> list:
         """Attention row per distinct memo key, via the attention-row memo.
 
         ``keys[k]`` (:meth:`~repro.core.model.AttentionRowMemo.key_for`)
-        stands for the call's ``uses[k]`` distinct samples carrying it;
+        stands for every distinct sample of the call carrying it;
         ``make_sample(k)`` builds its representative.  Each key is looked
-        up once; keys not scored before (by an earlier set, mutant or
-        request) are encoded in key order, ``batch_size`` rows per
-        forward pass, and stored.  An attention row is segment-local, so
+        up once (one hit or one miss); keys not scored before (by an
+        earlier set, mutant or request) are encoded in key order,
+        ``batch_size`` rows per forward pass, and stored.  An attention row is segment-local, so
         one row serves every sample with the key.
         """
         memo = self.model.attention_memo
-        rows = [memo.get_by_key(key, n) for key, n in zip(keys, uses)]
+        rows = [memo.get_by_key(key) for key in keys]
         misses = [k for k, row in enumerate(rows) if row is None]
         with inference_mode():
             for start in range(0, len(misses), batch_size):

@@ -103,10 +103,9 @@ class _EpochLRU:
         """Mark a request boundary (one localization call = one epoch)."""
         self._epoch += 1
 
-    def get_by_key(self, key, uses: int = 1) -> np.ndarray | None:
-        """The entry stored under ``key``, or None.  A lookup made for
-        ``uses`` callers counts ``uses`` hits, or one miss (one value is
-        computed for all of them)."""
+    def get_by_key(self, key) -> np.ndarray | None:
+        """The entry stored under ``key``, or None; one lookup counts one
+        hit or one miss, however many callers share its value."""
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
@@ -114,9 +113,9 @@ class _EpochLRU:
         # LRU touch: re-insert so dict order tracks recency.
         del self._entries[key]
         self._entries[key] = entry
-        self.hits += uses
+        self.hits += 1
         if entry[0] != self._epoch:
-            self.cross_epoch_hits += uses
+            self.cross_epoch_hits += 1
         return entry[1]
 
     def put_by_key(self, key, value: np.ndarray) -> None:

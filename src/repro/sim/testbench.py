@@ -15,15 +15,15 @@ items are lazy per-trace lists of ``{input: value}`` frames.
 
 Every trace draws from its own MT19937 stream, bit-identical to the
 per-bit ``random.Random(seed).random()`` walk (kept as the oracle in the
-tests): the seeded state of ``random.Random`` is transplanted into a
-numpy ``RandomState`` so a trace's whole entropy comes from one bulk
-draw.
+tests): a numpy ``RandomState`` seeded with the same ``init_by_array``
+key as ``random.Random`` yields the same floats, so a trace's whole
+entropy comes from one bulk draw.
 """
 
 from __future__ import annotations
 
+import array
 import operator
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -294,22 +294,29 @@ class _LazyStimulus(_LazyList):
 def _replay_stream(seed: int, n: int) -> np.ndarray:
     """The first ``n`` floats ``random.Random(seed).random()`` would yield.
 
-    Both RNGs are MT19937; transplanting the freshly-seeded state of
-    ``random.Random`` into a ``numpy.random.RandomState`` replays the
-    identical float stream (CPython seeds via ``init_by_array``, which
-    numpy only applies to multi-word keys — so the state itself is
-    copied rather than the seed).  The key goes in as the tuple
-    ``getstate`` returns: ``set_state`` converts a tuple an order of
-    magnitude faster than a ``uint32`` array.
+    Both RNGs are MT19937 with the same float construction.  CPython
+    seeds an int with ``init_by_array`` over the 32-bit words of
+    ``abs(seed)``, least significant first (one zero word for 0), and
+    ``RandomState.seed`` runs the same ``init_by_array`` for a key that
+    is not a scalar.  An ``array.array`` key is never a scalar, one word
+    included; a one-word numpy array would squeeze to the scalar
+    (``init_genrand``) path and yield another stream.
     """
-    key = random.Random(seed).getstate()[1]
+    magnitude = abs(seed)
+    key = array.array(
+        "I",
+        [
+            (magnitude >> shift) & 0xFFFFFFFF
+            for shift in range(0, max(magnitude.bit_length(), 1), 32)
+        ],
+    )
     global _NP_STATE
     if _NP_STATE is None:
         # Constructing a RandomState draws OS entropy; reuse one and
-        # overwrite its state per call (the transplant makes every draw
-        # a pure function of ``seed`` regardless of prior use).
+        # reseed it per call (every draw is a pure function of ``seed``
+        # regardless of prior use).
         _NP_STATE = np.random.RandomState()
-    _NP_STATE.set_state(("MT19937", key[:624], key[624]))
+    _NP_STATE.seed(key)
     return _NP_STATE.random_sample(n)
 
 

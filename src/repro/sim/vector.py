@@ -5,21 +5,26 @@ generation, both benchmarks — simulates a *suite* of independent traces
 of one :class:`~repro.sim.compiler.CompiledProgram`.  This module runs
 each cycle once per *suite* with SWAR (SIMD-within-a-register) over
 Python big ints: every virtual register and every signal slot becomes a
-single arbitrary-precision integer packing N 64-bit lanes (one lane per
-trace), and each compiled instruction stream is translated once per
-program into a straight-line Python function of a handful of big-int
+single arbitrary-precision integer packing N lanes of ``F`` bits (one
+lane per trace), and each compiled instruction stream is translated once
+per program into a straight-line Python function of a handful of big-int
 expressions per opcode.
 
-Lane values occupy the low 63 bits of their field; bit 63 is a guard
-bit that carry/borrow tricks exploit:
+The field width ``F`` is a property of the program: the narrowest of 8,
+16, 32 and 64 bits whose low ``F - 1`` bits hold the widest value the
+width audit (:func:`_audit`) proves any register, slot or constant can
+take.  Narrow fields make every big int, every ``to_bytes`` and every
+``from_bytes`` proportionally shorter; a design of 32 bits or more packs
+at ``F = 64``.  Lane values occupy the low ``F - 1`` bits of their field;
+bit ``F - 1`` is a guard bit that carry/borrow tricks exploit:
 
-* ``ADD``: per-lane sums stay below ``2**64``, so a plain ``+`` cannot
+* ``ADD``: per-lane sums stay below ``2**F``, so a plain ``+`` cannot
   carry across lanes; masking restores the guard.
-* ``SUB``: ``(a | H) - b`` biases every lane by ``2**63`` so no lane
-  borrows; the low bits are exactly ``(a - b) mod 2**63``.
+* ``SUB``: ``(a | H) - b`` biases every lane by ``2**(F-1)`` so no lane
+  borrows; the low bits are exactly ``(a - b) mod 2**(F-1)``.
 * Compares: ``((x | H) - L) & H`` leaves the guard bit set exactly in
   the nonzero lanes, one subtraction for all N traces at once.
-* Predication masks expand a boolean lane bit to a full 64-bit field
+* Predication masks expand a boolean lane bit to a full ``F``-bit field
   via ``(H - c) ^ H``.
 
 Control flow is handled by predication over the compiler's forward-only
@@ -56,17 +61,19 @@ compare shape rows, cycles, values and dtypes.  A lane's outputs and
 stimulus are views of the suite's output matrix and stimulus arrays, not
 per-lane copies.
 
-Lanes are 63 bits wide: every simulated value must stay a nonnegative
-``int64`` on the wire.  :func:`vectorizable` audits a program's declared
+Lanes carry at most 63 value bits: every simulated value must stay a
+nonnegative ``int64`` on the wire, and every unpacked array is ``int64``
+whatever ``F`` is.  :func:`vectorizable` audits a program's declared
 widths and a conservative per-register width bound over every
 instruction stream; :func:`run_vector_suite` refuses a program that can
-overflow a lane, and :class:`~repro.sim.Simulator` runs such a design on
-the interpreter instead.
+overflow a 63-bit lane, and :class:`~repro.sim.Simulator` runs such a
+design on the interpreter instead.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import weakref
 from typing import Any, Callable, Sequence
 
@@ -128,11 +135,15 @@ from .recorder import ShapeRow
 from .testbench import StimulusSuite
 from .trace import SuiteLog, Trace, _LaneOutputs, _LazyExecutions
 
-#: Maximum signal/register width a lane can carry: values must stay
-#: nonnegative in an ``int64``, so 63 bits.
-_LANE_BITS = 63
-_LANE_MASK = (1 << _LANE_BITS) - 1
-_M64 = (1 << 64) - 1
+#: Lane field widths, narrowest first; a program packs at the first whose
+#: ``F - 1`` value bits hold its widest value (:func:`_field_bits`).  The
+#: widest leaves 63 value bits: values must stay nonnegative ``int64``.
+_FIELDS = (8, 16, 32, 64)
+
+#: Field width -> little-endian dtype of one packed lane.  Narrow lanes
+#: hold values below ``2**(F-1)`` and widen exactly to ``int64``; 64-bit
+#: lanes read as ``int64`` directly (a full-field mask reads as -1).
+_FIELD_DTYPE = {8: "<u1", 16: "<u2", 32: "<u4", 64: "<i8"}
 
 _JUMP_OPS = (JZ, JNZ, JMP)
 
@@ -142,22 +153,70 @@ _JUMP_OPS = (JZ, JNZ, JMP)
 # ----------------------------------------------------------------------
 
 
-def _stream_fits(code: tuple[tuple, ...], slot_widths: tuple[int, ...]) -> bool:
+#: Opcode -> positions of the registers an instruction reads.
+_READS: dict[int, tuple[int, ...]] = {
+    STORE: (2,), RECORD: (2,), NBA: (2,), JZ: (1,), JNZ: (1,),
+    SELECT: (2, 3, 4), SHLOR: (2, 4), STOREBIT: (2, 3), STOREPART: (2,),
+    **dict.fromkeys(
+        (AND, OR, XOR, EQ, NE, LT, LE, GT, GE, LAND, LOR, ADD, SUB, MUL, DIV,
+         MOD, SHL, SHR, XNOR, BITSEL),
+        (2, 3),
+    ),
+    **dict.fromkeys(
+        (NOT, NEG, MASK, LNOT, RAND, RNAND, ROR, RXOR, RNOR, RNXOR, PARTSEL, REPL),
+        (2,),
+    ),
+}
+
+
+#: Ops folded at translate time when every register they read is a literal.
+_FOLDS = frozenset((AND, OR, XOR, NOT, MASK))
+
+
+def _stream_width(code: tuple[tuple, ...], slot_widths: Sequence[int]) -> int:
     """Conservative per-register width audit of one instruction stream.
 
     Walks the stream linearly (jumps are forward-only, so every register
     is written before it is read in stream order) tracking an upper
-    bound on each register's bit width.  Returns False as soon as any
-    register value or instruction constant could exceed ``_LANE_BITS``
-    bits — the design then runs on the interpreter.
+    bound on each register's bit width, and returns the widest bound
+    (reduction mask constants included: they are SWAR operands too).
+
+    A register computed from literals alone by ``CONST``, ``AND``/``OR``/
+    ``XOR``, ``NOT`` or ``MASK`` is tracked by value: the emitter folds
+    those ops exactly so, and the value reaches the generated code only
+    where another instruction reads it, so it counts there, at its exact
+    width (``WBS1_ADDR & ~ADDR_MASK`` counts as narrow as its result, not
+    as the 32-bit ``~ADDR_MASK``).
     """
     w: dict[int, int] = {}
+    literals: dict[int, int] = {}
+    widest = 0
     for ins in code:
         op = ins[0]
+        if op == CONST:
+            literals[ins[1]] = value = int(ins[2])
+            w[ins[1]] = value.bit_length()
+            continue
+        if op in _FOLDS and all(ins[i] in literals for i in _READS[op]):
+            la = literals[ins[2]]
+            if op == AND:
+                value = la & literals[ins[3]]
+            elif op == OR:
+                value = la | literals[ins[3]]
+            elif op == XOR:
+                value = la ^ literals[ins[3]]
+            else:
+                value = la ^ ins[3] if op == NOT else la & ins[3]
+            literals[ins[1]] = value
+            w[ins[1]] = value.bit_length()
+            continue
+        reads = _READS.get(op)
+        if reads is not None and literals:
+            for position in reads:
+                if ins[position] in literals and w[ins[position]] > widest:
+                    widest = w[ins[position]]
         if op == LOAD:
             width = slot_widths[ins[2]]
-        elif op == CONST:
-            width = int(ins[2]).bit_length()
         elif op in (AND, OR, XOR):
             width = max(w.get(ins[2], 0), w.get(ins[3], 0))
         elif op == SELECT:
@@ -173,10 +232,7 @@ def _stream_fits(code: tuple[tuple, ...], slot_widths: tuple[int, ...]) -> bool:
         elif op == REPL:
             width = w.get(ins[2], 0) + int(ins[3]).bit_length()
         elif op in (RAND, RNAND):
-            # 1-bit result, but the reduction mask constant itself must
-            # fit a lane to be a legal SWAR operand.
-            if int(ins[3]).bit_length() > _LANE_BITS:
-                return False
+            widest = max(widest, int(ins[3]).bit_length())
             width = 1
         elif op in (
             EQ, NE, LT, LE, GT, GE, LNOT, LAND, LOR,
@@ -185,12 +241,12 @@ def _stream_fits(code: tuple[tuple, ...], slot_widths: tuple[int, ...]) -> bool:
             width = 1
         else:
             # Stores, jumps, RECORD, NBA: no register result.  Their
-            # slot masks are covered by the declared-width check.
+            # slot masks are covered by the declared widths.
             continue
-        if width > _LANE_BITS:
-            return False
+        if width > widest:
+            widest = width
         w[ins[1]] = width
-    return True
+    return widest
 
 
 def vectorizable(program: CompiledProgram) -> bool:
@@ -200,20 +256,26 @@ def vectorizable(program: CompiledProgram) -> bool:
     over every instruction stream (including non-blocking writers'
     dynamic index expressions).  The audit is cached per program.
     """
-    return _program_entry(program).ok
+    return field_bits(program) > 0
+
+
+def field_bits(program: CompiledProgram) -> int:
+    """The lane field width ``F`` (8, 16, 32 or 64) ``program`` packs at,
+    or 0 when it fails the lane audit (see :func:`vectorizable`)."""
+    return _program_entry(program).field
 
 
 class _ProgramEntry:
     """Everything the engine derives from one program, built on demand:
-    the lane audit verdict, the comb and seq code objects with their K
-    constants (None for an empty stream), and the passes bound per lane
-    count."""
+    its lane field width (0 when it fails the lane audit), the comb and
+    seq code objects with their K constants (None for an empty stream),
+    and the passes bound per lane count."""
 
-    __slots__ = ("ref", "ok", "code", "fns")
+    __slots__ = ("ref", "field", "code", "fns")
 
-    def __init__(self, ref: weakref.ref, ok: bool):
+    def __init__(self, ref: weakref.ref, field: int):
         self.ref = ref
-        self.ok = ok
+        self.field = field
         self.code: tuple[tuple[Any, dict[int, str]] | None, ...] | None = None
         self.fns: dict[int, tuple[Callable | None, ...]] = {}
 
@@ -227,96 +289,127 @@ def _program_entry(program: CompiledProgram) -> _ProgramEntry:
     entry = _PROGRAMS.get(key)
     if entry is None or entry.ref() is not program:
         ref = weakref.ref(program, lambda _r, _k=key: _PROGRAMS.pop(_k, None))
-        entry = _PROGRAMS[key] = _ProgramEntry(ref, _audit(program))
+        entry = _PROGRAMS[key] = _ProgramEntry(ref, _field_bits(_audit(program)))
     return entry
 
 
-def _audit(program: CompiledProgram) -> bool:
-    if any(width > _LANE_BITS for width in program.widths):
-        return False
+def _audit(program: CompiledProgram) -> int:
+    """The widest value any lane of ``program`` can hold, in bits.
+
+    The bound covers declared slot widths, parameter constants a record
+    fetches, and every stream's registers (non-blocking writers' dynamic
+    index code included).  A target program's selector slot is preset
+    lane by lane to a variant index and never written, so it counts at
+    the width of the largest index, not its declared width.
+    """
+    widths = list(program.widths)
+    if program.selector_slot >= 0:
+        widths[program.selector_slot] = program.n_variants.bit_length()
     streams = [program.comb, program.seq]
     for writer in program.nba_writers:
         if writer[0] == _W_BIT:  # dynamic index re-executed at commit
             streams.append(writer[3])
-    return all(_stream_fits(code, program.widths) for code in streams)
+    constants = [
+        value.bit_length()
+        for meta in program.metas
+        for slot, value in meta.fetch
+        if slot < 0
+    ]
+    return max(
+        max(widths, default=0),
+        max(constants, default=0),
+        *(_stream_width(code, widths) for code in streams),
+    )
+
+
+def _field_bits(width: int) -> int:
+    """The narrowest lane field whose ``F - 1`` value bits hold a
+    ``width``-bit value; 0 when none does (the program runs on the
+    interpreter)."""
+    return next((field for field in _FIELDS if width < field), 0)
 
 
 # ----------------------------------------------------------------------
 # Lane context and per-lane helper closures
 # ----------------------------------------------------------------------
 
-#: n -> (ones, L, H, ALL): the lane-replication multiplier, the bit-0
-#: lane mask, the guard-bit mask, and the all-bits mask.
-_CTX: dict[int, tuple[int, int, int, int]] = {}
+#: (n, F) -> (ones, L, H, ALL): the lane-replication multiplier, the
+#: bit-0 lane mask, the guard-bit mask, and the all-bits mask.
+_CTX: dict[tuple[int, int], tuple[int, int, int, int]] = {}
 
 
-def _lane_ctx(n: int) -> tuple[int, int, int, int]:
-    ctx = _CTX.get(n)
+def _lane_ctx(n: int, field: int) -> tuple[int, int, int, int]:
+    ctx = _CTX.get((n, field))
     if ctx is None:
-        ones = ((1 << (64 * n)) - 1) // _M64 if n else 0
-        ctx = _CTX[n] = (ones, ones, ones << 63, (1 << (64 * n)) - 1)
+        lane_all = (1 << (field * n)) - 1
+        ones = lane_all // ((1 << field) - 1)
+        ctx = _CTX[n, field] = (ones, ones, ones << (field - 1), lane_all)
     return ctx
 
 
-_HELPERS: dict[int, dict[str, Callable]] = {}
+_HELPERS: dict[tuple[int, int], dict[str, Callable]] = {}
 
 
-def _helpers(n: int) -> dict[str, Callable]:
+def _helpers(n: int, field: int) -> dict[str, Callable]:
     """Per-lane fallback closures for ops SWAR cannot express.
 
     ``MUL``/``DIV``/``MOD`` and variable-count shifts/bit-selects need a
     per-lane Python loop: a product can exceed the lane field before the
     result mask is applied, and shift counts differ per lane.  Each
     helper replicates the interpreter's exact semantics lane by lane.
+    Lane values sit below ``2**(F-1)``, so a shift by ``F - 1`` or more
+    leaves nothing, like the interpreter's clamp at 64.
     """
-    helpers = _HELPERS.get(n)
+    helpers = _HELPERS.get((n, field))
     if helpers is not None:
         return helpers
-    shifts = tuple(i << 6 for i in range(n))
+    shifts = tuple(i * field for i in range(n))
+    lane = (1 << field) - 1
+    top = field - 1
 
     def _mulv(a: int, b: int, m: int) -> int:
         r = 0
         for s in shifts:
-            r |= ((((a >> s) & _M64) * ((b >> s) & _M64)) & m) << s
+            r |= ((((a >> s) & lane) * ((b >> s) & lane)) & m) << s
         return r
 
     def _divv(a: int, b: int, m: int) -> int:
         r = 0
         for s in shifts:
-            bv = (b >> s) & _M64
+            bv = (b >> s) & lane
             if bv:
-                r |= ((((a >> s) & _M64) // bv) & m) << s
+                r |= ((((a >> s) & lane) // bv) & m) << s
         return r
 
     def _modv(a: int, b: int, m: int) -> int:
         r = 0
         for s in shifts:
-            bv = (b >> s) & _M64
+            bv = (b >> s) & lane
             if bv:
-                r |= ((((a >> s) & _M64) % bv) & m) << s
+                r |= ((((a >> s) & lane) % bv) & m) << s
         return r
 
     def _shlv(a: int, b: int, m: int) -> int:
         r = 0
         for s in shifts:
-            sh = (b >> s) & _M64
-            if sh < 64:
-                r |= ((((a >> s) & _M64) << sh) & m) << s
+            sh = (b >> s) & lane
+            if sh < field:
+                r |= ((((a >> s) & lane) << sh) & m) << s
         return r
 
     def _shrv(a: int, b: int) -> int:
         r = 0
         for s in shifts:
-            sh = (b >> s) & _M64
-            if sh < _LANE_BITS:
-                r |= (((a >> s) & _M64) >> sh) << s
+            sh = (b >> s) & lane
+            if sh < top:
+                r |= (((a >> s) & lane) >> sh) << s
         return r
 
     def _bitselv(a: int, b: int) -> int:
         r = 0
         for s in shifts:
-            sh = (b >> s) & _M64
-            if sh < _LANE_BITS:
+            sh = (b >> s) & lane
+            if sh < top:
                 r |= (((a >> s) >> sh) & 1) << s
         return r
 
@@ -324,14 +417,14 @@ def _helpers(n: int) -> dict[str, Callable]:
         r = 0
         for s in shifts:
             cur = (row >> s) & fm
-            i = (idx >> s) & _M64
-            if i > 64:
-                i = 64
+            i = (idx >> s) & lane
+            if i > field:
+                i = field
             cur = (cur & ~(1 << i)) | (((src >> s) & 1) << i)
             r |= (cur & fm) << s
         return r
 
-    helpers = _HELPERS[n] = {
+    helpers = _HELPERS[n, field] = {
         "_mulv": _mulv,
         "_divv": _divv,
         "_modv": _modv,
@@ -348,49 +441,52 @@ def _helpers(n: int) -> dict[str, Callable]:
 # ----------------------------------------------------------------------
 
 
-def _unpack(values: Sequence[int], n: int) -> np.ndarray:
-    """Bulk-convert packed lane ints to an ``(len(values), n)`` matrix.
+def _unpack(values: Sequence[int], n: int, field: int) -> np.ndarray:
+    """Bulk-convert packed lane ints to an ``(len(values), n)`` int64 matrix.
 
-    One bytes join plus one zero-copy ``frombuffer`` instead of a numpy
-    conversion per value; lane data is < 2**63 so the signed view is
-    exact (full-field mask lanes read back as -1, which is all callers
-    need for the truthiness test).
+    One bytes join plus one zero-copy ``frombuffer`` of ``F``-bit fields
+    instead of a numpy conversion per value, widened to ``int64`` (exact:
+    lane data is < ``2**(F-1)``).  Full-field mask lanes read back
+    nonzero, which is all callers need for the truthiness test.
     """
-    nbytes = n * 8
+    nbytes = n * field // 8
     buf = b"".join([v.to_bytes(nbytes, "little") for v in values])
-    return np.frombuffer(buf, dtype="<i8").reshape(len(values), n)
+    lanes = np.frombuffer(buf, dtype=_FIELD_DTYPE[field]).reshape(len(values), n)
+    return lanes.astype(np.int64, copy=False)
 
 
 def unpack_events(
-    shapes: tuple[ShapeRow, ...], events: list[tuple], n: int
+    shapes: tuple[ShapeRow, ...], events: list[tuple], n: int, field: int
 ) -> SuiteLog:
     """One suite's event log as numpy arrays, one :class:`SuiteLog`.
 
     ``events`` holds the ``(slot, cycle, lhs, ops, active)`` tuples the
     generated passes append, in log order: lhs, each op and active are
-    packed lane ints (active None == all lanes).  An event no lane
-    executed (a ``RECORD`` under an arm no lane took) is dropped.  Packed
-    lane ints unpack in bulk (:func:`_unpack`); the few distinct active
-    masks that recur across events unpack once each.
+    lane ints packing ``n`` fields of ``field`` bits (active None == all
+    lanes).  An event no lane executed (a ``RECORD`` under an arm no lane
+    took) is dropped.  Packed lane ints unpack in bulk (:func:`_unpack`);
+    the few distinct active masks that recur across events unpack once
+    each.
     """
     events = [event for event in events if event[4] != 0]
-    lane_all = _lane_ctx(n)[3]
-    fields: tuple[tuple[Any, ...], ...] = tuple(zip(*events)) or ((),) * 5
-    slots, cycles, lhs, ops, masks = fields
+    lane_all = _lane_ctx(n, field)[3]
+    columns: tuple[tuple[Any, ...], ...] = tuple(zip(*events)) or ((),) * 5
+    slots, cycles, lhs, ops, masks = columns
     flat = [value for values in ops for value in values]
     distinct = {mask: index for index, mask in enumerate(dict.fromkeys(masks))}
     which = np.fromiter(map(distinct.__getitem__, masks), np.int64, len(events))
     # Lane-major in memory (an ``[E, N]`` view of ``[N, E]``): the
     # dedup, sample gathers and lane slices read the mask by lane.
     active = (
-        _unpack([lane_all if mask is None else mask for mask in distinct], n) != 0
+        _unpack([lane_all if mask is None else mask for mask in distinct], n, field)
+        != 0
     ).T[:, which].T
     return SuiteLog(
         shapes,
         np.array(slots, dtype=np.int64),
         np.array(cycles, dtype=np.int64),
-        _unpack(lhs, n),
-        _unpack(flat, n) if flat else np.zeros((0, n), dtype=np.int64),
+        _unpack(lhs, n, field),
+        _unpack(flat, n, field) if flat else np.zeros((0, n), dtype=np.int64),
         active,
     )
 
@@ -434,16 +530,27 @@ class _StreamEmitter:
     taken jump moves the taking lanes into a fresh join mask that is
     OR-ed back into ``act`` at the jump target (jumps are forward-only,
     so every join mask is assigned before its target is reached).
+
+    ``field`` is the program's lane width ``F``: the guard bit is bit
+    ``F - 1`` and every value, register and K constant fits below it
+    (the program's width audit proves so), which the constant-shift and
+    select clamps below rely on.
     """
 
     def __init__(
         self,
         program: CompiledProgram,
         code: tuple[tuple, ...],
+        field: int,
         by_statement: bool = False,
     ):
         self.program = program
         self.code = code
+        self.field = field
+        #: The guard bit, which is also the number of value bits.
+        self.top = field - 1
+        #: All value bits of one lane.
+        self.value_mask = (1 << self.top) - 1
         self.by_statement = by_statement
         self.lines: list[str] = []
         #: ``(footer sort key, n)`` per RECORD, whose event is local ``_v<n>``.
@@ -506,21 +613,21 @@ class _StreamEmitter:
     # -- SWAR expression builders ---------------------------------------
     def nz(self, x: str) -> str:
         """Bool lane bit: 1 in bit 0 of every lane where ``x`` != 0."""
-        return f"((((({x}) | H) - L) & H) >> 63)"
+        return f"((((({x}) | H) - L) & H) >> {self.top})"
 
     def boolbit(self, reg: int) -> str:
         r = self.ref(reg)
         return r if self.is_bool(reg) else self.nz(r)
 
     def fieldmask(self, boolexpr: str) -> str:
-        """Expand a bool lane bit to a full-field (64-bit) lane mask."""
+        """Expand a bool lane bit to a full-field (``F``-bit) lane mask."""
         return f"((H - {boolexpr}) ^ H)"
 
     def _ge(self, a: str, b: str) -> str:
-        return f"(((({a} | H) - {b}) & H) >> 63)"
+        return f"(((({a} | H) - {b}) & H) >> {self.top})"
 
     def _lt(self, a: str, b: str) -> str:
-        return f"((((({a} | H) - {b}) ^ H) & H) >> 63)"
+        return f"((((({a} | H) - {b}) ^ H) & H) >> {self.top})"
 
     # -- effects --------------------------------------------------------
     def env_ref(self, slot: int) -> str:
@@ -715,7 +822,8 @@ class _StreamEmitter:
                     f"({self.ref(ins[2])} + {self.ref(ins[3])}) & {self.K(ins[4])}",
                 )
             elif op == SUB:
-                # Guard-bit bias: no lane borrows, low bits are (a-b) mod 2**63.
+                # Guard-bit bias: no lane borrows, low bits are
+                # (a-b) mod 2**(F-1).
                 self.set_reg(
                     ins[1],
                     f"(({self.ref(ins[2])} | H) - {self.ref(ins[3])})"
@@ -778,7 +886,7 @@ class _StreamEmitter:
             if la is not None:
                 rv[ins[1]] = ("l", -la & ins[3])
             else:
-                # (2**63 - a) mod 2**w == (-a) mod 2**w for w <= 63.
+                # (2**(F-1) - a) mod 2**w == (-a) mod 2**w for w <= F-1.
                 self.set_reg(
                     ins[1], f"(H - {self.ref(ins[2])}) & {self.K(ins[3])}"
                 )
@@ -798,10 +906,12 @@ class _StreamEmitter:
         elif op == SHL:
             la, lb = self.lit(ins[2]), self.lit(ins[3])
             if la is not None and lb is not None:
-                clamped = lb if lb < 64 else 64
+                # Literals fit F-1 bits: clamping at F drops what the
+                # interpreter's clamp at 64 drops.
+                clamped = lb if lb < self.field else self.field
                 rv[ins[1]] = ("l", (la << clamped) & ins[4])
             elif lb is not None:
-                pre = ins[4] >> lb if lb < _LANE_BITS else 0
+                pre = ins[4] >> lb if lb < self.top else 0
                 if pre == 0:
                     rv[ins[1]] = ("l", 0)
                 else:
@@ -818,17 +928,17 @@ class _StreamEmitter:
         elif op == SHR:
             la, lb = self.lit(ins[2]), self.lit(ins[3])
             if la is not None and lb is not None:
-                rv[ins[1]] = ("l", la >> (lb if lb < 64 else 64))
+                rv[ins[1]] = ("l", la >> (lb if lb < self.field else self.field))
             elif lb is not None:
-                if lb >= _LANE_BITS:
+                if lb >= self.top:
                     rv[ins[1]] = ("l", 0)
                 else:
-                    # Kept bits sit below 63-c; neighbour-lane bleed sits at
-                    # 64-c and above — the shifted lane mask separates them.
+                    # Kept bits sit below F-1-c; neighbour-lane bleed sits
+                    # at F-c and above — the shifted lane mask separates them.
                     self.set_reg(
                         ins[1],
                         f"({self.ref(ins[2])} >> {lb})"
-                        f" & {self.K(_LANE_MASK >> lb)}",
+                        f" & {self.K(self.value_mask >> lb)}",
                     )
             else:
                 self.set_reg(
@@ -871,12 +981,13 @@ class _StreamEmitter:
                         ins[1], f"{self.ref(ins[2])} ^ L", bool_result=True
                     )
             else:
-                # Masked parity fold; each fold halves the live width and
-                # the mask kills neighbour-lane bleed.
+                # Masked parity fold from F/2 bits down; each fold halves
+                # the live width and the mask kills neighbour-lane bleed.
                 self.emit(f"_x = {self.ref(ins[2])}")
-                for sh, m in ((32, 0xFFFFFFFF), (16, 0xFFFF), (8, 0xFF),
-                              (4, 0xF), (2, 0x3)):
-                    self.emit(f"_x = (_x ^ (_x >> {sh})) & {self.K(m)}")
+                sh = self.field // 2
+                while sh > 1:
+                    self.emit(f"_x = (_x ^ (_x >> {sh})) & {self.K((1 << sh) - 1)}")
+                    sh //= 2
                 final = "(_x ^ (_x >> 1)) & L"
                 if op == RNXOR:
                     final = f"(({final}) ^ L)"
@@ -884,9 +995,9 @@ class _StreamEmitter:
         elif op == BITSEL:
             la, li = self.lit(ins[2]), self.lit(ins[3])
             if la is not None and li is not None:
-                rv[ins[1]] = ("l", (la >> min(li, 64)) & 1)
+                rv[ins[1]] = ("l", (la >> min(li, self.field)) & 1)
             elif li is not None:
-                if li >= _LANE_BITS:
+                if li >= self.top:
                     rv[ins[1]] = ("l", 0)
                 else:
                     self.set_reg(
@@ -902,13 +1013,13 @@ class _StreamEmitter:
                 )
         elif op == PARTSEL:
             la = self.lit(ins[2])
-            lsb, field = ins[3], ins[4]
+            lsb, part = ins[3], ins[4]
             if la is not None:
-                rv[ins[1]] = ("l", (la >> min(lsb, 64)) & field)
-            elif lsb >= _LANE_BITS:
+                rv[ins[1]] = ("l", (la >> min(lsb, self.field)) & part)
+            elif lsb >= self.top:
                 rv[ins[1]] = ("l", 0)
             else:
-                eff = field & (_LANE_MASK >> lsb)
+                eff = part & (self.value_mask >> lsb)
                 if eff == 0:
                     rv[ins[1]] = ("l", 0)
                 else:
@@ -925,7 +1036,7 @@ class _StreamEmitter:
             if lacc is not None and lpart is not None:
                 rv[ins[1]] = ("l", (lacc << k) | lpart)
             elif lacc is not None:
-                # Width audit bounds acc_width + shift <= 63: no bleed.
+                # Width audit bounds acc_width + shift <= F-1: no bleed.
                 if lacc << k:
                     self.set_reg(
                         ins[1], f"{self.ref(ins[4])} | {self.K(lacc << k)}"
@@ -946,7 +1057,7 @@ class _StreamEmitter:
             if la is not None:
                 rv[ins[1]] = ("l", la * ins[3])
             else:
-                # Audit bounds each lane's product below 2**63: a plain
+                # Audit bounds each lane's product below 2**(F-1): a plain
                 # scalar multiply replicates lane-wise with no bleed.
                 self.set_reg(ins[1], f"{self.ref(ins[2])} * {ins[3]}")
         elif op == MASK:
@@ -988,7 +1099,7 @@ class _StreamEmitter:
             li, ls = self.lit(idx), self.lit(src)
             e = self.env_ref(slot)
             if li is not None:
-                bit = 1 << min(li, 64)
+                bit = 1 << min(li, self.field)
                 keep = fm & ~bit
                 base = f"({e} & {self.K(keep)})" if keep != fm else e
                 contrib = None
@@ -1053,18 +1164,30 @@ def _compile_source(source: str, filename: str) -> Any:
     return compile(source, filename, "exec")
 
 
-def _translate(program: CompiledProgram, name: str) -> tuple[Any, dict[int, str]]:
-    """One stream (``comb`` or ``seq``) as a code object and its K constants."""
-    emitter = _StreamEmitter(program, getattr(program, name), by_statement=name == "comb")
-    code = _compile_source(emitter.source(), f"<vector:{name}>")
+def _translate(
+    program: CompiledProgram, name: str, field: int
+) -> tuple[Any, dict[int, str]]:
+    """One stream (``comb`` or ``seq``) as a code object and its K constants.
+
+    The code object's filename names the stream, the lane width and a
+    digest of the source (``<vector:comb:F16:1a2b3c4d>``): profilers key
+    functions by filename, line and name, so every distinct pass is its
+    own profile row, while identical sources still share one compile.
+    """
+    emitter = _StreamEmitter(
+        program, getattr(program, name), field, by_statement=name == "comb"
+    )
+    source = emitter.source()
+    digest = hashlib.blake2b(source.encode(), digest_size=4).hexdigest()
+    code = _compile_source(source, f"<vector:{name}:F{field}:{digest}>")
     return code, dict(emitter.consts)
 
 
-def _bind(code: Any, consts: dict[int, str], n: int) -> Callable:
-    """Bind one translated pass to an ``n``-lane context."""
-    ones, lane_l, lane_h, lane_all = _lane_ctx(n)
+def _bind(code: Any, consts: dict[int, str], n: int, field: int) -> Callable:
+    """Bind one translated pass to an ``n``-lane context of ``field``-bit lanes."""
+    ones, lane_l, lane_h, lane_all = _lane_ctx(n, field)
     bindings: dict[str, Any] = {"L": lane_l, "H": lane_h, "ALL": lane_all}
-    bindings.update(_helpers(n))
+    bindings.update(_helpers(n, field))
     for value, kname in consts.items():
         bindings[kname] = value * ones
     exec(code, bindings)
@@ -1077,18 +1200,20 @@ def _pass_fns(program: CompiledProgram, n: int) -> tuple[Callable | None, ...]:
 
     ``sink`` is the event log the pass extends with its records, or
     None to record nothing (settle iterations, unrecorded runs).  Each
-    stream translates once per program, and binds once per lane count.
+    stream translates once per program, at the program's lane width, and
+    binds once per lane count.
     """
     entry = _program_entry(program)
     fns = entry.fns.get(n)
     if fns is None:
         if entry.code is None:
             entry.code = tuple(
-                _translate(program, name) if getattr(program, name) else None
+                _translate(program, name, entry.field) if getattr(program, name) else None
                 for name in ("comb", "seq")
             )
         fns = entry.fns[n] = tuple(
-            None if code is None else _bind(*code, n) for code in entry.code
+            None if code is None else _bind(*code, n, entry.field)
+            for code in entry.code
         )
     return fns
 
@@ -1098,26 +1223,30 @@ def _pass_fns(program: CompiledProgram, n: int) -> tuple[Callable | None, ...]:
 # ----------------------------------------------------------------------
 
 
-def _pack(fields: np.ndarray) -> int:
-    """One packed lane int from a ``uint64`` vector (lane ``i`` = field ``i``).
+def _pack(values: np.ndarray, field: int) -> int:
+    """One packed lane int from a vector of lane values (lane ``i`` =
+    ``values[i]``, each below ``2**field``).
 
     The bytes are taken little-endian explicitly, so lane ``i`` lands at
-    bits ``64 * i`` whatever the host's byte order.
+    bits ``field * i`` whatever the host's byte order.
     """
-    return int.from_bytes(fields.astype("<u8", copy=False).tobytes(), "little")
+    return int.from_bytes(
+        values.astype(_FIELD_DTYPE[field], copy=False).tobytes(), "little"
+    )
 
 
 def _pack_stimuli(
-    program: CompiledProgram, suite: StimulusSuite
+    program: CompiledProgram, suite: StimulusSuite, field: int
 ) -> tuple[list[list[tuple[int, int, int]]], list[int]]:
     """Pack a suite's stimulus into lane ints, straight from its arrays.
 
     Returns, per cycle, ``(slot, packed values, packed not-driven mask)``
     triples for every slot some lane drives, plus the packed alive-lane
     mask.  The masked values are transposed once to a contiguous
-    ``[cycles, inputs, lanes]`` little-endian array whose bytes are taken
-    once; each ``(cycle, input)`` row is then one ``int.from_bytes`` over
-    a ``memoryview`` slice (lane ``i`` lands at bits ``64 * i``).
+    ``[cycles, inputs, lanes]`` little-endian array of ``field``-bit
+    lanes whose bytes are taken once; each ``(cycle, input)`` row is then
+    one ``int.from_bytes`` over a ``memoryview`` slice (lane ``i`` lands
+    at bits ``field * i``).
     """
     from .simulator import SimulationError
 
@@ -1135,6 +1264,7 @@ def _pack_stimuli(
         values = (values & np.array(masks, dtype=object)).astype(np.uint64)
     else:
         values = values & np.array(masks, dtype=np.uint64)
+    lane = np.uint64((1 << field) - 1)
     # A lane past its last cycle drives nothing, like an omitted input.
     driven = (np.arange(cycles) < lengths[:, None])[:, :, None]
     if suite.driven is not None:
@@ -1142,14 +1272,14 @@ def _pack_stimuli(
     if not driven.all():
         driven = np.broadcast_to(driven, values.shape)
         values = np.where(driven, values, np.uint64(0))
-        undriven = _lane_bytes(np.where(driven, np.uint64(0), np.uint64(_M64)))
+        undriven = _lane_bytes(np.where(driven, np.uint64(0), lane), field)
         any_driven = driven.any(axis=0).tolist()
         all_driven = driven.all(axis=0).tolist()
     else:
         undriven = memoryview(b"")
         any_driven = all_driven = [[True] * len(slots)] * cycles
-    packed = _lane_bytes(values)
-    row = 8 * n
+    packed = _lane_bytes(values, field)
+    row = n * field // 8
     frames: list[list[tuple[int, int, int]]] = []
     offset = 0
     for cycle in range(cycles):
@@ -1161,21 +1291,22 @@ def _pack_stimuli(
                 frame.append((slot, value, keep))
             offset += row
         frames.append(frame)
-    lane_all = _lane_ctx(n)[3]
+    lane_all = _lane_ctx(n, field)[3]
     shortest = int(lengths.min())
     alive_masks = [
         lane_all
         if cycle < shortest
-        else _pack(np.where(lengths > cycle, np.uint64(_M64), np.uint64(0)))
+        else _pack(np.where(lengths > cycle, lane, np.uint64(0)), field)
         for cycle in range(cycles)
     ]
     return frames, alive_masks
 
 
-def _lane_bytes(cells: np.ndarray) -> memoryview:
-    """The ``[lanes, cycles, inputs]`` cells as cycle-, input-, lane-major bytes."""
+def _lane_bytes(cells: np.ndarray, field: int) -> memoryview:
+    """The ``[lanes, cycles, inputs]`` cells as cycle-, input-, lane-major
+    bytes of ``field``-bit lanes."""
     return memoryview(
-        np.ascontiguousarray(cells.transpose(1, 2, 0), dtype="<u8").tobytes()
+        np.ascontiguousarray(cells.transpose(1, 2, 0), dtype=_FIELD_DTYPE[field]).tobytes()
     )
 
 
@@ -1217,7 +1348,8 @@ def run_vector_suite(
     """
     from .simulator import _ENGINE_STATS, SimulationError
 
-    if not vectorizable(program):
+    field = _program_entry(program).field
+    if not field:
         raise ValueError(
             f"design {module.name!r} does not fit 63-bit lanes;"
             " simulate it with engine='interpreted'"
@@ -1228,15 +1360,21 @@ def run_vector_suite(
     n = len(suite)
     lane_lengths = suite.lengths.tolist()
     max_cycles = max(lane_lengths)
-    lane_all = _lane_ctx(n)[3]
-    frames, alive_masks = _pack_stimuli(program, suite)
+    lane_all = _lane_ctx(n, field)[3]
+    frames, alive_masks = _pack_stimuli(program, suite, field)
 
     env: list[int] = [0] * len(program.names)
     variant_lanes = 0
     if selectors is not None:
-        if program.selector_slot < 0 or len(selectors) != n:
-            raise ValueError("selectors need a target program and one per stimulus")
-        env[program.selector_slot] = _pack(np.array(selectors, dtype=np.uint64))
+        if (
+            program.selector_slot < 0
+            or len(selectors) != n
+            or not 0 <= min(selectors) <= max(selectors) <= program.n_variants
+        ):
+            raise ValueError(
+                "selectors need a target program and one variant per stimulus"
+            )
+        env[program.selector_slot] = _pack(np.array(selectors, dtype=np.uint64), field)
         variant_lanes = sum(1 for selector in selectors if selector)
     # The event log: each pass run with it as its sink extends it.
     events: list[tuple] | None = [] if record else None
@@ -1280,11 +1418,11 @@ def run_vector_suite(
         if seq_fn is not None:
             seq_fn(env, cycle, events, lanes, nlanes, full)
 
-    log = unpack_events(program.shapes, events, n) if events is not None else None
+    log = unpack_events(program.shapes, events, n, field) if events is not None else None
     # Every lane's outputs are a view of one (cycles * outputs, N)
     # matrix, unpacked in one pass; stimuli are views of the suite.
     out_matrix = (
-        _unpack([value for frame in out_frames for value in frame], n)
+        _unpack([value for frame in out_frames for value in frame], n, field)
         if out_frames and out_names
         else np.zeros((0, n), dtype=np.int64)
     )

@@ -594,9 +594,7 @@ class TestAttentionRowMemo:
 def memoized_rows(explainer, samples):
     """The fast arm's memoized attention row per sample."""
     keys = [explainer.model.attention_memo.key_for(sample) for sample in samples]
-    return explainer._memoized_rows(
-        keys, [1] * len(keys), samples.__getitem__, batch_size=8
-    )
+    return explainer._memoized_rows(keys, samples.__getitem__, batch_size=8)
 
 
 class TestWeightInvalidation:

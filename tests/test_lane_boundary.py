@@ -32,7 +32,7 @@ from repro.sim import (
     vector,
 )
 from repro.sim.trace import _LaneOutputs
-from repro.sim.vector import _unpack, unpack_events
+from repro.sim.vector import unpack_events
 from repro.verilog import parse_module
 
 from conftest import assert_executions_identical
@@ -43,16 +43,24 @@ from conftest import assert_executions_identical
 # ----------------------------------------------------------------------
 
 
-def reference_finish(shapes, events, n) -> list[SuiteLog]:
+def lane_matrix(packed, n, field) -> np.ndarray:
+    """``[len(packed), n]``: each packed int's lanes of ``field`` bits,
+    shifted out one by one."""
+    lane = (1 << field) - 1
+    rows = [[(value >> (field * i)) & lane for i in range(n)] for value in packed]
+    return np.array(rows, dtype=object).reshape(len(packed), n)
+
+
+def reference_finish(shapes, events, n, field) -> list[SuiteLog]:
     """Lane by lane: the lane's active events and operand rows, alone."""
     slots = np.array([e[0] for e in events], dtype=np.int64)
     cycles = np.array([e[1] for e in events], dtype=np.int64)
-    lhs = _unpack([e[2] for e in events], n) if events else np.zeros((0, n), np.int64)
+    lhs = lane_matrix([e[2] for e in events], n, field).astype(np.int64)
     flat = [value for e in events for value in e[3]]
-    ops = _unpack(flat, n) if flat else np.zeros((0, n), dtype=np.int64)
-    everyone = (1 << (64 * n)) - 1
+    ops = lane_matrix(flat, n, field).astype(np.int64)
+    everyone = (1 << (field * n)) - 1
     masks = [everyone if e[4] is None else e[4] for e in events]
-    active = _unpack(masks, n) != 0 if events else np.zeros((0, n), bool)
+    active = lane_matrix(masks, n, field) != 0
     op_active = np.repeat(active, [len(e[3]) for e in events], axis=0)
     slices = []
     for lane in range(n):
@@ -81,14 +89,16 @@ def assert_logs_identical(actual, expected):
             assert a.tobytes() == b.tobytes(), name
 
 
-def _pack_lanes(values) -> int:
-    return sum(value << (64 * lane) for lane, value in enumerate(values))
-
-
 @st.composite
 def event_logs(draw):
-    """``(shapes, events, n)``: a random event log, masks sparse, full,
-    or empty."""
+    """``(shapes, events, n, field)``: a random event log of ``field``-bit
+    lanes, values up to the lane's top value bit, masks sparse, full, or
+    empty."""
+    field = draw(st.sampled_from([8, 16, 32, 64]))
+
+    def _pack_lanes(values) -> int:
+        return sum(value << (field * lane) for lane, value in enumerate(values))
+
     n = draw(st.integers(1, 7))
     n_shapes = draw(st.integers(1, 6))
     shapes = tuple(
@@ -97,8 +107,9 @@ def event_logs(draw):
             draw(st.lists(st.integers(0, 3), min_size=n_shapes, max_size=n_shapes))
         )
     )
-    small = st.integers(0, 300)
-    big = st.integers(1 << 31, (1 << 63) - 1)
+    top = (1 << (field - 1)) - 1
+    small = st.integers(0, min(300, top))
+    big = st.integers(top >> 1, top)
     value = st.one_of(small, small, big)
     events = []
     for cycle in range(draw(st.integers(0, 4))):
@@ -113,7 +124,7 @@ def event_logs(draw):
                     "full": [True] * n,
                     "sparse": draw(st.lists(st.booleans(), min_size=n, max_size=n)),
                 }[kind]
-                active = _pack_lanes([(1 << 64) - 1 if on else 0 for on in lanes])
+                active = _pack_lanes([(1 << field) - 1 if on else 0 for on in lanes])
             events.append(
                 (
                     slot,
@@ -126,7 +137,7 @@ def event_logs(draw):
                     active,
                 )
             )
-    return shapes, events, n
+    return shapes, events, n, field
 
 
 def assert_log_matches(log, expected):
@@ -147,7 +158,7 @@ class TestBatchedCompaction:
         assert_log_matches(unpack_events(*log), reference_finish(*log))
 
     def test_empty_log(self):
-        log = (((0, "y", ("a",), 1),), [], 3)
+        log = (((0, "y", ("a",), 1),), [], 3, 16)
         assert_log_matches(unpack_events(*log), reference_finish(*log))
 
     @pytest.mark.parametrize("name", ["usbf_pl", "ibex_controller"])
@@ -441,3 +452,21 @@ class TestContentKeyedCodegen:
         runs = [sim.run_suite(suite, selectors=[1, 2, 0]) for sim in (first, second)]
         assert compiled and len(compiled) == len(set(compiled))
         assert [t.outputs for t in runs[0]] == [t.outputs for t in runs[1]]
+
+    def test_each_distinct_pass_has_its_own_profile_label(self):
+        """Profilers key functions by (filename, line, name), and every
+        pass is ``_pass`` at line 1: distinct passes must get distinct
+        filenames, each naming its stream and lane width."""
+        from repro.designs import REGISTRY
+
+        labels = []
+        for name in REGISTRY:
+            program = Simulator(load_design(name), engine="vector").program
+            field = vector.field_bits(program)
+            for stream, fn in zip(("comb", "seq"), vector._pass_fns(program, 2)):
+                if fn is not None:
+                    label = fn.__code__.co_filename
+                    assert label.startswith(f"<vector:{stream}:F{field}:")
+                    labels.append(label)
+        assert len(labels) > len(REGISTRY)
+        assert len(set(labels)) == len(labels)

@@ -250,9 +250,9 @@ class TestMemoAccounting:
     ):
         """Per call, each distinct ``(statement_key, values)`` key is
         looked up once in first-seen order: a key stored by an earlier
-        call counts one hit per distinct sample carrying it (a cross-epoch
-        hit, since every call is its own epoch), a new key one miss and
-        one entry."""
+        call counts one hit (a cross-epoch hit, since every call is its
+        own epoch) however many distinct samples carry it, a new key one
+        miss and one entry."""
         from repro.api import VeriBugSession
 
         session = VeriBugSession.from_checkpoint(CHECKPOINT, trained_session.config)
@@ -281,19 +281,15 @@ class TestMemoAccounting:
         stored: set = set()
         hits = misses = 0
         for sets in calls:
-            uses: dict = {}
+            keys: set = set()
             for contexts, traces, restrict_to in sets:
                 for stmt_id, values, *_rest in record_loop_distinct(
                     contexts, traces, restrict_to
                 ):
-                    key = (contexts[stmt_id].statement_key(), values)
-                    uses[key] = uses.get(key, 0) + 1
-            for key, n in uses.items():
-                if key in stored:
-                    hits += n
-                else:
-                    misses += 1
-            stored.update(uses)
+                    keys.add((contexts[stmt_id].statement_key(), values))
+            hits += len(keys & stored)
+            misses += len(keys - stored)
+            stored |= keys
         stats = memo.stats()
         assert (stats["hits"], stats["misses"]) == (hits, misses)
         assert stats["cross_epoch_hits"] == hits

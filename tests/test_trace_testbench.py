@@ -262,6 +262,19 @@ class TestStimulusRngBackends:
             legacy = oracle_stimulus(arbiter, TestbenchConfig(**config_kwargs), seed)
             assert via_numpy == legacy
 
+    @pytest.mark.parametrize(
+        "seed",
+        [0, 1, 5, 2**32 - 1, 2**32 + 7, 1234567891 * 100003 + 19, -5, 2**70 + 3],
+    )
+    def test_replayed_stream_is_random_random(self, seed):
+        """One-word, word-boundary, multi-word and negative seeds all
+        replay ``random.Random(seed).random()`` float for float."""
+        from repro.sim.testbench import _replay_stream
+
+        rng = random.Random(seed)
+        expected = [rng.random() for _ in range(40)]
+        assert _replay_stream(seed, 40).tolist() == expected
+
     def test_default_suite_pinned(self, arbiter):
         """Default suites must not drift.
 

@@ -41,7 +41,8 @@ from repro.sim import (
     engine_stats,
     generate_testbench_suite,
 )
-from repro.sim.vector import run_vector_suite, vectorizable
+from repro.sim import vector
+from repro.sim.vector import field_bits, run_vector_suite, vectorizable
 from repro.verilog import parse_module
 
 from conftest import assert_executions_identical
@@ -376,10 +377,11 @@ class TestPredicationCorners:
     def test_packing_ignores_byte_order(self):
         from repro.sim.vector import _pack
 
-        fields = [1, 2**63 + 5, 0xFF]
-        expected = sum(value << (64 * lane) for lane, value in enumerate(fields))
-        for dtype in ("<u8", ">u8"):
-            assert _pack(np.array(fields, dtype=dtype)) == expected
+        for field in (8, 16, 32, 64):
+            values = [1, (1 << field) - 1, 5, (1 << (field - 1)) + 3]
+            expected = sum(value << (field * lane) for lane, value in enumerate(values))
+            for dtype in ("<u8", ">u8"):
+                assert _pack(np.array(values, dtype=dtype), field) == expected
 
 
 # ----------------------------------------------------------------------
@@ -568,3 +570,198 @@ class TestCampaignBitIdentity:
             via_vector,
             campaign_outcomes(localizer, module, "acc", mutations, "interpreted"),
         )
+
+
+# ----------------------------------------------------------------------
+# Lane field widths: the same lanes at every field a program fits
+# ----------------------------------------------------------------------
+
+FIELDS = (8, 16, 32, 64)
+
+#: Literal shift counts and select positions on both sides of every
+#: field's guard bit (F - 1) and width (F).
+SHIFTS = (1, 6, 7, 8, 15, 16, 31, 32, 63, 64, 70)
+
+
+def field_design(width: int):
+    """A ``width``-bit design exercising every SWAR corner: carries and
+    borrows, compares, NEG/NOT, per-lane MUL/DIV/MOD and variable shifts,
+    reductions, literal shifts and bit/part selects past every field, a
+    parameter operand, and dynamic, literal and part non-blocking stores.
+    Nothing in it is wider than ``width`` bits."""
+    w = width
+    ports = [
+        "input clk", "input rst", f"input [{w - 1}:0] a", f"input [{w - 1}:0] b",
+        "input [6:0] k", f"output reg [{w - 1}:0] acc",
+        f"output reg [{w - 1}:0] bits", f"output reg [{w - 1}:0] part",
+    ]
+    body = [f"parameter P = {w}'d{(1 << (w - 1)) + 1};"]
+    exprs = {
+        "add": (w, "a + b"), "sub": (w, "a - b"), "neg": (w, "-a"),
+        "inv": (w, "~a"), "xnor": (w, "a ~^ b"), "lt": (1, "a < b"),
+        "le": (1, "a <= b"), "gt": (1, "a > b"), "ge": (1, "a >= b"),
+        "eq": (1, "a == b"), "ne": (1, "a != b"), "land": (1, "a && b"),
+        "lnot": (1, "!a"), "mul": (w, "a * b"), "div": (w, "a / b"),
+        "mod": (w, "a % b"), "shlv": (w, "a << k"), "shrv": (w, "a >> k"),
+        "bitv": (1, "a[k]"), "rand": (1, "&a"), "ror": (1, "|a"),
+        "rxor": (1, "^a"), "rnxor": (1, "~^a"), "rnand": (1, "~&a"),
+        "sel": (w, "a > b ? a - b : b - a"), "cat": (7, "{a[2:0], b[3:0]}"),
+        "rep": (6, "{3{a[1:0]}}"), "par": (w, "a ^ P"),
+    }
+    for c in SHIFTS:
+        exprs[f"shl{c}"] = (w, f"a << {c}")
+        exprs[f"shr{c}"] = (w, f"a >> {c}")
+        exprs[f"bit{c}"] = (1, f"a[{c}]")
+        exprs[f"part{c}"] = (4, f"a[{c + 3}:{c}]")
+    for name, (out_width, expr) in exprs.items():
+        vector_range = f"[{out_width - 1}:0] " if out_width > 1 else ""
+        ports.append(f"output {vector_range}y_{name}")
+        body.append(f"assign y_{name} = {expr};")
+    body.append(
+        "always @(posedge clk) begin"
+        f" if (rst) acc <= {w}'d0; else acc <= acc - b;"
+        " bits[k] <= a[0]; bits[70] <= b[0]; bits[3] <= b[1];"
+        " part[5:2] <= b[3:0];"
+        " end"
+    )
+    return parse_module(
+        f"module fw({', '.join(ports)});\n" + "\n".join(body) + "\nendmodule\n"
+    )
+
+
+def boundary_suite(module, width: int) -> list[list[dict[str, int]]]:
+    """Every pair of boundary values (0, 1, the top bit, all ones and
+    one less) with shift counts around every field, plus random lanes;
+    ragged, with an empty lane."""
+    top = (1 << width) - 1
+    values = [0, 1, 1 << (width - 1), top - 1, top]
+    counts = [0, 1, width - 1, width, *(f - 1 for f in FIELDS), *FIELDS, 127]
+    lanes = [
+        [
+            {"rst": int(cycle == 0), "a": a, "b": b, "k": counts[(i + cycle) % len(counts)]}
+            for cycle in range(4)
+        ]
+        for i, (a, b) in enumerate((a, b) for a in values for b in values)
+    ]
+    lanes += ragged(
+        generate_testbench_suite(module, 5, TestbenchConfig(n_cycles=6), seed=width)
+    )
+    lanes[3] = lanes[3][:2]
+    return lanes
+
+
+def force_field(monkeypatch, field: int) -> None:
+    """Programs audited from here on pack at ``field`` bits when their
+    values fit it (and fail the audit when they do not)."""
+    monkeypatch.setattr(
+        vector, "_field_bits", lambda width: field if width < field else 0
+    )
+
+
+def assert_selector_lanes_identical(module, mutations, stimuli, field):
+    """Every (variant, stimulus) lane of a ``field``-bit target program
+    == that mutant module alone on the interpreter."""
+    variants = [mutate_statement(module.statement_by_id(m.stmt_id), m) for m in mutations]
+    simulator = Simulator(module, engine="vector", variants=variants)
+    assert simulator.lockstep and field_bits(simulator.program) == field
+    lanes = [stimulus for _ in range(len(variants) + 1) for stimulus in stimuli]
+    selectors = [k for k in range(len(variants) + 1) for _ in stimuli]
+    oracles = [Simulator(module, engine="interpreted")] + [
+        Simulator(apply_mutation(module, m), engine="interpreted") for m in mutations
+    ]
+    traces = simulator.run_suite(lanes, selectors=selectors)
+    for trace, lane, selector in zip(traces, lanes, selectors):
+        assert_trace_byte_equal(trace, oracles[selector].run(lane))
+
+
+class TestFieldWidths:
+    def test_paper_designs_pack_at_the_narrowest_field(self):
+        from repro.designs import REGISTRY, load_design
+
+        fields = {
+            name: field_bits(compile_module(load_design(name))) for name in REGISTRY
+        }
+        assert fields == {
+            "ibex_controller": 8,
+            "wb_mux_2": 16,
+            "usbf_pl": 16,
+            "usbf_idma": 64,
+        }
+
+    def test_selector_counts_at_its_largest_variant(self):
+        """The selector slot is declared 32 bits wide but holds variant
+        indices: a narrow design's target program stays narrow."""
+        module = field_design(7)
+        mutations = sample_mutations(module, {"negation": 2}, seed=1)
+        variants = [
+            mutate_statement(module.statement_by_id(m.stmt_id), m) for m in mutations
+        ]
+        program = Simulator(module, variants=variants).program
+        assert field_bits(program) == 8
+        # A selector past the last variant could overflow a narrow lane.
+        stimuli = [[{"a": 1}], [{"a": 2}]]
+        with pytest.raises(ValueError, match="one variant per stimulus"):
+            run_vector_suite(module, program, stimuli, selectors=[0, len(variants) + 1])
+
+    def test_folded_literals_count_where_they_are_read(self):
+        """A literal-only subexpression folds at translate time: a wide
+        intermediate (``~M`` of an unsized parameter) leaves the lanes
+        narrow, a wide literal that a runtime compare reads does not."""
+        header = "module t(input [7:0] a, output y); parameter M = 240;"
+        narrow = parse_module(header + " assign y = (a & M) == (8'd5 & ~M); endmodule")
+        wide = parse_module(header + " assign y = a == ~M; endmodule")
+        assert field_bits(compile_module(narrow)) == 16
+        assert field_bits(compile_module(wide)) == 64
+        stimuli = [[{"a": value}, {"a": 255 - value}] for value in (0, 5, 15, 240, 255)]
+        for module in (narrow, wide):
+            assert_lane_identical(module, stimuli)
+
+    @pytest.mark.parametrize("width", [7, 8, 15, 16, 31, 32, 63])
+    def test_lanes_identical_at_every_field_that_fits(self, width, monkeypatch):
+        """At the widest value each field holds and one bit over it, the
+        natural field is the narrowest that fits, and plain and selector
+        lanes at it and at every wider field equal the interpreter."""
+        natural = field_bits(compile_module(field_design(width)))
+        assert natural == min(f for f in FIELDS if width < f)
+        for field in FIELDS:
+            if field < natural:
+                continue
+            force_field(monkeypatch, field)
+            module = field_design(width)
+            assert field_bits(compile_module(module)) == field
+            stimuli = boundary_suite(module, width)
+            assert_lane_identical(module, stimuli)
+            mutations = sample_mutations(
+                module,
+                {"negation": 2, "operation": 2, "misuse": 2},
+                seed=width,
+                min_operands=2,
+            )
+            assert_selector_lanes_identical(module, mutations, stimuli[::4], field)
+
+    @pytest.mark.parametrize("name", ["ibex_controller", "wb_mux_2", "usbf_pl"])
+    def test_narrow_paper_design_forced_to_64_bit_lanes(self, name, monkeypatch):
+        """A narrow paper design's Table-III-shaped target program, at its
+        own field and forced to 64-bit lanes: both equal the interpreter."""
+        from repro.designs import load_design
+
+        def target(module):
+            mutations = sample_mutations(
+                module, {"negation": 2, "operation": 2, "misuse": 3}, seed=29
+            )
+            variants = [
+                mutate_statement(module.statement_by_id(m.stmt_id), m)
+                for m in mutations
+            ]
+            return mutations, Simulator(module, variants=variants).program
+
+        natural = field_bits(target(load_design(name))[1])
+        assert natural < 64
+        for field in (natural, 64):
+            force_field(monkeypatch, field)
+            module = load_design(name)
+            mutations, _program = target(module)
+            stimuli = ragged(
+                generate_testbench_suite(module, 5, TestbenchConfig(n_cycles=12), seed=3)
+            )
+            assert_selector_lanes_identical(module, mutations, stimuli, field)
