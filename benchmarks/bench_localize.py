@@ -16,11 +16,11 @@ arms:
 * **sharded_workers** — the fast arm sharded across an
   :class:`repro.runtime.ExecutionRuntime` worker pool at each size in
   ``--workers`` (pool started and warmed before timing, the way a
-  session amortizes it; worker-local caches and memos start cold).  The
-  timed region includes shipping the traces, each lane pickled as a
-  one-lane slice of its suite log, as ``session.localize_many`` does.
-  Scaling is meaningful only with that many physical cores —
-  ``cpu_cores`` is recorded next to the results.
+  session amortizes it; worker-local caches and memos start cold), as
+  ``session.runtime.localize_many`` runs it.  The timed region includes
+  shipping the traces: each shard pickles its lane views once, with
+  each suite log they read.  Scaling is meaningful only with that many
+  physical cores — ``cpu_cores`` is recorded next to the results.
 
 Mutant simulation is run once and shared by all arms, so the reported
 speedups isolate inference.  The end-to-end campaign latency (simulate +

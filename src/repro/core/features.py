@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -327,13 +326,11 @@ def log_rows(
     neither, since a mutant can give a stmt id other operands.  Traces
     are grouped by log and kind: the lanes of one suite log form one
     segment; one-lane logs sharing a shape table are read back to back
-    as one log whose events carry their trace position, and so are
-    hand-assembled traces, in one log of their records
-    (:meth:`SuiteLog.from_records`).  Per segment, events whose
-    statement is outside ``restrict_to`` or has no context with operands
-    are dropped *before* lanes expand; the kept events' active cells
-    become rows, whose operand values are gathered in context-operand
-    order (:func:`operand_gather`).
+    as one log whose events carry their trace position.  Per segment,
+    events whose statement is outside ``restrict_to`` or has no context
+    with operands are dropped *before* lanes expand; the kept events'
+    active cells become rows, whose operand values are gathered in
+    context-operand order (:func:`operand_gather`).
 
     Returns ``(keyed, lhs, order)``: ``keyed`` is ``[R, 2 + W]``, a row's
     set index, stmt id, then its operand values, −1-padded to the widest
@@ -346,7 +343,6 @@ def log_rows(
     flat: list[tuple[int, Trace]] = []
     by_log: dict[tuple[int, int], tuple[SuiteLog, list[int], list[int]]] = {}
     by_table: dict[tuple[int, int], tuple[list[SuiteLog], list[int]]] = {}
-    plain: dict[int, list[int]] = {}
     for set_index, (contexts, traces, restrict_to) in enumerate(sets):
         kind = kinds.setdefault((id(contexts), id(restrict_to)), len(kinds))
         if kind == len(kept):
@@ -361,17 +357,12 @@ def log_rows(
         for trace in traces:
             position = len(flat)
             flat.append((set_index, trace))
-            located = trace.execution_log()
-            if located is None:
-                plain.setdefault(kind, []).append(position)
-            elif located[0].n_lanes == 1:
-                logs, positions = by_table.setdefault(
-                    (id(located[0].shapes), kind), ([], [])
-                )
-                logs.append(located[0])
+            log, lane = trace.execution_log()
+            if log.n_lanes == 1:
+                logs, positions = by_table.setdefault((id(log.shapes), kind), ([], []))
+                logs.append(log)
                 positions.append(position)
             else:
-                log, lane = located
                 members = by_log.setdefault((id(log), kind), (log, [], []))
                 members[1].append(lane)
                 members[2].append(position)
@@ -379,16 +370,12 @@ def log_rows(
         (log, kind, lanes, np.asarray(positions), None)
         for (_log, kind), (log, lanes, positions) in by_log.items()
     ]
-    # One-lane logs over one table (interpreter runs, a shard's pickled
-    # lanes of one suite) are read as one log, event by event.
+    # One-lane logs over one table (interpreter runs of one design) are
+    # read as one log, event by event.
     for (_table, kind), (logs, positions) in by_table.items():
         lengths = [len(log.slots) for log in logs]
         log = logs[0] if len(logs) == 1 else _stacked(logs)
         segments.append((log, kind, [0], None, np.repeat(positions, lengths)))
-    for kind, positions in plain.items():
-        records = [flat[position][1].executions for position in positions]
-        log = SuiteLog.from_records(chain.from_iterable(records))
-        segments.append((log, kind, [0], None, np.repeat(positions, list(map(len, records)))))
 
     stride = max((len(segment[0].slots) for segment in segments), default=0)
     set_of = np.fromiter((set_index for set_index, _trace in flat), np.int64, len(flat))

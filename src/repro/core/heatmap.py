@@ -13,7 +13,7 @@ import numpy as np
 
 from ..analysis.contexts import StatementContext
 from ..analysis.index import design_index
-from ..sim.trace import SuiteLog, Trace
+from ..sim.trace import Trace
 from ..verilog.ast_nodes import Module
 from ..verilog.printer import statement_source
 from .explainer import Heatmap
@@ -27,12 +27,11 @@ def execution_coverage(traces: list[Trace]) -> dict[int, int]:
 
     The coverage query behind heatmap annotations, counted off each
     trace's lane of its event log (one ``np.unique`` per trace, no
-    record objects); a hand-assembled trace's records enter as a
-    one-lane log (:meth:`SuiteLog.from_records`).
+    record objects).
     """
     counts: dict[int, int] = {}
     for trace in traces:
-        log, lane = trace.execution_log() or (SuiteLog.from_records(trace.executions), 0)
+        log, lane = trace.execution_log()
         for stmt_id, count in log.stmt_counts(lane).items():
             counts[stmt_id] = counts.get(stmt_id, 0) + count
     return counts

@@ -21,16 +21,10 @@ localize in process; sharding a request batch is this explicit call)::
         results = runtime.localize_many(requests)
 """
 
-from .runtime import (
-    SPAWN_SAFE_METHODS,
-    ExecutionRuntime,
-    RuntimeStats,
-    plan_shards,
-)
+from .runtime import ExecutionRuntime, RuntimeStats, plan_shards
 from .seeding import corpus_design_seed, derive_seed, mutant_topup_seed
 
 __all__ = [
-    "SPAWN_SAFE_METHODS",
     "ExecutionRuntime",
     "RuntimeStats",
     "corpus_design_seed",

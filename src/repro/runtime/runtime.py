@@ -1,17 +1,13 @@
 """The session-scoped execution runtime: one pool, every parallel workload.
 
-Before this layer existed the system started a throwaway
-``ProcessPoolExecutor`` in three places — campaign simulation, corpus
-generation, and (never) localization — paying full process startup per
-run and leaving localization single-process.  :class:`ExecutionRuntime`
-replaces all three with one session-owned, lazily-started, persistent
-worker pool:
+:class:`ExecutionRuntime` is one session-owned, lazily-started,
+persistent worker pool serving campaign chunks, corpus generation and
+sharded localization:
 
-* **Spawn-safe by construction.**  Pools use an explicit ``spawn`` (or
-  ``forkserver``) multiprocessing context; ``fork`` is rejected because
-  forked children inherit the parent's RNG streams, cache contents, and
-  lock states mid-flight — a correctness hazard this runtime exists to
-  rule out.  Determinism comes from task identity instead: every random
+* **Spawn-safe by construction.**  Pools always use the ``spawn``
+  multiprocessing context, never ``fork``: forked children would
+  inherit the parent's RNG streams, cache contents, and lock states
+  mid-flight.  Determinism comes from task identity instead: every random
   stream is derived from *what* is computed (design index, mutation
   node, shard), never from *where* (see :mod:`repro.runtime.seeding`).
 * **Every task carries its weights.**  Each localization shard and
@@ -44,13 +40,8 @@ worker pool:
   and returns scored ``(outcome, localization)`` pairs.  Every chunk
   task carries the campaign context as one pickled blob (a target has
   only a handful of chunks), deserialized at most once per worker per
-  campaign.
-* **Event-log trace wire format.**  Campaign traces never cross the
-  pool; traces travel only in explicit :meth:`localize_many` shard
-  requests.  The simulator records every trace as a lane of a
-  :class:`~repro.sim.trace.SuiteLog`, ``Trace.__getstate__`` ships that
-  lane's one-lane slice of the log, and the worker dedups straight off
-  it without materializing record objects.
+  campaign.  Campaign traces never cross the pool; traces travel only
+  in explicit :meth:`localize_many` shard requests.
 * **A dead worker costs one call.**  A worker that dies breaks its
   ``ProcessPoolExecutor`` for good; the dispatch that sees the
   ``BrokenProcessPool`` discards the pool and re-raises, and the next
@@ -86,9 +77,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.localizer import LocalizationRequest, LocalizationResult
     from ..core.model import VeriBugModel
     from ..datagen.campaign import MutantOutcome
-
-#: Start methods that do not inherit parent state mid-flight.
-SPAWN_SAFE_METHODS = ("spawn", "forkserver")
 
 
 def plan_shards(n_items: int, n_shards: int) -> list[tuple[int, int]]:
@@ -195,37 +183,17 @@ class ExecutionRuntime:
     Args:
         n_workers: Pool size; must be >= 1 (callers gate the ``0`` =
             sequential case before constructing a runtime).
-        mp_context: Start-method name or an existing multiprocessing
-            context; must be spawn-safe (``spawn`` or ``forkserver``).
 
     The pool itself starts on the first parallel dispatch, so merely
     owning a runtime costs nothing.  Construction is cheap; `close()`
     is idempotent and the object refuses new work afterwards.
     """
 
-    def __init__(
-        self,
-        n_workers: int,
-        *,
-        mp_context: str | multiprocessing.context.BaseContext = "spawn",
-    ):
+    def __init__(self, n_workers: int):
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        if isinstance(mp_context, str):
-            if mp_context not in SPAWN_SAFE_METHODS:
-                raise ValueError(
-                    f"mp_context {mp_context!r} is not spawn-safe; fork"
-                    " inherits RNG/cache state mid-flight — use one of:"
-                    f" {', '.join(SPAWN_SAFE_METHODS)}"
-                )
-            mp_context = multiprocessing.get_context(mp_context)
-        elif mp_context.get_start_method() not in SPAWN_SAFE_METHODS:
-            raise ValueError(
-                f"mp_context start method {mp_context.get_start_method()!r}"
-                f" is not spawn-safe; use one of: {', '.join(SPAWN_SAFE_METHODS)}"
-            )
         self.n_workers = n_workers
-        self._mp_context = mp_context
+        self._mp_context = multiprocessing.get_context("spawn")
         self._pool: ProcessPoolExecutor | None = None
         self._closed = False
         self._counters = _Counters()

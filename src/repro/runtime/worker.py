@@ -25,10 +25,9 @@ same function an in-process campaign runs per chunk, and returns only
 scored outcomes and localization results, so campaign traces never
 cross the pool.  Traces travel only inside explicit
 :meth:`~repro.runtime.ExecutionRuntime.localize_many` shard requests,
-each as a one-lane slice of its event log (the simulator records
-:class:`~repro.sim.trace.SuiteLog` lanes natively and ``Trace`` pickles
-its lane's slice), which the worker dedups as-is, so it never
-materializes per-execution record objects for transport.  Localization
+as plain pickled lane views: a shard ships each
+:class:`~repro.sim.trace.SuiteLog` its traces read once, and the worker
+dedups straight off it without materializing record objects.  Localization
 tasks also return the worker cache and memo hit/miss deltas, which the
 parent runtime aggregates into fleet-wide hit rates.
 """

@@ -312,7 +312,7 @@ class Simulator:
         record: bool,
     ) -> Trace:
         env = {name: 0 for name in self.module.decls}
-        trace = Trace(design=self.module.name, stimulus=[dict(s) for s in stimulus])
+        trace_outputs: list[dict[str, int]] = []
         widths = {n: d.width for n, d in self.module.decls.items()}
         outputs = self.module.outputs
         recorder = ExecutionRecorder(self._shapes) if record else None
@@ -325,12 +325,15 @@ class Simulator:
                 env[name] = truncate(value, widths[name])
 
             self._settle(env, cycle, recorder)
-            trace.outputs.append({name: env[name] for name in outputs})
+            trace_outputs.append({name: env[name] for name in outputs})
             self._clock_edge(env, cycle, recorder)
 
-        if recorder is not None:
-            trace.executions = _LazyExecutions(recorder.finish())
-        return trace
+        return Trace(
+            design=self.module.name,
+            stimulus=[dict(s) for s in stimulus],
+            outputs=trace_outputs,
+            executions=[] if recorder is None else _LazyExecutions(recorder.finish()),
+        )
 
     # ------------------------------------------------------------------
     # Scheduling phases

@@ -172,19 +172,6 @@ class StimulusSuite:
             for row, drive in zip(rows, self.driven[lane, :length].tolist())
         ]
 
-    def lane(self, lane: int) -> "StimulusSuite":
-        """A one-trace suite holding copies of just trace ``lane``'s cells."""
-        length = int(self.lengths[lane])
-        driven = (
-            None if self.driven is None else self.driven[lane : lane + 1, :length].copy()
-        )
-        return StimulusSuite(
-            self.inputs,
-            self.values[lane : lane + 1, :length].copy(),
-            self.lengths[lane : lane + 1].copy(),
-            driven,
-        )
-
     @classmethod
     def from_frames(cls, stimuli) -> "StimulusSuite":
         """The suite of a list of per-trace frame lists (suites pass through).
@@ -266,7 +253,7 @@ class _LazyStimulus(_LazyList):
     Compares, indexes and iterates like the ``list[dict[str, int]]`` it
     stands for; the dicts are built on first access.  Recorded traces
     hold one of these as ``Trace.stimulus`` instead of their own frame
-    copies.  Pickling ships only this trace's cells.
+    copies.
     """
 
     __slots__ = ("suite", "lane")
@@ -281,9 +268,6 @@ class _LazyStimulus(_LazyList):
 
     def __len__(self) -> int:
         return int(self.suite.lengths[self.lane])
-
-    def __reduce__(self):
-        return (_LazyStimulus, (self.suite.lane(self.lane), 0))
 
 
 # ----------------------------------------------------------------------

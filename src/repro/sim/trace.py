@@ -10,23 +10,24 @@ Recorded executions have one format, :class:`SuiteLog`: an event-major
 log whose lanes are traces.  The vector engine records one log per
 suite (:func:`repro.sim.vector.unpack_events`), the interpreter a
 one-lane log per run (:class:`repro.sim.recorder.ExecutionRecorder`),
-and a recorded trace's ``executions`` attribute is a
-:class:`_LazyExecutions` view of its ``(log, lane)``.
-:class:`StatementExecution` objects are a *derived* representation,
-materialized only when something actually indexes or iterates the
-record list; log-aware consumers (the explainer's dedup, training
-samples, coverage, :meth:`Trace.executions_of`,
-:meth:`Trace.executed_stmt_ids`, serialization) never pay for them.
-Hand-assembled record lists enter the format through
-:meth:`SuiteLog.from_records`.
+and every trace's ``executions`` attribute is a :class:`_LazyExecutions`
+view of its ``(log, lane)``: an unrecorded run reads one shared empty
+log, and a hand-assembled record list is converted on construction
+(:meth:`SuiteLog.from_records`).  :class:`StatementExecution` objects
+are a *derived* representation, materialized only when something
+actually indexes or iterates the record list; log-aware consumers (the
+explainer's dedup, training samples, coverage,
+:meth:`Trace.executions_of`, :meth:`Trace.executed_stmt_ids`) never pay
+for them.
 
 Traces of a vector-engine suite are *lane views*: besides their
 executions, ``outputs`` is a :class:`_LaneOutputs` view of the lane's
 column of the suite's output matrix and ``stimulus`` a view of the
 lane's row of its :class:`~repro.sim.testbench.StimulusSuite`.  Lane
-views read like the lists they stand for and pickle to just their own
-lane's data: a pickled trace's executions are a one-lane slice of its
-log (:meth:`SuiteLog.lane_slice`).
+views read like the lists they stand for and pickle as plain objects:
+a view ships its container and lane index, never its materialized
+items, so the lanes of one suite pickled together share one log, one
+output matrix and one stimulus suite.
 """
 
 from __future__ import annotations
@@ -109,17 +110,22 @@ class _LazyList:
     def __repr__(self) -> str:
         return repr(self._materialized())
 
+    def __getstate__(self):
+        # A view pickles as what it reads, never as its built items.
+        _dict, slots = super().__getstate__()
+        return None, {**slots, "_records": None}
+
 
 class SuiteLog:
     """The recorded executions of a suite's lanes, event-major.
 
     The one container of recorded executions: a vector suite's log has
-    one lane per trace, an interpreter run's (and a pickled trace's) has
-    one lane.  One event per record the engine emitted, in emission
-    order: ``slots``/``cycles`` are ``[E]`` (a slot indexes
-    :attr:`shapes`, the statement-shape table, whose stmt ids and
-    operand counts are :attr:`stmt_ids` and :attr:`widths`), ``lhs`` and
-    ``active`` are ``[E, N]`` over the N lanes, and event ``e`` owns the
+    one lane per trace, an interpreter run's (and a hand-assembled
+    record list's) has one lane.  One event per record the engine
+    emitted, in emission order: ``slots``/``cycles`` are ``[E]`` (a slot
+    indexes :attr:`shapes`, the statement-shape table, whose stmt ids
+    and operand counts are :attr:`stmt_ids` and :attr:`widths`), ``lhs``
+    and ``active`` are ``[E, N]`` over the N lanes, and event ``e`` owns the
     ``op_counts[e]`` operand rows from ``op_starts[e]`` on of the
     ``[F, N]`` operand matrix.  Lane ``n`` executed event ``e``
     iff ``active[e, n]``.
@@ -202,26 +208,6 @@ class SuiteLog:
             flat.extend(execution.operand_values)
         return cls.one_lane(tuple(index), slots, cycles, lhs, flat)
 
-    def __reduce__(self):
-        # The wire form narrows slots and cycles to int32 when they fit
-        # and drops the all-true mask of a one-lane, all-active log (what
-        # a pickled lane ships); :func:`_restore_log` restores both, so
-        # consumers see int64 columns and a mask as before.
-        full = self.n_lanes == 1 and self.lane_count(0) == len(self.slots)
-        return (
-            _restore_log,
-            (
-                self.shapes,
-                _wire_int(self.slots),
-                _wire_int(self.cycles),
-                self.lhs,
-                self.ops,
-                None if full else self.active,
-                self.stmt_ids,
-                self.widths,
-            ),
-        )
-
     @property
     def n_lanes(self) -> int:
         return self.active.shape[1]
@@ -240,8 +226,8 @@ class SuiteLog:
     def lane_slice(self, lane: int) -> "SuiteLog":
         """One lane alone: its events, their operand rows, the same shapes.
 
-        What a pickled lane ships; a one-lane, all-active log is its own
-        slice.
+        How two lanes of different logs compare event by event; a
+        one-lane, all-active log is its own slice.
         """
         if self.n_lanes == 1 and self.lane_count(0) == len(self.slots):
             return self
@@ -304,33 +290,6 @@ class SuiteLog:
         return dict(zip(ids.tolist(), counts.tolist()))
 
 
-_INT32 = np.iinfo(np.int32)
-
-
-def _wire_int(column: np.ndarray) -> np.ndarray:
-    """An int64 index column as int32 when its values fit."""
-    if column.size and (column.min() < _INT32.min or column.max() > _INT32.max):
-        return column
-    return column.astype(np.int32)
-
-
-def _restore_log(shapes, slots, cycles, lhs, ops, active, stmt_ids, widths) -> SuiteLog:
-    """Unpickle a :class:`SuiteLog`: int64 slots and cycles, and the
-    all-true mask when the wire form omitted it."""
-    if active is None:
-        active = np.ones((len(slots), 1), dtype=bool)
-    return SuiteLog(
-        shapes,
-        slots.astype(np.int64),
-        cycles.astype(np.int64),
-        lhs,
-        ops,
-        active,
-        stmt_ids,
-        widths,
-    )
-
-
 def _bounds(counts: np.ndarray) -> np.ndarray:
     """Segment boundaries ``[0, c0, c0 + c1, ...]`` of a count vector."""
     bounds = np.zeros(len(counts) + 1, dtype=np.int64)
@@ -352,7 +311,7 @@ class _LazyExecutions(_LazyList):
     """Sequence facade over one lane of a :class:`SuiteLog`.
 
     Log-aware consumers (the execution dedup, training samples,
-    coverage, pickling) read :attr:`log` and never pay for object
+    coverage) read :attr:`log` and never pay for object
     construction; everything else materializes the lane's records on
     first access.  ``len()`` reads the lane's active count.
     """
@@ -379,8 +338,7 @@ class _LaneOutputs(_LazyList):
     view of its column instead of its own list of per-cycle dicts.  It
     compares, indexes and iterates like that list (the dicts are built
     on first access), :meth:`column` hands the raw values to vectorized
-    consumers (campaign classification), and pickling ships only this
-    lane's column.
+    consumers (campaign classification).
     """
 
     __slots__ = ("names", "matrix", "lane", "length")
@@ -410,27 +368,26 @@ class _LaneOutputs(_LazyList):
     def __len__(self) -> int:
         return self.length
 
-    def __reduce__(self):
-        column = self.column().reshape(-1, 1).copy()
-        return (_LaneOutputs, (self.names, column, 0, self.length))
+
+#: The log of every unrecorded run: no shapes, no events, one lane.
+_EMPTY_LOG = SuiteLog.one_lane((), [], [], [], [])
 
 
 @dataclass
 class Trace:
     """A full simulation run of one design under one stimulus.
 
-    Recorded traces are log views end to end: both engines record a
-    :class:`SuiteLog` natively (one lane per vector-suite trace, one
-    lane for an interpreter run), never constructing a
-    :class:`StatementExecution` during the run; ``executions`` is a
-    :class:`_LazyExecutions` view of the trace's lane, and
-    serialization ships that lane's slice of the log (a one-lane log)
-    with zero repacking on either side of a process boundary.  The
+    ``executions`` is always a :class:`_LazyExecutions` view of one lane
+    of a :class:`SuiteLog` (:meth:`execution_log`): both engines record
+    the log natively and hand the trace its view, never constructing a
+    :class:`StatementExecution` during the run; an unrecorded run's view
+    reads :data:`_EMPTY_LOG`, and a hand-assembled record list is
+    converted once on construction (:meth:`SuiteLog.from_records`).  The
     record list materializes only when something explicitly indexes or
-    iterates it; the dedup, training samples and coverage read the log
-    (:meth:`execution_log`) and never do.  ``executions`` is a plain
-    (possibly empty) record list only for unrecorded runs and manually
-    assembled traces.
+    iterates the view; the dedup, training samples and coverage read the
+    log and never do.  A trace pickles as its views, whose shared
+    containers (log, output matrix, stimulus suite) pickle's memo ships
+    once per payload.
 
     ``stimulus`` and ``outputs`` are lists of per-cycle dicts, or — for
     vector-engine lanes — sequence views that build those dicts on
@@ -443,30 +400,16 @@ class Trace:
     executions: list[StatementExecution] = field(default_factory=list)
     is_failure: bool = False
 
-    def execution_log(self) -> tuple[SuiteLog, int] | None:
-        """``(log, lane)`` for a recorded or deserialized trace, else None.
+    def __post_init__(self) -> None:
+        if not isinstance(self.executions, _LazyExecutions):
+            records = self.executions
+            log = SuiteLog.from_records(records) if records else _EMPTY_LOG
+            self.executions = _LazyExecutions(log)  # type: ignore[assignment]
 
-        None only for unrecorded runs and hand-assembled traces, whose
-        ``executions`` is a plain record list.
-        """
-        executions = self.executions
-        if isinstance(executions, _LazyExecutions):
-            return executions.log, executions.lane
-        return None
-
-    def __getstate__(self) -> dict:
-        state = {k: v for k, v in self.__dict__.items() if k != "executions"}
-        located = self.execution_log()
-        if located is None:
-            state["_exec_log"] = SuiteLog.from_records(self.executions)
-        else:
-            state["_exec_log"] = located[0].lane_slice(located[1])
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        log = state.pop("_exec_log")
-        self.__dict__.update(state)
-        self.__dict__["executions"] = _LazyExecutions(log)
+    def execution_log(self) -> tuple[SuiteLog, int]:
+        """``(log, lane)``: the log and lane ``executions`` reads."""
+        executions: _LazyExecutions = self.executions  # type: ignore[assignment]
+        return executions.log, executions.lane
 
     @property
     def n_cycles(self) -> int:
@@ -474,23 +417,15 @@ class Trace:
         return len(self.outputs)
 
     def executions_of(self, stmt_id: int) -> list[StatementExecution]:
-        """All executions of one statement across the trace.
-
-        A recorded trace whose record view has not materialized gathers
-        the matching events straight off its log; otherwise the
-        (already paid-for) record list is scanned.
-        """
-        executions = self.executions
-        if isinstance(executions, _LazyExecutions) and executions._records is None:
-            return executions.log.records_of(executions.lane, stmt_id)
-        return [e for e in executions if e.stmt_id == stmt_id]
+        """All executions of one statement across the trace, gathered
+        off the log."""
+        log, lane = self.execution_log()
+        return log.records_of(lane, stmt_id)
 
     def executed_stmt_ids(self) -> set[int]:
-        """Ids of statements that executed at least once (log-aware)."""
-        executions = self.executions
-        if isinstance(executions, _LazyExecutions) and executions._records is None:
-            return set(executions.log.stmt_counts(executions.lane))
-        return {e.stmt_id for e in executions}
+        """Ids of statements that executed at least once."""
+        log, lane = self.execution_log()
+        return set(log.stmt_counts(lane))
 
     def output_series(self, name: str) -> list[int]:
         """Per-cycle values of one output signal."""

@@ -1426,16 +1426,15 @@ def run_vector_suite(
         if out_frames and out_names
         else np.zeros((0, n), dtype=np.int64)
     )
-    traces: list[Trace] = []
-    for lane, length in enumerate(lane_lengths):
-        trace = Trace(
+    traces = [
+        Trace(
             design=module.name,
             stimulus=suite[lane],  # type: ignore[arg-type]
             outputs=_LaneOutputs(out_names, out_matrix, lane, length),  # type: ignore[arg-type]
+            executions=[] if log is None else _LazyExecutions(log, lane),  # type: ignore[arg-type]
         )
-        if log is not None:
-            trace.executions = _LazyExecutions(log=log, lane=lane)
-        traces.append(trace)
+        for lane, length in enumerate(lane_lengths)
+    ]
 
     stats = _ENGINE_STATS["vector"]
     stats["batches"] += 1

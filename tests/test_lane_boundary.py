@@ -1,14 +1,15 @@
 """The vector engine's lane boundary against per-lane oracles.
 
 * A suite's event log, unpacked by :func:`repro.sim.vector.unpack_events`,
-  must slice into one-lane logs (:meth:`SuiteLog.lane_slice`, what a
-  pickled lane ships) equal to :func:`reference_finish`, the per-lane
-  masked loop over the raw events, down to every value and every dtype;
+  must slice into one-lane logs (:meth:`SuiteLog.lane_slice`) equal to
+  :func:`reference_finish`, the per-lane masked loop over the raw
+  events, down to every value and every dtype, pickled lanes included;
   lane counts must match.
 * The campaign's vectorized classification must sort traces exactly as
   :meth:`Trace.diverges_from`, trace by trace, does.
 * A lane-view trace (outputs, stimulus and executions all views of
-  suite-wide buffers) pickles to just its own lane's data.
+  suite-wide buffers) pickles as plain views: unpickled, it reads its
+  own lane, and lanes pickled together share the suite's buffers.
 * Identical generated pass sources share one ``compile()``.
 """
 
@@ -164,7 +165,7 @@ class TestBatchedCompaction:
     @pytest.mark.parametrize("name", ["usbf_pl", "ibex_controller"])
     def test_ragged_selector_suites(self, name, monkeypatch):
         """Real event logs: ragged lanes, an empty lane, mutant selectors;
-        the pickled lanes carry exactly the reference slices."""
+        the pickled lanes read exactly the reference slices."""
         from repro.datagen.mutation import mutate_statement, sample_mutations
 
         module = load_design(name)
@@ -195,8 +196,7 @@ class TestBatchedCompaction:
         assert_log_matches(unpack_events(*log), expected)
         assert [len(t.executions) for t in traces] == [len(s.slots) for s in expected]
         shipped = [pickle.loads(pickle.dumps(t)).execution_log() for t in traces]
-        assert {lane for _log, lane in shipped} == {0}
-        assert_logs_identical([log for log, _lane in shipped], expected)
+        assert_logs_identical([log.lane_slice(lane) for log, lane in shipped], expected)
 
 
 # ----------------------------------------------------------------------
@@ -293,6 +293,8 @@ class TestVectorizedClassify:
 
 class TestLaneViews:
     def test_pickled_lane_trace_carries_only_its_lane(self):
+        """Unpickled, a lane trace reads exactly its own lane of the
+        suite's buffers."""
         module = load_design("usbf_pl")
         suite = generate_testbench_suite(module, 16, TestbenchConfig(n_cycles=12), seed=4)
         traces = Simulator(module, engine="vector").run_suite(suite)
@@ -300,19 +302,16 @@ class TestLaneViews:
         assert isinstance(trace.outputs, _LaneOutputs)
         assert trace.outputs.matrix.shape[1] == 16
         assert trace.stimulus.suite is suite
-        blob = pickle.dumps(trace)
-        back = pickle.loads(blob)
+        back = pickle.loads(pickle.dumps(trace))
         assert back.outputs == trace.outputs
         assert back.stimulus == trace.stimulus
         assert back.stimulus == list(suite[5])
         assert back.executions == trace.executions
-        assert back.outputs.matrix.shape == (12 * len(module.outputs), 1)
-        assert back.stimulus.suite.values.shape == (1, 12, len(module.inputs))
-        assert len(blob) * 8 < len(pickle.dumps(traces))
+        assert (back.outputs.lane, back.stimulus.lane, back.execution_log()[1]) == (5, 5, 5)
 
-    def test_pickled_lane_holds_a_one_lane_log_of_its_events(self):
-        """A pickled lane ships a one-lane log of exactly ``lane_count``
-        events, all active; re-pickling ships that log unchanged."""
+    def test_pickled_lane_reads_its_lane_of_the_suite_log(self):
+        """A pickled lane reads its own lane of the unpickled suite log:
+        ``lane_count`` events, event for event the original lane's."""
         module = load_design("usbf_pl")
         suite = generate_testbench_suite(module, 5, TestbenchConfig(n_cycles=10), seed=2)
         suite = [list(stimulus) for stimulus in suite]
@@ -324,45 +323,57 @@ class TestLaneViews:
         for lane, trace in enumerate(traces):
             back = pickle.loads(pickle.dumps(trace))
             lane_log, lane_index = back.execution_log()
-            assert (lane_log.n_lanes, lane_index) == (1, 0)
-            assert len(lane_log.slots) == log.lane_count(lane) == len(back.executions)
-            assert lane_log.active.all()
-            assert lane_log.ops.shape == (int(lane_log.widths[lane_log.slots].sum()), 1)
-            assert lane_log.lane_slice(0) is lane_log
+            assert (lane_log.n_lanes, lane_index) == (5, lane)
+            assert lane_log.lane_count(lane) == log.lane_count(lane) == len(back.executions)
+            assert_executions_identical(back, trace)
             assert list(back.executions) == list(trace.executions)
 
-    def test_pickled_lane_wire_form_is_narrow_and_restores_exactly(self):
-        """On the wire a lane ships int32 slots and cycles and no all-true
-        mask; unpickled, its log has int64 columns and the mask again and
-        is event for event identical to the lane.  A multi-lane log keeps
-        its mask on the wire."""
+    def test_pickled_log_restores_exactly(self):
+        """A pickled log keeps every column's dtype and values, and each
+        pickled lane is event for event identical to the lane."""
         module = load_design("usbf_pl")
         suite = generate_testbench_suite(module, 4, TestbenchConfig(n_cycles=10), seed=2)
         traces = Simulator(module, engine="vector").run_suite(suite)
         log, _ = traces[0].execution_log()
-        wire = log.__reduce__()[1]
-        assert wire[5] is log.active
         back = pickle.loads(pickle.dumps(log))
-        for name in ("slots", "cycles", "lhs", "ops", "active"):
+        assert back.shapes == log.shapes
+        for name in ("slots", "cycles", "lhs", "ops", "active", "stmt_ids", "widths"):
             assert getattr(back, name).dtype == getattr(log, name).dtype
             assert np.array_equal(getattr(back, name), getattr(log, name))
-        for lane, trace in enumerate(traces):
-            sliced = log.lane_slice(lane)
-            wire = sliced.__reduce__()[1]
-            assert wire[1].dtype == wire[2].dtype == np.int32
-            assert wire[5] is None
-            full = (sliced.shapes, sliced.slots, sliced.cycles, sliced.lhs, sliced.ops,
-                    sliced.active, sliced.stmt_ids, sliced.widths)
-            # Narrowing and the dropped mask save 4 + 4 + 1 bytes per
-            # event; at least 8 of them survive the fixed overheads.
-            assert len(pickle.dumps(sliced)) <= len(pickle.dumps(full)) - 8 * len(sliced.slots)
-            back = pickle.loads(pickle.dumps(trace))
-            lane_log, _ = back.execution_log()
-            assert lane_log.slots.dtype == lane_log.cycles.dtype == np.int64
-            assert lane_log.active.dtype == bool
-            assert lane_log.active.shape == (len(lane_log.slots), 1)
-            assert lane_log.active.all()
-            assert_executions_identical(back, trace)
+        for trace in traces:
+            assert_executions_identical(pickle.loads(pickle.dumps(trace)), trace)
+
+    def test_lanes_pickled_together_share_their_containers(self):
+        """One ``dumps`` of a suite's lanes ships its log, output matrix
+        and stimulus suite once: the unpickled traces share each, equal
+        to its original.  Materialized records never travel."""
+        module = load_design("usbf_pl")
+        suite = generate_testbench_suite(module, 6, TestbenchConfig(n_cycles=10), seed=3)
+        traces = Simulator(module, engine="vector").run_suite(suite)
+        views = (traces[2].executions, traces[2].outputs, traces[2].stimulus)
+        for view in views:
+            list(view)
+            assert view._records is not None
+        back = pickle.loads(pickle.dumps(traces))
+        (log,) = {id(t.execution_log()[0]): t.execution_log()[0] for t in back}.values()
+        (matrix,) = {id(t.outputs.matrix): t.outputs.matrix for t in back}.values()
+        (shipped,) = {id(t.stimulus.suite): t.stimulus.suite for t in back}.values()
+        assert_logs_identical([log], [traces[0].execution_log()[0]])
+        assert matrix.dtype == traces[0].outputs.matrix.dtype
+        assert np.array_equal(matrix, traces[0].outputs.matrix)
+        assert shipped.inputs == suite.inputs
+        for name in ("values", "lengths"):
+            assert getattr(shipped, name).dtype == getattr(suite, name).dtype
+            assert np.array_equal(getattr(shipped, name), getattr(suite, name))
+        assert shipped == suite
+        assert all(
+            view._records is None
+            for view in (back[2].executions, back[2].outputs, back[2].stimulus)
+        )
+        for mine, theirs in zip(back, traces):
+            assert mine.outputs == theirs.outputs
+            assert mine.stimulus == theirs.stimulus
+            assert_executions_identical(mine, theirs)
 
     def test_outputs_view_behaves_like_frames(self, arbiter):
         suite = generate_testbench_suite(arbiter, 3, TestbenchConfig(n_cycles=5), seed=1)

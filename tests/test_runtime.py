@@ -823,10 +823,6 @@ class TestFailedTaskCancelsQueue:
 
 
 class TestSpawnSafety:
-    def test_fork_context_is_rejected(self):
-        with pytest.raises(ValueError, match="spawn-safe"):
-            ExecutionRuntime(2, mp_context="fork")
-
     def test_session_runtime_uses_spawn(self, worker_session):
         assert worker_session.runtime.start_method == "spawn"
 
