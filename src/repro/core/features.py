@@ -340,7 +340,7 @@ def log_rows(
     """
     kinds: dict[tuple[int, int], int] = {}
     kept: list[dict[int, StatementContext]] = []
-    flat: list[tuple[int, Trace]] = []
+    set_indices: list[int] = []
     by_log: dict[tuple[int, int], tuple[SuiteLog, list[int], list[int]]] = {}
     by_table: dict[tuple[int, int], tuple[list[SuiteLog], list[int]]] = {}
     for set_index, (contexts, traces, restrict_to) in enumerate(sets):
@@ -355,8 +355,8 @@ def log_rows(
                 }
             )
         for trace in traces:
-            position = len(flat)
-            flat.append((set_index, trace))
+            position = len(set_indices)
+            set_indices.append(set_index)
             log, lane = trace.execution_log()
             if log.n_lanes == 1:
                 logs, positions = by_table.setdefault((id(log.shapes), kind), ([], []))
@@ -378,7 +378,7 @@ def log_rows(
         segments.append((log, kind, [0], None, np.repeat(positions, lengths)))
 
     stride = max((len(segment[0].slots) for segment in segments), default=0)
-    set_of = np.fromiter((set_index for set_index, _trace in flat), np.int64, len(flat))
+    set_of = np.asarray(set_indices, dtype=np.int64)
     plans: list[dict[tuple[int, tuple[str, ...]], tuple[int, ...]]] = [{} for _ in kept]
     pieces = []
     for log, kind, lanes, lane_positions, event_positions in segments:
